@@ -15,7 +15,7 @@
 //!    query's final skyline has been emitted.
 
 use crate::config::{EngineConfig, ExecConfig, SchedulingPolicy};
-use crate::group::{build_groups_with_memos, build_one_group, ArenaTuple, JoinGroup};
+use crate::group::{build_groups_with_memos, build_one_group, ArenaTuple, Counted, JoinGroup};
 use crate::ingest::prepare_inputs;
 use crate::outcome::{QueryOutcome, RunOutcome};
 use crate::plan::PreparedPlan;
@@ -29,9 +29,7 @@ use caqe_operators::SortedJoinIndex;
 use caqe_parallel::Threads;
 use caqe_partition::Partitioning;
 use caqe_regions::depgraph::Edge;
-use caqe_regions::{
-    buchta_estimate, estimate_ticks, prog_est, region_csm, OutputRegion, ReconciledEstimate,
-};
+use caqe_regions::{buchta_estimate, estimate_ticks, ReconciledEstimate};
 use caqe_trace::{NoopSink, SpanKind, TraceBuffer, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
 use caqe_types::{DimMask, EngineError, PointId, QueryId, RegionId, SimClock, Stats, Value};
@@ -416,6 +414,8 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
     // the first loop iteration whose clock has reached its scheduled tick.
     let event_list = events.events();
     let mut next_ev = 0usize;
+    // Scratch for `select_region`'s per-decision witness table.
+    let mut witness_counts: Vec<u32> = Vec::new();
 
     loop {
         // --- Online session events (admission / departure). Processed
@@ -476,7 +476,8 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
             // starving peer. `None` — nothing unfinished — skips the check.
             let mean_sat = shed_mean_satisfaction(&groups, &scores, &active);
             if let Some(mean_sat) = mean_sat.filter(|m| *m < exec.degradation.sat_floor) {
-                if let Some((sgi, srid)) = pick_shed_victim(&groups, &scores, &weights, &clock) {
+                if let Some((sgi, srid)) = pick_shed_victim(&mut groups, &scores, &weights, &clock)
+                {
                     stats.regions_shed += 1;
                     if S::ENABLED {
                         sink.record(TraceEvent::RegionShed {
@@ -506,7 +507,7 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
         }
 
         let picked = select_region(
-            &groups,
+            &mut groups,
             &pendings,
             engine.policy,
             &scores,
@@ -515,6 +516,7 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
             &mut fifo_cursors,
             &health,
             &exec.faults,
+            &mut witness_counts,
         );
         let (gi, rid, score) = match picked {
             Some(pick) => pick,
@@ -540,6 +542,15 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
                 }
             }
         };
+        // Debug builds audit the incremental counts against Definition 11
+        // from scratch for every scheduled region, under every policy.
+        debug_assert!(
+            {
+                let g = groups[gi].counted();
+                g.matches_oracle(g.regions.region(rid))
+            },
+            "threat counts of group {gi} region {rid} diverged from Definition 11"
+        );
         // Trace the decision and capture the schedule-time estimates for the
         // completion-side audit. Everything here is a pure read of engine
         // state: the clock is consulted, never charged.
@@ -547,7 +558,8 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
         let join_results_before = stats.join_results;
         let mut audit = ReconciledEstimate::default();
         if S::ENABLED {
-            let g = &groups[gi];
+            // FIFO never ranks, so this may be the first look at the counts.
+            let g = groups[gi].counted();
             let reg = g.regions.region(rid);
             let out_dims = g.mapping.output_dims();
             audit.est_join = reg.est_join;
@@ -557,14 +569,10 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
                 .filter(|&&q| reg.serving.contains(q))
                 .map(|&q| buchta_estimate(reg.est_join.max(1.0), g.regions.pref(q).len()))
                 .sum();
-            audit.est_ticks =
-                perturbed_est_ticks(&exec.faults, gi as u32, reg, clock.model(), out_dims);
-            let prog: f64 = g
-                .members
-                .iter()
-                .map(|&q| prog_est(&g.regions, &g.dg, reg, q))
-                .sum();
-            let csm = region_csm(&g.regions, &g.dg, reg, &scores, &weights, &clock, out_dims);
+            let base_ticks = estimate_ticks(reg, clock.model(), out_dims);
+            audit.est_ticks = perturbed_est_ticks(&exec.faults, gi as u32, rid, base_ticks);
+            let prog = g.prog_est(reg);
+            let csm = g.csm(reg, &scores, &weights, &clock, base_ticks);
             sink.record(TraceEvent::Decision {
                 tick: sched_tick,
                 group: gi as u32,
@@ -743,17 +751,7 @@ pub fn try_run_engine_online_prepared<S: TraceSink>(
         }
 
         // --- Scheduling-graph maintenance (Algorithm 1). ---
-        let out_peers: Vec<RegionId> = groups[gi]
-            .dg
-            .threats_out(rid)
-            .iter()
-            .map(|e| e.peer)
-            .collect();
         groups[gi].dg.remove(rid);
-        for p in out_peers {
-            groups[gi].prog_cache[p.index()] = None;
-        }
-        groups[gi].prog_cache[rid.index()] = None;
 
         // --- Progressive result reporting (§6, Example 19). ---
         if engine.progressive_emission {
@@ -872,19 +870,12 @@ impl RegionHealth {
     }
 }
 
-/// The engine-side cost projection for a region, with any estimator
-/// perturbation fault applied (DESIGN.md §13). A factor of exactly 1.0 —
-/// the no-fault case — takes the untouched estimate, keeping the golden
-/// path bit-identical.
-fn perturbed_est_ticks(
-    faults: &FaultPlan,
-    gi: u32,
-    reg: &OutputRegion,
-    model: &caqe_types::CostModel,
-    out_dims: usize,
-) -> u64 {
-    let base = estimate_ticks(reg, model, out_dims);
-    let factor = faults.estimator_factor(gi, reg.id.0);
+/// The engine-side cost projection for a region: its `estimate_ticks`
+/// (`base`) with any estimator perturbation fault applied (DESIGN.md §13). A
+/// factor of exactly 1.0 — the no-fault case — takes the untouched estimate,
+/// keeping the golden path bit-identical.
+fn perturbed_est_ticks(faults: &FaultPlan, gi: u32, rid: RegionId, base: u64) -> u64 {
+    let factor = faults.estimator_factor(gi, rid.0);
     if factor == 1.0 {
         base
     } else {
@@ -1091,10 +1082,8 @@ fn apply_admit<S: TraceSink>(
             } else {
                 g.plan.admit_query(spec.pref, &g.points, clock, stats);
             }
-            // Serving sets changed everywhere: every cached progressiveness
-            // estimate and the FIFO liveness cursor are stale (revived
-            // husks break the cursor's monotone-death assumption).
-            g.prog_cache = vec![None; g.regions.len()];
+            // Serving sets changed everywhere: the FIFO liveness cursor is
+            // stale (revived husks break its monotone-death assumption).
             fifo_cursors[gi] = 0;
         }
         None => {
@@ -1271,11 +1260,7 @@ fn apply_depart<S: TraceSink>(
         recheck.extend(retire_region(&mut groups[gi], rid));
     }
     groups[gi].dg.depart_query(q);
-    {
-        let g = &mut groups[gi];
-        g.plan.depart_query(QueryId(local as u16));
-        g.prog_cache = vec![None; g.regions.len()];
-    }
+    groups[gi].plan.depart_query(QueryId(local as u16));
 
     if S::ENABLED {
         sink.record(TraceEvent::Depart {
@@ -1310,13 +1295,14 @@ fn apply_depart<S: TraceSink>(
 /// skipping any region that is the *sole* remaining provider for some query
 /// it serves — shedding it would silently zero that query's result.
 fn pick_shed_victim(
-    groups: &[JoinGroup],
+    groups: &mut [JoinGroup],
     scores: &[QueryScore],
     weights: &[f64],
     clock: &SimClock,
 ) -> Option<(usize, RegionId)> {
     let mut victim: Option<(usize, RegionId, f64)> = None;
-    for (gi, g) in groups.iter().enumerate() {
+    for (gi, g) in groups.iter_mut().enumerate() {
+        let g = g.counted();
         let out_dims = g.mapping.output_dims();
         for reg in g.regions.regions() {
             if !reg.is_alive() || !g.dg.is_root(reg.id) {
@@ -1335,7 +1321,8 @@ fn pick_shed_victim(
             if sole {
                 continue;
             }
-            let csm = region_csm(&g.regions, &g.dg, reg, scores, weights, clock, out_dims);
+            let t_c = estimate_ticks(reg, clock.model(), out_dims);
+            let csm = g.csm(reg, scores, weights, clock, t_c);
             if victim.map_or(true, |(_, _, best)| csm < best) {
                 victim = Some((gi, reg.id, csm));
             }
@@ -1345,12 +1332,11 @@ fn pick_shed_victim(
 }
 
 /// Retires a region that will never produce tuples (quarantined after
-/// repeated failures, or shed under degradation): empties its serving set,
-/// removes it from the dependency graph and invalidates the progressiveness
-/// caches it touched. Returns the origins whose pending tuples must be
-/// rechecked — the retired region itself plus everything it statically
-/// threatened (a retired region never materializes tuples, so its targets
-/// may now be safe).
+/// repeated failures, or shed under degradation): empties its serving set
+/// and removes it from the dependency graph. Returns the origins whose
+/// pending tuples must be rechecked — the retired region itself plus
+/// everything it statically threatened (a retired region never materializes
+/// tuples, so its targets may now be safe).
 fn retire_region(g: &mut JoinGroup, rid: RegionId) -> Vec<u32> {
     let serving = g.regions.region(rid).serving;
     {
@@ -1359,12 +1345,7 @@ fn retire_region(g: &mut JoinGroup, rid: RegionId) -> Vec<u32> {
             reg.kill_query(q);
         }
     }
-    let out_peers: Vec<RegionId> = g.dg.threats_out(rid).iter().map(|e| e.peer).collect();
     g.dg.remove(rid);
-    for p in &out_peers {
-        g.prog_cache[p.index()] = None;
-    }
-    g.prog_cache[rid.index()] = None;
     let mut recheck: Vec<u32> = vec![rid.0];
     recheck.extend(g.static_threats_out[rid.index()].iter().map(|e| e.peer.0));
     recheck
@@ -1375,9 +1356,13 @@ fn retire_region(g: &mut JoinGroup, rid: RegionId) -> Vec<u32> {
 /// one with the highest score. Regions serving a backoff penalty are
 /// skipped; the caller advances the clock to the earliest wake-up when
 /// nothing else is schedulable. Returns the winner and its score.
+///
+/// Each group is ranked through its [`JoinGroup::counted`] view, which is why
+/// the groups are taken mutably; `witness_counts` is scratch reused across
+/// decisions.
 #[allow(clippy::too_many_arguments)]
 fn select_region(
-    groups: &[JoinGroup],
+    groups: &mut [JoinGroup],
     pendings: &[PendingState],
     policy: SchedulingPolicy,
     scores: &[QueryScore],
@@ -1386,6 +1371,7 @@ fn select_region(
     fifo_cursors: &mut [usize],
     health: &[RegionHealth],
     faults: &FaultPlan,
+    witness_counts: &mut Vec<u32>,
 ) -> Option<(usize, RegionId, f64)> {
     let now = clock.ticks();
     if policy == SchedulingPolicy::Fifo {
@@ -1409,40 +1395,36 @@ fn select_region(
         return None;
     }
 
-    // Per group: how many pending tuples cite each region as their emission
-    // blocker (witness), per query. Processing a heavily-cited blocker
+    // Per (group, region, query): how many pending tuples cite the region as
+    // their emission blocker (witness). Processing a heavily-cited blocker
     // unblocks those tuples — or moves their witness one step down the
-    // blocker clique — so candidates are credited for it below. Dense
-    // region-indexed table (inner count vectors allocated only for cited
-    // regions); no iteration-ordered map on this traced path.
-    let blocked: Vec<Vec<Vec<u32>>> = if policy == SchedulingPolicy::ContractDriven {
-        pendings
-            .iter()
-            .enumerate()
-            .map(|(gi, pending)| {
-                let mut per_region: Vec<Vec<u32>> = vec![Vec::new(); groups[gi].regions.len()];
-                for p in pending.by_origin.iter().flatten() {
-                    for (q, witness) in &p.entries {
-                        if let Some(w) = witness {
-                            let counts = &mut per_region[w.index()];
-                            if counts.is_empty() {
-                                counts.resize(scores.len(), 0);
-                            }
-                            counts[q.index()] += 1;
-                        }
+    // blocker clique — so candidates are credited for it below. One flat
+    // table, `nq` counts per region, groups back to back; no
+    // iteration-ordered map on this traced path.
+    let nq = scores.len();
+    witness_counts.clear();
+    if policy == SchedulingPolicy::ContractDriven {
+        let regions: usize = groups.iter().map(|g| g.regions.len()).sum();
+        witness_counts.resize(regions * nq, 0);
+        let mut first = 0;
+        for (g, pending) in groups.iter().zip(pendings) {
+            for p in pending.by_origin.iter().flatten() {
+                for (q, witness) in &p.entries {
+                    if let Some(w) = witness {
+                        witness_counts[(first + w.index()) * nq + q.index()] += 1;
                     }
                 }
-                per_region
-            })
-            .collect()
-    } else {
-        Vec::new()
-    };
+            }
+            first += g.regions.len();
+        }
+    }
 
     let mut best: Option<(usize, RegionId, f64)> = None;
     let mut any_alive = false;
     for roots_only in [true, false] {
-        for (gi, g) in groups.iter().enumerate() {
+        let mut first = 0;
+        for (gi, g) in groups.iter_mut().enumerate() {
+            let g = g.counted();
             for reg in g.regions.regions() {
                 if !reg.is_alive() {
                     continue;
@@ -1454,17 +1436,20 @@ fn select_region(
                 if roots_only && !g.dg.is_root(reg.id) {
                     continue;
                 }
-                let witnessed = blocked
-                    .get(gi)
-                    .map(|m| m[reg.id.index()].as_slice())
-                    .filter(|w| !w.is_empty());
+                let witnessed = match policy {
+                    SchedulingPolicy::ContractDriven => {
+                        &witness_counts[(first + reg.id.index()) * nq..][..nq]
+                    }
+                    _ => &[],
+                };
                 let score = candidate_score(
-                    g, gi as u32, reg.id, policy, scores, weights, clock, witnessed, faults,
+                    &g, gi as u32, reg.id, policy, scores, weights, clock, witnessed, faults,
                 );
                 if best.map_or(true, |(_, _, s)| score > s) {
                     best = Some((gi, reg.id, score));
                 }
             }
+            first += g.regions.len();
         }
         if best.is_some() || !any_alive {
             break;
@@ -1476,18 +1461,18 @@ fn select_region(
 
 /// Scores one candidate region under the active policy.
 ///
-/// `witnessed` — for the contract-driven policy: per query, the number of
-/// pending tuples currently naming this region as their emission blocker.
+/// `witnessed` — per query, the number of pending tuples currently naming
+/// this region as their emission blocker (empty unless contract-driven).
 #[allow(clippy::too_many_arguments)]
 fn candidate_score(
-    g: &JoinGroup,
+    g: &Counted<'_>,
     gi: u32,
     rid: RegionId,
     policy: SchedulingPolicy,
     scores: &[QueryScore],
     weights: &[f64],
     clock: &SimClock,
-    witnessed: Option<&[u32]>,
+    witnessed: &[u32],
     faults: &FaultPlan,
 ) -> f64 {
     let reg = g.regions.region(rid);
@@ -1506,6 +1491,8 @@ fn candidate_score(
             weights[q.index()] / (1.0 + hi_score / mask.len() as f64)
         })
         .sum();
+    let base_ticks = estimate_ticks(reg, clock.model(), g.mapping.output_dims());
+    let ticks = perturbed_est_ticks(faults, gi, rid, base_ticks);
     match policy {
         SchedulingPolicy::ContractDriven => {
             // Equation 8 scores the expected utility of the region's
@@ -1516,47 +1503,24 @@ fn candidate_score(
             // discards or unblocks) the bulk of the landscape, and dividing
             // by their — systematically underestimated — cost starves
             // exactly those regions in favour of cheap peripheral ones.
-            let ticks =
-                perturbed_est_ticks(faults, gi, reg, clock.model(), g.mapping.output_dims());
             let t_done = clock.projected(ticks);
             // Unblocking benefit: tuples already materialized and waiting on
             // exactly this region earn their utility the moment it completes
             // (or move their witness one blocker down the clique). Without
             // this term the optimizer spreads effort across cliques and
             // every emission arrives late.
-            let unblock: f64 = witnessed
-                .map(|counts| {
-                    counts
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &n)| n > 0)
-                        .map(|(qi, &n)| {
-                            weights[qi] * n as f64 * scores[qi].hypothetical_utility(t_done, 1)
-                        })
-                        .sum()
-                })
-                .unwrap_or(0.0);
-            let csm = region_csm(
-                &g.regions,
-                &g.dg,
-                reg,
-                scores,
-                weights,
-                clock,
-                g.mapping.output_dims(),
-            );
+            let mut unblock = 0.0;
+            for (qi, &n) in witnessed.iter().enumerate() {
+                if n > 0 {
+                    unblock += weights[qi] * n as f64 * scores[qi].hypothetical_utility(t_done, 1);
+                }
+            }
+            let csm = g.csm(reg, scores, weights, clock, base_ticks);
             csm + unblock + 1e-3 * potential
         }
         SchedulingPolicy::CountDriven => {
             // ProgXe+: estimated progressive output per tick, contract-blind.
-            let ticks =
-                perturbed_est_ticks(faults, gi, reg, clock.model(), g.mapping.output_dims());
-            let total: f64 = g
-                .members
-                .iter()
-                .map(|&q| prog_est(&g.regions, &g.dg, reg, q))
-                .sum();
-            total / ticks.max(1) as f64 + 1e-3 * potential
+            g.prog_est(reg) / ticks.max(1) as f64 + 1e-3 * potential
         }
         SchedulingPolicy::Fifo => 0.0,
     }
@@ -1835,18 +1799,13 @@ fn discard_dominated(
             }
         }
         if shrunk || died {
-            g.prog_cache[peer.index()] = None;
             // The peer threatens fewer things now; its own targets may have
             // become safe.
             recheck.extend(g.static_threats_out[peer.index()].iter().map(|e| e.peer.0));
         }
         if died {
             stats.regions_pruned += 1;
-            let out_peers: Vec<RegionId> = g.dg.threats_out(peer).iter().map(|e| e.peer).collect();
             g.dg.remove(peer);
-            for p in out_peers {
-                g.prog_cache[p.index()] = None;
-            }
             // A dead region never produces tuples: anything it threatened
             // must be rechecked.
             recheck.push(peer.0);

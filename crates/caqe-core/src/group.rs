@@ -9,12 +9,16 @@
 
 use crate::config::ExecConfig;
 use crate::workload::Workload;
+use caqe_contract::QueryScore;
 use caqe_cuboid::{MinMaxCuboid, SharedSkylinePlan};
 use caqe_operators::MappingSet;
 use caqe_parallel::Threads;
 use caqe_partition::Partitioning;
 use caqe_regions::depgraph::Edge;
-use caqe_regions::{build_regions, DependencyGraph, RegionBuildInput, RegionSet};
+use caqe_regions::{
+    build_regions, region_csm, DependencyGraph, OutputRegion, RegionBuildInput, RegionSet,
+    ThreatCounts,
+};
 use caqe_trace::{SpanKind, TraceBuffer, TraceEvent, TraceSink};
 use caqe_types::{DimMask, PointStore, QueryId, SimClock, Stats};
 
@@ -59,12 +63,69 @@ pub struct JoinGroup {
     /// insertion, pending-emission safety tests, discard sweeps) reads the
     /// slice instead of cloning.
     pub points: PointStore,
-    /// Cached progressiveness estimates per region (local-query order);
-    /// `None` marks a dirty entry.
-    pub prog_cache: Vec<Option<Vec<f64>>>,
+    /// Per-cell threat counts behind every progressiveness estimate
+    /// (DESIGN.md §20). Private: [`Self::counted`] is the only way to read
+    /// them, so no reader can see a table older than the regions.
+    threats: ThreatCounts,
+}
+
+/// A [`JoinGroup`] whose threat counts were reconciled with its regions when
+/// this view was taken; holding it keeps the group from changing underneath.
+pub struct Counted<'a>(&'a JoinGroup);
+
+impl std::ops::Deref for Counted<'_> {
+    type Target = JoinGroup;
+
+    fn deref(&self) -> &JoinGroup {
+        self.0
+    }
+}
+
+impl Counted<'_> {
+    /// Equation 8 for `reg` ([`region_csm`]) off the current counts.
+    pub fn csm(
+        &self,
+        reg: &OutputRegion,
+        scores: &[QueryScore],
+        weights: &[f64],
+        clock: &SimClock,
+        t_c: u64,
+    ) -> f64 {
+        region_csm(
+            &self.regions,
+            &self.0.threats,
+            reg,
+            scores,
+            weights,
+            clock,
+            t_c,
+        )
+    }
+
+    /// Equation 10 for `reg`, summed over the group's queries.
+    pub fn prog_est(&self, reg: &OutputRegion) -> f64 {
+        (0..self.members.len())
+            .map(|lq| self.0.threats.prog_est(&self.regions, reg, lq))
+            .sum()
+    }
+
+    /// Whether the counts of `reg` equal Definition 11 derived from scratch.
+    pub fn matches_oracle(&self, reg: &OutputRegion) -> bool {
+        self.0.threats.matches_oracle(&self.regions, &self.dg, reg)
+    }
 }
 
 impl JoinGroup {
+    /// Brings the threat counts up to date with whatever happened to the
+    /// regions since the last call (processed, discarded, retired, admitted,
+    /// departed) and returns the view they are read through. Nothing else
+    /// maintains the table; a run that never asks never builds it.
+    pub fn counted(&mut self) -> Counted<'_> {
+        self.threats
+            .reconcile(&self.regions, &self.static_threats_out);
+        Counted(self)
+    }
+
     /// The local index of a global query id, if it belongs to this group.
     pub fn local_of(&self, q: QueryId) -> Option<usize> {
         self.members.iter().position(|&m| m == q)
@@ -334,7 +395,6 @@ pub(crate) fn build_one_group(
     if let Some((lo, hi)) = regions.mapped_bounds() {
         plan.enable_sig_cache(&lo, &hi);
     }
-    let prog_cache = vec![None; regions.len()];
     let points = PointStore::new(mapping.output_dims());
     JoinGroup {
         join_col,
@@ -347,7 +407,7 @@ pub(crate) fn build_one_group(
         plan,
         arena: Vec::new(),
         points,
-        prog_cache,
+        threats: ThreatCounts::default(),
     }
 }
 
@@ -395,7 +455,6 @@ pub(crate) fn replay_group(
     if let Some((lo, hi)) = regions.mapped_bounds() {
         plan.enable_sig_cache(&lo, &hi);
     }
-    let prog_cache = vec![None; regions.len()];
     let points = PointStore::new(memo.mapping.output_dims());
     JoinGroup {
         join_col: memo.join_col,
@@ -408,7 +467,7 @@ pub(crate) fn replay_group(
         plan,
         arena: Vec::new(),
         points,
-        prog_cache,
+        threats: ThreatCounts::default(),
     }
 }
 
@@ -474,7 +533,6 @@ mod tests {
         // Shared state shapes line up.
         for g in &groups {
             assert_eq!(g.static_threats_in.len(), g.regions.len());
-            assert_eq!(g.prog_cache.len(), g.regions.len());
             assert!(g.arena.is_empty());
         }
     }

@@ -125,23 +125,13 @@ impl DependencyGraph {
             }
         }
 
-        let mut blockers = vec![0usize; n];
-        for (j, edges) in threats_in.iter().enumerate() {
-            for e in edges {
-                let mutual = threats_in[e.peer.index()]
-                    .iter()
-                    .any(|back| back.peer.index() == j);
-                if !mutual {
-                    blockers[j] += 1;
-                }
-            }
-        }
-
-        DependencyGraph {
+        let mut dg = DependencyGraph {
             threats_in,
             threats_out,
-            blockers,
-        }
+            blockers: vec![0; n],
+        };
+        dg.recompute_blockers();
+        dg
     }
 
     /// Reconstructs a graph from persisted in-edge lists (DESIGN.md §19):
@@ -149,8 +139,8 @@ impl DependencyGraph {
     /// targets in ascending order reproduces `build`'s inner-loop push
     /// order, so edge *ordering* — which downstream iteration observes —
     /// is restored bit-for-bit, not just edge membership), and blocker
-    /// counts are recomputed with the same non-mutual-in-edge rule `build`
-    /// uses. Charges nothing: a restored graph must not re-pay the
+    /// counts come from the same `recompute_blockers` pass `build` ends
+    /// with. Charges nothing: a restored graph must not re-pay the
     /// comparisons the cold build already charged.
     pub fn from_threats_in(threats_in: Vec<Vec<Edge>>) -> Self {
         let n = threats_in.len();
@@ -255,20 +245,20 @@ impl DependencyGraph {
         self.recompute_blockers();
     }
 
-    /// Recomputes `blockers` from scratch with the same non-mutual-in-edge
-    /// rule `build` uses.
+    /// Recomputes `blockers` from scratch: an in-edge `i → j` blocks `j`
+    /// unless it is mutual, i.e. `i` is also a target of `j`. Stamping `j`'s
+    /// targets before scanning its in-edges answers that in O(1) per edge,
+    /// so the whole pass is O(E).
     fn recompute_blockers(&mut self) {
+        let mut target_of = vec![usize::MAX; self.threats_in.len()];
         for j in 0..self.threats_in.len() {
-            let mut b = 0usize;
-            for e in &self.threats_in[j] {
-                let mutual = self.threats_in[e.peer.index()]
-                    .iter()
-                    .any(|back| back.peer.index() == j);
-                if !mutual {
-                    b += 1;
-                }
+            for e in &self.threats_out[j] {
+                target_of[e.peer.index()] = j;
             }
-            self.blockers[j] = b;
+            self.blockers[j] = self.threats_in[j]
+                .iter()
+                .filter(|e| target_of[e.peer.index()] != j)
+                .count();
         }
     }
 

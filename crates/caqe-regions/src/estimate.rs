@@ -7,6 +7,9 @@
 //!   cannot be dominated by any *alive* threatening region;
 //! * [`prog_est`] — Equation 10: the fraction of the region's estimated
 //!   skyline output that is guaranteed progressive;
+//!   (these two and their `soft_` relaxations re-derive every threat from
+//!   the graph and are kept as the oracle for [`ThreatCounts`], which the
+//!   scheduler reads instead);
 //! * [`estimate_ticks`] — the cost model: projected virtual ticks to
 //!   process the region at tuple level;
 //! * [`region_csm`] — Equation 8: the Cumulative Satisfaction Metric that
@@ -14,6 +17,7 @@
 
 use crate::depgraph::DependencyGraph;
 use crate::region::{OutputRegion, RegionSet};
+use crate::threats::ThreatCounts;
 use caqe_contract::QueryScore;
 use caqe_types::{CostModel, QueryId, SimClock};
 
@@ -207,26 +211,26 @@ impl ReconciledEstimate {
 /// the current virtual time.
 ///
 /// For each query the region still serves, the expected progressive output
-/// `N^i_est = ProgEst(R_c, Q_i)` is scored with the query's utility function
-/// at the *projected completion time* `t_curr + t_c`, weighted by the
-/// query's run-time weight `w_i`.
+/// `N^i_est = ProgEst(R_c, Q_i)` — read off the reconciled `threats` table —
+/// is scored with the query's utility function at the *projected completion
+/// time* `t_curr + t_c`, weighted by the query's run-time weight `w_i`.
+/// `t_c` is the region's [`estimate_ticks`].
 pub fn region_csm(
     set: &RegionSet,
-    dg: &DependencyGraph,
+    threats: &ThreatCounts,
     region: &OutputRegion,
     scores: &[QueryScore],
     weights: &[f64],
     clock: &SimClock,
-    output_dims: usize,
+    t_c: u64,
 ) -> f64 {
-    let t_c = estimate_ticks(region, clock.model(), output_dims);
     let t_done = clock.projected(t_c);
     let mut csm = 0.0;
-    for (q, _) in set.queries() {
+    for (lq, (q, _)) in set.queries().iter().enumerate() {
         if !region.serving.contains(*q) {
             continue;
         }
-        let est = soft_prog_est(set, dg, region, *q);
+        let est = threats.soft_prog_est(set, region, lq);
         if est <= 0.0 {
             continue;
         }
@@ -294,6 +298,25 @@ mod tests {
         (set, dg)
     }
 
+    /// Equation 8 for one region over a freshly built threat table.
+    fn csm_of(
+        set: &RegionSet,
+        dg: &DependencyGraph,
+        rid: RegionId,
+        scores: &[QueryScore],
+        weights: &[f64],
+        clock: &SimClock,
+    ) -> f64 {
+        let out_edges: Vec<_> = (0..set.len())
+            .map(|i| dg.threats_out(RegionId(i as u32)).to_vec())
+            .collect();
+        let mut threats = ThreatCounts::default();
+        threats.reconcile(set, &out_edges);
+        let region = set.region(rid);
+        let t_c = estimate_ticks(region, clock.model(), 2);
+        region_csm(set, &threats, region, scores, weights, clock, t_c)
+    }
+
     #[test]
     fn prog_count_sees_threats() {
         let (set, dg) = two_region_set();
@@ -358,24 +381,8 @@ mod tests {
         let scores = vec![QueryScore::new(Contract::Deadline { t_hard: 100.0 }, 50.0)];
         let weights = vec![1.0];
         let clock = SimClock::default();
-        let c0 = region_csm(
-            &set,
-            &dg,
-            set.region(RegionId(0)),
-            &scores,
-            &weights,
-            &clock,
-            2,
-        );
-        let c1 = region_csm(
-            &set,
-            &dg,
-            set.region(RegionId(1)),
-            &scores,
-            &weights,
-            &clock,
-            2,
-        );
+        let c0 = csm_of(&set, &dg, RegionId(0), &scores, &weights, &clock);
+        let c1 = csm_of(&set, &dg, RegionId(1), &scores, &weights, &clock);
         assert!(
             c0 > c1,
             "CSM should favour the progressive region: {c0} vs {c1}"
@@ -387,24 +394,8 @@ mod tests {
         let (set, dg) = two_region_set();
         let scores = vec![QueryScore::new(Contract::Deadline { t_hard: 100.0 }, 50.0)];
         let clock = SimClock::default();
-        let w1 = region_csm(
-            &set,
-            &dg,
-            set.region(RegionId(0)),
-            &scores,
-            &[1.0],
-            &clock,
-            2,
-        );
-        let w2 = region_csm(
-            &set,
-            &dg,
-            set.region(RegionId(0)),
-            &scores,
-            &[2.0],
-            &clock,
-            2,
-        );
+        let w1 = csm_of(&set, &dg, RegionId(0), &scores, &[1.0], &clock);
+        let w2 = csm_of(&set, &dg, RegionId(0), &scores, &[2.0], &clock);
         assert!((w2 - 2.0 * w1).abs() < 1e-9);
     }
 
@@ -455,15 +446,7 @@ mod tests {
         let weights = vec![1.0];
         let clock = SimClock::default();
         // Any region completes after the (absurd) deadline: CSM = 0.
-        let c = region_csm(
-            &set,
-            &dg,
-            set.region(RegionId(0)),
-            &scores,
-            &weights,
-            &clock,
-            2,
-        );
+        let c = csm_of(&set, &dg, RegionId(0), &scores, &weights, &clock);
         assert_eq!(c, 0.0);
     }
 }

@@ -17,7 +17,10 @@
 //! * [`estimate`] — the progressiveness-based benefit model: Buchta's
 //!   skyline cardinality estimate (Equation 9), the progressive cell count
 //!   (Definition 11), `ProgEst` (Equation 10) and the Cumulative
-//!   Satisfaction Metric (Equation 8).
+//!   Satisfaction Metric (Equation 8);
+//! * [`threats::ThreatCounts`] — the per-cell threat counts Definition 11
+//!   is a function of, kept current by deltas so scheduling does not
+//!   re-derive them per candidate per decision.
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -26,6 +29,7 @@ pub mod build;
 pub mod depgraph;
 pub mod estimate;
 pub mod region;
+pub mod threats;
 
 pub use build::{build_regions, RegionBuildInput};
 pub use depgraph::DependencyGraph;
@@ -34,3 +38,4 @@ pub use estimate::{
     soft_prog_est, ReconciledEstimate,
 };
 pub use region::{OutputRegion, RegionSet};
+pub use threats::ThreatCounts;

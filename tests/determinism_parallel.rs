@@ -165,16 +165,42 @@ fn trace_matches_committed_golden() {
     let mut sink = caqe::trace::RecordingSink::new();
     let out = CaqeStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
     assert!(out.total_results() > 0, "degenerate workload");
+    assert_golden("caqe_trace.jsonl", &caqe::trace::to_jsonl(sink.events()));
+}
+
+#[test]
+fn fifo_trace_matches_committed_golden() {
+    // S-JFSL never ranks regions, yet every `Decision` it traces carries the
+    // `csm` / `prog_est` of the region the FIFO cursor picked. The golden was
+    // recorded when both were derived from scratch per decision, so it pins
+    // the incremental threat counts on the one path that reads them without
+    // a ranking pass having run first.
+    let w = workload();
+    let (r, t) = tables(400, Distribution::Correlated, 7);
+    let exec = ExecConfig::default().with_target_cells(400, 4);
+    let mut sink = caqe::trace::RecordingSink::new();
+    let out = SJfslStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
+    assert!(out.total_results() > 0, "degenerate workload");
     let jsonl = caqe::trace::to_jsonl(sink.events());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/caqe_trace.jsonl");
+    assert!(
+        jsonl.contains("\"policy\":\"fifo\""),
+        "no FIFO decision traced"
+    );
+    assert_golden("sjfsl_trace.jsonl", &jsonl);
+}
+
+/// Compares `jsonl` with `tests/golden/<name>` byte for byte; refreshes the
+/// file instead when `UPDATE_GOLDEN` is set.
+fn assert_golden(name: &str, jsonl: &str) {
+    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &jsonl).expect("write golden trace");
+        std::fs::write(&path, jsonl).expect("write golden trace");
         return;
     }
-    let golden = std::fs::read_to_string(path).expect("missing golden trace");
+    let golden = std::fs::read_to_string(&path).expect("missing golden trace");
     assert_eq!(
         golden, jsonl,
-        "trace diverged from the committed pre-migration golden"
+        "trace diverged from the committed golden {name}"
     );
 }
 
