@@ -1,25 +1,16 @@
-//! Criterion micro-benchmarks for the flat-layout migration (DESIGN.md §12)
-//! and the partition-signature pruning layer (DESIGN.md §17): every pair is
-//! the seed-era `Vec<Vec<f64>>`/`HashMap` kernel (`legacy/*`) against its
-//! `PointStore`/`DomKernel` replacement (`flat/*`), and `pruned/*` resolves
-//! the *identical* comparison sequence on packed integer signatures — the
-//! measured differences are pure data layout, allocation and kernel
-//! specialization; results and charges are asserted equal elsewhere
-//! (`prune.rs` tests, `tests/property_sig.rs`, `bench_pr8`).
-//!
-//! CI runs this suite in quick mode as a smoke test; `bench_pr3` and
-//! `bench_pr8` measure the composite wall-clock speedups on the fig9-style
-//! workload.
+//! Criterion micro-benchmarks of the live dominance, skyline and join
+//! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12) and
+//! the streaming partition-signature window (DESIGN.md §17). Results and
+//! charges are asserted equal elsewhere (`prune.rs` tests,
+//! `tests/property_kernels.rs`, `tests/property_sig.rs`); CI runs this
+//! suite in quick mode as a smoke test.
 
-use caqe_bench::legacy::{
-    legacy_hash_join_project, legacy_skyline_bnl, legacy_skyline_sfs, LegacyIncrementalSkyline,
-};
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
-    hash_join_project_store, skyline_bnl_pruned, skyline_bnl_store, skyline_sfs_store,
-    IncrementalSkyline, JoinSpec, MappingSet, SigSkyline,
+    hash_join_project_store, skyline_bnl_store, skyline_sfs_store, IncrementalSkyline, JoinSpec,
+    MappingSet, SigSkyline,
 };
-use caqe_types::sig::{SigQuantizer, SigTable};
+use caqe_types::sig::SigQuantizer;
 use caqe_types::{DimMask, DomKernel, PointStore, SimClock, Stats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -49,17 +40,6 @@ fn bench_skyline_kernels(c: &mut Criterion) {
         let store = intern(&pts, 4);
         let kernel = DomKernel::new(mask, 4);
         group.bench_with_input(
-            BenchmarkId::new("legacy_bnl", dist.label()),
-            &pts,
-            |b, pts| {
-                b.iter(|| {
-                    let mut clock = SimClock::default();
-                    let mut stats = Stats::new();
-                    black_box(legacy_skyline_bnl(pts, mask, &mut clock, &mut stats))
-                })
-            },
-        );
-        group.bench_with_input(
             BenchmarkId::new("flat_bnl", dist.label()),
             &store,
             |b, store| {
@@ -67,37 +47,6 @@ fn bench_skyline_kernels(c: &mut Criterion) {
                     let mut clock = SimClock::default();
                     let mut stats = Stats::new();
                     black_box(skyline_bnl_store(store, &kernel, &mut clock, &mut stats))
-                })
-            },
-        );
-        // Signature table built once outside the loop, like a PresortCache
-        // hit (bench_pr8 prices the build; here we price the probe).
-        let table = {
-            let mut s = Stats::new();
-            #[allow(clippy::expect_used)]
-            SigTable::try_build(&store, mask, &mut s).expect("4-dim subspace fits a signature")
-        };
-        group.bench_with_input(
-            BenchmarkId::new("pruned_bnl", dist.label()),
-            &store,
-            |b, store| {
-                b.iter(|| {
-                    let mut clock = SimClock::default();
-                    let mut stats = Stats::new();
-                    black_box(skyline_bnl_pruned(
-                        store, &kernel, &table, &mut clock, &mut stats,
-                    ))
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("legacy_sfs", dist.label()),
-            &pts,
-            |b, pts| {
-                b.iter(|| {
-                    let mut clock = SimClock::default();
-                    let mut stats = Stats::new();
-                    black_box(legacy_skyline_sfs(pts, mask, &mut clock, &mut stats))
                 })
             },
         );
@@ -120,17 +69,6 @@ fn bench_incremental_kernels(c: &mut Criterion) {
     let pts = points(2000, 4, Distribution::Anticorrelated);
     let mask = DimMask::from_dims([0, 2]);
     let mut group = c.benchmark_group("kernels/incremental");
-    group.bench_function("legacy_insert_stream", |b| {
-        b.iter(|| {
-            let mut sky = LegacyIncrementalSkyline::new(mask);
-            let mut clock = SimClock::default();
-            let mut stats = Stats::new();
-            for (i, p) in pts.iter().enumerate() {
-                black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
-            }
-            sky.len()
-        })
-    });
     group.bench_function("flat_insert_stream", |b| {
         b.iter(|| {
             let mut sky = IncrementalSkyline::new(mask);
@@ -147,8 +85,7 @@ fn bench_incremental_kernels(c: &mut Criterion) {
         #[allow(clippy::expect_used)]
         SigQuantizer::from_store(&store, mask).expect("2-dim subspace fits a signature")
     };
-    // Streaming twin: quantizes each arriving point itself (no shared
-    // table), the worst case for the pruned path.
+    // Streaming twin: quantizes each arriving point itself.
     group.bench_function("pruned_insert_stream", |b| {
         b.iter(|| {
             let mut sky = SigSkyline::new(mask, quant.clone());
@@ -172,21 +109,6 @@ fn bench_join_kernels(c: &mut Criterion) {
     let mapping = MappingSet::mixed(2, 2, 4);
     let spec = JoinSpec::on_column(0);
     let mut group = c.benchmark_group("kernels/join");
-    group.bench_function("legacy_hash_map", |b| {
-        b.iter(|| {
-            let mut clock = SimClock::default();
-            let mut stats = Stats::new();
-            black_box(legacy_hash_join_project(
-                r.records(),
-                t.records(),
-                spec,
-                &mapping,
-                &mut clock,
-                &mut stats,
-            ))
-            .len()
-        })
-    });
     group.bench_function("flat_sorted_runs", |b| {
         b.iter(|| {
             let mut clock = SimClock::default();

@@ -21,7 +21,7 @@ use caqe_bench::report::{
     render_table,
 };
 use caqe_bench::{ComparisonRow, ExperimentConfig};
-use caqe_core::{run_engine, run_engine_traced, EngineConfig, SchedulingPolicy};
+use caqe_core::{try_run_engine, try_run_engine_traced, EngineConfig, SchedulingPolicy};
 use caqe_data::Distribution;
 use caqe_trace::RecordingSink;
 
@@ -120,7 +120,8 @@ fn main() {
             let outcome = if trace_dir.is_some() || metrics_dir.is_some() {
                 let mut sink = RecordingSink::new();
                 let outcome =
-                    run_engine_traced(name, &r, &t, &workload, &exec, &engine, 0, &mut sink);
+                    try_run_engine_traced(name, &r, &t, &workload, &exec, &engine, 0, &mut sink)
+                        .expect("engine run failed");
                 let label = name.replace('-', "_");
                 if let Some(dir) = &trace_dir {
                     caqe_trace::write_trace(dir, &label, sink.events())
@@ -133,7 +134,8 @@ fn main() {
                 }
                 outcome
             } else {
-                run_engine(name, &r, &t, &workload, &exec, &engine, 0)
+                try_run_engine(name, &r, &t, &workload, &exec, &engine, 0)
+                    .expect("engine run failed")
             };
             ComparisonRow::from_outcome(&outcome, &cfg)
         })

@@ -4,7 +4,8 @@
 //! Runs CAQE on a multi-join-group workload serially and with a pinned
 //! worker count, verifies the outcomes are bit-identical, measures the same
 //! parallel run once more with a recording trace sink (the no-op sink is the
-//! compiled-out default), and records everything in `BENCH_PR2.json`.
+//! compiled-out default), and reports everything as one JSON object —
+//! written to `--out <path>`, or printed to stdout without it.
 //!
 //! ```text
 //! cargo run --release -p caqe-bench --bin par_speedup -- [--n <rows>]
@@ -147,7 +148,7 @@ fn main() {
     let threads: usize = cli_parse(&args, "--threads", 4);
     let cells: usize = cli_parse(&args, "--cells", 22);
     let reps: usize = cli_parse(&args, "--reps", 3);
-    let out_path = cli_arg(&args, "--out").unwrap_or_else(|| "BENCH_PR2.json".to_string());
+    let out_path = cli_arg(&args, "--out");
     let trace_dir = cli_trace(&args);
     let metrics_dir = cli_metrics(&args);
 
@@ -245,11 +246,14 @@ fn main() {
         .uint("join_results", serial_out.stats.join_results)
         .bool("bit_identical", true);
     let json = obj.finish();
-    std::fs::write(&out_path, format!("{json}\n")).expect("write bench json");
+    match &out_path {
+        Some(path) => std::fs::write(path, format!("{json}\n")).expect("write bench json"),
+        None => println!("{json}"),
+    }
     println!(
         "{groups} join groups, n={n}, {cores} host cores ({measures}): serial {serial_secs:.3}s, \
          {threads} threads {par_secs:.3}s -> {speedup:.2}x; tracing {traced_secs:.3}s \
-         (x{trace_overhead:.2}, {} events) ({out_path})",
+         (x{trace_overhead:.2}, {} events)",
         sink.events().len()
     );
 }

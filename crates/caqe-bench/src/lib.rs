@@ -6,14 +6,12 @@
 //! * [`experiment`] — one-stop comparison runner producing the rows behind
 //!   Figures 9, 10 and 11 for all five systems;
 //! * [`report`] — plain-text table rendering and JSON row emission so
-//!   EXPERIMENTS.md can be regenerated verbatim;
-//! * [`legacy`] — the seed-era `Vec<Vec<f64>>`/`HashMap` kernels, kept as
-//!   the baseline the flat-layout migration (DESIGN.md §12) is benchmarked
-//!   against.
+//!   EXPERIMENTS.md can be regenerated verbatim.
 //!
 //! Binaries: `fig9`, `fig10`, `fig11`, `table2`, `ablation`, `sweep`,
-//! `par_speedup`, `bench_pr3`, `bench_pr4`, `trace_report`, `obs_report`,
-//! `bench_check` — see DESIGN.md §5 for the per-experiment index. All
+//! `par_speedup`, `serve_soak`, `trace_report`, `obs_report` — see
+//! DESIGN.md §5 for the per-experiment index; timing lives in the
+//! repo-level `benchmark/` package, not here. All
 //! execution drivers accept `--trace <dir>` to export the deterministic
 //! trace of every run (DESIGN.md §11), `--faults <spec>` plus
 //! `--validation <policy>` to run under a deterministic chaos plan
@@ -22,7 +20,6 @@
 
 pub mod experiment;
 pub mod json;
-pub mod legacy;
 pub mod obs;
 pub mod report;
 pub mod workloads;

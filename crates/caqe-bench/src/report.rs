@@ -80,11 +80,30 @@ pub fn render_jsonl_counted(rows: &[ComparisonRow]) -> (String, u64) {
     (text, dropped)
 }
 
-/// Parses a `--key value`-style CLI, returning the value for `key`.
+/// The value following `key`, `Ok(None)` when the flag is absent, and an
+/// error naming the flag when it is present with no value after it (last
+/// argument, or followed by another `--flag`).
+fn cli_lookup(args: &[String], key: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == key) else {
+        return Ok(None);
+    };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{key} needs a value")),
+    }
+}
+
+/// Parses a `--key value`-style CLI, returning the value for `key`. A flag
+/// given without a value exits with code 2 — treating it as absent would
+/// let e.g. `--threads` silently run serial.
 pub fn cli_arg(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1).cloned())
+    match cli_lookup(args, key) {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// Parses `--key value` into any `FromStr` type, falling back to `default`
@@ -273,5 +292,22 @@ mod tests {
         assert_eq!(cli_arg(&args, "--n"), None);
         assert!(cli_flag(&args, "--full"));
         assert!(!cli_flag(&args, "--quick"));
+    }
+
+    #[test]
+    fn flag_without_value_is_an_error_not_absent() {
+        let args: Vec<String> = ["--trace", "--check", "--threads"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            cli_lookup(&args, "--threads"),
+            Err("--threads needs a value".to_string())
+        );
+        assert_eq!(
+            cli_lookup(&args, "--trace"),
+            Err("--trace needs a value".to_string())
+        );
+        assert_eq!(cli_lookup(&args, "--events"), Ok(None));
     }
 }

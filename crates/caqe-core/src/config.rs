@@ -175,12 +175,6 @@ pub struct ExecConfig {
     pub recovery: RecoveryPolicy,
     /// Contract-aware load shedding (disabled by default).
     pub degradation: DegradationPolicy,
-    /// Online sessions only: rebuild the whole shared skyline plan from the
-    /// group's materialized history on every admission instead of patching
-    /// the lattice incrementally (Def. 7). The results are identical; only
-    /// the maintenance cost differs — this is the comparison arm of the
-    /// churn benchmark. Ignored when the event stream is empty.
-    pub rebuild_on_admit: bool,
 }
 
 impl Default for ExecConfig {
@@ -194,7 +188,6 @@ impl Default for ExecConfig {
             validation: ValidationPolicy::default(),
             recovery: RecoveryPolicy::default(),
             degradation: DegradationPolicy::default(),
-            rebuild_on_admit: false,
         }
     }
 }
@@ -228,22 +221,9 @@ impl ExecConfig {
         self
     }
 
-    /// Sets the panic recovery knobs.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Enables contract-aware shedding below the given satisfaction floor.
     pub fn with_degradation(mut self, degradation: DegradationPolicy) -> Self {
         self.degradation = degradation;
-        self
-    }
-
-    /// Selects the full-rebuild admission path for online sessions (see
-    /// [`ExecConfig::rebuild_on_admit`]).
-    pub fn with_rebuild_on_admit(mut self, rebuild: bool) -> Self {
-        self.rebuild_on_admit = rebuild;
         self
     }
 }

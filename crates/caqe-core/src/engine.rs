@@ -22,7 +22,6 @@ use crate::plan::PreparedPlan;
 use crate::session::{EventStream, SessionEvent};
 use crate::workload::{QuerySpec, Workload};
 use caqe_contract::{update_weights_masked, QueryScore};
-use caqe_cuboid::{MinMaxCuboid, SharedSkylinePlan};
 use caqe_data::Table;
 use caqe_faults::{FaultPlan, InjectedPanic};
 use caqe_operators::SortedJoinIndex;
@@ -32,7 +31,7 @@ use caqe_regions::depgraph::Edge;
 use caqe_regions::{buchta_estimate, estimate_ticks, ReconciledEstimate};
 use caqe_trace::{NoopSink, SpanKind, TraceBuffer, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, EngineError, PointId, QueryId, RegionId, SimClock, Stats, Value};
+use caqe_types::{EngineError, PointId, QueryId, RegionId, SimClock, Stats, Value};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -64,28 +63,11 @@ struct PendingState {
     by_origin: Vec<Vec<PendingTuple>>,
 }
 
-/// Runs the engine over a workload, panicking on ingestion failure.
+/// Runs the engine over a workload. Corrupt input under the `Reject`
+/// validation policy surfaces as [`EngineError::CorruptInput`].
 ///
 /// `start_ticks` offsets the virtual clock, letting sequential per-query
 /// baselines (ProgXe+) continue a shared timeline across invocations.
-/// Prefer [`try_run_engine`] where corrupt input must be handled.
-pub fn run_engine(
-    name: &str,
-    r: &Table,
-    t: &Table,
-    workload: &Workload,
-    exec: &ExecConfig,
-    engine: &EngineConfig,
-    start_ticks: u64,
-) -> RunOutcome {
-    match try_run_engine(name, r, t, workload, exec, engine, start_ticks) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("engine run failed: {e}"),
-    }
-}
-
-/// Fallible [`run_engine`]: corrupt input under the `Reject` validation
-/// policy surfaces as [`EngineError::CorruptInput`] instead of a panic.
 pub fn try_run_engine(
     name: &str,
     r: &Table,
@@ -116,7 +98,7 @@ fn policy_label(policy: SchedulingPolicy) -> &'static str {
     }
 }
 
-/// [`run_engine`] with a trace sink observing every scheduler decision,
+/// [`try_run_engine`] with a trace sink observing every scheduler decision,
 /// emission, estimator audit and phase span.
 ///
 /// Tracing is strictly passive: every recording site (including the
@@ -124,24 +106,6 @@ fn policy_label(policy: SchedulingPolicy) -> &'static str {
 /// but never charges it, and with [`NoopSink`] monomorphizes away entirely —
 /// the outcome (stats, ticks, results) is bit-identical with tracing on,
 /// off, or compiled out, at every `parallelism` setting.
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_traced<S: TraceSink>(
-    name: &str,
-    r: &Table,
-    t: &Table,
-    workload: &Workload,
-    exec: &ExecConfig,
-    engine: &EngineConfig,
-    start_ticks: u64,
-    sink: &mut S,
-) -> RunOutcome {
-    match try_run_engine_traced(name, r, t, workload, exec, engine, start_ticks, sink) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("engine run failed: {e}"),
-    }
-}
-
-/// Fallible [`run_engine_traced`]; see [`try_run_engine`].
 #[allow(clippy::too_many_arguments)]
 pub fn try_run_engine_traced<S: TraceSink>(
     name: &str,
@@ -166,63 +130,10 @@ pub fn try_run_engine_traced<S: TraceSink>(
     )
 }
 
-/// Runs the engine over an online session: the initial `workload` plus a
-/// deterministic [`EventStream`] of admissions and departures, panicking on
-/// failure. With an empty stream this is exactly [`run_engine`],
-/// byte-for-byte (including the recorded trace).
-#[allow(clippy::too_many_arguments)]
-pub fn run_engine_online(
-    name: &str,
-    r: &Table,
-    t: &Table,
-    workload: &Workload,
-    events: &EventStream,
-    exec: &ExecConfig,
-    engine: &EngineConfig,
-    start_ticks: u64,
-) -> RunOutcome {
-    match try_run_engine_online_traced(
-        name,
-        r,
-        t,
-        workload,
-        events,
-        exec,
-        engine,
-        start_ticks,
-        &mut NoopSink,
-    ) {
-        Ok(outcome) => outcome,
-        Err(e) => panic!("engine run failed: {e}"),
-    }
-}
-
-/// Fallible [`run_engine_online`] without tracing.
-#[allow(clippy::too_many_arguments)]
-pub fn try_run_engine_online(
-    name: &str,
-    r: &Table,
-    t: &Table,
-    workload: &Workload,
-    events: &EventStream,
-    exec: &ExecConfig,
-    engine: &EngineConfig,
-    start_ticks: u64,
-) -> Result<RunOutcome, EngineError> {
-    try_run_engine_online_traced(
-        name,
-        r,
-        t,
-        workload,
-        events,
-        exec,
-        engine,
-        start_ticks,
-        &mut NoopSink,
-    )
-}
-
-/// The event-aware engine core (see the module doc of [`crate::session`]).
+/// The event-aware engine core (see the module doc of [`crate::session`]):
+/// the initial `workload` plus a deterministic [`EventStream`] of
+/// admissions and departures. With an empty stream this is exactly
+/// [`try_run_engine_traced`], byte-for-byte (including the recorded trace).
 ///
 /// A non-empty stream switches the engine into *session mode*: every join
 /// tuple is materialized into the group arena (so a later admission can
@@ -981,9 +892,8 @@ fn patch_static_threats(g: &mut JoinGroup, q: QueryId, clock: &mut SimClock, sta
     }
 }
 
-/// Applies one admission event: assigns the next global query slot, patches
-/// (or, on the comparison arm, rebuilds) the owning group's shared state,
-/// backfills the arrival's skyline from the materialized history, and
+/// Applies one admission event: assigns the next global query slot,
+/// patches the owning group's shared state, backfills the arrival's skyline from the materialized history, and
 /// registers the backfilled results for progressive emission.
 #[allow(clippy::too_many_arguments)]
 fn apply_admit<S: TraceSink>(
@@ -1052,36 +962,7 @@ fn apply_admit<S: TraceSink>(
                 g.dg.admit_query(&g.regions, q, clock, stats);
                 patch_static_threats(g, q, clock, stats);
             }
-            if exec.rebuild_on_admit {
-                // Comparison arm: rebuild the whole plan from the complete
-                // materialized history instead of patching the lattice.
-                let prefs: Vec<DimMask> = g.members.iter().map(|&m| g.regions.pref(m)).collect();
-                let act: Vec<bool> = g
-                    .members
-                    .iter()
-                    .map(|&m| m == q || active.get(m.index()).copied().unwrap_or(false))
-                    .collect();
-                let mut plan = SharedSkylinePlan::new(
-                    MinMaxCuboid::build_masked(&prefs, &act),
-                    exec.assume_dva,
-                );
-                if let Some((lo, hi)) = g.regions.mapped_bounds() {
-                    plan.enable_sig_cache(&lo, &hi);
-                }
-                if !g.points.is_empty() {
-                    plan.insert_batch(
-                        0,
-                        g.points.as_flat(),
-                        g.points.stride(),
-                        Threads::from_config(exec.parallelism),
-                        clock,
-                        stats,
-                    );
-                }
-                g.plan = plan;
-            } else {
-                g.plan.admit_query(spec.pref, &g.points, clock, stats);
-            }
+            g.plan.admit_query(spec.pref, &g.points, clock, stats);
             // Serving sets changed everywhere: the FIFO liveness cursor is
             // stale (revived husks break its monotone-death assumption).
             fifo_cursors[gi] = 0;
@@ -1170,7 +1051,7 @@ fn apply_admit<S: TraceSink>(
             query: q.0,
             contract: spec.contract.label().to_string(),
             group: group_label,
-            incremental: !exec.rebuild_on_admit,
+            incremental: true,
         });
     }
 

@@ -36,8 +36,8 @@ pub mod workload;
 
 pub use config::{DegradationPolicy, EngineConfig, ExecConfig, RecoveryPolicy, SchedulingPolicy};
 pub use engine::{
-    run_engine, run_engine_online, run_engine_traced, try_run_engine, try_run_engine_online,
-    try_run_engine_online_prepared, try_run_engine_online_traced, try_run_engine_traced,
+    try_run_engine, try_run_engine_online_prepared, try_run_engine_online_traced,
+    try_run_engine_traced,
 };
 pub use group::GroupMemo;
 pub use ingest::{prepare_inputs, PreparedInputs};

@@ -23,7 +23,7 @@ use crate::group::{build_one_group, group_workload, GroupMemo};
 use crate::workload::Workload;
 use caqe_cuboid::MinMaxCuboid;
 use caqe_data::Table;
-use caqe_operators::{MappingFn, MappingSet, PresortCache};
+use caqe_operators::{MappingFn, MappingSet};
 use caqe_partition::Partitioning;
 use caqe_regions::depgraph::Edge;
 use caqe_regions::{OutputRegion, RegionSet};
@@ -39,6 +39,10 @@ use std::path::Path;
 
 /// On-disk format version this build writes and the highest it can read.
 pub const PLAN_VERSION: u64 = 1;
+
+/// The presort section of every v1 file: an empty cache. Written verbatim
+/// so plan files stay byte-identical with those of earlier builds.
+const EMPTY_PRESORT_SECTION: &str = "presort 1\npresortcache 0\n";
 
 /// Why a persisted plan could not be used. Every variant is total: the
 /// caller falls back to a cold rebuild, never to a partially applied plan.
@@ -129,9 +133,8 @@ pub fn config_fingerprint(exec: &ExecConfig) -> u64 {
     h.finish()
 }
 
-/// A fully memoized shared plan for one `(R, T, config)` triple, plus
-/// the cross-query presort cache that rides along. Built once (cold),
-/// persisted, and consumed by the engine's warm path.
+/// A fully memoized shared plan for one `(R, T, config)` triple. Built
+/// once (cold), persisted, and consumed by the engine's warm path.
 #[derive(Debug, Clone)]
 pub struct PreparedPlan {
     /// Fingerprint of the R table the plan was built from.
@@ -146,8 +149,6 @@ pub struct PreparedPlan {
     pub part_t: Partitioning,
     /// Per-group build memos (regions, threats, tick/counter deltas).
     pub memos: Vec<GroupMemo>,
-    /// Subspace presort memo surviving restarts with the plan.
-    pub presort: PresortCache,
 }
 
 impl PreparedPlan {
@@ -161,7 +162,6 @@ impl PreparedPlan {
             part_r: Partitioning::build(r, exec.quadtree),
             part_t: Partitioning::build(t, exec.quadtree),
             memos: Vec::new(),
-            presort: PresortCache::new(),
         }
     }
 
@@ -279,7 +279,7 @@ impl PreparedPlan {
     /// part t <ncells> / cell <n> <rows...>
     /// memos <n> / per memo: memo/mapping/fn*/queries/stats/regions/
     ///                        region*/threats/tin*
-    /// presort <nlines> / embedded PresortCache text
+    /// presort 1 / presortcache 0    (fixed: the v1 presort section, always empty)
     /// checksum <016x>                (FNV-1a over every body line)
     /// ```
     ///
@@ -297,10 +297,7 @@ impl PreparedPlan {
         for m in &self.memos {
             write_memo(&mut body, m);
         }
-        let presort = self.presort.to_text();
-        let plines = presort.lines().count();
-        body.push_str(&format!("presort {plines}\n"));
-        body.push_str(&presort);
+        body.push_str(EMPTY_PRESORT_SECTION);
         let mut h = Fnv1a::new();
         h.bytes(body.as_bytes());
         format!(
@@ -380,20 +377,13 @@ impl PreparedPlan {
             memos.push(read_memo(&mut it)?);
         }
 
-        let plines = parse_count(
-            it.next().ok_or_else(|| corrupt("missing presort line"))?,
-            "presort",
-        )?;
-        let mut ptext = String::new();
-        for _ in 0..plines {
-            let line = it
-                .next()
-                .ok_or_else(|| corrupt("truncated presort section"))?;
-            ptext.push_str(line);
-            ptext.push('\n');
+        // The v1 presort section: no build ever filled it, so the only
+        // well-formed content is the empty cache, spelled exactly.
+        for want in EMPTY_PRESORT_SECTION.lines() {
+            if it.next() != Some(want) {
+                return Err(corrupt(format!("expected {want:?} line")));
+            }
         }
-        let presort = PresortCache::from_text(&ptext).map_err(corrupt)?;
-
         if it.next().is_some() {
             return Err(corrupt("trailing data after presort section"));
         }
@@ -405,7 +395,6 @@ impl PreparedPlan {
             part_r,
             part_t,
             memos,
-            presort,
         })
     }
 

@@ -24,12 +24,8 @@ pub use join::{
     OutTuple, SortedJoinIndex,
 };
 pub use mapping::{MappingFn, MappingSet};
-pub use prune::{
-    skyline_bnl_pruned, skyline_sfs_presorted_pruned, CachedPresort, PresortCache, SigSkyline,
-};
+pub use prune::SigSkyline;
 pub use skyline::{
-    monotone_score, sfs_order, skyline_bnl, skyline_bnl_store, skyline_bnl_store_scalar,
-    skyline_reference, skyline_sfs, skyline_sfs_presorted, skyline_sfs_presorted_scalar,
-    skyline_sfs_store, skyline_sfs_store_scalar, sorted_by_score, IncrementalSkyline,
-    InsertOutcome,
+    skyline_bnl, skyline_bnl_store, skyline_bnl_store_scalar, skyline_reference, skyline_sfs,
+    skyline_sfs_store, skyline_sfs_store_scalar, IncrementalSkyline, InsertOutcome,
 };

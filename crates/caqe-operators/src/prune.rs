@@ -13,12 +13,6 @@
 //!   O(1), a key-dominating bucket rejects the candidate without touching
 //!   any member point, and only ambiguous buckets fall through to
 //!   per-member signature and (last) exact float tests.
-//! * [`skyline_bnl_pruned`] / [`skyline_sfs_presorted_pruned`] — batch
-//!   entry points feeding a [`SigSkyline`] from a precomputed
-//!   [`SigTable`], observationally identical to their scalar twins.
-//! * [`PresortCache`] — an interned per-(region, subspace) store of the
-//!   `sfs_order` presort and the signature table, so concurrent queries
-//!   probing the same candidate set reuse one of each.
 //!
 //! **Charge parity.** Every path charges the virtual clock and
 //! `stats.dom_comparisons` exactly what [`IncrementalSkyline::insert_scalar`]
@@ -32,9 +26,9 @@
 //! directory, signatures and screening are uncharged physical work, like
 //! the SFS presort and the PR 6 bulk screens.
 
-use crate::skyline::{sfs_order, InsertOutcome};
-use caqe_types::sig::{sig_relate, SigQuantizer, SigTable, SIG_POISON};
-use caqe_types::{DimMask, DomKernel, DomRelation, PointStore, SimClock, Stats, Value};
+use crate::skyline::InsertOutcome;
+use caqe_types::sig::{sig_relate, SigQuantizer, SIG_POISON};
+use caqe_types::{DimMask, DomKernel, DomRelation, SimClock, Stats, Value};
 
 /// Streaming skyline maintenance with partition-signature pruning: the
 /// observationally-identical pruned twin of
@@ -84,11 +78,6 @@ impl SigSkyline {
         }
     }
 
-    /// The subspace this skyline is maintained over.
-    pub fn mask(&self) -> DimMask {
-        self.mask
-    }
-
     /// Current number of skyline members.
     pub fn len(&self) -> usize {
         self.tags.len()
@@ -103,32 +92,6 @@ impl SigSkyline {
     /// the scalar twin's order).
     pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
         self.tags.iter().copied()
-    }
-
-    /// `(tag, point)` of every current member, in insertion order.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, &[Value])> + '_ {
-        let stride = self.stride;
-        self.tags
-            .iter()
-            .enumerate()
-            .map(move |(i, &t)| (t, &self.data[i * stride..(i + 1) * stride]))
-    }
-
-    /// The pivot's signature (member 0 — the member the scalar loop
-    /// examines first), if the window is non-empty. A candidate whose
-    /// signature this provably dominates is rejected with charge 1,
-    /// exactly the scalar outcome — the batch entry points use it to
-    /// resolve runs of such candidates without entering the insert path.
-    #[inline]
-    pub fn pivot_sig(&self) -> Option<u64> {
-        self.sigs.first().copied()
-    }
-
-    /// The quantizer's spare-bit mask, for [`sig_relate`] against
-    /// signatures produced by this skyline's quantizer.
-    #[inline]
-    pub fn high(&self) -> u64 {
-        self.quant.high_mask()
     }
 
     #[inline]
@@ -204,8 +167,9 @@ impl SigSkyline {
         }
     }
 
-    /// Inserts a point, quantizing its signature here (counted in
-    /// `stats.sig_builds`). See [`SigSkyline::insert_sig`].
+    /// Inserts a point, maintaining the skyline invariant; its signature is
+    /// quantized here (counted in `stats.sig_builds`). Charges one dominance
+    /// comparison per member the scalar loop would examine.
     pub fn insert(
         &mut self,
         tag: u64,
@@ -218,11 +182,9 @@ impl SigSkyline {
         self.insert_sig(tag, point, sig, clock, stats)
     }
 
-    /// Inserts a point whose signature was precomputed (e.g. read from a
-    /// shared [`SigTable`]), maintaining the skyline invariant. Charges one
-    /// dominance comparison per member the scalar loop would examine.
+    /// [`SigSkyline::insert`] with the signature already quantized.
     #[inline]
-    pub fn insert_sig(
+    fn insert_sig(
         &mut self,
         tag: u64,
         point: &[Value],
@@ -402,339 +364,11 @@ impl SigSkyline {
     }
 }
 
-/// Partition-signature BNL: observationally identical to
-/// [`skyline_bnl_store_scalar`](crate::skyline_bnl_store_scalar) (same
-/// result set, charges, and Stats observables), resolving candidates on
-/// the shared signature `table` instead of member point rows.
-pub fn skyline_bnl_pruned(
-    points: &PointStore,
-    kernel: &DomKernel,
-    table: &SigTable,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-) -> Vec<usize> {
-    debug_assert_eq!(table.len(), points.len(), "signature table mismatch");
-    let mut sky = SigSkyline::new(kernel.mask(), table.quantizer().clone());
-    let h = table.quantizer().high_mask();
-    let n = points.len();
-    let mut i = 0;
-    while i < n {
-        // Pivot-run: consecutive candidates the pivot signature provably
-        // dominates are each a scalar charge-1 reject with no state change
-        // — resolve the whole run in one tight signature scan.
-        if let Some(p0) = sky.pivot_sig() {
-            let start = i;
-            while i < n && sig_relate(p0, table.sig(i), h) == Some(DomRelation::Dominates) {
-                i += 1;
-            }
-            let run = (i - start) as u64;
-            clock.charge_dom_cmps(run);
-            stats.dom_comparisons += run;
-        }
-        if i < n {
-            sky.insert_sig(i as u64, points.at(i), table.sig(i), clock, stats);
-            i += 1;
-        }
-    }
-    let mut out: Vec<usize> = sky.tags().map(|t| t as usize).collect();
-    out.sort_unstable();
-    out
-}
-
-/// Partition-signature SFS filter over a precomputed
-/// [`sfs_order`]: observationally identical to
-/// [`skyline_sfs_presorted_scalar`](crate::skyline_sfs_presorted_scalar).
-pub fn skyline_sfs_presorted_pruned(
-    points: &PointStore,
-    kernel: &DomKernel,
-    order: &[usize],
-    table: &SigTable,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-) -> Vec<usize> {
-    debug_assert_eq!(table.len(), points.len(), "signature table mismatch");
-    let mut sky = SigSkyline::new(kernel.mask(), table.quantizer().clone());
-    let h = table.quantizer().high_mask();
-    let n = order.len();
-    let mut k = 0;
-    while k < n {
-        // Pivot-run, as in [`skyline_bnl_pruned`] but walking the presort.
-        if let Some(p0) = sky.pivot_sig() {
-            let start = k;
-            while k < n && sig_relate(p0, table.sig(order[k]), h) == Some(DomRelation::Dominates) {
-                k += 1;
-            }
-            let run = (k - start) as u64;
-            clock.charge_dom_cmps(run);
-            stats.dom_comparisons += run;
-        }
-        if k < n {
-            let i = order[k];
-            let out = sky.insert_sig(i as u64, points.at(i), table.sig(i), clock, stats);
-            // After a monotone presort an incoming point never dominates an
-            // admitted survivor.
-            debug_assert!(
-                !matches!(out, InsertOutcome::Added { ref removed } if !removed.is_empty())
-            );
-            k += 1;
-        }
-    }
-    let mut out: Vec<usize> = sky.tags().map(|t| t as usize).collect();
-    out.sort_unstable();
-    out
-}
-
-/// One interned presort/signature bundle: everything the pruned skyline
-/// paths derive from a candidate store, built once and shared.
-#[derive(Debug, Clone)]
-pub struct CachedPresort {
-    /// Monotone-score presort of the store ([`sfs_order`]).
-    pub order: Vec<usize>,
-    /// Per-point signatures over the cached subspace.
-    pub table: SigTable,
-}
-
-/// A deterministic interning cache of [`CachedPresort`] bundles keyed by
-/// `(region key, subspace mask)` — the shared structure that lets
-/// concurrent queries probing the same candidate set reuse one presort and
-/// one signature table instead of re-deriving them per query. Lookups are
-/// a linear scan over a small `Vec` (no hash state, insertion order is the
-/// build order), so behavior is identical across thread counts.
-#[derive(Debug, Clone, Default)]
-pub struct PresortCache {
-    entries: Vec<(u64, DimMask, Option<CachedPresort>)>,
-}
-
-impl PresortCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        PresortCache::default()
-    }
-
-    /// Number of interned entries (negative entries included).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Returns the interned presort/signature bundle for `(key, mask)`,
-    /// building it on first use. `None` means the subspace does not
-    /// support signatures (too wide, or NaN bounds) — that outcome is
-    /// interned too, so repeated lookups stay O(1). Hits and misses are
-    /// counted in `stats.presort_cache_{hits,misses}`.
-    pub fn get_or_build(
-        &mut self,
-        key: u64,
-        mask: DimMask,
-        points: &PointStore,
-        kernel: &DomKernel,
-        stats: &mut Stats,
-    ) -> Option<&CachedPresort> {
-        if let Some(i) = self
-            .entries
-            .iter()
-            .position(|(k, m, _)| *k == key && *m == mask)
-        {
-            stats.presort_cache_hits += 1;
-            return self.entries[i].2.as_ref();
-        }
-        stats.presort_cache_misses += 1;
-        let built = SigTable::try_build(points, mask, stats).map(|table| CachedPresort {
-            order: sfs_order(points, kernel),
-            table,
-        });
-        self.entries.push((key, mask, built));
-        self.entries[self.entries.len() - 1].2.as_ref()
-    }
-
-    /// The interned entries in build order (for persistence).
-    pub fn entries(&self) -> &[(u64, DimMask, Option<CachedPresort>)] {
-        &self.entries
-    }
-
-    /// Serializes the cache in the line-oriented plan-snapshot form
-    /// (DESIGN.md §19): one `entry` line per interned key, followed by the
-    /// presort order, quantizer parts and signature column of positive
-    /// entries. All floats travel as IEEE-754 bit hex, so a restored cache
-    /// is bit-identical — including interned *negative* entries, which are
-    /// as much a deterministic observable as positive ones (they keep
-    /// repeat lookups from re-probing an unsupported subspace).
-    pub fn to_text(&self) -> String {
-        use caqe_types::persist::f64_hex;
-        use std::fmt::Write as _;
-        let mut out = format!("presortcache {}\n", self.entries.len());
-        for (key, mask, entry) in &self.entries {
-            let tag = if entry.is_some() { "some" } else { "none" };
-            let _ = writeln!(out, "entry {key:016x} {} {tag}", mask.0);
-            if let Some(cached) = entry {
-                out.push_str("order");
-                for &i in &cached.order {
-                    let _ = write!(out, " {i}");
-                }
-                out.push('\n');
-                let q = cached.table.quantizer().to_parts();
-                out.push_str("quant");
-                let _ = write!(out, " {}", q.dims.len());
-                for &d in &q.dims {
-                    let _ = write!(out, " {d}");
-                }
-                for v in q.lo.iter().chain(q.scale.iter()) {
-                    let _ = write!(out, " {}", f64_hex(*v));
-                }
-                let _ = writeln!(
-                    out,
-                    " {} {} {:016x} {:016x}",
-                    q.field_width, q.levels, q.high_mask, q.coarse_mask
-                );
-                out.push_str("sigs");
-                for s in cached.table.sigs() {
-                    let _ = write!(out, " {s:016x}");
-                }
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Parses the form produced by [`PresortCache::to_text`], returning a
-    /// reason on any structural mismatch — corrupt snapshot input must
-    /// never produce a cache that panics later.
-    pub fn from_text(text: &str) -> Result<PresortCache, String> {
-        use caqe_types::persist::{parse_f64_hex, parse_usize};
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty presort cache text")?;
-        let mut f = header.split_whitespace();
-        if f.next() != Some("presortcache") {
-            return Err("missing `presortcache` header".to_string());
-        }
-        let count = f.next().and_then(parse_usize).ok_or("bad entry count")?;
-        let mut entries = Vec::with_capacity(count);
-        for e in 0..count {
-            let line = lines.next().ok_or_else(|| format!("missing entry {e}"))?;
-            let mut f = line.split_whitespace();
-            if f.next() != Some("entry") {
-                return Err(format!("entry {e}: missing `entry` tag"));
-            }
-            let key = f
-                .next()
-                .and_then(|s| u64::from_str_radix(s, 16).ok())
-                .ok_or_else(|| format!("entry {e}: bad key"))?;
-            let mask = f
-                .next()
-                .and_then(|s| s.parse::<u32>().ok())
-                .map(DimMask)
-                .ok_or_else(|| format!("entry {e}: bad mask"))?;
-            let cached = match f.next() {
-                Some("none") => None,
-                Some("some") => {
-                    let order_line = lines.next().ok_or_else(|| format!("entry {e}: no order"))?;
-                    let mut o = order_line.split_whitespace();
-                    if o.next() != Some("order") {
-                        return Err(format!("entry {e}: missing `order` tag"));
-                    }
-                    let order: Vec<usize> = o
-                        .map(|s| parse_usize(s).ok_or_else(|| format!("entry {e}: bad order")))
-                        .collect::<Result<_, _>>()?;
-                    let quant_line = lines.next().ok_or_else(|| format!("entry {e}: no quant"))?;
-                    let mut q = quant_line.split_whitespace();
-                    if q.next() != Some("quant") {
-                        return Err(format!("entry {e}: missing `quant` tag"));
-                    }
-                    let d = q
-                        .next()
-                        .and_then(parse_usize)
-                        .ok_or_else(|| format!("entry {e}: bad quant width"))?;
-                    let mut take_usize = |what: &str| {
-                        q.next()
-                            .and_then(parse_usize)
-                            .ok_or_else(|| format!("entry {e}: bad quant {what}"))
-                    };
-                    let dims: Vec<usize> = (0..d)
-                        .map(|_| take_usize("dim"))
-                        .collect::<Result<_, _>>()?;
-                    let mut take_f64 = |what: &str| {
-                        q.next()
-                            .and_then(parse_f64_hex)
-                            .ok_or_else(|| format!("entry {e}: bad quant {what}"))
-                    };
-                    let lo: Vec<Value> =
-                        (0..d).map(|_| take_f64("lo")).collect::<Result<_, _>>()?;
-                    let scale: Vec<Value> = (0..d)
-                        .map(|_| take_f64("scale"))
-                        .collect::<Result<_, _>>()?;
-                    let field_width = q
-                        .next()
-                        .and_then(|s| s.parse::<u32>().ok())
-                        .ok_or_else(|| format!("entry {e}: bad field width"))?;
-                    let levels = q
-                        .next()
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or_else(|| format!("entry {e}: bad levels"))?;
-                    let high_mask = q
-                        .next()
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                        .ok_or_else(|| format!("entry {e}: bad high mask"))?;
-                    let coarse_mask = q
-                        .next()
-                        .and_then(|s| u64::from_str_radix(s, 16).ok())
-                        .ok_or_else(|| format!("entry {e}: bad coarse mask"))?;
-                    if q.next().is_some() {
-                        return Err(format!("entry {e}: trailing quant fields"));
-                    }
-                    let quant = SigQuantizer::from_parts(caqe_types::SigQuantizerParts {
-                        dims,
-                        lo,
-                        scale,
-                        field_width,
-                        levels,
-                        high_mask,
-                        coarse_mask,
-                    })
-                    .ok_or_else(|| format!("entry {e}: inconsistent quantizer"))?;
-                    let sigs_line = lines.next().ok_or_else(|| format!("entry {e}: no sigs"))?;
-                    let mut s = sigs_line.split_whitespace();
-                    if s.next() != Some("sigs") {
-                        return Err(format!("entry {e}: missing `sigs` tag"));
-                    }
-                    let sigs: Vec<u64> = s
-                        .map(|v| {
-                            u64::from_str_radix(v, 16).map_err(|_| format!("entry {e}: bad sig"))
-                        })
-                        .collect::<Result<_, _>>()?;
-                    if sigs.len() != order.len() {
-                        return Err(format!(
-                            "entry {e}: {} sigs for {} ordered points",
-                            sigs.len(),
-                            order.len()
-                        ));
-                    }
-                    Some(CachedPresort {
-                        order,
-                        table: SigTable::from_parts(quant, sigs),
-                    })
-                }
-                _ => return Err(format!("entry {e}: bad some/none tag")),
-            };
-            entries.push((key, mask, cached));
-        }
-        if lines.next().is_some() {
-            return Err("trailing lines after last entry".to_string());
-        }
-        Ok(PresortCache { entries })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skyline::{
-        skyline_bnl_store_scalar, skyline_sfs_presorted_scalar, IncrementalSkyline,
-    };
-    use caqe_types::Value;
+    use crate::skyline::IncrementalSkyline;
+    use caqe_types::PointStore;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
@@ -760,55 +394,6 @@ mod tests {
             s.push(&row);
         }
         s
-    }
-
-    fn assert_obs_equal(a: (&[usize], &SimClock, &Stats), b: (&[usize], &SimClock, &Stats)) {
-        assert_eq!(a.0, b.0, "result sets differ");
-        assert_eq!(a.1.ticks(), b.1.ticks(), "tick charges differ");
-        assert_eq!(a.2.observable(), b.2.observable(), "observables differ");
-    }
-
-    #[test]
-    fn pruned_bnl_matches_scalar_exactly() {
-        for seed in 0..12u64 {
-            for d in [2usize, 3, 4] {
-                let store = random_store(160, d, 0xC0FFEE + seed, seed % 3 == 0);
-                let mask = DimMask::full(d);
-                let kernel = DomKernel::new(mask, d);
-                let mut c1 = SimClock::default();
-                let mut s1 = Stats::new();
-                let scalar = skyline_bnl_store_scalar(&store, &kernel, &mut c1, &mut s1);
-                let mut s0 = Stats::new();
-                let table = SigTable::try_build(&store, mask, &mut s0).unwrap();
-                let mut c2 = SimClock::default();
-                let mut s2 = Stats::new();
-                let pruned = skyline_bnl_pruned(&store, &kernel, &table, &mut c2, &mut s2);
-                assert_obs_equal((&scalar, &c1, &s1), (&pruned, &c2, &s2));
-            }
-        }
-    }
-
-    #[test]
-    fn pruned_sfs_matches_scalar_exactly() {
-        for seed in 0..12u64 {
-            let d = 2 + (seed as usize % 3);
-            // No NaN variant here: a NaN score column voids the monotone
-            // presort that SFS's no-eviction invariant rests on.
-            let store = random_store(200, d, 0xBEEF + seed, false);
-            let mask = DimMask::full(d);
-            let kernel = DomKernel::new(mask, d);
-            let order = sfs_order(&store, &kernel);
-            let mut c1 = SimClock::default();
-            let mut s1 = Stats::new();
-            let scalar = skyline_sfs_presorted_scalar(&store, &kernel, &order, &mut c1, &mut s1);
-            let mut s0 = Stats::new();
-            let table = SigTable::try_build(&store, mask, &mut s0).unwrap();
-            let mut c2 = SimClock::default();
-            let mut s2 = Stats::new();
-            let pruned =
-                skyline_sfs_presorted_pruned(&store, &kernel, &order, &table, &mut c2, &mut s2);
-            assert_obs_equal((&scalar, &c1, &s1), (&pruned, &c2, &s2));
-        }
     }
 
     #[test]
@@ -837,80 +422,5 @@ mod tests {
             assert_eq!(c1.ticks(), c2.ticks());
             assert_eq!(s1.observable(), s2.observable());
         }
-    }
-
-    #[test]
-    fn presort_cache_interns_and_counts() {
-        let store = random_store(64, 3, 7, false);
-        let mask = DimMask::full(3);
-        let kernel = DomKernel::new(mask, 3);
-        let mut cache = PresortCache::new();
-        let mut stats = Stats::new();
-        let first = cache
-            .get_or_build(42, mask, &store, &kernel, &mut stats)
-            .unwrap()
-            .order
-            .clone();
-        assert_eq!(stats.presort_cache_misses, 1);
-        assert_eq!(stats.presort_cache_hits, 0);
-        let again = cache
-            .get_or_build(42, mask, &store, &kernel, &mut stats)
-            .unwrap()
-            .order
-            .clone();
-        assert_eq!(stats.presort_cache_hits, 1);
-        assert_eq!(first, again);
-        // A different subspace under the same key is a distinct entry.
-        cache.get_or_build(42, DimMask::from_dims([0, 1]), &store, &kernel, &mut stats);
-        assert_eq!(stats.presort_cache_misses, 2);
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn presort_cache_text_round_trips_bit_exactly() {
-        let store = random_store(48, 3, 11, false);
-        let mask = DimMask::full(3);
-        let kernel = DomKernel::new(mask, 3);
-        let mut cache = PresortCache::new();
-        let mut stats = Stats::new();
-        cache.get_or_build(7, mask, &store, &kernel, &mut stats);
-        cache.get_or_build(9, DimMask::from_dims([0, 2]), &store, &kernel, &mut stats);
-        // Interned negative entry: a NaN store refuses a signature table.
-        let poisoned = random_store(16, 3, 11, true);
-        let wide = SigQuantizer::from_store(&poisoned, mask);
-        assert!(wide.is_some(), "NaN rows poison sigs, not the quantizer");
-        let empty = PointStore::new(3);
-        cache.get_or_build(13, mask, &empty, &kernel, &mut stats);
-        assert!(cache.entries()[2].2.is_none(), "expected a negative entry");
-
-        let back = PresortCache::from_text(&cache.to_text()).unwrap();
-        assert_eq!(back.len(), cache.len());
-        for (a, b) in back.entries().iter().zip(cache.entries()) {
-            assert_eq!((a.0, a.1), (b.0, b.1));
-            match (&a.2, &b.2) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(x.order, y.order);
-                    assert_eq!(x.table.sigs(), y.table.sigs());
-                    assert_eq!(x.table.quantizer(), y.table.quantizer());
-                }
-                _ => panic!("entry polarity diverged"),
-            }
-        }
-        // A restored positive entry answers lookups without rebuilding.
-        let mut restored = back;
-        let before = stats.presort_cache_misses;
-        restored
-            .get_or_build(7, mask, &store, &kernel, &mut stats)
-            .unwrap();
-        assert_eq!(stats.presort_cache_misses, before);
-
-        // Corruption is refused with a reason, never a panic.
-        let text = cache.to_text();
-        assert!(PresortCache::from_text("").is_err());
-        assert!(PresortCache::from_text("presortcache forty").is_err());
-        let truncated = &text[..text.len() / 2];
-        assert!(PresortCache::from_text(truncated).is_err());
-        assert!(PresortCache::from_text(&format!("{text}junk\n")).is_err());
     }
 }

@@ -86,7 +86,7 @@ pub fn skyline_bnl_store(
 
 /// The reference scalar BNL loop: one kernel relate per examined window
 /// member, early exit on a dominator, `swap_remove` on an eviction. Kept
-/// public as the equivalence oracle and the scalar arm of `bench_pr6`.
+/// public as the equivalence oracle.
 pub fn skyline_bnl_store_scalar(
     points: &PointStore,
     kernel: &DomKernel,
@@ -239,17 +239,9 @@ pub fn skyline_bnl(
     skyline_bnl_store(&store, &kernel, clock, stats)
 }
 
-/// The monotone sorting score used by SFS: the sum of the point's values on
-/// the subspace dimensions. If `sum_V(a) < sum_V(b)` then `b` cannot
-/// dominate `a`.
-#[inline]
-pub fn monotone_score(p: &[Value], mask: DimMask) -> Value {
-    mask.iter().map(|k| p[k]).sum()
-}
-
 /// Sorts `0..n` by ascending precomputed score (stable on ties, matching a
 /// comparator-based `sort_by` over the same scores).
-pub fn sorted_by_score(scores: &[Value]) -> Vec<usize> {
+fn sorted_by_score(scores: &[Value]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..scores.len()).collect();
     order.sort_by(|&a, &b| scores[a].total_cmp(&scores[b]));
     order
@@ -274,8 +266,7 @@ pub fn skyline_sfs_store(
     skyline_sfs_presorted(points, kernel, &order, clock, stats)
 }
 
-/// The reference scalar SFS path. Kept public as the equivalence oracle and
-/// the scalar arm of `bench_pr6`.
+/// The reference scalar SFS path. Kept public as the equivalence oracle.
 pub fn skyline_sfs_store_scalar(
     points: &PointStore,
     kernel: &DomKernel,
@@ -290,7 +281,7 @@ pub fn skyline_sfs_store_scalar(
 /// returns the filter order (ascending score, stable on ties). Uncharged
 /// physical preprocessing, identical whichever filter scan consumes it —
 /// split out so kernel benchmarks can time the dominance scans alone.
-pub fn sfs_order(points: &PointStore, kernel: &DomKernel) -> Vec<usize> {
+fn sfs_order(points: &PointStore, kernel: &DomKernel) -> Vec<usize> {
     let scores: Vec<Value> = (0..points.len())
         .map(|i| kernel.score(points.at(i)))
         .collect();
@@ -300,7 +291,7 @@ pub fn sfs_order(points: &PointStore, kernel: &DomKernel) -> Vec<usize> {
 /// The SFS filter scan over a precomputed [`sfs_order`]. Dispatches to the
 /// packed block path when the input is large enough; both paths are
 /// observationally identical.
-pub fn skyline_sfs_presorted(
+fn skyline_sfs_presorted(
     points: &PointStore,
     kernel: &DomKernel,
     order: &[usize],
@@ -316,7 +307,7 @@ pub fn skyline_sfs_presorted(
 }
 
 /// The reference scalar SFS filter scan over a precomputed [`sfs_order`].
-pub fn skyline_sfs_presorted_scalar(
+fn skyline_sfs_presorted_scalar(
     points: &PointStore,
     kernel: &DomKernel,
     order: &[usize],
@@ -526,17 +517,6 @@ impl IncrementalSkyline {
         self.tags.iter().copied()
     }
 
-    /// Whether the given tag is currently a member.
-    pub fn contains_tag(&self, tag: u64) -> bool {
-        self.tags.contains(&tag)
-    }
-
-    /// The point of member `i`.
-    #[inline]
-    fn member(&self, i: usize) -> &[Value] {
-        &self.data[i * self.stride..(i + 1) * self.stride]
-    }
-
     #[inline]
     fn ensure_kernel(&mut self, stride: usize) {
         if self.kernel.is_none() {
@@ -569,7 +549,7 @@ impl IncrementalSkyline {
     }
 
     /// The reference scalar insert loop. Kept public as the equivalence
-    /// oracle and the scalar arm of `bench_pr6`.
+    /// oracle.
     pub fn insert_scalar(
         &mut self,
         tag: u64,
@@ -740,23 +720,6 @@ impl IncrementalSkyline {
         InsertOutcome::Added { removed }
     }
 
-    /// Like [`insert`](Self::insert) but without mutating: returns whether
-    /// the point *would* survive. Still counts the comparisons performed.
-    pub fn would_survive(&self, point: &[Value], clock: &mut SimClock, stats: &mut Stats) -> bool {
-        for k in 0..self.tags.len() {
-            clock.charge_dom_cmps(1);
-            stats.dom_comparisons += 1;
-            let rel = match &self.kernel {
-                Some(kernel) => kernel.relate(self.member(k), point),
-                None => relate_in(self.member(k), point, self.mask),
-            };
-            if rel == DomRelation::Dominates {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Current members as `(tag, point)` pairs in insertion order.
     pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, &[Value])> + '_ {
         self.tags
@@ -889,24 +852,10 @@ mod tests {
             .collect();
         expect.sort_unstable();
         assert_eq!(tags, expect);
-        assert!(sky.contains_tag(1));
-        assert!(!sky.contains_tag(0));
         // Flat entries expose the surviving points.
         for (tag, p) in sky.entries() {
             assert_eq!(p, points[tag as usize].as_slice());
         }
-    }
-
-    #[test]
-    fn would_survive_is_consistent_with_insert() {
-        let mask = DimMask::full(2);
-        let mut sky = IncrementalSkyline::new(mask);
-        let mut c = SimClock::default();
-        let mut s = Stats::new();
-        sky.insert(0, &[2.0, 2.0], &mut c, &mut s);
-        assert!(!sky.would_survive(&[3.0, 3.0], &mut c, &mut s));
-        assert!(sky.would_survive(&[1.0, 5.0], &mut c, &mut s));
-        assert_eq!(sky.len(), 1);
     }
 
     #[test]
@@ -938,11 +887,8 @@ mod tests {
     }
 
     #[test]
-    fn monotone_score_respects_mask() {
+    fn kernel_score_respects_mask() {
         let p = [1.0, 10.0, 100.0];
-        assert_eq!(monotone_score(&p, DimMask::from_dims([0, 2])), 101.0);
-        assert_eq!(monotone_score(&p, DimMask::full(3)), 111.0);
-        // The kernel's precomputed score agrees.
         assert_eq!(
             DomKernel::new(DimMask::from_dims([0, 2]), 3).score(&p),
             101.0

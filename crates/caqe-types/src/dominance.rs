@@ -9,7 +9,6 @@
 //! expected to funnel tests through an instrumented counter — either the
 //! [`crate::stats::Stats`] sink or a plain `&mut u64`.
 
-use crate::store::RankColumns;
 use crate::subspace::DimMask;
 use crate::Value;
 
@@ -33,12 +32,6 @@ pub enum DomRelation {
 }
 
 impl DomRelation {
-    /// Whether the relation means the left point dominates the right.
-    #[inline]
-    pub fn left_dominates(self) -> bool {
-        matches!(self, DomRelation::Dominates)
-    }
-
     /// Flips the relation to the right point's perspective.
     #[inline]
     pub fn flip(self) -> DomRelation {
@@ -235,50 +228,16 @@ impl DomKernel {
         self.relate(a, b) == DomRelation::Dominates
     }
 
-    /// The `Shape::Block` path over rank columns: relates up to 64 member
-    /// points (given by id) against one probe point in a single pass of
-    /// branch-free integer compares per dimension, packing the two
-    /// strict-improvement flags of every member into one `u64` lane each.
+    /// The `Shape::Block` path over raw values: relates the `count`
+    /// contiguous member rows starting at row `first` of a flat buffer
+    /// (`stride` values per row) against an out-of-buffer probe point,
+    /// up to 64 members in a single pass of branch-free compares
+    /// per dimension, packing the two strict-improvement flags of every
+    /// member into one `u64` lane each.
     ///
     /// `BlockVerdicts::relation(j)` equals `relate_in(member_j, probe,
     /// self.mask())` exactly: both sides examine the same dimensions, and
     /// the scalar early exit only skips work, never changes the verdict.
-    /// Requires `cols` built over the same store the ids index
-    /// ([`RankColumns::try_build`] — NaN-free, so rank `<` ⟺ value `<`).
-    ///
-    /// # Panics
-    /// Panics in debug builds if `members.len() > 64`.
-    pub fn relate_block_ranks(
-        &self,
-        cols: &RankColumns,
-        members: &[usize],
-        probe: usize,
-    ) -> BlockVerdicts {
-        debug_assert!(members.len() <= 64, "block limited to 64 lanes");
-        let mut member_better = 0u64;
-        let mut probe_better = 0u64;
-        for &k in &self.dims {
-            let col = cols.column(k as usize);
-            let pr = col[probe];
-            for (j, &m) in members.iter().enumerate() {
-                let r = col[m];
-                member_better |= ((r < pr) as u64) << j;
-                probe_better |= ((pr < r) as u64) << j;
-            }
-        }
-        BlockVerdicts {
-            member_better,
-            probe_better,
-        }
-    }
-
-    /// The `Shape::Block` path over raw values: relates the `count`
-    /// contiguous member rows starting at row `first` of a flat buffer
-    /// (`stride` values per row) against an out-of-buffer probe point.
-    /// Used where the member set mutates in place (incremental skylines)
-    /// and ranks would go stale.
-    ///
-    /// Verdict-per-lane semantics match [`Self::relate_block_ranks`].
     ///
     /// # Panics
     /// Panics in debug builds if `count > 64`.
@@ -337,7 +296,7 @@ impl DomKernel {
     /// small and the backing store is large: the scan touches only a few
     /// cache lines of dense values, with no per-member indirection.
     ///
-    /// Verdict-per-lane semantics match [`Self::relate_block_ranks`]; the
+    /// Verdict-per-lane semantics match [`Self::relate_block_rows`]; the
     /// two strict-improvement flags are exactly what [`relate_in`] folds
     /// into its verdict, so parity holds for *any* values, NaN included.
     ///

@@ -91,16 +91,6 @@ pub fn parse_f64_hex(s: &str) -> Option<Value> {
     u64::from_str_radix(s, 16).ok().map(Value::from_bits)
 }
 
-/// Parses a decimal `u64` field.
-pub fn parse_u64(s: &str) -> Option<u64> {
-    s.parse().ok()
-}
-
-/// Parses a decimal `usize` field.
-pub fn parse_usize(s: &str) -> Option<usize> {
-    s.parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +165,5 @@ mod tests {
     #[test]
     fn bad_hex_rejected() {
         assert!(parse_f64_hex("not-hex").is_none());
-        assert!(parse_u64("3.5").is_none());
     }
 }

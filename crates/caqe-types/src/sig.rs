@@ -18,7 +18,6 @@
 //! without cross-field borrow propagation.
 
 use crate::dominance::DomRelation;
-use crate::stats::Stats;
 use crate::store::PointStore;
 use crate::subspace::DimMask;
 use crate::Value;
@@ -172,72 +171,6 @@ impl SigQuantizer {
     pub fn bucket_key(&self, sig: u64) -> u64 {
         sig & self.coarse_mask
     }
-
-    /// Number of signature dimensions.
-    pub fn width(&self) -> usize {
-        self.dims.len()
-    }
-
-    /// Decomposes the quantizer into its field values for persistence
-    /// (DESIGN.md §19). [`SigQuantizer::from_parts`] is the exact inverse.
-    pub fn to_parts(&self) -> SigQuantizerParts {
-        SigQuantizerParts {
-            dims: self.dims.clone(),
-            lo: self.lo.clone(),
-            scale: self.scale.clone(),
-            field_width: self.field_width,
-            levels: self.levels,
-            high_mask: self.high_mask,
-            coarse_mask: self.coarse_mask,
-        }
-    }
-
-    /// Reassembles a quantizer persisted via [`SigQuantizer::to_parts`].
-    /// Returns `None` when the parts are structurally inconsistent (length
-    /// mismatches or a zero field width), so corrupt snapshot input cannot
-    /// construct a quantizer that later panics.
-    pub fn from_parts(parts: SigQuantizerParts) -> Option<SigQuantizer> {
-        let d = parts.dims.len();
-        if d == 0
-            || d > SIG_MAX_DIMS
-            || parts.lo.len() != d
-            || parts.scale.len() != d
-            || parts.field_width == 0
-            || parts.field_width > 64
-        {
-            return None;
-        }
-        Some(SigQuantizer {
-            dims: parts.dims,
-            lo: parts.lo,
-            scale: parts.scale,
-            field_width: parts.field_width,
-            levels: parts.levels,
-            high_mask: parts.high_mask,
-            coarse_mask: parts.coarse_mask,
-        })
-    }
-}
-
-/// The field values of a [`SigQuantizer`], exposed for lossless
-/// persistence round-trips (the quantizer's fields stay private so in-memory
-/// construction keeps going through the validated builders).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SigQuantizerParts {
-    /// Signature dimensions, ascending.
-    pub dims: Vec<usize>,
-    /// Per-field lower quantization bound.
-    pub lo: Vec<Value>,
-    /// Per-field scale (`levels / (hi - lo)` or `0.0` when degenerate).
-    pub scale: Vec<Value>,
-    /// Bits per field, spare bit included.
-    pub field_width: u32,
-    /// Largest code a field can hold.
-    pub levels: u64,
-    /// The spare (top) bit of every field.
-    pub high_mask: u64,
-    /// The coarse bucket-key mask.
-    pub coarse_mask: u64,
 }
 
 /// Signature-level dominance test. `high` is the quantizer's spare-bit
@@ -274,62 +207,6 @@ pub fn sig_relate(a: u64, b: u64, high: u64) -> Option<DomRelation> {
         (true, false) if lt == high => Some(DomRelation::Dominates),
         (false, true) if gt == high => Some(DomRelation::DominatedBy),
         _ => None,
-    }
-}
-
-/// Per-point signatures for a whole [`PointStore`], stored alongside the
-/// arena (index `i` is the signature of `points.at(i)`).
-#[derive(Debug, Clone)]
-pub struct SigTable {
-    quant: SigQuantizer,
-    sigs: Vec<u64>,
-}
-
-impl SigTable {
-    /// Quantizes every point of the store over `mask`, charging one
-    /// signature build per point to `stats.sig_builds` (a diagnostic
-    /// counter — signature construction is uncharged physical work on the
-    /// virtual clock, like the SFS presort). Returns `None` when the
-    /// subspace is unsupported.
-    pub fn try_build(points: &PointStore, mask: DimMask, stats: &mut Stats) -> Option<SigTable> {
-        let quant = SigQuantizer::from_store(points, mask)?;
-        let sigs: Vec<u64> = (0..points.len()).map(|i| quant.sig(points.at(i))).collect();
-        stats.sig_builds += sigs.len() as u64;
-        Some(SigTable { quant, sigs })
-    }
-
-    /// The signature of point `i`.
-    #[inline]
-    pub fn sig(&self, i: usize) -> u64 {
-        self.sigs[i]
-    }
-
-    /// The quantizer the table was built with.
-    pub fn quantizer(&self) -> &SigQuantizer {
-        &self.quant
-    }
-
-    /// Number of signatures (the store's point count at build time).
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// Whether the table is empty.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
-    /// All signatures in point order (for persistence).
-    pub fn sigs(&self) -> &[u64] {
-        &self.sigs
-    }
-
-    /// Reassembles a table persisted as quantizer parts plus the raw
-    /// signature column. Unlike [`SigTable::try_build`] this charges
-    /// nothing: a restored memo must not re-count builds the cold run
-    /// already counted.
-    pub fn from_parts(quant: SigQuantizer, sigs: Vec<u64>) -> SigTable {
-        SigTable { quant, sigs }
     }
 }
 
@@ -415,7 +292,7 @@ mod tests {
     }
 
     #[test]
-    fn table_verdicts_agree_with_relate_in() {
+    fn store_quantizer_verdicts_agree_with_relate_in() {
         let mask = DimMask::from_dims([0, 1]);
         let rows: Vec<Vec<Value>> = vec![
             vec![0.1, 0.9],
@@ -427,13 +304,11 @@ mod tests {
         ];
         let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
         let s = store(&refs);
-        let mut stats = Stats::new();
-        let t = SigTable::try_build(&s, mask, &mut stats).unwrap();
-        assert_eq!(stats.sig_builds, rows.len() as u64);
-        let h = t.quantizer().high_mask();
+        let q = SigQuantizer::from_store(&s, mask).unwrap();
+        let h = q.high_mask();
         for i in 0..rows.len() {
             for j in 0..rows.len() {
-                if let Some(v) = sig_relate(t.sig(i), t.sig(j), h) {
+                if let Some(v) = sig_relate(q.sig(&rows[i]), q.sig(&rows[j]), h) {
                     assert_eq!(v, relate_in(&rows[i], &rows[j], mask), "pair ({i},{j})");
                 }
             }
@@ -454,41 +329,6 @@ mod tests {
         assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
         assert_eq!(sig_relate(SIG_POISON, 0, 0), None);
         assert_eq!(sig_relate(0, SIG_POISON, 0), None);
-    }
-
-    #[test]
-    fn quantizer_parts_round_trip() {
-        let mask = DimMask::from_dims([0, 2]);
-        let q = SigQuantizer::from_bounds(mask, &[0.0, 9.0, -1.0], &[1.0, 9.0, 4.0]).unwrap();
-        let back = SigQuantizer::from_parts(q.to_parts()).unwrap();
-        assert_eq!(back, q);
-        for p in [[0.3, 0.0, 2.0], [0.9, 0.0, -7.0], [Value::NAN, 0.0, 0.0]] {
-            assert_eq!(back.sig(&p), q.sig(&p));
-        }
-        // Inconsistent parts are refused.
-        let mut bad = q.to_parts();
-        bad.lo.pop();
-        assert!(SigQuantizer::from_parts(bad).is_none());
-        let mut bad = q.to_parts();
-        bad.field_width = 0;
-        assert!(SigQuantizer::from_parts(bad).is_none());
-    }
-
-    #[test]
-    fn sig_table_parts_round_trip_without_recharging() {
-        let mask = DimMask::from_dims([0, 1]);
-        let rows: Vec<Vec<Value>> = vec![vec![0.1, 0.9], vec![0.9, 0.1], vec![0.2, 0.2]];
-        let refs: Vec<&[Value]> = rows.iter().map(|r| r.as_slice()).collect();
-        let s = store(&refs);
-        let mut stats = Stats::new();
-        let t = SigTable::try_build(&s, mask, &mut stats).unwrap();
-        let back = SigTable::from_parts(
-            SigQuantizer::from_parts(t.quantizer().to_parts()).unwrap(),
-            t.sigs().to_vec(),
-        );
-        assert_eq!(back.sigs(), t.sigs());
-        assert_eq!(back.quantizer(), t.quantizer());
-        assert_eq!(stats.sig_builds, rows.len() as u64); // from_parts charged nothing
     }
 
     #[test]

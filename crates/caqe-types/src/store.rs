@@ -141,139 +141,6 @@ impl PointStore {
     pub fn clear(&mut self) {
         self.data.clear();
     }
-
-    /// Serializes the arena in the columnar snapshot form (DESIGN.md §19):
-    /// a header line `pointstore <stride> <points>` followed by one line
-    /// per dimension carrying the bit-exact hex of every point's value in
-    /// that dimension. Column-major layout keeps each line homogeneous and
-    /// round-trips `-0.0`, infinities and NaN payloads losslessly.
-    pub fn to_text(&self) -> String {
-        use std::fmt::Write as _;
-        let n = self.len();
-        let mut out = format!("pointstore {} {}\n", self.stride, n);
-        for k in 0..self.stride {
-            out.push_str("col");
-            for i in 0..n {
-                let _ = write!(out, " {}", crate::persist::f64_hex(self.at(i)[k]));
-            }
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Parses the columnar form produced by [`PointStore::to_text`],
-    /// returning a reason on any structural mismatch (wrong header, short
-    /// column, trailing data) — never panicking on corrupt input.
-    pub fn from_text(text: &str) -> Result<PointStore, String> {
-        let mut lines = text.lines();
-        let header = lines.next().ok_or("empty point store text")?;
-        let mut f = header.split_whitespace();
-        if f.next() != Some("pointstore") {
-            return Err("missing `pointstore` header".to_string());
-        }
-        let stride = f
-            .next()
-            .and_then(crate::persist::parse_usize)
-            .ok_or("bad stride")?;
-        let points = f
-            .next()
-            .and_then(crate::persist::parse_usize)
-            .ok_or("bad point count")?;
-        if f.next().is_some() {
-            return Err("trailing fields in header".to_string());
-        }
-        let mut data = vec![0.0; stride * points];
-        for k in 0..stride {
-            let line = lines.next().ok_or_else(|| format!("missing column {k}"))?;
-            let mut vals = line.split_whitespace();
-            if vals.next() != Some("col") {
-                return Err(format!("column {k} missing `col` tag"));
-            }
-            for i in 0..points {
-                let v = vals
-                    .next()
-                    .and_then(crate::persist::parse_f64_hex)
-                    .ok_or_else(|| format!("column {k} truncated at point {i}"))?;
-                data[i * stride + k] = v;
-            }
-            if vals.next().is_some() {
-                return Err(format!("column {k} has trailing values"));
-            }
-        }
-        if lines.next().is_some() {
-            return Err("trailing lines after last column".to_string());
-        }
-        Ok(PointStore { stride, data })
-    }
-}
-
-/// Per-dimension dense rank columns over a frozen [`PointStore`] snapshot.
-///
-/// Rank packing (DESIGN.md §15): for each dimension `k`, every point gets a
-/// dense `u32` rank such that `rank_k(a) < rank_k(b) ⟺ a[k] < b[k]` for
-/// NaN-free data. Points whose values compare `==` (including `-0.0` and
-/// `+0.0`, which `total_cmp` distinguishes but `<` does not) share a rank,
-/// so *every* strict `<` test on values can be answered by an integer
-/// compare on ranks. The block dominance kernels
-/// ([`crate::DomKernel::relate_block_ranks`]) exploit this: one tight
-/// integer loop per dimension resolves up to 64 candidates against a probe.
-///
-/// Columns are stored column-major (`column(k)[i]` is point `i`'s rank in
-/// dimension `k`) so the per-dimension block loop walks contiguous memory.
-///
-/// Building ranks is *uncharged* preprocessing, exactly like the SFS
-/// presort: it changes where comparison answers come from, never which
-/// logical dominance comparisons the algorithms charge to the clock.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankColumns {
-    points: usize,
-    /// Column-major ranks: `ranks[k * points + i]`.
-    ranks: Vec<u32>,
-}
-
-impl RankColumns {
-    /// Builds rank columns for every dimension of `store`, or `None` when
-    /// the store contains a NaN (ranks cannot represent an unordered value;
-    /// callers fall back to the scalar path).
-    pub fn try_build(store: &PointStore) -> Option<RankColumns> {
-        let n = store.len();
-        let d = store.stride();
-        let flat = store.as_flat();
-        if flat.iter().any(|v| v.is_nan()) {
-            return None;
-        }
-        let mut ranks = vec![0u32; n * d];
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        for k in 0..d {
-            order.sort_by(|&a, &b| flat[a as usize * d + k].total_cmp(&flat[b as usize * d + k]));
-            let col = &mut ranks[k * n..(k + 1) * n];
-            let mut rank = 0u32;
-            let mut prev = 0.0;
-            for (j, &i) in order.iter().enumerate() {
-                let v = flat[i as usize * d + k];
-                // total_cmp sorting puts ==-equal values (incl. -0.0/+0.0)
-                // adjacent, so a dense rank advances only on a value change.
-                if j > 0 && v != prev {
-                    rank += 1;
-                }
-                col[i as usize] = rank;
-                prev = v;
-            }
-        }
-        Some(RankColumns { points: n, ranks })
-    }
-
-    /// Number of ranked points per column.
-    #[inline]
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
-    /// The rank column of dimension `k` (index by point id).
-    #[inline]
-    pub fn column(&self, k: usize) -> &[u32] {
-        &self.ranks[k * self.points..(k + 1) * self.points]
-    }
 }
 
 /// A *mutable window* variant used by in-place skyline windows: same flat
@@ -380,68 +247,6 @@ mod tests {
         assert_eq!(pts[3], &[3.0, 9.0]);
         s.clear();
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn rank_columns_are_order_isomorphic() {
-        let mut s = PointStore::new(2);
-        // Ties, signed zeros and both orders per dimension.
-        for p in [[3.0, -0.0], [1.0, 0.0], [3.0, 2.0], [0.5, 2.0], [1.0, -5.0]] {
-            s.push(&p);
-        }
-        // Allowed survivor: the fixture is NaN-free by construction.
-        #[allow(clippy::unwrap_used)]
-        let cols = RankColumns::try_build(&s).unwrap();
-        assert_eq!(cols.points(), 5);
-        for k in 0..2 {
-            let col = cols.column(k);
-            for i in 0..5 {
-                for j in 0..5 {
-                    let (a, b) = (s.at(i)[k], s.at(j)[k]);
-                    assert_eq!(a < b, col[i] < col[j], "dim {k}: {a} vs {b}");
-                    assert_eq!(a == b, col[i] == col[j], "dim {k}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rank_columns_reject_nan() {
-        let mut s = PointStore::new(2);
-        s.push(&[1.0, f64::NAN]);
-        assert!(RankColumns::try_build(&s).is_none());
-    }
-
-    #[test]
-    fn columnar_text_round_trips_bit_exactly() {
-        let mut s = PointStore::new(3);
-        s.push(&[1.0, -0.0, f64::INFINITY]);
-        s.push(&[f64::from_bits(0x7ff8_0000_0000_0001), 2.5e-300, -4.0]);
-        let back = PointStore::from_text(&s.to_text()).unwrap();
-        assert_eq!(back.stride(), 3);
-        assert_eq!(back.len(), 2);
-        for i in 0..2 {
-            for k in 0..3 {
-                assert_eq!(back.at(i)[k].to_bits(), s.at(i)[k].to_bits());
-            }
-        }
-        // Empty stores round-trip too.
-        let empty = PointStore::new(4);
-        assert_eq!(PointStore::from_text(&empty.to_text()).unwrap(), empty);
-    }
-
-    #[test]
-    fn columnar_text_rejects_corruption() {
-        let mut s = PointStore::new(2);
-        s.push(&[1.0, 2.0]);
-        let text = s.to_text();
-        assert!(PointStore::from_text("").is_err());
-        assert!(PointStore::from_text("bogus 2 1").is_err());
-        // Truncate the last column.
-        let cut = text.rfind(' ').unwrap();
-        assert!(PointStore::from_text(&text[..cut]).is_err());
-        // Trailing garbage.
-        assert!(PointStore::from_text(&format!("{text}junk\n")).is_err());
     }
 
     #[test]

@@ -93,12 +93,6 @@ impl DimMask {
         DimMask(self.0 & other.0)
     }
 
-    /// Set difference `self \ other`.
-    #[inline]
-    pub fn difference(self, other: DimMask) -> DimMask {
-        DimMask(self.0 & !other.0)
-    }
-
     /// Iterates over the dimension indices in ascending order.
     pub fn iter(self) -> DimIter {
         DimIter(self.0)
@@ -110,20 +104,6 @@ impl DimMask {
     pub fn enumerate_nonempty(d: usize) -> impl Iterator<Item = DimMask> {
         assert!(d < MAX_DIMS, "skycube enumeration limited to < 32 dims");
         (1u32..(1u32 << d)).map(DimMask)
-    }
-
-    /// Enumerates every non-empty strict subset of `self`.
-    pub fn strict_subsets(self) -> impl Iterator<Item = DimMask> {
-        let full = self.0;
-        // Standard sub-mask enumeration trick: walk (m - 1) & full downwards.
-        std::iter::successors(Some(DimMask((full.wrapping_sub(1)) & full)), move |m| {
-            if m.0 == 0 {
-                None
-            } else {
-                Some(DimMask(m.0.wrapping_sub(1) & full))
-            }
-        })
-        .take_while(|m| m.0 != 0)
     }
 }
 
@@ -207,7 +187,6 @@ mod tests {
         let b = DimMask::from_dims([1, 2]);
         assert_eq!(a.union(b), DimMask::from_dims([0, 1, 2]));
         assert_eq!(a.intersect(b), DimMask::singleton(1));
-        assert_eq!(a.difference(b), DimMask::singleton(0));
     }
 
     #[test]
@@ -223,18 +202,6 @@ mod tests {
         // The skycube over d dims has 2^d − 1 non-empty subspaces (Fig. 5).
         for d in 1..=5 {
             assert_eq!(DimMask::enumerate_nonempty(d).count(), (1 << d) - 1);
-        }
-    }
-
-    #[test]
-    fn strict_subsets_of_three_dims() {
-        let m = DimMask::from_dims([0, 1, 3]);
-        let subs: Vec<_> = m.strict_subsets().collect();
-        // 2^3 − 2 strict non-empty subsets.
-        assert_eq!(subs.len(), 6);
-        for s in subs {
-            assert!(s.is_strict_subset_of(m));
-            assert!(!s.is_empty());
         }
     }
 

@@ -13,7 +13,7 @@ use caqe::core::{
 use caqe::data::{Distribution, Table, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::trace::{to_jsonl, RecordingSink};
-use caqe::types::DimMask;
+use caqe::types::{fnv1a, DimMask};
 use std::path::PathBuf;
 
 /// The golden-trace fixture of `determinism_parallel.rs`, verbatim.
@@ -243,4 +243,51 @@ fn mismatched_plan_is_silently_ignored_by_the_engine() {
     let (r2, t2) = (other_gen.generate("R"), other_gen.generate("T"));
     let wrong_plan = build_plan(&r2, &t2, &w, &exec, &EngineConfig::caqe());
     assert_eq!(golden(), run_jsonl(&r, &t, &w, &exec, Some(&wrong_plan)));
+}
+
+/// `tests/golden/parent_v1.caqeplan` was written by `PreparedPlan::save`
+/// at commit 51c5f04 — the last build whose plan carried a presort-cache
+/// field — over these tables and this config. Files in the field must
+/// keep loading, and this build must write the same bytes.
+#[test]
+fn parent_written_plan_loads_and_reserialises_byte_identically() {
+    let gen = TableGenerator::new(60, 2, Distribution::Independent)
+        .with_selectivities(&[0.05, 0.1])
+        .with_seed(99);
+    let (r, t) = (gen.generate("R"), gen.generate("T"));
+    let exec = ExecConfig::default().with_target_cells(60, 4);
+    let path = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/parent_v1.caqeplan"
+    ));
+    let on_disk = std::fs::read_to_string(&path).expect("missing plan fixture");
+
+    let plan = PreparedPlan::load(&path, &r, &t, &exec).expect("parent-written plan must load");
+    assert_eq!(plan.memos.len(), 1);
+    assert_eq!(
+        plan.to_text(),
+        on_disk,
+        "plan bytes drifted from the parent"
+    );
+
+    // The same file claiming a non-empty presort cache (which no build
+    // ever wrote), checksum re-sealed so only the section itself is wrong.
+    let empty = "presort 1\npresortcache 0\n";
+    assert!(on_disk.contains(empty));
+    let edited = on_disk.replacen(
+        empty,
+        "presort 2\npresortcache 1\nentry 0000000000000007 3 none\n",
+        1,
+    );
+    let body_start = edited.find('\n').expect("header line") + 1;
+    let body_end = edited.rfind("checksum ").expect("footer");
+    let resealed = format!(
+        "{}checksum {:016x}\n",
+        &edited[..body_end],
+        fnv1a(&edited.as_bytes()[body_start..body_end])
+    );
+    match PreparedPlan::from_text(&resealed, &r, &t, &exec) {
+        Err(PlanError::Corrupt(why)) if !why.contains("checksum") => {}
+        other => panic!("expected a Corrupt presort section, got {other:?}"),
+    }
 }

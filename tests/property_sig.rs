@@ -1,18 +1,15 @@
 //! Property-based tests of the partition-signature pruning layer
 //! (DESIGN.md §17): the SWAR signature relation must be *sound* against
 //! the exact float dominance relation on arbitrary inputs, and every
-//! pruned path — the batch kernels and the shared plan's signature cache
-//! at every thread count — must be observationally identical to its
+//! pruned path — the streaming window and the shared plan's signature
+//! cache at every thread count — must be observationally identical to its
 //! scalar twin (results, charged comparisons, virtual ticks).
 
 use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
-use caqe::operators::{
-    sfs_order, skyline_bnl_pruned, skyline_bnl_store_scalar, skyline_sfs_presorted_pruned,
-    skyline_sfs_presorted_scalar, IncrementalSkyline, SigSkyline,
-};
+use caqe::operators::{IncrementalSkyline, SigSkyline};
 use caqe::parallel::Threads;
-use caqe::types::sig::{sig_relate, SigQuantizer, SigTable, SIG_POISON};
-use caqe::types::{relate_in, DimMask, DomKernel, PointStore, QueryId, SimClock, Stats, Value};
+use caqe::types::sig::{sig_relate, SigQuantizer, SIG_POISON};
+use caqe::types::{relate_in, DimMask, PointStore, QueryId, SimClock, Stats, Value};
 use proptest::prelude::*;
 
 /// Lattice-valued rows at a fixed stride `d`: coarse values force ties and
@@ -120,9 +117,9 @@ proptest! {
         prop_assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
     }
 
-    /// The pruned batch kernels and the pruned streaming skyline are
-    /// observationally identical to their scalar twins: same result set,
-    /// same member order, same charged comparisons, same virtual ticks.
+    /// The pruned streaming skyline is observationally identical to its
+    /// scalar twin: same outcome per step, same member order, same charged
+    /// comparisons, same virtual ticks.
     #[test]
     fn pruned_kernels_match_scalar_observables(
         (rows, nan_mask) in (2usize..=6).prop_flat_map(rows_strategy),
@@ -131,51 +128,20 @@ proptest! {
         let d = rows[0].len();
         let store = store_of(&rows, nan_mask, d);
         let mask = mask_for(d, bits);
-        let kernel = DomKernel::new(mask, d);
-        let mut s0 = Stats::new();
-        let Some(table) = SigTable::try_build(&store, mask, &mut s0) else {
+        let Some(quant) = SigQuantizer::from_store(&store, mask) else {
             return Ok(());
         };
-
-        // BNL.
-        let mut c1 = SimClock::default();
-        let mut s1 = Stats::new();
-        let scalar = skyline_bnl_store_scalar(&store, &kernel, &mut c1, &mut s1);
-        let mut c2 = SimClock::default();
-        let mut s2 = Stats::new();
-        let pruned = skyline_bnl_pruned(&store, &kernel, &table, &mut c2, &mut s2);
-        prop_assert_eq!(&scalar, &pruned, "BNL result diverged");
-        prop_assert_eq!(c1.ticks(), c2.ticks(), "BNL ticks diverged");
-        prop_assert_eq!(s1.observable(), s2.observable(), "BNL stats diverged");
-
-        // SFS over the same presort (skip when a NaN score column would
-        // void the monotone-presort invariant SFS rests on).
-        if nan_mask == 0 {
-            let order = sfs_order(&store, &kernel);
-            let mut c1 = SimClock::default();
-            let mut s1 = Stats::new();
-            let scalar =
-                skyline_sfs_presorted_scalar(&store, &kernel, &order, &mut c1, &mut s1);
-            let mut c2 = SimClock::default();
-            let mut s2 = Stats::new();
-            let pruned = skyline_sfs_presorted_pruned(
-                &store, &kernel, &order, &table, &mut c2, &mut s2,
-            );
-            prop_assert_eq!(&scalar, &pruned, "SFS result diverged");
-            prop_assert_eq!(c1.ticks(), c2.ticks(), "SFS ticks diverged");
-            prop_assert_eq!(s1.observable(), s2.observable(), "SFS stats diverged");
-        }
 
         // Streaming insert: outcomes and member order per step.
         let mut inc = IncrementalSkyline::new(mask);
         let mut c1 = SimClock::default();
         let mut s1 = Stats::new();
-        let mut sig = SigSkyline::new(mask, table.quantizer().clone());
+        let mut sig = SigSkyline::new(mask, quant);
         let mut c2 = SimClock::default();
         let mut s2 = Stats::new();
         for i in 0..store.len() {
             let a = inc.insert_scalar(i as u64, store.at(i), &mut c1, &mut s1);
-            let b = sig.insert_sig(i as u64, store.at(i), table.sig(i), &mut c2, &mut s2);
+            let b = sig.insert(i as u64, store.at(i), &mut c2, &mut s2);
             prop_assert_eq!(a, b, "streaming outcome diverged at point {}", i);
         }
         prop_assert_eq!(
