@@ -1,10 +1,12 @@
 //! Micro-benchmarks for the shared-plan machinery: min-max cuboid
-//! construction, shared skyline insertion (with and without the Theorem 1
-//! shortcut), and region construction with the coarse skyline.
+//! construction, batched shared skyline insertion — the path the engine
+//! runs — with and without the Theorem 1 shortcut, and region construction
+//! with the coarse skyline.
 
 use caqe_cuboid::{MinMaxCuboid, SharedSkylinePlan};
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::MappingSet;
+use caqe_parallel::Threads;
 use caqe_partition::{Partitioning, QuadTreeConfig};
 use caqe_regions::{build_regions, DependencyGraph, RegionBuildInput};
 use caqe_types::{DimMask, QueryId, SimClock, Stats};
@@ -36,21 +38,31 @@ fn bench_cuboid_build(c: &mut Criterion) {
 
 fn bench_shared_insert(c: &mut Criterion) {
     let prefs = workload_prefs();
-    let points: Vec<Vec<f64>> = TableGenerator::new(2000, 5, Distribution::Independent)
+    let stride = 5;
+    let flat: Vec<f64> = TableGenerator::new(2000, stride, Distribution::Independent)
         .generate("P")
         .records()
         .iter()
-        .map(|r| r.vals.clone())
+        .flat_map(|r| r.vals.iter().copied())
         .collect();
-    let mut group = c.benchmark_group("shared_plan_insert_2000");
+    // A region's worth of join results per call, like the engine's batches.
+    let batch = 64;
+    let mut group = c.benchmark_group("shared_plan_insert_batch_2000");
     for dva in [true, false] {
         group.bench_with_input(BenchmarkId::new("theorem1", dva), &dva, |b, &dva| {
             b.iter(|| {
                 let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), dva);
                 let mut clock = SimClock::default();
                 let mut stats = Stats::new();
-                for (i, p) in points.iter().enumerate() {
-                    black_box(plan.insert(i as u64, p, &mut clock, &mut stats));
+                for (i, vals) in flat.chunks(batch * stride).enumerate() {
+                    black_box(plan.insert_batch(
+                        (i * batch) as u64,
+                        vals,
+                        stride,
+                        Threads::default(),
+                        &mut clock,
+                        &mut stats,
+                    ));
                 }
                 stats.dom_comparisons
             })

@@ -1,14 +1,14 @@
 //! Criterion micro-benchmarks of the live dominance, skyline and join
 //! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12) and
-//! the streaming partition-signature window (DESIGN.md §17). Results and
-//! charges are asserted equal elsewhere (`prune.rs` tests,
-//! `tests/property_kernels.rs`, `tests/property_sig.rs`); CI runs this
+//! the incremental skyline window with and without its signature screen
+//! (DESIGN.md §15, §17). Results and charges are asserted equal elsewhere
+//! (`tests/property_kernels.rs`, `tests/property_skyline.rs`); CI runs this
 //! suite in quick mode as a smoke test.
 
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
     hash_join_project_store, skyline_bnl_store, skyline_sfs_store, IncrementalSkyline, JoinSpec,
-    MappingSet, SigSkyline,
+    MappingSet,
 };
 use caqe_types::sig::SigQuantizer;
 use caqe_types::{DimMask, DomKernel, PointStore, SimClock, Stats};
@@ -69,34 +69,33 @@ fn bench_incremental_kernels(c: &mut Criterion) {
     let pts = points(2000, 4, Distribution::Anticorrelated);
     let mask = DimMask::from_dims([0, 2]);
     let mut group = c.benchmark_group("kernels/incremental");
-    group.bench_function("flat_insert_stream", |b| {
-        b.iter(|| {
-            let mut sky = IncrementalSkyline::new(mask);
-            let mut clock = SimClock::default();
-            let mut stats = Stats::new();
-            for (i, p) in pts.iter().enumerate() {
-                black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
-            }
-            sky.len()
-        })
-    });
     let quant = {
         let store = intern(&pts, 4);
         #[allow(clippy::expect_used)]
         SigQuantizer::from_store(&store, mask).expect("2-dim subspace fits a signature")
     };
-    // Streaming twin: quantizes each arriving point itself.
-    group.bench_function("pruned_insert_stream", |b| {
-        b.iter(|| {
-            let mut sky = SigSkyline::new(mask, quant.clone());
-            let mut clock = SimClock::default();
-            let mut stats = Stats::new();
-            for (i, p) in pts.iter().enumerate() {
-                black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
-            }
-            sky.len()
-        })
-    });
+    // The same window, without and with its screen (which quantizes each
+    // arriving point itself).
+    for (name, screened) in [
+        ("window_insert_stream", false),
+        ("screened_insert_stream", true),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut sky = if screened {
+                    IncrementalSkyline::screened(mask, quant.clone())
+                } else {
+                    IncrementalSkyline::new(mask)
+                };
+                let mut clock = SimClock::default();
+                let mut stats = Stats::new();
+                for (i, p) in pts.iter().enumerate() {
+                    black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
+                }
+                sky.len()
+            })
+        });
+    }
     group.finish();
 }
 

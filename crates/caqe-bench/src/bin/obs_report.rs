@@ -170,32 +170,21 @@ fn reconcile(snap: &Snapshot, tc: &TraceCounts) -> Vec<String> {
     ] {
         claim(&mut problems, stat, counter(stat), event(kind));
     }
-    // Prune-layer invariants (within-snapshot: signature screening is
+    // Screening invariants (within-snapshot: signature screening is
     // deliberately invisible to the trace stream, so the claims relate the
     // diagnostic counters to each other).
-    let skipped = counter("caqe_stats_sig_partitions_skipped");
-    let rejected = counter("caqe_stats_sig_partitions_rejected");
     let builds = counter("caqe_stats_sig_builds");
     let hits = counter("caqe_stats_presort_cache_hits");
     let misses = counter("caqe_stats_presort_cache_misses");
-    if builds == 0 && (skipped + rejected + hits) > 0 {
+    if builds == 0 && hits > 0 {
         problems.push(format!(
-            "prune counters without signature builds: skipped {skipped}, \
-             rejected {rejected}, cache hits {hits}, builds 0"
+            "screened windows reused ({hits}) without a signature build"
         ));
     }
     if hits > 0 && misses == 0 {
         problems.push(format!(
-            "presort cache hits ({hits}) without a single miss — nothing \
-             could have populated the cache"
-        ));
-    }
-    if rejected > counter("caqe_stats_dom_comparisons") {
-        problems.push(format!(
-            "sig_partitions_rejected ({rejected}) exceeds dom_comparisons \
-             ({}) — rejections must each carry at least one charged \
-             comparison",
-            counter("caqe_stats_dom_comparisons")
+            "screened windows reused ({hits}) without a single attach — \
+             nothing could have screened them"
         ));
     }
     // Engine invariants — only meaningful for strategies that schedule
@@ -298,8 +287,6 @@ fn dashboard(label: &str, snap: &Snapshot) {
         println!("  kernel dispatch: block {block}  scalar {scalar}");
     }
     let prune: Vec<(&str, u64)> = [
-        ("skipped", "partitions_skipped"),
-        ("rejected", "partitions_rejected"),
         ("sig builds", "sig_builds"),
         ("cache hits", "cache_hits"),
         ("cache misses", "cache_misses"),

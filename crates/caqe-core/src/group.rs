@@ -415,7 +415,7 @@ pub(crate) fn build_one_group(
 /// deltas, records the same `LookAhead` span the cold build would, and
 /// instantiates the group from the memo's persisted structures. The only
 /// recomputed pieces — the dependency-graph transpose, the min-max cuboid
-/// and the signature cache — are pure functions of the stored state, so
+/// and the screening bounds — are pure functions of the stored state, so
 /// the resulting group is indistinguishable from a cold build.
 pub(crate) fn replay_group(
     memo: &GroupMemo,

@@ -654,10 +654,12 @@ fn read_memo<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<GroupMemo, Pl
         if pos != f.len() {
             return Err(corrupt("trailing fields on fn line"));
         }
-        for &w in weights_r.iter().chain(weights_t.iter()) {
-            if w.is_nan() || w < 0.0 {
-                return Err(corrupt("mapping weights must be non-negative"));
-            }
+        // What `MappingFn::new` asserts, as a typed error.
+        let weights = weights_r.iter().chain(weights_t.iter());
+        if !offset.is_finite() || weights.into_iter().any(|w| !w.is_finite() || *w < 0.0) {
+            return Err(corrupt(
+                "mapping weights must be finite and non-negative, the offset finite",
+            ));
         }
         fns.push(MappingFn::new(weights_r, weights_t, offset));
     }

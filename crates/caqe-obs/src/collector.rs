@@ -86,9 +86,8 @@ pub mod names {
     /// Counter family: kernel dispatch decisions, labelled by `path`
     /// (`block`/`scalar`).
     pub const KERNEL_DISPATCH: &str = "caqe_kernel_dispatch_total";
-    /// Counter family: signature prune-layer events, labelled by `kind`
-    /// (`partitions_skipped`/`partitions_rejected`/`sig_builds`/
-    /// `cache_hits`/`cache_misses`), from end-of-run `Stats`.
+    /// Counter family: signature-screening events, labelled by `kind`
+    /// (`sig_builds`/`cache_hits`/`cache_misses`), from end-of-run `Stats`.
     pub const PRUNE_EVENTS: &str = "caqe_prune_events_total";
     /// Gauge: tuples resident in group arenas (join-history occupancy).
     pub const ARENA_OCCUPANCY: &str = "caqe_arena_occupancy";
@@ -285,39 +284,7 @@ impl ObsCollector {
     /// `caqe_stats_<field>`, the phase-profile families, kernel-dispatch
     /// counts and occupancy gauges.
     pub fn ingest_stats(&mut self, stats: &Stats) {
-        let fields: [(&str, u64); 30] = [
-            ("join_probes", stats.join_probes),
-            ("join_results", stats.join_results),
-            ("dom_comparisons", stats.dom_comparisons),
-            ("region_comparisons", stats.region_comparisons),
-            ("map_evals", stats.map_evals),
-            ("tuples_emitted", stats.tuples_emitted),
-            ("regions_processed", stats.regions_processed),
-            ("regions_pruned", stats.regions_pruned),
-            ("tuples_discarded", stats.tuples_discarded),
-            ("region_retries", stats.region_retries),
-            ("regions_quarantined", stats.regions_quarantined),
-            ("regions_shed", stats.regions_shed),
-            ("ingest_quarantined", stats.ingest_quarantined),
-            ("ingest_clamped", stats.ingest_clamped),
-            ("build_ticks", stats.build_ticks),
-            ("probe_ticks", stats.probe_ticks),
-            ("insert_ticks", stats.insert_ticks),
-            ("emit_ticks", stats.emit_ticks),
-            ("build_dom_cmps", stats.build_dom_cmps),
-            ("insert_dom_cmps", stats.insert_dom_cmps),
-            ("emit_region_cmps", stats.emit_region_cmps),
-            ("block_kernel_ops", stats.block_kernel_ops),
-            ("scalar_kernel_ops", stats.scalar_kernel_ops),
-            ("sig_partitions_skipped", stats.sig_partitions_skipped),
-            ("sig_partitions_rejected", stats.sig_partitions_rejected),
-            ("sig_builds", stats.sig_builds),
-            ("presort_cache_hits", stats.presort_cache_hits),
-            ("presort_cache_misses", stats.presort_cache_misses),
-            ("arena_tuples", stats.arena_tuples),
-            ("plan_points_interned", stats.plan_points_interned),
-        ];
-        for (name, v) in fields {
+        for (name, v) in stats.counters() {
             self.reg.inc(&format!("{}{name}", names::STATS_PREFIX), v);
         }
         for (phase, ticks) in [
@@ -345,8 +312,6 @@ impl ObsCollector {
                 .inc(&key(names::KERNEL_DISPATCH, &[("path", path)]), n);
         }
         for (kind, n) in [
-            ("partitions_skipped", stats.sig_partitions_skipped),
-            ("partitions_rejected", stats.sig_partitions_rejected),
             ("sig_builds", stats.sig_builds),
             ("cache_hits", stats.presort_cache_hits),
             ("cache_misses", stats.presort_cache_misses),
@@ -804,8 +769,6 @@ mod tests {
         stats.emit_region_cmps = 7;
         stats.block_kernel_ops = 8;
         stats.scalar_kernel_ops = 9;
-        stats.sig_partitions_skipped = 11;
-        stats.sig_partitions_rejected = 12;
         stats.sig_builds = 13;
         stats.presort_cache_hits = 14;
         stats.presort_cache_misses = 15;
@@ -830,8 +793,8 @@ mod tests {
         );
         assert_eq!(reg.gauge(names::ARENA_OCCUPANCY), Some(1000.0));
         assert_eq!(
-            reg.counter(&key(names::PRUNE_EVENTS, &[("kind", "partitions_skipped")])),
-            Some(11)
+            reg.counter(&key(names::PRUNE_EVENTS, &[("kind", "cache_hits")])),
+            Some(14)
         );
         assert_eq!(
             reg.counter(&key(names::PRUNE_EVENTS, &[("kind", "cache_misses")])),

@@ -25,11 +25,18 @@ impl MappingFn {
     /// Creates a mapping function.
     ///
     /// # Panics
-    /// Panics if any weight is negative (monotonicity requirement).
+    /// Panics if any weight is negative (monotonicity requirement), or a
+    /// weight or the offset is not finite: `inf * 0.0` and `NaN + x` would
+    /// turn a validated, all-finite table into a NaN output column.
     pub fn new(weights_r: Vec<Value>, weights_t: Vec<Value>, offset: Value) -> Self {
+        let weights = || weights_r.iter().chain(&weights_t);
         assert!(
-            weights_r.iter().chain(weights_t.iter()).all(|&w| w >= 0.0),
+            weights().all(|&w| w >= 0.0),
             "mapping weights must be non-negative for monotone projection"
+        );
+        assert!(
+            weights().all(|w| w.is_finite()) && offset.is_finite(),
+            "mapping weights and offset must be finite"
         );
         MappingFn {
             weights_r,
@@ -267,6 +274,21 @@ mod tests {
     #[should_panic]
     fn negative_weight_rejected() {
         let _ = MappingFn::new(vec![-1.0], vec![], 0.0);
+    }
+
+    #[test]
+    fn non_finite_weight_or_offset_rejected() {
+        // `w >= 0.0` alone lets +inf through, and says nothing of the offset.
+        for (wr, offset) in [
+            (Value::INFINITY, 0.0),
+            (Value::NAN, 0.0),
+            (1.0, Value::NAN),
+            (1.0, Value::INFINITY),
+            (1.0, Value::NEG_INFINITY),
+        ] {
+            let built = std::panic::catch_unwind(|| MappingFn::new(vec![wr], vec![0.0], offset));
+            assert!(built.is_err(), "accepted weight {wr}, offset {offset}");
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Skyline algorithms over a single point set (`SKY_P`, §2.2).
 //!
-//! Three implementations with different roles in the reproduction:
+//! Three batch implementations with different roles in the reproduction
+//! (the streaming one is [`crate::window`]):
 //!
 //! * [`skyline_reference`] — the obviously correct O(n²) definition-checker,
 //!   used as the oracle in property tests;
@@ -9,9 +10,7 @@
 //! * [`skyline_sfs`] — Sort-Filter-Skyline [6]: presorting by a monotone
 //!   score means a later point can never dominate an earlier survivor, which
 //!   both prunes comparisons and makes every emitted survivor *final* — the
-//!   progressiveness backbone of the SSMJ baseline;
-//! * [`IncrementalSkyline`] — streaming skyline maintenance with removal
-//!   notification, the workhorse of the shared min-max-cuboid plan.
+//!   progressiveness backbone of the SSMJ baseline.
 //!
 //! All of them count every pairwise dominance comparison (the paper's CPU
 //! metric, Figure 10.b) through the supplied [`Stats`] and [`SimClock`].
@@ -448,287 +447,6 @@ pub fn skyline_sfs(
     skyline_sfs_store(&store, &kernel, clock, stats)
 }
 
-/// Outcome of inserting one point into an [`IncrementalSkyline`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InsertOutcome {
-    /// The point was dominated by an existing skyline member and rejected.
-    /// (Points *equal* on the subspace are both kept: Definition 1 requires
-    /// strict improvement somewhere for dominance.)
-    Dominated,
-    /// The point joined the skyline; `removed` lists the tags of previous
-    /// members it knocked out — the non-monotonic deletions that §1.4 of the
-    /// paper highlights as the key difficulty of skyline-over-join sharing.
-    Added {
-        /// Tags of evicted former skyline members.
-        removed: Vec<u64>,
-    },
-}
-
-/// Streaming skyline maintenance over one subspace.
-///
-/// Each member carries an opaque `tag` so executors can correlate skyline
-/// membership with their own tuple arenas. Member points live in one flat
-/// value buffer (no per-member allocation); removal swaps the last member
-/// into the hole, mirroring the original `Vec::swap_remove` order exactly.
-#[derive(Debug, Clone)]
-pub struct IncrementalSkyline {
-    mask: DimMask,
-    kernel: Option<DomKernel>,
-    tags: Vec<u64>,
-    /// Flat member points; member `i` is `data[i*stride..(i+1)*stride]`.
-    data: Vec<Value>,
-    stride: usize,
-    /// Reusable verdict buffer for the block insert path (never observable;
-    /// cleared on every use).
-    scratch: Vec<DomRelation>,
-}
-
-impl IncrementalSkyline {
-    /// An empty skyline over subspace `mask`. The point stride is learned
-    /// from the first insertion.
-    pub fn new(mask: DimMask) -> Self {
-        IncrementalSkyline {
-            mask,
-            kernel: None,
-            tags: Vec::new(),
-            data: Vec::new(),
-            stride: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// The subspace this skyline is maintained over.
-    pub fn mask(&self) -> DimMask {
-        self.mask
-    }
-
-    /// Current number of skyline members.
-    pub fn len(&self) -> usize {
-        self.tags.len()
-    }
-
-    /// Whether the skyline is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tags.is_empty()
-    }
-
-    /// Tags of the current members, in insertion order.
-    pub fn tags(&self) -> impl Iterator<Item = u64> + '_ {
-        self.tags.iter().copied()
-    }
-
-    #[inline]
-    fn ensure_kernel(&mut self, stride: usize) {
-        if self.kernel.is_none() {
-            self.stride = stride;
-            self.kernel = Some(DomKernel::new(self.mask, stride));
-        }
-    }
-
-    /// Inserts a point, maintaining the skyline invariant. Counts one
-    /// dominance comparison per member examined.
-    ///
-    /// Dispatches to the value-packed block path (DESIGN.md §15) once the
-    /// member table is large enough; the member rows mutate in place, so
-    /// this path packs raw value comparisons rather than precomputed ranks.
-    /// Both paths are observationally identical.
-    pub fn insert(
-        &mut self,
-        tag: u64,
-        point: &[Value],
-        clock: &mut SimClock,
-        stats: &mut Stats,
-    ) -> InsertOutcome {
-        if self.tags.len() >= BLOCK_MIN {
-            stats.block_kernel_ops += 1;
-            self.insert_block(tag, point, clock, stats)
-        } else {
-            stats.scalar_kernel_ops += 1;
-            self.insert_scalar(tag, point, clock, stats)
-        }
-    }
-
-    /// The reference scalar insert loop. Kept public as the equivalence
-    /// oracle.
-    pub fn insert_scalar(
-        &mut self,
-        tag: u64,
-        point: &[Value],
-        clock: &mut SimClock,
-        stats: &mut Stats,
-    ) -> InsertOutcome {
-        self.ensure_kernel(point.len());
-        debug_assert_eq!(point.len(), self.stride, "stride mismatch");
-        // Split field borrows: the kernel stays immutably borrowed while the
-        // member table is edited (no per-insert kernel clone).
-        let stride = self.stride;
-        // Allowed survivor: `ensure_kernel` on the line above guarantees the
-        // kernel is populated — this cannot fire.
-        #[allow(clippy::expect_used)]
-        let (kernel, tags, data) = (
-            self.kernel.as_ref().expect("just initialized"),
-            &mut self.tags,
-            &mut self.data,
-        );
-        let mut removed = Vec::new();
-        let mut k = 0;
-        while k < tags.len() {
-            clock.charge_dom_cmps(1);
-            stats.dom_comparisons += 1;
-            match kernel.relate(&data[k * stride..(k + 1) * stride], point) {
-                DomRelation::Dominates => {
-                    debug_assert!(removed.is_empty(), "partial order violated");
-                    return InsertOutcome::Dominated;
-                }
-                DomRelation::DominatedBy => {
-                    removed.push(tags.swap_remove(k));
-                    let last = tags.len();
-                    if k != last {
-                        let (head, tail) = data.split_at_mut(last * stride);
-                        head[k * stride..(k + 1) * stride].copy_from_slice(&tail[..stride]);
-                    }
-                    data.truncate(last * stride);
-                }
-                // Definition 1: equal points do not dominate — keep both.
-                DomRelation::Equal | DomRelation::Incomparable => k += 1,
-            }
-        }
-        tags.push(tag);
-        data.extend_from_slice(point);
-        InsertOutcome::Added { removed }
-    }
-
-    /// Value-packed block insert. Like the packed BNL loop, almost every
-    /// point resolves from the 64-lane verdict bits alone: a first
-    /// dominator with no eviction lane before it is an exact-count reject,
-    /// an all-clear member table is a clean append. Only when an eviction
-    /// precedes the first dominator (rare) are full verdicts materialized
-    /// and an integer replay walks the exact serial examination order with
-    /// the verdict list `swap_remove`d in lockstep with the member table.
-    /// Charges one comparison per examined member, identical to the scalar
-    /// loop.
-    fn insert_block(
-        &mut self,
-        tag: u64,
-        point: &[Value],
-        clock: &mut SimClock,
-        stats: &mut Stats,
-    ) -> InsertOutcome {
-        self.ensure_kernel(point.len());
-        debug_assert_eq!(point.len(), self.stride, "stride mismatch");
-        let stride = self.stride;
-        // Allowed survivor: `ensure_kernel` on the line above guarantees the
-        // kernel is populated — this cannot fire.
-        #[allow(clippy::expect_used)]
-        let kernel = self.kernel.as_ref().expect("just initialized");
-        let n = self.tags.len();
-        let mut examined = 0u64;
-        let mut rejected = false;
-        let mut slow = false;
-        // Scalar head: the first member alone rejects most points, and a
-        // one-lane block call costs more than the comparison it packs.
-        match kernel.relate(&self.data[..stride], point) {
-            DomRelation::Dominates => {
-                examined = 1;
-                rejected = true;
-            }
-            DomRelation::DominatedBy => slow = true,
-            DomRelation::Equal | DomRelation::Incomparable => {
-                examined = 1;
-                let mut row = 1;
-                // Chunks grow geometrically: later dominators cluster near
-                // the front, so leading whole-window verdicts are wasted.
-                let mut step = 2;
-                while row < n {
-                    let count = (n - row).min(step);
-                    step = (step * 2).min(64);
-                    let bv = kernel.relate_block_rows(&self.data, stride, row, count, point);
-                    let dom = bv.dominators();
-                    let below = if dom == 0 {
-                        u64::MAX
-                    } else {
-                        (1u64 << dom.trailing_zeros()) - 1
-                    };
-                    if bv.dominated_members() & below != 0 {
-                        slow = true;
-                        break;
-                    }
-                    if dom != 0 {
-                        examined += u64::from(dom.trailing_zeros()) + 1;
-                        rejected = true;
-                        break;
-                    }
-                    examined += count as u64;
-                    row += count;
-                }
-            }
-        }
-        if !slow {
-            clock.charge_dom_cmps(examined);
-            stats.dom_comparisons += examined;
-            if rejected {
-                return InsertOutcome::Dominated;
-            }
-            self.tags.push(tag);
-            self.data.extend_from_slice(point);
-            return InsertOutcome::Added {
-                removed: Vec::new(),
-            };
-        }
-        // Eviction before the first dominator: exact serial replay.
-        let mut rels = std::mem::take(&mut self.scratch);
-        rels.clear();
-        let mut first = 0;
-        while first < n {
-            let count = (n - first).min(64);
-            let bv = kernel.relate_block_rows(&self.data, stride, first, count, point);
-            rels.extend((0..count).map(|j| bv.relation(j)));
-            first += count;
-        }
-        let (tags, data) = (&mut self.tags, &mut self.data);
-        let mut removed = Vec::new();
-        let mut dominated = false;
-        let mut k = 0;
-        while k < tags.len() {
-            clock.charge_dom_cmps(1);
-            stats.dom_comparisons += 1;
-            match rels[k] {
-                DomRelation::Dominates => {
-                    debug_assert!(removed.is_empty(), "partial order violated");
-                    dominated = true;
-                    break;
-                }
-                DomRelation::DominatedBy => {
-                    removed.push(tags.swap_remove(k));
-                    rels.swap_remove(k);
-                    let last = tags.len();
-                    if k != last {
-                        let (head, tail) = data.split_at_mut(last * stride);
-                        head[k * stride..(k + 1) * stride].copy_from_slice(&tail[..stride]);
-                    }
-                    data.truncate(last * stride);
-                }
-                DomRelation::Equal | DomRelation::Incomparable => k += 1,
-            }
-        }
-        self.scratch = rels;
-        if dominated {
-            return InsertOutcome::Dominated;
-        }
-        self.tags.push(tag);
-        self.data.extend_from_slice(point);
-        InsertOutcome::Added { removed }
-    }
-
-    /// Current members as `(tag, point)` pairs in insertion order.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, &[Value])> + '_ {
-        self.tags
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, &self.data[i * self.stride..(i + 1) * self.stride]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -822,67 +540,6 @@ mod tests {
             assert_eq!(a, b, "{which}: results diverged");
             assert_eq!(s1, s2, "{which}: stats diverged");
             assert_eq!(c1.ticks(), c2.ticks(), "{which}: ticks diverged");
-        }
-    }
-
-    #[test]
-    fn incremental_matches_batch() {
-        let points = pts(&[
-            &[3.0, 3.0],
-            &[1.0, 5.0],
-            &[5.0, 1.0],
-            &[2.0, 2.0], // evicts [3,3]
-            &[9.0, 9.0], // dominated
-        ]);
-        let mask = DimMask::full(2);
-        let mut sky = IncrementalSkyline::new(mask);
-        let mut c = SimClock::default();
-        let mut s = Stats::new();
-        let mut outcomes = Vec::new();
-        for (i, p) in points.iter().enumerate() {
-            outcomes.push(sky.insert(i as u64, p, &mut c, &mut s));
-        }
-        assert_eq!(outcomes[4], InsertOutcome::Dominated);
-        assert_eq!(outcomes[3], InsertOutcome::Added { removed: vec![0] });
-        let mut tags: Vec<u64> = sky.tags().collect();
-        tags.sort_unstable();
-        let mut expect: Vec<u64> = skyline_reference(&points, mask)
-            .into_iter()
-            .map(|i| i as u64)
-            .collect();
-        expect.sort_unstable();
-        assert_eq!(tags, expect);
-        // Flat entries expose the surviving points.
-        for (tag, p) in sky.entries() {
-            assert_eq!(p, points[tag as usize].as_slice());
-        }
-    }
-
-    #[test]
-    fn equal_points_are_both_kept() {
-        // Definition 1: dominance needs strict improvement somewhere, so
-        // tied points are all part of the skyline.
-        let mask = DimMask::full(2);
-        let mut sky = IncrementalSkyline::new(mask);
-        let mut c = SimClock::default();
-        let mut s = Stats::new();
-        assert!(matches!(
-            sky.insert(0, &[1.0, 1.0], &mut c, &mut s),
-            InsertOutcome::Added { .. }
-        ));
-        assert!(matches!(
-            sky.insert(1, &[1.0, 1.0], &mut c, &mut s),
-            InsertOutcome::Added { .. }
-        ));
-        assert_eq!(sky.len(), 2);
-        // A dominator evicts every tied copy at once.
-        let out = sky.insert(2, &[0.5, 0.5], &mut c, &mut s);
-        match out {
-            InsertOutcome::Added { mut removed } => {
-                removed.sort_unstable();
-                assert_eq!(removed, vec![0, 1]);
-            }
-            other => panic!("unexpected outcome {other:?}"),
         }
     }
 

@@ -1,0 +1,373 @@
+//! The incremental skyline window (§4.1, §5.2) — the only streaming skyline
+//! in the workspace.
+//!
+//! [`SkylineWindow`] keeps the members of one subspace skyline sorted by the
+//! kernel's monotone score (the Sort-Filter-Skyline idea [6]): a dominator
+//! never has a larger score than its victim, so an insert tests only the
+//! `score ≤` prefix for a dominator and only the `score ≥` suffix for
+//! victims (on ties the boundary member is in both). Member points live
+//! wherever the caller keeps them — the shared plan's arena, an in-flight
+//! batch — and are reached through the resolver passed to
+//! [`SkylineWindow::insert`]; the window stores handles, scores and tags.
+//!
+//! A window may carry a signature screen (DESIGN.md §17): one quantized
+//! signature per member, kept in lockstep with the members by the same
+//! insert, which answers most dominance tests on two integers. Screening
+//! decides *how* a verdict is reached, never what it is or what it costs:
+//! every examined member is one charged comparison either way.
+//!
+//! [`IncrementalSkyline`] is a window together with the arena its members
+//! live in, for callers that have no arena of their own.
+
+use caqe_types::sig::{sig_relate, SigQuantizer};
+use caqe_types::{DimMask, DomKernel, DomRelation, PointId, PointStore, SimClock, Stats, Value};
+
+/// Outcome of inserting one point into a skyline window.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum InsertOutcome {
+    /// The point was dominated by an existing skyline member and rejected.
+    /// (Points *equal* on the subspace are both kept: Definition 1 requires
+    /// strict improvement somewhere for dominance.)
+    Dominated,
+    /// The point joined the skyline; `removed` lists the tags of previous
+    /// members it knocked out — the non-monotonic deletions that §1.4 of the
+    /// paper highlights as the key difficulty of skyline-over-join sharing.
+    Added {
+        /// Tags of evicted former skyline members, in window order.
+        removed: Vec<u64>,
+    },
+}
+
+/// One window member: precomputed score, opaque tag, and the caller's
+/// handle to its point.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    score: Value,
+    tag: u64,
+    point: PointId,
+}
+
+/// A subspace skyline kept sorted ascending by monotone score.
+#[derive(Debug, Clone)]
+pub struct SkylineWindow {
+    mask: DimMask,
+    /// Built from the stride of the first inserted point.
+    kernel: Option<DomKernel>,
+    /// Ascending by score.
+    entries: Vec<Entry>,
+    /// The signature screen; `sigs[k]` is the signature of `entries[k]`
+    /// (empty while unscreened).
+    quant: Option<SigQuantizer>,
+    sigs: Vec<u64>,
+}
+
+impl SkylineWindow {
+    /// An empty, unscreened window over subspace `mask`.
+    pub fn new(mask: DimMask) -> Self {
+        SkylineWindow {
+            mask,
+            kernel: None,
+            entries: Vec::new(),
+            quant: None,
+            sigs: Vec::new(),
+        }
+    }
+
+    /// Current number of skyline members.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the skyline is empty.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// `(tag, point handle)` of the current members, best score first.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = (u64, PointId)> + '_ {
+        self.entries.iter().map(|e| (e.tag, e.point))
+    }
+
+    /// Rewrites every member's point handle (a caller that inserted under
+    /// provisional handles assigns the final ones).
+    pub fn remap_points(&mut self, mut f: impl FnMut(PointId) -> PointId) {
+        for e in &mut self.entries {
+            e.point = f(e.point);
+        }
+    }
+
+    /// Whether the window carries a signature screen.
+    pub fn is_screened(&self) -> bool {
+        self.quant.is_some()
+    }
+
+    /// Attaches a signature screen, quantizing the current members (resolved
+    /// through `member`). Any monotone quantizer is sound, whatever bounds
+    /// it was built from; tighter bounds only prove more verdicts.
+    pub fn screen_with<'a>(
+        &mut self,
+        quant: SigQuantizer,
+        member: impl Fn(PointId) -> &'a [Value],
+    ) {
+        self.sigs = self
+            .entries
+            .iter()
+            .map(|e| quant.sig(member(e.point)))
+            .collect();
+        self.quant = Some(quant);
+    }
+
+    /// Inserts `point` under `tag`, to be known to later probes by `handle`;
+    /// `member` resolves the handles of earlier insertions. With
+    /// `known_survivor` the caller vouches that nothing in the window
+    /// dominates the point (Theorem 1: it survived in a child subspace) and
+    /// the reject scan is skipped.
+    ///
+    /// Counts one `stats.dom_comparisons` per member examined and one
+    /// `stats.sig_builds` per signature quantized; the caller charges the
+    /// clock (comparison charges are additive).
+    #[inline]
+    pub fn insert<'a>(
+        &mut self,
+        tag: u64,
+        point: &[Value],
+        handle: PointId,
+        known_survivor: bool,
+        member: impl Fn(PointId) -> &'a [Value],
+        stats: &mut Stats,
+    ) -> InsertOutcome {
+        let mask = self.mask;
+        let kernel = &*self
+            .kernel
+            .get_or_insert_with(|| DomKernel::new(mask, point.len()));
+        // A NaN score (a NaN coordinate, or `+inf` meeting `-inf` in the
+        // sum) has no place in the order and would break `partition_point`'s
+        // precondition. It sorts as `+inf`: last, tied with its like, so no
+        // member is left out of its reject scan and later probes still find
+        // it in their `score ≥` suffix. Exact whenever dominance is a strict
+        // partial order (a column that is NaN in every row ties everywhere).
+        let score = match kernel.score(point) {
+            s if s.is_nan() => Value::INFINITY,
+            s => s,
+        };
+        let (csig, high) = match &self.quant {
+            Some(q) => {
+                stats.sig_builds += 1;
+                (Some(q.sig(point)), q.high_mask())
+            }
+            None => (None, 0),
+        };
+        let pos = self.entries.partition_point(|e| e.score < score);
+        let mut comps = 0u64;
+
+        // Reject scan: a dominator's score is never larger, so it sits in
+        // the `score ≤` prefix.
+        if !known_survivor {
+            let prefix = self.entries.partition_point(|e| e.score <= score);
+            for k in 0..prefix {
+                comps += 1;
+                let proven = csig.and_then(|cs| sig_relate(self.sigs[k], cs, high));
+                let dominated = match proven {
+                    Some(v) => v == DomRelation::Dominates,
+                    None => {
+                        kernel.relate(member(self.entries[k].point), point)
+                            == DomRelation::Dominates
+                    }
+                };
+                if dominated {
+                    stats.dom_comparisons += comps;
+                    return InsertOutcome::Dominated;
+                }
+            }
+        }
+
+        // Evict sweep: a victim's score is never smaller, so it sits in the
+        // `score ≥` suffix.
+        let mut removed: Vec<u64> = Vec::new();
+        let mut k = pos;
+        while k < self.entries.len() {
+            comps += 1;
+            let proven = csig.and_then(|cs| sig_relate(cs, self.sigs[k], high));
+            let evicts = match proven {
+                Some(v) => v == DomRelation::Dominates,
+                None => {
+                    kernel.relate(point, member(self.entries[k].point)) == DomRelation::Dominates
+                }
+            };
+            if evicts {
+                removed.push(self.entries.remove(k).tag);
+                if csig.is_some() {
+                    self.sigs.remove(k);
+                }
+            } else {
+                k += 1;
+            }
+        }
+        self.entries.insert(
+            pos,
+            Entry {
+                score,
+                tag,
+                point: handle,
+            },
+        );
+        if let Some(cs) = csig {
+            self.sigs.insert(pos, cs);
+        }
+        stats.dom_comparisons += comps;
+        InsertOutcome::Added { removed }
+    }
+}
+
+/// Streaming skyline maintenance over one subspace for callers without a
+/// point arena of their own: a [`SkylineWindow`] plus the store its members
+/// live in.
+///
+/// Each member carries an opaque `tag` so executors can correlate skyline
+/// membership with their own tuple arenas.
+#[derive(Debug, Clone)]
+pub struct IncrementalSkyline {
+    window: SkylineWindow,
+    /// Every point ever admitted, in admission order (append-only: an
+    /// evicted member's row simply becomes unreferenced).
+    points: PointStore,
+}
+
+impl IncrementalSkyline {
+    /// An empty skyline over subspace `mask`. The point stride is learned
+    /// from the first insertion.
+    pub fn new(mask: DimMask) -> Self {
+        IncrementalSkyline {
+            window: SkylineWindow::new(mask),
+            points: PointStore::new(0),
+        }
+    }
+
+    /// An empty skyline over `mask` whose window screens with `quant`.
+    pub fn screened(mask: DimMask, quant: SigQuantizer) -> Self {
+        let mut sky = IncrementalSkyline::new(mask);
+        // Nothing to quantize yet: the resolver is never called.
+        sky.window.screen_with(quant, |_| &[]);
+        sky
+    }
+
+    /// Current number of skyline members.
+    pub fn len(&self) -> usize {
+        self.window.len()
+    }
+
+    /// Whether the skyline is empty.
+    pub fn is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// Tags of the current members, best score first.
+    pub fn tags(&self) -> impl ExactSizeIterator<Item = u64> + '_ {
+        self.window.members().map(|(tag, _)| tag)
+    }
+
+    /// Current members as `(tag, point)` pairs, best score first.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (u64, &[Value])> + '_ {
+        self.window
+            .members()
+            .map(|(tag, pid)| (tag, self.points.get(pid)))
+    }
+
+    /// Inserts a point, maintaining the skyline invariant. Charges one
+    /// dominance comparison per member examined.
+    pub fn insert(
+        &mut self,
+        tag: u64,
+        point: &[Value],
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> InsertOutcome {
+        if self.points.stride() == 0 {
+            self.points = PointStore::new(point.len());
+        }
+        let points = &self.points;
+        let before = stats.dom_comparisons;
+        // The handle is the id the point receives if it is admitted.
+        let handle = PointId(points.len() as u32);
+        let outcome = self
+            .window
+            .insert(tag, point, handle, false, |pid| points.get(pid), stats);
+        clock.charge_dom_cmps(stats.dom_comparisons - before);
+        if matches!(outcome, InsertOutcome::Added { .. }) {
+            self.points.push(point);
+        }
+        outcome
+    }
+}
+
+/// Benchmark-pinned name (`benchmark/src/layers.rs` constructs its screened
+/// window through it); the next `[benchmark]` PR drops it for
+/// [`IncrementalSkyline::screened`].
+pub struct SigSkyline;
+
+impl SigSkyline {
+    /// An empty [`IncrementalSkyline`] over `mask` screening with `quant`.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(mask: DimMask, quant: SigQuantizer) -> IncrementalSkyline {
+        IncrementalSkyline::screened(mask, quant)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::skyline_reference;
+
+    fn stream(sky: &mut IncrementalSkyline, points: &[Vec<Value>]) -> Vec<InsertOutcome> {
+        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+        points
+            .iter()
+            .enumerate()
+            .map(|(i, p)| sky.insert(i as u64, p, &mut clock, &mut stats))
+            .collect()
+    }
+
+    #[test]
+    fn streaming_matches_the_reference_and_reports_evictions() {
+        let points = vec![
+            vec![3.0, 3.0],
+            vec![1.0, 5.0],
+            vec![5.0, 1.0],
+            vec![2.0, 2.0], // evicts [3,3]
+            vec![9.0, 9.0], // dominated
+        ];
+        let mask = DimMask::full(2);
+        let mut sky = IncrementalSkyline::new(mask);
+        let outcomes = stream(&mut sky, &points);
+        assert_eq!(outcomes[3], InsertOutcome::Added { removed: vec![0] });
+        assert_eq!(outcomes[4], InsertOutcome::Dominated);
+        let mut tags: Vec<u64> = sky.tags().collect();
+        tags.sort_unstable();
+        let want: Vec<u64> = skyline_reference(&points, mask)
+            .into_iter()
+            .map(|i| i as u64)
+            .collect();
+        assert_eq!(tags, want);
+        for (tag, p) in sky.entries() {
+            assert_eq!(p, points[tag as usize].as_slice());
+        }
+    }
+
+    #[test]
+    fn equal_points_are_both_kept() {
+        // Definition 1: dominance needs strict improvement somewhere, so
+        // tied points are all part of the skyline — until a dominator evicts
+        // every copy at once.
+        let mut sky = IncrementalSkyline::new(DimMask::full(2));
+        let outcomes = stream(&mut sky, &[vec![1.0, 1.0], vec![1.0, 1.0], vec![0.5, 0.5]]);
+        assert_eq!(outcomes[1], InsertOutcome::Added { removed: vec![] });
+        // A tie goes in front of its equals, so window order is [1, 0].
+        assert_eq!(
+            outcomes[2],
+            InsertOutcome::Added {
+                removed: vec![1, 0]
+            }
+        );
+        assert_eq!(sky.tags().collect::<Vec<_>>(), vec![2]);
+    }
+}

@@ -58,13 +58,7 @@ pub struct SigQuantizer {
     levels: u64,
     /// The spare (top) bit of every field.
     high_mask: u64,
-    /// The top [`COARSE_BITS`] *code* bits of every field — the bucket-key
-    /// mask used for partition-level screening.
-    coarse_mask: u64,
 }
-
-/// Code bits per field retained in the coarse partition key.
-const COARSE_BITS: u32 = 3;
 
 impl SigQuantizer {
     /// Builds a quantizer for `mask` from per-dimension bounds indexed by
@@ -78,12 +72,10 @@ impl SigQuantizer {
         // Wider fields buy nothing past ~16 bits and keep shifts cheap.
         let field_width = (64 / d as u32).min(16);
         let levels = (1u64 << (field_width - 1)) - 1;
-        let coarse = COARSE_BITS.min(field_width - 1);
         let mut dims = Vec::with_capacity(d);
         let mut los = Vec::with_capacity(d);
         let mut scales = Vec::with_capacity(d);
         let mut high_mask = 0u64;
-        let mut coarse_mask = 0u64;
         for (j, k) in mask.iter().enumerate() {
             let (l, h) = (*lo.get(k)?, *hi.get(k)?);
             if l.is_nan() || h.is_nan() {
@@ -99,7 +91,6 @@ impl SigQuantizer {
             scales.push(scale);
             let shift = j as u32 * field_width;
             high_mask |= 1u64 << (shift + field_width - 1);
-            coarse_mask |= ((1u64 << coarse) - 1) << (shift + field_width - 1 - coarse);
         }
         Some(SigQuantizer {
             dims,
@@ -108,7 +99,6 @@ impl SigQuantizer {
             field_width,
             levels,
             high_mask,
-            coarse_mask,
         })
     }
 
@@ -161,15 +151,6 @@ impl SigQuantizer {
     #[inline]
     pub fn high_mask(&self) -> u64 {
         self.high_mask
-    }
-
-    /// The coarse bucket key of a signature: its top code bits per field.
-    /// Masking is a per-field monotone floor, so coarse keys are themselves
-    /// valid (coarser) signatures and [`sig_relate`] verdicts on them hold
-    /// for every signature sharing the key.
-    #[inline]
-    pub fn bucket_key(&self, sig: u64) -> u64 {
-        sig & self.coarse_mask
     }
 }
 
@@ -329,26 +310,5 @@ mod tests {
         assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
         assert_eq!(sig_relate(SIG_POISON, 0, 0), None);
         assert_eq!(sig_relate(0, SIG_POISON, 0), None);
-    }
-
-    #[test]
-    fn bucket_keys_are_coarser_monotone_signatures() {
-        let mask = DimMask::from_dims([0, 1]);
-        let q = SigQuantizer::from_bounds(mask, &[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        let a = q.sig(&[0.05, 0.05]);
-        let b = q.sig(&[0.95, 0.95]);
-        let (ka, kb) = (q.bucket_key(a), q.bucket_key(b));
-        assert_eq!(
-            sig_relate(ka, kb, q.high_mask()),
-            Some(DomRelation::Dominates)
-        );
-        // A key verdict must never contradict the full-signature verdict.
-        assert_eq!(
-            sig_relate(a, b, q.high_mask()),
-            Some(DomRelation::Dominates)
-        );
-        // Keys of nearby points collapse (that is the point of coarseness).
-        let c = q.sig(&[0.051, 0.052]);
-        assert_eq!(q.bucket_key(c), ka);
     }
 }

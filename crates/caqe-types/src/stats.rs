@@ -88,25 +88,18 @@ pub struct Stats {
     /// dispatching entry point (direct calls to `*_scalar` twins count
     /// nothing — they are references, not dispatch decisions).
     pub scalar_kernel_ops: u64,
-    /// Prune-layer diagnostic: partition buckets skipped whole because the
-    /// coarse lattice key proved them incomparable to the candidate. Like
+    /// Screening diagnostic: point signatures quantized (signature
+    /// construction is uncharged physical work, like the SFS presort). Like
     /// the kernel-dispatch counters this describes *how* the work was done,
     /// not what it charged — excluded from [`Stats::observable`].
-    pub sig_partitions_skipped: u64,
-    /// Prune-layer diagnostic: candidates rejected at partition level (a
-    /// bucket key proved every member a dominator without touching member
-    /// points). At most one per candidate, so this never exceeds
-    /// `dom_comparisons`. Excluded from [`Stats::observable`].
-    pub sig_partitions_rejected: u64,
-    /// Prune-layer diagnostic: point signatures quantized (signature
-    /// construction is uncharged physical work, like the SFS presort).
-    /// Excluded from [`Stats::observable`].
     pub sig_builds: u64,
-    /// Presort/signature cache lookups answered from an existing interned
-    /// entry. Excluded from [`Stats::observable`].
+    /// Screening diagnostic: times a batch reached a shared-plan window
+    /// that already carried its signature screen. Excluded from
+    /// [`Stats::observable`].
     pub presort_cache_hits: u64,
-    /// Presort/signature cache lookups that had to build a fresh entry.
-    /// Excluded from [`Stats::observable`].
+    /// Screening diagnostic: times a batch reached a shared-plan window
+    /// that had to attach its screen first. Excluded from
+    /// [`Stats::observable`].
     pub presort_cache_misses: u64,
     /// Tuples materialized into group arenas (join-history occupancy).
     pub arena_tuples: u64,
@@ -149,8 +142,6 @@ macro_rules! with_counter_fields {
             emit_region_cmps,
             block_kernel_ops,
             scalar_kernel_ops,
-            sig_partitions_skipped,
-            sig_partitions_rejected,
             sig_builds,
             presort_cache_hits,
             presort_cache_misses,
@@ -217,8 +208,6 @@ impl Stats {
         let mut s = self.clone();
         s.block_kernel_ops = 0;
         s.scalar_kernel_ops = 0;
-        s.sig_partitions_skipped = 0;
-        s.sig_partitions_rejected = 0;
         s.sig_builds = 0;
         s.presort_cache_hits = 0;
         s.presort_cache_misses = 0;
@@ -251,8 +240,6 @@ impl AddAssign for Stats {
         self.emit_region_cmps += rhs.emit_region_cmps;
         self.block_kernel_ops += rhs.block_kernel_ops;
         self.scalar_kernel_ops += rhs.scalar_kernel_ops;
-        self.sig_partitions_skipped += rhs.sig_partitions_skipped;
-        self.sig_partitions_rejected += rhs.sig_partitions_rejected;
         self.sig_builds += rhs.sig_builds;
         self.presort_cache_hits += rhs.presort_cache_hits;
         self.presort_cache_misses += rhs.presort_cache_misses;
@@ -295,8 +282,6 @@ mod tests {
             emit_region_cmps: 21,
             block_kernel_ops: 22,
             scalar_kernel_ops: 23,
-            sig_partitions_skipped: 26,
-            sig_partitions_rejected: 27,
             sig_builds: 28,
             presort_cache_hits: 29,
             presort_cache_misses: 30,
@@ -325,8 +310,6 @@ mod tests {
         assert_eq!(a.emit_region_cmps, 42);
         assert_eq!(a.block_kernel_ops, 44);
         assert_eq!(a.scalar_kernel_ops, 46);
-        assert_eq!(a.sig_partitions_skipped, 52);
-        assert_eq!(a.sig_partitions_rejected, 54);
         assert_eq!(a.sig_builds, 56);
         assert_eq!(a.presort_cache_hits, 58);
         assert_eq!(a.presort_cache_misses, 60);
@@ -342,8 +325,6 @@ mod tests {
         s.dom_comparisons = 7;
         s.block_kernel_ops = 3;
         s.scalar_kernel_ops = 4;
-        s.sig_partitions_skipped = 5;
-        s.sig_partitions_rejected = 6;
         s.sig_builds = 8;
         s.presort_cache_hits = 9;
         s.presort_cache_misses = 10;
@@ -351,8 +332,6 @@ mod tests {
         assert_eq!(o.dom_comparisons, 7);
         assert_eq!(o.block_kernel_ops, 0);
         assert_eq!(o.scalar_kernel_ops, 0);
-        assert_eq!(o.sig_partitions_skipped, 0);
-        assert_eq!(o.sig_partitions_rejected, 0);
         assert_eq!(o.sig_builds, 0);
         assert_eq!(o.presort_cache_hits, 0);
         assert_eq!(o.presort_cache_misses, 0);
@@ -360,8 +339,6 @@ mod tests {
         let mut expect = s.clone();
         expect.block_kernel_ops = 0;
         expect.scalar_kernel_ops = 0;
-        expect.sig_partitions_skipped = 0;
-        expect.sig_partitions_rejected = 0;
         expect.sig_builds = 0;
         expect.presort_cache_hits = 0;
         expect.presort_cache_misses = 0;
@@ -400,9 +377,9 @@ mod tests {
         s.join_probes = 1;
         s.plan_points_interned = 30;
         let counters = s.counters();
-        assert_eq!(counters.len(), 30);
+        assert_eq!(counters.len(), 28);
         assert_eq!(counters[0], ("join_probes", 1));
-        assert_eq!(counters[29], ("plan_points_interned", 30));
+        assert_eq!(counters[27], ("plan_points_interned", 30));
         // Round-trip: rebuilding from the pairs reproduces the struct.
         let mut back = Stats::new();
         for (name, v) in counters {

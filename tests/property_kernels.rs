@@ -7,8 +7,8 @@
 
 use caqe::operators::{
     hash_join_project, hash_join_project_store, skyline_bnl, skyline_bnl_store,
-    skyline_bnl_store_scalar, skyline_sfs, skyline_sfs_store, skyline_sfs_store_scalar,
-    IncrementalSkyline, JoinSpec, MappingSet,
+    skyline_bnl_store_scalar, skyline_sfs, skyline_sfs_store, skyline_sfs_store_scalar, JoinSpec,
+    MappingSet,
 };
 use caqe::types::{
     relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, SimClock, Stats,
@@ -234,30 +234,6 @@ proptest! {
         prop_assert_eq!(s4.block_kernel_ops + s4.scalar_kernel_ops, 1);
         prop_assert_eq!(s3.observable(), s4.observable());
         prop_assert_eq!(c3.ticks(), c4.ticks());
-
-        // Incremental maintenance: the dispatching insert and the scalar
-        // reference must agree outcome-by-outcome and on the final state.
-        let mut inc_a = IncrementalSkyline::new(mask);
-        let mut inc_b = IncrementalSkyline::new(mask);
-        let mut c5 = SimClock::default();
-        let mut s5 = Stats::new();
-        let mut c6 = SimClock::default();
-        let mut s6 = Stats::new();
-        for (i, p) in points.iter().enumerate() {
-            let oa = inc_a.insert(i as u64, p, &mut c5, &mut s5);
-            let ob = inc_b.insert_scalar(i as u64, p, &mut c6, &mut s6);
-            prop_assert_eq!(oa, ob, "insert {} diverged", i);
-        }
-        prop_assert_eq!(
-            s5.block_kernel_ops + s5.scalar_kernel_ops,
-            points.len() as u64
-        );
-        prop_assert_eq!(s6.block_kernel_ops + s6.scalar_kernel_ops, 0);
-        prop_assert_eq!(s5.observable(), s6.observable());
-        prop_assert_eq!(c5.ticks(), c6.ticks());
-        let ea: Vec<_> = inc_a.entries().map(|(t, p)| (t, p.to_vec())).collect();
-        let eb: Vec<_> = inc_b.entries().map(|(t, p)| (t, p.to_vec())).collect();
-        prop_assert_eq!(ea, eb);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Property-based tests of the partition-signature pruning layer
-//! (DESIGN.md §17): the SWAR signature relation must be *sound* against
-//! the exact float dominance relation on arbitrary inputs, and every
-//! pruned path — the streaming window and the shared plan's signature
-//! cache at every thread count — must be observationally identical to its
-//! scalar twin (results, charged comparisons, virtual ticks).
+//! Property-based tests of signature screening (DESIGN.md §17): the SWAR
+//! signature relation must be *sound* against the exact float dominance
+//! relation on arbitrary inputs, and the shared plan must be observationally
+//! identical — results, charged comparisons, virtual ticks — screened or
+//! not, however its input is cut into calls, at every thread count. (The
+//! single window's own suite is `property_skyline.rs`.)
 
 use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
-use caqe::operators::{IncrementalSkyline, SigSkyline};
+use caqe::operators::skyline_reference;
 use caqe::parallel::Threads;
 use caqe::types::sig::{sig_relate, SigQuantizer, SIG_POISON};
 use caqe::types::{relate_in, DimMask, PointStore, QueryId, SimClock, Stats, Value};
@@ -117,46 +117,13 @@ proptest! {
         prop_assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
     }
 
-    /// The pruned streaming skyline is observationally identical to its
-    /// scalar twin: same outcome per step, same member order, same charged
-    /// comparisons, same virtual ticks.
-    #[test]
-    fn pruned_kernels_match_scalar_observables(
-        (rows, nan_mask) in (2usize..=6).prop_flat_map(rows_strategy),
-        bits in 1u32..64,
-    ) {
-        let d = rows[0].len();
-        let store = store_of(&rows, nan_mask, d);
-        let mask = mask_for(d, bits);
-        let Some(quant) = SigQuantizer::from_store(&store, mask) else {
-            return Ok(());
-        };
-
-        // Streaming insert: outcomes and member order per step.
-        let mut inc = IncrementalSkyline::new(mask);
-        let mut c1 = SimClock::default();
-        let mut s1 = Stats::new();
-        let mut sig = SigSkyline::new(mask, quant);
-        let mut c2 = SimClock::default();
-        let mut s2 = Stats::new();
-        for i in 0..store.len() {
-            let a = inc.insert_scalar(i as u64, store.at(i), &mut c1, &mut s1);
-            let b = sig.insert(i as u64, store.at(i), &mut c2, &mut s2);
-            prop_assert_eq!(a, b, "streaming outcome diverged at point {}", i);
-        }
-        prop_assert_eq!(
-            inc.tags().collect::<Vec<_>>(),
-            sig.tags().collect::<Vec<_>>(),
-            "streaming member order diverged"
-        );
-        prop_assert_eq!(c1.ticks(), c2.ticks(), "streaming ticks diverged");
-        prop_assert_eq!(s1.observable(), s2.observable(), "streaming stats diverged");
-    }
-
-    /// The shared plan's signature cache is observationally invisible at
-    /// every thread count: batched inserts with screening enabled match the
-    /// serial scalar plan byte-for-byte — results, ticks, observable stats
-    /// and every query's skyline.
+    /// The shared plan's signature screens are observationally invisible,
+    /// and so is how the tuple stream is cut: screened or not, at every
+    /// thread count, with one-tuple `insert` calls and `insert_batch` calls
+    /// interleaved (each window keeps its signatures in lockstep through
+    /// both), the plan matches an unscreened one-tuple-at-a-time plan
+    /// byte-for-byte — results, ticks, observable stats and every query's
+    /// members — and every query ends on its Definition 2 skyline.
     #[test]
     fn plan_sig_cache_is_invisible_at_any_thread_count(
         rows in proptest::collection::vec(
@@ -164,6 +131,8 @@ proptest! {
             4..60,
         ),
         pref_bits in proptest::collection::vec(1u32..16, 1..4),
+        cuts in proptest::collection::vec(1usize..9, 1..12),
+        screened in any::<bool>(),
     ) {
         let prefs: Vec<DimMask> = pref_bits.iter().map(|&b| mask_for(4, b)).collect();
         let mut serial = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
@@ -174,45 +143,60 @@ proptest! {
             .enumerate()
             .map(|(i, p)| serial.insert(i as u64, p, &mut sc, &mut ss))
             .collect();
+        for (q, &pref) in prefs.iter().enumerate() {
+            let mut got = serial.query_skyline_tags(QueryId(q as u16));
+            got.sort_unstable();
+            let want: Vec<u64> = skyline_reference(&rows, pref).into_iter().map(|i| i as u64).collect();
+            prop_assert_eq!(got, want, "query {} is not its reference skyline", q);
+        }
         let stride = 4;
         let flat: Vec<Value> = rows.iter().flatten().copied().collect();
         for workers in [1usize, 2, 4, 8] {
             let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
-            plan.enable_sig_cache(&[0.0; 4], &[12.0; 4]);
+            if screened {
+                plan.enable_sig_cache(&[0.0; 4], &[12.0; 4]);
+            }
             let mut clock = SimClock::default();
             let mut stats = Stats::new();
             let mut results = Vec::new();
             let mut off = 0usize;
-            // Uneven batch sizes so shard creation sees carried members.
-            let mut chunk = 3usize;
-            while off < rows.len() {
-                let take = chunk.min(rows.len() - off);
-                results.extend(plan.insert_batch(
-                    off as u64,
-                    &flat[off * stride..(off + take) * stride],
-                    stride,
-                    Threads::exact(workers),
-                    &mut clock,
-                    &mut stats,
-                ));
+            // A cut of one goes through the one-tuple door, anything longer
+            // through a batch that sees carried members.
+            for &cut in cuts.iter().cycle() {
+                if off == rows.len() {
+                    break;
+                }
+                let take = cut.min(rows.len() - off);
+                if take == 1 {
+                    results.push(plan.insert(off as u64, &rows[off], &mut clock, &mut stats));
+                } else {
+                    results.extend(plan.insert_batch(
+                        off as u64,
+                        &flat[off * stride..(off + take) * stride],
+                        stride,
+                        Threads::exact(workers),
+                        &mut clock,
+                        &mut stats,
+                    ));
+                }
                 off += take;
-                chunk = chunk * 2 + 1;
             }
             prop_assert_eq!(
                 &results, &serial_results,
-                "screened batch results diverged at {} threads", workers
+                "results diverged at {} threads", workers
             );
             prop_assert_eq!(clock.ticks(), sc.ticks(), "ticks diverged at {} threads", workers);
             prop_assert_eq!(
                 stats.observable(), ss.observable(),
                 "observable stats diverged at {} threads", workers
             );
+            prop_assert_eq!(stats.sig_builds > 0, screened);
             for q in 0..prefs.len() {
                 let qid = QueryId(q as u16);
                 prop_assert_eq!(
-                    plan.query_skyline_tags(qid),
-                    serial.query_skyline_tags(qid),
-                    "query {} skyline diverged at {} threads", q, workers
+                    plan.query_skyline_entries(qid),
+                    serial.query_skyline_entries(qid),
+                    "query {} members diverged at {} threads", q, workers
                 );
             }
         }

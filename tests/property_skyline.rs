@@ -6,7 +6,8 @@ use caqe::cuboid::{MinMaxCuboid, SharedSkylinePlan};
 use caqe::operators::{
     skyline_bnl, skyline_reference, skyline_sfs, IncrementalSkyline, InsertOutcome,
 };
-use caqe::types::{dominates_in, DimMask, QueryId, SimClock, Stats};
+use caqe::types::sig::SigQuantizer;
+use caqe::types::{dominates_in, DimMask, PointStore, QueryId, SimClock, Stats};
 use proptest::prelude::*;
 
 /// Up to 60 points in up to 4 dimensions, values on a small lattice so that
@@ -27,6 +28,126 @@ fn mask_for(d: usize, bits: u32) -> DimMask {
         DimMask::full(d)
     } else {
         DimMask(m)
+    }
+}
+
+/// Overwrites column `k` of every point with NaN for each set bit `k` of
+/// `nan_bits`. A *uniformly* poisoned column ties everywhere, so dominance
+/// degenerates to the remaining dimensions and stays a strict partial order
+/// (NaN in only some rows would break transitivity, and with it the very
+/// notion of a skyline the reference defines).
+fn poison_columns(mut points: Vec<Vec<f64>>, nan_bits: u32) -> Vec<Vec<f64>> {
+    for p in &mut points {
+        for (k, v) in p.iter_mut().enumerate() {
+            if nan_bits & (1 << k) != 0 {
+                *v = f64::NAN;
+            }
+        }
+    }
+    points
+}
+
+/// Streams `points` into `sky` in order, tag == index.
+fn stream(
+    sky: &mut IncrementalSkyline,
+    points: &[Vec<f64>],
+) -> (Vec<InsertOutcome>, SimClock, Stats) {
+    let mut clock = SimClock::default();
+    let mut stats = Stats::new();
+    let outcomes = points
+        .iter()
+        .enumerate()
+        .map(|(i, p)| sky.insert(i as u64, p, &mut clock, &mut stats))
+        .collect();
+    (outcomes, clock, stats)
+}
+
+/// The degenerate table: each input through the plain window, the screened
+/// window and a one-query shared plan (Theorem 1 off — the values tie),
+/// against the definitional reference.
+#[test]
+fn degenerate_inputs_keep_the_window_exact() {
+    let nan = f64::NAN;
+    let table: Vec<(&str, Vec<Vec<f64>>, DimMask)> = vec![
+        ("empty input", vec![], DimMask::full(2)),
+        (
+            "all-identical points",
+            vec![vec![2.0, 2.0, 2.0]; 7],
+            DimMask::full(3),
+        ),
+        (
+            "one preference dimension",
+            vec![
+                vec![3.0, 9.0],
+                vec![1.0, 8.0],
+                vec![1.0, 0.0],
+                vec![2.0, 1.0],
+            ],
+            DimMask::singleton(0),
+        ),
+        (
+            "duplicate values without DVA",
+            vec![
+                vec![1.0, 2.0],
+                vec![1.0, 2.0],
+                vec![1.0, 3.0],
+                vec![0.0, 3.0],
+                vec![1.0, 1.0],
+            ],
+            DimMask::full(2),
+        ),
+        (
+            "a uniformly-NaN column",
+            vec![
+                vec![nan, 1.0, 1.0],
+                vec![nan, 2.0, 2.0],
+                vec![nan, 0.5, 3.0],
+                vec![nan, 0.5, 0.5],
+            ],
+            DimMask::full(3),
+        ),
+    ];
+    for (name, points, mask) in table {
+        let want: Vec<u64> = skyline_reference(&points, mask)
+            .into_iter()
+            .map(|i| i as u64)
+            .collect();
+        let sorted = |mut tags: Vec<u64>| {
+            tags.sort_unstable();
+            tags
+        };
+        let mut plain = IncrementalSkyline::new(mask);
+        let (outcomes, clock, stats) = stream(&mut plain, &points);
+        assert_eq!(sorted(plain.tags().collect()), want, "{name}: plain window");
+
+        let stride = mask.iter().last().map_or(0, |k| k + 1);
+        let quant = SigQuantizer::from_bounds(mask, &vec![0.0; stride], &vec![4.0; stride])
+            .expect("a quantizable subspace");
+        let mut screened = IncrementalSkyline::screened(mask, quant);
+        let (screened_outcomes, screened_clock, screened_stats) = stream(&mut screened, &points);
+        assert_eq!(screened_outcomes, outcomes, "{name}: screened outcomes");
+        assert_eq!(
+            screened.tags().collect::<Vec<_>>(),
+            plain.tags().collect::<Vec<_>>(),
+            "{name}"
+        );
+        assert_eq!(
+            screened_clock.ticks(),
+            clock.ticks(),
+            "{name}: screened ticks"
+        );
+        assert_eq!(screened_stats.observable(), stats.observable(), "{name}");
+
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&[mask]), false);
+        let (mut plan_clock, mut plan_stats) = (SimClock::default(), Stats::new());
+        for (i, p) in points.iter().enumerate() {
+            plan.insert(i as u64, p, &mut plan_clock, &mut plan_stats);
+        }
+        assert_eq!(
+            sorted(plan.query_skyline_tags(QueryId(0))),
+            want,
+            "{name}: shared plan"
+        );
     }
 }
 
@@ -67,36 +188,44 @@ proptest! {
         }
     }
 
+    // --- The incremental window's definitional suite: what it keeps, what
+    // it throws out, and that screening is invisible (the plan-level half —
+    // call cuts and thread counts — is `property_sig.rs`). ---
+
     #[test]
-    fn incremental_skyline_matches_reference(points in points_strategy(), bits in 0u32..16) {
+    fn incremental_skyline_matches_reference(
+        points in points_strategy(),
+        bits in 0u32..16,
+        nan_bits in 0u32..16,
+    ) {
+        let d = points.first().map_or(1, |p| p.len());
+        let mask = mask_for(d, bits);
+        let points = poison_columns(points, nan_bits);
+        let mut sky = IncrementalSkyline::new(mask);
+        stream(&mut sky, &points);
+        // Equal points do not dominate each other: every duplicate stays.
+        let mut got: Vec<u64> = sky.tags().collect();
+        got.sort_unstable();
+        let want: Vec<u64> = skyline_reference(&points, mask).iter().map(|&i| i as u64).collect();
+        prop_assert_eq!(got, want);
+        for (tag, p) in sky.entries() {
+            prop_assert_eq!(p.len(), d);
+            prop_assert!(p.iter().zip(&points[tag as usize]).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    #[test]
+    fn incremental_evictions_are_sound(points in points_strategy(), bits in 0u32..16) {
+        // Whatever got evicted must be dominated by the point that evicted
+        // it; whatever is Dominated on insert must have a dominator inside.
         let d = points.first().map_or(1, |p| p.len());
         let mask = mask_for(d, bits);
         let mut sky = IncrementalSkyline::new(mask);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
         for (i, p) in points.iter().enumerate() {
-            let _ = sky.insert(i as u64, p, &mut clock, &mut stats);
-        }
-        let mut got: Vec<u64> = sky.tags().collect();
-        got.sort_unstable();
-        // The incremental structure keeps one representative per duplicate
-        // *value*; the reference keeps all. Compare value sets instead.
-        let reference = skyline_reference(&points, mask);
-        let mut want: Vec<u64> = reference.iter().map(|&i| i as u64).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn incremental_evictions_are_sound(points in points_strategy()) {
-        // Whatever got evicted must be dominated by the point that evicted
-        // it; whatever is Dominated on insert must have a dominator inside.
-        let d = points.first().map_or(1, |p| p.len());
-        let mask = DimMask::full(d);
-        let mut sky = IncrementalSkyline::new(mask);
-        let mut clock = SimClock::default();
-        let mut stats = Stats::new();
-        for (i, p) in points.iter().enumerate() {
+            let before = sky.len() as u64;
+            let charged = stats.dom_comparisons;
             match sky.insert(i as u64, p, &mut clock, &mut stats) {
                 InsertOutcome::Added { removed } => {
                     for tag in removed {
@@ -109,7 +238,43 @@ proptest! {
                         .any(|(_, q)| dominates_in(q, p, mask)));
                 }
             }
+            // One charge per examined member, and a member is examined at
+            // most once per scan (reject, then evict).
+            prop_assert!(stats.dom_comparisons - charged <= 2 * before);
         }
+        prop_assert_eq!(clock.ticks(), stats.dom_comparisons);
+    }
+
+    #[test]
+    fn screened_window_matches_unscreened(
+        points in points_strategy(),
+        bits in 0u32..16,
+        nan_bits in 0u32..16,
+    ) {
+        // Same outcome per step, same member order, same charged
+        // comparisons, same virtual ticks — with ties, duplicates and
+        // uniformly poisoned columns (whose signatures all fall back to the
+        // float test).
+        let d = points.first().map_or(1, |p| p.len());
+        let mask = mask_for(d, bits);
+        let points = poison_columns(points, nan_bits);
+        let mut store = PointStore::new(d);
+        for p in &points {
+            store.push(p);
+        }
+        let Some(quant) = SigQuantizer::from_store(&store, mask) else {
+            return Ok(()); // empty input: nothing to quantize
+        };
+        let mut plain = IncrementalSkyline::new(mask);
+        let mut screened = IncrementalSkyline::screened(mask, quant);
+        let (outcomes, c1, s1) = stream(&mut plain, &points);
+        let (screened_outcomes, c2, s2) = stream(&mut screened, &points);
+        prop_assert_eq!(outcomes, screened_outcomes);
+        prop_assert_eq!(plain.tags().collect::<Vec<_>>(), screened.tags().collect::<Vec<_>>());
+        prop_assert_eq!(c1.ticks(), c2.ticks());
+        prop_assert_eq!(s1.observable(), s2.observable());
+        prop_assert_eq!(s1.sig_builds, 0);
+        prop_assert_eq!(s2.sig_builds, points.len() as u64);
     }
 
     #[test]

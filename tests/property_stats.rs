@@ -12,10 +12,10 @@
 use caqe::types::{PerQueryStats, Stats};
 use proptest::prelude::*;
 
-/// The 30 global `u64` counters, bounded so sums of a handful of shards
+/// The 28 global `u64` counters, bounded so sums of a handful of shards
 /// cannot overflow.
 fn arb_counters() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..(1 << 40), 30..=30)
+    proptest::collection::vec(0u64..(1 << 40), 28..=28)
 }
 
 /// Per-query entries with exactly-representable dyadic utility sums.
@@ -58,11 +58,9 @@ fn arb_stats() -> impl Strategy<Value = Stats> {
         scalar_kernel_ops: c[22],
         arena_tuples: c[23],
         plan_points_interned: c[24],
-        sig_partitions_skipped: c[25],
-        sig_partitions_rejected: c[26],
-        sig_builds: c[27],
-        presort_cache_hits: c[28],
-        presort_cache_misses: c[29],
+        sig_builds: c[25],
+        presort_cache_hits: c[26],
+        presort_cache_misses: c[27],
         per_query,
     })
 }
