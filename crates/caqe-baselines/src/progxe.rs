@@ -2,8 +2,7 @@
 //! output space, count-driven rather than contract-driven.
 
 use caqe_core::{
-    try_run_engine, try_run_engine_traced, EngineConfig, ExecConfig, ExecutionStrategy,
-    QueryOutcome, RunOutcome, Workload,
+    EngineConfig, ExecConfig, ExecutionStrategy, QueryOutcome, RunOutcome, RunRequest, Workload,
 };
 use caqe_data::Table;
 use caqe_trace::{NoopSink, RecordingSink, TraceEvent, TraceSink};
@@ -52,18 +51,11 @@ impl ProgXeStrategy {
             // The sub-run records into its own sink; its events are rebased
             // from the sub-workload's local query 0 to the real query id
             // before joining the outer stream.
+            let request =
+                RunRequest::new(self.name(), r, t, &single, exec, &engine).start_ticks(ticks);
             let mut sub = if S::ENABLED {
                 let mut sub_sink = RecordingSink::new();
-                let out = try_run_engine_traced(
-                    self.name(),
-                    r,
-                    t,
-                    &single,
-                    exec,
-                    &engine,
-                    ticks,
-                    &mut sub_sink,
-                )?;
+                let out = request.try_run(&mut sub_sink)?;
                 for mut ev in sub_sink.into_events() {
                     match &mut ev {
                         // The outer Meta already describes the whole run.
@@ -75,7 +67,7 @@ impl ProgXeStrategy {
                 }
                 out
             } else {
-                try_run_engine(self.name(), r, t, &single, exec, &engine, ticks)?
+                request.try_run(&mut NoopSink)?
             };
             ticks = (sub.virtual_seconds * exec.cost_model.ticks_per_second).round() as u64;
             virtual_seconds = sub.virtual_seconds;

@@ -1,12 +1,9 @@
 //! S-JFSL: the sharing-based strawman the paper introduces for comparison —
 //! the min-max-cuboid shared plan with blind pipelining (§7.1).
 
-use caqe_core::{
-    try_run_engine, try_run_engine_traced, EngineConfig, ExecConfig, ExecutionStrategy, RunOutcome,
-    Workload,
-};
+use caqe_core::{EngineConfig, ExecConfig, ExecutionStrategy, RunOutcome, RunRequest, Workload};
 use caqe_data::Table;
-use caqe_trace::RecordingSink;
+use caqe_trace::{NoopSink, RecordingSink};
 use caqe_types::EngineError;
 
 /// S-JFSL pipelines every join tuple through the shared min-max-cuboid plan
@@ -29,15 +26,8 @@ impl ExecutionStrategy for SJfslStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        try_run_engine(
-            self.name(),
-            r,
-            t,
-            workload,
-            exec,
-            &EngineConfig::s_jfsl(),
-            0,
-        )
+        RunRequest::new(self.name(), r, t, workload, exec, &EngineConfig::s_jfsl())
+            .try_run(&mut NoopSink)
     }
 
     fn try_run_traced(
@@ -48,15 +38,6 @@ impl ExecutionStrategy for SJfslStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        try_run_engine_traced(
-            self.name(),
-            r,
-            t,
-            workload,
-            exec,
-            &EngineConfig::s_jfsl(),
-            0,
-            sink,
-        )
+        RunRequest::new(self.name(), r, t, workload, exec, &EngineConfig::s_jfsl()).try_run(sink)
     }
 }

@@ -21,9 +21,9 @@ use caqe_bench::report::{
     render_table,
 };
 use caqe_bench::{ComparisonRow, ExperimentConfig};
-use caqe_core::{try_run_engine, try_run_engine_traced, EngineConfig, SchedulingPolicy};
+use caqe_core::{EngineConfig, RunRequest, SchedulingPolicy};
 use caqe_data::Distribution;
-use caqe_trace::RecordingSink;
+use caqe_trace::{NoopSink, RecordingSink};
 
 fn variants() -> Vec<(&'static str, EngineConfig)> {
     let full = EngineConfig::caqe();
@@ -119,9 +119,9 @@ fn main() {
         .map(|(name, engine)| {
             let outcome = if trace_dir.is_some() || metrics_dir.is_some() {
                 let mut sink = RecordingSink::new();
-                let outcome =
-                    try_run_engine_traced(name, &r, &t, &workload, &exec, &engine, 0, &mut sink)
-                        .expect("engine run failed");
+                let outcome = RunRequest::new(name, &r, &t, &workload, &exec, &engine)
+                    .try_run(&mut sink)
+                    .expect("engine run failed");
                 let label = name.replace('-', "_");
                 if let Some(dir) = &trace_dir {
                     caqe_trace::write_trace(dir, &label, sink.events())
@@ -134,7 +134,8 @@ fn main() {
                 }
                 outcome
             } else {
-                try_run_engine(name, &r, &t, &workload, &exec, &engine, 0)
+                RunRequest::new(name, &r, &t, &workload, &exec, &engine)
+                    .try_run(&mut NoopSink)
                     .expect("engine run failed")
             };
             ComparisonRow::from_outcome(&outcome, &cfg)

@@ -26,8 +26,7 @@ use caqe_bench::json::ObjectWriter;
 use caqe_bench::report::{cli_arg, cli_chaos, cli_metrics, cli_parse, cli_trace};
 use caqe_contract::Contract;
 use caqe_core::{
-    try_run_engine_online_traced, EngineConfig, EventStream, ExecConfig, QuerySpec, RunOutcome,
-    Workload,
+    EngineConfig, EventStream, ExecConfig, QuerySpec, RunOutcome, RunRequest, Workload,
 };
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{MappingFn, MappingSet};
@@ -85,18 +84,10 @@ fn measure(
     let mut outcome = None;
     for _ in 0..reps {
         let start = Instant::now();
-        let o = try_run_engine_online_traced(
-            "CAQE",
-            r,
-            t,
-            w,
-            events,
-            exec,
-            &EngineConfig::caqe(),
-            0,
-            &mut NoopSink,
-        )
-        .expect("bench inputs are clean");
+        let o = RunRequest::new("CAQE", r, t, w, exec, &EngineConfig::caqe())
+            .events(events)
+            .try_run(&mut NoopSink)
+            .expect("bench inputs are clean");
         best = best.min(start.elapsed().as_secs_f64());
         outcome = Some(o);
     }
@@ -119,18 +110,10 @@ fn measure_traced(
     for _ in 0..reps {
         let mut sink = RecordingSink::new();
         let start = Instant::now();
-        let o = try_run_engine_online_traced(
-            "CAQE",
-            r,
-            t,
-            w,
-            events,
-            exec,
-            &EngineConfig::caqe(),
-            0,
-            &mut sink,
-        )
-        .expect("bench inputs are clean");
+        let o = RunRequest::new("CAQE", r, t, w, exec, &EngineConfig::caqe())
+            .events(events)
+            .try_run(&mut sink)
+            .expect("bench inputs are clean");
         best = best.min(start.elapsed().as_secs_f64());
         outcome = Some(o);
         recorded = Some(sink);

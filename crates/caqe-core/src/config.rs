@@ -74,46 +74,18 @@ impl EngineConfig {
             progressive_emission: true,
         }
     }
+
+    /// Whether a run under this configuration ever consults the dependency
+    /// graph: blind blocking pipelines do not, everyone else needs it for
+    /// scheduling, discarding or emission safety.
+    pub fn needs_dependency_graph(&self) -> bool {
+        self.progressive_emission || self.dominance_discard || self.policy != SchedulingPolicy::Fifo
+    }
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig::caqe()
-    }
-}
-
-/// How the engine recovers from a region processing unit that panicked
-/// (injected by a chaos plan or a genuine bug caught by `catch_unwind`).
-/// Backoff is measured in *virtual ticks*, so recovery schedules are
-/// deterministic and thread-invariant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryPolicy {
-    /// Processing attempts before a region is quarantined.
-    pub max_attempts: u32,
-    /// Backoff after the first failure, doubling per retry.
-    pub backoff_base_ticks: u64,
-    /// Ceiling on the exponential backoff.
-    pub backoff_cap_ticks: u64,
-}
-
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 3,
-            backoff_base_ticks: 64,
-            backoff_cap_ticks: 1024,
-        }
-    }
-}
-
-impl RecoveryPolicy {
-    /// Backoff after the `attempt`-th failure (1-based): exponential with
-    /// a cap, `base · 2^(attempt-1)` ticks.
-    pub fn backoff_ticks(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(32);
-        self.backoff_base_ticks
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_cap_ticks)
     }
 }
 
@@ -171,8 +143,6 @@ pub struct ExecConfig {
     /// Ingestion validation policy for non-finite values and duplicate
     /// record ids.
     pub validation: ValidationPolicy,
-    /// Panic isolation / retry / quarantine knobs.
-    pub recovery: RecoveryPolicy,
     /// Contract-aware load shedding (disabled by default).
     pub degradation: DegradationPolicy,
 }
@@ -186,7 +156,6 @@ impl Default for ExecConfig {
             parallelism: None,
             faults: FaultPlan::none(),
             validation: ValidationPolicy::default(),
-            recovery: RecoveryPolicy::default(),
             degradation: DegradationPolicy::default(),
         }
     }
@@ -244,6 +213,8 @@ mod tests {
         assert!(!sj.coarse_pruning && px.coarse_pruning);
         assert!(caqe.progressive_emission && px.progressive_emission);
         assert!(!sj.progressive_emission);
+        assert!(caqe.needs_dependency_graph() && px.needs_dependency_graph());
+        assert!(!sj.needs_dependency_graph());
         assert_eq!(EngineConfig::default(), caqe);
     }
 
@@ -278,15 +249,5 @@ mod tests {
         assert!(chaos.faults.is_active());
         assert!(chaos.degradation.enabled());
         assert_ne!(chaos, ExecConfig::default());
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let r = RecoveryPolicy::default();
-        assert_eq!(r.backoff_ticks(1), 64);
-        assert_eq!(r.backoff_ticks(2), 128);
-        assert_eq!(r.backoff_ticks(3), 256);
-        assert_eq!(r.backoff_ticks(10), 1024);
-        assert_eq!(r.backoff_ticks(63), 1024); // shift clamp, no overflow
     }
 }

@@ -1,0 +1,428 @@
+//! Contract-aware execution at tuple level (§6): join the chosen region's
+//! cell pair, project, insert into the shared skyline plan, keep the
+//! pending-emission lists in step, and discard what the new tuples dominate.
+
+use super::emit::PendingTuple;
+use super::select::Pick;
+use super::{GroupState, Run};
+use crate::group::ArenaTuple;
+use caqe_faults::InjectedPanic;
+use caqe_operators::SortedJoinIndex;
+use caqe_regions::ReconciledEstimate;
+use caqe_trace::{SpanKind, TraceEvent, TraceSink};
+use caqe_types::ids::QuerySet;
+use caqe_types::{DimMask, PointId, QueryId, RegionId, SimClock, Stats, Value};
+use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
+
+/// Minimum R-rows per chunk in the parallel probe phase: below this the
+/// per-worker thread-spawn cost outweighs the probe work, so small cells run
+/// on fewer workers (or entirely inline). Affects only the chunk split,
+/// never the result.
+const PAR_MIN_ROWS: usize = 256;
+
+/// The surviving join candidates of one probe chunk, in flat layout: one
+/// provenance/lineage row per candidate, with the projected points packed
+/// contiguously (`vals[i*stride..(i+1)*stride]` belongs to `meta[i]`).
+#[derive(Default)]
+struct CandidateBatch {
+    /// `(r_row, t_row, lineage)` per candidate, in probe order.
+    meta: Vec<(usize, usize, QuerySet)>,
+    /// Flat projected output-space points, stride = mapping output dims.
+    vals: Vec<Value>,
+}
+
+/// `p ≺_V` every point of the box whose lower corner is `lo`.
+fn point_dominates_rect(p: &[Value], lo: &[Value], mask: DimMask) -> bool {
+    let mut strict = false;
+    for k in mask.iter() {
+        if p[k] > lo[k] {
+            return false;
+        }
+        if p[k] < lo[k] {
+            strict = true;
+        }
+    }
+    strict
+}
+
+impl<S: TraceSink> Run<'_, S> {
+    /// Processes the picked region at tuple level, isolated against worker
+    /// panics — injected by the fault plan or genuine. Returns, per member
+    /// query (local order), the handles of tuples newly admitted to that
+    /// query's skyline; or `None` when the unit failed, in which case the
+    /// region has been routed to retry or quarantine ([`Run::recover`]) and
+    /// stays unprocessed.
+    ///
+    /// `audit` carries the schedule-time estimates; the completion side is
+    /// filled in and traced here.
+    pub(super) fn execute(
+        &mut self,
+        pick: Pick,
+        mut audit: ReconciledEstimate,
+    ) -> Option<Vec<Vec<PointId>>> {
+        let Pick { gi, rid, .. } = pick;
+        let exec = self.exec;
+        let faults = &exec.faults;
+        let sched_tick = self.clock.ticks();
+        let join_results_before = self.stats.join_results;
+        self.clock.charge_region_overhead();
+        let attempt = self.groups[gi].attempts[rid.index()] + 1;
+        let arena_before = self.groups[gi].g.arena.len();
+        let inject = faults.panics(gi as u32, rid.0, attempt);
+        if inject {
+            self.trace_fault("panic", gi as u32, rid.0, 1.0);
+        }
+        let unit = catch_unwind(AssertUnwindSafe(|| {
+            if inject {
+                panic_any(InjectedPanic {
+                    group: gi as u32,
+                    region: rid.0,
+                    attempt,
+                });
+            }
+            self.process_region_tuples(gi, rid)
+        }));
+        let Ok(new_by_query) = unit else {
+            let dirty = self.groups[gi].g.arena.len() != arena_before;
+            self.recover(pick, attempt, dirty);
+            return None;
+        };
+        self.stats.regions_processed += 1;
+        self.groups[gi].g.regions.region_mut(rid).processed = true;
+
+        // Injected cost spike: actual ticks blow past the estimate.
+        if let Some(factor) = faults.cost_spike(gi as u32, rid.0) {
+            let elapsed = self.clock.ticks() - sched_tick;
+            let extra = (elapsed as f64 * (factor - 1.0)).max(0.0).round() as u64;
+            self.clock.advance(extra);
+            self.trace_fault("cost_spike", gi as u32, rid.0, factor);
+        }
+
+        if S::ENABLED {
+            let completed_tick = self.clock.ticks();
+            audit.actual_join = self.stats.join_results - join_results_before;
+            audit.actual_skyline = new_by_query.iter().map(|v| v.len() as u64).sum();
+            audit.actual_ticks = completed_tick - sched_tick;
+            self.sink.record(TraceEvent::Span {
+                kind: SpanKind::Region,
+                group: Some(gi as u32),
+                region: Some(rid.0),
+                start_tick: sched_tick,
+                end_tick: completed_tick,
+            });
+            self.sink.record(TraceEvent::EstimateAudit {
+                scheduled_tick: sched_tick,
+                completed_tick,
+                group: gi as u32,
+                region: rid.0,
+                estimate: audit,
+            });
+        }
+        Some(new_by_query)
+    }
+
+    /// Joins the region's cell pair, projects, and inserts surviving tuples
+    /// into the shared skyline plan. Returns, per member query (local
+    /// order), the handles (into the group's point store) of tuples newly
+    /// admitted to that query's skyline.
+    ///
+    /// The hash-probe/projection phase is data-parallel over contiguous
+    /// R-row chunks: workers only read shared state and accumulate private
+    /// tick/stat deltas, which are merged in chunk order before the
+    /// (inherently sequential) plan insertion runs over the candidates in
+    /// original row order. The virtual clock is never *read* inside the
+    /// region, so moving the probe charges ahead of the insert charges
+    /// leaves every observable — final ticks, stats, plan state, emission
+    /// timestamps — bit-identical to the serial interleaving.
+    fn process_region_tuples(&mut self, gi: usize, rid: RegionId) -> Vec<Vec<PointId>> {
+        let (r, t, threads) = (self.r, self.t, self.threads);
+        let progressive = self.engine.progressive_emission;
+        // Session mode keeps even serving-nobody tuples: the group arena
+        // must be the *complete* tag-ordered join history so a later
+        // admission can backfill its fresh subspaces from it. Such tuples
+        // are dominated in every query subspace, so they never reach a
+        // skyline — the result sets are unchanged, only the history is.
+        let materialize_all = self.session_mode;
+        let (clock, stats) = (&mut self.clock, &mut self.stats);
+        let GroupState { g, pending, .. } = &mut self.groups[gi];
+        let mut new_by_query: Vec<Vec<PointId>> = vec![Vec::new(); g.members.len()];
+
+        let reg = g.regions.region(rid);
+        let serving = reg.serving;
+        if serving.is_empty() {
+            return new_by_query;
+        }
+
+        // Join index within the cell pair (build on T side): stable-sorted
+        // `(key, row)` runs — matches per key come back in cell-row order,
+        // the same order an append-built hash index would yield.
+        let t_rows: &[usize] = &self.part_t.cell(reg.t_cell).rows;
+        let r_rows: &[usize] = &self.part_r.cell(reg.r_cell).rows;
+        let join_col = g.join_col;
+        let index = SortedJoinIndex::build(t_rows.len(), |i| t.record(t_rows[i]).key(join_col));
+        let stride = g.mapping.output_dims();
+        let out_dims = stride as u64;
+
+        // --- Phase 1: probe + project, parallel over R-row chunks. ---
+        let mapping = &g.mapping;
+        let model = *clock.model();
+        let ranges = caqe_parallel::chunk_ranges(threads, r_rows.len(), PAR_MIN_ROWS);
+        let per_chunk = caqe_parallel::map_indexed(threads, ranges.len(), |ci| {
+            let (start, end) = ranges[ci];
+            let mut wclock = SimClock::new(model);
+            let mut wstats = Stats::new();
+            let mut found = CandidateBatch::default();
+            for &ri in &r_rows[start..end] {
+                wclock.charge_join_probes(1);
+                wstats.join_probes += 1;
+                let rrec = r.record(ri);
+                for mi in index.matches(rrec.key(join_col)) {
+                    let ti = t_rows[mi];
+                    wclock.charge_join_probes(1);
+                    wstats.join_probes += 1;
+                    let trec = t.record(ti);
+                    wclock.charge_map_evals(out_dims);
+                    wstats.map_evals += out_dims;
+                    wstats.join_results += 1;
+                    // Project straight into the chunk's flat buffer; roll
+                    // back if the tuple turns out to serve nobody.
+                    let vstart = found.vals.len();
+                    mapping.apply_into(&rrec.vals, &trec.vals, &mut found.vals);
+                    let vals = &found.vals[vstart..];
+
+                    // Cell-level lineage: which queries can this tuple
+                    // still serve?
+                    let lineage = match reg.locate(vals) {
+                        Some(c) => reg.cell_lineage(c).intersect(serving),
+                        None => serving,
+                    };
+                    if lineage.is_empty() && !materialize_all {
+                        wstats.tuples_discarded += 1;
+                        found.vals.truncate(vstart);
+                        continue;
+                    }
+                    found.meta.push((ri, ti, lineage));
+                }
+            }
+            (found, wclock.ticks(), wstats)
+        });
+        // Merge chunk deltas in chunk order; concatenation restores the
+        // exact serial candidate order because chunks are contiguous.
+        let mut cands = CandidateBatch::default();
+        for (found, ticks, wstats) in per_chunk {
+            clock.advance(ticks);
+            stats.probe_ticks += ticks;
+            *stats += wstats;
+            cands.meta.extend(found.meta);
+            cands.vals.extend(found.vals);
+        }
+
+        // --- Phase 2: shared-plan insertion, deterministically sharded. ---
+        // The arena/point-store rows are appended first (tags stay dense, in
+        // candidate order), then the whole candidate batch goes through
+        // `SharedSkylinePlan::insert_batch`, which shards the per-subspace
+        // skyline maintenance across `threads` and merges in fixed subspace
+        // order — bit-identical to inserting the candidates one at a time.
+        // The per-candidate emission/eviction bookkeeping below never
+        // touches the clock, so replaying it after the batch leaves every
+        // observable unchanged from the serial interleaving.
+        if cands.meta.is_empty() {
+            return new_by_query;
+        }
+        let first_tag = g.arena.len() as u64;
+        stats.arena_tuples += cands.meta.len() as u64;
+        // One exact reservation for the batch's rows: per-tuple pushes would
+        // double the buffer on the way and leave up to half of it idle.
+        g.arena
+            .extend(cands.meta.iter().map(|(r_row, t_row, _)| ArenaTuple {
+                rid: r.record(*r_row).id,
+                tid: t.record(*t_row).id,
+                origin: rid,
+            }));
+        for vals in cands.vals.chunks_exact(stride) {
+            g.points.push(vals);
+        }
+        debug_assert_eq!(g.points.len(), g.arena.len(), "arena/point-store desync");
+        let insert_t0 = clock.ticks();
+        let insert_d0 = stats.dom_comparisons;
+        let inserts = g
+            .plan
+            .insert_batch(first_tag, &cands.vals, stride, threads, clock, stats);
+        stats.insert_ticks += clock.ticks() - insert_t0;
+        stats.insert_dom_cmps += stats.dom_comparisons - insert_d0;
+        debug_assert_eq!(inserts.len(), cands.meta.len());
+        for (ci, ((_, _, lineage), ins)) in cands.meta.into_iter().zip(inserts).enumerate() {
+            let tag = first_tag + ci as u64;
+
+            // Register newly admitted skyline tuples as pending emissions.
+            let mut entries: Vec<(QueryId, Option<RegionId>)> = Vec::new();
+            for (local, &in_sky) in ins.in_query_sky.iter().enumerate() {
+                let global = g.members[local];
+                if in_sky && serving.contains(global) && lineage.contains(global) {
+                    entries.push((global, None));
+                    new_by_query[local].push(PointId(tag as u32));
+                }
+            }
+            if !progressive {
+                continue;
+            }
+            if !entries.is_empty() {
+                pending[rid.index()].push(PendingTuple { tag, entries });
+            }
+
+            // Handle evictions: invalidated provisional results.
+            for (local_q, evicted) in &ins.query_evictions {
+                let global = g.members[local_q.index()];
+                for &etag in evicted {
+                    let origin = g.arena[etag as usize].origin;
+                    let list = &mut pending[origin.index()];
+                    for p in list.iter_mut() {
+                        if p.tag == etag {
+                            p.entries.retain(|(q, _)| *q != global);
+                        }
+                    }
+                    list.retain(|p| !p.entries.is_empty());
+                }
+            }
+        }
+        new_by_query
+    }
+
+    /// Discards output cells (and whole regions) of `rid`'s threatened
+    /// neighbors that are dominated by newly materialized skyline tuples
+    /// (§6), adding to `recheck` every origin whose pending tuples may have
+    /// become safe as a result.
+    pub(super) fn discard_dominated(
+        &mut self,
+        gi: usize,
+        rid: RegionId,
+        new_by_query: &[Vec<PointId>],
+        recheck: &mut Vec<u32>,
+    ) {
+        let (clock, stats) = (&mut self.clock, &mut self.stats);
+        let g = &mut self.groups[gi].g;
+        let edges: Vec<(RegionId, QuerySet)> =
+            g.dg.threats_out(rid)
+                .iter()
+                .map(|e| (e.peer, e.queries))
+                .collect();
+
+        for (peer, w) in edges {
+            let mut shrunk = false;
+            for (&global, news) in g.members.iter().zip(new_by_query) {
+                if !w.contains(global) || news.is_empty() {
+                    continue;
+                }
+                let mask = g.regions.pref(global);
+                let reg = g.regions.region(peer);
+                if reg.processed || !reg.serving.contains(global) {
+                    continue;
+                }
+                // Find cells fully dominated by some new tuple.
+                let mut kills: Vec<usize> = Vec::new();
+                for (c, cell) in reg.grid().iter().enumerate() {
+                    if !reg.cell_lineage(c).contains(global) {
+                        continue;
+                    }
+                    for &pid in news {
+                        clock.charge_dom_cmps(1);
+                        stats.region_comparisons += 1;
+                        if point_dominates_rect(g.points.get(pid), cell.lo(), mask) {
+                            kills.push(c);
+                            break;
+                        }
+                    }
+                }
+                let reg = g.regions.region_mut(peer);
+                let single = QuerySet::singleton(global);
+                for c in kills {
+                    shrunk |= !reg.kill_cell(c, single).is_empty();
+                }
+            }
+            let died = shrunk && g.regions.region(peer).serving.is_empty();
+            if shrunk {
+                // The peer threatens fewer things now; its own targets may
+                // have become safe.
+                recheck.extend(g.static_threats_out[peer.index()].iter().map(|e| e.peer.0));
+            }
+            if died {
+                stats.regions_pruned += 1;
+                g.dg.remove(peer);
+                // A dead region never produces tuples: anything it
+                // threatened must be rechecked.
+                recheck.push(peer.0);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::testkit::{group_of, spec, World};
+    use super::*;
+    use crate::config::EngineConfig;
+
+    #[test]
+    fn a_point_dominates_a_box_only_with_a_strict_improvement() {
+        let both = DimMask(0b11);
+        assert!(point_dominates_rect(&[1.0, 1.0], &[1.0, 2.0], both));
+        assert!(!point_dominates_rect(&[1.0, 2.0], &[1.0, 2.0], both));
+        assert!(!point_dominates_rect(&[0.0, 3.0], &[1.0, 2.0], both));
+        assert!(point_dominates_rect(
+            &[0.0, 3.0],
+            &[1.0, 2.0],
+            DimMask(0b01)
+        ));
+    }
+
+    #[test]
+    fn executing_a_region_materializes_its_join_and_registers_pending() {
+        let mut world = World::new(EngineConfig::caqe());
+        let mut run = world.start(vec![spec(0, DimMask::full(4))], false);
+        let pick = run.select().expect("the join is not empty");
+        let entered = run
+            .execute(pick, ReconciledEstimate::default())
+            .expect("no fault plan");
+        let gs = &run.groups[pick.gi];
+        assert!(gs.g.regions.region(pick.rid).processed);
+        assert_eq!(run.stats.regions_processed, 1);
+        assert!(!gs.g.arena.is_empty());
+        assert_eq!(gs.g.arena.len() as u64, run.stats.arena_tuples);
+        assert_eq!(gs.g.arena.len(), gs.g.points.len());
+        assert!(gs.g.arena.iter().all(|tuple| tuple.origin == pick.rid));
+        // What is pending is what is in the skyline now: every tuple that
+        // entered it, minus those a later tuple of the batch evicted.
+        let mut pending: Vec<u64> = gs.pending.iter().flatten().map(|p| p.tag).collect();
+        pending.sort_unstable();
+        let mut skyline = gs.g.plan.query_skyline_tags(QueryId(0));
+        skyline.sort_unstable();
+        assert_eq!(pending, skyline);
+        assert!(skyline
+            .iter()
+            .all(|&tag| entered[0].contains(&PointId(tag as u32))));
+    }
+
+    #[test]
+    fn new_tuples_discard_the_cells_they_dominate() {
+        // Region 0 threatens region 1, whose 2×2 output cells have lower
+        // corners (2,2), (3,2), (2,3) and (3,3).
+        let boxes = [([0.0, 0.0], [1.0, 1.0]), ([2.0, 2.0], [4.0, 4.0])];
+        let mut world = World::new(EngineConfig::caqe());
+        let mut run = world.over(vec![group_of(&boxes, &[DimMask(0b11)])]);
+        let mut recheck = Vec::new();
+
+        let partial = run.plant(0, &[2.5, 2.5], &[0]);
+        let news = [vec![PointId(partial as u32)]];
+        run.discard_dominated(0, RegionId(0), &news, &mut recheck);
+        let threatened = run.groups[0].g.regions.region(RegionId(1));
+        assert_eq!(threatened.alive_cell_count(QueryId(0)), 3);
+        assert!(recheck.is_empty());
+
+        let total = run.plant(0, &[0.0, 0.0], &[0]);
+        let news = [vec![PointId(total as u32)]];
+        run.discard_dominated(0, RegionId(0), &news, &mut recheck);
+        assert!(!run.groups[0].g.regions.region(RegionId(1)).is_alive());
+        assert_eq!(run.stats.regions_pruned, 1);
+        assert_eq!(recheck, vec![1]);
+    }
+}

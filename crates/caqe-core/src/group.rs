@@ -20,7 +20,7 @@ use caqe_regions::{
     ThreatCounts,
 };
 use caqe_trace::{SpanKind, TraceBuffer, TraceEvent, TraceSink};
-use caqe_types::{DimMask, PointStore, QueryId, SimClock, Stats};
+use caqe_types::{DimMask, PointStore, QueryId, RegionId, SimClock, Stats};
 
 /// Provenance of one materialized join tuple living in a group's arena.
 /// The tuple's output-space point lives at the same index in the group's
@@ -32,7 +32,7 @@ pub struct ArenaTuple {
     /// Contributing T record id.
     pub tid: u64,
     /// The region whose processing materialized this tuple.
-    pub origin: caqe_types::RegionId,
+    pub origin: RegionId,
 }
 
 /// A join group with all its shared execution state.
@@ -328,12 +328,12 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
     // Each group's trace buffer is rebased to the clock value at which the
     // serial loop would have started that group.
     let mut out = Vec::with_capacity(built.len());
-    caqe_parallel::fold_ordered(built, &mut out, |out, _, (group, ticks, wstats, buf)| {
+    for (group, ticks, wstats, buf) in built {
         buf.merge_into(sink, clock.ticks());
         clock.advance(ticks);
         *stats += wstats;
         out.push(group);
-    });
+    }
     out
 }
 
@@ -357,7 +357,6 @@ pub(crate) fn build_one_group(
     stats: &mut Stats,
     buf: &mut TraceBuffer,
 ) -> JoinGroup {
-    let members: Vec<QueryId> = queries.iter().map(|(q, _)| *q).collect();
     let input = RegionBuildInput {
         part_r,
         part_t,
@@ -381,14 +380,27 @@ pub(crate) fn build_one_group(
         start_tick: la_start,
         end_tick: clock.ticks(),
     });
-    let static_threats_in = (0..regions.len())
-        .map(|i| dg.threats_in(caqe_types::RegionId(i as u32)).to_vec())
-        .collect();
-    let static_threats_out = (0..regions.len())
-        .map(|i| dg.threats_out(caqe_types::RegionId(i as u32)).to_vec())
-        .collect();
+    assemble_group(join_col, mapping, &queries, regions, dg, exec.assume_dva)
+}
+
+/// The common tail of a cold build and a memo replay: everything a
+/// [`JoinGroup`] holds beyond its regions and dependency graph is a pure
+/// function of them — the static edge snapshots, the min-max cuboid over
+/// the preferences, the shared plan with its screening bounds, and the
+/// (empty) tuple arena.
+pub(crate) fn assemble_group(
+    join_col: usize,
+    mapping: MappingSet,
+    queries: &[(QueryId, DimMask)],
+    regions: RegionSet,
+    dg: DependencyGraph,
+    assume_dva: bool,
+) -> JoinGroup {
+    let ids = || (0..regions.len()).map(|i| RegionId(i as u32));
+    let static_threats_in = ids().map(|r| dg.threats_in(r).to_vec()).collect();
+    let static_threats_out = ids().map(|r| dg.threats_out(r).to_vec()).collect();
     let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
-    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), exec.assume_dva);
+    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), assume_dva);
     // The region envelope bounds every tuple the mappings can produce —
     // exactly the quantization range signature screening wants (DESIGN.md
     // §17). Screening never changes observables, so no config gate.
@@ -399,7 +411,7 @@ pub(crate) fn build_one_group(
     JoinGroup {
         join_col,
         mapping,
-        members,
+        members: queries.iter().map(|(q, _)| *q).collect(),
         regions,
         dg,
         static_threats_in,
@@ -435,40 +447,20 @@ pub(crate) fn replay_group(
         start_tick: la_start,
         end_tick: clock.ticks(),
     });
-    let members: Vec<QueryId> = memo.queries.iter().map(|(q, _)| *q).collect();
-    let regions = memo.regions.clone();
-    let dg = DependencyGraph::from_threats_in(memo.threats_in.clone());
-    let static_threats_in = (0..regions.len())
-        .map(|i| dg.threats_in(caqe_types::RegionId(i as u32)).to_vec())
-        .collect();
-    let static_threats_out = (0..regions.len())
-        .map(|i| dg.threats_out(caqe_types::RegionId(i as u32)).to_vec())
-        .collect();
-    let prefs: Vec<DimMask> = memo.queries.iter().map(|(_, m)| *m).collect();
-    let cuboid = MinMaxCuboid::build(&prefs);
+    let group = assemble_group(
+        memo.join_col,
+        memo.mapping.clone(),
+        &memo.queries,
+        memo.regions.clone(),
+        DependencyGraph::from_threats_in(memo.threats_in.clone()),
+        exec.assume_dva,
+    );
     debug_assert_eq!(
-        cuboid.structure_digest(),
+        group.plan.cuboid().structure_digest(),
         memo.cuboid_digest,
         "memoized cuboid digest out of sync"
     );
-    let mut plan = SharedSkylinePlan::new(cuboid, exec.assume_dva);
-    if let Some((lo, hi)) = regions.mapped_bounds() {
-        plan.enable_sig_cache(&lo, &hi);
-    }
-    let points = PointStore::new(memo.mapping.output_dims());
-    JoinGroup {
-        join_col: memo.join_col,
-        mapping: memo.mapping.clone(),
-        members,
-        regions,
-        dg,
-        static_threats_in,
-        static_threats_out,
-        plan,
-        arena: Vec::new(),
-        points,
-        threats: ThreatCounts::default(),
-    }
+    group
 }
 
 #[cfg(test)]

@@ -34,11 +34,8 @@ pub mod session;
 pub mod strategy;
 pub mod workload;
 
-pub use config::{DegradationPolicy, EngineConfig, ExecConfig, RecoveryPolicy, SchedulingPolicy};
-pub use engine::{
-    try_run_engine, try_run_engine_online_prepared, try_run_engine_online_traced,
-    try_run_engine_traced,
-};
+pub use config::{DegradationPolicy, EngineConfig, ExecConfig, SchedulingPolicy};
+pub use engine::{try_run_engine, try_run_engine_online_prepared, RunRequest};
 pub use group::GroupMemo;
 pub use ingest::{prepare_inputs, PreparedInputs};
 pub use outcome::{QueryOutcome, RunOutcome};

@@ -1,6 +1,6 @@
 //! Run outcomes: everything the paper's evaluation measures (§7.1).
 
-use caqe_types::{QueryId, Stats, VirtualSeconds};
+use caqe_types::{Fnv1a, QueryId, Stats, VirtualSeconds};
 
 /// Per-query outcome of one workload execution.
 #[derive(Debug, Clone)]
@@ -82,29 +82,20 @@ impl RunOutcome {
     /// trace-equivalent to an uninterrupted run without retaining full
     /// outcomes.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for byte in v.to_le_bytes() {
-                h ^= u64::from(byte);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(self.per_query.len() as u64);
+        let mut h = Fnv1a::new();
+        h.usize(self.per_query.len());
         for q in &self.per_query {
-            mix(q.emissions.len() as u64);
+            h.usize(q.emissions.len());
             for (ts, util) in &q.emissions {
-                mix(ts.to_bits());
-                mix(util.to_bits());
+                h.f64(*ts).f64(*util);
             }
             for (rid, tid) in &q.results {
-                mix(*rid);
-                mix(*tid);
+                h.u64(*rid).u64(*tid);
             }
-            mix(q.p_score.to_bits());
-            mix(q.satisfaction.to_bits());
+            h.f64(q.p_score).f64(q.satisfaction);
         }
-        mix(self.virtual_seconds.to_bits());
-        h
+        h.f64(self.virtual_seconds);
+        h.finish()
     }
 }
 

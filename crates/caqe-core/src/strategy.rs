@@ -1,11 +1,11 @@
 //! The execution-strategy abstraction the experiment harness compares.
 
 use crate::config::{EngineConfig, ExecConfig};
-use crate::engine::{try_run_engine, try_run_engine_traced};
+use crate::engine::RunRequest;
 use crate::outcome::RunOutcome;
 use crate::workload::Workload;
 use caqe_data::Table;
-use caqe_trace::{RecordingSink, TraceEvent, TraceSink};
+use caqe_trace::{NoopSink, RecordingSink, TraceEvent, TraceSink};
 use caqe_types::EngineError;
 
 /// A technique that executes a whole workload over a pair of base tables —
@@ -91,7 +91,8 @@ impl ExecutionStrategy for CaqeStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        try_run_engine(self.name(), r, t, workload, exec, &EngineConfig::caqe(), 0)
+        RunRequest::new(self.name(), r, t, workload, exec, &EngineConfig::caqe())
+            .try_run(&mut NoopSink)
     }
 
     fn try_run_traced(
@@ -102,15 +103,6 @@ impl ExecutionStrategy for CaqeStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        try_run_engine_traced(
-            self.name(),
-            r,
-            t,
-            workload,
-            exec,
-            &EngineConfig::caqe(),
-            0,
-            sink,
-        )
+        RunRequest::new(self.name(), r, t, workload, exec, &EngineConfig::caqe()).try_run(sink)
     }
 }

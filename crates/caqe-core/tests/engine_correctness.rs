@@ -4,10 +4,11 @@
 
 use caqe_contract::Contract;
 use caqe_core::{
-    try_run_engine, CaqeStrategy, EngineConfig, ExecConfig, ExecutionStrategy, QuerySpec, Workload,
+    CaqeStrategy, EngineConfig, ExecConfig, ExecutionStrategy, QuerySpec, RunRequest, Workload,
 };
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{hash_join_project, skyline_reference, JoinSpec, MappingSet};
+use caqe_trace::NoopSink;
 use caqe_types::{DimMask, SimClock, Stats};
 use std::collections::BTreeSet;
 
@@ -80,7 +81,9 @@ fn assert_engine_matches_reference(engine_cfg: &EngineConfig, dist: Distribution
     let w = figure1_workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(250, 8);
     let expect = reference_results(&r, &t, &w);
-    let outcome = try_run_engine("engine", &r, &t, &w, &exec, engine_cfg, 0).expect("engine run");
+    let outcome = RunRequest::new("engine", &r, &t, &w, &exec, engine_cfg)
+        .try_run(&mut NoopSink)
+        .expect("engine run");
     for (qi, want) in expect.iter().enumerate() {
         let got: BTreeSet<(u64, u64)> = outcome.per_query[qi].results.iter().copied().collect();
         assert_eq!(
@@ -226,10 +229,13 @@ fn clock_offset_shifts_timestamps() {
     let (r, t) = tables(150, Distribution::Independent, 0.1, 11);
     let w = figure1_workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(150, 4);
-    let base =
-        try_run_engine("x", &r, &t, &w, &exec, &EngineConfig::caqe(), 0).expect("engine run");
+    let base = RunRequest::new("x", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut NoopSink)
+        .expect("engine run");
     let offset_ticks = 1_000_000;
-    let shifted = try_run_engine("x", &r, &t, &w, &exec, &EngineConfig::caqe(), offset_ticks)
+    let shifted = RunRequest::new("x", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .start_ticks(offset_ticks)
+        .try_run(&mut NoopSink)
         .expect("engine run");
     let dt = offset_ticks as f64 / exec.cost_model.ticks_per_second;
     assert!(shifted.virtual_seconds > base.virtual_seconds);
@@ -264,8 +270,9 @@ fn concat_mapping_with_ties_needs_dva_off() {
     let mut exec = ExecConfig::default().with_target_cells(150, 4);
     exec.assume_dva = false;
     let expect = reference_results(&r, &t, &w);
-    let outcome =
-        try_run_engine("caqe", &r, &t, &w, &exec, &EngineConfig::caqe(), 0).expect("engine run");
+    let outcome = RunRequest::new("caqe", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut NoopSink)
+        .expect("engine run");
     for (qi, want) in expect.iter().enumerate() {
         let got: BTreeSet<(u64, u64)> = outcome.per_query[qi].results.iter().copied().collect();
         assert_eq!(&got, want, "query {} mismatch under ties", qi + 1);

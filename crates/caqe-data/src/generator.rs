@@ -18,7 +18,7 @@
 
 use crate::record::{JoinKey, Record};
 use crate::table::Table;
-use caqe_types::Value;
+use caqe_types::{fnv1a, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -129,7 +129,9 @@ impl TableGenerator {
 
     /// Generates the table.
     pub fn generate(&self, name: &str) -> Table {
-        let mut rng = StdRng::seed_from_u64(self.seed ^ hash_name(name));
+        // Hashing the name in decorrelates the two tables of a join generated
+        // from one seed.
+        let mut rng = StdRng::seed_from_u64(self.seed ^ fnv1a(name.as_bytes()));
         let (lo, hi) = self.value_range;
         let span = hi - lo;
         let mut records = Vec::with_capacity(self.n);
@@ -149,17 +151,6 @@ impl TableGenerator {
         }
         Table::new(name, self.dims, self.key_domains.len(), records)
     }
-}
-
-/// Stable, dependency-free string hash (FNV-1a) to decorrelate the two
-/// tables of a join from one seed.
-fn hash_name(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// A standard-normal sample via Box–Muller (avoids a `rand_distr`

@@ -137,8 +137,9 @@ pub fn scoped_silence_injected_panics() -> PanicHookGuard {
 
 /// Wall-clock retry/backoff policy for the serving driver (`caqe-serve`).
 ///
-/// The virtual-tick `RecoveryPolicy` inside the engine
-/// governs *deterministic* in-run recovery; this policy governs the
+/// The engine's own retry budget and virtual-tick backoff (fixed constants
+/// in its `recover` module) govern *deterministic* in-run recovery; this
+/// policy governs the
 /// wall-clock loop *around* engine runs: how many times a driver re-submits
 /// an epoch after a transient failure and how long it sleeps in between.
 /// Exponential with a cap, mirroring the tick-domain policy.

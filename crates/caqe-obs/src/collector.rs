@@ -10,12 +10,10 @@
 //!
 //! The SLO monitor keeps one piece of cross-event state (the per-query
 //! at-risk latch used to count transitions); it is always advanced in
-//! serial event order, even by the sharded ingest, so snapshots stay
-//! bit-identical at any shard count.
+//! serial event order.
 
 use crate::registry::{key, MetricsRegistry};
 use caqe_contract::Contract;
-use caqe_parallel::{chunk_ranges, map_ordered, Threads};
 use caqe_trace::{TraceEvent, TraceSink};
 use caqe_types::Stats;
 
@@ -249,37 +247,6 @@ impl ObsCollector {
         }
     }
 
-    /// Ingests a recorded event stream with sharded registry building.
-    ///
-    /// Events are split into contiguous chunks; each chunk folds into its
-    /// own registry shard in parallel, and shards merge back in chunk
-    /// order (counter/histogram addition is order-free, gauges are
-    /// last-write-wins, so in-order merging reproduces the serial update
-    /// sequence). The stateful SLO pass then runs serially over the full
-    /// stream — it only touches emission events, so the shardable bulk of
-    /// the fold is the per-event registry arithmetic. Snapshots are
-    /// byte-identical to [`ingest_events`] at any `threads` value.
-    pub fn ingest_events_sharded(&mut self, events: &[TraceEvent], threads: Threads) {
-        let ranges = chunk_ranges(threads, events.len(), 256);
-        if ranges.len() <= 1 {
-            self.ingest_events(events);
-            return;
-        }
-        let shards = map_ordered(threads, ranges, |_, (start, end)| {
-            let mut shard = MetricsRegistry::new();
-            for ev in &events[start..end] {
-                registry_update(&mut shard, ev);
-            }
-            shard
-        });
-        for shard in &shards {
-            self.reg.merge(shard);
-        }
-        for ev in events {
-            self.slo_update(ev);
-        }
-    }
-
     /// Ingests end-of-run [`Stats`]: raw counters under
     /// `caqe_stats_<field>`, the phase-profile families, kernel-dispatch
     /// counts and occupancy gauges.
@@ -394,9 +361,8 @@ impl ObsCollector {
     }
 }
 
-/// The stateless per-event registry arithmetic, shared by the streaming
-/// and sharded ingest paths (their equivalence is what makes sharding
-/// safe).
+/// The stateless per-event registry arithmetic (the SLO monitor's
+/// cross-event state is kept apart in `slo_update`).
 fn registry_update(reg: &mut MetricsRegistry, ev: &TraceEvent) {
     match ev {
         TraceEvent::Meta {
@@ -630,22 +596,6 @@ mod tests {
         assert_eq!(reg.counter(names::SERVE_SNAPSHOTS), Some(1));
         assert_eq!(reg.counter(names::SERVE_RESTORES), Some(1));
         assert_eq!(reg.gauge(names::SERVE_QUEUE_DEPTH), Some(2.0));
-    }
-
-    #[test]
-    fn sharded_ingest_matches_serial_at_any_shard_count() {
-        let evs = sample_events();
-        let mut serial = ObsCollector::new(monitor_cfg());
-        serial.ingest_events(&evs);
-        for threads in [1, 2, 4, 8] {
-            let mut sharded = ObsCollector::new(monitor_cfg());
-            sharded.ingest_events_sharded(&evs, Threads::exact(threads));
-            assert_eq!(
-                sharded.snapshot_json(),
-                serial.snapshot_json(),
-                "shard count {threads} diverged"
-            );
-        }
     }
 
     #[test]

@@ -166,24 +166,6 @@ where
     })
 }
 
-/// Folds worker-produced deltas into a shared accumulator in index order.
-///
-/// This is the merge half of the determinism contract: workers compute
-/// private deltas (ticks, stats, trace buffers) against zeroed accumulators,
-/// and this fold applies them in the fixed order the serial loop would have
-/// produced them — never in completion order — so the merged state is
-/// bit-identical at every worker count. `f` receives the delta's index so
-/// callers can reconstruct absolute positions (e.g. tick offsets) while
-/// folding.
-pub fn fold_ordered<T, A, F>(parts: Vec<T>, acc: &mut A, mut f: F)
-where
-    F: FnMut(&mut A, usize, T),
-{
-    for (i, part) in parts.into_iter().enumerate() {
-        f(acc, i, part);
-    }
-}
-
 /// Splits `0..n` into at most `min(threads, n / min_chunk)` balanced
 /// contiguous `(start, end)` chunks.
 ///
@@ -278,19 +260,6 @@ mod tests {
         // 300 items, 2 workers: the worker cap still binds.
         let ranges = chunk_ranges(Threads::exact(2), 300, 64);
         assert_eq!(ranges, vec![(0, 150), (150, 300)]);
-    }
-
-    #[test]
-    fn fold_ordered_applies_in_index_order() {
-        let parts: Vec<u64> = vec![5, 7, 11];
-        let mut log: Vec<(usize, u64)> = Vec::new();
-        let mut total = 0u64;
-        fold_ordered(parts, &mut (), |_, i, p| {
-            log.push((i, p));
-            total += p;
-        });
-        assert_eq!(log, vec![(0, 5), (1, 7), (2, 11)]);
-        assert_eq!(total, 23);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::region::RegionSet;
 use caqe_types::ids::QuerySet;
-use caqe_types::{RegionId, SimClock, Stats};
+use caqe_types::{DimMask, QueryId, Rect, RegionId, SimClock, Stats};
 
 /// One directed threat edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub struct Edge {
 }
 
 /// Inserts `q` into the edge toward `peer`, creating the edge if absent.
-fn add_query_to_edge(edges: &mut Vec<Edge>, peer: RegionId, q: caqe_types::QueryId) {
+pub fn add_query_to_edge(edges: &mut Vec<Edge>, peer: RegionId, q: QueryId) {
     if let Some(e) = edges.iter_mut().find(|e| e.peer == peer) {
         e.queries.insert(q);
     } else {
@@ -37,6 +37,41 @@ fn add_query_to_edge(edges: &mut Vec<Edge>, peer: RegionId, q: caqe_types::Query
             peer,
             queries: QuerySet::singleton(q),
         });
+    }
+}
+
+/// The Definition 9 pair rule for one *ordered* region pair: per-dimension
+/// bits for "`from`'s best corner vs `to`'s worst corner" — `weak` where
+/// `lo_from ≤ hi_to`, `strict` where `<`. The `d` corner comparisons are
+/// performed once here; every query's subspace relation is then a bit-mask
+/// test, which is why callers charge one region comparison per ordered
+/// pair, not per (pair × query).
+#[derive(Debug, Clone, Copy)]
+pub struct CornerMasks {
+    weak: u32,
+    strict: u32,
+}
+
+impl CornerMasks {
+    /// Compares the corners of the ordered pair `from → to`.
+    pub fn between(from: &Rect, to: &Rect) -> Self {
+        let (mut weak, mut strict) = (0u32, 0u32);
+        for (k, (a, b)) in from.lo().iter().zip(to.hi()).enumerate() {
+            if a <= b {
+                weak |= 1 << k;
+            }
+            if a < b {
+                strict |= 1 << k;
+            }
+        }
+        CornerMasks { weak, strict }
+    }
+
+    /// Whether a tuple of `from` may dominate one of `to` in `subspace`:
+    /// weakly better on all of it, strictly better somewhere in it.
+    pub fn may_dominate(self, subspace: DimMask) -> bool {
+        let m = subspace.0;
+        self.weak & m == m && self.strict & m != 0
     }
 }
 
@@ -90,28 +125,11 @@ impl DependencyGraph {
                 }
                 clock.charge_dom_cmps(1);
                 stats.region_comparisons += 1;
-                // Per-dimension bits for "i's best corner vs j's worst
-                // corner": `weak` where lo_i ≤ hi_j, `strict` where <.
-                let d = ri.bounds.dims();
-                let (mut weak, mut strict) = (0u32, 0u32);
-                for k in 0..d {
-                    let (a, b) = (ri.bounds.lo()[k], rj.bounds.hi()[k]);
-                    if a <= b {
-                        weak |= 1 << k;
-                    }
-                    if a < b {
-                        strict |= 1 << k;
-                    }
-                }
-                let mut w = QuerySet::EMPTY;
-                for q in shared.iter() {
-                    let m = set.pref(q).0;
-                    // may_dominate in subspace m: weak on all of m, strict
-                    // somewhere in m.
-                    if weak & m == m && strict & m != 0 {
-                        w.insert(q);
-                    }
-                }
+                let corners = CornerMasks::between(&ri.bounds, &rj.bounds);
+                let w: QuerySet = shared
+                    .iter()
+                    .filter(|&q| corners.may_dominate(set.pref(q)))
+                    .collect();
                 if !w.is_empty() {
                     threats_out[i].push(Edge {
                         peer: RegionId(j as u32),
@@ -188,11 +206,11 @@ impl DependencyGraph {
     pub fn admit_query(
         &mut self,
         set: &RegionSet,
-        q: caqe_types::QueryId,
+        q: QueryId,
         clock: &mut SimClock,
         stats: &mut Stats,
     ) {
-        let m = set.pref(q).0;
+        let pref = set.pref(q);
         let alive: Vec<usize> = set
             .regions()
             .iter()
@@ -208,18 +226,7 @@ impl DependencyGraph {
                 let (ri, rj) = (&set.regions()[i], &set.regions()[j]);
                 clock.charge_dom_cmps(1);
                 stats.region_comparisons += 1;
-                let d = ri.bounds.dims();
-                let (mut weak, mut strict) = (0u32, 0u32);
-                for k in 0..d {
-                    let (a, b) = (ri.bounds.lo()[k], rj.bounds.hi()[k]);
-                    if a <= b {
-                        weak |= 1 << k;
-                    }
-                    if a < b {
-                        strict |= 1 << k;
-                    }
-                }
-                if weak & m == m && strict & m != 0 {
+                if CornerMasks::between(&ri.bounds, &rj.bounds).may_dominate(pref) {
                     add_query_to_edge(&mut self.threats_out[i], RegionId(j as u32), q);
                     add_query_to_edge(&mut self.threats_in[j], RegionId(i as u32), q);
                 }
@@ -231,7 +238,7 @@ impl DependencyGraph {
     /// Removes a departing query's bit from every edge, dropping edges whose
     /// query annotation becomes empty, and recomputes blocker counts. A
     /// region whose only threats were on behalf of `q` becomes a root.
-    pub fn depart_query(&mut self, q: caqe_types::QueryId) {
+    pub fn depart_query(&mut self, q: QueryId) {
         for edges in self
             .threats_in
             .iter_mut()
@@ -294,7 +301,7 @@ impl DependencyGraph {
 mod tests {
     use super::*;
     use crate::region::OutputRegion;
-    use caqe_types::{CellId, DimMask, QueryId, Rect};
+    use caqe_types::CellId;
 
     /// Builds a 2-query, 2-dim region set from explicit boxes.
     fn set_from_boxes(boxes: &[([f64; 2], [f64; 2])]) -> RegionSet {
@@ -320,6 +327,31 @@ mod tests {
             })
             .collect();
         RegionSet::new(regions, queries)
+    }
+
+    #[test]
+    fn corner_masks_are_definition_8_in_every_subspace() {
+        // Strict, touching, overlapping, incomparable and coincident pairs.
+        let boxes = [
+            Rect::new(vec![0.0, 0.0], vec![1.0, 1.0]),
+            Rect::new(vec![1.0, 1.0], vec![2.0, 2.0]),
+            Rect::new(vec![0.5, 0.0], vec![3.0, 0.5]),
+            Rect::new(vec![0.0, 8.0], vec![1.0, 9.0]),
+            Rect::point(&[1.0, 1.0]),
+        ];
+        for from in &boxes {
+            for to in &boxes {
+                let corners = CornerMasks::between(from, to);
+                for bits in 1..4 {
+                    let m = DimMask(bits);
+                    assert_eq!(
+                        corners.may_dominate(m),
+                        from.may_dominate_region(to, m),
+                        "{from:?} -> {to:?} in {m:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! The server never touches the engine's virtual clock. Queued submissions
 //! are drained in fixed-size FIFO batches ("epochs"); each epoch is one
-//! deterministic [`try_run_engine_online_traced`] run over a workload
+//! deterministic [`RunRequest`] run over a workload
 //! built from the batch — the first session seeds the initial workload,
 //! the rest arrive through the engine's own `EventStream` admission
 //! machinery. Given the same submission order, the epoch partition and
@@ -32,14 +32,14 @@ use crate::snapshot::{
 };
 use caqe_contract::Contract;
 use caqe_core::{
-    try_run_engine_online_prepared, EngineConfig, EventStream, ExecConfig, PlanError, PreparedPlan,
-    QueryOutcome, QuerySpec, RunOutcome, SchedulingPolicy, SessionEvent, Workload,
+    EngineConfig, EventStream, ExecConfig, PlanError, PreparedPlan, QueryOutcome, QuerySpec,
+    RunOutcome, RunRequest, SessionEvent, Workload,
 };
 use caqe_data::Table;
 use caqe_faults::WallRetryPolicy;
 use caqe_obs::{names, MetricsRegistry, ObsCollector, ObsConfig};
 use caqe_trace::{NoopSink, RecordingSink, TraceEvent};
-use caqe_types::EngineError;
+use caqe_types::{EngineError, Fnv1a};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::Path;
@@ -365,25 +365,16 @@ pub fn with_retry<T>(
 /// Per-session digest, field-compatible with the per-query slice of
 /// [`RunOutcome::digest`].
 fn query_digest(q: &QueryOutcome) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        for byte in v.to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    mix(q.emissions.len() as u64);
+    let mut h = Fnv1a::new();
+    h.usize(q.emissions.len());
     for (ts, util) in &q.emissions {
-        mix(ts.to_bits());
-        mix(util.to_bits());
+        h.f64(*ts).f64(*util);
     }
     for (rid, tid) in &q.results {
-        mix(*rid);
-        mix(*tid);
+        h.u64(*rid).u64(*tid);
     }
-    mix(q.p_score.to_bits());
-    mix(q.satisfaction.to_bits());
-    h
+    h.f64(q.p_score).f64(q.satisfaction);
+    h.finish()
 }
 
 impl CaqeServer {
@@ -562,9 +553,6 @@ impl CaqeServer {
     /// plan, so the memos cover every future submission mix.
     pub fn build_plan(&self) -> PreparedPlan {
         let mut plan = PreparedPlan::build(&self.tables.0, &self.tables.1, &self.exec);
-        let needs_dg = self.engine.progressive_emission
-            || self.engine.dominance_discard
-            || self.engine.policy != SchedulingPolicy::Fifo;
         for spec in &self.catalog {
             let w = Workload::new(vec![spec.clone()]);
             for keep_empty in [false, true] {
@@ -572,7 +560,7 @@ impl CaqeServer {
                     &w,
                     &self.exec,
                     self.engine.coarse_pruning,
-                    needs_dg,
+                    self.engine.needs_dependency_graph(),
                     keep_empty,
                 );
             }
@@ -902,36 +890,22 @@ impl CaqeServer {
         workload: &Workload,
         events: &EventStream,
     ) -> Result<(RunOutcome, Vec<TraceEvent>), EngineError> {
+        let request = RunRequest::new(
+            STRATEGY,
+            &self.tables.0,
+            &self.tables.1,
+            workload,
+            &self.exec,
+            &self.engine,
+        )
+        .events(events)
+        .plan(self.plan.as_ref());
         if self.cfg.keep_epoch_traces {
             let mut sink = RecordingSink::new();
-            let o = try_run_engine_online_prepared(
-                STRATEGY,
-                &self.tables.0,
-                &self.tables.1,
-                workload,
-                events,
-                &self.exec,
-                &self.engine,
-                0,
-                self.plan.as_ref(),
-                &mut sink,
-            )?;
+            let o = request.try_run(&mut sink)?;
             Ok((o, sink.into_events()))
         } else {
-            let mut sink = NoopSink;
-            let o = try_run_engine_online_prepared(
-                STRATEGY,
-                &self.tables.0,
-                &self.tables.1,
-                workload,
-                events,
-                &self.exec,
-                &self.engine,
-                0,
-                self.plan.as_ref(),
-                &mut sink,
-            )?;
-            Ok((o, Vec::new()))
+            Ok((request.try_run(&mut NoopSink)?, Vec::new()))
         }
     }
 

@@ -18,6 +18,7 @@
 //! verified first.
 
 use caqe_contract::Contract;
+use caqe_types::fnv1a;
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -260,15 +261,6 @@ pub enum CrashPoint {
     /// path must be left untouched and the torn temp file must never
     /// parse as a snapshot.
     MidWrite,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 impl Snapshot {

@@ -66,8 +66,8 @@ impl TraceSink for RecordingSink {
 ///
 /// Workers run against a virtual clock rebased to zero, so they record
 /// events with *relative* ticks into a private buffer. The caller then
-/// merges buffers in the same fixed order as the `caqe-parallel` stat
-/// deltas (via `fold_ordered`), passing each worker's absolute base tick to
+/// merges buffers in the same fixed (worker-index) order as the workers'
+/// tick and stat deltas, passing each worker's absolute base tick to
 /// [`merge_into`](TraceBuffer::merge_into) — the merged stream is identical
 /// to what a serial run would have recorded, at any worker count.
 ///

@@ -20,9 +20,12 @@ use caqe::core::{
 };
 use caqe::data::{validate_table, Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe::faults::{silence_injected_panics, FaultPlan};
-use caqe::operators::{hash_join_project, skyline_reference, JoinSpec, MappingSet};
-use caqe::types::{DimMask, EngineError, SimClock, Stats};
+use caqe::operators::{skyline_reference, MappingSet};
+use caqe::types::{DimMask, EngineError};
+use common::definitional_join;
 use std::collections::BTreeMap;
+
+mod common;
 
 fn tables(n: usize, dist: Distribution, seed: u64) -> (Table, Table) {
     let gen = TableGenerator::new(n, 2, dist)
@@ -196,17 +199,8 @@ fn faults_are_contained_and_results_stay_non_dominated() {
         // Oracle join over the tables the engine actually saw.
         let r_eff = effective_table(&sc.plan, sc.validation, &r);
         let t_eff = effective_table(&sc.plan, sc.validation, &t);
-        let mut clock = SimClock::default();
-        let mut stats = Stats::new();
         for (qi, spec) in w.queries().iter().enumerate() {
-            let join = hash_join_project(
-                r_eff.records(),
-                t_eff.records(),
-                JoinSpec::on_column(spec.join_col),
-                &spec.mapping,
-                &mut clock,
-                &mut stats,
-            );
+            let join = definitional_join(&r_eff, &t_eff, spec);
             let by_pair: BTreeMap<(u64, u64), &Vec<f64>> =
                 join.iter().map(|o| ((o.rid, o.tid), &o.vals)).collect();
             let emitted = &outcome.per_query[qi].results;

@@ -17,10 +17,13 @@
 use caqe::contract::Contract;
 use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{validate_table, Distribution, Table, TableGenerator, ValidationPolicy};
-use caqe::operators::{hash_join_project, skyline_reference, JoinSpec, MappingSet};
-use caqe::types::{DimMask, EngineError, SimClock, Stats};
+use caqe::operators::MappingSet;
+use caqe::types::{DimMask, EngineError};
+use common::expected_skylines;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+mod common;
 
 /// One injected corruption: which row, which dim, which non-finite value.
 #[derive(Debug, Clone, Copy)]
@@ -74,30 +77,6 @@ fn clean_subset(table: &Table) -> Table {
 
 fn clean_ids(table: &Table) -> BTreeSet<u64> {
     table.records().iter().map(|r| r.id).collect()
-}
-
-/// Definitional per-query skylines over the join of two tables.
-fn reference(r: &Table, t: &Table, w: &Workload) -> Vec<BTreeSet<(u64, u64)>> {
-    let mut clock = SimClock::default();
-    let mut stats = Stats::new();
-    w.queries()
-        .iter()
-        .map(|spec| {
-            let join = hash_join_project(
-                r.records(),
-                t.records(),
-                JoinSpec::on_column(spec.join_col),
-                &spec.mapping,
-                &mut clock,
-                &mut stats,
-            );
-            let pts: Vec<Vec<f64>> = join.iter().map(|o| o.vals.clone()).collect();
-            skyline_reference(&pts, spec.pref)
-                .into_iter()
-                .map(|i| (join[i].rid, join[i].tid))
-                .collect()
-        })
-        .collect()
 }
 
 #[derive(Debug, Clone)]
@@ -158,7 +137,7 @@ proptest! {
     fn quarantine_preserves_the_clean_subset_skyline(sc in scenario_strategy()) {
         let (r, t, w, exec) = setup(&sc);
         let (clean_r, clean_t) = (clean_subset(&r), clean_subset(&t));
-        let want = reference(&clean_r, &clean_t, &w);
+        let want = expected_skylines(&clean_r, &clean_t, &w);
         let outcome = CaqeStrategy
             .try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Quarantine))
             .expect("quarantine never rejects");
@@ -177,14 +156,14 @@ proptest! {
     fn clamp_never_emits_spurious_clean_pairs(sc in scenario_strategy()) {
         let (r, t, w, exec) = setup(&sc);
         let (clean_r, clean_t) = (clean_subset(&r), clean_subset(&t));
-        let clean_sky = reference(&clean_r, &clean_t, &w);
+        let clean_sky = expected_skylines(&clean_r, &clean_t, &w);
         let (rid_ok, tid_ok) = (clean_ids(&clean_r), clean_ids(&clean_t));
         // The engine must be exact over the clamped join, and any result
         // pair made of clean records must be a clean-subset skyline member
         // (clamped tuples may shadow clean ones, never promote them).
         let clamped_r = clean_subset_for_clamp(&r);
         let clamped_t = clean_subset_for_clamp(&t);
-        let clamped_sky = reference(&clamped_r, &clamped_t, &w);
+        let clamped_sky = expected_skylines(&clamped_r, &clamped_t, &w);
         let outcome = CaqeStrategy
             .try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Clamp))
             .expect("clamp never rejects");

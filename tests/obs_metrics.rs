@@ -8,20 +8,17 @@
 //!    is byte-identical across worker-thread counts.
 //! 3. **Inertness** — wrapping the recording sink in an [`ObserverSink`]
 //!    changes neither the outcome nor a single recorded trace byte.
-//! 4. **Equivalence** — collecting live during the run, ingesting the
-//!    recorded events afterwards, and sharded ingestion at any shard
-//!    count all land on the same registry contents.
+//! 4. **Equivalence** — collecting live during the run and ingesting the
+//!    recorded events afterwards land on the same registry contents.
 
 use caqe::contract::Contract;
 use caqe::core::{
-    try_run_engine_online_traced, DegradationPolicy, EngineConfig, EventStream, ExecConfig,
-    QuerySpec, RunOutcome, Workload,
+    DegradationPolicy, EngineConfig, ExecConfig, QuerySpec, RunOutcome, RunRequest, Workload,
 };
 use caqe::data::{Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe::faults::{silence_injected_panics, FaultPlan};
 use caqe::obs::{names, ObsCollector, ObsConfig, ObserverSink};
 use caqe::operators::MappingSet;
-use caqe::parallel::Threads;
 use caqe::trace::{RecordingSink, TraceEvent};
 use caqe::types::{DimMask, SimClock};
 
@@ -94,18 +91,9 @@ fn observed_run(
     exec: &ExecConfig,
 ) -> (RunOutcome, RecordingSink, ObsCollector) {
     let mut sink = ObserverSink::new(obs_config(w), RecordingSink::new());
-    let out = try_run_engine_online_traced(
-        "CAQE",
-        r,
-        t,
-        w,
-        &EventStream::empty(),
-        exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut sink,
-    )
-    .expect("chaos run under quarantine never rejects");
+    let out = RunRequest::new("CAQE", r, t, w, exec, &EngineConfig::caqe())
+        .try_run(&mut sink)
+        .expect("chaos run under quarantine never rejects");
     let (recording, collector) = sink.into_parts();
     (out, recording, collector)
 }
@@ -213,18 +201,9 @@ fn observer_sink_changes_nothing() {
     let (r, t) = tables(800);
     let exec = chaos_exec(800, Some(2));
     let mut plain = RecordingSink::new();
-    let bare = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &EventStream::empty(),
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut plain,
-    )
-    .expect("chaos run under quarantine never rejects");
+    let bare = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut plain)
+        .expect("chaos run under quarantine never rejects");
     let (observed, recording, _) = observed_run(&r, &t, &w, &exec);
 
     assert_eq!(bare.stats, observed.stats, "observer changed stats");
@@ -244,8 +223,8 @@ fn observer_sink_changes_nothing() {
     );
 }
 
-/// Gate 4: live collection, post-hoc ingestion and sharded ingestion all
-/// produce the same registry.
+/// Gate 4: live collection and post-hoc ingestion produce the same
+/// registry.
 #[test]
 fn live_posthoc_and_sharded_ingestion_agree() {
     silence_injected_panics();
@@ -262,14 +241,4 @@ fn live_posthoc_and_sharded_ingestion_agree() {
         posthoc.snapshot_json(),
         "post-hoc ingestion diverged from live collection"
     );
-
-    for shards in [1usize, 2, 4, 8] {
-        let mut sharded = ObsCollector::new(obs_config(&w));
-        sharded.ingest_events_sharded(recording.events(), Threads::exact(shards));
-        assert_eq!(
-            live_json,
-            sharded.snapshot_json(),
-            "sharded ingestion diverged at {shards} shard(s)"
-        );
-    }
 }

@@ -7,8 +7,8 @@
 
 use caqe::contract::Contract;
 use caqe::core::{
-    try_run_engine_online_traced, EngineConfig, EventStream, ExecConfig, QuerySpec, RunOutcome,
-    SessionEvent, Workload,
+    EngineConfig, EventStream, ExecConfig, QuerySpec, RunOutcome, RunRequest, SessionEvent,
+    Workload,
 };
 use caqe::data::{Distribution, TableGenerator};
 use caqe::faults::FaultPlan;
@@ -115,18 +115,9 @@ fn empty_event_stream_reproduces_committed_golden() {
     let (r, t) = tables(1600, Distribution::Independent, 99);
     let exec = ExecConfig::default().with_target_cells(1600, 2);
     let mut sink = RecordingSink::new();
-    let out = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &EventStream::empty(),
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut sink,
-    )
-    .expect("clean input");
+    let out = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut sink)
+        .expect("clean input");
     assert!(out.total_results() > 0, "degenerate workload");
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -147,18 +138,10 @@ fn churn_trace_is_bit_identical_at_every_parallelism() {
     let exec = ExecConfig::default().with_target_cells(1600, 2);
     let events = churn_events();
     let mut base_sink = RecordingSink::new();
-    let base = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &events,
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut base_sink,
-    )
-    .expect("clean input");
+    let base = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut base_sink)
+        .expect("clean input");
     let base_jsonl = to_jsonl(base_sink.events());
     let admits = base_sink
         .events()
@@ -178,17 +161,16 @@ fn churn_trace_is_bit_identical_at_every_parallelism() {
     );
     for threads in [1usize, 2, 4, 8] {
         let mut sink = RecordingSink::new();
-        let out = try_run_engine_online_traced(
+        let out = RunRequest::new(
             "CAQE",
             &r,
             &t,
             &w,
-            &events,
             &exec.with_parallelism(Some(threads)),
             &EngineConfig::caqe(),
-            0,
-            &mut sink,
         )
+        .events(&events)
+        .try_run(&mut sink)
         .expect("clean input");
         assert_identical(&base, &out, &format!("churn threads={threads}"));
         assert_eq!(
@@ -210,18 +192,10 @@ fn departure_truncates_emissions_and_spares_other_queries() {
         query: QueryId(1),
     }]);
     let mut sink = RecordingSink::new();
-    let online = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &events,
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut sink,
-    )
-    .expect("clean input");
+    let online = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut sink)
+        .expect("clean input");
     // No emission for the departed query after the departure was applied.
     let depart_tick = sink
         .events()
@@ -242,18 +216,9 @@ fn departure_truncates_emissions_and_spares_other_queries() {
     }
     // Queries that stayed are unaffected in their final result *sets*: a
     // departed query's sole-provider regions cannot contribute to others.
-    let batch = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &EventStream::empty(),
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut NoopSink,
-    )
-    .expect("clean input");
+    let batch = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut NoopSink)
+        .expect("clean input");
     for q in [0usize, 2] {
         assert_eq!(
             sorted_results(&online, q),
@@ -305,30 +270,13 @@ fn incremental_admission_equals_batch_rebuild() {
                     spec: late.clone(),
                 }]);
                 let label = format!("policy={:?} seed={seed} admit_at={admit_at}", engine.policy);
-                let online = try_run_engine_online_traced(
-                    "CAQE",
-                    &r,
-                    &t,
-                    &initial,
-                    &events,
-                    &exec,
-                    &engine,
-                    0,
-                    &mut NoopSink,
-                )
-                .expect("clean input");
-                let batch = try_run_engine_online_traced(
-                    "CAQE",
-                    &r,
-                    &t,
-                    &batch_w,
-                    &EventStream::empty(),
-                    &exec,
-                    &engine,
-                    0,
-                    &mut NoopSink,
-                )
-                .expect("clean input");
+                let online = RunRequest::new("CAQE", &r, &t, &initial, &exec, &engine)
+                    .events(&events)
+                    .try_run(&mut NoopSink)
+                    .expect("clean input");
+                let batch = RunRequest::new("CAQE", &r, &t, &batch_w, &exec, &engine)
+                    .try_run(&mut NoopSink)
+                    .expect("clean input");
                 assert_eq!(online.per_query.len(), 3, "{label}");
                 assert!(batch.total_results() > 0, "{label}: degenerate");
                 for q in 0..3 {
@@ -357,18 +305,10 @@ fn admission_faults_delay_but_never_desync() {
         .with_faults(FaultPlan::seeded(11).with_admission_faults(1.0));
     let events = churn_events();
     let mut base_sink = RecordingSink::new();
-    let base = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &events,
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut base_sink,
-    )
-    .expect("clean input");
+    let base = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut base_sink)
+        .expect("clean input");
     let admit_faults = base_sink
         .events()
         .iter()
@@ -394,17 +334,16 @@ fn admission_faults_delay_but_never_desync() {
     let base_jsonl = to_jsonl(base_sink.events());
     for threads in [2usize, 4] {
         let mut sink = RecordingSink::new();
-        let out = try_run_engine_online_traced(
+        let out = RunRequest::new(
             "CAQE",
             &r,
             &t,
             &w,
-            &events,
             &exec.with_parallelism(Some(threads)),
             &EngineConfig::caqe(),
-            0,
-            &mut sink,
         )
+        .events(&events)
+        .try_run(&mut sink)
         .expect("clean input");
         assert_identical(&base, &out, &format!("admit-faults threads={threads}"));
         assert_eq!(
@@ -456,18 +395,10 @@ fn duplicate_admit_creates_distinct_live_queries() {
     let events =
         EventStream::parse("admit@100=0,admit@200=0,depart@2000000=3", &pool).expect("valid spec");
     let mut sink = RecordingSink::new();
-    let out = try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &events,
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut sink,
-    )
-    .expect("clean input");
+    let out = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut sink)
+        .expect("clean input");
     assert_eq!(out.per_query.len(), 5, "3 initial + 2 duplicate admits");
     let admitted: Vec<u16> = sink
         .events()
@@ -509,18 +440,10 @@ fn equal_tick_departs_apply_before_admits() {
         "tie-break must order the depart before the admit"
     );
     let mut sink = RecordingSink::new();
-    try_run_engine_online_traced(
-        "CAQE",
-        &r,
-        &t,
-        &w,
-        &events,
-        &exec,
-        &EngineConfig::caqe(),
-        0,
-        &mut sink,
-    )
-    .expect("clean input");
+    RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut sink)
+        .expect("clean input");
     let order: Vec<&'static str> = sink
         .events()
         .iter()
@@ -573,17 +496,9 @@ fn bad_departures_surface_typed_errors() {
             },
         ]),
     ] {
-        let res = try_run_engine_online_traced(
-            "CAQE",
-            &r,
-            &t,
-            &w,
-            &events,
-            &exec,
-            &EngineConfig::caqe(),
-            0,
-            &mut NoopSink,
-        );
+        let res = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+            .events(&events)
+            .try_run(&mut NoopSink);
         match res {
             Err(caqe::types::EngineError::BadEventSpec { .. }) => {}
             other => panic!("expected BadEventSpec, got {other:?}"),

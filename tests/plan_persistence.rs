@@ -5,9 +5,8 @@
 //! typed error followed by a clean full rebuild, never a partial apply.
 
 use caqe::contract::Contract;
-use caqe::core::engine::try_run_engine_online_prepared;
 use caqe::core::{
-    EngineConfig, EventStream, ExecConfig, PlanError, PreparedPlan, QuerySpec, SchedulingPolicy,
+    EngineConfig, ExecConfig, PlanError, PreparedPlan, QuerySpec, RunRequest, SchedulingPolicy,
     Workload,
 };
 use caqe::data::{Distribution, Table, TableGenerator};
@@ -77,19 +76,10 @@ fn run_jsonl(
     plan: Option<&PreparedPlan>,
 ) -> String {
     let mut sink = RecordingSink::new();
-    let out = try_run_engine_online_prepared(
-        "CAQE",
-        r,
-        t,
-        w,
-        &EventStream::empty(),
-        exec,
-        &EngineConfig::caqe(),
-        0,
-        plan,
-        &mut sink,
-    )
-    .expect("engine run");
+    let out = RunRequest::new("CAQE", r, t, w, exec, &EngineConfig::caqe())
+        .plan(plan)
+        .try_run(&mut sink)
+        .expect("engine run");
     assert!(out.total_results() > 0, "degenerate workload");
     to_jsonl(sink.events())
 }

@@ -6,10 +6,13 @@ use caqe::baselines::all_strategies;
 use caqe::contract::Contract;
 use caqe::core::{ExecConfig, QuerySpec, Workload};
 use caqe::data::{Distribution, TableGenerator};
-use caqe::operators::{hash_join_project, skyline_reference, JoinSpec, MappingSet};
-use caqe::types::{DimMask, SimClock, Stats};
+use caqe::operators::MappingSet;
+use caqe::types::DimMask;
+use common::expected_skylines;
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+
+mod common;
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -55,33 +58,6 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         })
 }
 
-fn reference(
-    r: &caqe::data::Table,
-    t: &caqe::data::Table,
-    w: &Workload,
-) -> Vec<BTreeSet<(u64, u64)>> {
-    let mut clock = SimClock::default();
-    let mut stats = Stats::new();
-    w.queries()
-        .iter()
-        .map(|spec| {
-            let join = hash_join_project(
-                r.records(),
-                t.records(),
-                JoinSpec::on_column(spec.join_col),
-                &spec.mapping,
-                &mut clock,
-                &mut stats,
-            );
-            let pts: Vec<Vec<f64>> = join.iter().map(|o| o.vals.clone()).collect();
-            skyline_reference(&pts, spec.pref)
-                .into_iter()
-                .map(|i| (join[i].rid, join[i].tid))
-                .collect()
-        })
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -106,7 +82,7 @@ proptest! {
                 .collect(),
         );
         let exec = ExecConfig::default().with_target_cells(sc.n, sc.cells);
-        let want = reference(&r, &t, &w);
+        let want = expected_skylines(&r, &t, &w);
         for strategy in all_strategies() {
             let outcome = strategy.run(&r, &t, &w, &exec);
             for (qi, expect) in want.iter().enumerate() {
