@@ -17,8 +17,8 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_arg, cli_chaos, cli_flag, cli_metrics, cli_parse, cli_threads, cli_trace, render_jsonl,
-    render_table,
+    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse, cli_parse_opt, cli_threads, cli_trace,
+    render_jsonl, render_table,
 };
 use caqe_bench::{ComparisonRow, ExperimentConfig};
 use caqe_core::{EngineConfig, RunRequest, SchedulingPolicy};
@@ -78,31 +78,15 @@ fn variants() -> Vec<(&'static str, EngineConfig)> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dist = cli_arg(&args, "--dist")
-        .map(|d| match Distribution::parse(&d) {
-            Some(dist) => dist,
-            None => {
-                eprintln!(
-                    "bad --dist value `{d}` (expected independent|correlated|anticorrelated)"
-                );
-                std::process::exit(2);
-            }
-        })
-        .unwrap_or(Distribution::Independent);
+    let dist = cli_dist(&args).unwrap_or(Distribution::Independent);
     let contract: usize = cli_parse(&args, "--contract", 3);
     let mut cfg = ExperimentConfig::new(dist, contract);
     cfg.parallelism = cli_threads(&args);
     let (faults, validation) = cli_chaos(&args);
     cfg.faults = faults;
     cfg.validation = validation;
-    if let Some(n) = cli_arg(&args, "--n") {
-        cfg.n = match n.parse() {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bad --n value `{n}`: {e}");
-                std::process::exit(2);
-            }
-        };
+    if let Some(n) = cli_parse_opt(&args, "--n") {
+        cfg.n = n;
     } else if dist == Distribution::Anticorrelated {
         cfg.n = 1200;
     }

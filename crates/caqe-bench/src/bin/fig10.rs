@@ -9,7 +9,8 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_arg, cli_chaos, cli_flag, cli_metrics, cli_threads, cli_trace, render_jsonl, render_table,
+    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace, render_jsonl,
+    render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -20,21 +21,17 @@ fn main() {
     let trace_dir = cli_trace(&args);
     let metrics_dir = cli_metrics(&args);
     let (faults, validation) = cli_chaos(&args);
+    let n: Option<usize> = cli_parse_opt(&args, "--n");
+    let threads = cli_threads(&args);
 
     let mut rows: Vec<ComparisonRow> = Vec::new();
     for dist in Distribution::ALL {
         let mut cfg = ExperimentConfig::new(dist, 2);
-        cfg.parallelism = cli_threads(&args);
+        cfg.parallelism = threads;
         cfg.faults = faults;
         cfg.validation = validation;
-        if let Some(n) = cli_arg(&args, "--n") {
-            cfg.n = match n.parse() {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("bad --n value `{n}`: {e}");
-                    std::process::exit(2);
-                }
-            };
+        if let Some(n) = n {
+            cfg.n = n;
         } else if dist == Distribution::Anticorrelated {
             cfg.n = 1200;
         }

@@ -9,7 +9,8 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_arg, cli_chaos, cli_flag, cli_metrics, cli_threads, cli_trace, render_jsonl, render_table,
+    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace, render_jsonl,
+    render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -20,6 +21,8 @@ fn main() {
     let trace_dir = cli_trace(&args);
     let metrics_dir = cli_metrics(&args);
     let (faults, validation) = cli_chaos(&args);
+    let n: Option<usize> = cli_parse_opt(&args, "--n");
+    let threads = cli_threads(&args);
     let sizes = [1usize, 3, 5, 7, 9, 11];
 
     for contract in [2usize, 3] {
@@ -30,18 +33,12 @@ fn main() {
         let mut reference: Option<f64> = None;
         for &size in &sizes {
             let mut cfg = ExperimentConfig::new(Distribution::Independent, contract);
-            cfg.parallelism = cli_threads(&args);
+            cfg.parallelism = threads;
             cfg.faults = faults;
             cfg.validation = validation;
             cfg.workload_size = size;
-            if let Some(n) = cli_arg(&args, "--n") {
-                cfg.n = match n.parse() {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("bad --n value `{n}`: {e}");
-                        std::process::exit(2);
-                    }
-                };
+            if let Some(n) = n {
+                cfg.n = n;
             }
             let r = *reference.get_or_insert_with(|| {
                 let mut probe = cfg.clone();

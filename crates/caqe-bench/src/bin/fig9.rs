@@ -15,17 +15,18 @@
 //! `--metrics`, its metrics snapshot (see `obs_report`).
 
 use caqe_bench::report::{
-    cli_arg, cli_chaos, cli_flag, cli_metrics, cli_threads, cli_trace, render_jsonl, render_table,
+    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace,
+    render_jsonl, render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let dists: Vec<Distribution> = match cli_arg(&args, "--dist") {
-        Some(d) => vec![Distribution::parse(&d).expect("unknown distribution")],
-        None => Distribution::ALL.to_vec(),
-    };
+    let dists = cli_dist(&args).map_or(Distribution::ALL.to_vec(), |d| vec![d]);
+    let n: Option<usize> = cli_parse_opt(&args, "--n");
+    let queries: Option<usize> = cli_parse_opt(&args, "--queries");
+    let threads = cli_threads(&args);
     let json = cli_flag(&args, "--json");
     let trace_dir = cli_trace(&args);
     let metrics_dir = cli_metrics(&args);
@@ -41,29 +42,17 @@ fn main() {
         let mut reference: Option<f64> = None;
         for contract in 1..=5 {
             let mut cfg = ExperimentConfig::new(dist, contract);
-            cfg.parallelism = cli_threads(&args);
+            cfg.parallelism = threads;
             cfg.faults = faults;
             cfg.validation = validation;
-            if let Some(n) = cli_arg(&args, "--n") {
-                cfg.n = match n.parse() {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("bad --n value `{n}`: {e}");
-                        std::process::exit(2);
-                    }
-                };
+            if let Some(n) = n {
+                cfg.n = n;
             } else if dist == Distribution::Anticorrelated {
                 // The skyline worst case: keep the default panel tractable.
                 cfg.n = 1200;
             }
-            if let Some(k) = cli_arg(&args, "--queries") {
-                cfg.workload_size = match k.parse() {
-                    Ok(v) => v,
-                    Err(e) => {
-                        eprintln!("bad --queries value `{k}`: {e}");
-                        std::process::exit(2);
-                    }
-                };
+            if let Some(k) = queries {
+                cfg.workload_size = k;
             }
             // One calibration probe per panel, shared across contracts.
             let r = *reference.get_or_insert_with(|| cfg.reference_seconds());

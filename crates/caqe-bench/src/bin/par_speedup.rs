@@ -1,10 +1,16 @@
-//! Wall-clock speedup of the deterministic parallel layer, plus the cost of
-//! turning tracing on.
+//! The measuring rig of the `parallelism` knob, plus the cost of turning
+//! tracing on.
 //!
-//! Runs CAQE on a multi-join-group workload serially and with a pinned
-//! worker count, verifies the outcomes are bit-identical, measures the same
-//! parallel run once more with a recording trace sink (the no-op sink is the
-//! compiled-out default), and reports everything as one JSON object —
+//! **The knob is inert**: the four scoped-thread sites it used to drive
+//! never reached 1.0× and are gone (EXPERIMENTS.md "Parallel layer
+//! (PRs 1–17)"), so until ROADMAP item 4 lands both arms below run the same
+//! serial engine and `speedup` reads ≈ 1.0 by construction. The rig stays
+//! because item 4's remaining half will be judged on it.
+//!
+//! Runs CAQE on a multi-join-group workload at `parallelism: None` and at a
+//! pinned worker count, verifies the outcomes are bit-identical, measures
+//! the second run once more with a recording trace sink (the no-op sink is
+//! the compiled-out default), and reports everything as one JSON object —
 //! written to `--out <path>`, or printed to stdout without it.
 //!
 //! ```text
@@ -36,8 +42,7 @@ use std::num::NonZeroUsize;
 use std::time::Instant;
 
 /// Four distinct mapping sets (4 output dims each): combined with two join
-/// columns they split an eight-query workload into four join groups, the
-/// unit of parallelism in `build_groups`.
+/// columns they split an eight-query workload into four join groups.
 fn mapping_variant(v: usize) -> MappingSet {
     let fns = (0..4)
         .map(|j| {

@@ -33,9 +33,8 @@ pub struct ExperimentConfig {
     /// non-shared blocking baseline). Computed on demand when `None`; set
     /// it once per (distribution, N) to share across contract cells.
     pub reference_secs: Option<f64>,
-    /// Host worker threads (`ExecConfig::parallelism`): `None` = serial,
-    /// `Some(0)` = all cores, `Some(n)` = exactly `n`. Never changes any
-    /// reported number except wall-clock seconds.
+    /// The inert `ExecConfig::parallelism` knob (`--threads`): the engine
+    /// is serial whatever it holds.
     pub parallelism: Option<usize>,
     /// Deterministic fault plan (inert by default); see the `--faults`
     /// flag on the bench drivers.

@@ -5,7 +5,7 @@
 //! into an [`ObsCollector`], and writes the two snapshot files
 //! (`<label>.metrics.json`, `<label>.prom`) every `--metrics <dir>` driver
 //! produces. Snapshots derive only from virtual-clock observables, so they
-//! are byte-identical at any `--threads` setting.
+//! are byte-identical from run to run.
 
 use caqe_core::{RunOutcome, Workload};
 use caqe_obs::{ObsCollector, ObsConfig};

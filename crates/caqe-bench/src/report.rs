@@ -1,7 +1,7 @@
 //! Plain-text and JSON rendering of comparison rows.
 
 use crate::experiment::ComparisonRow;
-use caqe_data::ValidationPolicy;
+use caqe_data::{Distribution, ValidationPolicy};
 use caqe_faults::FaultPlan;
 
 /// Renders rows as an aligned plain-text table, one line per row.
@@ -95,7 +95,7 @@ fn cli_lookup(args: &[String], key: &str) -> Result<Option<String>, String> {
 
 /// Parses a `--key value`-style CLI, returning the value for `key`. A flag
 /// given without a value exits with code 2 — treating it as absent would
-/// let e.g. `--threads` silently run serial.
+/// let e.g. `--n` silently run the default size.
 pub fn cli_arg(args: &[String], key: &str) -> Option<String> {
     match cli_lookup(args, key) {
         Ok(v) => v,
@@ -106,24 +106,41 @@ pub fn cli_arg(args: &[String], key: &str) -> Option<String> {
     }
 }
 
-/// Parses `--key value` into any `FromStr` type, falling back to `default`
-/// when the flag is absent. A present-but-unparsable value exits with code
-/// 2 and a contextual message naming the flag and the offending text —
-/// drivers must never panic on user input.
+/// Parses `--key value` into any `FromStr` type, `None` when the flag is
+/// absent. A present-but-unparsable value exits with code 2 and a
+/// contextual message naming the flag and the offending text — drivers must
+/// never panic on user input.
+pub fn cli_parse_opt<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    cli_arg(args, key).map(|text| match text.parse() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("bad {key} value `{text}`: {e}");
+            std::process::exit(2);
+        }
+    })
+}
+
+/// [`cli_parse_opt`] falling back to `default` when the flag is absent.
 pub fn cli_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T
 where
     T::Err: std::fmt::Display,
 {
-    match cli_arg(args, key) {
-        Some(text) => match text.parse() {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("bad {key} value `{text}`: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => default,
-    }
+    cli_parse_opt(args, key).unwrap_or(default)
+}
+
+/// Parses the shared `--dist <name>` knob (`None` when absent). An unknown
+/// distribution exits with code 2 naming the flag.
+pub fn cli_dist(args: &[String]) -> Option<Distribution> {
+    cli_arg(args, "--dist").map(|d| match Distribution::parse(&d) {
+        Some(dist) => dist,
+        None => {
+            eprintln!("bad --dist value `{d}` (expected independent|correlated|anticorrelated)");
+            std::process::exit(2);
+        }
+    })
 }
 
 /// Whether a bare flag is present.
@@ -131,16 +148,16 @@ pub fn cli_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-/// Parses the shared `--threads <n>` knob (`0` = all cores; absent =
-/// serial).
+/// Parses the shared `--threads <n>` knob (`0` = all cores) and says on
+/// stderr that it is inert: the value lands in `ExecConfig::parallelism`,
+/// which the serial engine ignores (stdout, traces and JSON are untouched).
+/// Call it once per process.
 pub fn cli_threads(args: &[String]) -> Option<usize> {
-    cli_arg(args, "--threads").map(|text| match text.parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bad --threads value `{text}`: {e}");
-            std::process::exit(2);
-        }
-    })
+    let threads = cli_parse_opt(args, "--threads");
+    if threads.is_some() {
+        eprintln!("--threads has no effect: the engine is serial until ROADMAP item 4 lands");
+    }
+    threads
 }
 
 /// Parses the shared `--trace <dir>` knob: when present, every run also

@@ -131,11 +131,11 @@ pub struct ExecConfig {
     /// Whether the Distinct Value Attributes assumption may be exploited
     /// (Theorem 1 shortcuts). True for the standard generators.
     pub assume_dva: bool,
-    /// Host-side worker threads for the deterministic parallel layer:
-    /// `None` = serial (the default), `Some(0)` = all available cores,
-    /// `Some(n)` = exactly `n` workers. Parallelism only changes wall-clock
-    /// speed — the virtual clock, stats and results are bit-identical at
-    /// every setting.
+    /// Host-side worker threads: `None` = serial (the default), `Some(0)` =
+    /// all available cores, `Some(n)` = exactly `n` workers. **Inert**: the
+    /// engine is serial whatever this holds, until ROADMAP item 4 lands.
+    /// The field (and [`ExecConfig::with_parallelism`]) is benchmark-pinned
+    /// and is what the 1/2/4/8 determinism sweeps under `tests/` set.
     pub parallelism: Option<usize>,
     /// Deterministic fault plan ([`FaultPlan::none`] by default — every
     /// injection hook is then a strict no-op).
@@ -172,7 +172,7 @@ impl ExecConfig {
         self
     }
 
-    /// Sets the worker-thread knob (see [`ExecConfig::parallelism`]).
+    /// Sets the (inert) worker-thread knob (see [`ExecConfig::parallelism`]).
     pub fn with_parallelism(mut self, parallelism: Option<usize>) -> Self {
         self.parallelism = parallelism;
         self

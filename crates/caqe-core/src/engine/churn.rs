@@ -5,13 +5,13 @@
 use super::emit::PendingTuple;
 use super::recover::{backoff_ticks, retire_region, MAX_ATTEMPTS};
 use super::{GroupState, Run};
-use crate::group::{build_one_group, JoinGroup};
+use crate::group::{open_group, JoinGroup};
 use crate::outcome::QueryOutcome;
 use crate::workload::QuerySpec;
 use caqe_contract::{update_weights_masked, QueryScore};
 use caqe_regions::buchta_estimate;
 use caqe_regions::depgraph::{add_query_to_edge, CornerMasks};
-use caqe_trace::{SpanKind, TraceBuffer, TraceEvent, TraceSink};
+use caqe_trace::{TraceEvent, TraceSink};
 use caqe_types::{EngineError, QueryId, RegionId, SimClock, Stats, VirtualSeconds};
 
 /// Per-query run state, one row per global query id. Rows are only ever
@@ -168,38 +168,24 @@ impl<S: TraceSink> Run<'_, S> {
                 gs.fifo_cursor = 0;
             }
             None => {
-                // The arrival opens a brand-new join group, built
-                // sequentially on the main scheduling thread against the
-                // shared clock.
-                let gi = self.groups.len() as u32;
-                let mut wclock = SimClock::new(*clock.model());
-                let mut wstats = Stats::new();
-                let mut buf = TraceBuffer::new(S::ENABLED);
-                let group = build_one_group(
+                // The arrival opens a brand-new join group, the way the
+                // batch start opens its groups.
+                let group = open_group(
                     &self.part_r,
                     &self.part_t,
                     exec,
                     self.engine.coarse_pruning,
                     needs_dg,
                     true,
-                    gi,
+                    &[],
+                    self.groups.len() as u32,
                     spec.join_col,
                     spec.mapping.clone(),
                     vec![(q, spec.pref)],
-                    &mut wclock,
-                    &mut wstats,
-                    &mut buf,
+                    clock,
+                    stats,
+                    self.sink,
                 );
-                buf.record(TraceEvent::Span {
-                    kind: SpanKind::GroupBuild,
-                    group: Some(gi),
-                    region: None,
-                    start_tick: 0,
-                    end_tick: wclock.ticks(),
-                });
-                buf.merge_into(self.sink, clock.ticks());
-                clock.advance(wclock.ticks());
-                *stats += wstats;
                 self.groups.push(GroupState::new(group));
             }
         }

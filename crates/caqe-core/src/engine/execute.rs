@@ -8,19 +8,14 @@ use super::{GroupState, Run};
 use crate::group::ArenaTuple;
 use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
+use caqe_parallel::Threads;
 use caqe_regions::ReconciledEstimate;
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, PointId, QueryId, RegionId, SimClock, Stats, Value};
+use caqe_types::{DimMask, PointId, QueryId, RegionId, Value};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
-/// Minimum R-rows per chunk in the parallel probe phase: below this the
-/// per-worker thread-spawn cost outweighs the probe work, so small cells run
-/// on fewer workers (or entirely inline). Affects only the chunk split,
-/// never the result.
-const PAR_MIN_ROWS: usize = 256;
-
-/// The surviving join candidates of one probe chunk, in flat layout: one
+/// The surviving join candidates of one region, in flat layout: one
 /// provenance/lineage row per candidate, with the projected points packed
 /// contiguously (`vals[i*stride..(i+1)*stride]` belongs to `meta[i]`).
 #[derive(Default)]
@@ -46,8 +41,8 @@ fn point_dominates_rect(p: &[Value], lo: &[Value], mask: DimMask) -> bool {
 }
 
 impl<S: TraceSink> Run<'_, S> {
-    /// Processes the picked region at tuple level, isolated against worker
-    /// panics — injected by the fault plan or genuine. Returns, per member
+    /// Processes the picked region at tuple level, isolated against panics
+    /// — injected by the fault plan or genuine. Returns, per member
     /// query (local order), the handles of tuples newly admitted to that
     /// query's skyline; or `None` when the unit failed, in which case the
     /// region has been routed to retry or quarantine ([`Run::recover`]) and
@@ -126,16 +121,15 @@ impl<S: TraceSink> Run<'_, S> {
     /// order), the handles (into the group's point store) of tuples newly
     /// admitted to that query's skyline.
     ///
-    /// The hash-probe/projection phase is data-parallel over contiguous
-    /// R-row chunks: workers only read shared state and accumulate private
-    /// tick/stat deltas, which are merged in chunk order before the
-    /// (inherently sequential) plan insertion runs over the candidates in
-    /// original row order. The virtual clock is never *read* inside the
-    /// region, so moving the probe charges ahead of the insert charges
-    /// leaves every observable — final ticks, stats, plan state, emission
-    /// timestamps — bit-identical to the serial interleaving.
+    /// Two phases: the probe collects every candidate first, then the
+    /// whole batch goes into the plan. Nothing touches the arena before the
+    /// probe is over, so a genuine mid-probe panic leaves the group clean —
+    /// and the region retryable. The virtual clock is never *read* inside
+    /// the region, so charging all probes ahead of all inserts leaves every
+    /// observable — final ticks, stats, plan state, emission timestamps —
+    /// bit-identical to interleaving them tuple by tuple.
     fn process_region_tuples(&mut self, gi: usize, rid: RegionId) -> Vec<Vec<PointId>> {
-        let (r, t, threads) = (self.r, self.t, self.threads);
+        let (r, t) = (self.r, self.t);
         let progressive = self.engine.progressive_emission;
         // Session mode keeps even serving-nobody tuples: the group arena
         // must be the *complete* tag-ordered join history so a later
@@ -163,69 +157,51 @@ impl<S: TraceSink> Run<'_, S> {
         let stride = g.mapping.output_dims();
         let out_dims = stride as u64;
 
-        // --- Phase 1: probe + project, parallel over R-row chunks. ---
-        let mapping = &g.mapping;
-        let model = *clock.model();
-        let ranges = caqe_parallel::chunk_ranges(threads, r_rows.len(), PAR_MIN_ROWS);
-        let per_chunk = caqe_parallel::map_indexed(threads, ranges.len(), |ci| {
-            let (start, end) = ranges[ci];
-            let mut wclock = SimClock::new(model);
-            let mut wstats = Stats::new();
-            let mut found = CandidateBatch::default();
-            for &ri in &r_rows[start..end] {
-                wclock.charge_join_probes(1);
-                wstats.join_probes += 1;
-                let rrec = r.record(ri);
-                for mi in index.matches(rrec.key(join_col)) {
-                    let ti = t_rows[mi];
-                    wclock.charge_join_probes(1);
-                    wstats.join_probes += 1;
-                    let trec = t.record(ti);
-                    wclock.charge_map_evals(out_dims);
-                    wstats.map_evals += out_dims;
-                    wstats.join_results += 1;
-                    // Project straight into the chunk's flat buffer; roll
-                    // back if the tuple turns out to serve nobody.
-                    let vstart = found.vals.len();
-                    mapping.apply_into(&rrec.vals, &trec.vals, &mut found.vals);
-                    let vals = &found.vals[vstart..];
-
-                    // Cell-level lineage: which queries can this tuple
-                    // still serve?
-                    let lineage = match reg.locate(vals) {
-                        Some(c) => reg.cell_lineage(c).intersect(serving),
-                        None => serving,
-                    };
-                    if lineage.is_empty() && !materialize_all {
-                        wstats.tuples_discarded += 1;
-                        found.vals.truncate(vstart);
-                        continue;
-                    }
-                    found.meta.push((ri, ti, lineage));
-                }
-            }
-            (found, wclock.ticks(), wstats)
-        });
-        // Merge chunk deltas in chunk order; concatenation restores the
-        // exact serial candidate order because chunks are contiguous.
+        // --- Phase 1: probe + project. ---
+        let probe_t0 = clock.ticks();
         let mut cands = CandidateBatch::default();
-        for (found, ticks, wstats) in per_chunk {
-            clock.advance(ticks);
-            stats.probe_ticks += ticks;
-            *stats += wstats;
-            cands.meta.extend(found.meta);
-            cands.vals.extend(found.vals);
-        }
+        for &ri in r_rows {
+            clock.charge_join_probes(1);
+            stats.join_probes += 1;
+            let rrec = r.record(ri);
+            for mi in index.matches(rrec.key(join_col)) {
+                let ti = t_rows[mi];
+                clock.charge_join_probes(1);
+                stats.join_probes += 1;
+                let trec = t.record(ti);
+                clock.charge_map_evals(out_dims);
+                stats.map_evals += out_dims;
+                stats.join_results += 1;
+                // Project straight into the flat buffer; roll back if the
+                // tuple turns out to serve nobody.
+                let vstart = cands.vals.len();
+                g.mapping
+                    .apply_into(&rrec.vals, &trec.vals, &mut cands.vals);
+                let vals = &cands.vals[vstart..];
 
-        // --- Phase 2: shared-plan insertion, deterministically sharded. ---
+                // Cell-level lineage: which queries can this tuple still
+                // serve?
+                let lineage = match reg.locate(vals) {
+                    Some(c) => reg.cell_lineage(c).intersect(serving),
+                    None => serving,
+                };
+                if lineage.is_empty() && !materialize_all {
+                    stats.tuples_discarded += 1;
+                    cands.vals.truncate(vstart);
+                    continue;
+                }
+                cands.meta.push((ri, ti, lineage));
+            }
+        }
+        stats.probe_ticks += clock.ticks() - probe_t0;
+
+        // --- Phase 2: shared-plan insertion. ---
         // The arena/point-store rows are appended first (tags stay dense, in
         // candidate order), then the whole candidate batch goes through
-        // `SharedSkylinePlan::insert_batch`, which shards the per-subspace
-        // skyline maintenance across `threads` and merges in fixed subspace
-        // order — bit-identical to inserting the candidates one at a time.
-        // The per-candidate emission/eviction bookkeeping below never
-        // touches the clock, so replaying it after the batch leaves every
-        // observable unchanged from the serial interleaving.
+        // `SharedSkylinePlan::insert_batch` — bit-identical to inserting the
+        // candidates one at a time. The per-candidate emission/eviction
+        // bookkeeping below never touches the clock, so replaying it after
+        // the batch leaves every observable unchanged.
         if cands.meta.is_empty() {
             return new_by_query;
         }
@@ -245,9 +221,10 @@ impl<S: TraceSink> Run<'_, S> {
         debug_assert_eq!(g.points.len(), g.arena.len(), "arena/point-store desync");
         let insert_t0 = clock.ticks();
         let insert_d0 = stats.dom_comparisons;
+        let serial = Threads::default();
         let inserts = g
             .plan
-            .insert_batch(first_tag, &cands.vals, stride, threads, clock, stats);
+            .insert_batch(first_tag, &cands.vals, stride, serial, clock, stats);
         stats.insert_ticks += clock.ticks() - insert_t0;
         stats.insert_dom_cmps += stats.dom_comparisons - insert_d0;
         debug_assert_eq!(inserts.len(), cands.meta.len());

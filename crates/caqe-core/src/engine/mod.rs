@@ -42,7 +42,6 @@ use crate::plan::PreparedPlan;
 use crate::session::{EventStream, SessionEvent};
 use crate::workload::Workload;
 use caqe_data::Table;
-use caqe_parallel::Threads;
 use caqe_partition::Partitioning;
 use caqe_trace::{NoopSink, SpanKind, TraceEvent, TraceSink};
 use caqe_types::{EngineError, SimClock, Stats};
@@ -99,10 +98,10 @@ impl<'a> RunRequest<'a> {
     /// A non-empty stream switches the engine into *session mode*: every
     /// join tuple is materialized into the group arena (so a later admission
     /// can backfill its subspace from the complete history), fully pruned
-    /// regions are kept as revivable husks, and events are applied
-    /// sequentially on the main scheduling thread at the first loop
-    /// iteration whose virtual clock has reached their scheduled tick — the
-    /// trace therefore stays bit-identical at every `parallelism` setting.
+    /// regions are kept as revivable husks, and events are applied in
+    /// stream order at the first loop iteration whose virtual clock has
+    /// reached their scheduled tick — the trace stays a pure function of
+    /// (workload, events, config).
     pub fn events(mut self, events: &'a EventStream) -> Self {
         self.events = Some(events);
         self
@@ -136,7 +135,7 @@ impl<'a> RunRequest<'a> {
     /// recomputation feeding it) sits under `if S::ENABLED`, reads the clock
     /// but never charges it, and with [`NoopSink`] monomorphizes away
     /// entirely — the outcome (stats, ticks, results) is bit-identical with
-    /// tracing on, off, or compiled out, at every `parallelism` setting.
+    /// tracing on, off, or compiled out.
     pub fn try_run<S: TraceSink>(self, sink: &mut S) -> Result<RunOutcome, EngineError> {
         let wall_start = Instant::now();
         let no_events = EventStream::empty();
@@ -265,7 +264,6 @@ struct Run<'a, S: TraceSink> {
     engine: &'a EngineConfig,
     /// Whether the run has session events (see [`RunRequest::events`]).
     session_mode: bool,
-    threads: Threads,
     clock: SimClock,
     stats: Stats,
     sink: &'a mut S,
@@ -290,23 +288,20 @@ impl<'a, S: TraceSink> Run<'a, S> {
         sink: &'a mut S,
     ) -> Self {
         let (exec, engine) = (req.exec, req.engine);
-        let threads = Threads::from_config(exec.parallelism);
         let mut clock = SimClock::new(exec.cost_model);
         clock.advance(req.start_ticks);
         let mut stats = Stats::new();
         stats.ensure_queries(req.workload.len());
 
-        // The two partitionings are independent; the quad-tree build is not
-        // charged to the virtual clock, so running them concurrently is free
-        // of determinism concerns. A warm start clones the memoized
-        // partitionings instead — `Partitioning::build` is deterministic, so
-        // the clone is the value the build would produce.
+        // The quad-tree build is not charged to the virtual clock. A warm
+        // start clones the memoized partitionings instead —
+        // `Partitioning::build` is deterministic, so the clone is the value
+        // the build would produce.
         let (part_r, part_t) = match warm {
             Some(p) => (p.part_r.clone(), p.part_t.clone()),
-            None => caqe_parallel::join2(
-                threads,
-                || Partitioning::build(req.r, exec.quadtree),
-                || Partitioning::build(req.t, exec.quadtree),
+            None => (
+                Partitioning::build(req.r, exec.quadtree),
+                Partitioning::build(req.t, exec.quadtree),
             ),
         };
         if S::ENABLED {
@@ -320,9 +315,8 @@ impl<'a, S: TraceSink> Run<'a, S> {
             });
         }
 
-        // Phase accounting: the breakdown is charged at the main-thread
-        // phase boundaries (worker deltas are merged inside), so it is
-        // identical for any sink and any thread count.
+        // Phase accounting: the breakdown is read off the clock at the
+        // phase boundaries, so it is identical for any sink.
         let build_t0 = clock.ticks();
         let build_d0 = stats.dom_comparisons + stats.region_comparisons;
         let groups = build_groups_with_memos(
@@ -334,7 +328,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             engine.needs_dependency_graph(),
             session_mode,
             warm.map_or(&[][..], |p| p.memos.as_slice()),
-            threads,
             &mut clock,
             &mut stats,
             sink,
@@ -355,7 +348,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             exec,
             engine,
             session_mode,
-            threads,
             clock,
             stats,
             sink,
@@ -371,8 +363,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
     fn drive(&mut self, events: &[SessionEvent]) -> Result<(), EngineError> {
         let mut next_ev = 0usize;
         loop {
-            // Session events are processed sequentially on the main
-            // scheduling thread, so application ticks are thread-invariant.
+            // Session events apply in stream order, between two regions.
             while let Some(ev) = events
                 .get(next_ev)
                 .filter(|ev| ev.at() <= self.clock.ticks())

@@ -2,7 +2,7 @@
 //! quarantine, backoff wake-up and contract-aware load shedding.
 //!
 //! Backoff is measured in *virtual ticks*, so recovery schedules are
-//! deterministic and thread-invariant.
+//! deterministic.
 
 use super::select::Pick;
 use super::Run;

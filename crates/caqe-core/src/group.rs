@@ -19,7 +19,7 @@ use caqe_regions::{
     build_regions, region_csm, DependencyGraph, OutputRegion, RegionBuildInput, RegionSet,
     ThreatCounts,
 };
-use caqe_trace::{SpanKind, TraceBuffer, TraceEvent, TraceSink};
+use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::{DimMask, PointStore, QueryId, RegionId, SimClock, Stats};
 
 /// Provenance of one materialized join tuple living in a group's arena.
@@ -132,8 +132,8 @@ impl JoinGroup {
     }
 }
 
-/// A memoized group build: everything a cold [`build_one_group`] produced
-/// that is expensive to recompute, plus the exact tick and counter deltas
+/// A memoized group build: everything a cold `open_group` produced that
+/// is expensive to recompute, plus the exact tick and counter deltas
 /// it charged — replaying a memo leaves the clock, stats and trace in the
 /// same state as rebuilding would.
 ///
@@ -212,16 +212,12 @@ pub(crate) fn group_workload(workload: &Workload) -> Vec<(usize, MappingSet, Vec
 /// dependency graph is materialized at all — blind blocking pipelines have
 /// no use for it and should not pay for it.
 ///
-/// Groups share no state during construction, so with `threads` allowing it
-/// each group is built on a worker against a *private* clock and stats.
-/// Construction only ever charges ticks — it never reads the current time —
-/// so the per-worker tick deltas are merged back in fixed group order and
-/// the shared clock lands on exactly the serial value.
+/// Groups are opened one after another against `clock` and `stats`
+/// (`open_group`), each recording its phase spans straight into `sink`.
 ///
-/// Tracing follows the same contract: workers record phase spans with ticks
-/// relative to their private clock into a [`TraceBuffer`], and the buffers
-/// are rebased and drained into `sink` in the same fixed group order as the
-/// tick deltas — so the trace, too, is identical at every worker count.
+/// `_threads` is accepted and ignored: the parameter is benchmark-pinned
+/// (`benchmark/src` compiles against this signature) and the engine is
+/// serial until ROADMAP item 4 lands.
 #[allow(clippy::too_many_arguments)] // one engine toggle per argument
 pub fn build_groups<S: TraceSink>(
     workload: &Workload,
@@ -231,7 +227,7 @@ pub fn build_groups<S: TraceSink>(
     coarse_pruning: bool,
     build_dg: bool,
     keep_empty: bool,
-    threads: Threads,
+    _threads: Threads,
     clock: &mut SimClock,
     stats: &mut Stats,
     sink: &mut S,
@@ -245,7 +241,6 @@ pub fn build_groups<S: TraceSink>(
         build_dg,
         keep_empty,
         &[],
-        threads,
         clock,
         stats,
         sink,
@@ -254,10 +249,8 @@ pub fn build_groups<S: TraceSink>(
 
 /// [`build_groups`] with a memo slice from a warm-started
 /// [`crate::plan::PreparedPlan`]: a group whose full key matches a memo is
-/// *replayed* (clock advanced by the recorded ticks, counters re-applied,
-/// identical spans recorded, state cloned) instead of rebuilt. Groups
-/// without a memo go through the cold path — mixing is safe because memos
-/// carry their exact deltas.
+/// replayed instead of rebuilt. Groups without a memo go through the cold
+/// path — mixing is safe because memos carry their exact deltas.
 #[allow(clippy::too_many_arguments)] // one engine toggle per argument
 pub(crate) fn build_groups_with_memos<S: TraceSink>(
     workload: &Workload,
@@ -268,119 +261,129 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
     build_dg: bool,
     keep_empty: bool,
     memos: &[GroupMemo],
-    threads: Threads,
     clock: &mut SimClock,
     stats: &mut Stats,
     sink: &mut S,
 ) -> Vec<JoinGroup> {
-    // Group by (join column, mapping functions).
-    let groups = group_workload(workload);
-
-    let model = *clock.model();
-    let built = caqe_parallel::map_ordered(threads, groups, |gi, (join_col, mapping, members)| {
-        let mut wclock = SimClock::new(model);
-        let mut wstats = Stats::new();
-        let mut buf = TraceBuffer::new(S::ENABLED);
-        let queries: Vec<(QueryId, DimMask)> = members
-            .iter()
-            .map(|&q| (q, workload.query(q).pref))
-            .collect();
-        let memo = memos.iter().find(|m| {
-            m.matches(
-                join_col,
-                &mapping,
-                &queries,
-                coarse_pruning,
-                build_dg,
-                keep_empty,
-            )
-        });
-        let group = match memo {
-            Some(m) => replay_group(m, exec, gi as u32, &mut wclock, &mut wstats, &mut buf),
-            None => build_one_group(
+    let groups = group_workload(workload).into_iter().enumerate();
+    groups
+        .map(|(gi, (join_col, mapping, members))| {
+            let queries = members
+                .iter()
+                .map(|&q| (q, workload.query(q).pref))
+                .collect();
+            open_group(
                 part_r,
                 part_t,
                 exec,
                 coarse_pruning,
                 build_dg,
                 keep_empty,
+                memos,
                 gi as u32,
                 join_col,
                 mapping,
                 queries,
-                &mut wclock,
-                &mut wstats,
-                &mut buf,
-            ),
-        };
-        buf.record(TraceEvent::Span {
-            kind: SpanKind::GroupBuild,
-            group: Some(gi as u32),
-            region: None,
-            start_tick: 0,
-            end_tick: wclock.ticks(),
-        });
-        (group, wclock.ticks(), wstats, buf)
-    });
-
-    // Merge worker deltas in fixed group order: tick charges are additive,
-    // so the final clock and stats are independent of worker scheduling.
-    // Each group's trace buffer is rebased to the clock value at which the
-    // serial loop would have started that group.
-    let mut out = Vec::with_capacity(built.len());
-    for (group, ticks, wstats, buf) in built {
-        buf.merge_into(sink, clock.ticks());
-        clock.advance(ticks);
-        *stats += wstats;
-        out.push(group);
-    }
-    out
+                clock,
+                stats,
+                sink,
+            )
+        })
+        .collect()
 }
 
-/// Builds one join group's shared state (regions, dependency graph, plan).
-/// `queries` carries the `(global id, preference)` pairs directly so the
-/// online session layer can open a group for a query the initial workload
-/// never contained.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_one_group(
+/// Opens join group `gi` — the one place a group's shared state (regions,
+/// dependency graph, plan) comes into being, for the batch start and for a
+/// mid-run admission alike. `queries` carries the `(global id, preference)`
+/// pairs directly so the session layer can open a group for a query the
+/// initial workload never contained.
+///
+/// A memo of `memos` whose full key matches is *replayed*: the clock
+/// advances by the recorded ticks, the recorded counters are re-applied and
+/// the state is instantiated from the memo's structures (the only
+/// recomputed pieces — the dependency-graph transpose, the min-max cuboid
+/// and the screening bounds — are pure functions of them). Otherwise the
+/// group is built cold. Either way `clock`, `stats` and `sink` end up in
+/// the same state: a build only ever *charges* the clock, never reads it,
+/// so the deltas a scratch-clock build recorded ([`PreparedPlan::memoize`])
+/// are the deltas any clock would have been charged.
+///
+/// Look-ahead is all a group build charges, so the `LookAhead` and
+/// `GroupBuild` spans coincide; both are recorded in absolute ticks.
+///
+/// [`PreparedPlan::memoize`]: crate::plan::PreparedPlan::memoize
+#[allow(clippy::too_many_arguments)] // one engine toggle per argument
+pub(crate) fn open_group<S: TraceSink>(
     part_r: &Partitioning,
     part_t: &Partitioning,
     exec: &ExecConfig,
     coarse_pruning: bool,
     build_dg: bool,
     keep_empty: bool,
+    memos: &[GroupMemo],
     gi: u32,
     join_col: usize,
     mapping: MappingSet,
     queries: Vec<(QueryId, DimMask)>,
     clock: &mut SimClock,
     stats: &mut Stats,
-    buf: &mut TraceBuffer,
+    sink: &mut S,
 ) -> JoinGroup {
-    let input = RegionBuildInput {
-        part_r,
-        part_t,
-        join_col,
-        mapping: &mapping,
-        queries: &queries,
-        coarse_pruning,
-        keep_empty,
-    };
-    let la_start = clock.ticks();
-    let regions = build_regions(&input, clock, stats);
-    let dg = if build_dg {
-        DependencyGraph::build(&regions, clock, stats)
-    } else {
-        DependencyGraph::empty(regions.len())
-    };
-    buf.record(TraceEvent::Span {
-        kind: SpanKind::LookAhead,
-        group: Some(gi),
-        region: None,
-        start_tick: la_start,
-        end_tick: clock.ticks(),
+    let start_tick = clock.ticks();
+    let memo = memos.iter().find(|m| {
+        m.matches(
+            join_col,
+            &mapping,
+            &queries,
+            coarse_pruning,
+            build_dg,
+            keep_empty,
+        )
     });
-    assemble_group(join_col, mapping, &queries, regions, dg, exec.assume_dva)
+    let (regions, dg) = match memo {
+        Some(m) => {
+            clock.advance(m.ticks);
+            *stats += m.stats.clone();
+            let dg = DependencyGraph::from_threats_in(m.threats_in.clone());
+            (m.regions.clone(), dg)
+        }
+        None => {
+            let input = RegionBuildInput {
+                part_r,
+                part_t,
+                join_col,
+                mapping: &mapping,
+                queries: &queries,
+                coarse_pruning,
+                keep_empty,
+            };
+            let regions = build_regions(&input, clock, stats);
+            let dg = if build_dg {
+                DependencyGraph::build(&regions, clock, stats)
+            } else {
+                DependencyGraph::empty(regions.len())
+            };
+            (regions, dg)
+        }
+    };
+    let group = assemble_group(join_col, mapping, &queries, regions, dg, exec.assume_dva);
+    debug_assert!(
+        memo.map_or(true, |m| group.plan.cuboid().structure_digest()
+            == m.cuboid_digest),
+        "memoized cuboid digest out of sync"
+    );
+    if S::ENABLED {
+        for kind in [SpanKind::LookAhead, SpanKind::GroupBuild] {
+            sink.record(TraceEvent::Span {
+                kind,
+                group: Some(gi),
+                region: None,
+                start_tick,
+                end_tick: clock.ticks(),
+            });
+        }
+    }
+    group
 }
 
 /// The common tail of a cold build and a memo replay: everything a
@@ -423,53 +426,15 @@ pub(crate) fn assemble_group(
     }
 }
 
-/// Replays a memoized group build: charges the recorded tick/counter
-/// deltas, records the same `LookAhead` span the cold build would, and
-/// instantiates the group from the memo's persisted structures. The only
-/// recomputed pieces — the dependency-graph transpose, the min-max cuboid
-/// and the screening bounds — are pure functions of the stored state, so
-/// the resulting group is indistinguishable from a cold build.
-pub(crate) fn replay_group(
-    memo: &GroupMemo,
-    exec: &ExecConfig,
-    gi: u32,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-    buf: &mut TraceBuffer,
-) -> JoinGroup {
-    let la_start = clock.ticks();
-    clock.advance(memo.ticks);
-    *stats += memo.stats.clone();
-    buf.record(TraceEvent::Span {
-        kind: SpanKind::LookAhead,
-        group: Some(gi),
-        region: None,
-        start_tick: la_start,
-        end_tick: clock.ticks(),
-    });
-    let group = assemble_group(
-        memo.join_col,
-        memo.mapping.clone(),
-        &memo.queries,
-        memo.regions.clone(),
-        DependencyGraph::from_threats_in(memo.threats_in.clone()),
-        exec.assume_dva,
-    );
-    debug_assert_eq!(
-        group.plan.cuboid().structure_digest(),
-        memo.cuboid_digest,
-        "memoized cuboid digest out of sync"
-    );
-    group
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::PreparedPlan;
     use crate::workload::{QuerySpec, WorkloadBuilder};
     use caqe_contract::Contract;
-    use caqe_data::{Distribution, TableGenerator};
+    use caqe_data::{Distribution, Table, TableGenerator};
     use caqe_partition::QuadTreeConfig;
+    use caqe_trace::RecordingSink;
 
     fn spec(join_col: usize, pref: DimMask) -> QuerySpec {
         QuerySpec {
@@ -481,8 +446,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grouping_by_join_condition() {
+    /// Three queries over two join conditions, with the tables and config
+    /// they are built against.
+    fn two_group_fixture() -> (Workload, Table, Table, ExecConfig) {
         let w = WorkloadBuilder::new()
             .query(spec(0, DimMask::from_dims([0, 1])))
             .query(spec(1, DimMask::from_dims([1, 2])))
@@ -490,16 +456,22 @@ mod tests {
             .build();
         let gen =
             TableGenerator::new(200, 2, Distribution::Independent).with_selectivities(&[0.1, 0.1]);
-        let r = gen.generate("R");
-        let t = gen.generate("T");
-        let cfg = QuadTreeConfig {
-            max_leaf_size: 64,
-            max_depth: 4,
-            max_cells: usize::MAX,
+        let exec = ExecConfig {
+            quadtree: QuadTreeConfig {
+                max_leaf_size: 64,
+                max_depth: 4,
+                max_cells: usize::MAX,
+            },
+            ..ExecConfig::default()
         };
-        let pr = Partitioning::build(&r, cfg);
-        let pt = Partitioning::build(&t, cfg);
-        let exec = ExecConfig::default();
+        (w, gen.generate("R"), gen.generate("T"), exec)
+    }
+
+    #[test]
+    fn grouping_by_join_condition() {
+        let (w, r, t, exec) = two_group_fixture();
+        let pr = Partitioning::build(&r, exec.quadtree);
+        let pt = Partitioning::build(&t, exec.quadtree);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
         let groups = build_groups(
@@ -527,5 +499,60 @@ mod tests {
             assert_eq!(g.static_threats_in.len(), g.regions.len());
             assert!(g.arena.is_empty());
         }
+    }
+
+    #[test]
+    fn spans_are_absolute_and_contiguous_from_a_non_zero_start() {
+        // The ProgXe+ `start_ticks` case: groups opened on a clock that is
+        // already running record their spans in absolute ticks, back to
+        // back, and a memo replay is indistinguishable from the cold build.
+        let (w, r, t, exec) = two_group_fixture();
+        let mut plan = PreparedPlan::build(&r, &t, &exec);
+        plan.memoize(&w, &exec, true, true, false);
+        assert_eq!(plan.memos.len(), 2);
+        let start = 1_000_000;
+        let build = |memos: &[GroupMemo]| {
+            let mut clock = SimClock::new(exec.cost_model);
+            clock.advance(start);
+            let mut stats = Stats::new();
+            let mut sink = RecordingSink::new();
+            let (pr, pt) = (&plan.part_r, &plan.part_t);
+            let groups = build_groups_with_memos(
+                &w, pr, pt, &exec, true, true, false, memos, &mut clock, &mut stats, &mut sink,
+            );
+            assert_eq!(groups.len(), 2);
+            (sink.into_events(), clock.ticks(), stats)
+        };
+
+        let (cold, cold_ticks, cold_stats) = build(&[]);
+        let spans: Vec<_> = cold
+            .iter()
+            .map(|ev| match ev {
+                TraceEvent::Span {
+                    kind,
+                    group: Some(gi),
+                    region: None,
+                    start_tick,
+                    end_tick,
+                } => (*kind, *gi, *start_tick, *end_tick),
+                other => panic!("a group build records spans only, got {other:?}"),
+            })
+            .collect();
+        let kinds: Vec<_> = spans.iter().map(|&(kind, gi, ..)| (kind, gi)).collect();
+        let (la, gb) = (SpanKind::LookAhead, SpanKind::GroupBuild);
+        assert_eq!(kinds, [(la, 0), (gb, 0), (la, 1), (gb, 1)]);
+        let mut cursor = start;
+        for pair in spans.chunks(2) {
+            let ((_, _, la_start, _), (_, _, gb_start, gb_end)) = (pair[0], pair[1]);
+            assert_eq!((la_start, gb_start), (cursor, cursor));
+            assert!(gb_end > gb_start, "a group build charges ticks");
+            cursor = gb_end;
+        }
+        assert_eq!(cursor, cold_ticks);
+
+        let (warm, warm_ticks, warm_stats) = build(&plan.memos);
+        assert_eq!(warm, cold);
+        assert_eq!(warm_ticks, cold_ticks);
+        assert_eq!(warm_stats, cold_stats);
     }
 }

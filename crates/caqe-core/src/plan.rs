@@ -19,7 +19,7 @@
 //! to the cold path; there is never a partial apply.
 
 use crate::config::ExecConfig;
-use crate::group::{build_one_group, group_workload, GroupMemo};
+use crate::group::{group_workload, open_group, GroupMemo};
 use crate::workload::Workload;
 use caqe_cuboid::MinMaxCuboid;
 use caqe_data::Table;
@@ -27,14 +27,13 @@ use caqe_operators::{MappingFn, MappingSet};
 use caqe_partition::Partitioning;
 use caqe_regions::depgraph::Edge;
 use caqe_regions::{OutputRegion, RegionSet};
-use caqe_trace::TraceBuffer;
+use caqe_trace::NoopSink;
 use caqe_types::ids::QuerySet;
 use caqe_types::{
     f64_hex, parse_f64_hex, CellId, DimMask, Fnv1a, QueryId, Rect, RegionId, SimClock, Stats,
 };
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::Path;
 
 /// On-disk format version this build writes and the highest it can read.
@@ -207,21 +206,21 @@ impl PreparedPlan {
             }
             let mut clock = SimClock::new(exec.cost_model);
             let mut stats = Stats::new();
-            let mut buf = TraceBuffer::new(false);
-            let group = build_one_group(
+            let group = open_group(
                 &self.part_r,
                 &self.part_t,
                 exec,
                 coarse_pruning,
                 build_dg,
                 keep_empty,
+                &[],
                 0,
                 join_col,
                 mapping.clone(),
                 queries.clone(),
                 &mut clock,
                 &mut stats,
-                &mut buf,
+                &mut NoopSink,
             );
             let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
             debug_assert!(
@@ -398,27 +397,13 @@ impl PreparedPlan {
         })
     }
 
-    /// Writes the plan to `path` with the crash-safe discipline of the
-    /// serving snapshot: temp file in the same directory, `fsync`,
-    /// atomic rename over the target, then directory `fsync` — a crash
-    /// at any point leaves either the old plan or the new one, never a
-    /// torn file.
+    /// Writes the plan to `path` through the crash-safe writer it shares
+    /// with the serving snapshot ([`caqe_types::persist::write_atomic`]):
+    /// a crash at any point leaves either the old plan or the new one,
+    /// never a torn file.
     pub fn save(&self, path: &Path) -> Result<(), PlanError> {
-        let text = self.to_text();
-        let io = |e: std::io::Error| PlanError::Io(e.to_string());
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-        let tmp = path.with_extension("plan.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(io)?;
-            f.write_all(text.as_bytes()).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, path).map_err(io)?;
-        if let Some(dir) = dir {
-            // Persist the rename itself (the directory entry).
-            fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)?;
-        }
-        Ok(())
+        caqe_types::persist::write_atomic(path, self.to_text().as_bytes())
+            .map_err(|e| PlanError::Io(e.to_string()))
     }
 
     /// Loads a plan from `path` and validates it against the current
@@ -1011,5 +996,31 @@ mod tests {
         assert_eq!(back.to_text(), plan.to_text());
         assert!(back.matches_inputs(&r, &t, &exec));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn sibling_plans_save_apart_and_a_failed_save_leaves_nothing() {
+        let (r, t, _, exec, plan) = built_plan();
+        let dir = std::env::temp_dir().join(format!("caqe_plan_siblings_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        // `a.v1` and `a.v2` used to share the temp file `a.plan.tmp`.
+        for name in ["a.v1", "a.v2"] {
+            plan.save(&dir.join(name)).expect("save");
+        }
+        for name in ["a.v1", "a.v2"] {
+            let back = PreparedPlan::load(&dir.join(name), &r, &t, &exec).expect("load");
+            assert_eq!(back.to_text(), plan.to_text());
+        }
+        match plan.save(&dir.join("missing/a.v1")) {
+            Err(PlanError::Io(_)) => {}
+            other => panic!("expected an io error, got {other:?}"),
+        }
+        let mut left: Vec<_> = std::fs::read_dir(&dir)
+            .expect("readable dir")
+            .map(|e| e.expect("entry").file_name())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["a.v1", "a.v2"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

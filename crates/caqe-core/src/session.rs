@@ -4,12 +4,11 @@
 //! The batch engine processes a fixed workload `S_Q`; real decision-support
 //! front-ends admit and retire queries while the shared plan is running.
 //! A [`SessionEvent`] stream extends the engine to that regime without
-//! giving up bit-determinism: events carry *virtual* ticks, are applied
-//! sequentially on the main scheduling thread at the first loop iteration
-//! whose clock reading has reached them, and every piece of incremental
-//! plan maintenance they trigger charges the same clock — so the whole
-//! session remains a pure function of (workload, events, config) at any
-//! `--threads` setting.
+//! giving up bit-determinism: events carry *virtual* ticks, are applied in
+//! stream order at the first loop iteration whose clock reading has reached
+//! them, and every piece of incremental plan maintenance they trigger
+//! charges the same clock — so the whole session remains a pure function of
+//! (workload, events, config).
 
 use crate::workload::QuerySpec;
 use caqe_types::{EngineError, QueryId, Ticks};

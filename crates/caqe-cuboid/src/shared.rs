@@ -19,7 +19,7 @@
 
 use crate::minmax::MinMaxCuboid;
 use caqe_operators::{InsertOutcome, SkylineWindow};
-use caqe_parallel::{map_ordered, Threads};
+use caqe_parallel::Threads;
 use caqe_types::sig::SigQuantizer;
 use caqe_types::{DimMask, PointId, PointStore, QueryId, SimClock, Stats, Value};
 
@@ -65,37 +65,12 @@ impl<'a> Batch<'a> {
     }
 }
 
-/// What one subspace shard reports back from replaying a batch.
-struct ShardOut {
-    /// Cuboid index of the subspace this shard owns.
+/// What batch candidate `candidate` pushed out of the window at cuboid
+/// position `subspace` when it was admitted there.
+struct Eviction {
+    candidate: usize,
     subspace: usize,
-    /// Per batch candidate: admitted into this subspace?
-    admitted: Vec<bool>,
-    /// `(candidate, evicted tags)` in candidate order.
-    evictions: Vec<(usize, Vec<u64>)>,
-    /// What the shard's inserts counted.
-    stats: Stats,
-}
-
-impl ShardOut {
-    /// Folds the shard's charges and admissions into the run's totals and
-    /// hands back its evictions. Called in fixed shard order, which is what
-    /// makes the merged tick stream independent of the thread count.
-    fn merge_into(
-        self,
-        added_bits: &mut [u64],
-        clock: &mut SimClock,
-        stats: &mut Stats,
-    ) -> Vec<(usize, Vec<u64>)> {
-        clock.charge_dom_cmps(self.stats.dom_comparisons);
-        *stats += self.stats;
-        for (bits, admitted) in added_bits.iter_mut().zip(self.admitted) {
-            if admitted {
-                *bits |= 1u64 << self.subspace;
-            }
-        }
-        self.evictions
-    }
+    tags: Vec<u64>,
 }
 
 /// Result of inserting one tuple into the shared plan.
@@ -257,18 +232,9 @@ impl SharedSkylinePlan {
             return;
         }
         let batch = self.open_batch(0, history.as_flat(), history.stride());
-        let shards = self
-            .windows
-            .iter_mut()
-            .enumerate()
-            .filter(|(i, _)| fresh.contains(i))
-            .collect();
-        let mut added_bits = vec![0u64; batch.len()];
-        let serial = Threads::default();
-        for out in replay(shards, &self.cuboid, &self.points, batch, None, serial) {
-            out.merge_into(&mut added_bits, clock, stats);
-        }
-        self.intern_admitted(batch, &added_bits, stats);
+        // Nobody read a fresh window while it was being filled, so what the
+        // backfill evicts was never reported: the outcome is dropped.
+        self.replay(fresh, batch, false, clock, stats);
     }
 
     /// Retires query `q` from the plan: prunes the cuboid per Definition 7
@@ -344,36 +310,37 @@ impl SharedSkylinePlan {
         }
     }
 
-    /// Inserts a batch of tuples through the cuboid with the per-subspace
-    /// work sharded across `threads`; the outcome, ticks and observable
-    /// stats depend only on the tuple sequence, not on how it is cut into
-    /// batches or how many threads run them.
+    /// Inserts a batch of tuples through the cuboid; the outcome, ticks and
+    /// observable stats depend only on the tuple sequence, not on how it is
+    /// cut into batches.
     ///
     /// Tuple `c` of the batch lives at `vals[c * stride..][..stride]` and
-    /// receives tag `first_tag + c`. The decomposition exploits two facts:
+    /// receives tag `first_tag + c`. The batch is replayed **one subspace at
+    /// a time** (the whole candidate run against one window, then the next
+    /// window) rather than one tuple at a time through every window — that
+    /// order is cache blocking, and it is exact because:
     ///
     /// * a subspace window's evolution depends only on *earlier candidates
     ///   in that same subspace* plus, through the Theorem 1 shortcut, the
-    ///   admission bits of strictly *lower lattice levels* (every kept child
-    ///   is a strict subset, hence on a lower level);
+    ///   admission bits of its kept children — strict subsets, hence lower
+    ///   cuboid indices, hence already final when the subspace is reached;
     /// * comparison charges are additive and nothing reads the clock during
-    ///   an insert phase, so merging each shard's privately counted
-    ///   comparisons in **fixed subspace order** reproduces the
-    ///   one-at-a-time tick stream exactly.
+    ///   an insert phase, so charging the batch's comparisons in one sum
+    ///   lands on the one-at-a-time tick total.
     ///
-    /// So levels run sequentially (a barrier per level freezes the admission
-    /// bits the next level's Theorem 1 test reads) and the subspaces *within*
-    /// a level run as independent shards on the scoped pool, each replaying
-    /// the full candidate sequence against its own window. New candidates
-    /// are referenced via sentinel handles inside the shards and interned in
-    /// candidate order afterwards, so arena ids do not depend on the cut
-    /// either.
+    /// New candidates are referenced via sentinel handles during the replay
+    /// and interned in candidate order afterwards, so arena ids do not
+    /// depend on the cut either.
+    ///
+    /// `_threads` is accepted and ignored: the parameter is benchmark-pinned
+    /// (`benchmark/src` compiles against this signature) and the engine is
+    /// serial until ROADMAP item 4 lands.
     pub fn insert_batch(
         &mut self,
         first_tag: u64,
         vals: &[Value],
         stride: usize,
-        threads: Threads,
+        _threads: Threads,
         clock: &mut SimClock,
         stats: &mut Stats,
     ) -> Vec<SharedInsert> {
@@ -383,9 +350,8 @@ impl SharedSkylinePlan {
             return Vec::new();
         }
         // A window attaches its signature screen the first time a batch
-        // reaches it (a miss: its members are quantized once, serially, so
-        // the counters are identical at every thread count) and keeps it in
-        // lockstep from then on (a hit).
+        // reaches it (a miss: its members are quantized once) and keeps it
+        // in lockstep from then on (a hit).
         if let Some((lo, hi)) = &self.sig_bounds {
             for (win, &sub) in self.windows.iter_mut().zip(self.cuboid.subspaces()) {
                 if win.is_screened() {
@@ -400,67 +366,36 @@ impl SharedSkylinePlan {
             }
         }
 
-        // Admission bitmask per candidate; a level only ever reads bits set
-        // by strictly lower levels (frozen by the per-level barrier).
-        let mut added_bits: Vec<u64> = vec![0; count];
-        // Evictions per candidate, accumulated in ascending subspace order —
-        // exactly the order a one-at-a-time insert encounters them.
-        let mut evictions: Vec<Vec<(usize, Vec<u64>)>> = vec![Vec::new(); count];
+        debug_assert!(
+            self.cuboid
+                .subspaces()
+                .windows(2)
+                .all(|w| w[0].len() <= w[1].len()),
+            "cuboid subspaces not level-sorted"
+        );
+        let every = 0..self.cuboid.len();
+        let (added_bits, mut evictions) = self.replay(every, batch, self.assume_dva, clock, stats);
 
-        let n_subs = self.cuboid.len();
-        let mut level_start = 0usize;
-        while level_start < n_subs {
-            let level = self.cuboid.subspaces()[level_start].len();
-            let mut level_end = level_start + 1;
-            while level_end < n_subs && self.cuboid.subspaces()[level_end].len() == level {
-                level_end += 1;
-            }
-            debug_assert!(
-                level_end == n_subs || self.cuboid.subspaces()[level_end].len() > level,
-                "cuboid subspaces not level-sorted"
-            );
-            let shards = self.windows[level_start..level_end]
-                .iter_mut()
-                .enumerate()
-                .map(|(k, win)| (level_start + k, win))
-                .collect();
-            let outs = replay(
-                shards,
-                &self.cuboid,
-                &self.points,
-                batch,
-                self.assume_dva.then_some(&added_bits),
-                threads,
-            );
-            // Fixed-order merge: ascending subspace index within the level.
-            for out in outs {
-                let subspace = out.subspace;
-                for (c, tags) in out.merge_into(&mut added_bits, clock, stats) {
-                    evictions[c].push((subspace, tags));
-                }
-            }
-            level_start = level_end;
-        }
-        self.intern_admitted(batch, &added_bits, stats);
-
+        // Per candidate, its evictions in ascending subspace order — the
+        // order a one-at-a-time insert encounters them (the sort is stable).
+        evictions.sort_by_key(|e| e.candidate);
+        let mut evictions = evictions.into_iter().peekable();
+        let queries = || (0..self.cuboid.num_queries()).map(|q| QueryId(q as u16));
         (0..count)
             .map(|c| {
                 let added_mask = added_bits[c];
-                let in_query_sky = (0..self.cuboid.num_queries())
+                let in_query_sky = queries()
                     .map(|q| {
-                        let qid = QueryId(q as u16);
-                        self.cuboid.is_active(qid)
-                            && added_mask & (1u64 << self.cuboid.query_subspace(qid)) != 0
+                        self.cuboid.is_active(q)
+                            && added_mask & (1u64 << self.cuboid.query_subspace(q)) != 0
                     })
                     .collect();
                 let mut query_evictions: Vec<(QueryId, Vec<u64>)> = Vec::new();
-                for (i, tags) in &evictions[c] {
-                    for q in 0..self.cuboid.num_queries() {
-                        let qid = QueryId(q as u16);
-                        if self.cuboid.is_active(qid) && self.cuboid.query_subspace(qid) == *i {
-                            query_evictions.push((qid, tags.clone()));
-                        }
-                    }
+                while let Some(ev) = evictions.next_if(|e| e.candidate == c) {
+                    let owners = queries().filter(|&q| {
+                        self.cuboid.is_active(q) && self.cuboid.query_subspace(q) == ev.subspace
+                    });
+                    query_evictions.extend(owners.map(|q| (q, ev.tags.clone())));
                 }
                 SharedInsert {
                     added_mask,
@@ -471,55 +406,62 @@ impl SharedSkylinePlan {
             .collect()
     }
 
+    /// Replays `batch` through the windows at the cuboid positions
+    /// `subspaces` (ascending), one position at a time: every candidate, in
+    /// order, against one window, then the next window. Charges the
+    /// comparisons to the clock, interns what was admitted and returns, per
+    /// candidate, the bitmask of positions that admitted it, plus the
+    /// evictions in replay order.
+    /// With `theorem1`, a candidate already admitted to a kept child (a
+    /// lower position, so its bit is final) skips the window's reject scan.
+    fn replay(
+        &mut self,
+        subspaces: impl IntoIterator<Item = usize>,
+        batch: Batch<'_>,
+        theorem1: bool,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> (Vec<u64>, Vec<Eviction>) {
+        let mut added_bits = vec![0u64; batch.len()];
+        let mut evictions = Vec::new();
+        let comps_before = stats.dom_comparisons;
+        for subspace in subspaces {
+            let child_bits: u64 = self
+                .cuboid
+                .children(subspace)
+                .iter()
+                .fold(0u64, |acc, &c| acc | (1u64 << c));
+            let (win, arena) = (&mut self.windows[subspace], &self.points);
+            for (c, bits) in added_bits.iter_mut().enumerate() {
+                let outcome = win.insert(
+                    batch.first_tag + c as u64,
+                    batch.point(c),
+                    PointId(BATCH_SENTINEL | c as u32),
+                    theorem1 && *bits & child_bits != 0,
+                    |pid| batch.member(arena, pid),
+                    stats,
+                );
+                if let InsertOutcome::Added { removed } = outcome {
+                    *bits |= 1u64 << subspace;
+                    if !removed.is_empty() {
+                        evictions.push(Eviction {
+                            candidate: c,
+                            subspace,
+                            tags: removed,
+                        });
+                    }
+                }
+            }
+        }
+        clock.charge_dom_cmps(stats.dom_comparisons - comps_before);
+        self.intern_admitted(batch, &added_bits, stats);
+        (added_bits, evictions)
+    }
+
     /// The subspace mask maintained at cuboid position `i` (diagnostics).
     pub fn subspace(&self, i: usize) -> DimMask {
         self.cuboid.subspaces()[i]
     }
-}
-
-/// Replays every candidate of `batch`, in order, against each shard's
-/// window — one shard per `(cuboid index, window)`, spread over `threads` —
-/// and returns the shard reports in shard order. `survivors[c]` holds the
-/// subspaces candidate `c` is already known to have entered (Theorem 1
-/// applies to their parents); `None` switches the shortcut off.
-fn replay(
-    shards: Vec<(usize, &mut SkylineWindow)>,
-    cuboid: &MinMaxCuboid,
-    arena: &PointStore,
-    batch: Batch<'_>,
-    survivors: Option<&[u64]>,
-    threads: Threads,
-) -> Vec<ShardOut> {
-    map_ordered(threads, shards, |_, (subspace, win)| {
-        let child_bits: u64 = cuboid
-            .children(subspace)
-            .iter()
-            .fold(0u64, |acc, &c| acc | (1u64 << c));
-        let mut out = ShardOut {
-            subspace,
-            admitted: vec![false; batch.len()],
-            evictions: Vec::new(),
-            stats: Stats::new(),
-        };
-        for c in 0..batch.len() {
-            let known_survivor = survivors.is_some_and(|bits| bits[c] & child_bits != 0);
-            let outcome = win.insert(
-                batch.first_tag + c as u64,
-                batch.point(c),
-                PointId(BATCH_SENTINEL | c as u32),
-                known_survivor,
-                |pid| batch.member(arena, pid),
-                &mut out.stats,
-            );
-            if let InsertOutcome::Added { removed } = outcome {
-                out.admitted[c] = true;
-                if !removed.is_empty() {
-                    out.evictions.push((c, removed));
-                }
-            }
-        }
-        out
-    })
 }
 
 #[cfg(test)]

@@ -4,14 +4,14 @@
 //! a stateless hash of `(seed, injection point, group, region, attempt)`,
 //! never of RNG state, thread identity or wall time. Two consequences:
 //!
-//! * **Thread invariance** — the same plan fires the same faults at the
-//!   same virtual-clock points regardless of `--threads`, so the chaos
-//!   suite can assert byte-identical traces across parallelism settings.
+//! * **Run invariance** — the same plan fires the same faults at the same
+//!   virtual-clock points on every run, so the chaos suite can assert
+//!   byte-identical traces.
 //! * **Replayability** — a failure observed under `--faults <spec>` is
 //!   reproduced exactly by re-running with the same spec.
 //!
 //! The plan covers the four fault classes of the chaos harness:
-//! region cost spikes, estimator perturbation, worker panics inside region
+//! region cost spikes, estimator perturbation, panics inside region
 //! processing units, and input corruption at ingestion (NaN/±Inf values
 //! and duplicate record ids). A plan with every rate at zero
 //! ([`FaultPlan::none`]) is inert: every hook in the engine is a strict
@@ -31,7 +31,7 @@ const DOMAIN_EST: u64 = 0x45535449; // "ESTI"
 const DOMAIN_CORRUPT: u64 = 0x434f5252; // "CORR"
 const DOMAIN_ADMIT: u64 = 0x41444d54; // "ADMT"
 
-/// Panic payload used for injected worker panics. Carrying a dedicated
+/// Panic payload used for injected region panics. Carrying a dedicated
 /// type lets the engine's `catch_unwind` recovery (and the chaos suite's
 /// panic hook) distinguish injected faults from genuine bugs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,7 +209,7 @@ pub struct FaultPlan {
     /// Probability one *admission attempt* of an online session event
     /// panics before any engine state is mutated (a clean retry), or the
     /// admitted query's cardinality estimate is perturbed. Verdicts are
-    /// per-attempt, like worker panics.
+    /// per-attempt, like region panics.
     pub admit_rate: f64,
 }
 
@@ -271,7 +271,7 @@ impl FaultPlan {
         self
     }
 
-    /// Enables per-attempt worker panics at `rate`.
+    /// Enables per-attempt region panics at `rate`.
     pub fn with_panics(mut self, rate: f64) -> Self {
         self.panic_rate = rate;
         self
@@ -432,7 +432,7 @@ impl FaultPlan {
     /// * `seed=<u64>` — decision seed (default 0);
     /// * `spike=<rate>[x<factor>]` — cost spikes (factor default 8);
     /// * `est=<rate>[x<factor>]` — estimator noise (factor default 4);
-    /// * `panic=<rate>` — per-attempt worker panics;
+    /// * `panic=<rate>` — per-attempt region panics;
     /// * `corrupt=<rate>` — per-record ingestion corruption.
     ///
     /// The empty string or `"none"` yields the inert plan.

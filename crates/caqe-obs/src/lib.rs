@@ -4,8 +4,8 @@
 //!
 //! 1. **Metrics registry** ([`MetricsRegistry`]) — counters, gauges and
 //!    log2-bucketed histograms keyed by the virtual clock. `BTreeMap`
-//!    storage and fixed-order shard merging make every snapshot a pure
-//!    function of (workload, config): byte-identical at any `--threads`.
+//!    storage makes every snapshot a pure function of (workload, config):
+//!    byte-identical from run to run.
 //! 2. **Collection** ([`ObsCollector`], [`ObserverSink`]) — the
 //!    contract-SLO monitor (running satisfaction, satisfaction timelines,
 //!    deadline-at-risk projection, shed/retry/quarantine/admit/depart

@@ -5,12 +5,12 @@
 //! [histograms](Histogram) — all keyed by `BTreeMap` so every export walks
 //! metrics in lexicographic key order. Values derive exclusively from the
 //! virtual clock and from `Stats` counters, never from wall time, so two
-//! snapshots of the same run are byte-identical at any `--threads` setting.
+//! snapshots of the same run are byte-identical.
 //!
-//! Per-worker shards are plain registries: [`MetricsRegistry::merge`] folds
-//! a shard in with counter/histogram addition and last-write-wins gauges,
-//! so merging shards in a fixed (chunk-index) order reproduces the serial
-//! update sequence exactly.
+//! [`MetricsRegistry::merge`] folds another registry in with
+//! counter/histogram addition and last-write-wins gauges, so merging parts
+//! in the order they were filled reproduces the one-registry update
+//! sequence exactly.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -18,10 +18,9 @@
 //! verified first.
 
 use caqe_contract::Contract;
-use caqe_types::fnv1a;
+use caqe_types::{fnv1a, persist};
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::Path;
 
 /// Current snapshot format version.
@@ -392,8 +391,8 @@ impl Snapshot {
     }
 }
 
-/// Crash-safely writes `snap` to `path`: temp file in the same directory,
-/// `write_all` + `sync_all`, atomic rename, parent-directory fsync.
+/// Crash-safely writes `snap` to `path` through the writer it shares with
+/// the plan file ([`persist::write_atomic`]'s two halves).
 pub fn write_snapshot(path: &Path, snap: &Snapshot) -> Result<(), SnapshotError> {
     write_snapshot_with_crash(path, snap, CrashPoint::None)
 }
@@ -405,34 +404,17 @@ pub fn write_snapshot_with_crash(
     snap: &Snapshot,
     crash: CrashPoint,
 ) -> Result<(), SnapshotError> {
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let file_name = path
-        .file_name()
-        .ok_or_else(|| corrupt("snapshot path has no file name".to_string()))?;
-    let tmp = path.with_file_name(format!("{}.tmp", file_name.to_string_lossy()));
     let text = snap.to_text();
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        if crash == CrashPoint::MidWrite {
-            // Torn write: half the body, no checksum, then "power loss".
-            f.write_all(&text.as_bytes()[..text.len() / 2])?;
-            f.sync_all()?;
-            return Err(SnapshotError::SimulatedCrash);
-        }
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
+    let mut bytes = text.as_bytes();
+    if crash == CrashPoint::MidWrite {
+        // Torn write: half the body, no checksum, then "power loss".
+        bytes = &bytes[..bytes.len() / 2];
     }
-    if crash == CrashPoint::BeforeRename {
+    let tmp = persist::stage_temp(path, bytes)?;
+    if crash != CrashPoint::None {
         return Err(SnapshotError::SimulatedCrash);
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = dir {
-        // Persist the rename itself: fsync the directory entry. Best
-        // effort — some filesystems refuse directory handles.
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    persist::publish_temp(&tmp, path)?;
     Ok(())
 }
 

@@ -2,7 +2,7 @@
 //!
 //! Every event carries virtual-clock ticks, never wall time: the trace is a
 //! pure function of (workload, strategy, config-visible knobs), which is
-//! what makes it diffable across runs and parallelism settings.
+//! what makes it diffable across runs.
 
 use caqe_regions::ReconciledEstimate;
 use caqe_types::Ticks;
@@ -36,10 +36,7 @@ impl SpanKind {
 
 /// One structured observation of engine behaviour.
 ///
-/// Tick fields are absolute virtual-clock readings except inside a
-/// [`TraceBuffer`](crate::TraceBuffer), where they are relative to the
-/// buffer's base until [`offset_ticks`](TraceEvent::offset_ticks) rebases
-/// them at merge time.
+/// Tick fields are absolute virtual-clock readings.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// Run header: identifies the strategy and clock calibration so a trace
@@ -145,9 +142,7 @@ pub enum TraceEvent {
         /// Mean running satisfaction that triggered the shed.
         satisfaction: f64,
     },
-    /// A query joined the running workload through the online session layer
-    /// (admission is processed on the main scheduling thread, so the tick is
-    /// thread-invariant).
+    /// A query joined the running workload through the online session layer.
     Admit {
         tick: Ticks,
         /// Global query slot assigned to the arrival.
@@ -221,42 +216,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Rebases every tick field by `base` — used when merging a worker's
-    /// relative-tick buffer into the absolute timeline.
-    pub fn offset_ticks(&mut self, base: Ticks) {
-        match self {
-            TraceEvent::Meta { start_tick, .. } => *start_tick += base,
-            TraceEvent::Span {
-                start_tick,
-                end_tick,
-                ..
-            } => {
-                *start_tick += base;
-                *end_tick += base;
-            }
-            TraceEvent::Decision { tick, .. } => *tick += base,
-            TraceEvent::Emission { tick, .. } => *tick += base,
-            TraceEvent::EstimateAudit {
-                scheduled_tick,
-                completed_tick,
-                ..
-            } => {
-                *scheduled_tick += base;
-                *completed_tick += base;
-            }
-            TraceEvent::FaultInjected { tick, .. } => *tick += base,
-            TraceEvent::RegionRetry { tick, .. } => *tick += base,
-            TraceEvent::RegionQuarantined { tick, .. } => *tick += base,
-            TraceEvent::RegionShed { tick, .. } => *tick += base,
-            TraceEvent::Admit { tick, .. } => *tick += base,
-            TraceEvent::Depart { tick, .. } => *tick += base,
-            TraceEvent::AdmissionReject { tick, .. } => *tick += base,
-            TraceEvent::ServerShutdown { tick, .. } => *tick += base,
-            TraceEvent::ServerRestore { tick, .. } => *tick += base,
-            TraceEvent::IngestAudit { tick, .. } => *tick += base,
-        }
-    }
-
     /// The event's primary timestamp, for ordering checks.
     pub fn tick(&self) -> Ticks {
         match self {
@@ -284,57 +243,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn offset_rebases_every_tick_field() {
-        let mut ev = TraceEvent::Span {
-            kind: SpanKind::GroupBuild,
-            group: Some(2),
-            region: None,
-            start_tick: 10,
-            end_tick: 25,
-        };
-        ev.offset_ticks(100);
-        assert_eq!(
-            ev,
-            TraceEvent::Span {
-                kind: SpanKind::GroupBuild,
-                group: Some(2),
-                region: None,
-                start_tick: 110,
-                end_tick: 125,
-            }
-        );
-
-        let mut ev = TraceEvent::Emission {
-            tick: 7,
-            query: 1,
-            seq: 3,
-            rid: 9,
-            tid: 40,
-            utility: 0.5,
-            satisfaction: 0.25,
-        };
-        ev.offset_ticks(13);
-        assert_eq!(ev.tick(), 20);
-    }
-
-    #[test]
     fn serving_events_offset_and_tick() {
-        let mut ev = TraceEvent::AdmissionReject {
-            tick: 5,
+        let ev = TraceEvent::AdmissionReject {
+            tick: 15,
             session: 9,
             reason: "full",
             depth: 8,
             bound: 8,
         };
-        ev.offset_ticks(10);
         assert_eq!(ev.tick(), 15);
-        let mut ev = TraceEvent::ServerShutdown {
-            tick: 100,
+        let ev = TraceEvent::ServerShutdown {
+            tick: 101,
             queued: 3,
             drained: 7,
             snapshot_version: 1,
         };
-        ev.offset_ticks(1);
         assert_eq!(ev.tick(), 101);
         let ev = TraceEvent::ServerRestore {
             tick: 0,

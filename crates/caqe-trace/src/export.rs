@@ -565,14 +565,13 @@ mod tests {
         });
         assert!(depart.contains("\"ev\":\"depart\""), "{depart}");
         assert!(depart.contains("\"regions_retired\":2"));
-        let mut ev = TraceEvent::Admit {
-            tick: 10,
+        let ev = TraceEvent::Admit {
+            tick: 15,
             query: 0,
             contract: "log_decay".to_string(),
             group: 0,
             incremental: false,
         };
-        ev.offset_ticks(5);
         assert_eq!(ev.tick(), 15);
     }
 

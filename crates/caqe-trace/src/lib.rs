@@ -22,11 +22,11 @@
 //!
 //! Every event field derives from the virtual clock and the engine's
 //! deterministic state — never from wall time, host scheduling or memory
-//! layout. Sequential code records straight into a [`TraceSink`]; worker
-//! threads record into private [`TraceBuffer`]s (relative ticks) that are
-//! merged in the same fixed chunk order as the `caqe-parallel` stat deltas.
-//! The serialized trace is therefore **bit-identical at every
-//! `parallelism` setting**, which `tests/determinism_parallel.rs` asserts.
+//! layout. The engine is serial: every recording site sits on the one
+//! scheduling thread and records straight into a [`TraceSink`] in absolute
+//! ticks, so the serialized trace is a pure function of the input —
+//! `tests/determinism_parallel.rs` pins it against committed goldens (and
+//! sweeps the inert `parallelism` knob for the day it is not).
 //!
 //! # Cost when disabled
 //!
@@ -46,4 +46,4 @@ pub use event::{SpanKind, TraceEvent};
 pub use export::{
     chrome_trace, estimator_summary, satisfaction_csv, to_jsonl, write_trace, EstimatorSummary,
 };
-pub use sink::{NoopSink, RecordingSink, TraceBuffer, TraceSink};
+pub use sink::{NoopSink, RecordingSink, TraceSink};

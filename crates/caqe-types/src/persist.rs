@@ -6,9 +6,13 @@
 //! by an FNV-1a checksum, with floats encoded as the hex of their IEEE-754
 //! bits so round-trips are lossless bit-for-bit (NaN payloads included).
 //! This module centralizes those primitives so each codec spells them the
-//! same way.
+//! same way — and holds the one crash-safe writer both go to disk through
+//! ([`write_atomic`]).
 
 use crate::Value;
+use std::fs;
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -91,6 +95,52 @@ pub fn parse_f64_hex(s: &str) -> Option<Value> {
     u64::from_str_radix(s, 16).ok().map(Value::from_bits)
 }
 
+/// Crash-safely replaces the file at `path` with `bytes`: [`stage_temp`],
+/// then [`publish_temp`]. A crash at any point leaves either the old file
+/// or the new one, never a torn one.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    publish_temp(&stage_temp(path, bytes)?, path)
+}
+
+/// First half of [`write_atomic`]: writes `bytes` to `<file name>.tmp`
+/// beside `path` and `fsync`s it. The temp name keeps the target's full
+/// file name, so targets differing only by extension never share a temp.
+/// Returns the temp path; on an I/O error the temp file is removed.
+pub fn stage_temp(path: &Path, bytes: &[u8]) -> io::Result<PathBuf> {
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path has no file name"))?
+        .to_os_string();
+    name.push(".tmp");
+    let tmp = path.with_file_name(name);
+    let mut f = fs::File::create(&tmp)?;
+    let written = f.write_all(bytes).and_then(|()| f.sync_all());
+    or_remove(&tmp, written)?;
+    Ok(tmp)
+}
+
+/// Second half of [`write_atomic`]: atomically renames the staged `tmp`
+/// over `path`, then `fsync`s the parent directory to persist the rename
+/// itself. The directory sync is best effort — some filesystems refuse
+/// directory handles, and by then the file is already published. If the
+/// rename fails the temp file is removed.
+pub fn publish_temp(tmp: &Path, path: &Path) -> io::Result<()> {
+    or_remove(tmp, fs::rename(tmp, path))?;
+    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(Ok(d)) = dir.map(fs::File::open) {
+        let _ = d.sync_all();
+    }
+    Ok(())
+}
+
+/// Passes `result` through, removing `tmp` first if it is an error.
+fn or_remove(tmp: &Path, result: io::Result<()>) -> io::Result<()> {
+    if result.is_err() {
+        let _ = fs::remove_file(tmp);
+    }
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,5 +215,55 @@ mod tests {
     #[test]
     fn bad_hex_rejected() {
         assert!(parse_f64_hex("not-hex").is_none());
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("caqe_persist_{name}_{}", std::process::id()));
+        fs::create_dir_all(&dir).expect("tmpdir");
+        dir
+    }
+
+    fn temps_in(dir: &Path) -> usize {
+        let entries = fs::read_dir(dir).expect("readable dir");
+        entries
+            .filter(|e| e.as_ref().expect("entry").path().extension() == Some("tmp".as_ref()))
+            .count()
+    }
+
+    #[test]
+    fn targets_differing_by_extension_stage_apart() {
+        // Both writers are mid-flight before either publishes — the
+        // interleaving that tore `a.plan.tmp` when the temp name was
+        // derived by replacing the extension.
+        let dir = scratch_dir("ext");
+        let (v1, v2) = (dir.join("a.v1"), dir.join("a.v2"));
+        let t1 = stage_temp(&v1, b"one").expect("stage");
+        let t2 = stage_temp(&v2, b"two").expect("stage");
+        assert_eq!(t1, dir.join("a.v1.tmp"));
+        assert_ne!(t1, t2);
+        publish_temp(&t1, &v1).expect("publish");
+        publish_temp(&t2, &v2).expect("publish");
+        assert_eq!(fs::read(&v1).expect("v1"), b"one");
+        assert_eq!(fs::read(&v2).expect("v2"), b"two");
+        assert_eq!(temps_in(&dir), 0);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_write_leaves_no_temp_behind() {
+        let dir = scratch_dir("fail");
+        // No such directory: nothing can be staged.
+        assert!(write_atomic(&dir.join("missing/x"), b"x").is_err());
+        // Staged fine, but a file cannot be renamed over a directory.
+        let target = dir.join("occupied");
+        fs::create_dir_all(target.join("sub")).expect("dir target");
+        assert!(write_atomic(&target, b"x").is_err());
+        assert_eq!(temps_in(&dir), 0);
+        // An overwrite replaces the content in place.
+        let path = dir.join("x");
+        write_atomic(&path, b"old").expect("write");
+        write_atomic(&path, b"new").expect("overwrite");
+        assert_eq!(fs::read(&path).expect("read"), b"new");
+        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -63,9 +63,8 @@ pub struct Stats {
     /// Non-finite preference values clamped by ingestion validation.
     pub ingest_clamped: u64,
     /// Virtual ticks spent building join groups (partitioning excluded —
-    /// the quad-tree build is uncharged). Accounted at the engine's phase
-    /// boundaries on the main scheduling thread, so the breakdown is
-    /// thread-invariant like every other counter.
+    /// the quad-tree build is uncharged). Read off the clock at the engine's
+    /// phase boundaries.
     pub build_ticks: u64,
     /// Virtual ticks spent in the probe/project phase of region processing.
     pub probe_ticks: u64,
@@ -106,8 +105,9 @@ pub struct Stats {
     /// Points interned into shared-plan stores (one-copy occupancy).
     pub plan_points_interned: u64,
     /// Per-query breakdown of emissions and utility, indexed by `QueryId`.
-    /// Empty until an executor sizes it to the workload; worker-thread stat
-    /// deltas carry it empty, so merges never misattribute across indices.
+    /// Empty until an executor sizes it to the workload; a memoized
+    /// group-build delta carries it empty, so replaying one never
+    /// misattributes across indices.
     pub per_query: Vec<PerQueryStats>,
 }
 
@@ -159,7 +159,7 @@ impl Stats {
     }
 
     /// Every scalar counter as a `(name, value)` pair, in declaration
-    /// order. The per-query breakdown is not included — worker-side stat
+    /// order. The per-query breakdown is not included — group-build stat
     /// deltas (the thing the plan snapshot memoizes) carry it empty.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         macro_rules! list {
@@ -365,7 +365,7 @@ mod tests {
         assert_eq!(a.per_query[0].tuples_emitted, 3);
         assert_eq!(a.per_query[1], PerQueryStats::default());
         assert!((a.per_query[2].utility_sum - 1.5).abs() < 1e-12);
-        // Merging an empty (worker-delta) breakdown changes nothing.
+        // Merging an empty (memo-delta) breakdown changes nothing.
         let snapshot = a.clone();
         a += Stats::new();
         assert_eq!(a.per_query, snapshot.per_query);

@@ -39,7 +39,7 @@ pub use caqe_regions as regions;
 pub use caqe_trace as trace;
 
 /// Deterministic fault injection: seeded chaos plans for cost spikes,
-/// estimator noise, worker panics and input corruption.
+/// estimator noise, region panics and input corruption.
 pub use caqe_faults as faults;
 
 /// The CAQE framework: workload model, optimizer and contract-aware executor.
@@ -49,8 +49,8 @@ pub use caqe_core as core;
 /// S-JFSL.
 pub use caqe_baselines as baselines;
 
-/// Deterministic parallel execution: pinned worker pools and
-/// order-preserving fan-out.
+/// The worker-count type of the (inert) `parallelism` knob; the engine is
+/// serial.
 pub use caqe_parallel as parallel;
 
 /// Live observability: deterministic metrics registry, contract-SLO

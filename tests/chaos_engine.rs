@@ -22,7 +22,7 @@ use caqe::data::{validate_table, Distribution, Table, TableGenerator, Validation
 use caqe::faults::{silence_injected_panics, FaultPlan};
 use caqe::operators::{skyline_reference, MappingSet};
 use caqe::types::{DimMask, EngineError};
-use common::definitional_join;
+use common::{assert_golden, definitional_join};
 use std::collections::BTreeMap;
 
 mod common;
@@ -390,11 +390,6 @@ fn inert_fault_plan_reproduces_committed_golden() {
         .try_run_traced(&r, &t, &w, &exec, &mut sink)
         .expect("clean run");
     assert!(out.total_results() > 0, "degenerate workload");
-    let jsonl = caqe::trace::to_jsonl(sink.events());
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/caqe_trace.jsonl");
-    let golden = std::fs::read_to_string(path).expect("missing golden trace");
-    assert_eq!(
-        golden, jsonl,
-        "disabled fault hooks perturbed the golden trace"
-    );
+    // Disabled fault hooks must not perturb the golden trace.
+    assert_golden("caqe_trace.jsonl", &caqe::trace::to_jsonl(sink.events()));
 }

@@ -1,6 +1,7 @@
 //! Oracles shared by the integration suites, built on the *definitional*
 //! operators only — the nested-loop join and the quadratic reference
-//! skyline — so no suite checks the engine against another optimized path.
+//! skyline — so no suite checks the engine against another optimized path;
+//! plus the one reader of the committed files under `tests/golden/`.
 
 // Each suite uses its own subset.
 #![allow(dead_code)]
@@ -38,4 +39,28 @@ pub fn expected_skylines(r: &Table, t: &Table, w: &Workload) -> Vec<BTreeSet<(u6
                 .collect()
         })
         .collect()
+}
+
+fn golden_path(name: &str) -> String {
+    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The committed `tests/golden/<name>`, read-only — for suites that compare
+/// one file against several runs.
+pub fn golden(name: &str) -> String {
+    std::fs::read_to_string(golden_path(name)).expect("missing golden file")
+}
+
+/// Compares `actual` with `tests/golden/<name>` byte for byte; refreshes the
+/// file instead when `UPDATE_GOLDEN` is set.
+pub fn assert_golden(name: &str, actual: &str) {
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(golden_path(name), actual).expect("write golden file");
+        return;
+    }
+    assert_eq!(
+        golden(name),
+        actual,
+        "output diverged from the committed golden {name}"
+    );
 }

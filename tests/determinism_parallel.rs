@@ -2,6 +2,11 @@
 //! what the engine computes — per-query result provenance, emission
 //! `(timestamp, utility)` pairs, satisfaction, stats counters and the final
 //! virtual clock must be bit-identical at every `parallelism` setting.
+//!
+//! The knob is inert today (the engine is serial; EXPERIMENTS.md "Parallel
+//! layer (PRs 1–17)"), so the thread sweeps compare one path with itself
+//! and pass trivially. They stay as the rig ROADMAP item 4 will be judged
+//! on; what pins the bytes meanwhile is the committed goldens.
 
 use caqe::baselines::SJfslStrategy;
 use caqe::contract::Contract;
@@ -9,6 +14,9 @@ use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutc
 use caqe::data::{Distribution, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
+use common::assert_golden;
+
+mod common;
 
 fn tables(n: usize, dist: Distribution, seed: u64) -> (caqe::data::Table, caqe::data::Table) {
     let gen = TableGenerator::new(n, 2, dist)
@@ -101,9 +109,8 @@ fn parallelism_never_changes_the_outcome() {
 
 #[test]
 fn chunked_probe_path_is_bit_identical() {
-    // Coarse cells give each region hundreds of R-rows, so the probe phase
-    // actually splits into multiple worker chunks (the small-leaf cases
-    // above run inline under the min-chunk rule).
+    // Coarse cells give each region hundreds of R-rows — the regime in
+    // which the probe phase used to split into worker chunks.
     let w = workload();
     let (r, t) = tables(1600, Distribution::Independent, 99);
     let serial = ExecConfig::default().with_target_cells(1600, 2);
@@ -119,7 +126,7 @@ fn chunked_probe_path_is_bit_identical() {
 fn trace_is_bit_identical_at_every_parallelism() {
     // The recorded trace — not just the outcome — must be a pure function
     // of the workload: serialize the full event stream and compare bytes
-    // across worker counts, including the chunked-probe regime.
+    // across worker counts, including the coarse-cell regime.
     let w = workload();
     let (r, t) = tables(1600, Distribution::Independent, 99);
     let serial = ExecConfig::default().with_target_cells(1600, 2);
@@ -187,21 +194,6 @@ fn fifo_trace_matches_committed_golden() {
         "no FIFO decision traced"
     );
     assert_golden("sjfsl_trace.jsonl", &jsonl);
-}
-
-/// Compares `jsonl` with `tests/golden/<name>` byte for byte; refreshes the
-/// file instead when `UPDATE_GOLDEN` is set.
-fn assert_golden(name: &str, jsonl: &str) {
-    let path = format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&path, jsonl).expect("write golden trace");
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).expect("missing golden trace");
-    assert_eq!(
-        golden, jsonl,
-        "trace diverged from the committed golden {name}"
-    );
 }
 
 #[test]

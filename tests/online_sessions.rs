@@ -15,6 +15,9 @@ use caqe::faults::FaultPlan;
 use caqe::operators::MappingSet;
 use caqe::trace::{to_jsonl, NoopSink, RecordingSink, TraceEvent};
 use caqe::types::{DimMask, QueryId};
+use common::assert_golden;
+
+mod common;
 
 fn tables(n: usize, dist: Distribution, seed: u64) -> (caqe::data::Table, caqe::data::Table) {
     let gen = TableGenerator::new(n, 2, dist)
@@ -119,16 +122,7 @@ fn empty_event_stream_reproduces_committed_golden() {
         .try_run(&mut sink)
         .expect("clean input");
     assert!(out.total_results() > 0, "degenerate workload");
-    let golden = std::fs::read_to_string(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/tests/golden/caqe_trace.jsonl"
-    ))
-    .expect("missing golden trace");
-    assert_eq!(
-        golden,
-        to_jsonl(sink.events()),
-        "empty-event online run diverged from the batch golden"
-    );
+    assert_golden("caqe_trace.jsonl", &to_jsonl(sink.events()));
 }
 
 #[test]
@@ -143,6 +137,10 @@ fn churn_trace_is_bit_identical_at_every_parallelism() {
         .try_run(&mut base_sink)
         .expect("clean input");
     let base_jsonl = to_jsonl(base_sink.events());
+    // Recorded at the last commit that still had worker threads to compare
+    // against (PR 17): the sweep below now runs one path four times, so this
+    // file is what pins the bytes of a multi-group churn trace.
+    assert_golden("churn_trace.jsonl", &base_jsonl);
     let admits = base_sink
         .events()
         .iter()

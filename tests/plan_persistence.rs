@@ -15,6 +15,8 @@ use caqe::trace::{to_jsonl, RecordingSink};
 use caqe::types::{fnv1a, DimMask};
 use std::path::PathBuf;
 
+mod common;
+
 /// The golden-trace fixture of `determinism_parallel.rs`, verbatim.
 fn tables() -> (Table, Table) {
     let gen = TableGenerator::new(1600, 2, Distribution::Independent)
@@ -85,8 +87,7 @@ fn run_jsonl(
 }
 
 fn golden() -> String {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/caqe_trace.jsonl");
-    std::fs::read_to_string(path).expect("missing golden trace")
+    common::golden("caqe_trace.jsonl")
 }
 
 fn tmp_path(name: &str) -> PathBuf {

@@ -1,9 +1,10 @@
 //! Property tests for the `Stats` / `PerQueryStats` merge algebra.
 //!
-//! The parallel layer folds per-shard `Stats` with `+=` in chunk-index
-//! order, and the metrics layer re-derives the same totals from traces —
-//! both are only sound if the merge is associative and (for the
-//! commutative counter fields) insensitive to shard order. `utility_sum`
+//! A memo replay folds a recorded group-build `Stats` delta into the run's
+//! totals with `+=` (as the retired parallel layer folded per-shard deltas),
+//! and the metrics layer re-derives the same totals from traces — both are
+//! only sound if the merge is associative and (for the commutative counter
+//! fields) insensitive to shard order. `utility_sum`
 //! is the one `f64` in the structure; the engine keeps it exactly
 //! mergeable by only ever adding dyadic-rational utilities here, so the
 //! generators below draw multiples of 0.25 — for which f64 addition is
