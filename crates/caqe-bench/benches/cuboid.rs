@@ -36,18 +36,24 @@ fn bench_cuboid_build(c: &mut Criterion) {
     });
 }
 
-fn bench_shared_insert(c: &mut Criterion) {
+/// Times a fresh plan taking `n` generated 5-dimensional tuples in
+/// `insert_batch` calls of `batch`, with and without the Theorem 1 shortcut.
+fn bench_insert_batches(
+    c: &mut Criterion,
+    group: &str,
+    dist: Distribution,
+    n: usize,
+    batch: usize,
+) {
     let prefs = workload_prefs();
     let stride = 5;
-    let flat: Vec<f64> = TableGenerator::new(2000, stride, Distribution::Independent)
+    let flat: Vec<f64> = TableGenerator::new(n, stride, dist)
         .generate("P")
         .records()
         .iter()
         .flat_map(|r| r.vals.iter().copied())
         .collect();
-    // A region's worth of join results per call, like the engine's batches.
-    let batch = 64;
-    let mut group = c.benchmark_group("shared_plan_insert_batch_2000");
+    let mut group = c.benchmark_group(group);
     for dva in [true, false] {
         group.bench_with_input(BenchmarkId::new("theorem1", dva), &dva, |b, &dva| {
             b.iter(|| {
@@ -69,6 +75,16 @@ fn bench_shared_insert(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+fn bench_shared_insert(c: &mut Criterion) {
+    // A small region's worth of join results per call: mid-sized windows.
+    let group = "shared_plan_insert_batch_2000";
+    bench_insert_batches(c, group, Distribution::Independent, 2000, 64);
+    // The engine's real batch on correlated data — one call, one big
+    // region — where nearly every tuple meets windows of about one member.
+    let group = "shared_plan_insert_batch_correlated_10000";
+    bench_insert_batches(c, group, Distribution::Correlated, 10_000, 10_000);
 }
 
 fn bench_region_build(c: &mut Criterion) {

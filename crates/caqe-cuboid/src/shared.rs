@@ -10,7 +10,10 @@
 //!   that survived in a *child* subspace is guaranteed to survive in the
 //!   parent — the window is told so and skips its reject scan;
 //! * **one arena**: a tuple admitted in several subspaces is interned once
-//!   and every window refers to it by [`PointId`].
+//!   and every window refers to it by [`PointId`];
+//! * **the front screen**: a batch meets each window 64 candidates at a
+//!   time, and those the window's lowest-score member dominates are settled
+//!   in one block pass at the one comparison their insert would have cost.
 //!
 //! Workloads whose mapping functions can produce tied values should
 //! construct the plan with `assume_dva = false`, which disables the
@@ -281,8 +284,8 @@ impl SharedSkylinePlan {
         if self.points.stride() == 0 {
             self.points = PointStore::new(stride);
         }
-        debug_assert!(
-            (self.points.len() as u32) < BATCH_SENTINEL,
+        assert!(
+            self.points.len() < BATCH_SENTINEL as usize,
             "arena too large for sentinel handles"
         );
         Batch {
@@ -296,8 +299,13 @@ impl SharedSkylinePlan {
     /// candidate order — the order one-at-a-time inserts intern in — then
     /// patches every sentinel handle.
     fn intern_admitted(&mut self, batch: Batch<'_>, added_bits: &[u64], stats: &mut Stats) {
-        // A sentinel enters a window only on admission, so the slots of
-        // never-admitted candidates are never read.
+        // A sentinel enters a window only on admission: a window whose bit
+        // no candidate set holds none, and the slots of never-admitted
+        // candidates are never read.
+        let mut touched = added_bits.iter().fold(0u64, |acc, &bits| acc | bits);
+        if touched == 0 {
+            return;
+        }
         let mut interned = vec![PointId(BATCH_SENTINEL); batch.len()];
         for (c, slot) in interned.iter_mut().enumerate() {
             if added_bits[c] != 0 {
@@ -305,8 +313,10 @@ impl SharedSkylinePlan {
                 *slot = self.points.push(batch.point(c));
             }
         }
-        for win in &mut self.windows {
+        while touched != 0 {
+            let win = &mut self.windows[touched.trailing_zeros() as usize];
             win.remap_points(|pid| batch_candidate(pid).map_or(pid, |c| interned[c]));
+            touched &= touched - 1;
         }
     }
 
@@ -380,22 +390,27 @@ impl SharedSkylinePlan {
         // order a one-at-a-time insert encounters them (the sort is stable).
         evictions.sort_by_key(|e| e.candidate);
         let mut evictions = evictions.into_iter().peekable();
-        let queries = || (0..self.cuboid.num_queries()).map(|q| QueryId(q as u16));
+        // Each query's subspace as a bit of the added-mask (0: inactive slot).
+        let query_bits: Vec<u64> = (0..self.cuboid.num_queries())
+            .map(|q| {
+                let q = QueryId(q as u16);
+                if self.cuboid.is_active(q) {
+                    1u64 << self.cuboid.query_subspace(q)
+                } else {
+                    0
+                }
+            })
+            .collect();
         (0..count)
             .map(|c| {
                 let added_mask = added_bits[c];
-                let in_query_sky = queries()
-                    .map(|q| {
-                        self.cuboid.is_active(q)
-                            && added_mask & (1u64 << self.cuboid.query_subspace(q)) != 0
-                    })
-                    .collect();
+                let in_query_sky = query_bits.iter().map(|&b| added_mask & b != 0).collect();
                 let mut query_evictions: Vec<(QueryId, Vec<u64>)> = Vec::new();
                 while let Some(ev) = evictions.next_if(|e| e.candidate == c) {
-                    let owners = queries().filter(|&q| {
-                        self.cuboid.is_active(q) && self.cuboid.query_subspace(q) == ev.subspace
-                    });
-                    query_evictions.extend(owners.map(|q| (q, ev.tags.clone())));
+                    let owners = (0u16..)
+                        .zip(&query_bits)
+                        .filter(|(_, &b)| b == 1u64 << ev.subspace);
+                    query_evictions.extend(owners.map(|(q, _)| (QueryId(q), ev.tags.clone())));
                 }
                 SharedInsert {
                     added_mask,
@@ -414,6 +429,12 @@ impl SharedSkylinePlan {
     /// evictions in replay order.
     /// With `theorem1`, a candidate already admitted to a kept child (a
     /// lower position, so its bit is final) skips the window's reject scan.
+    ///
+    /// Candidates meet a window up to 64 at a time: one
+    /// [`SkylineWindow::front_dominated`] pass settles every lane the
+    /// window's front dominates at the one comparison its insert would have
+    /// cost, and only the other lanes are inserted. An admission that moves
+    /// the front ends the pass; the lanes after it are screened afresh.
     fn replay(
         &mut self,
         subspaces: impl IntoIterator<Item = usize>,
@@ -432,25 +453,61 @@ impl SharedSkylinePlan {
                 .iter()
                 .fold(0u64, |acc, &c| acc | (1u64 << c));
             let (win, arena) = (&mut self.windows[subspace], &self.points);
-            for (c, bits) in added_bits.iter_mut().enumerate() {
-                let outcome = win.insert(
-                    batch.first_tag + c as u64,
-                    batch.point(c),
-                    PointId(BATCH_SENTINEL | c as u32),
-                    theorem1 && *bits & child_bits != 0,
-                    |pid| batch.member(arena, pid),
-                    stats,
-                );
-                if let InsertOutcome::Added { removed } = outcome {
-                    *bits |= 1u64 << subspace;
-                    if !removed.is_empty() {
-                        evictions.push(Eviction {
-                            candidate: c,
-                            subspace,
-                            tags: removed,
-                        });
+            let member = |pid| batch.member(arena, pid);
+            let front_tag = |win: &SkylineWindow| win.members().next().map(|(tag, _)| tag);
+            let mut start = 0;
+            while start < batch.len() {
+                // One pass of the front screen over lanes `start..start + n`
+                // (64 is the block kernel's lane width).
+                let n = (batch.len() - start).min(64);
+                let survivors = if theorem1 && child_bits != 0 {
+                    added_bits[start..start + n]
+                        .iter()
+                        .enumerate()
+                        .fold(0u64, |m, (j, b)| m | (u64::from(b & child_bits != 0) << j))
+                } else {
+                    0
+                };
+                let front = front_tag(win);
+                let rejects =
+                    win.front_dominated(batch.vals, batch.stride, start, n, member) & !survivors;
+                // Lanes this pass settles; cut short when the front moves.
+                let mut settled = n;
+                let mut todo = (u64::MAX >> (64 - n)) & !rejects;
+                while todo != 0 {
+                    let j = todo.trailing_zeros() as usize;
+                    todo &= todo - 1;
+                    let c = start + j;
+                    let outcome = win.insert(
+                        batch.first_tag + c as u64,
+                        batch.point(c),
+                        PointId(BATCH_SENTINEL | c as u32),
+                        survivors >> j & 1 != 0,
+                        member,
+                        stats,
+                    );
+                    if let InsertOutcome::Added { removed } = outcome {
+                        added_bits[c] |= 1u64 << subspace;
+                        if !removed.is_empty() {
+                            evictions.push(Eviction {
+                                candidate: c,
+                                subspace,
+                                tags: removed,
+                            });
+                        }
+                        if front_tag(win) != front {
+                            // A new lowest score, or the front evicted: the
+                            // verdicts on the later lanes are stale.
+                            settled = j + 1;
+                            break;
+                        }
                     }
                 }
+                // A rejected lane is the one comparison its reject scan
+                // would have stopped on.
+                let charged = rejects & (u64::MAX >> (64 - settled));
+                stats.dom_comparisons += u64::from(charged.count_ones());
+                start += settled;
             }
         }
         clock.charge_dom_cmps(stats.dom_comparisons - comps_before);

@@ -117,6 +117,38 @@ impl SkylineWindow {
         self.quant = Some(quant);
     }
 
+    /// The front screen (DESIGN.md §15): which of the `count ≤ 64` candidate
+    /// rows starting at row `first` of the flat buffer `rows` (`stride`
+    /// values each) the window's front — its lowest-score member, resolved
+    /// through `member` — dominates. Bit `j` set means [`Self::insert`] of
+    /// row `first + j` would return `Dominated` after exactly one charged
+    /// comparison, as long as the front stays the front: a dominator's score
+    /// is never larger than its victim's, so the front is the first member
+    /// that reject scan examines. The caller owes the charge and must not
+    /// apply the verdict to a `known_survivor`, whose reject scan is skipped.
+    ///
+    /// Proves nothing (returns 0) on an empty window and on a front whose
+    /// score is not finite: a NaN score sorts as `+inf`, out of its true
+    /// place, so a finite-score candidate never meets that front.
+    ///
+    /// # Panics
+    /// Panics in debug builds if `count > 64`.
+    pub fn front_dominated<'a>(
+        &self,
+        rows: &[Value],
+        stride: usize,
+        first: usize,
+        count: usize,
+        member: impl Fn(PointId) -> &'a [Value],
+    ) -> u64 {
+        match (&self.kernel, self.entries.first()) {
+            (Some(kernel), Some(front)) if front.score.is_finite() => kernel
+                .relate_block_rows(rows, stride, first, count, member(front.point))
+                .dominated_members(),
+            _ => 0,
+        }
+    }
+
     /// Inserts `point` under `tag`, to be known to later probes by `handle`;
     /// `member` resolves the handles of earlier insertions. With
     /// `known_survivor` the caller vouches that nothing in the window
@@ -350,6 +382,73 @@ mod tests {
         assert_eq!(tags, want);
         for (tag, p) in sky.entries() {
             assert_eq!(p, points[tag as usize].as_slice());
+        }
+    }
+
+    #[test]
+    fn front_screen_lanes_are_the_fronts_scalar_verdicts() {
+        use caqe_types::relate_in;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Stride 4: one mask per kernel shape, a coarse grid so that ties,
+        // equal rows and dominated rows are all common.
+        let shapes = [
+            ("Single", DimMask::singleton(2)),
+            ("Pair", DimMask::from_dims([1, 3])),
+            ("Full", DimMask::full(4)),
+            ("General", DimMask::from_dims([0, 2, 3])),
+        ];
+        let mut rng = StdRng::seed_from_u64(22);
+        let mut row =
+            |lo: u8| -> Vec<Value> { (0..4).map(|_| f64::from(rng.gen_range(lo..6u8))).collect() };
+        for (shape, mask) in shapes {
+            let rows: Vec<Value> = (0..64).flat_map(|_| row(0)).collect();
+            let mut members = PointStore::new(4);
+            let mut win = SkylineWindow::new(mask);
+            assert_eq!(
+                win.front_dominated(&rows, 4, 0, 64, |_| &[]),
+                0,
+                "{shape}: an empty window proves nothing"
+            );
+            for tag in 0..5 {
+                let p = row(1);
+                let handle = PointId(members.len() as u32);
+                let out = win.insert(
+                    tag,
+                    &p,
+                    handle,
+                    false,
+                    |q| members.get(q),
+                    &mut Stats::new(),
+                );
+                if matches!(out, InsertOutcome::Added { .. }) {
+                    members.push(&p);
+                }
+            }
+            let front = members.get(win.members().next().expect("non-empty").1);
+            for (first, count) in [(0, 64), (3, 1), (10, 33)] {
+                let got = win.front_dominated(&rows, 4, first, count, |q| members.get(q));
+                let want = (0..count).fold(0u64, |m, j| {
+                    let r = &rows[(first + j) * 4..][..4];
+                    m | (u64::from(relate_in(front, r, mask) == DomRelation::Dominates) << j)
+                });
+                assert_eq!(got, want, "{shape}: lanes {first}..{}", first + count);
+            }
+            assert_ne!(
+                win.front_dominated(&rows, 4, 0, 64, |q| members.get(q)),
+                0,
+                "{shape}: the grid should let the front dominate something"
+            );
+        }
+
+        // A front whose score is not finite sits out of its true place in
+        // the order (NaN sorts as +inf): no verdict, although the float
+        // test alone would call [NaN, 0] a dominator of [5, 5].
+        for bad in [Value::NAN, Value::INFINITY, Value::NEG_INFINITY] {
+            let mut win = SkylineWindow::new(DimMask::full(2));
+            let front = [bad, 0.0];
+            win.insert(0, &front, PointId(0), false, |_| &[], &mut Stats::new());
+            assert_eq!(win.front_dominated(&[5.0, 5.0], 2, 0, 1, |_| &front), 0);
         }
     }
 

@@ -2,10 +2,11 @@
 //! shared structure must agree with the definitional oracle on arbitrary
 //! inputs.
 
-use caqe::cuboid::{MinMaxCuboid, SharedSkylinePlan};
+use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
 use caqe::operators::{
-    skyline_bnl, skyline_reference, skyline_sfs, IncrementalSkyline, InsertOutcome,
+    skyline_bnl, skyline_reference, skyline_sfs, IncrementalSkyline, InsertOutcome, SkylineWindow,
 };
+use caqe::parallel::Threads;
 use caqe::types::sig::SigQuantizer;
 use caqe::types::{dominates_in, DimMask, PointStore, QueryId, SimClock, Stats};
 use proptest::prelude::*;
@@ -338,5 +339,193 @@ proptest! {
         let sky_v: std::collections::BTreeSet<usize> =
             skyline_reference(&points, v).into_iter().collect();
         prop_assert!(sky_u.is_subset(&sky_v), "Theorem 1 violated");
+    }
+}
+
+/// What `SharedSkylinePlan`'s batched replay must reproduce: one unscreened
+/// [`SkylineWindow`] per cuboid subspace, every tuple taken one at a time,
+/// bottom-up, through `SkylineWindow::insert` and nothing else.
+struct OneAtATime {
+    cuboid: MinMaxCuboid,
+    windows: Vec<SkylineWindow>,
+    /// Every tuple seen; a member's handle is its row.
+    rows: PointStore,
+    assume_dva: bool,
+}
+
+impl OneAtATime {
+    fn new(cuboid: MinMaxCuboid, stride: usize, assume_dva: bool) -> Self {
+        let windows = cuboid
+            .subspaces()
+            .iter()
+            .map(|&m| SkylineWindow::new(m))
+            .collect();
+        OneAtATime {
+            cuboid,
+            windows,
+            rows: PointStore::new(stride),
+            assume_dva,
+        }
+    }
+
+    fn insert(&mut self, point: &[f64], clock: &mut SimClock, stats: &mut Stats) -> SharedInsert {
+        let tag = self.rows.len() as u64;
+        let handle = self.rows.push(point);
+        let (rows, cuboid) = (&self.rows, &self.cuboid);
+        let before = stats.dom_comparisons;
+        let mut added_mask = 0u64;
+        let mut query_evictions = Vec::new();
+        for (i, win) in self.windows.iter_mut().enumerate() {
+            let survivor = self.assume_dva
+                && cuboid
+                    .children(i)
+                    .iter()
+                    .any(|&c| added_mask & (1 << c) != 0);
+            let outcome = win.insert(tag, point, handle, survivor, |p| rows.get(p), stats);
+            let InsertOutcome::Added { removed } = outcome else {
+                continue;
+            };
+            added_mask |= 1 << i;
+            if !removed.is_empty() {
+                let owners = (0..cuboid.num_queries() as u16)
+                    .map(QueryId)
+                    .filter(|&q| cuboid.query_subspace(q) == i);
+                query_evictions.extend(owners.map(|q| (q, removed.clone())));
+            }
+        }
+        clock.charge_dom_cmps(stats.dom_comparisons - before);
+        stats.plan_points_interned += u64::from(added_mask != 0);
+        let in_query_sky = (0..cuboid.num_queries() as u16)
+            .map(|q| added_mask & (1 << cuboid.query_subspace(QueryId(q))) != 0)
+            .collect();
+        SharedInsert {
+            added_mask,
+            in_query_sky,
+            query_evictions,
+        }
+    }
+
+    fn query_tags(&self, q: QueryId) -> Vec<u64> {
+        self.windows[self.cuboid.query_subspace(q)]
+            .members()
+            .map(|(tag, _)| tag)
+            .collect()
+    }
+}
+
+/// 150–400 four-dimensional rows with values in `0..=41`, either
+/// *correlated* (a shared level plus coarse per-dimension noise: the
+/// window's front dominates nearly everything, and values tie) or on a small
+/// integer grid (heavy ties, duplicates).
+fn front_screen_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    let correlated =
+        (0u8..40, proptest::collection::vec(0u8..8, 4..=4)).prop_map(|(level, noise)| {
+            noise
+                .iter()
+                .map(|&e| f64::from(level) + f64::from(e) / 4.0)
+                .collect::<Vec<f64>>()
+        });
+    let grid = proptest::collection::vec((0u8..6).prop_map(f64::from), 4..=4);
+    prop_oneof![
+        proptest::collection::vec(correlated, 150..400),
+        proptest::collection::vec(grid, 150..400),
+    ]
+}
+
+/// Plants the rows the front screen's guard rules exist for into a stream
+/// of non-negative rows.
+fn plant_front_screen_cases(rows: &mut [Vec<f64>]) {
+    let n = rows.len();
+    let inf = f64::INFINITY;
+    // Alone in its windows until row 1 arrives, which it dominates on the
+    // float test — but over dimension 0 its score is NaN, sorted as +inf,
+    // and a one-at-a-time insert of row 1 never meets it.
+    rows[0] = vec![f64::NAN, 0.0, 0.0, 0.0];
+    // Dominates everything before it: every window's front is evicted.
+    rows[n / 3] = vec![-1.0; 4];
+    // Ties with that front wherever dimension 3 is left out, so under DVA
+    // Theorem 1 vouches for it in the parents — where the front dominates it.
+    rows[n / 3 + 5] = vec![-1.0, -1.0, -1.0, 0.0];
+    // A finite front dominates it; its own score is +inf.
+    rows[n / 2] = vec![inf, 0.0, 0.0, 0.0];
+    // The new lowest score of every window over dimension 0 and another,
+    // evicting nothing there: later rows meet it before their dominator.
+    rows[2 * n / 3] = vec![-1000.0, 50.0, 50.0, 50.0];
+    // Non-finite fronts (score -inf; NaN where +inf meets -inf), late
+    // enough that most of the stream was screened.
+    rows[n - 9] = vec![0.0, -inf, 0.0, 0.0];
+    rows[n - 5] = vec![inf, -inf, 1.0, 1.0];
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `insert_batch` — the front screen settling up to 64 candidates per
+    /// pass — is one-at-a-time `SkylineWindow::insert` in everything
+    /// observable: per-tuple results and evictions, member order, ticks,
+    /// `Stats::observable`; whatever the masks, the cut, DVA on or off,
+    /// signature-screened or not.
+    #[test]
+    fn batch_front_screen_matches_one_at_a_time_inserts(
+        rows in front_screen_rows(),
+        pref_bits in proptest::collection::vec(1u32..16, 1..5),
+        cuts in proptest::collection::vec(
+            prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(129)],
+            1..6,
+        ),
+        assume_dva in any::<bool>(),
+        screened in any::<bool>(),
+        // One run in eight poisons a whole column with NaN.
+        nan_col in 0usize..32,
+    ) {
+        let mut rows = rows;
+        plant_front_screen_cases(&mut rows);
+        let nan_bits = if nan_col < 4 { 1u32 << nan_col } else { 0 };
+        let rows = poison_columns(rows, nan_bits);
+        let prefs: Vec<DimMask> = pref_bits.iter().map(|&b| DimMask(b)).collect();
+        let cuboid = MinMaxCuboid::build(&prefs);
+
+        let mut reference = OneAtATime::new(cuboid.clone(), 4, assume_dva);
+        let (mut rc, mut rs) = (SimClock::default(), Stats::new());
+        let want: Vec<SharedInsert> =
+            rows.iter().map(|p| reference.insert(p, &mut rc, &mut rs)).collect();
+
+        let mut plan = SharedSkylinePlan::new(cuboid.clone(), assume_dva);
+        if screened {
+            plan.enable_sig_cache(&[0.0; 4], &[42.0; 4]);
+        }
+        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+        let mut got = Vec::new();
+        let mut off = 0usize;
+        for &cut in cuts.iter().cycle() {
+            if off == rows.len() {
+                break;
+            }
+            let take = cut.min(rows.len() - off);
+            got.extend(plan.insert_batch(
+                off as u64,
+                &flat[off * 4..(off + take) * 4],
+                4,
+                Threads::default(),
+                &mut clock,
+                &mut stats,
+            ));
+            off += take;
+        }
+
+        for (tag, (g, w)) in got.iter().zip(&want).enumerate() {
+            prop_assert_eq!(g, w, "tuple {} diverged", tag);
+        }
+        prop_assert_eq!(clock.ticks(), rc.ticks());
+        prop_assert_eq!(stats.observable(), rs.observable());
+        for q in (0..prefs.len() as u16).map(QueryId) {
+            prop_assert_eq!(plan.query_skyline_tags(q), reference.query_tags(q));
+        }
+        // Every scalar window insert of a screened plan quantizes its
+        // candidate; a lane the front settled never got that far.
+        if screened && nan_bits == 0 {
+            prop_assert!(stats.sig_builds < (rows.len() * cuboid.len()) as u64);
+        }
     }
 }
