@@ -3,16 +3,15 @@
 //! mid-run (see the module doc of [`crate::session`]).
 
 use super::emit::PendingTuple;
-use super::recover::{backoff_ticks, retire_region, MAX_ATTEMPTS};
+use super::recover::{backoff_ticks, MAX_ATTEMPTS};
 use super::{GroupState, Run};
-use crate::group::{open_group, JoinGroup};
+use crate::group::open_group;
 use crate::outcome::QueryOutcome;
 use crate::workload::QuerySpec;
 use caqe_contract::{update_weights_masked, QueryScore};
 use caqe_regions::buchta_estimate;
-use caqe_regions::depgraph::{add_query_to_edge, CornerMasks};
 use caqe_trace::{TraceEvent, TraceSink};
-use caqe_types::{EngineError, QueryId, RegionId, SimClock, Stats, VirtualSeconds};
+use caqe_types::{EngineError, QueryId, VirtualSeconds};
 
 /// Per-query run state, one row per global query id. Rows are only ever
 /// appended ([`QueryTable::admit`]): a departure flips its row inactive and
@@ -88,29 +87,6 @@ impl QueryTable {
     }
 }
 
-/// Extends the immutable threat snapshots for a newly admitted query: the
-/// Definition 9 pair rule evaluated over *all* ordered region pairs
-/// regardless of liveness — a husk that is dead today may be revived by a
-/// later admission, and the emission-safety test reads these snapshots long
-/// after the scheduling graph has shed its nodes.
-fn patch_static_threats(g: &mut JoinGroup, q: QueryId, clock: &mut SimClock, stats: &mut Stats) {
-    let pref = g.regions.pref(q);
-    let regions = g.regions.regions();
-    for (i, ri) in regions.iter().enumerate() {
-        for (j, rj) in regions.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            clock.charge_dom_cmps(1);
-            stats.region_comparisons += 1;
-            if CornerMasks::between(&ri.bounds, &rj.bounds).may_dominate(pref) {
-                add_query_to_edge(&mut g.static_threats_out[i], RegionId(j as u32), q);
-                add_query_to_edge(&mut g.static_threats_in[j], RegionId(i as u32), q);
-            }
-        }
-    }
-}
-
 impl<S: TraceSink> Run<'_, S> {
     /// Applies the admission event `ev_idx`: assigns the next global query
     /// slot, patches the owning group's shared state (or opens a new group),
@@ -159,7 +135,6 @@ impl<S: TraceSink> Run<'_, S> {
                 g.regions.admit_query(q, spec.pref);
                 if needs_dg {
                     g.dg.admit_query(&g.regions, q, clock, stats);
-                    patch_static_threats(g, q, clock, stats);
                 }
                 g.plan.admit_query(spec.pref, &g.points, clock, stats);
                 // Serving sets changed everywhere: the FIFO liveness cursor
@@ -221,16 +196,15 @@ impl<S: TraceSink> Run<'_, S> {
         if self.engine.progressive_emission {
             let gs = &mut self.groups[gi];
             let local = gs.g.members.len() - 1;
-            let mut recheck: Vec<u32> = Vec::new();
             for tag in gs.g.plan.query_skyline_tags(QueryId(local as u16)) {
                 let origin = gs.g.arena[tag as usize].origin;
                 gs.pending[origin.index()].push(PendingTuple {
                     tag,
                     entries: vec![(q, None)],
                 });
-                recheck.push(origin.0);
+                gs.recheck.insert(origin);
             }
-            self.emit_safe(gi, recheck);
+            self.emit_safe(gi);
         }
         Ok(())
     }
@@ -270,9 +244,8 @@ impl<S: TraceSink> Run<'_, S> {
         // Regions whose serving set empties are retired exactly the way
         // shedding retires regions; survivors merely lose the query's bit.
         let newly_dead = gs.g.regions.depart_query(q);
-        let mut recheck: Vec<u32> = Vec::new();
         for &rid in &newly_dead {
-            recheck.extend(retire_region(&mut gs.g, rid));
+            gs.retire_region(rid);
         }
         gs.g.dg.depart_query(q);
         gs.g.plan.depart_query(QueryId(local as u16));
@@ -286,7 +259,7 @@ impl<S: TraceSink> Run<'_, S> {
         }
         // Retired regions can no longer dominate anything: other queries'
         // pending tuples they threatened may be safe now.
-        self.emit_safe(gi, recheck);
+        self.emit_safe(gi);
         Ok(())
     }
 }

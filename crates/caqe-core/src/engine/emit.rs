@@ -3,7 +3,7 @@
 //! A skyline tuple may be reported the moment no alive region can still
 //! produce a tuple dominating it. Each pending tuple caches one *witness* —
 //! an alive region known to threaten it — so the common re-check costs
-//! nothing; only when the witness dies is the static threat list re-scanned.
+//! nothing; only when the witness dies is the region's threat list re-scanned.
 
 use super::churn::QueryTable;
 use super::{GroupState, Run};
@@ -20,6 +20,55 @@ pub(super) struct PendingTuple {
     /// witness stays alive (and serving the query), re-checking safety costs
     /// nothing; only when it dies is the threat list re-scanned.
     pub(super) entries: Vec<(QueryId, Option<RegionId>)>,
+}
+
+/// The origins whose pending tuples the next [`Run::emit_safe`] must
+/// re-examine: a set over one group's region ids. Every step that can make a
+/// tuple safe marks the origins it touched — a shrunk peer marks its whole
+/// out-list, so the same origin is marked hundreds of times per region — and
+/// the walk is ascending, which fixes the emission order.
+pub(super) struct RecheckSet {
+    /// Bit `r % 64` of word `r / 64` — region `r` is marked.
+    words: Vec<u64>,
+}
+
+impl RecheckSet {
+    /// An empty set over `regions` region ids.
+    pub(super) fn new(regions: usize) -> Self {
+        RecheckSet {
+            words: vec![0; regions.div_ceil(64)],
+        }
+    }
+
+    /// Marks one origin.
+    pub(super) fn insert(&mut self, origin: RegionId) {
+        self.words[origin.index() / 64] |= 1 << (origin.index() % 64);
+    }
+
+    /// Marks every origin of `origins`.
+    pub(super) fn extend(&mut self, origins: impl IntoIterator<Item = RegionId>) {
+        origins.into_iter().for_each(|origin| self.insert(origin));
+    }
+
+    /// Unmarks everything.
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Empties the set word by word, yielding the marked region indices in
+    /// ascending order.
+    pub(super) fn drain(&mut self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter_mut().enumerate().flat_map(|(w, word)| {
+            let mut bits = std::mem::take(word);
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + bit
+                })
+            })
+        })
+    }
 }
 
 impl QueryTable {
@@ -58,15 +107,14 @@ impl QueryTable {
 
 impl<S: TraceSink> Run<'_, S> {
     /// Emits every pending tuple of group `gi` originating in one of the
-    /// `recheck` regions (any order, duplicates welcome) that can no longer
-    /// be dominated by any alive region. A no-op for blocking profiles,
-    /// which never register pending tuples.
-    pub(super) fn emit_safe(&mut self, gi: usize, mut recheck: Vec<u32>) {
+    /// group's marked [`RecheckSet`] origins that can no longer be dominated
+    /// by any alive region, and unmarks them all. Emits nothing for blocking
+    /// profiles, which never register pending tuples.
+    pub(super) fn emit_safe(&mut self, gi: usize) {
         if !self.engine.progressive_emission {
+            self.groups[gi].recheck.clear();
             return;
         }
-        recheck.sort_unstable();
-        recheck.dedup();
         let Run {
             groups,
             queries,
@@ -75,19 +123,27 @@ impl<S: TraceSink> Run<'_, S> {
             sink,
             ..
         } = self;
-        let GroupState { g, pending, .. } = &mut groups[gi];
+        let GroupState {
+            g,
+            pending,
+            recheck,
+            ..
+        } = &mut groups[gi];
         let emit_t0 = clock.ticks();
         let emit_d0 = stats.region_comparisons;
-        for origin in recheck {
-            let mut list = std::mem::take(&mut pending[origin as usize]);
+        for origin in recheck.drain() {
+            let mut list = std::mem::take(&mut pending[origin]);
             if list.is_empty() {
                 continue;
             }
-            let threats = &g.static_threats_in[origin as usize];
+            let threats = g.dg.threats_in(RegionId(origin as u32));
             let regions = &g.regions;
             list.retain_mut(|p| {
                 let tuple = &g.arena[p.tag as usize];
                 let vals = g.points.at(p.tag as usize);
+                // A tuple's entries are in group-local query order, so one
+                // cursor over the group's queries finds every preference.
+                let mut local = 0;
                 p.entries.retain_mut(|(q, witness)| {
                     // Fast path: the cached witness still blocks this tuple —
                     // region bounds are immutable, so alive + serving is
@@ -98,9 +154,16 @@ impl<S: TraceSink> Run<'_, S> {
                             return true;
                         }
                     }
-                    // Re-scan the static threats (one charged box test per
-                    // alive serving threat, up to the first that blocks).
-                    let mask = regions.pref(*q);
+                    // Re-scan the threats (one charged box test per alive
+                    // serving threat, up to the first that blocks).
+                    let mut ahead = regions.queries()[local..].iter();
+                    let mask = match ahead.position(|(id, _)| id == q) {
+                        Some(step) => {
+                            local += step;
+                            regions.queries()[local].1
+                        }
+                        None => regions.pref(*q),
+                    };
                     let blocker = threats.iter().find(|e| {
                         if !e.queries.contains(*q) {
                             return false;
@@ -122,7 +185,7 @@ impl<S: TraceSink> Run<'_, S> {
                 !p.entries.is_empty()
             });
             if !list.is_empty() {
-                pending[origin as usize] = list;
+                pending[origin] = list;
             }
         }
         stats.emit_ticks += clock.ticks() - emit_t0;
@@ -156,10 +219,9 @@ impl<S: TraceSink> Run<'_, S> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::recover::{recheck_seed, retire_region};
     use super::super::testkit::{group_of, World};
+    use super::super::GroupState;
     use crate::config::EngineConfig;
-    use crate::group::JoinGroup;
     use caqe_trace::TraceEvent;
     use caqe_types::{DimMask, QueryId, RegionId};
 
@@ -176,42 +238,47 @@ mod tests {
         let mut world = World::new(EngineConfig::caqe());
         let mut run = world.over(vec![group_of(&BOXES, &PREFS)]);
         run.plant(2, &[2.5, 2.5], &[0]);
-        run.emit_safe(0, vec![2]);
+        run.groups[0].recheck.insert(RegionId(2));
+        run.emit_safe(0);
         let waiting = vec![(QueryId(0), Some(RegionId(0)))];
         assert_eq!(run.groups[0].pending[2][0].entries, waiting);
         assert!(run.queries.results[0].is_empty());
         assert_eq!(run.stats.region_comparisons, 1);
-        run.emit_safe(0, vec![2, 2]);
+        run.groups[0].recheck.extend([RegionId(2), RegionId(2)]);
+        run.emit_safe(0);
         assert_eq!(run.groups[0].pending[2][0].entries, waiting);
         assert_eq!(run.stats.region_comparisons, 1, "a live witness is free");
     }
 
     #[test]
     fn emitted_exactly_when_the_last_serving_threat_goes() {
-        type Kill = fn(&mut JoinGroup, RegionId);
+        type Kill = fn(&mut GroupState, RegionId);
         let kills: [(&str, Kill); 3] = [
-            ("processed", |g, r| g.regions.region_mut(r).processed = true),
-            ("retired", |g, r| drop(retire_region(g, r))),
-            ("lost the query", |g, r| {
-                g.regions.region_mut(r).kill_query(QueryId(0))
+            ("processed", |gs, r| {
+                gs.g.regions.region_mut(r).processed = true
+            }),
+            ("retired", GroupState::retire_region),
+            ("lost the query", |gs, r| {
+                gs.g.regions.region_mut(r).kill_query(QueryId(0))
             }),
         ];
         for (how, kill) in kills {
             let mut world = World::new(EngineConfig::caqe());
             let mut run = world.over(vec![group_of(&BOXES, &PREFS)]);
             let tag = run.plant(2, &[2.5, 2.5], &[0]);
-            run.emit_safe(0, vec![2]);
+            run.groups[0].recheck.insert(RegionId(2));
+            run.emit_safe(0);
 
-            kill(&mut run.groups[0].g, RegionId(0));
-            let recheck = recheck_seed(&run.groups[0].g, RegionId(0));
-            run.emit_safe(0, recheck);
+            kill(&mut run.groups[0], RegionId(0));
+            run.groups[0].recheck_seed(RegionId(0));
+            run.emit_safe(0);
             let waiting = vec![(QueryId(0), Some(RegionId(1)))];
             assert_eq!(run.groups[0].pending[2][0].entries, waiting, "{how}");
             assert!(run.queries.results[0].is_empty(), "{how}");
 
-            kill(&mut run.groups[0].g, RegionId(1));
-            let recheck = recheck_seed(&run.groups[0].g, RegionId(1));
-            run.emit_safe(0, recheck);
+            kill(&mut run.groups[0], RegionId(1));
+            run.groups[0].recheck_seed(RegionId(1));
+            run.emit_safe(0);
             assert_eq!(run.queries.results[0], vec![(tag, tag)], "{how}");
             assert!(run.groups[0].pending[2].is_empty(), "{how}");
         }
@@ -231,7 +298,8 @@ mod tests {
         run.plant(2, &[2.5, 2.5], &[0, 1]);
         run.plant(2, &[2.6, 2.4], &[0]);
         run.plant(2, &[2.1, 2.9], &[1]);
-        run.emit_safe(0, vec![2]);
+        run.groups[0].recheck.insert(RegionId(2));
+        run.emit_safe(0);
         let seqs: Vec<(u16, u64)> = run
             .sink
             .events()

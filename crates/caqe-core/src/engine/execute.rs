@@ -5,14 +5,15 @@
 use super::emit::PendingTuple;
 use super::select::Pick;
 use super::{GroupState, Run};
-use crate::group::ArenaTuple;
+use crate::group::{ArenaTuple, JoinGroup};
 use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
 use caqe_parallel::Threads;
+use caqe_regions::depgraph::Edge;
 use caqe_regions::ReconciledEstimate;
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, PointId, QueryId, RegionId, Value};
+use caqe_types::{PointId, QueryId, RegionId, Value};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
 /// The surviving join candidates of one region, in flat layout: one
@@ -24,20 +25,6 @@ struct CandidateBatch {
     meta: Vec<(usize, usize, QuerySet)>,
     /// Flat projected output-space points, stride = mapping output dims.
     vals: Vec<Value>,
-}
-
-/// `p ≺_V` every point of the box whose lower corner is `lo`.
-fn point_dominates_rect(p: &[Value], lo: &[Value], mask: DimMask) -> bool {
-    let mut strict = false;
-    for k in mask.iter() {
-        if p[k] > lo[k] {
-            return false;
-        }
-        if p[k] < lo[k] {
-            strict = true;
-        }
-    }
-    strict
 }
 
 impl<S: TraceSink> Run<'_, S> {
@@ -267,68 +254,52 @@ impl<S: TraceSink> Run<'_, S> {
 
     /// Discards output cells (and whole regions) of `rid`'s threatened
     /// neighbors that are dominated by newly materialized skyline tuples
-    /// (§6), adding to `recheck` every origin whose pending tuples may have
+    /// (§6), marking for recheck every origin whose pending tuples may have
     /// become safe as a result.
     pub(super) fn discard_dominated(
         &mut self,
         gi: usize,
         rid: RegionId,
         new_by_query: &[Vec<PointId>],
-        recheck: &mut Vec<u32>,
     ) {
         let (clock, stats) = (&mut self.clock, &mut self.stats);
-        let g = &mut self.groups[gi].g;
-        let edges: Vec<(RegionId, QuerySet)> =
-            g.dg.threats_out(rid)
-                .iter()
-                .map(|e| (e.peer, e.queries))
-                .collect();
-
-        for (peer, w) in edges {
+        let GroupState { g, recheck, .. } = &mut self.groups[gi];
+        let JoinGroup {
+            regions,
+            dg,
+            points,
+            ..
+        } = g;
+        let mut pruned = Vec::new();
+        for &Edge { peer, queries: w } in dg.threats_out(rid) {
             let mut shrunk = false;
-            for (&global, news) in g.members.iter().zip(new_by_query) {
+            for (local, news) in new_by_query.iter().enumerate() {
+                let (global, mask) = regions.queries()[local];
                 if !w.contains(global) || news.is_empty() {
                     continue;
                 }
-                let mask = g.regions.pref(global);
-                let reg = g.regions.region(peer);
+                let reg = regions.region_mut(peer);
                 if reg.processed || !reg.serving.contains(global) {
                     continue;
                 }
-                // Find cells fully dominated by some new tuple.
-                let mut kills: Vec<usize> = Vec::new();
-                for (c, cell) in reg.grid().iter().enumerate() {
-                    if !reg.cell_lineage(c).contains(global) {
-                        continue;
-                    }
-                    for &pid in news {
-                        clock.charge_dom_cmps(1);
-                        stats.region_comparisons += 1;
-                        if point_dominates_rect(g.points.get(pid), cell.lo(), mask) {
-                            kills.push(c);
-                            break;
-                        }
-                    }
-                }
-                let reg = g.regions.region_mut(peer);
-                let single = QuerySet::singleton(global);
-                for c in kills {
-                    shrunk |= !reg.kill_cell(c, single).is_empty();
-                }
+                let news = news.iter().map(|&pid| points.get(pid));
+                shrunk |= reg.discard_dominated(global, mask, news, clock, stats);
             }
-            let died = shrunk && g.regions.region(peer).serving.is_empty();
             if shrunk {
                 // The peer threatens fewer things now; its own targets may
                 // have become safe.
-                recheck.extend(g.static_threats_out[peer.index()].iter().map(|e| e.peer.0));
+                recheck.extend(dg.threats_out(peer).iter().map(|e| e.peer));
+                if regions.region(peer).serving.is_empty() {
+                    // A dead region never produces tuples: anything it
+                    // threatened must be rechecked.
+                    recheck.insert(peer);
+                    pruned.push(peer);
+                }
             }
-            if died {
-                stats.regions_pruned += 1;
-                g.dg.remove(peer);
-                // A dead region never produces tuples: anything it
-                // threatened must be rechecked.
-                recheck.push(peer.0);
-            }
+        }
+        stats.regions_pruned += pruned.len() as u64;
+        for peer in pruned {
+            dg.remove(peer);
         }
     }
 }
@@ -338,19 +309,7 @@ mod tests {
     use super::super::testkit::{group_of, spec, World};
     use super::*;
     use crate::config::EngineConfig;
-
-    #[test]
-    fn a_point_dominates_a_box_only_with_a_strict_improvement() {
-        let both = DimMask(0b11);
-        assert!(point_dominates_rect(&[1.0, 1.0], &[1.0, 2.0], both));
-        assert!(!point_dominates_rect(&[1.0, 2.0], &[1.0, 2.0], both));
-        assert!(!point_dominates_rect(&[0.0, 3.0], &[1.0, 2.0], both));
-        assert!(point_dominates_rect(
-            &[0.0, 3.0],
-            &[1.0, 2.0],
-            DimMask(0b01)
-        ));
-    }
+    use caqe_types::DimMask;
 
     #[test]
     fn executing_a_region_materializes_its_join_and_registers_pending() {
@@ -386,20 +345,19 @@ mod tests {
         let boxes = [([0.0, 0.0], [1.0, 1.0]), ([2.0, 2.0], [4.0, 4.0])];
         let mut world = World::new(EngineConfig::caqe());
         let mut run = world.over(vec![group_of(&boxes, &[DimMask(0b11)])]);
-        let mut recheck = Vec::new();
 
         let partial = run.plant(0, &[2.5, 2.5], &[0]);
         let news = [vec![PointId(partial as u32)]];
-        run.discard_dominated(0, RegionId(0), &news, &mut recheck);
+        run.discard_dominated(0, RegionId(0), &news);
         let threatened = run.groups[0].g.regions.region(RegionId(1));
         assert_eq!(threatened.alive_cell_count(QueryId(0)), 3);
-        assert!(recheck.is_empty());
+        assert_eq!(run.groups[0].recheck.drain().count(), 0);
 
         let total = run.plant(0, &[0.0, 0.0], &[0]);
         let news = [vec![PointId(total as u32)]];
-        run.discard_dominated(0, RegionId(0), &news, &mut recheck);
+        run.discard_dominated(0, RegionId(0), &news);
         assert!(!run.groups[0].g.regions.region(RegionId(1)).is_alive());
         assert_eq!(run.stats.regions_pruned, 1);
-        assert_eq!(recheck, vec![1]);
+        assert_eq!(run.groups[0].recheck.drain().collect::<Vec<_>>(), vec![1]);
     }
 }

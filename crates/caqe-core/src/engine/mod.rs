@@ -46,7 +46,7 @@ use caqe_partition::Partitioning;
 use caqe_trace::{NoopSink, SpanKind, TraceEvent, TraceSink};
 use caqe_types::{EngineError, SimClock, Stats};
 use churn::QueryTable;
-use emit::PendingTuple;
+use emit::{PendingTuple, RecheckSet};
 use std::time::Instant;
 
 /// One engine run, described by the ten things the engine has ever been
@@ -227,6 +227,8 @@ struct GroupState {
     g: JoinGroup,
     /// Tuples awaiting their safety guarantee, per origin region.
     pending: Vec<Vec<PendingTuple>>,
+    /// The origins the next [`Run::emit_safe`] re-examines.
+    recheck: RecheckSet,
     /// FIFO scan cursor: first region index that may still be alive.
     /// Liveness is monotone (processed/discarded regions never revive), so
     /// the skipped prefix never needs rescanning. (Backoff is temporary and
@@ -244,6 +246,7 @@ impl GroupState {
         GroupState {
             g,
             pending: vec![Vec::new(); n],
+            recheck: RecheckSet::new(n),
             fifo_cursor: 0,
             attempts: vec![0; n],
             not_before: vec![0; n],
@@ -409,14 +412,14 @@ impl<'a, S: TraceSink> Run<'a, S> {
             let (gi, rid) = (pick.gi, pick.rid);
 
             // Origins whose pending tuples must be re-examined this round.
-            let mut recheck = recover::recheck_seed(&self.groups[gi].g, rid);
+            self.groups[gi].recheck_seed(rid);
             if self.engine.dominance_discard {
-                self.discard_dominated(gi, rid, &new_by_query, &mut recheck);
+                self.discard_dominated(gi, rid, &new_by_query);
             }
             // Scheduling-graph maintenance (Algorithm 1).
             self.groups[gi].g.dg.remove(rid);
             // Progressive result reporting (§6, Example 19).
-            self.emit_safe(gi, recheck);
+            self.emit_safe(gi);
             if self.engine.feedback {
                 self.queries.feed_back();
             }

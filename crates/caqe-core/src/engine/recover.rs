@@ -5,8 +5,7 @@
 //! deterministic.
 
 use super::select::Pick;
-use super::Run;
-use crate::group::JoinGroup;
+use super::{GroupState, Run};
 use caqe_trace::{TraceEvent, TraceSink};
 use caqe_types::{QueryId, RegionId};
 
@@ -27,26 +26,29 @@ pub(super) fn backoff_ticks(attempt: u32) -> u64 {
         .min(BACKOFF_CAP_TICKS)
 }
 
-/// The origins whose pending tuples must be re-examined once `rid` stops
-/// threatening anything (processed or retired): the region itself plus
-/// everything it statically threatened.
-pub(super) fn recheck_seed(g: &JoinGroup, rid: RegionId) -> Vec<u32> {
-    let targets = g.static_threats_out[rid.index()].iter().map(|e| e.peer.0);
-    std::iter::once(rid.0).chain(targets).collect()
-}
-
-/// Retires a region that will never produce tuples (quarantined after
-/// repeated failures, shed under degradation, or orphaned by a departure):
-/// empties its serving set and removes it from the dependency graph.
-/// Returns its [`recheck_seed`] — a retired region never materializes
-/// tuples, so its targets may now be safe.
-pub(super) fn retire_region(g: &mut JoinGroup, rid: RegionId) -> Vec<u32> {
-    let reg = g.regions.region_mut(rid);
-    for q in reg.serving.iter() {
-        reg.kill_query(q);
+impl GroupState {
+    /// Marks the origins whose pending tuples must be re-examined once `rid`
+    /// stops threatening anything (processed or retired): the region itself
+    /// plus everything it threatens.
+    pub(super) fn recheck_seed(&mut self, rid: RegionId) {
+        self.recheck.insert(rid);
+        let targets = self.g.dg.threats_out(rid).iter().map(|e| e.peer);
+        self.recheck.extend(targets);
     }
-    g.dg.remove(rid);
-    recheck_seed(g, rid)
+
+    /// Retires a region that will never produce tuples (quarantined after
+    /// repeated failures, shed under degradation, or orphaned by a
+    /// departure): empties its serving set, removes it from the dependency
+    /// graph and marks its [`recheck_seed`](Self::recheck_seed) — a retired
+    /// region never materializes tuples, so its targets may now be safe.
+    pub(super) fn retire_region(&mut self, rid: RegionId) {
+        let reg = self.g.regions.region_mut(rid);
+        for q in reg.serving.iter() {
+            reg.kill_query(q);
+        }
+        self.g.dg.remove(rid);
+        self.recheck_seed(rid);
+    }
 }
 
 impl<S: TraceSink> Run<'_, S> {
@@ -83,8 +85,8 @@ impl<S: TraceSink> Run<'_, S> {
                     attempts: attempt,
                 });
             }
-            let recheck = retire_region(&mut self.groups[gi].g, rid);
-            self.emit_safe(gi, recheck);
+            self.groups[gi].retire_region(rid);
+            self.emit_safe(gi);
         } else {
             self.stats.region_retries += 1;
             let backoff = backoff_ticks(attempt);
@@ -145,8 +147,8 @@ impl<S: TraceSink> Run<'_, S> {
                 satisfaction: mean_sat,
             });
         }
-        let recheck = retire_region(&mut self.groups[gi].g, rid);
-        self.emit_safe(gi, recheck);
+        self.groups[gi].retire_region(rid);
+        self.emit_safe(gi);
         self.next_shed_check = self.clock.ticks().saturating_add(policy.grace_ticks);
     }
 
@@ -199,7 +201,7 @@ mod tests {
     }
 
     #[test]
-    fn retiring_rechecks_the_region_and_its_static_out_targets() {
+    fn retiring_rechecks_the_region_and_its_out_targets() {
         // A chain 0 → 1 → 2 (0 also threatens 2), and a region 3 that is
         // incomparable with all of them.
         let boxes = [
@@ -208,13 +210,12 @@ mod tests {
             ([14.0, 14.0], [15.0, 15.0]),
             ([0.0, 20.0], [1.0, 21.0]),
         ];
-        let mut g = group_of(&boxes, &FULL);
-        assert!(!g.dg.is_root(RegionId(1)));
-        let mut recheck = retire_region(&mut g, RegionId(0));
-        recheck.sort_unstable();
-        assert_eq!(recheck, vec![0, 1, 2]);
-        assert!(!g.regions.region(RegionId(0)).is_alive());
-        assert!(g.dg.is_root(RegionId(1)) && !g.dg.is_root(RegionId(2)));
+        let mut gs = GroupState::new(group_of(&boxes, &FULL));
+        assert!(!gs.g.dg.is_root(RegionId(1)));
+        gs.retire_region(RegionId(0));
+        assert_eq!(gs.recheck.drain().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert!(!gs.g.regions.region(RegionId(0)).is_alive());
+        assert!(gs.g.dg.is_root(RegionId(1)) && !gs.g.dg.is_root(RegionId(2)));
     }
 
     #[test]

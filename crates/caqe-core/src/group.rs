@@ -45,14 +45,11 @@ pub struct JoinGroup {
     pub members: Vec<QueryId>,
     /// The group's output regions (serving sets use global query ids).
     pub regions: RegionSet,
-    /// Scheduling dependency graph (mutated as regions complete).
+    /// The dependency graph, and the group's one edge store: root status
+    /// follows regions as they complete, the edge lists never shrink — so
+    /// safe emission, the recheck cascade, the discard and the threat counts
+    /// all read their threats here, skipping peers by the peer's own state.
     pub dg: DependencyGraph,
-    /// Immutable snapshot of threat in-edges, used for safe emission after
-    /// the scheduling graph has shed nodes.
-    pub static_threats_in: Vec<Vec<Edge>>,
-    /// Immutable snapshot of threat out-edges: when a region dies, the
-    /// pending tuples of exactly these targets must be re-examined.
-    pub static_threats_out: Vec<Vec<Edge>>,
     /// The shared min-max-cuboid skyline plan (local query indexing).
     pub plan: SharedSkylinePlan,
     /// Materialized join tuples; the tag passed to the plan is the index
@@ -121,8 +118,7 @@ impl JoinGroup {
     /// departed) and returns the view they are read through. Nothing else
     /// maintains the table; a run that never asks never builds it.
     pub fn counted(&mut self) -> Counted<'_> {
-        self.threats
-            .reconcile(&self.regions, &self.static_threats_out);
+        self.threats.reconcile(&self.regions, &self.dg);
         Counted(self)
     }
 
@@ -388,7 +384,7 @@ pub(crate) fn open_group<S: TraceSink>(
 
 /// The common tail of a cold build and a memo replay: everything a
 /// [`JoinGroup`] holds beyond its regions and dependency graph is a pure
-/// function of them — the static edge snapshots, the min-max cuboid over
+/// function of them — the min-max cuboid over
 /// the preferences, the shared plan with its screening bounds, and the
 /// (empty) tuple arena.
 pub(crate) fn assemble_group(
@@ -399,9 +395,6 @@ pub(crate) fn assemble_group(
     dg: DependencyGraph,
     assume_dva: bool,
 ) -> JoinGroup {
-    let ids = || (0..regions.len()).map(|i| RegionId(i as u32));
-    let static_threats_in = ids().map(|r| dg.threats_in(r).to_vec()).collect();
-    let static_threats_out = ids().map(|r| dg.threats_out(r).to_vec()).collect();
     let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
     let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), assume_dva);
     // The region envelope bounds every tuple the mappings can produce —
@@ -417,8 +410,6 @@ pub(crate) fn assemble_group(
         members: queries.iter().map(|(q, _)| *q).collect(),
         regions,
         dg,
-        static_threats_in,
-        static_threats_out,
         plan,
         arena: Vec::new(),
         points,
@@ -496,7 +487,6 @@ mod tests {
         assert_eq!(g1.members, vec![QueryId(1)]);
         // Shared state shapes line up.
         for g in &groups {
-            assert_eq!(g.static_threats_in.len(), g.regions.len());
             assert!(g.arena.is_empty());
         }
     }

@@ -227,6 +227,7 @@ impl PreparedPlan {
                 stats.per_query.is_empty(),
                 "group builds must not touch per-query stats"
             );
+            let region_ids = (0..group.regions.len()).map(|i| RegionId(i as u32));
             self.memos.push(GroupMemo {
                 join_col,
                 mapping,
@@ -235,7 +236,9 @@ impl PreparedPlan {
                 build_dg,
                 keep_empty,
                 regions: group.regions,
-                threats_in: group.static_threats_in,
+                threats_in: region_ids
+                    .map(|r| group.dg.threats_in(r).to_vec())
+                    .collect(),
                 cuboid_digest: MinMaxCuboid::build(&prefs).structure_digest(),
                 ticks: clock.ticks(),
                 stats,

@@ -14,8 +14,14 @@
 //! Mutual partial domination (`R_i` ⇄ `R_j`) is possible with overlapping
 //! boxes; such pairs carry threat edges in both directions but neither
 //! blocks the other's root status, so scheduling cannot deadlock.
+//!
+//! The edge lists are one store that never shrinks when a region leaves the
+//! graph (DESIGN.md §14): the benefit model and safe emission keep reading a
+//! region's threats long after scheduling is done with it, and skip peers by
+//! the peer's own state. Only root status follows removals, through a
+//! per-region liveness mask (`since`) instead of list surgery.
 
-use crate::region::RegionSet;
+use crate::region::{OutputRegion, RegionSet};
 use caqe_types::ids::QuerySet;
 use caqe_types::{DimMask, QueryId, Rect, RegionId, SimClock, Stats};
 
@@ -75,29 +81,41 @@ impl CornerMasks {
     }
 }
 
+/// Whether the edge `e` between regions `i` and `j` (either direction) is
+/// live under the per-region masks `since` (see [`DependencyGraph`]): some
+/// query it is annotated with has had both endpoints in the graph ever since
+/// the query was admitted.
+fn live(since: &[QuerySet], e: &Edge, i: usize, j: usize) -> bool {
+    !e.queries.intersect(since[i]).intersect(since[j]).is_empty()
+}
+
 /// The dependency graph over a region set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependencyGraph {
     /// `threats_in[j]` — edges `i → j`: regions that can dominate cells of
-    /// `j`.
+    /// `j`. As built, plus admission patches; [`remove`](Self::remove) leaves
+    /// the lists alone.
     threats_in: Vec<Vec<Edge>>,
     /// `threats_out[i]` — edges `i → j`: regions whose cells `i` can
-    /// dominate.
+    /// dominate; the exact transpose of `threats_in`.
     threats_out: Vec<Vec<Edge>>,
-    /// `blockers[j]` — count of alive in-neighbors whose edge is *not*
-    /// mutual; a region is a scheduling root when this reaches zero.
+    /// `blockers[j]` — count of live in-edges that are *not* mutual; a
+    /// region is a scheduling root when this reaches zero.
     blockers: Vec<usize>,
+    /// `since[i]` — the queries region `i` has been in the graph for without
+    /// interruption: every query at build, none after `remove`, plus each
+    /// query admitted while the region is alive and serving it. An edge
+    /// `i → j` is *live* iff its annotation meets both endpoints' masks —
+    /// not "neither endpoint was removed": an admission puts a removed but
+    /// unprocessed region back into the graph for the new query alone.
+    since: Vec<QuerySet>,
 }
 
 impl DependencyGraph {
     /// An edgeless graph over `n` regions — used by strategies that skip
     /// the look-ahead entirely (blind pipelining); every region is a root.
     pub fn empty(n: usize) -> Self {
-        DependencyGraph {
-            threats_in: vec![Vec::new(); n],
-            threats_out: vec![Vec::new(); n],
-            blockers: vec![0; n],
-        }
+        Self::from_edges(vec![Vec::new(); n], vec![Vec::new(); n])
     }
 
     /// Builds the graph by relating every alive region pair in every query
@@ -142,24 +160,17 @@ impl DependencyGraph {
                 }
             }
         }
-
-        let mut dg = DependencyGraph {
-            threats_in,
-            threats_out,
-            blockers: vec![0; n],
-        };
-        dg.recompute_blockers();
-        dg
+        Self::from_edges(threats_in, threats_out)
     }
 
     /// Reconstructs a graph from persisted in-edge lists (DESIGN.md §19):
     /// `threats_out` is the exact transpose of `threats_in` (iterating
     /// targets in ascending order reproduces `build`'s inner-loop push
     /// order, so edge *ordering* — which downstream iteration observes —
-    /// is restored bit-for-bit, not just edge membership), and blocker
-    /// counts come from the same `recompute_blockers` pass `build` ends
-    /// with. Charges nothing: a restored graph must not re-pay the
-    /// comparisons the cold build already charged.
+    /// is restored bit-for-bit, not just edge membership), and liveness and
+    /// blocker counts come from the same tail `build` ends with. Charges
+    /// nothing: a restored graph must not re-pay the comparisons the cold
+    /// build already charged.
     pub fn from_threats_in(threats_in: Vec<Vec<Edge>>) -> Self {
         let n = threats_in.len();
         let mut threats_out: Vec<Vec<Edge>> = vec![Vec::new(); n];
@@ -171,38 +182,63 @@ impl DependencyGraph {
                 });
             }
         }
+        Self::from_edges(threats_in, threats_out)
+    }
+
+    /// A freshly built graph over the two edge lists: every region has been
+    /// in it for every query any edge names, so every edge is live.
+    fn from_edges(threats_in: Vec<Vec<Edge>>, threats_out: Vec<Vec<Edge>>) -> Self {
+        let n = threats_in.len();
+        let built = threats_in.iter().flatten().map(|e| e.queries);
+        let built = built.fold(QuerySet::EMPTY, QuerySet::union);
         let mut dg = DependencyGraph {
             threats_in,
             threats_out,
             blockers: vec![0; n],
+            since: vec![built; n],
         };
         dg.recompute_blockers();
         dg
     }
 
     /// In-edges of a region: the regions that can dominate its cells.
+    ///
+    /// The list outlives its endpoints' [`remove`](Self::remove): a peer
+    /// that is processed, dead or no longer serves a query is still listed,
+    /// and readers skip it by the peer's own state (as they always had to
+    /// for a peer that merely lost one query).
     pub fn threats_in(&self, r: RegionId) -> &[Edge] {
         &self.threats_in[r.index()]
     }
 
-    /// Out-edges of a region: the regions whose cells it can dominate.
+    /// Out-edges of a region: the regions whose cells it can dominate. Never
+    /// shrunk by [`remove`](Self::remove), like [`threats_in`](Self::threats_in).
     pub fn threats_out(&self, r: RegionId) -> &[Edge] {
         &self.threats_out[r.index()]
     }
 
-    /// Whether a region currently has no non-mutual alive blockers — a
+    /// Whether a region currently has no non-mutual live blockers — a
     /// scheduling root in Algorithm 1's sense.
     pub fn is_root(&self, r: RegionId) -> bool {
         self.blockers[r.index()] == 0
     }
 
     /// Patches the graph for a newly admitted query `q`: re-relates every
-    /// ordered pair of alive regions serving `q` in the query's subspace and
-    /// inserts `q` into the matching edges (creating edges where none
-    /// existed). Blocker counts are then recomputed wholesale — the alive
-    /// graph is small by the time churn happens, and a wholesale recompute
-    /// cannot drift from the `build` semantics. One region comparison is
-    /// charged per ordered alive pair, mirroring `build`.
+    /// ordered pair of regions in the query's subspace and inserts `q` into
+    /// the matching edges (creating edges where none existed), then lets
+    /// every alive region serving `q` back into the graph for `q`.
+    ///
+    /// *All* ordered pairs are patched, regardless of liveness — a husk that
+    /// is dead today may be revived by a later admission, and the
+    /// emission-safety test reads these lists long after scheduling has
+    /// dropped a region — while only edges between alive regions serving `q`
+    /// become live. Blocker counts are then recomputed wholesale; a
+    /// wholesale recompute cannot drift from the `build` semantics.
+    ///
+    /// Charges one region comparison per ordered pair for the patch and one
+    /// more per ordered pair of alive regions serving `q` for the liveness
+    /// update — the virtual-time price the committed session traces were
+    /// recorded at, although one corner comparison answers both.
     pub fn admit_query(
         &mut self,
         set: &RegionSet,
@@ -211,25 +247,23 @@ impl DependencyGraph {
         stats: &mut Stats,
     ) {
         let pref = set.pref(q);
-        let alive: Vec<usize> = set
-            .regions()
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.is_alive() && r.serving.contains(q))
-            .map(|(i, _)| i)
-            .collect();
-        for &i in &alive {
-            for &j in &alive {
-                if i == j {
-                    continue;
-                }
-                let (ri, rj) = (&set.regions()[i], &set.regions()[j]);
-                clock.charge_dom_cmps(1);
-                stats.region_comparisons += 1;
-                if CornerMasks::between(&ri.bounds, &rj.bounds).may_dominate(pref) {
+        let regions = set.regions();
+        let back = |r: &OutputRegion| r.is_alive() && r.serving.contains(q);
+        let pairs = |n: usize| (n * n.saturating_sub(1)) as u64;
+        let charged = pairs(regions.len()) + pairs(regions.iter().filter(|r| back(r)).count());
+        clock.charge_dom_cmps(charged);
+        stats.region_comparisons += charged;
+        for (i, ri) in regions.iter().enumerate() {
+            for (j, rj) in regions.iter().enumerate() {
+                if i != j && CornerMasks::between(&ri.bounds, &rj.bounds).may_dominate(pref) {
                     add_query_to_edge(&mut self.threats_out[i], RegionId(j as u32), q);
                     add_query_to_edge(&mut self.threats_in[j], RegionId(i as u32), q);
                 }
+            }
+        }
+        for (since, region) in self.since.iter_mut().zip(regions) {
+            if back(region) {
+                since.insert(q);
             }
         }
         self.recompute_blockers();
@@ -252,47 +286,53 @@ impl DependencyGraph {
         self.recompute_blockers();
     }
 
-    /// Recomputes `blockers` from scratch: an in-edge `i → j` blocks `j`
-    /// unless it is mutual, i.e. `i` is also a target of `j`. Stamping `j`'s
-    /// targets before scanning its in-edges answers that in O(1) per edge,
-    /// so the whole pass is O(E).
+    /// Recomputes `blockers` from scratch: a live in-edge `i → j` blocks `j`
+    /// unless it is mutual, i.e. `i` is also a live target of `j`. Stamping
+    /// `j`'s targets before scanning its in-edges answers that in O(1) per
+    /// edge, so the whole pass is O(E).
     fn recompute_blockers(&mut self) {
+        let since = &self.since;
         let mut target_of = vec![usize::MAX; self.threats_in.len()];
         for j in 0..self.threats_in.len() {
             for e in &self.threats_out[j] {
-                target_of[e.peer.index()] = j;
+                if live(since, e, j, e.peer.index()) {
+                    target_of[e.peer.index()] = j;
+                }
             }
             self.blockers[j] = self.threats_in[j]
                 .iter()
-                .filter(|e| target_of[e.peer.index()] != j)
+                .filter(|e| live(since, e, j, e.peer.index()) && target_of[e.peer.index()] != j)
                 .count();
         }
     }
 
     /// Removes a region from the graph (processed or discarded), returning
     /// the regions that *became* roots as a result (the `DG_root'` of
-    /// Algorithm 1).
+    /// Algorithm 1), in ascending id order.
+    ///
+    /// O(in + out degree): the region's edges go dead with its `since` mask,
+    /// nobody's list is edited. Removing a region twice is a no-op.
     pub fn remove(&mut self, r: RegionId) -> Vec<RegionId> {
-        let out = std::mem::take(&mut self.threats_out[r.index()]);
+        let ri = r.index();
+        // The live in-neighbours of r, for the mutual test below.
+        let mut threatens_r = vec![false; self.threats_in.len()];
+        for e in &self.threats_in[ri] {
+            threatens_r[e.peer.index()] = live(&self.since, e, ri, e.peer.index());
+        }
         let mut new_roots = Vec::new();
-        for e in &out {
+        for e in &self.threats_out[ri] {
             let j = e.peer.index();
-            // Was this edge counted as a blocker of j (non-mutual)?
-            let mutual = self.threats_out[j].iter().any(|back| back.peer == r);
-            self.threats_in[j].retain(|back| back.peer != r);
-            if !mutual && self.blockers[j] > 0 {
+            // Was this edge counted as a blocker of j (live, non-mutual)?
+            if live(&self.since, e, ri, j) && !threatens_r[j] && self.blockers[j] > 0 {
                 self.blockers[j] -= 1;
                 if self.blockers[j] == 0 {
                     new_roots.push(e.peer);
                 }
             }
         }
-        // Drop the reverse sides of r's in-edges.
-        let inn = std::mem::take(&mut self.threats_in[r.index()]);
-        for e in &inn {
-            self.threats_out[e.peer.index()].retain(|f| f.peer != r);
-        }
-        self.blockers[r.index()] = 0;
+        self.since[ri] = QuerySet::EMPTY;
+        self.blockers[ri] = 0;
+        new_roots.sort_unstable();
         new_roots
     }
 }
@@ -301,7 +341,138 @@ impl DependencyGraph {
 mod tests {
     use super::*;
     use crate::region::OutputRegion;
+    use crate::testkit::{arb_boxes, region};
     use caqe_types::CellId;
+    use proptest::prelude::*;
+
+    /// The reference for root status: a graph whose lists hold the live
+    /// edges and nothing else. `remove` takes the region out of every peer's
+    /// list, an admission re-links only alive regions, and a region is a
+    /// root when no edge on its in-list is non-mutual.
+    struct ShrinkingGraph {
+        threats_in: Vec<Vec<Edge>>,
+        threats_out: Vec<Vec<Edge>>,
+    }
+
+    impl ShrinkingGraph {
+        fn is_root(&self, j: usize) -> bool {
+            let mutual = |i: RegionId| self.threats_out[j].iter().any(|e| e.peer == i);
+            self.threats_in[j].iter().all(|e| mutual(e.peer))
+        }
+
+        fn admit_query(&mut self, set: &RegionSet, q: QueryId) {
+            let alive = |r: &&OutputRegion| r.is_alive() && r.serving.contains(q);
+            let alive: Vec<&OutputRegion> = set.regions().iter().filter(alive).collect();
+            for ri in &alive {
+                for rj in alive.iter().filter(|rj| rj.id != ri.id) {
+                    if CornerMasks::between(&ri.bounds, &rj.bounds).may_dominate(set.pref(q)) {
+                        add_query_to_edge(&mut self.threats_out[ri.id.index()], rj.id, q);
+                        add_query_to_edge(&mut self.threats_in[rj.id.index()], ri.id, q);
+                    }
+                }
+            }
+        }
+
+        fn depart_query(&mut self, q: QueryId) {
+            for edges in self.threats_in.iter_mut().chain(&mut self.threats_out) {
+                edges.iter_mut().for_each(|e| e.queries.remove(q));
+                edges.retain(|e| !e.queries.is_empty());
+            }
+        }
+
+        /// Returns the regions that became roots, in out-list order.
+        fn remove(&mut self, r: RegionId) -> Vec<RegionId> {
+            let n = self.threats_in.len();
+            let was_root: Vec<bool> = (0..n).map(|j| self.is_root(j)).collect();
+            let out = std::mem::take(&mut self.threats_out[r.index()]);
+            for e in &out {
+                self.threats_in[e.peer.index()].retain(|back| back.peer != r);
+            }
+            for e in std::mem::take(&mut self.threats_in[r.index()]) {
+                self.threats_out[e.peer.index()].retain(|f| f.peer != r);
+            }
+            let promoted = |e: &&Edge| !was_root[e.peer.index()] && self.is_root(e.peer.index());
+            out.iter().filter(promoted).map(|e| e.peer).collect()
+        }
+    }
+
+    proptest! {
+        /// Root status under the never-shrunk store equals root status under
+        /// list surgery, through removals (twice included), admissions that
+        /// revive removed-but-unprocessed regions, and departures. `remove`
+        /// reports the same new roots; the reference yields them in the
+        /// order of its refilled out-list, the store in ascending id order.
+        #[test]
+        fn root_status_equals_the_shrinking_reference(
+            (boxes, servings, prefs) in (1usize..=3, 2usize..=7).prop_flat_map(|(d, n)| (
+                arb_boxes(d, n),
+                proptest::collection::vec(0u64..8, n..=n),
+                proptest::collection::vec(1u32..(1 << d), 3..=3),
+            )),
+            ops in proptest::collection::vec((0u8..6, 0usize..64, 0u32..64), 0..32),
+        ) {
+            let (n, d) = (boxes.len(), boxes[0].dims());
+            let queries = (0..).map(QueryId).zip(prefs.into_iter().map(DimMask)).collect();
+            let regions = boxes.into_iter().zip(servings).enumerate();
+            let regions = regions.map(|(i, (b, s))| region(i, b, QuerySet(s))).collect();
+            let mut set = RegionSet::new(regions, queries);
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            let mut dg = DependencyGraph::build(&set, &mut clock, &mut stats);
+            let mut reference = ShrinkingGraph {
+                threats_in: dg.threats_in.clone(),
+                threats_out: dg.threats_out.clone(),
+            };
+            for (step, &(kind, a, bits)) in ops.iter().enumerate() {
+                let rid = RegionId((a % n) as u32);
+                let nq = set.queries().len();
+                let q = QueryId((a / n % nq) as u16);
+                let mut remove = |dg: &mut DependencyGraph, r: RegionId| {
+                    let mut expected = reference.remove(r);
+                    expected.sort_unstable();
+                    prop_assert_eq!(dg.remove(r), expected, "step {} of {:?}", step, &ops);
+                    Ok(())
+                };
+                match kind {
+                    // Removed outright — possibly again, possibly while alive.
+                    0 => remove(&mut dg, rid)?,
+                    // Processed: never comes back.
+                    1 => {
+                        set.region_mut(rid).processed = true;
+                        remove(&mut dg, rid)?;
+                    }
+                    // Died (discarded, retired): a later admission revives it.
+                    2 => {
+                        for q in set.region(rid).serving.iter() {
+                            set.region_mut(rid).kill_query(q);
+                        }
+                        remove(&mut dg, rid)?;
+                    }
+                    3 if nq < 7 => {
+                        let (q, pref) = (QueryId(nq as u16), DimMask(1 + bits % ((1 << d) - 1)));
+                        set.admit_query(q, pref);
+                        dg.admit_query(&set, q, &mut clock, &mut stats);
+                        reference.admit_query(&set, q);
+                    }
+                    4 => {
+                        for dead in set.depart_query(q) {
+                            remove(&mut dg, dead)?;
+                        }
+                        dg.depart_query(q);
+                        reference.depart_query(q);
+                    }
+                    // Lost one query, stays in the graph.
+                    _ => set.region_mut(rid).kill_query(q),
+                }
+                for j in 0..n {
+                    prop_assert_eq!(
+                        dg.is_root(RegionId(j as u32)),
+                        reference.is_root(j),
+                        "region {} after step {} of {:?}", j, step, &ops
+                    );
+                }
+            }
+        }
+    }
 
     /// Builds a 2-query, 2-dim region set from explicit boxes.
     fn set_from_boxes(boxes: &[([f64; 2], [f64; 2])]) -> RegionSet {
@@ -378,7 +549,10 @@ mod tests {
         let roots = dg.remove(RegionId(0));
         assert_eq!(roots, vec![RegionId(1)]);
         assert!(dg.is_root(RegionId(1)));
-        assert!(dg.threats_in(RegionId(1)).is_empty());
+        // The list stays; the edge on it is dead.
+        let listed = dg.threats_in(RegionId(1));
+        assert_eq!(listed.len(), 1);
+        assert!(!live(&dg.since, &listed[0], 1, 0));
     }
 
     #[test]

@@ -307,11 +307,8 @@ mod tests {
         weights: &[f64],
         clock: &SimClock,
     ) -> f64 {
-        let out_edges: Vec<_> = (0..set.len())
-            .map(|i| dg.threats_out(RegionId(i as u32)).to_vec())
-            .collect();
         let mut threats = ThreatCounts::default();
-        threats.reconcile(set, &out_edges);
+        threats.reconcile(set, dg);
         let region = set.region(rid);
         let t_c = estimate_ticks(region, clock.model(), 2);
         region_csm(set, &threats, region, scores, weights, clock, t_c)

@@ -20,15 +20,21 @@
 //!   Satisfaction Metric (Equation 8);
 //! * [`threats::ThreatCounts`] — the per-cell threat counts Definition 11
 //!   is a function of, kept current by deltas so scheduling does not
-//!   re-derive them per candidate per decision.
+//!   re-derive them per candidate per decision;
+//! * `cells` — output-cell sets as machine words: the one place that knows
+//!   how a cell index decomposes into grid coordinates, behind both the
+//!   counts and the §6 discard ([`OutputRegion::discard_dominated`]).
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod build;
+mod cells;
 pub mod depgraph;
 pub mod estimate;
 pub mod region;
+#[cfg(test)]
+mod testkit;
 pub mod threats;
 
 pub use build::{build_regions, RegionBuildInput};

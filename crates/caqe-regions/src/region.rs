@@ -1,7 +1,8 @@
 //! Output regions (`R_i` of Table 1) and their lifecycle.
 
+use crate::cells::{all_cells, cells_dominated_by, point_dominates_rect, MASK_DIMS};
 use caqe_types::ids::QuerySet;
-use caqe_types::{CellId, DimMask, QueryId, Rect, RegionId, Value};
+use caqe_types::{CellId, DimMask, QueryId, Rect, RegionId, SimClock, Stats, Value};
 
 /// Number of grid subdivisions per dimension used for output cells inside a
 /// region (the paper's 2-d illustrations use small regular grids; 2 per
@@ -34,6 +35,15 @@ pub struct OutputRegion {
     /// Per output cell: queries for which the cell is still alive (the
     /// *cell query lineage*, `CQL`).
     cell_alive: Vec<QuerySet>,
+    /// The queries that have a word in `alive_cells`: those with a cell
+    /// still alive (the union of `cell_alive`), on grids that fit one word
+    /// (`MASK_DIMS` dimensions or fewer; none above).
+    slots: QuerySet,
+    /// `cell_alive` transposed: per query of `slots`, in ascending id order,
+    /// the non-empty set of cells still alive for it (bit `c` = cell `c`).
+    /// Sized by the queries the region can still serve, so a region of a
+    /// three-query group carries at most three words, not 64.
+    alive_cells: Vec<u64>,
     /// Whether tuple-level processing has completed for this region.
     pub processed: bool,
 }
@@ -53,6 +63,11 @@ impl OutputRegion {
     ) -> Self {
         let grid = bounds.grid(GRID_PARTS);
         let cell_alive = vec![serving; grid.len()];
+        let (slots, alive_cells) = if bounds.dims() <= MASK_DIMS {
+            (serving, vec![all_cells(grid.len()); serving.len()])
+        } else {
+            (QuerySet::EMPTY, Vec::new())
+        };
         OutputRegion {
             id,
             r_cell,
@@ -64,6 +79,8 @@ impl OutputRegion {
             serving,
             grid,
             cell_alive,
+            slots,
+            alive_cells,
             processed: false,
         }
     }
@@ -92,7 +109,47 @@ impl OutputRegion {
 
     /// Number of output cells still alive for query `q`.
     pub fn alive_cell_count(&self, q: QueryId) -> usize {
-        self.cell_alive.iter().filter(|s| s.contains(q)).count()
+        match self.alive_cells(q) {
+            Some(cells) => cells.count_ones() as usize,
+            None => self.cell_alive.iter().filter(|s| s.contains(q)).count(),
+        }
+    }
+
+    /// The output cells still alive for query `q` as a cell set (bit `c` =
+    /// cell `c`), or `None` when the grid has more than 64 cells and no such
+    /// word exists.
+    pub fn alive_cells(&self, q: QueryId) -> Option<u64> {
+        if self.bounds.dims() > MASK_DIMS {
+            return None;
+        }
+        let served = self.slots.contains(q);
+        Some(if served {
+            self.alive_cells[self.rank(q)]
+        } else {
+            0
+        })
+    }
+
+    /// Where `q`'s word sits (or would be inserted) in `alive_cells`: the
+    /// number of `slots` with a lower id.
+    fn rank(&self, q: QueryId) -> usize {
+        (self.slots.0 & ((1u64 << q.index()) - 1)).count_ones() as usize
+    }
+
+    /// Takes `cells` out of `q`'s word of `alive_cells` and returns whether
+    /// that emptied it — the word is dropped then. `false` if `q` has none.
+    fn kill_in_word(&mut self, q: QueryId, cells: u64) -> bool {
+        if !self.slots.contains(q) {
+            return false;
+        }
+        let at = self.rank(q);
+        self.alive_cells[at] &= !cells;
+        let none_left = self.alive_cells[at] == 0;
+        if none_left {
+            self.alive_cells.remove(at);
+            self.slots.remove(q);
+        }
+        none_left
     }
 
     /// Index of the output cell a generated tuple falls into, or `None` if
@@ -129,10 +186,14 @@ impl OutputRegion {
         self.cell_alive[c] = before.intersect(QuerySet(!queries.0));
         let mut region_dead = QuerySet::EMPTY;
         for q in before.intersect(queries).iter() {
-            if !self.serving.contains(q) {
-                continue;
-            }
-            if self.cell_alive.iter().all(|s| !s.contains(q)) {
+            // One word says whether any cell is left; above 64 cells only a
+            // scan does.
+            let none_left = if self.bounds.dims() <= MASK_DIMS {
+                self.kill_in_word(q, 1 << c)
+            } else {
+                self.cell_alive.iter().all(|s| !s.contains(q))
+            };
+            if none_left && self.serving.contains(q) {
                 self.serving.remove(q);
                 region_dead.insert(q);
             }
@@ -147,6 +208,69 @@ impl OutputRegion {
         for s in &mut self.cell_alive {
             s.remove(q);
         }
+        self.kill_in_word(q, u64::MAX);
+    }
+
+    /// The §6 discard of this region for one query: kills every output cell
+    /// still alive for `q` that some point of `news` dominates outright in
+    /// `q`'s subspace `pref`, and returns whether the region died for `q` as
+    /// a result.
+    ///
+    /// Charges one region comparison per (alive cell, point) test, a cell
+    /// being tested against the points in order up to its first dominator —
+    /// the count a cell-by-cell scan makes. Up to `MASK_DIMS` dimensions the
+    /// scan runs point-major over the cell set instead: each point is charged
+    /// for the cells no earlier point dominated and its dominated cells are
+    /// one word ([`cells_dominated_by`]).
+    pub fn discard_dominated<'p>(
+        &mut self,
+        q: QueryId,
+        pref: DimMask,
+        news: impl IntoIterator<Item = &'p [Value]> + Clone,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> bool {
+        let mut charge = |tests: u64| {
+            clock.charge_dom_cmps(tests);
+            stats.region_comparisons += tests;
+        };
+        let single = QuerySet::singleton(q);
+        let mut died = false;
+        match self.alive_cells(q) {
+            Some(alive) => {
+                let mut remaining = alive;
+                for p in news {
+                    if remaining == 0 {
+                        break;
+                    }
+                    charge(remaining.count_ones() as u64);
+                    remaining &= !cells_dominated_by(p, &self.grid, pref);
+                }
+                let mut kills = alive & !remaining;
+                while kills != 0 {
+                    died |= !self
+                        .kill_cell(kills.trailing_zeros() as usize, single)
+                        .is_empty();
+                    kills &= kills - 1;
+                }
+            }
+            None => {
+                for c in 0..self.grid.len() {
+                    if !self.cell_alive[c].contains(q) {
+                        continue;
+                    }
+                    let lo = self.grid[c].lo();
+                    let dominated = news.clone().into_iter().any(|p| {
+                        charge(1);
+                        point_dominates_rect(p, lo, pref)
+                    });
+                    if dominated {
+                        died |= !self.kill_cell(c, single).is_empty();
+                    }
+                }
+            }
+        }
+        died
     }
 
     /// Adds a newly admitted query to the region's lineage with *every*
@@ -158,6 +282,16 @@ impl OutputRegion {
         self.serving.insert(q);
         for s in &mut self.cell_alive {
             s.insert(q);
+        }
+        if self.bounds.dims() <= MASK_DIMS {
+            let (at, all) = (self.rank(q), all_cells(self.grid.len()));
+            if self.slots.contains(q) {
+                self.alive_cells[at] = all;
+            } else {
+                // Ids only grow, so this is a push in practice.
+                self.slots.insert(q);
+                self.alive_cells.insert(at, all);
+            }
         }
     }
 }
@@ -288,6 +422,120 @@ impl RegionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{arb_boxes, region};
+    use proptest::prelude::*;
+
+    /// The §6 discard as a cell-by-cell scan, whatever the dimensionality:
+    /// the reference for [`OutputRegion::discard_dominated`]. Returns the
+    /// cells it killed, in kill order, and whether the region died for `q`.
+    fn discard_per_cell(
+        reg: &mut OutputRegion,
+        q: QueryId,
+        pref: DimMask,
+        news: &[Vec<Value>],
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> (Vec<usize>, bool) {
+        let mut kills = Vec::new();
+        for (c, cell) in reg.grid().iter().enumerate() {
+            if !reg.cell_lineage(c).contains(q) {
+                continue;
+            }
+            for p in news {
+                clock.charge_dom_cmps(1);
+                stats.region_comparisons += 1;
+                if point_dominates_rect(p, cell.lo(), pref) {
+                    kills.push(c);
+                    break;
+                }
+            }
+        }
+        let single = QuerySet::singleton(q);
+        let died = kills.iter().fold(false, |died, &c| {
+            died | !reg.kill_cell(c, single).is_empty()
+        });
+        (kills, died)
+    }
+
+    proptest! {
+        /// The cell-set discard and the cell-by-cell scan agree on the cells
+        /// killed (ascending, which is the scan's kill order), on whether the
+        /// region died, on the resulting region and on every charge — over
+        /// touching and zero-extent boxes, NaN and infinite coordinates,
+        /// partly dead lineage and every subspace (`d = 7` has no cell word
+        /// and takes the scan itself).
+        #[test]
+        fn discard_by_cell_sets_equals_the_per_cell_scan(
+            (d, boxes, news) in (1usize..=7).prop_flat_map(|d| (
+                Just(d),
+                arb_boxes(d, 1),
+                proptest::collection::vec(proptest::collection::vec(0u8..8, d..=d), 0..=40),
+            )),
+            dead in proptest::collection::vec(0usize..128, 0..12),
+        ) {
+            let coordinate = |v: &u8| match v {
+                5 => Value::NAN,
+                6 => Value::INFINITY,
+                7 => Value::NEG_INFINITY,
+                &v => v as Value,
+            };
+            let news: Vec<Vec<Value>> =
+                news.iter().map(|p| p.iter().map(coordinate).collect()).collect();
+            let q = QueryId(1);
+            let mut start = region(0, boxes[0].clone(), QuerySet::all(2));
+            for c in dead {
+                start.kill_cell(c % start.cell_count(), QuerySet::singleton(q));
+            }
+            for pref in DimMask::enumerate_nonempty(d) {
+                let (mut by_sets, mut by_scan) = (start.clone(), start.clone());
+                let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+                let died = by_sets.discard_dominated(
+                    q, pref, news.iter().map(Vec::as_slice), &mut clock, &mut stats,
+                );
+                let (mut ref_clock, mut ref_stats) = (SimClock::default(), Stats::new());
+                let (ref_kills, ref_died) =
+                    discard_per_cell(&mut by_scan, q, pref, &news, &mut ref_clock, &mut ref_stats);
+                let kills: Vec<usize> = (0..start.cell_count())
+                    .filter(|&c| start.cell_lineage(c) != by_sets.cell_lineage(c))
+                    .collect();
+                prop_assert_eq!(kills, ref_kills, "pref {:?}", pref);
+                prop_assert_eq!(died, ref_died);
+                prop_assert_eq!(&by_sets, &by_scan);
+                prop_assert_eq!(clock.ticks(), ref_clock.ticks());
+                prop_assert_eq!(stats.region_comparisons, ref_stats.region_comparisons);
+            }
+        }
+
+        /// The alive-cell words stay the transpose of the per-cell lineage
+        /// under every mutation a region has.
+        #[test]
+        fn alive_cell_words_mirror_the_cell_lineage(
+            (d, boxes) in (1usize..=7).prop_flat_map(|d| (Just(d), arb_boxes(d, 1))),
+            serving in 0u64..16,
+            ops in proptest::collection::vec((0u8..3, 0usize..128, 0u64..64), 0..24),
+        ) {
+            let mut reg = region(0, boxes[0].clone(), QuerySet(serving));
+            for (kind, c, bits) in ops {
+                let q = QueryId((bits % 6) as u16);
+                match kind {
+                    0 => drop(reg.kill_cell(c % reg.cell_count(), QuerySet(bits))),
+                    1 => reg.kill_query(q),
+                    _ => reg.admit_query(q),
+                }
+                for q in (0..6).map(QueryId) {
+                    let alive: Vec<usize> = (0..reg.cell_count())
+                        .filter(|&c| reg.cell_lineage(c).contains(q))
+                        .collect();
+                    prop_assert_eq!(reg.alive_cell_count(q), alive.len());
+                    prop_assert_eq!(reg.alive_cells(q).is_some(), d <= MASK_DIMS);
+                    if let Some(word) = reg.alive_cells(q) {
+                        let set: Vec<usize> = (0..64).filter(|c| word >> c & 1 == 1).collect();
+                        prop_assert_eq!(set, alive);
+                    }
+                }
+            }
+        }
+    }
 
     fn region2d(serving: QuerySet) -> OutputRegion {
         OutputRegion::new(

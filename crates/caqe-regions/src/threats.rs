@@ -13,100 +13,54 @@
 //! *effective serving set* it has counted (`EMPTY` once `processed`), and
 //! [`ThreatCounts::reconcile`] compares that against the region's current
 //! state: for every query a region lost (or gained) it walks the region's
-//! static out-edges and decrements (increments) exactly the cells it covers.
+//! out-edges and decrements (increments) exactly the cells it covers.
+//!
+//! The counters are packed [`LANES`] to a `u64`, so a threat's cell set
+//! ([`CellCover`]) lands as one look-up and one add per [`LANES`] cells
+//! instead of one read-modify-write per covered cell.
 
+use crate::cells::{CellCover, MASK_DIMS};
 use crate::depgraph::{DependencyGraph, Edge};
 use crate::estimate::{buchta_estimate, prog_count, soft_prog_est};
-use crate::region::{OutputRegion, RegionSet, GRID_PARTS};
+use crate::region::{OutputRegion, RegionSet};
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, Rect, RegionId};
+use caqe_types::RegionId;
 
-// The bitmask decomposition below reads bit `k` of a cell index as the
-// cell's grid coordinate in dimension `k`.
-const _: () = assert!(GRID_PARTS == 2);
+/// Bits per counter.
+const LANE_BITS: usize = 16;
+/// Counters per `u64` word.
+const LANES: usize = 64 / LANE_BITS;
+/// The highest count a lane holds.
+const LANE_MAX: usize = (1 << LANE_BITS) - 1;
 
-/// Highest dimensionality whose `2^d` output cells fit one `u64` cell set.
-const MASK_DIMS: usize = 6;
-
-/// `BIT_SET[k]` — the cells (as bits of a `u64`) whose index has bit `k` set.
-const BIT_SET: [u64; MASK_DIMS] = [
-    0xAAAA_AAAA_AAAA_AAAA,
-    0xCCCC_CCCC_CCCC_CCCC,
-    0xF0F0_F0F0_F0F0_F0F0,
-    0xFF00_FF00_FF00_FF00,
-    0xFFFF_0000_FFFF_0000,
-    0xFFFF_FFFF_0000_0000,
-];
-
-/// Which output cells of one target region a threat box may dominate, for
-/// any subspace, without a per-cell `Rect` comparison.
-///
-/// `Rect::relate_region` is a conjunction/disjunction of per-dimension corner
-/// comparisons, and on the regular 2-per-dimension grid a cell's corner in
-/// dimension `k` depends only on bit `k` of its index. So each of the four
-/// per-dimension predicates (weak/strict, for the *Dominates* and the
-/// *PartiallyDominates* branch) holds on a cell set that is `BIT_SET[k]`, its
-/// complement, both or neither — and the subspace verdict is those sets
-/// AND-ed (weak everywhere) and OR-ed (strict somewhere) over the subspace.
-/// The corner values are read from the stored grid boxes, so every float
-/// comparison is the one the per-cell test would make.
-struct CellCover {
-    full_weak: [u64; MASK_DIMS],
-    full_strict: [u64; MASK_DIMS],
-    part_weak: [u64; MASK_DIMS],
-    part_strict: [u64; MASK_DIMS],
-    /// All cells of the grid.
-    all: u64,
-}
-
-impl CellCover {
-    /// Requires `threat.dims() <= MASK_DIMS` and `grid` to be the `2^d`-cell
-    /// grid of a `d`-dimensional region.
-    fn new(threat: &Rect, grid: &[Rect]) -> Self {
-        let mut cover = CellCover {
-            full_weak: [0; MASK_DIMS],
-            full_strict: [0; MASK_DIMS],
-            part_weak: [0; MASK_DIMS],
-            part_strict: [0; MASK_DIMS],
-            all: u64::MAX >> (64 - grid.len()),
-        };
-        for k in 0..threat.dims() {
-            // Representatives of the two grid coordinates in dimension `k`.
-            let (c0, c1) = (&grid[0], &grid[1 << k]);
-            let pick = |at0: bool, at1: bool| {
-                (if at0 { !BIT_SET[k] } else { 0 }) | (if at1 { BIT_SET[k] } else { 0 })
-            };
-            let (lo, hi) = (threat.lo()[k], threat.hi()[k]);
-            cover.full_weak[k] = pick(hi <= c0.lo()[k], hi <= c1.lo()[k]);
-            cover.full_strict[k] = pick(hi < c0.lo()[k], hi < c1.lo()[k]);
-            cover.part_weak[k] = pick(lo <= c0.hi()[k], lo <= c1.hi()[k]);
-            cover.part_strict[k] = pick(lo < c0.hi()[k], lo < c1.hi()[k]);
+/// `SPREAD[s]` — a one in every lane whose bit is set in the `LANES`-cell
+/// set `s`: adding it to a word bumps exactly those cells' counters.
+const SPREAD: [u64; 1 << LANES] = {
+    let mut lut = [0u64; 1 << LANES];
+    let mut s = 0;
+    while s < lut.len() {
+        let mut lane = 0;
+        while lane < LANES {
+            if s >> lane & 1 == 1 {
+                lut[s] |= 1 << (lane * LANE_BITS);
+            }
+            lane += 1;
         }
-        cover
+        s += 1;
     }
-
-    /// The cells the threat may dominate in subspace `pref` — bit `c` set iff
-    /// `threat.may_dominate_region(&grid[c], pref)`.
-    fn cells(&self, pref: DimMask) -> u64 {
-        let (mut full_weak, mut full_strict) = (u64::MAX, 0);
-        let (mut part_weak, mut part_strict) = (u64::MAX, 0);
-        for k in pref.iter() {
-            full_weak &= self.full_weak[k];
-            full_strict |= self.full_strict[k];
-            part_weak &= self.part_weak[k];
-            part_strict |= self.part_strict[k];
-        }
-        ((full_weak & full_strict) | (part_weak & part_strict)) & self.all
-    }
-}
+    lut
+};
 
 /// Per (group-local query, region, output cell): the number of alive
 /// in-neighbours serving the query that may dominate the cell.
 ///
-/// For every alive region serving a query the counts equal what
-/// [`prog_count`] / [`soft_prog_est`] derive from the live dependency graph
-/// (see [`ThreatCounts::matches_oracle`]); entries of dead regions and of
-/// queries a region no longer serves are never read.
+/// For every alive region and every query it serves the counts equal what
+/// [`prog_count`] / [`soft_prog_est`] derive from the dependency graph (see
+/// [`ThreatCounts::matches_oracle`]); entries of dead regions and of queries
+/// a region no longer serves are never read — and, for that reason, no
+/// longer maintained: a (region, query) that died never comes back (an
+/// admission revives a region for the *new* query only, whose block of the
+/// table is new too), so a loss does not bother to reach it.
 ///
 /// A `default()` table has counted nothing; the first
 /// [`reconcile`](ThreatCounts::reconcile) fills it, so a run that never reads
@@ -117,28 +71,46 @@ pub struct ThreatCounts {
     cells: usize,
     /// Per region: the effective serving set whose out-edges are counted.
     counted: Vec<QuerySet>,
-    /// `counts[(local query * regions + region) * cells + cell]` — query
-    /// major, so an admission appends one block.
-    counts: Vec<u32>,
+    /// The counters, [`LANES`] to a word: cell `c` of region `r` for local
+    /// query `lq` is lane `c % LANES` of word
+    /// `(lq * regions + r) * words_per_slot + c / LANES` — query major, so an
+    /// admission appends one block.
+    counts: Vec<u64>,
 }
 
 impl ThreatCounts {
+    /// Words holding one (query, region) slot's `cells` counters.
+    fn words_per_slot(&self) -> usize {
+        self.cells.div_ceil(LANES)
+    }
+
     /// Brings the table up to date with the regions' current state: every
     /// region whose effective serving set changed since it was last counted
-    /// has its out-edges walked once per lost or gained query. `out_edges[i]`
-    /// are the static out-edges of region `i` (the dependency graph's
-    /// out-edges as built, never shrunk by `DependencyGraph::remove`).
+    /// has its out-edges in `dg` walked once per lost or gained query.
     /// Charges nothing — like the scoring that reads it, this is scheduler
     /// work.
     ///
-    /// Static out-edges suffice because an edge's annotation for a query is
-    /// fixed from the moment a region can serve that query: the look-ahead
-    /// builds them, an admission only adds the *new* query's bits, and
-    /// nothing removes bits — so a loss walks exactly the edges its gain did.
-    pub fn reconcile(&mut self, set: &RegionSet, out_edges: &[Vec<Edge>]) {
+    /// The graph's out-edges suffice because they are never shrunk by
+    /// `DependencyGraph::remove` and an edge's annotation for a query is
+    /// fixed while any region serves that query: the look-ahead builds
+    /// them, an admission only adds the *new* query's bits, and a departure
+    /// strips a query nobody serves any more — so a loss walks exactly the
+    /// edges its gain did.
+    ///
+    /// # Panics
+    /// Panics if the set has more than `LANE_MAX + 1` regions: a cell's
+    /// count is at most its region's in-degree, which is below the region
+    /// count, and that bound is what keeps a lane from carrying into its
+    /// neighbour.
+    pub fn reconcile(&mut self, set: &RegionSet, dg: &DependencyGraph) {
+        assert!(
+            set.len() <= LANE_MAX + 1,
+            "{} regions overflow a {LANE_BITS}-bit threat counter",
+            set.len()
+        );
         self.cells = set.regions().first().map_or(0, OutputRegion::cell_count);
         self.counted.resize(set.len(), QuerySet::EMPTY);
-        let need = set.queries().len() * set.len() * self.cells;
+        let need = set.queries().len() * set.len() * self.words_per_slot();
         if self.counts.len() < need {
             self.counts.resize(need, 0);
         }
@@ -150,14 +122,17 @@ impl ThreatCounts {
             };
             let was = std::mem::replace(&mut self.counted[i], now);
             if now != was {
-                self.apply(set, region, &out_edges[i], QuerySet(was.0 & !now.0), false);
-                self.apply(set, region, &out_edges[i], QuerySet(now.0 & !was.0), true);
+                let edges = dg.threats_out(region.id);
+                self.apply(set, region, edges, QuerySet(was.0 & !now.0), false);
+                self.apply(set, region, edges, QuerySet(now.0 & !was.0), true);
             }
         }
     }
 
     /// Adds (or removes) `threat`'s contribution on behalf of `queries` to
-    /// every cell it covers along `edges`.
+    /// every cell it covers along `edges`. A removal skips targets that are
+    /// processed or no longer serve the query: nothing reads those slots
+    /// again.
     fn apply(
         &mut self,
         set: &RegionSet,
@@ -169,37 +144,52 @@ impl ThreatCounts {
         if queries.is_empty() {
             return;
         }
-        let bump = |n: &mut u32| {
-            debug_assert!(add || *n > 0, "a loss walked an edge its gain did not");
-            *n = if add { *n + 1 } else { n.saturating_sub(1) };
+        let words = self.words_per_slot();
+        let bump = |word: &mut u64, lanes: u64| {
+            *word = if add {
+                word.wrapping_add(lanes)
+            } else {
+                word.wrapping_sub(lanes)
+            };
         };
         for e in edges {
-            let w = e.queries.intersect(queries);
+            let target = set.region(e.peer);
+            let read = match (add, target.processed) {
+                (true, _) => QuerySet(u64::MAX),
+                (false, false) => target.serving,
+                (false, true) => QuerySet::EMPTY,
+            };
+            let w = e.queries.intersect(queries).intersect(read);
             if w.is_empty() {
                 continue;
             }
-            let grid = set.region(e.peer).grid();
+            let grid = target.grid();
             let cover =
                 (threat.bounds.dims() <= MASK_DIMS).then(|| CellCover::new(&threat.bounds, grid));
             for (lq, (q, pref)) in set.queries().iter().enumerate() {
                 if !w.contains(*q) {
                     continue;
                 }
-                let base = (lq * set.len() + e.peer.index()) * self.cells;
-                let slot = &mut self.counts[base..base + self.cells];
+                let base = (lq * set.len() + e.peer.index()) * words;
+                let slot = &mut self.counts[base..base + words];
                 match &cover {
                     Some(cover) => {
                         let mut bits = cover.cells(*pref);
-                        while bits != 0 {
-                            bump(&mut slot[bits.trailing_zeros() as usize]);
-                            bits &= bits - 1;
+                        debug_assert!(
+                            add || (0..self.cells).all(|c| bits >> c & 1 == 0 || lane(slot, c) > 0),
+                            "a loss walked an edge its gain did not"
+                        );
+                        for word in slot {
+                            bump(word, SPREAD[bits as usize % SPREAD.len()]);
+                            bits >>= LANES;
                         }
                     }
                     // More than 64 cells: no single-word cell set.
                     None => {
-                        for (n, cell) in slot.iter_mut().zip(grid) {
+                        for (c, cell) in grid.iter().enumerate() {
                             if threat.bounds.may_dominate_region(cell, *pref) {
-                                bump(n);
+                                debug_assert!(add || lane(slot, c) > 0);
+                                bump(&mut slot[c / LANES], SPREAD[1 << (c % LANES)]);
                             }
                         }
                     }
@@ -208,20 +198,33 @@ impl ThreatCounts {
         }
     }
 
-    /// The per-cell counts of `region` for the group-local query `lq`.
-    fn slot(&self, region: RegionId, lq: usize) -> &[u32] {
-        let base = (lq * self.counted.len() + region.index()) * self.cells;
-        &self.counts[base..base + self.cells]
+    /// The counters of `region` for the group-local query `lq`, packed.
+    fn slot(&self, region: RegionId, lq: usize) -> &[u64] {
+        let words = self.words_per_slot();
+        let base = (lq * self.counted.len() + region.index()) * words;
+        &self.counts[base..base + words]
+    }
+
+    /// The counts of `region`'s cells still alive for the group-local query
+    /// `lq`, in ascending cell order.
+    fn alive_counts<'a>(
+        &'a self,
+        set: &RegionSet,
+        region: &'a OutputRegion,
+        lq: usize,
+    ) -> impl Iterator<Item = u64> + 'a {
+        let (q, _) = set.queries()[lq];
+        let slot = self.slot(region.id, lq);
+        (0..self.cells)
+            .filter(move |&c| region.cell_lineage(c).contains(q))
+            .map(move |c| lane(slot, c))
     }
 
     /// Definition 11 ([`prog_count`]) read off the table; `lq` indexes
     /// `RegionSet::queries`, here and below.
     fn prog_count(&self, set: &RegionSet, region: &OutputRegion, lq: usize) -> usize {
-        let (q, _) = set.queries()[lq];
-        self.slot(region.id, lq)
-            .iter()
-            .enumerate()
-            .filter(|(c, &n)| n == 0 && region.cell_lineage(*c).contains(q))
+        self.alive_counts(set, region, lq)
+            .filter(|&n| n == 0)
             .count()
     }
 
@@ -243,18 +246,15 @@ impl ThreatCounts {
             return 0.0;
         }
         let soft: f64 = self
-            .slot(region.id, lq)
-            .iter()
-            .enumerate()
-            .filter(|(c, _)| region.cell_lineage(*c).contains(q))
-            .map(|(_, &n)| 1.0 / (1.0 + n as f64))
+            .alive_counts(set, region, lq)
+            .map(|n| 1.0 / (1.0 + n as f64))
             .sum();
         soft / region.cell_count() as f64 * buchta_estimate(region.est_join, pref.len())
     }
 
     /// Whether the table reproduces the from-scratch functions exactly for
-    /// every query of an alive `region` against the live graph `dg` — the
-    /// audit the property tests and the engine's debug assertion share.
+    /// every query of an alive `region` against the graph `dg` — the audit
+    /// the property tests and the engine's debug assertion share.
     pub fn matches_oracle(
         &self,
         set: &RegionSet,
@@ -269,70 +269,54 @@ impl ThreatCounts {
     }
 }
 
+/// Counter `c` of a packed slot.
+fn lane(slot: &[u64], c: usize) -> u64 {
+    slot[c / LANES] >> (c % LANES * LANE_BITS) & LANE_MAX as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caqe_types::{CellId, QueryId, SimClock, Stats};
+    use crate::testkit::{arb_boxes, region};
+    use caqe_types::{DimMask, QueryId, Rect, SimClock, Stats};
     use proptest::prelude::*;
 
-    /// A box per region on a coarse integer lattice, so coincident, nested,
-    /// touching and zero-extent boxes are the common case, not the rare one.
-    fn arb_boxes(d: usize, n: usize) -> impl Strategy<Value = Vec<Rect>> {
-        let corner = proptest::collection::vec((0u8..5, 0u8..5), d..=d);
-        proptest::collection::vec(corner, n..=n).prop_map(|boxes| {
-            boxes
-                .into_iter()
-                .map(|dims| {
-                    let lo = dims.iter().map(|&(a, b)| a.min(b) as f64).collect();
-                    let hi = dims.iter().map(|&(a, b)| a.max(b) as f64).collect();
-                    Rect::new(lo, hi)
-                })
+    #[test]
+    fn coincident_threats_never_carry_into_a_neighbour_lane() {
+        // 299 point boxes at the origin threaten every cell of one target:
+        // more than an 8-bit lane holds, so any lane narrower than the
+        // region count would carry into its neighbour on the way up or
+        // borrow from it on the way down.
+        let n = 300;
+        let q = QueryId(0);
+        let target = region(
+            0,
+            Rect::new(vec![1.0, 1.0], vec![3.0, 3.0]),
+            QuerySet::all(1),
+        );
+        let threats = (1..n).map(|i| region(i, Rect::point(&[0.0, 0.0]), QuerySet::all(1)));
+        let regions = std::iter::once(target).chain(threats).collect();
+        let mut set = RegionSet::new(regions, vec![(q, DimMask::full(2))]);
+        let dg = DependencyGraph::build(&set, &mut SimClock::default(), &mut Stats::new());
+        let mut table = ThreatCounts::default();
+        table.reconcile(&set, &dg);
+        let counts = |table: &ThreatCounts, set: &RegionSet| -> Vec<u64> {
+            table
+                .alive_counts(set, set.region(RegionId(0)), 0)
                 .collect()
-        })
-    }
-
-    fn region(id: usize, bounds: Rect, serving: QuerySet) -> OutputRegion {
-        OutputRegion::new(
-            RegionId(id as u32),
-            CellId(0),
-            CellId(0),
-            bounds,
-            8,
-            8,
-            16.0,
-            serving,
-        )
-    }
-
-    fn out_edges(dg: &DependencyGraph, n: usize) -> Vec<Vec<Edge>> {
-        (0..n)
-            .map(|i| dg.threats_out(RegionId(i as u32)).to_vec())
-            .collect()
+        };
+        assert_eq!(counts(&table, &set), vec![n as u64 - 1; 4]);
+        assert!(table.matches_oracle(&set, &dg, set.region(RegionId(0))));
+        for i in 1..n {
+            set.region_mut(RegionId(i as u32)).processed = true;
+            if i % 50 == 0 || i == n - 1 {
+                table.reconcile(&set, &dg);
+                assert_eq!(counts(&table, &set), vec![(n - 1 - i) as u64; 4]);
+            }
+        }
     }
 
     proptest! {
-        /// The bitmask cell set is `may_dominate_region` per cell, in every
-        /// subspace, including touching corners and zero-extent boxes.
-        #[test]
-        fn cell_cover_equals_per_cell_test(
-            (d, boxes) in (1usize..=MASK_DIMS).prop_flat_map(|d| (Just(d), arb_boxes(d, 2)))
-        ) {
-            let target = region(0, boxes[1].clone(), QuerySet::EMPTY);
-            let cover = CellCover::new(&boxes[0], target.grid());
-            prop_assert_eq!(cover.cells(DimMask::EMPTY), 0);
-            for pref in DimMask::enumerate_nonempty(d) {
-                let cells = cover.cells(pref);
-                prop_assert_eq!(cells as u128 >> target.cell_count(), 0);
-                for (c, cell) in target.grid().iter().enumerate() {
-                    prop_assert_eq!(
-                        cells >> c & 1 == 1,
-                        boxes[0].may_dominate_region(cell, pref),
-                        "threat {:?} cell {} {:?} pref {:?}", boxes[0], c, cell, pref
-                    );
-                }
-            }
-        }
-
         /// Under any sequence of the state changes the engine makes, the
         /// reconciled table equals the from-scratch functions bit for bit
         /// on every alive region (`d = 7` takes the per-cell fallback).
@@ -360,13 +344,11 @@ mod tests {
                 .collect();
             let mut set = RegionSet::new(regions, queries);
             let (mut clock, mut stats) = (SimClock::default(), Stats::new());
-            // `dg` sheds nodes like the engine's scheduling graph; `fixed`
-            // plays the engine's static snapshot: patched on admission,
-            // never shrunk.
+            // One graph, used the way the engine uses it: regions leave it
+            // as they finish or die, its edge lists stay.
             let mut dg = DependencyGraph::build(&set, &mut clock, &mut stats);
-            let mut fixed = dg.clone();
             let mut table = ThreatCounts::default();
-            table.reconcile(&set, &out_edges(&fixed, n));
+            table.reconcile(&set, &dg);
 
             for step in 0..=ops.len() {
                 if step > 0 {
@@ -391,7 +373,6 @@ mod tests {
                             let (q, pref) = (QueryId(nq as u16), DimMask(1 + bits as u32 % ((1 << d) - 1)));
                             set.admit_query(q, pref);
                             dg.admit_query(&set, q, &mut clock, &mut stats);
-                            fixed.admit_query(&set, q, &mut clock, &mut stats);
                         }
                         4 => {
                             for dead in set.depart_query(q) {
@@ -406,7 +387,7 @@ mod tests {
                             dg.remove(rid);
                         }
                     }
-                    table.reconcile(&set, &out_edges(&fixed, n));
+                    table.reconcile(&set, &dg);
                 }
                 for r in set.regions().iter().filter(|r| r.is_alive()) {
                     prop_assert!(

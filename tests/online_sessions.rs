@@ -180,6 +180,81 @@ fn churn_trace_is_bit_identical_at_every_parallelism() {
 }
 
 #[test]
+fn admission_revives_discarded_regions_that_are_then_scheduled() {
+    // By the time query 2 arrives, a fifth of the way in, the §6 discard has
+    // pruned thirty-two regions — their last cells for queries 0 and 1 were
+    // dominated by materialized tuples — and the scheduler has dropped them
+    // from the dependency graph. None was processed, so the admission
+    // revives them all (and four look-ahead husks) for query 2 alone, with
+    // eight never-pruned regions still to run. Most are discarded again at
+    // once; 1, 22 and 36 survive and are scheduled. (Which regions these are
+    // was read off a build instrumented at the prune, the revival and the
+    // decision; the committed churn golden never gets here.) Their edges
+    // must come back to life for query 2 and no other: leaving them dead
+    // makes each an instant root that blocks nobody, which moves the
+    // schedule but no result set — so the bytes, recorded with the parent
+    // build that still edited its edge lists on every removal, are the
+    // check.
+    let initial = vec![
+        spec(
+            0,
+            DimMask::from_dims([0, 1]),
+            0.9,
+            Contract::Deadline { t_hard: 0.5 },
+        ),
+        spec(0, DimMask::from_dims([1, 2]), 0.6, Contract::LogDecay),
+    ];
+    let late = spec(0, DimMask::from_dims([0, 3]), 0.7, Contract::LogDecay);
+    let (r, t) = tables(600, Distribution::Independent, 7);
+    let exec = ExecConfig::default().with_target_cells(600, 8);
+    let events = EventStream::new(vec![SessionEvent::Admit {
+        at: 19_657,
+        spec: late.clone(),
+    }]);
+    let mut sink = RecordingSink::new();
+    let w = Workload::new(initial.clone());
+    let out = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .events(&events)
+        .try_run(&mut sink)
+        .expect("clean input");
+
+    let admitted_at = sink
+        .events()
+        .iter()
+        .position(|e| matches!(e, TraceEvent::Admit { .. }))
+        .expect("the admission is traced");
+    let scheduled_after: Vec<u32> = sink.events()[admitted_at..]
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Decision { region, .. } => Some(*region),
+            _ => None,
+        })
+        .collect();
+    for revived in [1, 22, 36] {
+        assert!(
+            scheduled_after.contains(&revived),
+            "region {revived} not scheduled after its revival: {scheduled_after:?}"
+        );
+    }
+
+    // Definitions 1-2 over the effective query set, late arrival included.
+    let effective = Workload::new(initial.into_iter().chain([late]).collect());
+    let expected = common::expected_skylines(&r, &t, &effective);
+    assert_eq!(out.per_query.len(), expected.len());
+    for (q, want) in expected.iter().enumerate() {
+        let got: std::collections::BTreeSet<(u64, u64)> =
+            out.per_query[q].results.iter().copied().collect();
+        assert_eq!(
+            got.len(),
+            out.per_query[q].results.len(),
+            "query {q} repeats"
+        );
+        assert_eq!(&got, want, "query {q} diverged from the reference skyline");
+    }
+    assert_golden("revival_trace.jsonl", &to_jsonl(sink.events()));
+}
+
+#[test]
 fn departure_truncates_emissions_and_spares_other_queries() {
     let w = workload();
     let (r, t) = tables(1600, Distribution::Independent, 99);
