@@ -14,7 +14,6 @@ use caqe_cuboid::{MinMaxCuboid, SharedSkylinePlan};
 use caqe_operators::MappingSet;
 use caqe_parallel::Threads;
 use caqe_partition::Partitioning;
-use caqe_regions::depgraph::Edge;
 use caqe_regions::{
     build_regions, region_csm, DependencyGraph, OutputRegion, RegionBuildInput, RegionSet,
     ThreatCounts,
@@ -128,15 +127,17 @@ impl JoinGroup {
     }
 }
 
-/// A memoized group build: everything a cold `open_group` produced that
-/// is expensive to recompute, plus the exact tick and counter deltas
-/// it charged — replaying a memo leaves the clock, stats and trace in the
-/// same state as rebuilding would.
+/// A memoized group build: what a cold `open_group` produced that is
+/// expensive to recompute — the regions and the dependency graph, as
+/// built — plus the exact tick and counter deltas it charged, so replaying
+/// a memo leaves the clock, stats and trace in the same state as
+/// rebuilding would. In-process only: the plan file stores the key and
+/// `PreparedPlan::load` rebuilds the rest (DESIGN.md §19).
 ///
 /// The key is the full tuple `(join_col, mapping, queries, coarse_pruning,
 /// build_dg, keep_empty)`: a memo only ever replays for the group build it
 /// was recorded from.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupMemo {
     /// The group's shared join column.
     pub join_col: usize,
@@ -152,11 +153,8 @@ pub struct GroupMemo {
     pub keep_empty: bool,
     /// The built region set (post-look-ahead state).
     pub regions: RegionSet,
-    /// Threat in-edges; the full graph is reconstructed by transposition.
-    pub threats_in: Vec<Vec<Edge>>,
-    /// Structural digest of the min-max cuboid the preferences imply,
-    /// cross-checked when a persisted memo is loaded.
-    pub cuboid_digest: u64,
+    /// The dependency graph over them, as built; a replay clones it.
+    pub dg: DependencyGraph,
     /// Virtual ticks the cold build charged.
     pub ticks: u64,
     /// Counter deltas the cold build charged (per-query stats untouched).
@@ -296,11 +294,11 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
 ///
 /// A memo of `memos` whose full key matches is *replayed*: the clock
 /// advances by the recorded ticks, the recorded counters are re-applied and
-/// the state is instantiated from the memo's structures (the only
-/// recomputed pieces — the dependency-graph transpose, the min-max cuboid
-/// and the screening bounds — are pure functions of them). Otherwise the
-/// group is built cold. Either way `clock`, `stats` and `sink` end up in
-/// the same state: a build only ever *charges* the clock, never reads it,
+/// the state is instantiated from clones of the memo's structures (the
+/// only recomputed pieces — the min-max cuboid and the screening bounds —
+/// are pure functions of them). Otherwise the group is built cold. Either
+/// way `clock`, `stats` and `sink` end up in the same state: a build only
+/// ever *charges* the clock, never reads it,
 /// so the deltas a scratch-clock build recorded ([`PreparedPlan::memoize`])
 /// are the deltas any clock would have been charged.
 ///
@@ -340,8 +338,7 @@ pub(crate) fn open_group<S: TraceSink>(
         Some(m) => {
             clock.advance(m.ticks);
             *stats += m.stats.clone();
-            let dg = DependencyGraph::from_threats_in(m.threats_in.clone());
-            (m.regions.clone(), dg)
+            (m.regions.clone(), m.dg.clone())
         }
         None => {
             let input = RegionBuildInput {
@@ -363,11 +360,6 @@ pub(crate) fn open_group<S: TraceSink>(
         }
     };
     let group = assemble_group(join_col, mapping, &queries, regions, dg, exec.assume_dva);
-    debug_assert!(
-        memo.map_or(true, |m| group.plan.cuboid().structure_digest()
-            == m.cuboid_digest),
-        "memoized cuboid digest out of sync"
-    );
     if S::ENABLED {
         for kind in [SpanKind::LookAhead, SpanKind::GroupBuild] {
             sink.record(TraceEvent::Span {

@@ -1,47 +1,47 @@
-//! Versioned on-disk plan persistence and warm-start restore.
+//! The in-process plan memo, and the plan file that names it.
 //!
 //! Building the shared plan — quad-tree partitionings, output regions,
-//! dependency graph, min-max cuboid — is the dominant cost of a cold
-//! start, yet every piece of it is a pure function of the base tables,
-//! the execution config and the workload's group keys. This module
-//! memoizes that build into a [`PreparedPlan`] that can be written to a
-//! compact versioned text format with the crash-safe discipline of the
-//! serving snapshot (temp file, fsync, atomic rename) and read back on
-//! restart, skipping the rebuild entirely.
+//! dependency graph, min-max cuboid — is a pure function of the base
+//! tables, the execution config and the workload's group keys. A
+//! [`PreparedPlan`] memoizes that build so a server pays it once and every
+//! epoch replays it (`CaqeServer::with_plan`).
+//!
+//! The plan *file* is a recipe, not the product (DESIGN.md §19): it holds
+//! the three input fingerprints and the key of each memo, sealed in the
+//! frame it shares with the serving snapshot ([`caqe_types::persist`]), and
+//! [`PreparedPlan::load`] verifies frame and fingerprints and then rebuilds
+//! with the code a cold start runs. A file of built structures cost as
+//! much to parse as they cost to build, and could outlive the code that
+//! built them; a recipe does neither.
 //!
 //! Correctness contract: a warm start must be *observationally
 //! bit-identical* to a cold start. The memo therefore stores not just
 //! the structures but the exact virtual-clock ticks and counter deltas
 //! the cold build charged, and replay re-applies them together with the
 //! same trace spans. Anything that cannot be proven current — a table
-//! fingerprint mismatch, a config change, a corrupt or future-version
-//! file — invalidates the whole plan and the engine silently falls back
+//! fingerprint mismatch, a config change, a corrupt file or one of another
+//! format version — invalidates the whole plan and the caller falls back
 //! to the cold path; there is never a partial apply.
 
 use crate::config::ExecConfig;
 use crate::group::{group_workload, open_group, GroupMemo};
 use crate::workload::Workload;
-use caqe_cuboid::MinMaxCuboid;
 use caqe_data::Table;
 use caqe_operators::{MappingFn, MappingSet};
 use caqe_partition::Partitioning;
-use caqe_regions::depgraph::Edge;
-use caqe_regions::{OutputRegion, RegionSet};
 use caqe_trace::NoopSink;
-use caqe_types::ids::QuerySet;
-use caqe_types::{
-    f64_hex, parse_f64_hex, CellId, DimMask, Fnv1a, QueryId, Rect, RegionId, SimClock, Stats,
-};
+use caqe_types::persist::{self, Fields, FrameError};
+use caqe_types::subspace::MAX_DIMS;
+use caqe_types::{DimMask, Fnv1a, QueryId, SimClock, Stats};
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-/// On-disk format version this build writes and the highest it can read.
-pub const PLAN_VERSION: u64 = 1;
+/// The on-disk format version this build writes, and the only one it reads.
+pub const PLAN_VERSION: u64 = 2;
 
-/// The presort section of every v1 file: an empty cache. Written verbatim
-/// so plan files stay byte-identical with those of earlier builds.
-const EMPTY_PRESORT_SECTION: &str = "presort 1\npresortcache 0\n";
+const MAGIC: &str = "caqe-plan";
 
 /// Why a persisted plan could not be used. Every variant is total: the
 /// caller falls back to a cold rebuild, never to a partially applied plan.
@@ -50,9 +50,9 @@ pub enum PlanError {
     /// The file could not be read or written.
     Io(String),
     /// The file exists but its contents are not a well-formed plan
-    /// (bad checksum, truncation, malformed section).
+    /// (not UTF-8, bad checksum, truncation, malformed or impossible key).
     Corrupt(String),
-    /// The file declares a format version newer than this build supports.
+    /// The file is a plan of a format version other than [`PLAN_VERSION`].
     Version { found: u64 },
     /// The file is well-formed but was built against different inputs.
     Stale {
@@ -72,7 +72,7 @@ impl fmt::Display for PlanError {
             PlanError::Corrupt(why) => write!(f, "corrupt plan: {why}"),
             PlanError::Version { found } => write!(
                 f,
-                "plan format v{found} is newer than supported v{PLAN_VERSION}"
+                "plan format v{found} is not the v{PLAN_VERSION} this build speaks"
             ),
             PlanError::Stale {
                 what,
@@ -87,6 +87,15 @@ impl fmt::Display for PlanError {
 }
 
 impl std::error::Error for PlanError {}
+
+impl From<FrameError> for PlanError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Corrupt(why) => PlanError::Corrupt(why),
+            FrameError::Version { found } => PlanError::Version { found },
+        }
+    }
+}
 
 fn corrupt(why: impl Into<String>) -> PlanError {
     PlanError::Corrupt(why.into())
@@ -133,8 +142,8 @@ pub fn config_fingerprint(exec: &ExecConfig) -> u64 {
 }
 
 /// A fully memoized shared plan for one `(R, T, config)` triple. Built
-/// once (cold), persisted, and consumed by the engine's warm path.
-#[derive(Debug, Clone)]
+/// once (cold) and consumed by the engine's warm path.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedPlan {
     /// Fingerprint of the R table the plan was built from.
     pub table_fp_r: u64,
@@ -146,18 +155,44 @@ pub struct PreparedPlan {
     pub part_r: Partitioning,
     /// Memoized T-side partitioning.
     pub part_t: Partitioning,
-    /// Per-group build memos (regions, threats, tick/counter deltas).
+    /// Per-group build memos (regions, graph, tick/counter deltas).
     pub memos: Vec<GroupMemo>,
+}
+
+/// The inputs of one group build — a [`GroupMemo`] without what the build
+/// produced, and all of a memo the plan file holds.
+struct GroupKey {
+    join_col: usize,
+    mapping: MappingSet,
+    queries: Vec<(QueryId, DimMask)>,
+    coarse_pruning: bool,
+    build_dg: bool,
+    keep_empty: bool,
+}
+
+/// The current inputs' fingerprints, in the order of the file's `fp` line
+/// and with the names [`PlanError::Stale`] reports them under.
+fn fingerprints(r: &Table, t: &Table, exec: &ExecConfig) -> [(&'static str, u64); 3] {
+    [
+        ("table R", table_fingerprint(r)),
+        ("table T", table_fingerprint(t)),
+        ("config", config_fingerprint(exec)),
+    ]
 }
 
 impl PreparedPlan {
     /// Builds the table-level plan state (partitionings + fingerprints).
     /// Group memos are added per workload via [`Self::memoize`].
     pub fn build(r: &Table, t: &Table, exec: &ExecConfig) -> Self {
+        Self::partition(fingerprints(r, t, exec), r, t, exec)
+    }
+
+    /// [`Self::build`] under fingerprints already taken.
+    fn partition(fp: [(&str, u64); 3], r: &Table, t: &Table, exec: &ExecConfig) -> Self {
         PreparedPlan {
-            table_fp_r: table_fingerprint(r),
-            table_fp_t: table_fingerprint(t),
-            config_fp: config_fingerprint(exec),
+            table_fp_r: fp[0].1,
+            table_fp_t: fp[1].1,
+            config_fp: fp[2].1,
             part_r: Partitioning::build(r, exec.quadtree),
             part_t: Partitioning::build(t, exec.quadtree),
             memos: Vec::new(),
@@ -187,463 +222,242 @@ impl PreparedPlan {
         keep_empty: bool,
     ) {
         for (join_col, mapping, members) in group_workload(workload) {
-            let queries: Vec<(QueryId, DimMask)> = members
+            let queries = members
                 .iter()
                 .map(|&q| (q, workload.query(q).pref))
                 .collect();
-            if self
-                .find_memo(
-                    join_col,
-                    &mapping,
-                    &queries,
-                    coarse_pruning,
-                    build_dg,
-                    keep_empty,
-                )
-                .is_some()
-            {
-                continue;
-            }
-            let mut clock = SimClock::new(exec.cost_model);
-            let mut stats = Stats::new();
-            let group = open_group(
-                &self.part_r,
-                &self.part_t,
-                exec,
-                coarse_pruning,
-                build_dg,
-                keep_empty,
-                &[],
-                0,
-                join_col,
-                mapping.clone(),
-                queries.clone(),
-                &mut clock,
-                &mut stats,
-                &mut NoopSink,
-            );
-            let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
-            debug_assert!(
-                stats.per_query.is_empty(),
-                "group builds must not touch per-query stats"
-            );
-            let region_ids = (0..group.regions.len()).map(|i| RegionId(i as u32));
-            self.memos.push(GroupMemo {
+            let key = GroupKey {
                 join_col,
                 mapping,
                 queries,
                 coarse_pruning,
                 build_dg,
                 keep_empty,
-                regions: group.regions,
-                threats_in: region_ids
-                    .map(|r| group.dg.threats_in(r).to_vec())
-                    .collect(),
-                cuboid_digest: MinMaxCuboid::build(&prefs).structure_digest(),
-                ticks: clock.ticks(),
-                stats,
-            });
+            };
+            self.memoize_group(exec, key);
         }
     }
 
-    /// The memo matching a group key, if any.
-    pub fn find_memo(
-        &self,
-        join_col: usize,
-        mapping: &MappingSet,
-        queries: &[(QueryId, DimMask)],
-        coarse_pruning: bool,
-        build_dg: bool,
-        keep_empty: bool,
-    ) -> Option<&GroupMemo> {
-        self.memos.iter().find(|m| {
+    /// One cold `open_group` under `key`, recorded — unless a memo under
+    /// the same key exists. The one way a memo comes into being, for
+    /// [`Self::memoize`] and [`Self::from_text`] alike.
+    fn memoize_group(&mut self, exec: &ExecConfig, key: GroupKey) {
+        let GroupKey {
+            join_col,
+            mapping,
+            queries,
+            coarse_pruning,
+            build_dg,
+            keep_empty,
+        } = key;
+        let known = self.memos.iter().any(|m| {
             m.matches(
                 join_col,
-                mapping,
-                queries,
+                &mapping,
+                &queries,
                 coarse_pruning,
                 build_dg,
                 keep_empty,
             )
-        })
+        });
+        if known {
+            return;
+        }
+        let mut clock = SimClock::new(exec.cost_model);
+        let mut stats = Stats::new();
+        let group = open_group(
+            &self.part_r,
+            &self.part_t,
+            exec,
+            coarse_pruning,
+            build_dg,
+            keep_empty,
+            &[],
+            0,
+            join_col,
+            mapping,
+            queries.clone(),
+            &mut clock,
+            &mut stats,
+            &mut NoopSink,
+        );
+        debug_assert!(
+            stats.per_query.is_empty(),
+            "group builds must not touch per-query stats"
+        );
+        self.memos.push(GroupMemo {
+            join_col,
+            mapping: group.mapping,
+            queries,
+            coarse_pruning,
+            build_dg,
+            keep_empty,
+            regions: group.regions,
+            dg: group.dg,
+            ticks: clock.ticks(),
+            stats,
+        });
     }
 
     // ------------------------------------------------------------------
     // On-disk format.
     // ------------------------------------------------------------------
 
-    /// Serializes the plan to the versioned text format. Layout:
+    /// Serializes the plan's recipe in the [`persist`] frame:
     ///
     /// ```text
-    /// caqe-plan v1
-    /// fp <r> <t> <config>            (all 016x)
-    /// part r <ncells> / cell <n> <rows...>
-    /// part t <ncells> / cell <n> <rows...>
-    /// memos <n> / per memo: memo/mapping/fn*/queries/stats/regions/
-    ///                        region*/threats/tin*
-    /// presort 1 / presortcache 0    (fixed: the v1 presort section, always empty)
-    /// checksum <016x>                (FNV-1a over every body line)
+    /// caqe-plan v2
+    /// fp <r> <t> <config>                                  (016x each)
+    /// memo <join_col> <coarse> <dg> <keep_empty> <fns>     per memo, then
+    /// fn <nr> <weight>… <nt> <weight>… <offset>            <fns> of these
+    /// queries <n> <id> <pref mask> …                       and one of these
+    /// checksum <016x>
     /// ```
     ///
-    /// Floats are stored as exact bit patterns (16 hex digits), so a
-    /// round-trip is bit-identical, NaN payloads included.
+    /// Floats are stored as exact bit patterns (16 hex digits). Nothing a
+    /// build produces is stored — no partitioning, region, edge or counter.
     pub fn to_text(&self) -> String {
-        let mut body = String::new();
-        body.push_str(&format!(
+        let mut body = format!(
             "fp {:016x} {:016x} {:016x}\n",
             self.table_fp_r, self.table_fp_t, self.config_fp
-        ));
-        write_partitioning(&mut body, "r", &self.part_r);
-        write_partitioning(&mut body, "t", &self.part_t);
-        body.push_str(&format!("memos {}\n", self.memos.len()));
+        );
         for m in &self.memos {
-            write_memo(&mut body, m);
+            write_key(&mut body, m);
         }
-        body.push_str(EMPTY_PRESORT_SECTION);
-        let mut h = Fnv1a::new();
-        h.bytes(body.as_bytes());
-        format!(
-            "caqe-plan v{PLAN_VERSION}\n{body}checksum {:016x}\n",
-            h.finish()
-        )
+        persist::seal(MAGIC, PLAN_VERSION, &body)
     }
 
-    /// Parses a plan back from its text form. The header version is
-    /// examined *first* (so a future format is reported as
-    /// [`PlanError::Version`], never mis-parsed as corruption), then the
-    /// checksum is verified over the body, then the sections are parsed
-    /// with full validation. `r` and `t` are the tables the caller wants
-    /// to serve: the stored fingerprints must match them (else
-    /// [`PlanError::Stale`]) and the partitionings are reconstructed
-    /// from the persisted row lists against them.
-    pub fn from_text(
-        text: &str,
+    /// Reads a plan file's bytes and rebuilds the plan they name against
+    /// `r`, `t` and `exec` — the inputs the caller is about to serve. In
+    /// order: the frame ([`persist::open`]: UTF-8, version, checksum —
+    /// [`PlanError::Corrupt`] or [`PlanError::Version`]), the fingerprints
+    /// (any mismatch is [`PlanError::Stale`]), every memo key (`Corrupt` if
+    /// one could not have come from these tables), and only then the
+    /// build: [`Self::build`]'s partitionings and one cold group build per
+    /// key, exactly what [`Self::memoize`] runs. So a loaded plan is what
+    /// this build produces from these inputs, whatever build wrote the file.
+    pub fn from_text<B: AsRef<[u8]> + ?Sized>(
+        text: &B,
         r: &Table,
         t: &Table,
         exec: &ExecConfig,
     ) -> Result<Self, PlanError> {
-        // 1. Version gate, before anything else is trusted.
-        let mut first = text.lines();
-        let header = first.next().ok_or_else(|| corrupt("empty file"))?;
-        let version: u64 = header
-            .strip_prefix("caqe-plan v")
-            .and_then(|v| v.parse().ok())
-            .ok_or_else(|| corrupt("missing plan header"))?;
-        if version > PLAN_VERSION {
-            return Err(PlanError::Version { found: version });
-        }
-
-        // 2. Checksum over the body (everything between header and the
-        //    trailing checksum line).
-        let lines: Vec<&str> = text.lines().collect();
-        let last = *lines.last().ok_or_else(|| corrupt("empty file"))?;
-        let stored = last
-            .strip_prefix("checksum ")
-            .ok_or_else(|| corrupt("missing checksum footer"))?;
-        let stored = u64::from_str_radix(stored, 16).map_err(|_| corrupt("malformed checksum"))?;
-        let body = &lines[1..lines.len() - 1];
-        let mut h = Fnv1a::new();
-        for line in body {
-            h.bytes(line.as_bytes());
-            h.bytes(b"\n");
-        }
-        if h.finish() != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-
-        // 3. Sections.
-        let mut it = body.iter().copied();
-        let fp = fields(
-            it.next().ok_or_else(|| corrupt("missing fp line"))?,
-            "fp",
-            3,
-        )?;
-        let table_fp_r = parse_hex64(fp[0])?;
-        let table_fp_t = parse_hex64(fp[1])?;
-        let config_fp = parse_hex64(fp[2])?;
-        // Staleness: the plan must have been built from exactly the
-        // inputs the caller is about to serve.
-        check_stale("config", config_fp, config_fingerprint(exec))?;
-        check_stale("table R", table_fp_r, table_fingerprint(r))?;
-        check_stale("table T", table_fp_t, table_fingerprint(t))?;
-
-        let part_r = read_partitioning(&mut it, "r", r)?;
-        let part_t = read_partitioning(&mut it, "t", t)?;
-
-        let nmemos = parse_count(
-            it.next().ok_or_else(|| corrupt("missing memos line"))?,
-            "memos",
-        )?;
-        let mut memos = Vec::with_capacity(nmemos);
-        for _ in 0..nmemos {
-            memos.push(read_memo(&mut it)?);
-        }
-
-        // The v1 presort section: no build ever filled it, so the only
-        // well-formed content is the empty cache, spelled exactly.
-        for want in EMPTY_PRESORT_SECTION.lines() {
-            if it.next() != Some(want) {
-                return Err(corrupt(format!("expected {want:?} line")));
+        let mut lines = persist::open(text.as_ref(), MAGIC, PLAN_VERSION)?;
+        let mut f = tagged(lines.next(), "fp")?;
+        let current = fingerprints(r, t, exec);
+        for (what, found) in current {
+            let expected = f.hex64()?;
+            if expected != found {
+                return Err(PlanError::Stale {
+                    what,
+                    expected,
+                    found,
+                });
             }
         }
-        if it.next().is_some() {
-            return Err(corrupt("trailing data after presort section"));
+        f.end()?;
+        let mut keys = Vec::new();
+        while let Some(line) = lines.next() {
+            keys.push(read_key(line, &mut lines, r, t)?);
         }
-
-        Ok(PreparedPlan {
-            table_fp_r,
-            table_fp_t,
-            config_fp,
-            part_r,
-            part_t,
-            memos,
-        })
+        let mut plan = Self::partition(current, r, t, exec);
+        for key in keys {
+            plan.memoize_group(exec, key);
+        }
+        Ok(plan)
     }
 
     /// Writes the plan to `path` through the crash-safe writer it shares
-    /// with the serving snapshot ([`caqe_types::persist::write_atomic`]):
-    /// a crash at any point leaves either the old plan or the new one,
-    /// never a torn file.
+    /// with the serving snapshot ([`persist::write_atomic`]): a crash at
+    /// any point leaves either the old plan or the new one, never a torn
+    /// file.
     pub fn save(&self, path: &Path) -> Result<(), PlanError> {
-        caqe_types::persist::write_atomic(path, self.to_text().as_bytes())
+        persist::write_atomic(path, self.to_text().as_bytes())
             .map_err(|e| PlanError::Io(e.to_string()))
     }
 
-    /// Loads a plan from `path` and validates it against the current
-    /// inputs. Every failure is typed; callers are expected to fall back
-    /// to a cold build on any `Err`.
+    /// Loads the plan file at `path` ([`Self::from_text`]). Every failure
+    /// is typed; callers are expected to fall back to a cold build on any
+    /// `Err`.
     pub fn load(path: &Path, r: &Table, t: &Table, exec: &ExecConfig) -> Result<Self, PlanError> {
-        let text = fs::read_to_string(path).map_err(|e| PlanError::Io(e.to_string()))?;
-        Self::from_text(&text, r, t, exec)
+        let bytes = fs::read(path).map_err(|e| PlanError::Io(e.to_string()))?;
+        Self::from_text(&bytes, r, t, exec)
     }
 }
 
-fn check_stale(what: &'static str, expected: u64, found: u64) -> Result<(), PlanError> {
-    if expected != found {
-        return Err(PlanError::Stale {
-            what,
-            expected,
-            found,
-        });
-    }
-    Ok(())
-}
-
-// ----------------------------------------------------------------------
-// Section writers.
-// ----------------------------------------------------------------------
-
-fn write_partitioning(out: &mut String, tag: &str, part: &Partitioning) {
-    out.push_str(&format!("part {tag} {}\n", part.len()));
-    for cell in part.cells() {
-        out.push_str(&format!("cell {}", cell.rows.len()));
-        for &row in &cell.rows {
-            out.push_str(&format!(" {row}"));
-        }
-        out.push('\n');
-    }
-}
-
-fn write_memo(out: &mut String, m: &GroupMemo) {
-    out.push_str(&format!(
-        "memo {} {} {} {} {} {:016x}\n",
+fn write_key(out: &mut String, m: &GroupMemo) {
+    let _ = writeln!(
+        out,
+        "memo {} {} {} {} {}",
         m.join_col,
         u8::from(m.coarse_pruning),
         u8::from(m.build_dg),
         u8::from(m.keep_empty),
-        m.ticks,
-        m.cuboid_digest
-    ));
-    out.push_str(&format!("mapping {}\n", m.mapping.fns().len()));
+        m.mapping.fns().len()
+    );
     for f in m.mapping.fns() {
-        out.push_str(&format!("fn {}", f.weights_r.len()));
-        for &w in &f.weights_r {
-            out.push_str(&format!(" {}", f64_hex(w)));
+        out.push_str("fn");
+        for weights in [&f.weights_r, &f.weights_t] {
+            let _ = write!(out, " {}", weights.len());
+            for w in weights {
+                let _ = write!(out, " {:016x}", w.to_bits());
+            }
         }
-        out.push_str(&format!(" {}", f.weights_t.len()));
-        for &w in &f.weights_t {
-            out.push_str(&format!(" {}", f64_hex(w)));
-        }
-        out.push_str(&format!(" {}\n", f64_hex(f.offset)));
+        let _ = writeln!(out, " {:016x}", f.offset.to_bits());
     }
-    out.push_str(&format!("queries {}", m.queries.len()));
-    for (q, mask) in &m.queries {
-        out.push_str(&format!(" {}:{}", q.0, mask.0));
+    let _ = write!(out, "queries {}", m.queries.len());
+    for (q, pref) in &m.queries {
+        let _ = write!(out, " {} {}", q.0, pref.0);
     }
     out.push('\n');
-    let counters: Vec<(&str, u64)> = m
-        .stats
-        .counters()
-        .into_iter()
-        .filter(|(_, v)| *v != 0)
-        .collect();
-    out.push_str(&format!("stats {}", counters.len()));
-    for (name, v) in counters {
-        out.push_str(&format!(" {name}={v}"));
-    }
-    out.push('\n');
-    let dims = m.regions.regions().first().map_or(0, |r| r.bounds.dims());
-    out.push_str(&format!("regions {} {dims}\n", m.regions.len()));
-    for reg in m.regions.regions() {
-        out.push_str(&format!(
-            "region {} {} {} {} {} {} {:016x}",
-            reg.id.0,
-            reg.r_cell.0,
-            reg.t_cell.0,
-            reg.n_r,
-            reg.n_t,
-            f64_hex(reg.est_join),
-            reg.serving.0
-        ));
-        for &v in reg.bounds.lo() {
-            out.push_str(&format!(" {}", f64_hex(v)));
-        }
-        for &v in reg.bounds.hi() {
-            out.push_str(&format!(" {}", f64_hex(v)));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("threats {}\n", m.threats_in.len()));
-    for edges in &m.threats_in {
-        out.push_str(&format!("tin {}", edges.len()));
-        for e in edges {
-            out.push_str(&format!(" {}:{:016x}", e.peer.0, e.queries.0));
-        }
-        out.push('\n');
-    }
 }
 
-// ----------------------------------------------------------------------
-// Section readers. Every parse failure is a typed `Corrupt`.
-// ----------------------------------------------------------------------
-
-fn parse_hex64(s: &str) -> Result<u64, PlanError> {
-    u64::from_str_radix(s, 16).map_err(|_| corrupt(format!("bad hex field {s:?}")))
-}
-
-fn parse_dec<T: std::str::FromStr>(s: &str) -> Result<T, PlanError> {
-    s.parse()
-        .map_err(|_| corrupt(format!("bad numeric field {s:?}")))
-}
-
-fn parse_float(s: &str) -> Result<f64, PlanError> {
-    parse_f64_hex(s).ok_or_else(|| corrupt(format!("bad float field {s:?}")))
-}
-
-/// Splits a line into fields after checking its tag; `want` counts the
-/// fields after the tag (`usize::MAX` = variable).
-fn fields<'a>(line: &'a str, tag: &str, want: usize) -> Result<Vec<&'a str>, PlanError> {
-    let mut parts = line.split_whitespace();
-    if parts.next() != Some(tag) {
-        return Err(corrupt(format!("expected {tag:?} line, got {line:?}")));
+/// A cursor over `line` past its leading `tag`; a missing line or another
+/// tag is corruption.
+fn tagged<'a>(line: Option<&'a str>, tag: &str) -> Result<Fields<'a>, PlanError> {
+    let line = line.ok_or_else(|| corrupt(format!("file ends before its {tag:?} line")))?;
+    let mut f = Fields::new(line);
+    if f.word()? != tag {
+        return Err(corrupt(format!("expected a {tag:?} line, got {line:?}")));
     }
-    let rest: Vec<&str> = parts.collect();
-    if want != usize::MAX && rest.len() != want {
-        return Err(corrupt(format!(
-            "{tag:?} line has {} fields, expected {want}",
-            rest.len()
-        )));
-    }
-    Ok(rest)
+    Ok(f)
 }
 
-fn parse_count(line: &str, tag: &str) -> Result<usize, PlanError> {
-    let f = fields(line, tag, 1)?;
-    parse_dec(f[0])
-}
-
-fn read_partitioning<'a>(
-    it: &mut impl Iterator<Item = &'a str>,
-    tag: &str,
-    table: &Table,
-) -> Result<Partitioning, PlanError> {
-    let head = fields(
-        it.next().ok_or_else(|| corrupt("missing part section"))?,
-        "part",
-        2,
-    )?;
-    if head[0] != tag {
-        return Err(corrupt(format!(
-            "expected part {tag}, got part {}",
-            head[0]
-        )));
+/// Reads the key that starts at the `memo` line `head` and checks it
+/// against the tables, so that building under it cannot panic: the file's
+/// checksum vouches for its bytes, not for the sanity of whoever sealed it.
+fn read_key<'a>(
+    head: &'a str,
+    lines: &mut impl Iterator<Item = &'a str>,
+    r: &Table,
+    t: &Table,
+) -> Result<GroupKey, PlanError> {
+    let mut f = tagged(Some(head), "memo")?;
+    let join_col: usize = f.uint()?;
+    let (coarse_pruning, build_dg, keep_empty) = (f.flag()?, f.flag()?, f.flag()?);
+    let nfns: usize = f.uint()?;
+    f.end()?;
+    if join_col >= r.join_cols().min(t.join_cols()) {
+        return Err(corrupt(format!("no join column {join_col} in the tables")));
     }
-    let ncells: usize = parse_dec(head[1])?;
-    let mut cell_rows = Vec::with_capacity(ncells);
-    for _ in 0..ncells {
-        let f = fields(
-            it.next().ok_or_else(|| corrupt("truncated part section"))?,
-            "cell",
-            usize::MAX,
-        )?;
-        let n: usize = parse_dec(
-            f.first()
-                .copied()
-                .ok_or_else(|| corrupt("empty cell line"))?,
-        )?;
-        if f.len() != n + 1 {
-            return Err(corrupt("cell row count mismatch"));
-        }
-        let rows: Result<Vec<usize>, _> = f[1..].iter().map(|s| parse_dec(s)).collect();
-        cell_rows.push(rows?);
+    if !(1..=MAX_DIMS).contains(&nfns) {
+        return Err(corrupt(format!("a mapping of {nfns} functions")));
     }
-    Partitioning::from_cell_rows(table, cell_rows).map_err(corrupt)
-}
 
-fn read_memo<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<GroupMemo, PlanError> {
-    let head = fields(
-        it.next().ok_or_else(|| corrupt("missing memo line"))?,
-        "memo",
-        6,
-    )?;
-    let join_col: usize = parse_dec(head[0])?;
-    let coarse_pruning = parse_flag(head[1])?;
-    let build_dg = parse_flag(head[2])?;
-    let keep_empty = parse_flag(head[3])?;
-    let ticks: u64 = parse_dec(head[4])?;
-    let cuboid_digest = parse_hex64(head[5])?;
-
-    let nfns = parse_count(
-        it.next().ok_or_else(|| corrupt("missing mapping line"))?,
-        "mapping",
-    )?;
     let mut fns = Vec::with_capacity(nfns);
     for _ in 0..nfns {
-        let f = fields(
-            it.next()
-                .ok_or_else(|| corrupt("truncated mapping section"))?,
-            "fn",
-            usize::MAX,
-        )?;
-        let mut pos = 0usize;
-        let take = |f: &[&str], pos: &mut usize, n: usize| -> Result<Vec<f64>, PlanError> {
-            let end = pos.checked_add(n).filter(|&e| e <= f.len());
-            let end = end.ok_or_else(|| corrupt("fn line truncated"))?;
-            let vals: Result<Vec<f64>, _> = f[*pos..end].iter().map(|s| parse_float(s)).collect();
-            *pos = end;
-            vals
+        let mut f = tagged(lines.next(), "fn")?;
+        let mut side = |dims: usize| -> Result<Vec<f64>, PlanError> {
+            if f.uint::<usize>()? != dims {
+                return Err(corrupt("mapping arity differs from the tables'"));
+            }
+            (0..dims).map(|_| Ok(f.f64_bits()?)).collect()
         };
-        let nr: usize = parse_dec(f.first().copied().ok_or_else(|| corrupt("empty fn line"))?)?;
-        pos += 1;
-        let weights_r = take(&f, &mut pos, nr)?;
-        let nt: usize = parse_dec(
-            f.get(pos)
-                .copied()
-                .ok_or_else(|| corrupt("fn line truncated"))?,
-        )?;
-        pos += 1;
-        let weights_t = take(&f, &mut pos, nt)?;
-        let offset = parse_float(
-            f.get(pos)
-                .copied()
-                .ok_or_else(|| corrupt("fn line truncated"))?,
-        )?;
-        pos += 1;
-        if pos != f.len() {
-            return Err(corrupt("trailing fields on fn line"));
-        }
+        let (weights_r, weights_t) = (side(r.dims())?, side(t.dims())?);
+        let offset = f.f64_bits()?;
+        f.end()?;
         // What `MappingFn::new` asserts, as a typed error.
-        let weights = weights_r.iter().chain(weights_t.iter());
+        let weights = weights_r.iter().chain(&weights_t);
         if !offset.is_finite() || weights.into_iter().any(|w| !w.is_finite() || *w < 0.0) {
             return Err(corrupt(
                 "mapping weights must be finite and non-negative, the offset finite",
@@ -651,180 +465,38 @@ fn read_memo<'a>(it: &mut impl Iterator<Item = &'a str>) -> Result<GroupMemo, Pl
         }
         fns.push(MappingFn::new(weights_r, weights_t, offset));
     }
-    if fns.is_empty() {
-        return Err(corrupt("memo mapping has no functions"));
-    }
-    let mapping = MappingSet::new(fns);
 
-    let qf = fields(
-        it.next().ok_or_else(|| corrupt("missing queries line"))?,
-        "queries",
-        usize::MAX,
-    )?;
-    let nq: usize = parse_dec(
-        qf.first()
-            .copied()
-            .ok_or_else(|| corrupt("empty queries line"))?,
-    )?;
-    if qf.len() != nq + 1 {
-        return Err(corrupt("queries count mismatch"));
-    }
-    let mut queries = Vec::with_capacity(nq);
-    for tok in &qf[1..] {
-        let (q, mask) = tok
-            .split_once(':')
-            .ok_or_else(|| corrupt("malformed query token"))?;
-        let q: u16 = parse_dec(q)?;
-        let mask: u32 = parse_dec(mask)?;
-        queries.push((QueryId(q), DimMask(mask)));
-    }
-
-    let sf = fields(
-        it.next().ok_or_else(|| corrupt("missing stats line"))?,
-        "stats",
-        usize::MAX,
-    )?;
-    let nc: usize = parse_dec(
-        sf.first()
-            .copied()
-            .ok_or_else(|| corrupt("empty stats line"))?,
-    )?;
-    if sf.len() != nc + 1 {
-        return Err(corrupt("stats count mismatch"));
-    }
-    let mut stats = Stats::new();
-    for tok in &sf[1..] {
-        let (name, v) = tok
-            .split_once('=')
-            .ok_or_else(|| corrupt("malformed stat token"))?;
-        let v: u64 = parse_dec(v)?;
-        if !stats.set_counter(name, v) {
-            return Err(corrupt(format!("unknown stat counter {name:?}")));
+    let mut f = tagged(lines.next(), "queries")?;
+    let nqueries: usize = f.uint()?;
+    let mut queries = Vec::new();
+    let (mut ids, mut dims) = (0u64, DimMask::EMPTY);
+    for _ in 0..nqueries {
+        let (q, pref): (u16, u32) = (f.uint()?, f.uint()?);
+        let pref = DimMask(pref);
+        // The limits of `QuerySet` and of the min-max cuboid, as typed errors.
+        if q >= 64 || ids & (1 << q) != 0 {
+            return Err(corrupt(format!("query id {q} repeated or out of range")));
         }
+        if pref.is_empty() || !pref.is_subset_of(DimMask::full(nfns)) {
+            return Err(corrupt(format!("preference {pref} outside the mapping")));
+        }
+        ids |= 1 << q;
+        dims = dims.union(pref);
+        queries.push((QueryId(q), pref));
+    }
+    f.end()?;
+    if queries.is_empty() || dims.len() > 16 {
+        return Err(corrupt("a group needs a query, and at most 16 dimensions"));
     }
 
-    let rf = fields(
-        it.next().ok_or_else(|| corrupt("missing regions line"))?,
-        "regions",
-        2,
-    )?;
-    let nregions: usize = parse_dec(rf[0])?;
-    let dims: usize = parse_dec(rf[1])?;
-    let mut regions = Vec::with_capacity(nregions);
-    for i in 0..nregions {
-        let f = fields(
-            it.next()
-                .ok_or_else(|| corrupt("truncated regions section"))?,
-            "region",
-            7 + 2 * dims,
-        )?;
-        let id: u32 = parse_dec(f[0])?;
-        if id as usize != i {
-            return Err(corrupt("region ids must be dense and ordered"));
-        }
-        let r_cell: u32 = parse_dec(f[1])?;
-        let t_cell: u32 = parse_dec(f[2])?;
-        let n_r: usize = parse_dec(f[3])?;
-        let n_t: usize = parse_dec(f[4])?;
-        let est_join = parse_float(f[5])?;
-        let serving = parse_hex64(f[6])?;
-        let lo: Result<Vec<f64>, _> = f[7..7 + dims].iter().map(|s| parse_float(s)).collect();
-        let hi: Result<Vec<f64>, _> = f[7 + dims..7 + 2 * dims]
-            .iter()
-            .map(|s| parse_float(s))
-            .collect();
-        let (lo, hi) = (lo?, hi?);
-        // Pre-validate: `Rect::new` panics on inverted or NaN corners.
-        if lo
-            .iter()
-            .zip(&hi)
-            .any(|(l, h)| l.is_nan() || h.is_nan() || l > h)
-        {
-            return Err(corrupt("region bounds are not a valid box"));
-        }
-        regions.push(OutputRegion::new(
-            RegionId(id),
-            CellId(r_cell),
-            CellId(t_cell),
-            Rect::new(lo, hi),
-            n_r,
-            n_t,
-            est_join,
-            QuerySet(serving),
-        ));
-    }
-    let region_set = RegionSet::new(regions, queries.clone());
-
-    let nt = parse_count(
-        it.next().ok_or_else(|| corrupt("missing threats line"))?,
-        "threats",
-    )?;
-    if nt != nregions {
-        return Err(corrupt("threat row count != region count"));
-    }
-    let mut threats_in = Vec::with_capacity(nt);
-    for _ in 0..nt {
-        let f = fields(
-            it.next()
-                .ok_or_else(|| corrupt("truncated threats section"))?,
-            "tin",
-            usize::MAX,
-        )?;
-        let ne: usize = parse_dec(
-            f.first()
-                .copied()
-                .ok_or_else(|| corrupt("empty tin line"))?,
-        )?;
-        if f.len() != ne + 1 {
-            return Err(corrupt("tin edge count mismatch"));
-        }
-        let mut edges = Vec::with_capacity(ne);
-        for tok in &f[1..] {
-            let (peer, qs) = tok
-                .split_once(':')
-                .ok_or_else(|| corrupt("malformed edge token"))?;
-            let peer: u32 = parse_dec(peer)?;
-            if peer as usize >= nregions {
-                return Err(corrupt("edge peer out of range"));
-            }
-            edges.push(Edge {
-                peer: RegionId(peer),
-                queries: QuerySet(parse_hex64(qs)?),
-            });
-        }
-        threats_in.push(edges);
-    }
-
-    // Cross-check: the min-max cuboid is a pure function of the stored
-    // preferences; its structural digest must match what the cold build
-    // recorded, or the queries section does not describe the plan that
-    // was memoized.
-    let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
-    if MinMaxCuboid::build(&prefs).structure_digest() != cuboid_digest {
-        return Err(corrupt("cuboid digest mismatch"));
-    }
-
-    Ok(GroupMemo {
+    Ok(GroupKey {
         join_col,
-        mapping,
+        mapping: MappingSet::new(fns),
         queries,
         coarse_pruning,
         build_dg,
         keep_empty,
-        regions: region_set,
-        threats_in,
-        cuboid_digest,
-        ticks,
-        stats,
     })
-}
-
-fn parse_flag(s: &str) -> Result<bool, PlanError> {
-    match s {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(corrupt(format!("bad flag field {s:?}"))),
-    }
 }
 
 #[cfg(test)]
@@ -907,64 +579,116 @@ mod tests {
     }
 
     #[test]
-    fn text_round_trip_is_exact() {
-        let (r, t, _, exec, plan) = built_plan();
+    fn load_rebuilds_exactly_what_was_saved() {
+        let (r, t, w, exec, mut plan) = built_plan();
+        // Session-mode memos too: same keys but for one flag.
+        plan.memoize(&w, &exec, true, true, true);
         let text = plan.to_text();
         let back = PreparedPlan::from_text(&text, &r, &t, &exec).expect("round trip");
-        assert_eq!(back.table_fp_r, plan.table_fp_r);
-        assert_eq!(back.part_r, plan.part_r);
-        assert_eq!(back.part_t, plan.part_t);
-        assert_eq!(back.memos.len(), plan.memos.len());
-        for (a, b) in plan.memos.iter().zip(&back.memos) {
-            assert_eq!(a.join_col, b.join_col);
-            assert_eq!(a.mapping, b.mapping);
-            assert_eq!(a.queries, b.queries);
-            assert_eq!(a.regions, b.regions);
-            assert_eq!(a.threats_in, b.threats_in);
-            assert_eq!(a.ticks, b.ticks);
-            assert_eq!(a.cuboid_digest, b.cuboid_digest);
-            assert_eq!(a.stats.counters(), b.stats.counters());
-        }
-        // Serialization itself is deterministic.
-        assert_eq!(text, back.to_text());
+        assert_eq!(back, plan, "field for field, memo deltas included");
+        assert_eq!(back.to_text(), text);
+        // The file is the recipe only: four keys of four passthrough
+        // mappings each, a few hundred bytes apiece whatever the build made.
+        assert!(text.len() < 4096, "{} bytes", text.len());
+        assert_eq!(text.lines().count(), 2 + plan.memos.len() * 6 + 1);
     }
 
     #[test]
-    fn version_gate_beats_checksum() {
+    fn any_other_version_is_named_before_the_checksum_is_read() {
         let (r, t, _, exec, plan) = built_plan();
-        // A future version with a completely different body layout must
-        // be reported as Version, not Corrupt.
-        let future = plan.to_text().replacen("caqe-plan v1", "caqe-plan v9", 1);
-        match PreparedPlan::from_text(&future, &r, &t, &exec) {
-            Err(PlanError::Version { found: 9 }) => {}
-            other => panic!("expected Version error, got {other:?}"),
+        // Older or newer, and with a body this build could not parse: the
+        // answer is Version, not Corrupt.
+        for other in [1, 9] {
+            let text = format!("caqe-plan v{other}\npart r 1\nchecksum 0\n");
+            match PreparedPlan::from_text(&text, &r, &t, &exec) {
+                Err(PlanError::Version { found }) if found == other => {}
+                got => panic!("expected Version {other}, got {got:?}"),
+            }
         }
+        let relabelled = plan.to_text().replacen("caqe-plan v2", "caqe-plan v3", 1);
+        assert_eq!(
+            PreparedPlan::from_text(&relabelled, &r, &t, &exec),
+            Err(PlanError::Version { found: 3 })
+        );
     }
 
     #[test]
     fn corruption_is_typed_and_total() {
         let (r, t, _, exec, plan) = built_plan();
         let text = plan.to_text();
-        // Bit flip in the middle of the body.
+        let corrupt = |bytes: &[u8]| {
+            matches!(
+                PreparedPlan::from_text(bytes, &r, &t, &exec),
+                Err(PlanError::Corrupt(_))
+            )
+        };
+        // A flipped low bit and a flipped high bit (no longer UTF-8) in the
+        // middle of the body.
         let mid = text.len() / 2;
-        let mut flipped = text.clone().into_bytes();
-        flipped[mid] = if flipped[mid] == b'0' { b'1' } else { b'0' };
-        let flipped = String::from_utf8(flipped).expect("ascii");
-        assert!(matches!(
-            PreparedPlan::from_text(&flipped, &r, &t, &exec),
-            Err(PlanError::Corrupt(_))
-        ));
+        for mask in [0x01, 0x80] {
+            let mut flipped = text.clone().into_bytes();
+            flipped[mid] ^= mask;
+            assert!(corrupt(&flipped), "flip {mask:#04x}");
+        }
         // Truncation before the checksum footer.
         let cut = text.rfind("checksum").expect("footer");
-        assert!(matches!(
-            PreparedPlan::from_text(&text[..cut], &r, &t, &exec),
-            Err(PlanError::Corrupt(_))
-        ));
+        assert!(corrupt(&text.as_bytes()[..cut]));
         // Empty file.
-        assert!(matches!(
-            PreparedPlan::from_text("", &r, &t, &exec),
-            Err(PlanError::Corrupt(_))
-        ));
+        assert!(corrupt(b""));
+    }
+
+    /// `plan`'s text with the first `from` replaced by `to`, sealed again —
+    /// so only the schema can object.
+    fn resealed(plan: &PreparedPlan, from: &str, to: &str) -> String {
+        let text = plan.to_text();
+        assert!(text.contains(from), "{from:?} not in the plan text");
+        let body_start = text.find('\n').expect("header") + 1;
+        let body_end = text.rfind("checksum ").expect("footer");
+        let body = text[body_start..body_end].replacen(from, to, 1);
+        persist::seal(MAGIC, PLAN_VERSION, &body)
+    }
+
+    #[test]
+    fn a_key_these_tables_could_not_have_produced_is_corrupt_not_a_panic() {
+        let (r, t, _, exec, plan) = built_plan();
+        let one = format!("{:016x}", 1f64.to_bits());
+        let minus_one = format!("{:016x}", (-1f64).to_bits());
+        let nan = format!("{:016x}", f64::NAN.to_bits());
+        for (from, to) in [
+            ("memo 0 ", "memo 2 "),                             // no such join column
+            ("memo 0 1 1 0 4", "memo 0 1 1 0 3"), // a `fn` line where `queries` is due
+            ("memo 0 1 1 0 4", "memo 0 1 1 0 5"), // and the reverse
+            ("memo 0 1 1 0 4", "memo 0 1 1 0 0"), // an empty mapping
+            ("memo 0 1 1 0 4", "memo 0 1 2 0 4"), // a flag that is neither 0 nor 1
+            ("fn 2 ", "fn 3 "),                   // arity other than the tables'
+            (one.as_str(), minus_one.as_str()),   // a negative weight
+            (one.as_str(), nan.as_str()),         // a NaN weight
+            ("queries 2 0 3 2 12", "queries 2 0 3 0 12"), // a repeated query id
+            ("queries 2 0 3 2 12", "queries 2 0 3 64 12"), // one past `QuerySet`
+            ("queries 2 0 3 2 12", "queries 2 0 0 2 12"), // an empty preference
+            ("queries 2 0 3 2 12", "queries 2 0 3 2 16"), // a dimension no fn makes
+            ("queries 2 0 3 2 12", "queries 3 0 3 2 12"), // fewer pairs than promised
+            ("queries 2 0 3 2 12", "queries 1 0 3 2 12"), // and more
+            ("queries 2 0 3 2 12", "queries 0"),  // a group of nobody
+            ("queries 2 0 3 2 12\n", "queries 2 0 3 2 12\n\n"), // a blank line
+            ("fp ", "pf "),
+        ] {
+            let text = resealed(&plan, from, to);
+            match PreparedPlan::from_text(&text, &r, &t, &exec) {
+                Err(PlanError::Corrupt(why)) => assert!(!why.contains("checksum"), "{why}"),
+                got => panic!("{from:?} -> {to:?}: expected Corrupt, got {got:?}"),
+            }
+        }
+        // A key written twice is one memo; the rest of the file still counts.
+        let memo = plan
+            .to_text()
+            .lines()
+            .skip(2)
+            .take(6)
+            .fold(String::new(), |s, l| s + l + "\n");
+        let doubled = resealed(&plan, &memo, &format!("{memo}{memo}"));
+        let back = PreparedPlan::from_text(&doubled, &r, &t, &exec).expect("loads");
+        assert_eq!(back, plan);
     }
 
     #[test]
@@ -996,7 +720,7 @@ mod tests {
         let path = dir.join("plan.caqeplan");
         plan.save(&path).expect("save");
         let back = PreparedPlan::load(&path, &r, &t, &exec).expect("load");
-        assert_eq!(back.to_text(), plan.to_text());
+        assert_eq!(back, plan);
         assert!(back.matches_inputs(&r, &t, &exec));
         std::fs::remove_file(&path).ok();
     }
@@ -1012,7 +736,7 @@ mod tests {
         }
         for name in ["a.v1", "a.v2"] {
             let back = PreparedPlan::load(&dir.join(name), &r, &t, &exec).expect("load");
-            assert_eq!(back.to_text(), plan.to_text());
+            assert_eq!(back, plan);
         }
         match plan.save(&dir.join("missing/a.v1")) {
             Err(PlanError::Io(_)) => {}

@@ -312,40 +312,6 @@ impl MinMaxCuboid {
             .ok()
     }
 
-    /// An FNV-1a digest over the cuboid's full structure — kept subspaces,
-    /// serving sets, child lists, per-query subspace assignments, prefs and
-    /// active flags. The plan snapshot (DESIGN.md §19) stores this per
-    /// memoized group: the cuboid itself is a pure function of the prefs
-    /// and is rebuilt on restore rather than persisted, and the digest
-    /// cross-checks that the rebuild reproduced the memoized structure
-    /// (a mismatch marks the snapshot stale, never a partial apply).
-    pub fn structure_digest(&self) -> u64 {
-        let mut h = caqe_types::Fnv1a::new();
-        h.usize(self.subspaces.len());
-        for m in &self.subspaces {
-            h.u64(u64::from(m.0));
-        }
-        for s in &self.serves {
-            h.u64(s.0);
-        }
-        for kids in &self.children {
-            h.usize(kids.len());
-            for &c in kids {
-                h.usize(c);
-            }
-        }
-        for &s in &self.query_subspace {
-            h.usize(s);
-        }
-        for m in &self.prefs {
-            h.u64(u64::from(m.0));
-        }
-        for &a in &self.active {
-            h.u64(u64::from(a));
-        }
-        h.finish()
-    }
-
     /// Kept subspaces grouped by level (cardinality), ascending — the rows
     /// of Figure 6.
     pub fn levels(&self) -> Vec<Vec<DimMask>> {
@@ -373,22 +339,6 @@ mod tests {
             DimMask::from_dims([1, 2]),
             DimMask::from_dims([1, 2, 3]),
         ]
-    }
-
-    #[test]
-    fn structure_digest_tracks_rebuilds_and_churn() {
-        let prefs = figure1_prefs();
-        // A rebuild from the same prefs is digest-identical — the property
-        // the plan-snapshot restore path relies on.
-        let a = MinMaxCuboid::build(&prefs).structure_digest();
-        let b = MinMaxCuboid::build(&prefs).structure_digest();
-        assert_eq!(a, b);
-        // Different prefs and post-churn states digest differently.
-        let other = MinMaxCuboid::build(&prefs[..3]).structure_digest();
-        assert_ne!(a, other);
-        let mut churned = MinMaxCuboid::build(&prefs);
-        churned.depart_query(QueryId(2));
-        assert_ne!(a, churned.structure_digest());
     }
 
     #[test]

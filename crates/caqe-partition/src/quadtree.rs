@@ -167,50 +167,6 @@ impl Partitioning {
         }
     }
 
-    /// Reconstructs a partitioning from persisted per-cell row lists
-    /// (DESIGN.md §19). [`LeafCell::build`] re-derives tight bounds and
-    /// join-column signatures from the live `table`, so the row lists are
-    /// the *only* state a plan snapshot needs to store — and a restored
-    /// partitioning is structurally identical to the one
-    /// [`Partitioning::build`] produced, provided the table is unchanged
-    /// (the caller verifies that via the table fingerprint).
-    ///
-    /// Returns a reason instead of constructing when the lists are not an
-    /// exact disjoint cover of the table's rows — corrupt snapshot input
-    /// must never yield a partitioning that violates the build invariants.
-    pub fn from_cell_rows(table: &Table, cell_rows: Vec<Vec<usize>>) -> Result<Self, String> {
-        let n = table.len();
-        let mut seen = vec![false; n];
-        let mut covered = 0usize;
-        for (c, rows) in cell_rows.iter().enumerate() {
-            if rows.is_empty() {
-                return Err(format!("cell {c} has no rows"));
-            }
-            for &i in rows {
-                if i >= n {
-                    return Err(format!("cell {c} references row {i} >= table len {n}"));
-                }
-                if seen[i] {
-                    return Err(format!("row {i} appears in more than one cell"));
-                }
-                seen[i] = true;
-                covered += 1;
-            }
-        }
-        if covered != n {
-            return Err(format!("cells cover {covered} of {n} rows"));
-        }
-        let cells = cell_rows
-            .into_iter()
-            .enumerate()
-            .map(|(i, rows)| LeafCell::build(CellId(i as u32), table, rows))
-            .collect();
-        Ok(Partitioning {
-            cells,
-            table_len: n,
-        })
-    }
-
     /// The leaf cells.
     pub fn cells(&self) -> &[LeafCell] {
         &self.cells
@@ -335,33 +291,6 @@ mod tests {
             let covered: usize = p.cells().iter().map(|c| c.len()).sum();
             assert_eq!(covered, t.len());
         }
-    }
-
-    #[test]
-    fn cell_rows_round_trip_reconstructs_identically() {
-        let t = TableGenerator::new(900, 3, Distribution::Correlated).generate("R");
-        let p = Partitioning::build(&t, QuadTreeConfig::with_cell_budget(24));
-        let rows: Vec<Vec<usize>> = p.cells().iter().map(|c| c.rows.clone()).collect();
-        let back = Partitioning::from_cell_rows(&t, rows).unwrap();
-        assert_eq!(back, p);
-
-        // Corrupt row lists are refused, never constructed.
-        let rows = |p: &Partitioning| -> Vec<Vec<usize>> {
-            p.cells().iter().map(|c| c.rows.clone()).collect()
-        };
-        let mut missing = rows(&p);
-        missing[0].pop();
-        assert!(Partitioning::from_cell_rows(&t, missing).is_err());
-        let mut dup = rows(&p);
-        let stolen = dup[1][0];
-        dup[0].push(stolen);
-        assert!(Partitioning::from_cell_rows(&t, dup).is_err());
-        let mut oob = rows(&p);
-        oob[0][0] = t.len();
-        assert!(Partitioning::from_cell_rows(&t, oob).is_err());
-        let mut empty_cell = rows(&p);
-        empty_cell.push(Vec::new());
-        assert!(Partitioning::from_cell_rows(&t, empty_cell).is_err());
     }
 
     #[test]

@@ -163,28 +163,6 @@ impl DependencyGraph {
         Self::from_edges(threats_in, threats_out)
     }
 
-    /// Reconstructs a graph from persisted in-edge lists (DESIGN.md §19):
-    /// `threats_out` is the exact transpose of `threats_in` (iterating
-    /// targets in ascending order reproduces `build`'s inner-loop push
-    /// order, so edge *ordering* — which downstream iteration observes —
-    /// is restored bit-for-bit, not just edge membership), and liveness and
-    /// blocker counts come from the same tail `build` ends with. Charges
-    /// nothing: a restored graph must not re-pay the comparisons the cold
-    /// build already charged.
-    pub fn from_threats_in(threats_in: Vec<Vec<Edge>>) -> Self {
-        let n = threats_in.len();
-        let mut threats_out: Vec<Vec<Edge>> = vec![Vec::new(); n];
-        for (j, edges) in threats_in.iter().enumerate() {
-            for e in edges {
-                threats_out[e.peer.index()].push(Edge {
-                    peer: RegionId(j as u32),
-                    queries: e.queries,
-                });
-            }
-        }
-        Self::from_edges(threats_in, threats_out)
-    }
-
     /// A freshly built graph over the two edge lists: every region has been
     /// in it for every query any edge names, so every edge is live.
     fn from_edges(threats_in: Vec<Vec<Edge>>, threats_out: Vec<Vec<Edge>>) -> Self {
@@ -637,29 +615,6 @@ mod tests {
             assert_eq!(a, b, "in-edges of {r:?} diverge from rebuild");
             assert_eq!(dg.is_root(r), reference.is_root(r));
         }
-    }
-
-    #[test]
-    fn threats_in_round_trip_reconstructs_exactly() {
-        // Mix of strict chains, mutual overlaps and unlinked pairs, so the
-        // transpose has to restore non-trivial edge orderings and both
-        // mutual and non-mutual blocker contributions.
-        let set = set_from_boxes(&[
-            ([0.0, 0.0], [1.0, 1.0]),
-            ([2.0, 2.0], [7.0, 7.0]),
-            ([5.0, 5.0], [9.0, 9.0]),
-            ([0.0, 8.0], [1.0, 9.0]),
-            ([8.0, 0.0], [9.0, 1.0]),
-        ]);
-        let mut clock = SimClock::default();
-        let mut stats = Stats::new();
-        let dg = DependencyGraph::build(&set, &mut clock, &mut stats);
-        let persisted: Vec<Vec<Edge>> = (0..set.len())
-            .map(|j| dg.threats_in(RegionId(j as u32)).to_vec())
-            .collect();
-        let back = DependencyGraph::from_threats_in(persisted);
-        // Bit-for-bit: same in-edges, same out-edge *order*, same blockers.
-        assert_eq!(back, dg);
     }
 
     #[test]

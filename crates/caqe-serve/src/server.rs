@@ -287,10 +287,11 @@ impl Inner {
 /// plan was consumed or why it was discarded.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanProvenance {
-    /// The persisted plan passed every integrity check and was installed.
+    /// The plan file passed every integrity check and the plan it names
+    /// was installed.
     Warm,
-    /// The persisted plan was rejected (typed reason) and the server
-    /// rebuilt the plan cold. Never a partial apply: rejection discards
+    /// The plan file was rejected (typed reason) and the server built the
+    /// plan from its catalog. Never a partial apply: rejection discards
     /// the whole file.
     Rebuilt(PlanError),
 }
@@ -509,15 +510,15 @@ impl CaqeServer {
     }
 
     /// Restores a server from `snap_path` (exactly like
-    /// [`restore`](CaqeServer::restore)) and *warm-starts* it from the
-    /// plan snapshot at `plan_path`: if the persisted plan passes every
-    /// integrity check against the given tables and config it is
-    /// installed and the first epoch skips the whole shared-plan build;
-    /// on any typed [`PlanError`] — corrupt, stale, future version, I/O —
-    /// the plan is rebuilt cold and the error is reported in the returned
-    /// [`PlanProvenance`]. Either way the server serves: plan trouble
-    /// never blocks a restore, and a rejected plan is never partially
-    /// applied.
+    /// [`restore`](CaqeServer::restore)) and installs the plan the file at
+    /// `plan_path` names: if the file passes every integrity check against
+    /// the given tables and config, the plan is rebuilt from its keys
+    /// ([`PreparedPlan::load`]) and the first epoch finds every group
+    /// memoized; on any typed [`PlanError`] — corrupt, stale, another format
+    /// version, I/O — the plan is built from the catalog instead and the
+    /// error is reported in the returned [`PlanProvenance`]. Either way the
+    /// server serves: plan trouble never blocks a restore, and a rejected
+    /// plan is never partially applied.
     #[allow(clippy::too_many_arguments)] // restore() plus the plan path
     pub fn restore_with_plan(
         tables: (Table, Table),

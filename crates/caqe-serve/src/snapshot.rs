@@ -8,17 +8,18 @@
 //! the workload, which is what makes the restore trace-equivalence proof
 //! possible at all.
 //!
-//! The format is a line-oriented text file: a header naming the version, a
-//! body of `key value...` lines, and an FNV-1a checksum footer over the
-//! body bytes. Floats are serialized as `to_bits` hex so a round trip is
-//! exact. Writes go through temp file + `fsync` + atomic rename (+ parent
+//! The file is a schema over the frame it shares with the plan file
+//! ([`caqe_types::persist`]): a header naming the version, a body of
+//! `key value...` lines, and an FNV-1a checksum footer over header and
+//! body. Floats are serialized as `to_bits` hex so a round trip is exact.
+//! Writes go through temp file + `fsync` + atomic rename (+ parent
 //! directory fsync), so a crash at any point leaves either the old
 //! snapshot or the new one — never a torn file; and a torn or tampered
 //! file never loads, because the header, version and checksum are all
 //! verified first.
 
 use caqe_contract::Contract;
-use caqe_types::{fnv1a, persist};
+use caqe_types::persist::{self, Fields, FrameError};
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -130,26 +131,25 @@ impl ContractSpec {
         }
     }
 
-    fn parse(tokens: &[&str]) -> Result<ContractSpec, SnapshotError> {
-        let f = |t: &str| -> Result<f64, SnapshotError> {
-            u64::from_str_radix(t, 16)
-                .map(f64::from_bits)
-                .map_err(|_| corrupt(format!("bad float bits {t:?}")))
-        };
-        match tokens {
-            ["deadline", b] => Ok(ContractSpec::Deadline { t_hard: f(b)? }),
-            ["log_decay"] => Ok(ContractSpec::LogDecay),
-            ["soft_deadline", b] => Ok(ContractSpec::SoftDeadline { t_soft: f(b)? }),
-            ["quota", a, b] => Ok(ContractSpec::Quota {
-                frac: f(a)?,
-                interval: f(b)?,
-            }),
-            ["hybrid", a, b] => Ok(ContractSpec::Hybrid {
-                frac: f(a)?,
-                interval: f(b)?,
-            }),
-            other => Err(corrupt(format!("bad contract spec {other:?}"))),
-        }
+    fn parse(f: &mut Fields<'_>) -> Result<ContractSpec, FrameError> {
+        Ok(match f.word()? {
+            "deadline" => ContractSpec::Deadline {
+                t_hard: f.f64_bits()?,
+            },
+            "log_decay" => ContractSpec::LogDecay,
+            "soft_deadline" => ContractSpec::SoftDeadline {
+                t_soft: f.f64_bits()?,
+            },
+            "quota" => ContractSpec::Quota {
+                frac: f.f64_bits()?,
+                interval: f.f64_bits()?,
+            },
+            "hybrid" => ContractSpec::Hybrid {
+                frac: f.f64_bits()?,
+                interval: f.f64_bits()?,
+            },
+            other => return Err(FrameError::Corrupt(format!("bad contract class {other:?}"))),
+        })
     }
 }
 
@@ -246,6 +246,18 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
+impl From<FrameError> for SnapshotError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Corrupt(reason) => SnapshotError::Corrupt { reason },
+            FrameError::Version { found } => match u32::try_from(found) {
+                Ok(found) => SnapshotError::Version { found },
+                Err(_) => corrupt(format!("version {found} out of range")),
+            },
+        }
+    }
+}
+
 /// Where the test-only crash hook interrupts
 /// [`write_snapshot_with_crash`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -266,7 +278,6 @@ impl Snapshot {
     /// Serializes to the versioned text format (body + checksum footer).
     pub fn to_text(&self) -> String {
         let mut body = String::new();
-        let _ = writeln!(body, "{HEADER} v{}", self.version);
         let _ = writeln!(body, "next_session {}", self.next_session);
         let _ = writeln!(body, "epochs {}", self.epochs);
         for c in &self.completed {
@@ -280,114 +291,69 @@ impl Snapshot {
             );
         }
         for s in &self.queued {
-            let mut line = format!(
+            let _ = write!(
+                body,
                 "queued {} {} {:016x} ",
                 s.id,
                 s.catalog,
                 s.priority.to_bits()
             );
-            s.contract.write_into(&mut line);
-            body.push_str(&line);
+            s.contract.write_into(&mut body);
             body.push('\n');
         }
-        let checksum = fnv1a(body.as_bytes());
-        let _ = writeln!(body, "checksum {checksum:016x}");
-        body
+        persist::seal(HEADER, u64::from(self.version), &body)
     }
 
-    /// Parses and verifies the text format (header, version, checksum,
-    /// body) — any deviation is a typed [`SnapshotError`], never a panic
-    /// and never a half-loaded snapshot.
-    pub fn from_text(text: &str) -> Result<Snapshot, SnapshotError> {
-        // The header version gates everything else: a snapshot written by
-        // a *newer* build may have changed the body grammar or even the
-        // checksum scheme, so it must be reported as a version mismatch —
-        // checking the checksum first would misreport it as corruption.
-        let header = text
-            .lines()
-            .next()
-            .ok_or_else(|| corrupt("empty snapshot".to_string()))?;
-        let version = header
-            .strip_prefix(HEADER)
-            .map(str::trim)
-            .and_then(|v| v.strip_prefix('v'))
-            .and_then(|v| v.parse::<u32>().ok())
-            .ok_or_else(|| corrupt(format!("bad header {header:?}")))?;
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::Version { found: version });
+    /// Reads and verifies a snapshot file's bytes: the frame
+    /// ([`persist::open`]: UTF-8, header, version, checksum), then the
+    /// body — exactly one `next_session` and one `epochs` line, and no
+    /// session id at or past the counter, which a restored server would
+    /// hand out again. Any deviation is a typed [`SnapshotError`], never a
+    /// panic and never a half-loaded snapshot.
+    pub fn from_text<B: AsRef<[u8]> + ?Sized>(text: &B) -> Result<Snapshot, SnapshotError> {
+        let lines = persist::open(text.as_ref(), HEADER, u64::from(SNAPSHOT_VERSION))?;
+        let (mut next_session, mut epochs) = (None, None);
+        let (mut completed, mut queued) = (Vec::new(), Vec::new());
+        for line in lines {
+            let mut f = Fields::new(line);
+            match f.word()? {
+                "next_session" if next_session.is_none() => next_session = Some(f.uint::<u64>()?),
+                "epochs" if epochs.is_none() => epochs = Some(f.uint::<u64>()?),
+                "completed" => completed.push(CompletedRecord {
+                    id: f.uint()?,
+                    digest: f.hex64()?,
+                    satisfaction: f.f64_bits()?,
+                    results: f.uint()?,
+                }),
+                "queued" => queued.push(SessionRecord {
+                    id: f.uint()?,
+                    catalog: f.uint()?,
+                    priority: f.f64_bits()?,
+                    contract: ContractSpec::parse(&mut f)?,
+                }),
+                _ => return Err(corrupt(format!("unknown or repeated line {line:?}"))),
+            }
+            f.end()?;
         }
-        let body_end = text
-            .rfind("checksum ")
-            .ok_or_else(|| corrupt("missing checksum footer".to_string()))?;
-        let (body, footer) = text.split_at(body_end);
-        let footer = footer.trim_end();
-        let stated = footer
-            .strip_prefix("checksum ")
-            .and_then(|h| u64::from_str_radix(h, 16).ok())
-            .ok_or_else(|| corrupt(format!("bad checksum footer {footer:?}")))?;
-        let actual = fnv1a(body.as_bytes());
-        if stated != actual {
+        let next_session =
+            next_session.ok_or_else(|| corrupt("missing next_session line".to_string()))?;
+        let epochs = epochs.ok_or_else(|| corrupt("missing epochs line".to_string()))?;
+        let ids = completed.iter().map(|c| c.id);
+        if let Some(id) = ids
+            .chain(queued.iter().map(|s| s.id))
+            .find(|&id| id >= next_session)
+        {
             return Err(corrupt(format!(
-                "checksum mismatch: stated {stated:016x}, computed {actual:016x}"
+                "session {id} is not below next_session {next_session}"
             )));
         }
-        let mut lines = body.lines();
-        // Consume the already-validated header line.
-        let _ = lines.next();
-        let mut snap = Snapshot {
-            version,
-            next_session: 0,
-            epochs: 0,
-            completed: Vec::new(),
-            queued: Vec::new(),
-        };
-        for line in lines {
-            let tokens: Vec<&str> = line.split_whitespace().collect();
-            match tokens.as_slice() {
-                ["next_session", v] => {
-                    snap.next_session = v
-                        .parse()
-                        .map_err(|_| corrupt(format!("bad line {line:?}")))?;
-                }
-                ["epochs", v] => {
-                    snap.epochs = v
-                        .parse()
-                        .map_err(|_| corrupt(format!("bad line {line:?}")))?;
-                }
-                ["completed", id, digest, sat, results] => {
-                    snap.completed.push(CompletedRecord {
-                        id: id
-                            .parse()
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        digest: u64::from_str_radix(digest, 16)
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        satisfaction: u64::from_str_radix(sat, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        results: results
-                            .parse()
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                    });
-                }
-                ["queued", id, catalog, priority, rest @ ..] => {
-                    snap.queued.push(SessionRecord {
-                        id: id
-                            .parse()
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        catalog: catalog
-                            .parse()
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        priority: u64::from_str_radix(priority, 16)
-                            .map(f64::from_bits)
-                            .map_err(|_| corrupt(format!("bad line {line:?}")))?,
-                        contract: ContractSpec::parse(rest)?,
-                    });
-                }
-                [] => {}
-                _ => return Err(corrupt(format!("unknown line {line:?}"))),
-            }
-        }
-        Ok(snap)
+        Ok(Snapshot {
+            version: SNAPSHOT_VERSION,
+            next_session,
+            epochs,
+            completed,
+            queued,
+        })
     }
 }
 
@@ -422,13 +388,13 @@ pub fn write_snapshot_with_crash(
 /// (header, version, checksum, body grammar) yields a typed error and is
 /// never partially applied.
 pub fn load_snapshot(path: &Path) -> Result<Snapshot, SnapshotError> {
-    let text = std::fs::read_to_string(path)?;
-    Snapshot::from_text(&text)
+    Snapshot::from_text(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caqe_types::fnv1a;
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -528,6 +494,12 @@ mod tests {
         flipped[HEADER.len() + 5] ^= 1;
         let e = Snapshot::from_text(&String::from_utf8(flipped).unwrap()).unwrap_err();
         assert!(matches!(e, SnapshotError::Corrupt { .. }), "{e}");
+        // Flip a high bit: the bytes stop being UTF-8, which is damage to
+        // the file, not an I/O failure.
+        let mut flipped = text.clone().into_bytes();
+        flipped[HEADER.len() + 5] ^= 0x80;
+        let e = Snapshot::from_text(&flipped).unwrap_err();
+        assert!(matches!(e, SnapshotError::Corrupt { .. }), "{e}");
         // Truncation → missing/invalid footer.
         let e = Snapshot::from_text(&text[..text.len() / 2]).unwrap_err();
         assert!(matches!(e, SnapshotError::Corrupt { .. }), "{e}");
@@ -566,6 +538,41 @@ mod tests {
         match Snapshot::from_text(&text).unwrap_err() {
             SnapshotError::Version { found } => assert_eq!(found, 99),
             other => panic!("expected Version error, got {other}"),
+        }
+    }
+
+    #[test]
+    fn counters_are_required_once_and_bound_every_session_id() {
+        let text = sample().to_text();
+        // Re-seal each edited body so only the body rules can object.
+        let reseal = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from:?} not in the sample");
+            let body_end = text.rfind("checksum ").unwrap();
+            let body = text[..body_end].replacen(from, to, 1);
+            format!("{body}checksum {:016x}\n", fnv1a(body.as_bytes()))
+        };
+        assert_eq!(
+            Snapshot::from_text(&reseal("epochs 2", "epochs 2")).unwrap(),
+            sample()
+        );
+        for (from, to) in [
+            // Absent: used to load as session 0 / epoch 0.
+            ("next_session 7\n", ""),
+            ("epochs 2\n", ""),
+            // Repeated: used to keep the last.
+            ("next_session 7\n", "next_session 7\nnext_session 9\n"),
+            ("epochs 2\n", "epochs 2\nepochs 2\n"),
+            // A completed and a queued id the counter would hand out again.
+            ("next_session 7", "next_session 6"),
+            ("completed 1 ", "completed 7 "),
+            ("queued 5 ", "queued 8 "),
+        ] {
+            match Snapshot::from_text(&reseal(from, to)) {
+                Err(SnapshotError::Corrupt { reason }) => {
+                    assert!(!reason.contains("checksum"), "{reason}");
+                }
+                other => panic!("{from:?} -> {to:?}: expected Corrupt, got {other:?}"),
+            }
         }
     }
 

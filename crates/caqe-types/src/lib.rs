@@ -41,7 +41,7 @@ pub use dominance::{
 };
 pub use error::EngineError;
 pub use ids::{CellId, QueryId, QuerySet, RegionId};
-pub use persist::{f64_hex, fnv1a, parse_f64_hex, Fnv1a};
+pub use persist::{fnv1a, Fnv1a};
 pub use sig::{sig_relate, SigQuantizer, SIG_MAX_DIMS, SIG_POISON};
 pub use stats::{PerQueryStats, Stats};
 pub use store::{PointId, PointStore, SwapStore};

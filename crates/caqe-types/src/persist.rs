@@ -1,18 +1,24 @@
-//! Line-oriented persistence primitives shared by the plan-snapshot codecs
-//! (DESIGN.md §19).
+//! The one on-disk frame and the primitives under it (DESIGN.md §19).
 //!
-//! Every on-disk artifact in this repo — the serve-layer session snapshot
-//! and the PR 10 plan snapshot — is a plain-text, line-oriented file sealed
-//! by an FNV-1a checksum, with floats encoded as the hex of their IEEE-754
-//! bits so round-trips are lossless bit-for-bit (NaN payloads included).
-//! This module centralizes those primitives so each codec spells them the
-//! same way — and holds the one crash-safe writer both go to disk through
-//! ([`write_atomic`]).
+//! Both files this repo writes — the serve-layer session snapshot and the
+//! plan file — are line-oriented text in the same frame:
+//!
+//! ```text
+//! <magic> v<version>        header
+//! <tag> <field> <field>…    body, one record per line
+//! checksum <016x>           FNV-1a over every byte above this line
+//! ```
+//!
+//! [`seal`] writes the frame and [`open`] is its only reader; a schema
+//! walks each body line with a [`Fields`] cursor. Floats travel as the 16
+//! hex digits of their IEEE-754 bits, so a round trip is lossless bit for
+//! bit. Both files go to disk through one crash-safe writer, [`write_atomic`].
 
 use crate::Value;
 use std::fs;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+use std::str::SplitWhitespace;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -84,15 +90,135 @@ impl Fnv1a {
     }
 }
 
-/// Encodes a float as the 16-hex-digit form of its IEEE-754 bits — the
-/// lossless wire form every snapshot codec uses.
-pub fn f64_hex(v: Value) -> String {
-    format!("{:016x}", v.to_bits())
+/// Why [`open`] (or a [`Fields`] getter) refused a file. Each codec's public
+/// error converts from this.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FrameError {
+    /// Not a well-formed file of this kind: not UTF-8, no header or footer,
+    /// checksum mismatch, or a body line the schema cannot read.
+    Corrupt(String),
+    /// A file of this kind, but not of the version the caller speaks.
+    Version {
+        /// The version the header names.
+        found: u64,
+    },
 }
 
-/// Decodes a float from its bit-pattern hex form.
-pub fn parse_f64_hex(s: &str) -> Option<Value> {
-    u64::from_str_radix(s, 16).ok().map(Value::from_bits)
+fn corrupt(why: String) -> FrameError {
+    FrameError::Corrupt(why)
+}
+
+/// Seals `body` (whole lines, each ending in `\n`) into the frame: header
+/// above, checksum over header and body below.
+pub fn seal(magic: &str, version: u64, body: &str) -> String {
+    let mut sealed = format!("{magic} v{version}\n{body}");
+    let checksum = fnv1a(sealed.as_bytes());
+    sealed.push_str(&format!("checksum {checksum:016x}\n"));
+    sealed
+}
+
+/// Opens a sealed file and returns its body lines. The order of the checks
+/// is the contract: UTF-8; header and version (`speaks` or
+/// [`FrameError::Version`]), before anything else is trusted, because
+/// another version may have changed the grammar or the checksum itself;
+/// then the footer, which must be the last line, newline included, and
+/// must match the bytes above it.
+pub fn open<'a>(
+    bytes: &'a [u8],
+    magic: &str,
+    speaks: u64,
+) -> Result<impl Iterator<Item = &'a str>, FrameError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| corrupt(format!("not UTF-8: {e}")))?;
+    let header = text.lines().next().unwrap_or_default();
+    let found: u64 = header
+        .strip_prefix(magic)
+        .and_then(|v| v.strip_prefix(" v"))
+        .and_then(|v| v.parse().ok())
+        .ok_or_else(|| corrupt(format!("bad header {header:?}")))?;
+    if found != speaks {
+        return Err(FrameError::Version { found });
+    }
+    let footer_at = text
+        .strip_suffix('\n')
+        .and_then(|t| t.rfind('\n'))
+        .map_or(0, |i| i + 1);
+    let (covered, footer) = text.split_at(footer_at);
+    let mut f = Fields::new(footer);
+    if f.word() != Ok("checksum") {
+        return Err(corrupt("missing checksum footer".to_string()));
+    }
+    let stated = f.hex64()?;
+    f.end()?;
+    let computed = fnv1a(covered.as_bytes());
+    if stated != computed {
+        return Err(corrupt(format!(
+            "checksum mismatch: stated {stated:016x}, computed {computed:016x}"
+        )));
+    }
+    Ok(covered.lines().skip(1)) // past the header, read above
+}
+
+/// A cursor over the whitespace-separated fields of one body line. Every
+/// getter consumes one field; a missing or malformed field is
+/// [`FrameError::Corrupt`] naming the line.
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    line: &'a str,
+    rest: SplitWhitespace<'a>,
+}
+
+impl<'a> Fields<'a> {
+    /// A cursor at the first field of `line`.
+    pub fn new(line: &'a str) -> Self {
+        Fields {
+            line,
+            rest: line.split_whitespace(),
+        }
+    }
+
+    fn bad(&self, what: &str) -> FrameError {
+        corrupt(format!("{what} in line {:?}", self.line))
+    }
+
+    /// The next field as written (a tag or keyword).
+    pub fn word(&mut self) -> Result<&'a str, FrameError> {
+        self.rest.next().ok_or_else(|| self.bad("missing field"))
+    }
+
+    /// The next field as a decimal unsigned integer that fits `T`.
+    pub fn uint<T: TryFrom<u64>>(&mut self) -> Result<T, FrameError> {
+        let v = self.word()?.parse::<u64>().ok();
+        v.and_then(|v| T::try_from(v).ok())
+            .ok_or_else(|| self.bad("bad integer"))
+    }
+
+    /// The next field as exactly 16 hex digits.
+    pub fn hex64(&mut self) -> Result<u64, FrameError> {
+        let s = self.word()?;
+        let digits = s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit());
+        let v = u64::from_str_radix(s, 16).ok().filter(|_| digits);
+        v.ok_or_else(|| self.bad("bad hex field"))
+    }
+
+    /// The next field as a float stored by its bits ([`Self::hex64`]).
+    pub fn f64_bits(&mut self) -> Result<Value, FrameError> {
+        self.hex64().map(Value::from_bits)
+    }
+
+    /// The next field as a `0` / `1` flag.
+    pub fn flag(&mut self) -> Result<bool, FrameError> {
+        match self.word()? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            _ => Err(self.bad("bad flag")),
+        }
+    }
+
+    /// Ends the line: a field left over is corruption too.
+    pub fn end(mut self) -> Result<(), FrameError> {
+        let extra = self.rest.next();
+        extra.map_or(Ok(()), |_| Err(self.bad("trailing field")))
+    }
 }
 
 /// Crash-safely replaces the file at `path` with `bytes`: [`stage_temp`],
@@ -161,25 +287,72 @@ mod tests {
     }
 
     #[test]
-    fn f64_hex_round_trips_exactly() {
-        for v in [
-            0.0,
-            -0.0,
-            1.5,
-            -3.25e-100,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::MIN_POSITIVE,
-        ] {
-            let back = parse_f64_hex(&f64_hex(v)).expect("hex parses");
-            assert_eq!(back.to_bits(), v.to_bits(), "{v}");
+    fn seal_then_open_returns_the_body_lines() {
+        let sealed = seal("demo", 3, "row 7 1 3ff8000000000000\n");
+        assert!(sealed.starts_with("demo v3\nrow 7 "));
+        let lines: Vec<&str> = open(sealed.as_bytes(), "demo", 3).expect("opens").collect();
+        assert_eq!(lines, ["row 7 1 3ff8000000000000"]);
+        // An empty body is a frame too.
+        let empty = seal("demo", 3, "");
+        assert_eq!(open(empty.as_bytes(), "demo", 3).expect("opens").count(), 0);
+    }
+
+    #[test]
+    fn open_checks_utf8_then_version_then_checksum() {
+        let sealed = seal("demo", 3, "row 1\n");
+        let corrupt = |bytes: &[u8]| matches!(open(bytes, "demo", 3), Err(FrameError::Corrupt(_)));
+        // Another version is named as such even though the checksum (which
+        // covers the header) no longer matches — and whichever way it differs.
+        for other in [2, 4] {
+            let text = sealed.replacen("demo v3", &format!("demo v{other}"), 1);
+            let err = open(text.as_bytes(), "demo", 3).map(|_| ()).unwrap_err();
+            assert_eq!(err, FrameError::Version { found: other });
         }
-        // NaN payload preserved bit-for-bit.
-        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
-        assert_eq!(
-            parse_f64_hex(&f64_hex(nan)).map(f64::to_bits),
-            Some(nan.to_bits())
-        );
+        let mut high_bit = sealed.clone().into_bytes();
+        high_bit[9] |= 0x80;
+        assert!(corrupt(&high_bit));
+        assert!(corrupt(sealed.replacen("row 1", "row 2", 1).as_bytes()));
+        assert!(corrupt(sealed.replacen("demo", "demi", 1).as_bytes()));
+        assert!(corrupt(b""));
+        assert!(corrupt(b"demo v3\n"));
+        // The footer is the last line, whole: 16 hex digits and a newline.
+        assert!(corrupt(sealed.trim_end().as_bytes()));
+        assert!(corrupt(&sealed.as_bytes()[..sealed.len() - 2]));
+        assert!(corrupt(format!("{sealed}row 1\n").as_bytes()));
+        let footer = sealed.rfind("checksum ").expect("footer") + "checksum ".len();
+        let mut signed = sealed.clone().into_bytes();
+        signed[footer] = b'+';
+        assert!(corrupt(&signed));
+    }
+
+    #[test]
+    fn fields_are_typed_and_exact() {
+        let mut f = Fields::new("row 7 1 3ff8000000000000 00000000000000ff");
+        assert_eq!(f.word(), Ok("row"));
+        assert_eq!(f.uint::<u16>(), Ok(7));
+        assert_eq!(f.flag(), Ok(true));
+        assert_eq!(f.f64_bits(), Ok(1.5));
+        assert_eq!(f.hex64(), Ok(0xff));
+        assert!(f.clone().end().is_ok());
+        assert!(f.word().is_err(), "a missing field is an error");
+
+        assert!(Fields::new("65536").uint::<u16>().is_err());
+        assert!(Fields::new("-1").uint::<u64>().is_err());
+        assert!(Fields::new("2").flag().is_err());
+        assert!(Fields::new("ff").hex64().is_err(), "16 digits, no fewer");
+        assert!(Fields::new("+00000000000000f").hex64().is_err());
+        assert!(Fields::new("a b").end().is_err());
+        // Every bit pattern survives, NaN payloads and signed zeros included.
+        for bits in [
+            0u64,
+            1 << 63,
+            0x7ff8_dead_beef_0001,
+            f64::INFINITY.to_bits(),
+        ] {
+            let text = format!("{bits:016x}");
+            let back = Fields::new(&text).f64_bits().expect("parses");
+            assert_eq!(back.to_bits(), bits);
+        }
     }
 
     #[test]
@@ -210,11 +383,6 @@ mod tests {
             h.finish()
         };
         assert_ne!(ab, a_bc);
-    }
-
-    #[test]
-    fn bad_hex_rejected() {
-        assert!(parse_f64_hex("not-hex").is_none());
     }
 
     fn scratch_dir(name: &str) -> PathBuf {

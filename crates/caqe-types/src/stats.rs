@@ -112,10 +112,9 @@ pub struct Stats {
 }
 
 /// Applies a caller macro to every scalar `u64` counter field, in
-/// declaration order. One source of truth for the name↔field mapping that
-/// [`Stats::counters`] and [`Stats::set_counter`] expose to the plan
-/// snapshot codec (DESIGN.md §19) — adding a counter here keeps persistence
-/// in sync automatically.
+/// declaration order. The one list behind [`Stats::counters`] (which
+/// `caqe-obs` reads) and `+=` — a counter added here is named and summed;
+/// one left out is caught by `counters_name_every_scalar_field`.
 macro_rules! with_counter_fields {
     ($apply:ident) => {
         $apply!(
@@ -160,27 +159,12 @@ impl Stats {
 
     /// Every scalar counter as a `(name, value)` pair, in declaration
     /// order. The per-query breakdown is not included — group-build stat
-    /// deltas (the thing the plan snapshot memoizes) carry it empty.
+    /// deltas (the thing a plan memo records) carry it empty.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
         macro_rules! list {
             ($($f:ident),*) => { vec![$((stringify!($f), self.$f)),*] };
         }
         with_counter_fields!(list)
-    }
-
-    /// Sets the named scalar counter, returning `false` for an unknown
-    /// name (so snapshot parsers can reject stale field names instead of
-    /// silently dropping them).
-    pub fn set_counter(&mut self, name: &str, value: u64) -> bool {
-        macro_rules! set {
-            ($($f:ident),*) => {
-                match name {
-                    $(stringify!($f) => { self.$f = value; true })*
-                    _ => false,
-                }
-            };
-        }
-        with_counter_fields!(set)
     }
 
     /// Sizes the per-query breakdown to at least `n` entries.
@@ -217,34 +201,10 @@ impl Stats {
 
 impl AddAssign for Stats {
     fn add_assign(&mut self, rhs: Stats) {
-        self.join_probes += rhs.join_probes;
-        self.join_results += rhs.join_results;
-        self.dom_comparisons += rhs.dom_comparisons;
-        self.region_comparisons += rhs.region_comparisons;
-        self.map_evals += rhs.map_evals;
-        self.tuples_emitted += rhs.tuples_emitted;
-        self.regions_processed += rhs.regions_processed;
-        self.regions_pruned += rhs.regions_pruned;
-        self.tuples_discarded += rhs.tuples_discarded;
-        self.region_retries += rhs.region_retries;
-        self.regions_quarantined += rhs.regions_quarantined;
-        self.regions_shed += rhs.regions_shed;
-        self.ingest_quarantined += rhs.ingest_quarantined;
-        self.ingest_clamped += rhs.ingest_clamped;
-        self.build_ticks += rhs.build_ticks;
-        self.probe_ticks += rhs.probe_ticks;
-        self.insert_ticks += rhs.insert_ticks;
-        self.emit_ticks += rhs.emit_ticks;
-        self.build_dom_cmps += rhs.build_dom_cmps;
-        self.insert_dom_cmps += rhs.insert_dom_cmps;
-        self.emit_region_cmps += rhs.emit_region_cmps;
-        self.block_kernel_ops += rhs.block_kernel_ops;
-        self.scalar_kernel_ops += rhs.scalar_kernel_ops;
-        self.sig_builds += rhs.sig_builds;
-        self.presort_cache_hits += rhs.presort_cache_hits;
-        self.presort_cache_misses += rhs.presort_cache_misses;
-        self.arena_tuples += rhs.arena_tuples;
-        self.plan_points_interned += rhs.plan_points_interned;
+        macro_rules! sum {
+            ($($f:ident),*) => { $(self.$f += rhs.$f;)* };
+        }
+        with_counter_fields!(sum);
         self.ensure_queries(rhs.per_query.len());
         for (mine, theirs) in self.per_query.iter_mut().zip(rhs.per_query) {
             *mine += theirs;
@@ -256,65 +216,29 @@ impl AddAssign for Stats {
 mod tests {
     use super::*;
 
+    /// A `Stats` whose `i`-th counter (in [`Stats::counters`] order) holds
+    /// `i + 1`, so no two fields can stand in for each other.
+    fn numbered() -> Stats {
+        let mut s = Stats::new();
+        let mut next = 0;
+        macro_rules! number {
+            ($($f:ident),*) => { $(next += 1; s.$f = next;)* };
+        }
+        with_counter_fields!(number);
+        s
+    }
+
     #[test]
     fn add_assign_sums_fields() {
-        let mut a = Stats {
-            join_probes: 1,
-            join_results: 2,
-            dom_comparisons: 3,
-            region_comparisons: 9,
-            map_evals: 4,
+        let mut a = numbered();
+        a.per_query = vec![PerQueryStats {
             tuples_emitted: 5,
-            regions_processed: 6,
-            regions_pruned: 7,
-            tuples_discarded: 8,
-            region_retries: 10,
-            regions_quarantined: 11,
-            regions_shed: 12,
-            ingest_quarantined: 13,
-            ingest_clamped: 14,
-            build_ticks: 15,
-            probe_ticks: 16,
-            insert_ticks: 17,
-            emit_ticks: 18,
-            build_dom_cmps: 19,
-            insert_dom_cmps: 20,
-            emit_region_cmps: 21,
-            block_kernel_ops: 22,
-            scalar_kernel_ops: 23,
-            sig_builds: 28,
-            presort_cache_hits: 29,
-            presort_cache_misses: 30,
-            arena_tuples: 24,
-            plan_points_interned: 25,
-            per_query: vec![PerQueryStats {
-                tuples_emitted: 5,
-                utility_sum: 2.5,
-            }],
-        };
+            utility_sum: 2.5,
+        }];
         a += a.clone();
-        assert_eq!(a.join_probes, 2);
-        assert_eq!(a.region_comparisons, 18);
-        assert_eq!(a.tuples_discarded, 16);
-        assert_eq!(a.region_retries, 20);
-        assert_eq!(a.regions_quarantined, 22);
-        assert_eq!(a.regions_shed, 24);
-        assert_eq!(a.ingest_quarantined, 26);
-        assert_eq!(a.ingest_clamped, 28);
-        assert_eq!(a.build_ticks, 30);
-        assert_eq!(a.probe_ticks, 32);
-        assert_eq!(a.insert_ticks, 34);
-        assert_eq!(a.emit_ticks, 36);
-        assert_eq!(a.build_dom_cmps, 38);
-        assert_eq!(a.insert_dom_cmps, 40);
-        assert_eq!(a.emit_region_cmps, 42);
-        assert_eq!(a.block_kernel_ops, 44);
-        assert_eq!(a.scalar_kernel_ops, 46);
-        assert_eq!(a.sig_builds, 56);
-        assert_eq!(a.presort_cache_hits, 58);
-        assert_eq!(a.presort_cache_misses, 60);
-        assert_eq!(a.arena_tuples, 48);
-        assert_eq!(a.plan_points_interned, 50);
+        for (i, (name, v)) in a.counters().into_iter().enumerate() {
+            assert_eq!(v, 2 * (i as u64 + 1), "{name}");
+        }
         assert_eq!(a.per_query[0].tuples_emitted, 10);
         assert!((a.per_query[0].utility_sum - 5.0).abs() < 1e-12);
     }
@@ -373,20 +297,15 @@ mod tests {
 
     #[test]
     fn counters_name_every_scalar_field() {
-        let mut s = Stats::new();
-        s.join_probes = 1;
-        s.plan_points_interned = 30;
-        let counters = s.counters();
+        let counters = numbered().counters();
         assert_eq!(counters.len(), 28);
         assert_eq!(counters[0], ("join_probes", 1));
-        assert_eq!(counters[27], ("plan_points_interned", 30));
-        // Round-trip: rebuilding from the pairs reproduces the struct.
-        let mut back = Stats::new();
-        for (name, v) in counters {
-            assert!(back.set_counter(name, v), "unknown counter {name}");
-        }
-        assert_eq!(back, s);
-        assert!(!back.set_counter("no_such_counter", 1));
+        assert_eq!(counters[27], ("plan_points_interned", 28));
+        // The list is the whole struct: every field but `per_query` is a
+        // `u64` counter, so a field the list misses shows in the size.
+        let listed = counters.len() * std::mem::size_of::<u64>();
+        let per_query = std::mem::size_of::<Vec<PerQueryStats>>();
+        assert_eq!(std::mem::size_of::<Stats>(), listed + per_query);
     }
 
     #[test]

@@ -1,18 +1,18 @@
-//! Warm-start plan persistence: a run restored from the on-disk plan
-//! snapshot must be *byte-identical* to a cold start — same trace, same
+//! Warm-start plan persistence: a run warm-started from a saved-then-loaded
+//! plan file must be *byte-identical* to a cold start — same trace, same
 //! outcome, at every thread count — and every way the file can be wrong
-//! (bit flip, truncation, stale tables, future version) must yield a
-//! typed error followed by a clean full rebuild, never a partial apply.
+//! (bit flip, truncation, stale tables, another format version) must yield
+//! a typed error followed by a clean full rebuild, never a partial apply.
 
 use caqe::contract::Contract;
 use caqe::core::{
     EngineConfig, ExecConfig, PlanError, PreparedPlan, QuerySpec, RunRequest, SchedulingPolicy,
-    Workload,
+    Workload, PLAN_VERSION,
 };
 use caqe::data::{Distribution, Table, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::trace::{to_jsonl, RecordingSink};
-use caqe::types::{fnv1a, DimMask};
+use caqe::types::DimMask;
 use std::path::PathBuf;
 
 mod common;
@@ -140,16 +140,22 @@ fn bit_flipped_plan_is_rejected_then_rebuilds_cleanly() {
     let plan = build_plan(&r, &t, &w, &exec, &EngineConfig::caqe());
     let text = plan.to_text();
 
-    // Flip one byte in the middle of the body.
+    // Overwrite one byte in the middle of the body: with another digit,
+    // then with its high bit set — the file stops being UTF-8, which is
+    // still damage to the file, not an I/O failure.
     let mid = text.len() / 2;
-    let mut bytes = text.into_bytes();
-    bytes[mid] = if bytes[mid] == b'3' { b'4' } else { b'3' };
     let path = tmp_path("flipped.caqeplan");
-    std::fs::write(&path, &bytes).expect("write corrupt plan");
-
-    match PreparedPlan::load(&path, &r, &t, &exec) {
-        Err(PlanError::Corrupt(_)) => {}
-        other => panic!("expected Corrupt, got {other:?}"),
+    for flip in [
+        |b: u8| if b == b'3' { b'4' } else { b'3' },
+        |b: u8| b | 0x80,
+    ] {
+        let mut bytes = text.clone().into_bytes();
+        bytes[mid] = flip(bytes[mid]);
+        std::fs::write(&path, &bytes).expect("write corrupt plan");
+        match PreparedPlan::load(&path, &r, &t, &exec) {
+            Err(PlanError::Corrupt(_)) => {}
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
     // The fall-back cold build is untouched by the corrupt file.
     assert_eq!(golden(), run_jsonl(&r, &t, &w, &exec, None));
@@ -207,7 +213,9 @@ fn future_version_is_rejected_then_rebuilds_cleanly() {
     let w = workload();
     let exec = exec();
     let plan = build_plan(&r, &t, &w, &exec, &EngineConfig::caqe());
-    let future = plan.to_text().replacen("caqe-plan v1", "caqe-plan v7", 1);
+    let header = format!("caqe-plan v{PLAN_VERSION}\n");
+    assert!(plan.to_text().starts_with(&header));
+    let future = plan.to_text().replacen(&header, "caqe-plan v7\n", 1);
     let path = tmp_path("future.caqeplan");
     std::fs::write(&path, future).expect("write future plan");
 
@@ -237,48 +245,45 @@ fn mismatched_plan_is_silently_ignored_by_the_engine() {
 }
 
 /// `tests/golden/parent_v1.caqeplan` was written by `PreparedPlan::save`
-/// at commit 51c5f04 — the last build whose plan carried a presort-cache
-/// field — over these tables and this config. Files in the field must
-/// keep loading, and this build must write the same bytes.
+/// at commit 51c5f04, in the format that stored what a build produced.
+/// This build neither reads nor writes it: such a file is named as another
+/// version — not as damage — and costs its holder one cold build.
 #[test]
-fn parent_written_plan_loads_and_reserialises_byte_identically() {
-    let gen = TableGenerator::new(60, 2, Distribution::Independent)
-        .with_selectivities(&[0.05, 0.1])
-        .with_seed(99);
-    let (r, t) = (gen.generate("R"), gen.generate("T"));
-    let exec = ExecConfig::default().with_target_cells(60, 4);
+fn parent_written_v1_plan_is_rejected_typed_then_rebuilds_cleanly() {
+    let (r, t) = tables();
+    let w = workload();
+    let exec = exec();
     let path = PathBuf::from(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/parent_v1.caqeplan"
     ));
-    let on_disk = std::fs::read_to_string(&path).expect("missing plan fixture");
-
-    let plan = PreparedPlan::load(&path, &r, &t, &exec).expect("parent-written plan must load");
-    assert_eq!(plan.memos.len(), 1);
     assert_eq!(
-        plan.to_text(),
-        on_disk,
-        "plan bytes drifted from the parent"
+        PreparedPlan::load(&path, &r, &t, &exec),
+        Err(PlanError::Version { found: 1 })
     );
+    assert_eq!(golden(), run_jsonl(&r, &t, &w, &exec, None));
+}
 
-    // The same file claiming a non-empty presort cache (which no build
-    // ever wrote), checksum re-sealed so only the section itself is wrong.
-    let empty = "presort 1\npresortcache 0\n";
-    assert!(on_disk.contains(empty));
-    let edited = on_disk.replacen(
-        empty,
-        "presort 2\npresortcache 1\nentry 0000000000000007 3 none\n",
-        1,
-    );
-    let body_start = edited.find('\n').expect("header line") + 1;
-    let body_end = edited.rfind("checksum ").expect("footer");
-    let resealed = format!(
-        "{}checksum {:016x}\n",
-        &edited[..body_end],
-        fnv1a(&edited.as_bytes()[body_start..body_end])
-    );
-    match PreparedPlan::from_text(&resealed, &r, &t, &exec) {
-        Err(PlanError::Corrupt(why)) if !why.contains("checksum") => {}
-        other => panic!("expected a Corrupt presort section, got {other:?}"),
-    }
+/// What the file holds is the recipe: a few hundred bytes per memo however
+/// much the build produces, and loading it gives back the in-memory plan,
+/// session-mode (`keep_empty`) memos included.
+#[test]
+fn saved_plan_is_small_and_loads_to_the_in_memory_memos() {
+    let (r, t) = tables();
+    let w = workload();
+    let exec = exec();
+    let mut plan = build_plan(&r, &t, &w, &exec, &EngineConfig::caqe());
+    let path = tmp_path("small.caqeplan");
+    plan.save(&path).expect("save plan");
+    let bytes = std::fs::metadata(&path).expect("saved file").len();
+    assert!(bytes < 4096, "the golden-fixture plan takes {bytes} bytes");
+    assert_eq!(PreparedPlan::load(&path, &r, &t, &exec), Ok(plan.clone()));
+
+    plan.memoize(&w, &exec, true, true, true);
+    assert_eq!(plan.memos.len(), 4, "two groups, batch and session mode");
+    plan.save(&path).expect("save plan");
+    let loaded = PreparedPlan::load(&path, &r, &t, &exec).expect("load plan");
+    assert_eq!(loaded.memos, plan.memos);
+    assert_eq!(loaded, plan);
+    std::fs::remove_file(&path).ok();
 }

@@ -4,17 +4,18 @@
 //! loadable-but-corrupt snapshot; (c) a chaos soak stays live with the
 //! queue bounded and contract SLOs retained; (d) every admission path —
 //! accept, queue-full reject, invalid reject, cancel, deadline expiry,
-//! negotiation downgrade — answers with typed state, never a panic.
+//! negotiation downgrade — answers with typed state, never a panic;
+//! (e) a restore serves whatever state the plan file is in, and says which.
 
 use caqe::contract::Contract;
-use caqe::core::{EngineConfig, ExecConfig, QuerySpec};
+use caqe::core::{EngineConfig, ExecConfig, PlanError, QuerySpec};
 use caqe::data::{Distribution, TableGenerator, ValidationPolicy};
 use caqe::faults::FaultPlan;
 use caqe::operators::MappingSet;
 use caqe::serve::{
     load_snapshot, mix_request, run_soak, write_snapshot, write_snapshot_with_crash, CaqeServer,
-    CrashPoint, RejectReason, ServeConfig, SessionState, Snapshot, SnapshotError, SoakConfig,
-    SubmitRequest, SubmitResponse, SNAPSHOT_VERSION,
+    CrashPoint, PlanProvenance, RejectReason, ServeConfig, SessionState, Snapshot, SnapshotError,
+    SoakConfig, SubmitRequest, SubmitResponse, SNAPSHOT_VERSION,
 };
 use caqe::types::DimMask;
 use std::path::PathBuf;
@@ -123,6 +124,98 @@ fn kill_and_restore_matches_uninterrupted_run() {
         "restored run diverged from the uninterrupted run"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+/// Plan trouble never blocks a restore and never changes what is served: a
+/// good plan file warm-starts the server, and one of another version, a
+/// damaged one or one written against other tables each cost one cold build,
+/// reported with the typed reason.
+#[test]
+fn restore_with_plan_serves_whatever_the_plan_file_holds() {
+    let sessions = 10usize;
+    let cfg = ServeConfig {
+        queue_bound: sessions,
+        epoch_batch: 4,
+        ..ServeConfig::default()
+    };
+    let submit_all = |s: &CaqeServer| {
+        for i in 0..sessions {
+            let answer = s.submit(mix_request(catalog().len(), 0, i));
+            assert!(
+                matches!(answer, SubmitResponse::Accepted { .. }),
+                "{answer:?}"
+            );
+        }
+    };
+    let uninterrupted = server(cfg);
+    submit_all(&uninterrupted);
+    uninterrupted.drain();
+    let baseline = uninterrupted.session_digests();
+    assert_eq!(baseline.len(), sessions);
+
+    // Killed at a queue boundary, one epoch in, snapshot and plan on disk.
+    let killed = server(cfg);
+    submit_all(&killed);
+    assert!(killed.run_epoch().is_some());
+    let snap_path = tmp("plan_restore_snapshot");
+    killed.shutdown_to_snapshot(&snap_path).expect("snapshot");
+    let written = tmp("plan_restore_written");
+    killed.write_plan(&written).expect("plan");
+
+    let flipped = tmp("plan_restore_flipped");
+    let mut bytes = std::fs::read(&written).expect("read plan");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x80;
+    std::fs::write(&flipped, bytes).expect("write flipped plan");
+    let foreign = tmp("plan_restore_foreign");
+    let other = CaqeServer::new(
+        tables(400, 8),
+        catalog(),
+        ExecConfig::default().with_target_cells(400, 8),
+        EngineConfig::caqe(),
+        cfg,
+    );
+    other.write_plan(&foreign).expect("foreign plan");
+    let parent_v1 = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/parent_v1.caqeplan"
+    ));
+
+    type Check = fn(&PlanProvenance) -> bool;
+    let cases: [(&PathBuf, &str, Check); 4] = [
+        (&written, "warm", |p| *p == PlanProvenance::Warm),
+        (&parent_v1, "rebuilt: version 1", |p| {
+            *p == PlanProvenance::Rebuilt(PlanError::Version { found: 1 })
+        }),
+        (&flipped, "rebuilt: corrupt", |p| {
+            matches!(p, PlanProvenance::Rebuilt(PlanError::Corrupt(_)))
+        }),
+        (&foreign, "rebuilt: stale", |p| {
+            matches!(p, PlanProvenance::Rebuilt(PlanError::Stale { .. }))
+        }),
+    ];
+    for (plan_path, want, holds) in cases {
+        let (restored, _, provenance) = CaqeServer::restore_with_plan(
+            tables(400, 7),
+            catalog(),
+            ExecConfig::default().with_target_cells(400, 8),
+            EngineConfig::caqe(),
+            cfg,
+            &snap_path,
+            plan_path,
+        )
+        .expect("restore");
+        assert!(holds(&provenance), "expected {want}, got {provenance:?}");
+        assert!(
+            restored.has_plan(),
+            "{want}: a restored server holds a plan"
+        );
+        restored.drain();
+        assert_eq!(restored.session_digests(), baseline, "{want}");
+    }
+    for path in [&snap_path, &written, &flipped, &foreign] {
+        let _ = std::fs::remove_file(path);
+    }
 }
 
 /// Crash-safety of the write protocol: a crash before the atomic rename —
