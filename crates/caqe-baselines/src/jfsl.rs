@@ -1,15 +1,11 @@
 //! JFSL [17]: join-first, skyline-later — the blocking, non-shared baseline.
 
-use caqe_contract::QueryScore;
-use caqe_core::{
-    prepare_inputs, ExecConfig, ExecutionStrategy, QueryOutcome, RunOutcome, Workload,
-};
+use crate::per_query::{run_per_query, Report};
+use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::{hash_join_project_store, skyline_bnl_store, JoinSpec};
-use caqe_regions::buchta_estimate;
-use caqe_trace::{NoopSink, RecordingSink, TraceEvent, TraceSink};
-use caqe_types::{DomKernel, EngineError, SimClock, Stats};
-use std::time::Instant;
+use caqe_operators::skyline_bnl_store;
+use caqe_trace::{NoopSink, RecordingSink};
+use caqe_types::{DomKernel, EngineError, PointStore, SimClock, Stats};
 
 /// Join-first-skyline-later: per query (priority order), materialize the
 /// entire join, run a blocking BNL skyline, and only then report every
@@ -18,92 +14,16 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct JfslStrategy;
 
-impl JfslStrategy {
-    fn run_impl<S: TraceSink>(
-        &self,
-        r: &Table,
-        t: &Table,
-        workload: &Workload,
-        exec: &ExecConfig,
-        sink: &mut S,
-    ) -> Result<RunOutcome, EngineError> {
-        let wall = Instant::now();
-        let mut clock = SimClock::new(exec.cost_model);
-        let mut stats = Stats::new();
-        stats.ensure_queries(workload.len());
-        let mut per_query: Vec<Option<QueryOutcome>> = vec![None; workload.len()];
-        if S::ENABLED {
-            sink.record(TraceEvent::Meta {
-                strategy: self.name().to_string(),
-                queries: workload.len(),
-                ticks_per_second: exec.cost_model.ticks_per_second,
-                start_tick: 0,
-            });
-        }
-
-        let prep = prepare_inputs(r, t, exec, 0, sink)?;
-        stats.ingest_quarantined += prep.quarantined();
-        stats.ingest_clamped += prep.clamped();
-        let r = prep.r_table(r);
-        let t = prep.t_table(t);
-
-        for qid in workload.by_priority() {
-            let spec = workload.query(qid);
-            // Full join, repeated per query: no shared sub-expressions. The
-            // join output lands directly in a flat point store.
-            let join = hash_join_project_store(
-                r.records(),
-                t.records(),
-                JoinSpec::on_column(spec.join_col),
-                &spec.mapping,
-                &mut clock,
-                &mut stats,
-            );
-            // Blocking skyline: nothing is reported until it completes.
-            let kernel = DomKernel::new(spec.pref, join.store.stride());
-            let sky = skyline_bnl_store(&join.store, &kernel, &mut clock, &mut stats);
-
-            let est = buchta_estimate(join.len().max(1) as f64, spec.pref.len());
-            let mut score = QueryScore::new(spec.contract.clone(), est);
-            let mut emissions = Vec::with_capacity(sky.len());
-            let mut results = Vec::with_capacity(sky.len());
-            for &i in &sky {
-                clock.charge_emits(1);
-                let ts = clock.now();
-                let u = score.record(ts);
-                stats.record_emission(qid.index(), u);
-                emissions.push((ts, u));
-                results.push(join.pairs[i]);
-                if S::ENABLED {
-                    sink.record(TraceEvent::Emission {
-                        tick: clock.ticks(),
-                        query: qid.0,
-                        seq: results.len() as u64,
-                        rid: u32::MAX,
-                        tid: i as u64,
-                        utility: u,
-                        satisfaction: score.runtime_satisfaction(),
-                    });
-                }
-            }
-            per_query[qid.index()] = Some(QueryOutcome {
-                query: qid,
-                emissions,
-                results,
-                p_score: score.p_score(),
-                satisfaction: score.final_satisfaction(),
-            });
-        }
-
-        // Every priority slot was filled above; flatten preserves order.
-        debug_assert!(per_query.iter().all(Option::is_some));
-        Ok(RunOutcome {
-            strategy: self.name().to_string(),
-            per_query: per_query.into_iter().flatten().collect(),
-            stats,
-            virtual_seconds: clock.now(),
-            wall_seconds: wall.elapsed().as_secs_f64(),
-        })
+/// Blocking skyline: nothing is reported until BNL completes.
+fn blocking_bnl(
+    store: &PointStore,
+    kernel: &DomKernel,
+    clock: &mut SimClock,
+    stats: &mut Stats,
+    report: &mut Report<'_>,
+) {
+    for i in skyline_bnl_store(store, kernel, clock, stats) {
+        report(i, clock, stats);
     }
 }
 
@@ -119,7 +39,15 @@ impl ExecutionStrategy for JfslStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        self.run_impl(r, t, workload, exec, &mut NoopSink)
+        run_per_query(
+            self.name(),
+            blocking_bnl,
+            r,
+            t,
+            workload,
+            exec,
+            &mut NoopSink,
+        )
     }
 
     fn try_run_traced(
@@ -130,6 +58,6 @@ impl ExecutionStrategy for JfslStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        self.run_impl(r, t, workload, exec, sink)
+        run_per_query(self.name(), blocking_bnl, r, t, workload, exec, sink)
     }
 }

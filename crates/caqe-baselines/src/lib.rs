@@ -24,6 +24,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod jfsl;
+mod per_query;
 pub mod progxe;
 pub mod sjfsl;
 pub mod ssmj;

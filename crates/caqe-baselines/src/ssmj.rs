@@ -1,15 +1,11 @@
 //! SSMJ [14]: sort-based skyline-over-join — progressive but non-shared.
 
-use caqe_contract::QueryScore;
-use caqe_core::{
-    prepare_inputs, ExecConfig, ExecutionStrategy, QueryOutcome, RunOutcome, Workload,
-};
+use crate::per_query::{run_per_query, Report};
+use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::{hash_join_project_store, JoinSpec};
-use caqe_regions::buchta_estimate;
-use caqe_trace::{NoopSink, RecordingSink, TraceEvent, TraceSink};
-use caqe_types::{DomKernel, DomRelation, EngineError, SimClock, Stats};
-use std::time::Instant;
+use caqe_operators::skyline_sfs_store_each;
+use caqe_trace::{NoopSink, RecordingSink};
+use caqe_types::{DomKernel, EngineError, PointStore, SimClock, Stats};
 
 /// Skyline-Sort-Merge-Join: per query (priority order), materialize the
 /// join, sort it by the monotone sum over the preference dimensions, and
@@ -19,119 +15,25 @@ use std::time::Instant;
 #[derive(Debug, Clone, Default)]
 pub struct SsmjStrategy;
 
-impl SsmjStrategy {
-    fn run_impl<S: TraceSink>(
-        &self,
-        r: &Table,
-        t: &Table,
-        workload: &Workload,
-        exec: &ExecConfig,
-        sink: &mut S,
-    ) -> Result<RunOutcome, EngineError> {
-        let wall = Instant::now();
-        let mut clock = SimClock::new(exec.cost_model);
-        let mut stats = Stats::new();
-        stats.ensure_queries(workload.len());
-        let mut per_query: Vec<Option<QueryOutcome>> = vec![None; workload.len()];
-        if S::ENABLED {
-            sink.record(TraceEvent::Meta {
-                strategy: self.name().to_string(),
-                queries: workload.len(),
-                ticks_per_second: exec.cost_model.ticks_per_second,
-                start_tick: 0,
-            });
-        }
-
-        let prep = prepare_inputs(r, t, exec, 0, sink)?;
-        stats.ingest_quarantined += prep.quarantined();
-        stats.ingest_clamped += prep.clamped();
-        let r = prep.r_table(r);
-        let t = prep.t_table(t);
-
-        for qid in workload.by_priority() {
-            let spec = workload.query(qid);
-            let join = hash_join_project_store(
-                r.records(),
-                t.records(),
-                JoinSpec::on_column(spec.join_col),
-                &spec.mapping,
-                &mut clock,
-                &mut stats,
-            );
-            // Sort by the monotone score: pay m·log m comparisons of clock
-            // time upfront (these are sort comparisons, not dominance
-            // comparisons, so they advance the clock but not the CPU
-            // metric — matching what the paper measures in Fig. 10.b).
-            // Scores are computed once per tuple, not inside the comparator;
-            // the stable sort gives the identical order either way.
-            let kernel = DomKernel::new(spec.pref, join.store.stride());
-            let m = join.len();
-            let scores_by_tuple: Vec<f64> =
-                (0..m).map(|i| kernel.score(join.store.at(i))).collect();
-            let mut order: Vec<usize> = (0..m).collect();
-            order.sort_by(|&a, &b| scores_by_tuple[a].total_cmp(&scores_by_tuple[b]));
-            if m > 1 {
-                let sort_cost = (m as f64 * (m as f64).log2()).ceil() as u64;
-                clock.charge_sort_cmps(sort_cost);
-            }
-
-            let est = buchta_estimate(m.max(1) as f64, spec.pref.len());
-            let mut score = QueryScore::new(spec.contract.clone(), est);
-            let mut emissions = Vec::new();
-            let mut results = Vec::new();
-            // SFS filter with immediate emission: after the monotone sort a
-            // later tuple cannot dominate an admitted survivor.
-            let mut sky: Vec<usize> = Vec::new();
-            'next: for i in order {
-                for &s in &sky {
-                    clock.charge_dom_cmps(1);
-                    stats.dom_comparisons += 1;
-                    match kernel.relate(join.store.at(s), join.store.at(i)) {
-                        DomRelation::Dominates => continue 'next,
-                        DomRelation::DominatedBy => {
-                            unreachable!("monotone sort violated")
-                        }
-                        DomRelation::Equal | DomRelation::Incomparable => {}
-                    }
-                }
-                sky.push(i);
-                clock.charge_emits(1);
-                let ts = clock.now();
-                let u = score.record(ts);
-                stats.record_emission(qid.index(), u);
-                emissions.push((ts, u));
-                results.push(join.pairs[i]);
-                if S::ENABLED {
-                    sink.record(TraceEvent::Emission {
-                        tick: clock.ticks(),
-                        query: qid.0,
-                        seq: results.len() as u64,
-                        rid: u32::MAX,
-                        tid: i as u64,
-                        utility: u,
-                        satisfaction: score.runtime_satisfaction(),
-                    });
-                }
-            }
-            per_query[qid.index()] = Some(QueryOutcome {
-                query: qid,
-                emissions,
-                results,
-                p_score: score.p_score(),
-                satisfaction: score.final_satisfaction(),
-            });
-        }
-
-        // Every priority slot was filled above; flatten preserves order.
-        debug_assert!(per_query.iter().all(Option::is_some));
-        Ok(RunOutcome {
-            strategy: self.name().to_string(),
-            per_query: per_query.into_iter().flatten().collect(),
-            stats,
-            virtual_seconds: clock.now(),
-            wall_seconds: wall.elapsed().as_secs_f64(),
-        })
+/// Presorted SFS with immediate emission of every survivor.
+fn presorted_sfs(
+    store: &PointStore,
+    kernel: &DomKernel,
+    clock: &mut SimClock,
+    stats: &mut Stats,
+    report: &mut Report<'_>,
+) {
+    // The sort costs m·log m comparisons of clock time upfront (sort
+    // comparisons, not dominance comparisons, so they advance the clock but
+    // not the CPU metric — matching what the paper measures in Fig. 10.b).
+    // The filter's own presort is uncharged, so charging here first puts
+    // every survivor's emission tick after the whole sort.
+    let m = store.len();
+    if m > 1 {
+        let sort_cost = (m as f64 * (m as f64).log2()).ceil() as u64;
+        clock.charge_sort_cmps(sort_cost);
     }
+    skyline_sfs_store_each(store, kernel, clock, stats, report);
 }
 
 impl ExecutionStrategy for SsmjStrategy {
@@ -146,7 +48,15 @@ impl ExecutionStrategy for SsmjStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        self.run_impl(r, t, workload, exec, &mut NoopSink)
+        run_per_query(
+            self.name(),
+            presorted_sfs,
+            r,
+            t,
+            workload,
+            exec,
+            &mut NoopSink,
+        )
     }
 
     fn try_run_traced(
@@ -157,6 +67,6 @@ impl ExecutionStrategy for SsmjStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        self.run_impl(r, t, workload, exec, sink)
+        run_per_query(self.name(), presorted_sfs, r, t, workload, exec, sink)
     }
 }

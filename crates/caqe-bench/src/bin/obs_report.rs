@@ -8,7 +8,7 @@
 //!
 //! Per `*.metrics.json` snapshot found (recursively): the run's counter
 //! totals, the phase profile (virtual-tick and dominance-charge breakdown),
-//! kernel-dispatch split, per-query satisfaction and SLO at-risk state.
+//! the prune-layer counts, per-query satisfaction and SLO at-risk state.
 //! Snapshots that dropped non-finite gauge values carry a visible warning,
 //! like `trace_report` does for the JSON exporter's non-finite→null drops.
 //!
@@ -277,14 +277,6 @@ fn dashboard(label: &str, snap: &Snapshot) {
             })
             .collect();
         println!("  phase dominance charges: {}", cmp_parts.join("  "));
-    }
-    let block = counter(&caqe_obs::key(names::KERNEL_DISPATCH, &[("path", "block")]));
-    let scalar = counter(&caqe_obs::key(
-        names::KERNEL_DISPATCH,
-        &[("path", "scalar")],
-    ));
-    if block + scalar > 0 {
-        println!("  kernel dispatch: block {block}  scalar {scalar}");
     }
     let prune: Vec<(&str, u64)> = [
         ("sig builds", "sig_builds"),

@@ -189,13 +189,23 @@ fn write_escaped(buf: &mut String, s: &str) {
     buf.push('"');
 }
 
+/// Deepest array/object nesting [`parse`] accepts: far beyond any report
+/// the harness writes, far short of a recursion that could overflow a
+/// thread's stack (which aborts the process — `catch_unwind` cannot stop
+/// it).
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON document.
 ///
 /// Strict on structure, tolerant on number formats (`f64` semantics).
+/// Linear in the input; any input gives `Ok` or `Err`, never a panic —
+/// nesting deeper than `MAX_DEPTH` (128) is an `Err`.
 pub fn parse(input: &str) -> Result<JsonValue, String> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -206,9 +216,15 @@ pub fn parse(input: &str) -> Result<JsonValue, String> {
     Ok(v)
 }
 
+/// Recursive-descent state. `pos` only ever stops on a char boundary of
+/// `input`: every token but a string's content is ASCII, and string
+/// content advances one whole `char` at a time.
 struct Parser<'a> {
+    input: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -251,8 +267,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -335,14 +365,10 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .input
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             self.pos += 4;
                         }
@@ -351,10 +377,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one char of the already-validated input.
+                    let c = self.input[self.pos..]
+                        .chars()
+                        .next()
+                        .ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -371,7 +398,7 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.input[start..self.pos];
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number `{text}` at byte {start}"))
@@ -449,5 +476,13 @@ mod tests {
     fn escaped_string_round_trip() {
         let v = parse("\"line\\nbreak \\u0041\"").unwrap();
         assert_eq!(v, "line\nbreak A");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 }

@@ -5,7 +5,7 @@ use crate::engine::RunRequest;
 use crate::outcome::RunOutcome;
 use crate::workload::Workload;
 use caqe_data::Table;
-use caqe_trace::{NoopSink, RecordingSink, TraceEvent, TraceSink};
+use caqe_trace::{NoopSink, RecordingSink};
 use caqe_types::EngineError;
 
 /// A technique that executes a whole workload over a pair of base tables —
@@ -28,9 +28,7 @@ pub trait ExecutionStrategy {
     ///
     /// Takes the concrete [`RecordingSink`] (rather than a generic
     /// `impl TraceSink`) so the trait stays object-safe — the harness
-    /// compares strategies through `Box<dyn ExecutionStrategy>`. The
-    /// default implementation runs untraced and records only the run
-    /// header, for strategies that predate the tracing layer.
+    /// compares strategies through `Box<dyn ExecutionStrategy>`.
     fn try_run_traced(
         &self,
         r: &Table,
@@ -38,15 +36,7 @@ pub trait ExecutionStrategy {
         workload: &Workload,
         exec: &ExecConfig,
         sink: &mut RecordingSink,
-    ) -> Result<RunOutcome, EngineError> {
-        sink.record(TraceEvent::Meta {
-            strategy: self.name().to_string(),
-            queries: workload.len(),
-            ticks_per_second: exec.cost_model.ticks_per_second,
-            start_tick: 0,
-        });
-        self.try_run(r, t, workload, exec)
-    }
+    ) -> Result<RunOutcome, EngineError>;
 
     /// Infallible [`ExecutionStrategy::try_run`], panicking on ingestion
     /// failure — the historical interface, kept for harness call sites

@@ -493,16 +493,20 @@ impl FaultPlan {
     }
 
     /// Renders the plan back into a canonical spec string accepted by
-    /// [`FaultPlan::parse`].
+    /// [`FaultPlan::parse`]: `parse(to_spec(p)) == p` for every parsed
+    /// plan. A factor is rendered whenever its rate is non-zero *or* it
+    /// differs from the default — a zero-rate `est` factor still scales
+    /// admission faults.
     pub fn to_spec(&self) -> String {
-        if !self.is_active() && self.seed == 0 {
+        let none = FaultPlan::none();
+        if *self == none {
             return "none".to_string();
         }
         let mut parts = vec![format!("seed={}", self.seed)];
-        if self.spike_rate > 0.0 {
+        if self.spike_rate > 0.0 || self.spike_factor != none.spike_factor {
             parts.push(format!("spike={}x{}", self.spike_rate, self.spike_factor));
         }
-        if self.est_rate > 0.0 {
+        if self.est_rate > 0.0 || self.est_factor != none.est_factor {
             parts.push(format!("est={}x{}", self.est_rate, self.est_factor));
         }
         if self.panic_rate > 0.0 {
@@ -626,6 +630,16 @@ mod tests {
         // Factor defaults apply when omitted.
         let d = FaultPlan::parse("spike=0.5").expect("default factor");
         assert_eq!(d.spike_factor, 8.0);
+        // A zero-rate fault keeps its parsed factor through the round trip.
+        for spec in ["spike=0x3", "seed=5,est=0x2", "est=0x2,admit=0.5"] {
+            let plan = FaultPlan::parse(spec).expect("valid spec");
+            assert_eq!(
+                FaultPlan::parse(&plan.to_spec()).expect("round trip"),
+                plan,
+                "{spec} → {}",
+                plan.to_spec()
+            );
+        }
     }
 
     #[test]

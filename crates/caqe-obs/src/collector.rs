@@ -81,9 +81,6 @@ pub mod names {
     /// Counter family: phase dominance-charge breakdown, labelled by
     /// `phase` (`build`/`insert`/`emit`).
     pub const PHASE_DOM_CMPS: &str = "caqe_phase_dom_cmps";
-    /// Counter family: kernel dispatch decisions, labelled by `path`
-    /// (`block`/`scalar`).
-    pub const KERNEL_DISPATCH: &str = "caqe_kernel_dispatch_total";
     /// Counter family: signature-screening events, labelled by `kind`
     /// (`sig_builds`/`cache_hits`/`cache_misses`), from end-of-run `Stats`.
     pub const PRUNE_EVENTS: &str = "caqe_prune_events_total";
@@ -248,8 +245,8 @@ impl ObsCollector {
     }
 
     /// Ingests end-of-run [`Stats`]: raw counters under
-    /// `caqe_stats_<field>`, the phase-profile families, kernel-dispatch
-    /// counts and occupancy gauges.
+    /// `caqe_stats_<field>`, the phase-profile and screening families and
+    /// occupancy gauges.
     pub fn ingest_stats(&mut self, stats: &Stats) {
         for (name, v) in stats.counters() {
             self.reg.inc(&format!("{}{name}", names::STATS_PREFIX), v);
@@ -270,13 +267,6 @@ impl ObsCollector {
         ] {
             self.reg
                 .inc(&key(names::PHASE_DOM_CMPS, &[("phase", phase)]), cmps);
-        }
-        for (path, n) in [
-            ("block", stats.block_kernel_ops),
-            ("scalar", stats.scalar_kernel_ops),
-        ] {
-            self.reg
-                .inc(&key(names::KERNEL_DISPATCH, &[("path", path)]), n);
         }
         for (kind, n) in [
             ("sig_builds", stats.sig_builds),
@@ -717,8 +707,6 @@ mod tests {
         stats.build_dom_cmps = 5;
         stats.insert_dom_cmps = 6;
         stats.emit_region_cmps = 7;
-        stats.block_kernel_ops = 8;
-        stats.scalar_kernel_ops = 9;
         stats.sig_builds = 13;
         stats.presort_cache_hits = 14;
         stats.presort_cache_misses = 15;
@@ -736,10 +724,6 @@ mod tests {
         assert_eq!(
             reg.counter(&key(names::PHASE_DOM_CMPS, &[("phase", "emit")])),
             Some(7)
-        );
-        assert_eq!(
-            reg.counter(&key(names::KERNEL_DISPATCH, &[("path", "block")])),
-            Some(8)
         );
         assert_eq!(reg.gauge(names::ARENA_OCCUPANCY), Some(1000.0));
         assert_eq!(

@@ -10,8 +10,8 @@
 //!    contract-SLO monitor (running satisfaction, satisfaction timelines,
 //!    deadline-at-risk projection, shed/retry/quarantine/admit/depart
 //!    counters) and the phase profiler (per-phase tick and
-//!    dominance-charge breakdowns, kernel-dispatch counts, occupancy
-//!    gauges) fed either live from a wrapped [`TraceSink`](caqe_trace::TraceSink)
+//!    dominance-charge breakdowns, screening counts, occupancy gauges)
+//!    fed either live from a wrapped [`TraceSink`](caqe_trace::TraceSink)
 //!    or after the fact from a recorded trace.
 //! 3. **Export** — deterministic JSON ([`MetricsRegistry::to_json`]) and
 //!    Prometheus text ([`MetricsRegistry::to_prometheus`]) snapshots,

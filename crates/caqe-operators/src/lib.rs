@@ -26,7 +26,7 @@ pub use join::{
 };
 pub use mapping::{MappingFn, MappingSet};
 pub use skyline::{
-    skyline_bnl, skyline_bnl_store, skyline_bnl_store_scalar, skyline_reference, skyline_sfs,
-    skyline_sfs_store, skyline_sfs_store_scalar,
+    skyline_bnl, skyline_bnl_store, skyline_reference, skyline_sfs, skyline_sfs_store,
+    skyline_sfs_store_each,
 };
 pub use window::{IncrementalSkyline, InsertOutcome, SigSkyline, SkylineWindow};

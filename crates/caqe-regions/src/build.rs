@@ -5,7 +5,7 @@ use caqe_cuboid::MinMaxCuboid;
 use caqe_operators::MappingSet;
 use caqe_partition::Partitioning;
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, DomKernel, QueryId, RegionId, SimClock, Stats, BLOCK_MIN};
+use caqe_types::{DimMask, DomKernel, QueryId, RegionId, SimClock, Stats};
 
 /// Inputs for region construction for one join group: queries that share a
 /// join condition and mapping functions but differ in skyline dimensions.
@@ -128,19 +128,14 @@ fn coarse_skyline(
     let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
     let cuboid = MinMaxCuboid::build(&prefs);
     let n = regions.len();
-    // Flat row-major table of region upper corners for the packed block
-    // path (DESIGN.md §15) — uncharged preprocessing, like the score
-    // precompute below. A NaN anywhere in the bounds disables the block
-    // path: its branch-free compares cannot represent an unordered value.
+    // Flat row-major table of region upper corners for the packed corner
+    // scan (DESIGN.md §15) — uncharged preprocessing, like the score
+    // precompute below.
     let stride = regions[0].bounds.lo().len();
     let mut his: Vec<f64> = Vec::with_capacity(n * stride);
     for r in regions.iter() {
         his.extend_from_slice(r.bounds.hi());
     }
-    let blockable = !his.iter().any(|v| v.is_nan())
-        && !regions
-            .iter()
-            .any(|r| r.bounds.lo().iter().any(|v| v.is_nan()));
     // survivors[s] = bitvec over regions: non-dominated in subspace s.
     let mut survivors: Vec<Vec<bool>> = Vec::with_capacity(cuboid.len());
 
@@ -165,12 +160,10 @@ fn coarse_skyline(
             // subspace ⇒ non-dominated here.
             let skip_check = children.iter().any(|&c| survivors[c][i]);
             let mut dominated = false;
-            if !skip_check && blockable && window.len() >= BLOCK_MIN {
-                // Packed path: the window only grows, so the scan needs
-                // nothing but the first dominator position per 64-lane
-                // block. Bulk-charging the examined count is tick- and
-                // stats-identical to the per-member charge below.
-                stats.block_kernel_ops += 1;
+            if !skip_check {
+                // The window only grows, so the scan needs nothing but the
+                // first dominator position per 64-lane block; one region
+                // test is charged per member up to and including it.
                 let lo = regions[i].bounds.lo();
                 let mut examined = 0u64;
                 for chunk in window.chunks(64) {
@@ -184,16 +177,6 @@ fn coarse_skyline(
                 }
                 clock.charge_dom_cmps(examined);
                 stats.region_comparisons += examined;
-            } else if !skip_check {
-                stats.scalar_kernel_ops += 1;
-                for &j in &window {
-                    clock.charge_dom_cmps(1);
-                    stats.region_comparisons += 1;
-                    if regions[j].bounds.dominates_region(&regions[i].bounds, mask) {
-                        dominated = true;
-                        break;
-                    }
-                }
             }
             if dominated {
                 surv[i] = false;

@@ -12,12 +12,6 @@
 use crate::subspace::DimMask;
 use crate::Value;
 
-/// Window size from which the packed block dominance path pays for itself;
-/// below it the specialized scalar shapes win (DESIGN.md §15). The dispatch
-/// threshold only moves work between observationally identical paths — it
-/// can never change results, `Stats`, ticks or traces.
-pub const BLOCK_MIN: usize = 8;
-
 /// The outcome of relating two points under the preference order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomRelation {
@@ -228,16 +222,17 @@ impl DomKernel {
         self.relate(a, b) == DomRelation::Dominates
     }
 
-    /// The `Shape::Block` path over raw values: relates the `count`
-    /// contiguous member rows starting at row `first` of a flat buffer
-    /// (`stride` values per row) against an out-of-buffer probe point,
-    /// up to 64 members in a single pass of branch-free compares
-    /// per dimension, packing the two strict-improvement flags of every
-    /// member into one `u64` lane each.
+    /// The block path over raw values: relates the `count` contiguous
+    /// member rows starting at row `first` of a flat buffer (`stride`
+    /// values per row) against an out-of-buffer probe point, up to 64
+    /// members in a single pass of branch-free compares per dimension,
+    /// packing the two strict-improvement flags of every member into one
+    /// `u64` lane each.
     ///
-    /// `BlockVerdicts::relation(j)` equals `relate_in(member_j, probe,
-    /// self.mask())` exactly: both sides examine the same dimensions, and
-    /// the scalar early exit only skips work, never changes the verdict.
+    /// Lane `j` of [`BlockVerdicts::dominated_members`] is set iff
+    /// `relate_in(member_j, probe, self.mask())` is `DominatedBy`: both
+    /// sides examine the same dimensions, and the scalar early exit only
+    /// skips work, never changes the verdict.
     ///
     /// # Panics
     /// Panics in debug builds if `count > 64`.
@@ -288,67 +283,10 @@ impl DomKernel {
         }
     }
 
-    /// The `Shape::Block` path over a *pre-gathered* window: member `j`'s
-    /// subspace values live densely at `packed[j*d..(j+1)*d]` (`d` =
-    /// [`Self::len`], ascending dimension order) and the probe is packed
-    /// the same way. Gathering members once on admission instead of on
-    /// every scan is what makes the block path pay off when windows are
-    /// small and the backing store is large: the scan touches only a few
-    /// cache lines of dense values, with no per-member indirection.
-    ///
-    /// Verdict-per-lane semantics match [`Self::relate_block_rows`]; the
-    /// two strict-improvement flags are exactly what [`relate_in`] folds
-    /// into its verdict, so parity holds for *any* values, NaN included.
-    ///
-    /// # Panics
-    /// Panics in debug builds if `count > 64`.
-    pub fn relate_block_packed(
-        &self,
-        packed: &[Value],
-        count: usize,
-        probe: &[Value],
-    ) -> BlockVerdicts {
-        debug_assert!(count <= 64, "block limited to 64 lanes");
-        let d = self.dims.len();
-        debug_assert!(packed.len() >= count * d && probe.len() >= d);
-        let mut member_better = 0u64;
-        let mut probe_better = 0u64;
-        match d {
-            1 => {
-                let pv = probe[0];
-                for (j, x) in packed[..count].iter().enumerate() {
-                    member_better |= ((*x < pv) as u64) << j;
-                    probe_better |= ((pv < *x) as u64) << j;
-                }
-            }
-            2 => {
-                let (p0, p1) = (probe[0], probe[1]);
-                for (j, row) in packed.chunks_exact(2).take(count).enumerate() {
-                    member_better |= (((row[0] < p0) | (row[1] < p1)) as u64) << j;
-                    probe_better |= (((p0 < row[0]) | (p1 < row[1])) as u64) << j;
-                }
-            }
-            _ => {
-                for (j, row) in packed.chunks_exact(d).take(count).enumerate() {
-                    let mut mb = false;
-                    let mut pb = false;
-                    for (x, pv) in row.iter().zip(&probe[..d]) {
-                        mb |= x < pv;
-                        pb |= pv < x;
-                    }
-                    member_better |= (mb as u64) << j;
-                    probe_better |= (pb as u64) << j;
-                }
-            }
-        }
-        BlockVerdicts {
-            member_better,
-            probe_better,
-        }
-    }
-
     /// Gathers the kernel's subspace values of `p` into `out` (cleared
-    /// first): the packing step for [`Self::relate_block_packed`].
+    /// first): packs a probe the way [`Self::pack_append`] packs a window
+    /// row, so full-slice [`relate`] on the two gives [`Self::relate`]'s
+    /// verdict on the originals.
     #[inline]
     pub fn pack_into(&self, p: &[Value], out: &mut Vec<Value>) {
         out.clear();
@@ -369,8 +307,14 @@ impl DomKernel {
     /// a region whose lower corner is `lo`. `his` is a flat row-major table
     /// of upper corners (`stride` values each) indexed by `members`.
     ///
+    /// Lane `j` equals `Rect::dominates_region` of member `j` over that
+    /// region for any values: an unordered (NaN) corner value fails the
+    /// weak `h <= lo` test exactly as it does there.
+    ///
     /// # Panics
     /// Panics in debug builds if `members.len() > 64`.
+    // `!(h <= lv)` is deliberate: `h > lv` would let a NaN pass as ≤.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
     pub fn dominate_block_corners(
         &self,
         his: &[Value],
@@ -390,7 +334,7 @@ impl DomKernel {
             let lv = lo[k as usize];
             for (j, &m) in members.iter().enumerate() {
                 let h = his[m * stride + k as usize];
-                all_le &= !(((h > lv) as u64) << j);
+                all_le &= !((!(h <= lv) as u64) << j);
                 any_lt |= ((h < lv) as u64) << j;
             }
         }
@@ -414,10 +358,8 @@ impl DomKernel {
 }
 
 /// Packed verdicts for a block of up to 64 member points related against a
-/// single probe point — the output of the `Shape::Block` kernels. Lane `j`
-/// carries the two strict-improvement flags of member `j`, so
-/// [`relation`](Self::relation) reconstructs the exact [`DomRelation`] the
-/// scalar kernel would return.
+/// single probe point — the output of [`DomKernel::relate_block_rows`].
+/// Lane `j` carries the two strict-improvement flags of member `j`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BlockVerdicts {
     /// Bit `j`: member `j` is strictly better than the probe somewhere.
@@ -427,24 +369,6 @@ pub struct BlockVerdicts {
 }
 
 impl BlockVerdicts {
-    /// The relation of member `i` to the probe — identical to
-    /// `relate_in(member_i, probe, mask)`.
-    #[inline]
-    pub fn relation(&self, i: usize) -> DomRelation {
-        verdict(
-            (self.member_better >> i) & 1 == 1,
-            (self.probe_better >> i) & 1 == 1,
-        )
-    }
-
-    /// Lanes whose member *dominates* the probe. The lowest set bit is the
-    /// first dominator in member order — what an early-exiting scalar scan
-    /// would have stopped on.
-    #[inline]
-    pub fn dominators(&self) -> u64 {
-        self.member_better & !self.probe_better
-    }
-
     /// Lanes whose member is *dominated by* the probe.
     #[inline]
     pub fn dominated_members(&self) -> u64 {

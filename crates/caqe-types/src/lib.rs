@@ -37,7 +37,7 @@ pub use bounds::Rect;
 pub use bounds::RegionRelation;
 pub use clock::{CostModel, SimClock, Ticks, VirtualSeconds};
 pub use dominance::{
-    dominates, dominates_in, relate, relate_in, BlockVerdicts, DomKernel, DomRelation, BLOCK_MIN,
+    dominates, dominates_in, relate, relate_in, BlockVerdicts, DomKernel, DomRelation,
 };
 pub use error::EngineError;
 pub use ids::{CellId, QueryId, QuerySet, RegionId};

@@ -78,19 +78,10 @@ pub struct Stats {
     pub insert_dom_cmps: u64,
     /// Region-level comparisons charged by the emission-safety scan.
     pub emit_region_cmps: u64,
-    /// Kernel dispatch diagnostic: times the block-bitset path was taken.
-    /// Describes *which implementation ran*, not what it charged — excluded
-    /// from [`Stats::observable`] because forced-scalar replays legitimately
-    /// differ here while remaining observationally identical.
-    pub block_kernel_ops: u64,
-    /// Kernel dispatch diagnostic: times the scalar fallback was taken by a
-    /// dispatching entry point (direct calls to `*_scalar` twins count
-    /// nothing — they are references, not dispatch decisions).
-    pub scalar_kernel_ops: u64,
     /// Screening diagnostic: point signatures quantized (signature
-    /// construction is uncharged physical work, like the SFS presort). Like
-    /// the kernel-dispatch counters this describes *how* the work was done,
-    /// not what it charged — excluded from [`Stats::observable`].
+    /// construction is uncharged physical work, like the SFS presort). This
+    /// describes *how* the work was done, not what it charged — excluded
+    /// from [`Stats::observable`].
     pub sig_builds: u64,
     /// Screening diagnostic: times a batch reached a shared-plan window
     /// that already carried its signature screen. Excluded from
@@ -139,8 +130,6 @@ macro_rules! with_counter_fields {
             build_dom_cmps,
             insert_dom_cmps,
             emit_region_cmps,
-            block_kernel_ops,
-            scalar_kernel_ops,
             sig_builds,
             presort_cache_hits,
             presort_cache_misses,
@@ -183,15 +172,13 @@ impl Stats {
         self.per_query[q].utility_sum += u;
     }
 
-    /// The charged observables: a copy with the kernel-dispatch diagnostics
-    /// zeroed. Scalar-vs-block equivalence checks compare through this —
-    /// the dispatch counters say *which* implementation ran, which is the
-    /// one thing a forced-scalar reference arm is allowed to differ on.
+    /// The charged observables: a copy with the screening diagnostics
+    /// zeroed. Screened-vs-unscreened equivalence checks compare through
+    /// this — the diagnostics say *how* the work was done, which is the one
+    /// thing an unscreened reference arm is allowed to differ on.
     #[must_use]
     pub fn observable(&self) -> Stats {
         let mut s = self.clone();
-        s.block_kernel_ops = 0;
-        s.scalar_kernel_ops = 0;
         s.sig_builds = 0;
         s.presort_cache_hits = 0;
         s.presort_cache_misses = 0;
@@ -244,25 +231,19 @@ mod tests {
     }
 
     #[test]
-    fn observable_zeroes_only_dispatch_diagnostics() {
+    fn observable_zeroes_only_screening_diagnostics() {
         let mut s = Stats::new();
         s.dom_comparisons = 7;
-        s.block_kernel_ops = 3;
-        s.scalar_kernel_ops = 4;
         s.sig_builds = 8;
         s.presort_cache_hits = 9;
         s.presort_cache_misses = 10;
         let o = s.observable();
         assert_eq!(o.dom_comparisons, 7);
-        assert_eq!(o.block_kernel_ops, 0);
-        assert_eq!(o.scalar_kernel_ops, 0);
         assert_eq!(o.sig_builds, 0);
         assert_eq!(o.presort_cache_hits, 0);
         assert_eq!(o.presort_cache_misses, 0);
         // Everything else is untouched.
         let mut expect = s.clone();
-        expect.block_kernel_ops = 0;
-        expect.scalar_kernel_ops = 0;
         expect.sig_builds = 0;
         expect.presort_cache_hits = 0;
         expect.presort_cache_misses = 0;
@@ -298,9 +279,9 @@ mod tests {
     #[test]
     fn counters_name_every_scalar_field() {
         let counters = numbered().counters();
-        assert_eq!(counters.len(), 28);
+        assert_eq!(counters.len(), 26);
         assert_eq!(counters[0], ("join_probes", 1));
-        assert_eq!(counters[27], ("plan_points_interned", 28));
+        assert_eq!(counters[25], ("plan_points_interned", 26));
         // The list is the whole struct: every field but `per_query` is a
         // `u64` counter, so a field the list misses shows in the size.
         let listed = counters.len() * std::mem::size_of::<u64>();

@@ -8,7 +8,7 @@
 //! and pass trivially. They stay as the rig ROADMAP item 4 will be judged
 //! on; what pins the bytes meanwhile is the committed goldens.
 
-use caqe::baselines::SJfslStrategy;
+use caqe::baselines::{JfslStrategy, SJfslStrategy, SsmjStrategy};
 use caqe::contract::Contract;
 use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutcome, Workload};
 use caqe::data::{Distribution, TableGenerator};
@@ -194,6 +194,37 @@ fn fifo_trace_matches_committed_golden() {
         "no FIFO decision traced"
     );
     assert_golden("sjfsl_trace.jsonl", &jsonl);
+}
+
+/// Records `strategy`'s trace on the anticorrelated 500-row tables and
+/// compares it with `tests/golden/<golden>`; returns the charged
+/// comparisons so each caller can pin its skyline kernel's total too.
+fn per_query_baseline_golden(strategy: &dyn ExecutionStrategy, golden: &str) -> u64 {
+    let w = workload();
+    let (r, t) = tables(500, Distribution::Anticorrelated, 41);
+    let exec = ExecConfig::default().with_target_cells(500, 8);
+    let mut sink = caqe::trace::RecordingSink::new();
+    let out = strategy.run_traced(&r, &t, &w, &exec, &mut sink);
+    assert!(out.total_results() > 0, "degenerate workload");
+    assert_golden(golden, &caqe::trace::to_jsonl(sink.events()));
+    out.stats.dom_comparisons
+}
+
+#[test]
+fn jfsl_trace_matches_committed_golden() {
+    // Recorded before BNL lost its size dispatch: every emission tick pins
+    // the blocking BNL's charges per query.
+    let cmps = per_query_baseline_golden(&JfslStrategy, "jfsl_trace.jsonl");
+    assert_eq!(cmps, 262_169);
+}
+
+#[test]
+fn ssmj_trace_matches_committed_golden() {
+    // Recorded while SSMJ still carried its own inline SFS filter: every
+    // emission tick pins the presort charge and the per-survivor filter
+    // charges it now takes from `skyline_sfs_store_each`.
+    let cmps = per_query_baseline_golden(&SsmjStrategy, "ssmj_trace.jsonl");
+    assert_eq!(cmps, 181_851);
 }
 
 #[test]

@@ -6,12 +6,11 @@
 //! `Vec<Vec<f64>>` adapters they replaced.
 
 use caqe::operators::{
-    hash_join_project, hash_join_project_store, skyline_bnl, skyline_bnl_store,
-    skyline_bnl_store_scalar, skyline_sfs, skyline_sfs_store, skyline_sfs_store_scalar, JoinSpec,
-    MappingSet,
+    hash_join_project, hash_join_project_store, skyline_bnl, skyline_bnl_store, skyline_reference,
+    skyline_sfs, skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingSet,
 };
 use caqe::types::{
-    relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, SimClock, Stats,
+    relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, Rect, SimClock, Stats,
 };
 use proptest::prelude::*;
 
@@ -45,6 +44,51 @@ fn tricky_points() -> impl Strategy<Value = Vec<Vec<f64>>> {
             })
         })
     })
+}
+
+/// A window of 1–64 upper corners over `d ≤ 4` dimensions, drawn (with
+/// repeats) from a table of rows, plus a target lower corner: lattice
+/// values with ties, both signed zeros and NaN.
+fn corner_window() -> impl Strategy<Value = (usize, Vec<Vec<f64>>, Vec<usize>, Vec<f64>)> {
+    fn row(d: usize) -> impl Strategy<Value = Vec<f64>> {
+        const LATTICE: [f64; 6] = [-0.0, 0.0, 1.0, 2.0, 3.0, f64::NAN];
+        proptest::collection::vec((0usize..LATTICE.len()).prop_map(|i| LATTICE[i]), d..=d)
+    }
+    (1usize..=4).prop_flat_map(|d| {
+        (proptest::collection::vec(row(d), 1..80), row(d)).prop_flat_map(move |(rows, lo)| {
+            let n = rows.len();
+            proptest::collection::vec(0..n, 1..=64)
+                .prop_map(move |members| (d, rows.clone(), members, lo.clone()))
+        })
+    })
+}
+
+/// The member-at-a-time BNL loop the block screen replaced: one kernel
+/// relate per examined window member, early exit on a dominator,
+/// `swap_remove` on an eviction. Returns survivors, stats and ticks — the
+/// charge reference for `skyline_bnl_store`.
+fn bnl_scalar_reference(points: &PointStore, kernel: &DomKernel) -> (Vec<usize>, Stats, u64) {
+    let mut clock = SimClock::default();
+    let mut stats = Stats::new();
+    let mut window: Vec<usize> = Vec::new();
+    'next: for i in 0..points.len() {
+        let p = points.at(i);
+        let mut k = 0;
+        while k < window.len() {
+            clock.charge_dom_cmps(1);
+            stats.dom_comparisons += 1;
+            match kernel.relate(points.at(window[k]), p) {
+                DomRelation::Dominates => continue 'next,
+                DomRelation::DominatedBy => {
+                    window.swap_remove(k);
+                }
+                DomRelation::Equal | DomRelation::Incomparable => k += 1,
+            }
+        }
+        window.push(i);
+    }
+    window.sort_unstable();
+    (window, stats, clock.ticks())
 }
 
 /// A non-empty subspace of `d` dimensions derived from random bits.
@@ -144,9 +188,10 @@ proptest! {
 
     #[test]
     fn block_verdicts_agree_with_relate_in(points in tricky_points(), bits in 0u32..4096) {
-        // The Shape::Block row-walking and value-packed kernels must return
-        // the exact relate_in verdict for every lane — including ties,
-        // signed zeros and duplicate points.
+        // The row-walking block screen must flag exactly the lanes whose
+        // member relate_in puts below the probe — including ties, signed
+        // zeros and duplicate points — and the packed window layout BNL
+        // walks must give relate_in's verdict through full-slice `relate`.
         let d = points[0].len();
         let mask = mask_for(d, bits);
         let kernel = DomKernel::new(mask, d);
@@ -154,41 +199,34 @@ proptest! {
         for p in &points {
             store.push(p);
         }
+        let dm = kernel.len();
+        let mut packed: Vec<f64> = Vec::with_capacity(points.len() * dm);
+        for p in &points {
+            kernel.pack_append(p, &mut packed);
+        }
+        let mut pbuf = Vec::new();
         for probe in 0..points.len() {
             let mut first = 0;
             while first < points.len() {
                 let count = (points.len() - first).min(64);
                 let bv = kernel.relate_block_rows(store.as_flat(), d, first, count, &points[probe]);
                 for j in 0..count {
+                    let want = relate_in(&points[first + j], &points[probe], mask);
                     prop_assert_eq!(
-                        bv.relation(j),
-                        relate_in(&points[first + j], &points[probe], mask),
+                        (bv.dominated_members() >> j) & 1 == 1,
+                        want == DomRelation::DominatedBy,
                         "rows lane {} member {} probe {}", j, first + j, probe
                     );
                 }
                 first += count;
             }
-            // Pre-gathered variant: members and probe packed down to the
-            // subspace dimensions (the BNL/SFS window layout).
-            let dm = kernel.len();
-            let mut packed: Vec<f64> = Vec::with_capacity(points.len() * dm);
-            for p in &points {
-                kernel.pack_append(p, &mut packed);
-            }
-            let mut pbuf = Vec::new();
             kernel.pack_into(&points[probe], &mut pbuf);
-            let mut first = 0;
-            while first < points.len() {
-                let count = (points.len() - first).min(64);
-                let bv = kernel.relate_block_packed(&packed[first * dm..], count, &pbuf);
-                for j in 0..count {
-                    prop_assert_eq!(
-                        bv.relation(j),
-                        relate_in(&points[first + j], &points[probe], mask),
-                        "packed lane {} member {} probe {}", j, first + j, probe
-                    );
-                }
-                first += count;
+            for (m, row) in packed.chunks_exact(dm).enumerate() {
+                prop_assert_eq!(
+                    relate(row, &pbuf),
+                    relate_in(&points[m], &points[probe], mask),
+                    "packed member {} probe {}", m, probe
+                );
             }
         }
     }
@@ -198,9 +236,10 @@ proptest! {
         points in tricky_points(),
         bits in 0u32..4096,
     ) {
-        // The block dispatch in the store entry points and the kept scalar
-        // reference loops must agree on every observable: survivors,
-        // comparison counts and virtual ticks.
+        // BNL's block screen must agree with the member-at-a-time loop it
+        // replaced on every observable: survivors, comparison counts and
+        // virtual ticks. SFS has one filter; its survivors are checked
+        // against the definition.
         let d = points[0].len();
         let mask = mask_for(d, bits);
         let mut store = PointStore::with_capacity(d, points.len());
@@ -208,32 +247,37 @@ proptest! {
             store.push(p);
         }
         let kernel = DomKernel::new(mask, d);
+        let (want_bnl, want_stats, want_ticks) = bnl_scalar_reference(&store, &kernel);
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        prop_assert_eq!(skyline_bnl_store(&store, &kernel, &mut clock, &mut stats), want_bnl);
+        prop_assert_eq!(&stats, &want_stats);
+        prop_assert_eq!(clock.ticks(), want_ticks);
 
-        let mut c1 = SimClock::default();
-        let mut s1 = Stats::new();
-        let bnl_scalar = skyline_bnl_store_scalar(&store, &kernel, &mut c1, &mut s1);
-        let mut c2 = SimClock::default();
-        let mut s2 = Stats::new();
-        let bnl_block = skyline_bnl_store(&store, &kernel, &mut c2, &mut s2);
-        prop_assert_eq!(bnl_scalar, bnl_block);
-        // The forced-scalar twin records no dispatch decision; the entry
-        // point records exactly one. Everything *charged* must be equal.
-        prop_assert_eq!(s1.block_kernel_ops + s1.scalar_kernel_ops, 0);
-        prop_assert_eq!(s2.block_kernel_ops + s2.scalar_kernel_ops, 1);
-        prop_assert_eq!(s1.observable(), s2.observable());
-        prop_assert_eq!(c1.ticks(), c2.ticks());
+        let sfs = skyline_sfs_store(&store, &kernel, &mut SimClock::default(), &mut Stats::new());
+        prop_assert_eq!(sfs, skyline_reference(&points, mask));
+    }
 
-        let mut c3 = SimClock::default();
-        let mut s3 = Stats::new();
-        let sfs_scalar = skyline_sfs_store_scalar(&store, &kernel, &mut c3, &mut s3);
-        let mut c4 = SimClock::default();
-        let mut s4 = Stats::new();
-        let sfs_block = skyline_sfs_store(&store, &kernel, &mut c4, &mut s4);
-        prop_assert_eq!(sfs_scalar, sfs_block);
-        prop_assert_eq!(s3.block_kernel_ops + s3.scalar_kernel_ops, 0);
-        prop_assert_eq!(s4.block_kernel_ops + s4.scalar_kernel_ops, 1);
-        prop_assert_eq!(s3.observable(), s4.observable());
-        prop_assert_eq!(c3.ticks(), c4.ticks());
+    #[test]
+    fn corner_block_matches_dominates_region(
+        (d, rows, members, lo) in corner_window(),
+        bits in 0u32..16,
+    ) {
+        // Lane j of the packed corner scan is Definition 8 case 1 for member
+        // j, for any values: ties, signed zeros and unordered (NaN) corners.
+        let mask = mask_for(d, bits);
+        let kernel = DomKernel::new(mask, d);
+        let his: Vec<f64> = rows.iter().flatten().copied().collect();
+        let target = Rect::point(&lo);
+        let lanes = kernel.dominate_block_corners(&his, d, &members, &lo);
+        for (j, &m) in members.iter().enumerate() {
+            prop_assert_eq!(
+                (lanes >> j) & 1 == 1,
+                Rect::point(&rows[m]).dominates_region(&target, mask),
+                "lane {} member {} hi {:?} lo {:?}", j, m, &rows[m], &lo
+            );
+        }
+        prop_assert_eq!(lanes.checked_shr(members.len() as u32).unwrap_or(0), 0, "lanes past the window are clear");
     }
 
     #[test]
@@ -293,6 +337,117 @@ fn kernel_covers_all_four_outcomes() {
             assert_eq!(relate_in(&a, &b, mask), DomRelation::Incomparable);
             a[0] = 1.0;
             b[d - 1] = 1.0;
+        }
+    }
+}
+
+/// Deterministic lattice points: `n` points of `d` dimensions with ties.
+fn lattice(n: usize, d: usize) -> Vec<Vec<f64>> {
+    (0..n)
+        .map(|i| {
+            (0..d)
+                .map(|k| ((i * 7 + k * 13 + i * k) % 5) as f64)
+                .collect()
+        })
+        .collect()
+}
+
+/// Runs BNL and SFS over `points` in `mask` and checks both against the
+/// definition, BNL's charges against the member-at-a-time reference, and
+/// SFS's survivor hook against its result.
+fn check_one_path(points: &[Vec<f64>], stride: usize, mask: DimMask, label: &str) {
+    let mut store = PointStore::with_capacity(stride, points.len());
+    for p in points {
+        store.push(p);
+    }
+    let kernel = DomKernel::new(mask, stride);
+    let want = skyline_reference(points, mask);
+
+    let (ref_sky, ref_stats, ref_ticks) = bnl_scalar_reference(&store, &kernel);
+    let mut clock = SimClock::default();
+    let mut stats = Stats::new();
+    let bnl = skyline_bnl_store(&store, &kernel, &mut clock, &mut stats);
+    assert_eq!(bnl, want, "{label}: BNL survivors");
+    assert_eq!(ref_sky, want, "{label}: reference BNL survivors");
+    assert_eq!(stats, ref_stats, "{label}: BNL stats");
+    assert_eq!(clock.ticks(), ref_ticks, "{label}: BNL ticks");
+
+    let mut reported = Vec::new();
+    let mut clock = SimClock::default();
+    let mut stats = Stats::new();
+    let sfs = skyline_sfs_store_each(&store, &kernel, &mut clock, &mut stats, |i, c, s| {
+        // Every comparison that admitted `i` is already charged.
+        assert_eq!(
+            c.ticks(),
+            s.dom_comparisons,
+            "{label}: hook saw a stale clock"
+        );
+        reported.push(i);
+    });
+    assert_eq!(sfs, want, "{label}: SFS survivors");
+    reported.sort_unstable();
+    assert_eq!(
+        reported, sfs,
+        "{label}: SFS hook reports every survivor once"
+    );
+}
+
+#[test]
+fn one_path_skylines_cover_degenerate_inputs() {
+    check_one_path(&[], 2, DimMask::full(2), "empty store");
+    check_one_path(&[vec![3.0, 1.0]], 2, DimMask::full(2), "one point");
+    check_one_path(
+        &vec![vec![2.0, 2.0, 2.0]; 20],
+        3,
+        DimMask::full(3),
+        "all identical",
+    );
+    check_one_path(
+        &lattice(30, 3),
+        3,
+        DimMask::singleton(1),
+        "one-dimension mask",
+    );
+    check_one_path(&lattice(30, 3), 3, DimMask(0), "empty mask");
+    // Across the retired size threshold (8) and the 64-lane chunk.
+    for n in 1..=70 {
+        check_one_path(&lattice(n, 3), 3, DimMask::full(3), &format!("n={n} full"));
+        check_one_path(
+            &lattice(n, 4),
+            4,
+            DimMask::from_dims([0, 2]),
+            &format!("n={n} pair"),
+        );
+        check_one_path(
+            &lattice(n, 4),
+            4,
+            DimMask::from_dims([0, 1, 3]),
+            &format!("n={n} general"),
+        );
+    }
+}
+
+#[test]
+fn sfs_passes_over_unordered_values() {
+    // After the presort an incoming point can dominate a survivor only
+    // through NaN; the filter passes such a verdict over instead of
+    // panicking, in debug and in release, at every size.
+    for nan in [f64::NAN, -f64::NAN] {
+        for n in [2usize, 7, 8, 65] {
+            let mut points = lattice(n, 2);
+            points[0] = vec![nan, 4.0];
+            points.push(vec![0.0, 0.0]);
+            points.push(vec![1.0, nan]);
+            let mut store = PointStore::new(2);
+            for p in &points {
+                store.push(p);
+            }
+            let kernel = DomKernel::new(DimMask::full(2), 2);
+            let sky =
+                skyline_sfs_store(&store, &kernel, &mut SimClock::default(), &mut Stats::new());
+            assert!(sky.windows(2).all(|w| w[0] < w[1]), "survivors ascending");
+            assert!(sky.iter().all(|&i| i < points.len()));
+            assert!(sky.contains(&(points.len() - 2)), "[0, 0] survives");
         }
     }
 }

@@ -13,10 +13,10 @@
 use caqe::types::{PerQueryStats, Stats};
 use proptest::prelude::*;
 
-/// The 28 global `u64` counters, bounded so sums of a handful of shards
+/// The 26 global `u64` counters, bounded so sums of a handful of shards
 /// cannot overflow.
 fn arb_counters() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..(1 << 40), 28..=28)
+    proptest::collection::vec(0u64..(1 << 40), 26..=26)
 }
 
 /// Per-query entries with exactly-representable dyadic utility sums.
@@ -55,13 +55,11 @@ fn arb_stats() -> impl Strategy<Value = Stats> {
         build_dom_cmps: c[18],
         insert_dom_cmps: c[19],
         emit_region_cmps: c[20],
-        block_kernel_ops: c[21],
-        scalar_kernel_ops: c[22],
-        arena_tuples: c[23],
-        plan_points_interned: c[24],
-        sig_builds: c[25],
-        presort_cache_hits: c[26],
-        presort_cache_misses: c[27],
+        arena_tuples: c[21],
+        plan_points_interned: c[22],
+        sig_builds: c[23],
+        presort_cache_hits: c[24],
+        presort_cache_misses: c[25],
         per_query,
     })
 }
@@ -76,12 +74,7 @@ fn merged(parts: &[Stats]) -> Stats {
 
 /// Bit-exact equality including the f64 utility sums.
 fn assert_stats_eq(a: &Stats, b: &Stats, label: &str) {
-    assert_eq!(a.observable(), b.observable(), "{label}: counters diverged");
-    assert_eq!(
-        a.block_kernel_ops + a.scalar_kernel_ops,
-        b.block_kernel_ops + b.scalar_kernel_ops,
-        "{label}: dispatch counters diverged"
-    );
+    assert_eq!(a.counters(), b.counters(), "{label}: counters diverged");
     assert_eq!(a.per_query.len(), b.per_query.len(), "{label}: query count");
     for (i, (qa, qb)) in a.per_query.iter().zip(&b.per_query).enumerate() {
         assert_eq!(
