@@ -17,8 +17,8 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse, cli_parse_opt, cli_threads, cli_trace,
-    render_jsonl, render_table,
+    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse, cli_parse_opt, cli_trace, render_jsonl,
+    render_table,
 };
 use caqe_bench::{ComparisonRow, ExperimentConfig};
 use caqe_core::{EngineConfig, RunRequest, SchedulingPolicy};
@@ -81,7 +81,6 @@ fn main() {
     let dist = cli_dist(&args).unwrap_or(Distribution::Independent);
     let contract: usize = cli_parse(&args, "--contract", 3);
     let mut cfg = ExperimentConfig::new(dist, contract);
-    cfg.parallelism = cli_threads(&args);
     let (faults, validation) = cli_chaos(&args);
     cfg.faults = faults;
     cfg.validation = validation;

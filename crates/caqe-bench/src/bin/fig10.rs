@@ -9,8 +9,7 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace, render_jsonl,
-    render_table,
+    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_trace, render_jsonl, render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -22,12 +21,10 @@ fn main() {
     let metrics_dir = cli_metrics(&args);
     let (faults, validation) = cli_chaos(&args);
     let n: Option<usize> = cli_parse_opt(&args, "--n");
-    let threads = cli_threads(&args);
 
     let mut rows: Vec<ComparisonRow> = Vec::new();
     for dist in Distribution::ALL {
         let mut cfg = ExperimentConfig::new(dist, 2);
-        cfg.parallelism = threads;
         cfg.faults = faults;
         cfg.validation = validation;
         if let Some(n) = n {

@@ -9,8 +9,7 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace, render_jsonl,
-    render_table,
+    cli_chaos, cli_flag, cli_metrics, cli_parse_opt, cli_trace, render_jsonl, render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -22,7 +21,6 @@ fn main() {
     let metrics_dir = cli_metrics(&args);
     let (faults, validation) = cli_chaos(&args);
     let n: Option<usize> = cli_parse_opt(&args, "--n");
-    let threads = cli_threads(&args);
     let sizes = [1usize, 3, 5, 7, 9, 11];
 
     for contract in [2usize, 3] {
@@ -33,7 +31,6 @@ fn main() {
         let mut reference: Option<f64> = None;
         for &size in &sizes {
             let mut cfg = ExperimentConfig::new(Distribution::Independent, contract);
-            cfg.parallelism = threads;
             cfg.faults = faults;
             cfg.validation = validation;
             cfg.workload_size = size;

@@ -15,8 +15,8 @@
 //! `--metrics`, its metrics snapshot (see `obs_report`).
 
 use caqe_bench::report::{
-    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse_opt, cli_threads, cli_trace,
-    render_jsonl, render_table,
+    cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse_opt, cli_trace, render_jsonl,
+    render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -26,7 +26,6 @@ fn main() {
     let dists = cli_dist(&args).map_or(Distribution::ALL.to_vec(), |d| vec![d]);
     let n: Option<usize> = cli_parse_opt(&args, "--n");
     let queries: Option<usize> = cli_parse_opt(&args, "--queries");
-    let threads = cli_threads(&args);
     let json = cli_flag(&args, "--json");
     let trace_dir = cli_trace(&args);
     let metrics_dir = cli_metrics(&args);
@@ -42,7 +41,6 @@ fn main() {
         let mut reference: Option<f64> = None;
         for contract in 1..=5 {
             let mut cfg = ExperimentConfig::new(dist, contract);
-            cfg.parallelism = threads;
             cfg.faults = faults;
             cfg.validation = validation;
             if let Some(n) = n {

@@ -254,11 +254,9 @@ fn dashboard(label: &str, snap: &Snapshot) {
             .collect();
         println!("  serving: {}", parts.join("  "));
     }
+    let stat = |field: &str| counter(&format!("{}{field}", names::STATS_PREFIX));
     let phases = ["build", "probe", "insert", "emit"];
-    let ticks: Vec<u64> = phases
-        .iter()
-        .map(|p| counter(&caqe_obs::key(names::PHASE_TICKS, &[("phase", p)])))
-        .collect();
+    let ticks: Vec<u64> = phases.iter().map(|p| stat(&format!("{p}_ticks"))).collect();
     let total: u64 = ticks.iter().sum();
     if total > 0 {
         let parts: Vec<String> = phases
@@ -267,29 +265,23 @@ fn dashboard(label: &str, snap: &Snapshot) {
             .map(|(p, t)| format!("{p} {t} ({:.0}%)", 100.0 * *t as f64 / total as f64))
             .collect();
         println!("  phase ticks: {}", parts.join("  "));
-        let cmp_parts: Vec<String> = ["build", "insert", "emit"]
-            .iter()
-            .map(|p| {
-                format!(
-                    "{p} {}",
-                    counter(&caqe_obs::key(names::PHASE_DOM_CMPS, &[("phase", p)]))
-                )
-            })
-            .collect();
+        let cmp_parts: Vec<String> = [
+            ("build", "build_dom_cmps"),
+            ("insert", "insert_dom_cmps"),
+            ("emit", "emit_region_cmps"),
+        ]
+        .iter()
+        .map(|(p, field)| format!("{p} {}", stat(field)))
+        .collect();
         println!("  phase dominance charges: {}", cmp_parts.join("  "));
     }
     let prune: Vec<(&str, u64)> = [
         ("sig builds", "sig_builds"),
-        ("cache hits", "cache_hits"),
-        ("cache misses", "cache_misses"),
+        ("cache hits", "presort_cache_hits"),
+        ("cache misses", "presort_cache_misses"),
     ]
     .iter()
-    .map(|(show, kind)| {
-        (
-            *show,
-            counter(&caqe_obs::key(names::PRUNE_EVENTS, &[("kind", kind)])),
-        )
-    })
+    .map(|(show, field)| (*show, stat(field)))
     .collect();
     if prune.iter().any(|(_, v)| *v > 0) {
         let parts: Vec<String> = prune.iter().map(|(k, v)| format!("{k} {v}")).collect();

@@ -11,8 +11,8 @@
 //! ```
 
 use caqe_bench::report::{
-    cli_arg, cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse, cli_threads, cli_trace,
-    render_jsonl, render_table,
+    cli_arg, cli_chaos, cli_dist, cli_flag, cli_metrics, cli_parse, cli_trace, render_jsonl,
+    render_table,
 };
 use caqe_bench::{run_comparison_observed, ComparisonRow, ExperimentConfig};
 use caqe_data::Distribution;
@@ -21,7 +21,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let axis = cli_arg(&args, "--axis").unwrap_or_else(|| "n".to_string());
     let dist = cli_dist(&args).unwrap_or(Distribution::Independent);
-    let threads = cli_threads(&args);
     let contract: usize = cli_parse(&args, "--contract", 2);
     let json = cli_flag(&args, "--json");
     let (faults, validation) = cli_chaos(&args);
@@ -37,7 +36,6 @@ fn main() {
         "n" => {
             for n in [500usize, 1000, 2000, 4000] {
                 let mut cfg = ExperimentConfig::new(dist, contract);
-                cfg.parallelism = threads;
                 cfg.faults = faults;
                 cfg.validation = validation;
                 cfg.n = n;
@@ -53,7 +51,6 @@ fn main() {
         "sigma" => {
             for sigma in [0.001f64, 0.01, 0.05, 0.1] {
                 let mut cfg = ExperimentConfig::new(dist, contract);
-                cfg.parallelism = threads;
                 cfg.faults = faults;
                 cfg.validation = validation;
                 cfg.n = 1500;

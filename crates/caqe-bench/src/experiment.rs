@@ -33,9 +33,6 @@ pub struct ExperimentConfig {
     /// non-shared blocking baseline). Computed on demand when `None`; set
     /// it once per (distribution, N) to share across contract cells.
     pub reference_secs: Option<f64>,
-    /// The inert `ExecConfig::parallelism` knob (`--threads`): the engine
-    /// is serial whatever it holds.
-    pub parallelism: Option<usize>,
     /// Deterministic fault plan (inert by default); see the `--faults`
     /// flag on the bench drivers.
     pub faults: FaultPlan,
@@ -59,7 +56,6 @@ impl ExperimentConfig {
             cells_per_table: 12,
             seed: 0xEDB7,
             reference_secs: None,
-            parallelism: None,
             faults: FaultPlan::none(),
             validation: ValidationPolicy::default(),
         }
@@ -77,7 +73,6 @@ impl ExperimentConfig {
     pub fn exec(&self) -> ExecConfig {
         ExecConfig::default()
             .with_target_cells(self.n, self.cells_per_table)
-            .with_parallelism(self.parallelism)
             .with_faults(self.faults)
             .with_validation(self.validation)
     }
@@ -117,9 +112,7 @@ impl ExperimentConfig {
         );
         // Calibration always runs on clean input: contract deadlines must
         // not shift with the chaos plan being evaluated against them.
-        let clean = ExecConfig::default()
-            .with_target_cells(self.n, self.cells_per_table)
-            .with_parallelism(self.parallelism);
+        let clean = ExecConfig::default().with_target_cells(self.n, self.cells_per_table);
         caqe_baselines::JfslStrategy
             .run(&r, &t, &probe, &clean)
             .virtual_seconds

@@ -5,6 +5,7 @@
 //! and a strict recursive-descent parser used by report tooling and tests to
 //! round-trip rows.
 
+use caqe_trace::json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -113,14 +114,14 @@ impl ObjectWriter {
             self.buf.push(',');
         }
         self.first = false;
-        write_escaped(&mut self.buf, key);
+        self.buf.push_str(&json_str(key));
         self.buf.push(':');
     }
 
     /// Adds a string field.
     pub fn string(&mut self, key: &str, value: &str) -> &mut Self {
         self.key(key);
-        write_escaped(&mut self.buf, value);
+        self.buf.push_str(&json_str(value));
         self
     }
 
@@ -169,24 +170,6 @@ impl ObjectWriter {
         self.buf.push('}');
         (self.buf, self.dropped)
     }
-}
-
-fn write_escaped(buf: &mut String, s: &str) {
-    buf.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(buf, "\\u{:04x}", c as u32);
-            }
-            c => buf.push(c),
-        }
-    }
-    buf.push('"');
 }
 
 /// Deepest array/object nesting [`parse`] accepts: far beyond any report

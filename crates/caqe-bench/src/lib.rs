@@ -9,7 +9,7 @@
 //!   EXPERIMENTS.md can be regenerated verbatim.
 //!
 //! Binaries: `fig9`, `fig10`, `fig11`, `table2`, `ablation`, `sweep`,
-//! `par_speedup`, `serve_soak`, `trace_report`, `obs_report` — see
+//! `caqe_run`, `serve_soak`, `trace_report`, `obs_report` — see
 //! DESIGN.md §5 for the per-experiment index; timing lives in the
 //! repo-level `benchmark/` package, not here. All
 //! execution drivers accept `--trace <dir>` to export the deterministic

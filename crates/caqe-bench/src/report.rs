@@ -148,18 +148,6 @@ pub fn cli_flag(args: &[String], key: &str) -> bool {
     args.iter().any(|a| a == key)
 }
 
-/// Parses the shared `--threads <n>` knob (`0` = all cores) and says on
-/// stderr that it is inert: the value lands in `ExecConfig::parallelism`,
-/// which the serial engine ignores (stdout, traces and JSON are untouched).
-/// Call it once per process.
-pub fn cli_threads(args: &[String]) -> Option<usize> {
-    let threads = cli_parse_opt(args, "--threads");
-    if threads.is_some() {
-        eprintln!("--threads has no effect: the engine is serial until ROADMAP item 4 lands");
-    }
-    threads
-}
-
 /// Parses the shared `--trace <dir>` knob: when present, every run also
 /// writes its deterministic trace exports (JSONL, satisfaction CSV,
 /// Chrome-trace spans, estimator audit) into the directory.
@@ -313,13 +301,13 @@ mod tests {
 
     #[test]
     fn flag_without_value_is_an_error_not_absent() {
-        let args: Vec<String> = ["--trace", "--check", "--threads"]
+        let args: Vec<String> = ["--trace", "--check", "--n"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         assert_eq!(
-            cli_lookup(&args, "--threads"),
-            Err("--threads needs a value".to_string())
+            cli_lookup(&args, "--n"),
+            Err("--n needs a value".to_string())
         );
         assert_eq!(
             cli_lookup(&args, "--trace"),

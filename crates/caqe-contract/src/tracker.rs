@@ -63,14 +63,6 @@ impl QueryScore {
         &self.contract
     }
 
-    /// Updates the result-cardinality estimate (executors refine it as the
-    /// look-ahead produces better information). Affects only *future*
-    /// emissions — utilities are assigned at reporting time, as in the
-    /// paper.
-    pub fn set_est_total(&mut self, est_total: f64) {
-        self.est_total = est_total.max(1.0);
-    }
-
     /// The current cardinality estimate.
     pub fn est_total(&self) -> f64 {
         self.est_total
@@ -195,22 +187,6 @@ mod tests {
         assert_eq!(s.hypothetical_utility(5.0, 1), 1.0);
         assert_eq!(s.hypothetical_utility(15.0, 1), 0.0);
         assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn estimate_update_changes_future_scores_only() {
-        let mut s = QueryScore::new(
-            Contract::Quota {
-                frac: 0.1,
-                interval: 1.0,
-            },
-            10.0,
-        );
-        let before = s.record(0.5);
-        s.set_est_total(1000.0);
-        assert_eq!(s.est_total(), 1000.0);
-        // Previously recorded utility remains in the score.
-        assert_eq!(s.p_score(), before);
     }
 
     #[test]

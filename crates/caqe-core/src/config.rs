@@ -133,9 +133,10 @@ pub struct ExecConfig {
     pub assume_dva: bool,
     /// Host-side worker threads: `None` = serial (the default), `Some(0)` =
     /// all available cores, `Some(n)` = exactly `n` workers. **Inert**: the
-    /// engine is serial whatever this holds, until ROADMAP item 4 lands.
-    /// The field (and [`ExecConfig::with_parallelism`]) is benchmark-pinned
-    /// and is what the 1/2/4/8 determinism sweeps under `tests/` set.
+    /// engine is serial whatever this holds. The field (and
+    /// [`ExecConfig::with_parallelism`]) stays only because `benchmark/src`
+    /// compiles against it; one test in `tests/golden_traces.rs` pins that
+    /// setting it changes no trace byte.
     pub parallelism: Option<usize>,
     /// Deterministic fault plan ([`FaultPlan::none`] by default — every
     /// injection hook is then a strict no-op).
@@ -224,13 +225,6 @@ mod tests {
         assert_eq!(c.quadtree.max_cells, 40);
         let tiny = ExecConfig::default().with_target_cells(10, 0);
         assert_eq!(tiny.quadtree.max_cells, 1);
-    }
-
-    #[test]
-    fn parallelism_defaults_serial() {
-        assert_eq!(ExecConfig::default().parallelism, None);
-        let c = ExecConfig::default().with_parallelism(Some(4));
-        assert_eq!(c.parallelism, Some(4));
     }
 
     #[test]

@@ -209,9 +209,8 @@ pub(crate) fn group_workload(workload: &Workload) -> Vec<(usize, MappingSet, Vec
 /// Groups are opened one after another against `clock` and `stats`
 /// (`open_group`), each recording its phase spans straight into `sink`.
 ///
-/// `_threads` is accepted and ignored: the parameter is benchmark-pinned
-/// (`benchmark/src` compiles against this signature) and the engine is
-/// serial until ROADMAP item 4 lands.
+/// `_threads` is accepted and ignored: `benchmark/src` compiles against
+/// this signature, and the engine is serial (DESIGN.md §10).
 #[allow(clippy::too_many_arguments)] // one engine toggle per argument
 pub fn build_groups<S: TraceSink>(
     workload: &Workload,

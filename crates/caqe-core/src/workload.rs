@@ -93,11 +93,6 @@ impl Workload {
         });
         ids
     }
-
-    /// Initial optimizer weights: the query priorities.
-    pub fn initial_weights(&self) -> Vec<f64> {
-        self.queries.iter().map(|q| q.priority).collect()
-    }
 }
 
 /// Fluent construction of common workloads.
@@ -149,7 +144,6 @@ mod tests {
             .build();
         assert_eq!(w.len(), 2);
         assert_eq!(w.query(QueryId(1)).priority, 0.3);
-        assert_eq!(w.initial_weights(), vec![0.9, 0.3]);
     }
 
     #[test]

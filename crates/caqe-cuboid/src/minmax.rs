@@ -305,13 +305,6 @@ impl MinMaxCuboid {
             .is_ok()
     }
 
-    /// Index of a kept subspace, if present.
-    pub fn index_of(&self, u: DimMask) -> Option<usize> {
-        self.subspaces
-            .binary_search_by_key(&(u.len(), u.0), |m| (m.len(), m.0))
-            .ok()
-    }
-
     /// Kept subspaces grouped by level (cardinality), ascending — the rows
     /// of Figure 6.
     pub fn levels(&self) -> Vec<Vec<DimMask>> {
@@ -387,7 +380,8 @@ mod tests {
             }
         }
         // {d1,d2,d3} contains d1, d2, d3, {d1,d2}, {d2,d3}.
-        let i = c.index_of(DimMask::from_dims([0, 1, 2])).unwrap();
+        let top = DimMask::from_dims([0, 1, 2]);
+        let i = c.subspaces().iter().position(|&u| u == top).unwrap();
         assert_eq!(c.children(i).len(), 5);
     }
 

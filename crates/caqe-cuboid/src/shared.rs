@@ -178,11 +178,6 @@ impl SharedSkylinePlan {
         })
     }
 
-    /// Size of query `q`'s current skyline (0 for an inactive slot).
-    pub fn query_skyline_len(&self, q: QueryId) -> usize {
-        self.query_window(q).map_or(0, SkylineWindow::len)
-    }
-
     /// Re-lays the windows out after the cuboid changed shape: new index
     /// `i` carries over old window `mapping[i]` untouched, or starts empty.
     /// Returns the indices that started empty.
@@ -342,9 +337,8 @@ impl SharedSkylinePlan {
     /// and interned in candidate order afterwards, so arena ids do not
     /// depend on the cut either.
     ///
-    /// `_threads` is accepted and ignored: the parameter is benchmark-pinned
-    /// (`benchmark/src` compiles against this signature) and the engine is
-    /// serial until ROADMAP item 4 lands.
+    /// `_threads` is accepted and ignored: `benchmark/src` compiles against
+    /// this signature, and the engine is serial (DESIGN.md §10).
     pub fn insert_batch(
         &mut self,
         first_tag: u64,
@@ -775,7 +769,6 @@ mod tests {
             plan.insert((split + i) as u64, p, &mut clock, &mut stats);
         }
         assert!(plan.query_skyline_tags(QueryId(1)).is_empty());
-        assert_eq!(plan.query_skyline_len(QueryId(1)), 0);
         for q in [0usize, 2, 3] {
             let mut got = plan.query_skyline_tags(QueryId(q as u16));
             got.sort_unstable();
@@ -808,7 +801,6 @@ mod tests {
     fn insert_batched(
         plan: &mut SharedSkylinePlan,
         points: &[Vec<Value>],
-        threads: Threads,
     ) -> (Vec<SharedInsert>, SimClock, Stats) {
         let stride = points[0].len();
         let flat: Vec<Value> = points.iter().flatten().copied().collect();
@@ -823,7 +815,7 @@ mod tests {
                 off as u64,
                 &flat[off * stride..(off + take) * stride],
                 stride,
-                threads,
+                Threads::default(),
                 &mut clock,
                 &mut stats,
             );
@@ -835,7 +827,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_is_bit_identical_to_serial_at_any_thread_count() {
+    fn insert_batch_is_bit_identical_to_one_at_a_time_inserts() {
         let prefs = figure1_prefs();
         let points = random_points(350, 4, 77);
         let mut serial = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
@@ -846,32 +838,19 @@ mod tests {
             .enumerate()
             .map(|(i, p)| serial.insert(i as u64, p, &mut sc, &mut ss))
             .collect();
-        for workers in [1usize, 2, 4, 8] {
-            let threads = Threads::from_config(Some(workers));
-            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
-            let (results, clock, stats) = insert_batched(&mut plan, &points, threads);
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+        let (results, clock, stats) = insert_batched(&mut plan, &points);
+        assert_eq!(results, serial_results);
+        assert_eq!(clock.ticks(), sc.ticks());
+        assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
+        for q in 0..prefs.len() {
+            let qid = QueryId(q as u16);
             assert_eq!(
-                results, serial_results,
-                "results diverge at {workers} threads"
+                plan.query_skyline_entries(qid),
+                serial.query_skyline_entries(qid),
+                "query Q{} entries diverge",
+                q + 1
             );
-            assert_eq!(
-                clock.ticks(),
-                sc.ticks(),
-                "ticks diverge at {workers} threads"
-            );
-            assert_eq!(
-                stats.dom_comparisons, ss.dom_comparisons,
-                "comparison counts diverge at {workers} threads"
-            );
-            for q in 0..prefs.len() {
-                let qid = QueryId(q as u16);
-                assert_eq!(
-                    plan.query_skyline_entries(qid),
-                    serial.query_skyline_entries(qid),
-                    "query Q{} entries diverge at {workers} threads",
-                    q + 1
-                );
-            }
         }
     }
 
@@ -892,17 +871,11 @@ mod tests {
             .enumerate()
             .map(|(i, p)| serial.insert(i as u64, p, &mut sc, &mut ss))
             .collect();
-        for workers in [1usize, 4] {
-            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
-            let (results, clock, stats) =
-                insert_batched(&mut plan, &points, Threads::from_config(Some(workers)));
-            assert_eq!(
-                results, serial_results,
-                "tied values diverge at {workers} threads"
-            );
-            assert_eq!(clock.ticks(), sc.ticks());
-            assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
-        }
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
+        let (results, clock, stats) = insert_batched(&mut plan, &points);
+        assert_eq!(results, serial_results, "tied values diverge");
+        assert_eq!(clock.ticks(), sc.ticks());
+        assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
     }
 
     #[test]
@@ -917,7 +890,6 @@ mod tests {
             let mut clock = SimClock::default();
             let mut stats = Stats::new();
             let mut history = PointStore::new(4);
-            let threads = Threads::from_config(Some(4));
             let stride = 4;
             let run = |plan: &mut SharedSkylinePlan,
                        clock: &mut SimClock,
@@ -926,7 +898,8 @@ mod tests {
                 if batched {
                     let flat: Vec<Value> =
                         points[range.clone()].iter().flatten().copied().collect();
-                    plan.insert_batch(range.start as u64, &flat, stride, threads, clock, stats);
+                    let start = range.start as u64;
+                    plan.insert_batch(start, &flat, stride, Threads::default(), clock, stats);
                 } else {
                     for i in range {
                         plan.insert(i as u64, &points[i], clock, stats);
@@ -963,8 +936,7 @@ mod tests {
     #[test]
     fn sig_screened_batches_are_bit_identical_and_keep_their_screens() {
         // Signature screening must change nothing observable — results,
-        // skyline entries, ticks, dom_comparisons — at any thread count,
-        // while actually being exercised (each window attaches its screen
+        // skyline entries, ticks, dom_comparisons — while actually being exercised (each window attaches its screen
         // on its first batch and still has it on every later one).
         let prefs = figure1_prefs();
         let points = random_points(350, 4, 77);
@@ -976,37 +948,27 @@ mod tests {
             .enumerate()
             .map(|(i, p)| serial.insert(i as u64, p, &mut sc, &mut ss))
             .collect();
-        for workers in [1usize, 2, 4, 8] {
-            let threads = Threads::from_config(Some(workers));
-            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
-            plan.enable_sig_cache(&[0.0; 4], &[100.0; 4]);
-            let (results, clock, stats) = insert_batched(&mut plan, &points, threads);
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+        plan.enable_sig_cache(&[0.0; 4], &[100.0; 4]);
+        let (results, clock, stats) = insert_batched(&mut plan, &points);
+        assert_eq!(results, serial_results, "sig screening changed results");
+        assert_eq!(clock.ticks(), sc.ticks());
+        assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
+        assert_eq!(stats.observable(), ss.observable());
+        for q in 0..prefs.len() {
+            let qid = QueryId(q as u16);
             assert_eq!(
-                results, serial_results,
-                "sig screening changed results at {workers} threads"
+                plan.query_skyline_entries(qid),
+                serial.query_skyline_entries(qid),
+                "query Q{} entries diverge",
+                q + 1
             );
-            assert_eq!(
-                clock.ticks(),
-                sc.ticks(),
-                "ticks diverge at {workers} threads"
-            );
-            assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
-            assert_eq!(stats.observable(), ss.observable());
-            for q in 0..prefs.len() {
-                let qid = QueryId(q as u16);
-                assert_eq!(
-                    plan.query_skyline_entries(qid),
-                    serial.query_skyline_entries(qid),
-                    "query Q{} entries diverge at {workers} threads",
-                    q + 1
-                );
-            }
-            // One attach per window, then only reuse; candidates were
-            // quantized.
-            assert_eq!(stats.presort_cache_misses, plan.cuboid().len() as u64);
-            assert!(stats.presort_cache_hits > 0, "no screen was reused");
-            assert!(stats.sig_builds > 0, "no signatures built");
         }
+        // One attach per window, then only reuse; candidates were
+        // quantized.
+        assert_eq!(stats.presort_cache_misses, plan.cuboid().len() as u64);
+        assert!(stats.presort_cache_hits > 0, "no screen was reused");
+        assert!(stats.sig_builds > 0, "no signatures built");
     }
 
     #[test]
@@ -1027,19 +989,5 @@ mod tests {
         got.sort_unstable();
         assert_eq!(skyline_reference(&points, pref), vec![0, 2]);
         assert_eq!(got, vec![0, 2]);
-    }
-
-    #[test]
-    fn skyline_len_tracks_entries() {
-        let prefs = vec![DimMask::from_dims([0, 1])];
-        let cuboid = MinMaxCuboid::build(&prefs);
-        let mut plan = SharedSkylinePlan::new(cuboid, true);
-        let mut clock = SimClock::default();
-        let mut stats = Stats::new();
-        plan.insert(0, &[1.0, 9.0], &mut clock, &mut stats);
-        plan.insert(1, &[9.0, 1.0], &mut clock, &mut stats);
-        plan.insert(2, &[5.0, 5.0], &mut clock, &mut stats);
-        assert_eq!(plan.query_skyline_len(QueryId(0)), 3);
-        assert_eq!(plan.query_skyline_entries(QueryId(0)).len(), 3);
     }
 }

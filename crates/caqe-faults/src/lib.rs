@@ -65,9 +65,7 @@ pub fn is_injected_panic(payload: &dyn std::any::Any) -> bool {
 /// installed at the moment of its (single effective) installation and
 /// forwards every genuine panic to it, and hooks installed *afterwards*
 /// (a server's own panic logger, say) wrap the silencer in turn and keep
-/// working. For a reversible installation use
-/// [`scoped_silence_injected_panics`], which restores the previous hook's
-/// behaviour when the guard drops.
+/// working.
 pub fn silence_injected_panics() {
     use std::sync::atomic::{AtomicBool, Ordering};
     static INSTALLED: AtomicBool = AtomicBool::new(false);
@@ -80,59 +78,6 @@ pub fn silence_injected_panics() {
             previous(info);
         }
     }));
-}
-
-/// Scope guard for a reversible panic-hook installation; created by
-/// [`scoped_silence_injected_panics`]. Dropping the guard restores the
-/// behaviour of the hook that was installed when the guard was created.
-///
-/// Guards should be dropped in reverse creation order (LIFO). The restore
-/// is *behavioural*: the previous hook is re-wrapped rather than moved
-/// back, so dropping out of order composes instead of panicking — the
-/// hooks installed in between simply stay chained.
-#[must_use = "dropping the guard immediately restores the previous hook"]
-pub struct PanicHookGuard {
-    restore: Option<Box<dyn FnOnce() + Send>>,
-}
-
-impl std::fmt::Debug for PanicHookGuard {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PanicHookGuard")
-            .field("armed", &self.restore.is_some())
-            .finish()
-    }
-}
-
-impl Drop for PanicHookGuard {
-    fn drop(&mut self) {
-        if let Some(restore) = self.restore.take() {
-            restore();
-        }
-    }
-}
-
-/// Installs the injected-panic silencer *reversibly*: genuine panics are
-/// forwarded to the hook that was current at call time, and dropping the
-/// returned guard reinstates that hook's behaviour. This is what lets the
-/// serving driver's panic logging and the chaos suite's silencing coexist
-/// in either installation order.
-pub fn scoped_silence_injected_panics() -> PanicHookGuard {
-    use std::sync::Arc;
-    let previous = Arc::new(std::panic::take_hook());
-    let chained = Arc::clone(&previous);
-    std::panic::set_hook(Box::new(move |info| {
-        if !is_injected_panic(info.payload()) {
-            chained(info);
-        }
-    }));
-    PanicHookGuard {
-        restore: Some(Box::new(move || {
-            // Behavioural restore: drop whatever is currently installed
-            // (ourselves, in LIFO discipline) and re-wrap the prior hook.
-            drop(std::panic::take_hook());
-            std::panic::set_hook(Box::new(move |info| previous(info)));
-        })),
-    }
 }
 
 /// Wall-clock retry/backoff policy for the serving driver (`caqe-serve`).

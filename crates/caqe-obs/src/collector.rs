@@ -2,10 +2,9 @@
 //! profiler.
 //!
 //! An [`ObsCollector`] folds [`TraceEvent`]s and end-of-run [`Stats`] into
-//! a [`MetricsRegistry`]. Every registry update is a pure function of the
-//! event stream, so the collector can either observe live (wrapped around
-//! any sink via [`ObserverSink`]) or ingest a recorded trace after the
-//! fact — both paths produce byte-identical snapshots, which is what lets
+//! a [`MetricsRegistry`] after the run, from the events a
+//! [`RecordingSink`](caqe_trace::RecordingSink) kept. Every registry update
+//! is a pure function of the event stream, which is what lets
 //! `obs_report --reconcile` cross-validate metrics against trace files.
 //!
 //! The SLO monitor keeps one piece of cross-event state (the per-query
@@ -14,7 +13,7 @@
 
 use crate::registry::{key, MetricsRegistry};
 use caqe_contract::Contract;
-use caqe_trace::{TraceEvent, TraceSink};
+use caqe_trace::TraceEvent;
 use caqe_types::Stats;
 
 /// Stable metric names, shared by the collector, `obs_report` and tests so
@@ -75,15 +74,6 @@ pub mod names {
     pub const INGEST_QUARANTINED: &str = "caqe_ingest_quarantined_total";
     /// Counter: non-finite values clamped by ingestion validation.
     pub const INGEST_CLAMPED: &str = "caqe_ingest_clamped_total";
-    /// Counter family: phase virtual ticks, labelled by `phase`
-    /// (`build`/`probe`/`insert`/`emit`), from end-of-run `Stats`.
-    pub const PHASE_TICKS: &str = "caqe_phase_ticks";
-    /// Counter family: phase dominance-charge breakdown, labelled by
-    /// `phase` (`build`/`insert`/`emit`).
-    pub const PHASE_DOM_CMPS: &str = "caqe_phase_dom_cmps";
-    /// Counter family: signature-screening events, labelled by `kind`
-    /// (`sig_builds`/`cache_hits`/`cache_misses`), from end-of-run `Stats`.
-    pub const PRUNE_EVENTS: &str = "caqe_prune_events_total";
     /// Gauge: tuples resident in group arenas (join-history occupancy).
     pub const ARENA_OCCUPANCY: &str = "caqe_arena_occupancy";
     /// Gauge: points interned into shared-plan stores.
@@ -231,50 +221,20 @@ impl ObsCollector {
         self.reg
     }
 
-    /// Observes one event (the live-streaming path).
-    pub fn on_event(&mut self, ev: &TraceEvent) {
-        registry_update(&mut self.reg, ev);
-        self.slo_update(ev);
-    }
-
     /// Ingests a recorded event stream serially.
     pub fn ingest_events(&mut self, events: &[TraceEvent]) {
         for ev in events {
-            self.on_event(ev);
+            registry_update(&mut self.reg, ev);
+            self.slo_update(ev);
         }
     }
 
-    /// Ingests end-of-run [`Stats`]: raw counters under
-    /// `caqe_stats_<field>`, the phase-profile and screening families and
-    /// occupancy gauges.
+    /// Ingests end-of-run [`Stats`]: every counter under
+    /// `caqe_stats_<field>` (the phase ticks and dominance charges among
+    /// them), the occupancy gauges and per-query emissions.
     pub fn ingest_stats(&mut self, stats: &Stats) {
         for (name, v) in stats.counters() {
             self.reg.inc(&format!("{}{name}", names::STATS_PREFIX), v);
-        }
-        for (phase, ticks) in [
-            ("build", stats.build_ticks),
-            ("probe", stats.probe_ticks),
-            ("insert", stats.insert_ticks),
-            ("emit", stats.emit_ticks),
-        ] {
-            self.reg
-                .inc(&key(names::PHASE_TICKS, &[("phase", phase)]), ticks);
-        }
-        for (phase, cmps) in [
-            ("build", stats.build_dom_cmps),
-            ("insert", stats.insert_dom_cmps),
-            ("emit", stats.emit_region_cmps),
-        ] {
-            self.reg
-                .inc(&key(names::PHASE_DOM_CMPS, &[("phase", phase)]), cmps);
-        }
-        for (kind, n) in [
-            ("sig_builds", stats.sig_builds),
-            ("cache_hits", stats.presort_cache_hits),
-            ("cache_misses", stats.presort_cache_misses),
-        ] {
-            self.reg
-                .inc(&key(names::PRUNE_EVENTS, &[("kind", kind)]), n);
         }
         self.reg
             .set_gauge(names::ARENA_OCCUPANCY, stats.arena_tuples as f64);
@@ -452,52 +412,10 @@ fn registry_update(reg: &mut MetricsRegistry, ev: &TraceEvent) {
     }
 }
 
-/// A [`TraceSink`] adapter that feeds an [`ObsCollector`] and forwards
-/// every event to the wrapped sink unchanged.
-///
-/// `ENABLED` is `true` so the engine emits events for the collector even
-/// when the inner sink is a [`NoopSink`](caqe_trace::NoopSink); forwarding
-/// is gated on the inner sink's own flag, so wrapping never changes what
-/// the inner sink records. Metrics *off* means not constructing an
-/// `ObserverSink` at all — the no-op path stays zero-overhead.
-#[derive(Debug, Default)]
-pub struct ObserverSink<S> {
-    /// The wrapped sink (borrow after the run via [`Self::into_parts`]).
-    pub inner: S,
-    /// The live collector.
-    pub collector: ObsCollector,
-}
-
-impl<S: TraceSink> ObserverSink<S> {
-    /// Wraps `inner`, observing with a collector configured by `cfg`.
-    pub fn new(cfg: ObsConfig, inner: S) -> Self {
-        ObserverSink {
-            inner,
-            collector: ObsCollector::new(cfg),
-        }
-    }
-
-    /// Splits back into the wrapped sink and the collector.
-    pub fn into_parts(self) -> (S, ObsCollector) {
-        (self.inner, self.collector)
-    }
-}
-
-impl<S: TraceSink> TraceSink for ObserverSink<S> {
-    const ENABLED: bool = true;
-
-    fn record(&mut self, ev: TraceEvent) {
-        self.collector.on_event(&ev);
-        if S::ENABLED {
-            self.inner.record(ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use caqe_trace::{NoopSink, RecordingSink, SpanKind};
+    use caqe_trace::SpanKind;
 
     fn sample_events() -> Vec<TraceEvent> {
         let mut evs = vec![TraceEvent::Meta {
@@ -589,42 +507,6 @@ mod tests {
     }
 
     #[test]
-    fn observer_sink_is_transparent_to_the_inner_sink() {
-        let evs = sample_events();
-        let mut plain = RecordingSink::new();
-        for ev in &evs {
-            plain.record(ev.clone());
-        }
-        let mut observed = ObserverSink::new(monitor_cfg(), RecordingSink::new());
-        for ev in &evs {
-            observed.record(ev.clone());
-        }
-        let (inner, collector) = observed.into_parts();
-        assert_eq!(inner.events(), plain.events());
-        // And the live collector matches an after-the-fact ingest.
-        let mut replay = ObsCollector::new(monitor_cfg());
-        replay.ingest_events(&evs);
-        assert_eq!(collector.snapshot_json(), replay.snapshot_json());
-    }
-
-    #[test]
-    fn observer_over_noop_still_collects() {
-        // The wrapper must stay enabled even over a disabled inner sink —
-        // a compile-time fact, checked as one.
-        const _: () = assert!(<ObserverSink<NoopSink> as TraceSink>::ENABLED);
-        let mut observed = ObserverSink::new(monitor_cfg(), NoopSink);
-        for ev in sample_events() {
-            observed.record(ev);
-        }
-        let (_, collector) = observed.into_parts();
-        assert_eq!(
-            collector.registry().counter(names::EMISSIONS),
-            Some(600),
-            "collector must see events even when the inner sink is no-op"
-        );
-    }
-
-    #[test]
     fn event_counters_match_event_counts() {
         let evs = sample_events();
         let mut c = ObsCollector::new(monitor_cfg());
@@ -661,8 +543,8 @@ mod tests {
             satisfaction: sat,
         };
         // Healthy: satisfied, or early enough that the projection fits.
-        c.on_event(&emit(100, 0.95));
-        c.on_event(&emit(200, 0.45)); // projects 200·2 = 400 ≤ 1000
+        c.ingest_events(&[emit(100, 0.95)]);
+        c.ingest_events(&[emit(200, 0.45)]); // projects 200·2 = 400 ≤ 1000
         assert_eq!(
             c.registry()
                 .gauge(&key(names::SLO_AT_RISK, &[("query", "0")])),
@@ -670,18 +552,18 @@ mod tests {
         );
         // Slipping: at tick 800 with v = 0.45 the projection (1600) busts
         // the 1000-tick budget.
-        c.on_event(&emit(800, 0.45));
+        c.ingest_events(&[emit(800, 0.45)]);
         assert_eq!(
             c.registry()
                 .gauge(&key(names::SLO_AT_RISK, &[("query", "0")])),
             Some(1.0)
         );
         // Recovery clears the gauge; a second slip is a second edge.
-        c.on_event(&emit(900, 0.95));
-        c.on_event(&emit(950, 0.1));
+        c.ingest_events(&[emit(900, 0.95)]);
+        c.ingest_events(&[emit(950, 0.1)]);
         assert_eq!(c.registry().counter(names::SLO_TRANSITIONS), Some(2));
         // The budget-less LogDecay query never trips the detector.
-        c.on_event(&TraceEvent::Emission {
+        c.ingest_events(&[TraceEvent::Emission {
             tick: 5000,
             query: 1,
             seq: 1,
@@ -689,7 +571,7 @@ mod tests {
             tid: 0,
             utility: 0.0,
             satisfaction: 0.0,
-        });
+        }]);
         assert_eq!(
             c.registry()
                 .gauge(&key(names::SLO_AT_RISK, &[("query", "1")])),
@@ -717,23 +599,11 @@ mod tests {
         let mut c = ObsCollector::new(ObsConfig::default());
         c.ingest_stats(&stats);
         let reg = c.registry();
-        assert_eq!(
-            reg.counter(&key(names::PHASE_TICKS, &[("phase", "insert")])),
-            Some(30)
-        );
-        assert_eq!(
-            reg.counter(&key(names::PHASE_DOM_CMPS, &[("phase", "emit")])),
-            Some(7)
-        );
+        assert_eq!(reg.counter("caqe_stats_insert_ticks"), Some(30));
+        assert_eq!(reg.counter("caqe_stats_emit_region_cmps"), Some(7));
+        assert_eq!(reg.counter("caqe_stats_presort_cache_hits"), Some(14));
+        assert_eq!(reg.counter("caqe_stats_presort_cache_misses"), Some(15));
         assert_eq!(reg.gauge(names::ARENA_OCCUPANCY), Some(1000.0));
-        assert_eq!(
-            reg.counter(&key(names::PRUNE_EVENTS, &[("kind", "cache_hits")])),
-            Some(14)
-        );
-        assert_eq!(
-            reg.counter(&key(names::PRUNE_EVENTS, &[("kind", "cache_misses")])),
-            Some(15)
-        );
         assert_eq!(reg.counter("caqe_stats_sig_builds"), Some(13));
         assert_eq!(reg.counter("caqe_stats_probe_ticks"), Some(20));
         assert_eq!(

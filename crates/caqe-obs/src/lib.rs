@@ -6,22 +6,20 @@
 //!    log2-bucketed histograms keyed by the virtual clock. `BTreeMap`
 //!    storage makes every snapshot a pure function of (workload, config):
 //!    byte-identical from run to run.
-//! 2. **Collection** ([`ObsCollector`], [`ObserverSink`]) — the
-//!    contract-SLO monitor (running satisfaction, satisfaction timelines,
-//!    deadline-at-risk projection, shed/retry/quarantine/admit/depart
-//!    counters) and the phase profiler (per-phase tick and
-//!    dominance-charge breakdowns, screening counts, occupancy gauges)
-//!    fed either live from a wrapped [`TraceSink`](caqe_trace::TraceSink)
-//!    or after the fact from a recorded trace.
+//! 2. **Collection** ([`ObsCollector`]) — the contract-SLO monitor
+//!    (running satisfaction, satisfaction timelines, deadline-at-risk
+//!    projection, shed/retry/quarantine/admit/depart counters) and the
+//!    end-of-run `Stats` counters (`caqe_stats_<field>`, which carry the
+//!    per-phase tick and dominance-charge breakdowns) plus occupancy
+//!    gauges, folded after the run from a recorded trace.
 //! 3. **Export** — deterministic JSON ([`MetricsRegistry::to_json`]) and
 //!    Prometheus text ([`MetricsRegistry::to_prometheus`]) snapshots,
 //!    consumed by the `obs_report` dashboard, whose `--reconcile` mode
 //!    cross-validates every counter against trace-derived counts.
 //!
-//! Observability is opt-in per run: when no `ObserverSink` is
-//! constructed, the engine's zero-cost `const ENABLED` sink dispatch is
-//! untouched, so metrics-off runs are bit-identical to builds without
-//! this crate.
+//! Observability is opt-in per run and post hoc: the engine records into
+//! its usual sink and the collector reads the recording afterwards, so a
+//! metrics-off run is bit-identical to a build without this crate.
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -29,5 +27,5 @@
 mod collector;
 mod registry;
 
-pub use collector::{names, ObsCollector, ObsConfig, ObserverSink, QueryObs};
+pub use collector::{names, ObsCollector, ObsConfig, QueryObs};
 pub use registry::{key, Histogram, MetricsRegistry};

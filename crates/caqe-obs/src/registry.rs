@@ -12,6 +12,7 @@
 //! in the order they were filled reproduces the one-registry update
 //! sequence exactly.
 
+use caqe_trace::json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -202,14 +203,14 @@ impl MetricsRegistry {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{v}", json_string(k));
+            let _ = write!(out, "{}:{v}", json_str(k));
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "{}:{}", json_string(k), fmt_f64(*v));
+            let _ = write!(out, "{}:{}", json_str(k), fmt_f64(*v));
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -219,7 +220,7 @@ impl MetricsRegistry {
             let _ = write!(
                 out,
                 "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-                json_string(k),
+                json_str(k),
                 h.count,
                 h.sum
             );
@@ -310,25 +311,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Minimal JSON string quoting for metric keys (ASCII control, quote,
-/// backslash).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]

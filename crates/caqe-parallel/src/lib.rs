@@ -4,9 +4,8 @@
 //! partition builds, per-group builds, a chunked region probe, a sharded
 //! shared-plan insert). None ever reached 1.0× on a measurement
 //! (EXPERIMENTS.md "Parallel layer (PRs 1–17)"), so they are gone and the
-//! engine is serial. [`Threads`] stays because `benchmark/src` and the
-//! `--threads` measuring rig compile against it; a value above 1 is accepted
-//! everywhere and starts no thread until ROADMAP item 4 lands.
+//! engine is serial. [`Threads`] stays only because `benchmark/src`
+//! compiles against it; a value above 1 is accepted and starts no thread.
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

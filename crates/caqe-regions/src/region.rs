@@ -356,15 +356,6 @@ impl RegionSet {
             .expect("query not in this join group")
     }
 
-    /// Ids of regions still alive.
-    pub fn alive_ids(&self) -> Vec<RegionId> {
-        self.regions
-            .iter()
-            .filter(|r| r.is_alive())
-            .map(|r| r.id)
-            .collect()
-    }
-
     /// Registers a newly admitted query (global id `q`, preference `pref`)
     /// with this set and revives every *unprocessed* region for it (see
     /// [`OutputRegion::admit_query`]). Processed regions stay retired: their
@@ -675,6 +666,5 @@ mod tests {
         assert_eq!(set.len(), 1);
         assert!(!set.is_empty());
         assert_eq!(set.pref(QueryId(0)), DimMask::full(2));
-        assert_eq!(set.alive_ids(), vec![RegionId(0)]);
     }
 }

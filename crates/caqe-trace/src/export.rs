@@ -19,7 +19,10 @@ fn num(v: f64) -> String {
     }
 }
 
-fn json_str(s: &str) -> String {
+/// Quotes `s` as a JSON string: quote and backslash escaped, newline,
+/// carriage return and tab by name, every other control character as
+/// `\u00XX`. The metrics registry and the bench JSON writer use it too.
+pub fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

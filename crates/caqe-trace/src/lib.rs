@@ -25,8 +25,7 @@
 //! layout. The engine is serial: every recording site sits on the one
 //! scheduling thread and records straight into a [`TraceSink`] in absolute
 //! ticks, so the serialized trace is a pure function of the input —
-//! `tests/determinism_parallel.rs` pins it against committed goldens (and
-//! sweeps the inert `parallelism` knob for the day it is not).
+//! `tests/golden_traces.rs` pins it against committed goldens.
 //!
 //! # Cost when disabled
 //!
@@ -44,6 +43,7 @@ pub mod sink;
 
 pub use event::{SpanKind, TraceEvent};
 pub use export::{
-    chrome_trace, estimator_summary, satisfaction_csv, to_jsonl, write_trace, EstimatorSummary,
+    chrome_trace, estimator_summary, json_str, satisfaction_csv, to_jsonl, write_trace,
+    EstimatorSummary,
 };
 pub use sink::{NoopSink, RecordingSink, TraceSink};

@@ -1,12 +1,11 @@
-//! Serial-vs-parallel determinism: the worker-thread knob must never change
-//! what the engine computes — per-query result provenance, emission
-//! `(timestamp, utility)` pairs, satisfaction, stats counters and the final
-//! virtual clock must be bit-identical at every `parallelism` setting.
+//! The committed golden traces: each fixed workload's full JSONL event
+//! stream must match its file under `tests/golden/` byte for byte, so a
+//! change that perturbs a single comparison, tick or emission shows up
+//! as a diff. Refresh one on purpose with `UPDATE_GOLDEN=1`.
 //!
-//! The knob is inert today (the engine is serial; EXPERIMENTS.md "Parallel
-//! layer (PRs 1–17)"), so the thread sweeps compare one path with itself
-//! and pass trivially. They stay as the rig ROADMAP item 4 will be judged
-//! on; what pins the bytes meanwhile is the committed goldens.
+//! The engine is serial; the benchmark-pinned `parallelism` knob is inert,
+//! and `parallelism_never_changes_the_outcome` is the one test that pins
+//! that.
 
 use caqe::baselines::{JfslStrategy, SJfslStrategy, SsmjStrategy};
 use caqe::contract::Contract;
@@ -85,94 +84,36 @@ fn assert_identical(a: &RunOutcome, b: &RunOutcome, label: &str) {
     }
 }
 
-#[test]
-fn parallelism_never_changes_the_outcome() {
-    let w = workload();
-    for dist in [Distribution::Independent, Distribution::Anticorrelated] {
-        for seed in [41u64, 4242] {
-            let (r, t) = tables(500, dist, seed);
-            let serial = ExecConfig::default().with_target_cells(500, 8);
-            let base = CaqeStrategy.run(&r, &t, &w, &serial);
-            assert!(base.total_results() > 0, "degenerate workload");
-            for threads in [1usize, 4] {
-                let par = serial.with_parallelism(Some(threads));
-                let out = CaqeStrategy.run(&r, &t, &w, &par);
-                assert_identical(
-                    &base,
-                    &out,
-                    &format!("caqe {dist:?} seed={seed} threads={threads}"),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn chunked_probe_path_is_bit_identical() {
-    // Coarse cells give each region hundreds of R-rows — the regime in
-    // which the probe phase used to split into worker chunks.
+/// Runs CAQE on the golden workload (1600 independent rows, coarse cells:
+/// hundreds of R-rows per region) under `exec` and compares its trace with
+/// `tests/golden/caqe_trace.jsonl`, recorded before the flat `PointStore`
+/// migration.
+fn assert_caqe_golden(exec: &ExecConfig) {
     let w = workload();
     let (r, t) = tables(1600, Distribution::Independent, 99);
-    let serial = ExecConfig::default().with_target_cells(1600, 2);
-    let base = CaqeStrategy.run(&r, &t, &w, &serial);
-    assert!(base.total_results() > 0, "degenerate workload");
-    for threads in [2usize, 4, 8] {
-        let out = CaqeStrategy.run(&r, &t, &w, &serial.with_parallelism(Some(threads)));
-        assert_identical(&base, &out, &format!("chunked threads={threads}"));
-    }
-}
-
-#[test]
-fn trace_is_bit_identical_at_every_parallelism() {
-    // The recorded trace — not just the outcome — must be a pure function
-    // of the workload: serialize the full event stream and compare bytes
-    // across worker counts, including the coarse-cell regime.
-    let w = workload();
-    let (r, t) = tables(1600, Distribution::Independent, 99);
-    let serial = ExecConfig::default().with_target_cells(1600, 2);
-    let mut base_sink = caqe::trace::RecordingSink::new();
-    let base = CaqeStrategy.run_traced(&r, &t, &w, &serial, &mut base_sink);
-    let base_jsonl = caqe::trace::to_jsonl(base_sink.events());
-    assert!(base.total_results() > 0, "degenerate workload");
+    let mut sink = caqe::trace::RecordingSink::new();
+    let out = CaqeStrategy.run_traced(&r, &t, &w, exec, &mut sink);
+    assert!(out.total_results() > 0, "degenerate workload");
     assert!(
-        base_sink
-            .events()
+        sink.events()
             .iter()
             .any(|e| matches!(e, caqe::trace::TraceEvent::Decision { .. })),
         "trace recorded no scheduler decisions"
     );
-    for threads in [1usize, 2, 4, 8] {
-        let mut sink = caqe::trace::RecordingSink::new();
-        let out = CaqeStrategy.run_traced(
-            &r,
-            &t,
-            &w,
-            &serial.with_parallelism(Some(threads)),
-            &mut sink,
-        );
-        assert_identical(&base, &out, &format!("traced threads={threads}"));
-        assert_eq!(
-            base_jsonl,
-            caqe::trace::to_jsonl(sink.events()),
-            "trace bytes diverged at threads={threads}"
-        );
-    }
+    assert_golden("caqe_trace.jsonl", &caqe::trace::to_jsonl(sink.events()));
 }
 
 #[test]
 fn trace_matches_committed_golden() {
-    // Layout-migration regression gate: the JSONL trace of a fixed workload
-    // is committed at `tests/golden/caqe_trace.jsonl` (recorded before the
-    // flat `PointStore` migration). Any storage or kernel change that
-    // perturbs a single comparison, tick or emission shows up as a byte
-    // diff here. Refresh intentionally with UPDATE_GOLDEN=1.
-    let w = workload();
-    let (r, t) = tables(1600, Distribution::Independent, 99);
+    assert_caqe_golden(&ExecConfig::default().with_target_cells(1600, 2));
+}
+
+#[test]
+fn parallelism_never_changes_the_outcome() {
+    // `ExecConfig::parallelism` survives only because `benchmark/src`
+    // compiles against it; setting it must leave every trace byte alone.
     let exec = ExecConfig::default().with_target_cells(1600, 2);
-    let mut sink = caqe::trace::RecordingSink::new();
-    let out = CaqeStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
-    assert!(out.total_results() > 0, "degenerate workload");
-    assert_golden("caqe_trace.jsonl", &caqe::trace::to_jsonl(sink.events()));
+    assert_caqe_golden(&exec.with_parallelism(Some(4)));
 }
 
 #[test]
@@ -233,25 +174,10 @@ fn recording_sink_does_not_perturb_the_run() {
     // agree on every observable, and tracing costs zero virtual ticks.
     let w = workload();
     let (r, t) = tables(500, Distribution::Independent, 41);
-    let exec = ExecConfig::default()
-        .with_target_cells(500, 8)
-        .with_parallelism(Some(4));
+    let exec = ExecConfig::default().with_target_cells(500, 8);
     let plain = CaqeStrategy.run(&r, &t, &w, &exec);
     let mut sink = caqe::trace::RecordingSink::new();
     let traced = CaqeStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
     assert!(!sink.events().is_empty(), "recording sink captured nothing");
     assert_identical(&plain, &traced, "noop-vs-recording");
-}
-
-#[test]
-fn fifo_baseline_is_thread_invariant_too() {
-    // S-JFSL exercises the FIFO cursor path and the blocking pipeline.
-    let w = workload();
-    let (r, t) = tables(400, Distribution::Correlated, 7);
-    let serial = ExecConfig::default().with_target_cells(400, 8);
-    let base = SJfslStrategy.run(&r, &t, &w, &serial);
-    for threads in [1usize, 4] {
-        let out = SJfslStrategy.run(&r, &t, &w, &serial.with_parallelism(Some(threads)));
-        assert_identical(&base, &out, &format!("sjfsl threads={threads}"));
-    }
 }

@@ -1,8 +1,8 @@
 //! Warm-start plan persistence: a run warm-started from a saved-then-loaded
 //! plan file must be *byte-identical* to a cold start — same trace, same
-//! outcome, at every thread count — and every way the file can be wrong
-//! (bit flip, truncation, stale tables, another format version) must yield
-//! a typed error followed by a clean full rebuild, never a partial apply.
+//! outcome — and every way the file can be wrong (bit flip, truncation,
+//! stale tables, another format version) must yield a typed error followed
+//! by a clean full rebuild, never a partial apply.
 
 use caqe::contract::Contract;
 use caqe::core::{
@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 mod common;
 
-/// The golden-trace fixture of `determinism_parallel.rs`, verbatim.
+/// The golden-trace fixture of `golden_traces.rs`, verbatim.
 fn tables() -> (Table, Table) {
     let gen = TableGenerator::new(1600, 2, Distribution::Independent)
         .with_selectivities(&[0.05, 0.1])
@@ -97,7 +97,7 @@ fn tmp_path(name: &str) -> PathBuf {
 }
 
 #[test]
-fn warm_start_reproduces_the_golden_trace_at_every_parallelism() {
+fn warm_start_reproduces_the_golden_trace() {
     let (r, t) = tables();
     let w = workload();
     let eng = EngineConfig::caqe();
@@ -109,15 +109,12 @@ fn warm_start_reproduces_the_golden_trace_at_every_parallelism() {
     plan.save(&path).expect("save plan");
     let restored = PreparedPlan::load(&path, &r, &t, &exec()).expect("load plan");
 
-    let golden = golden();
-    for threads in [1usize, 2, 4, 8] {
-        let exec = exec().with_parallelism(Some(threads));
-        let warm = run_jsonl(&r, &t, &w, &exec, Some(&restored));
-        assert_eq!(
-            golden, warm,
-            "warm-start trace diverged from the committed golden at threads={threads}"
-        );
-    }
+    let warm = run_jsonl(&r, &t, &w, &exec(), Some(&restored));
+    assert_eq!(
+        golden(),
+        warm,
+        "warm-start trace diverged from the committed golden"
+    );
     std::fs::remove_file(&path).ok();
 }
 

@@ -2,8 +2,8 @@
 //! signature relation must be *sound* against the exact float dominance
 //! relation on arbitrary inputs, and the shared plan must be observationally
 //! identical — results, charged comparisons, virtual ticks — screened or
-//! not, however its input is cut into calls, at every thread count. (The
-//! single window's own suite is `property_skyline.rs`.)
+//! not, however its input is cut into calls. (The single window's own
+//! suite is `property_skyline.rs`.)
 
 use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
 use caqe::operators::skyline_reference;
@@ -118,14 +118,13 @@ proptest! {
     }
 
     /// The shared plan's signature screens are observationally invisible,
-    /// and so is how the tuple stream is cut: screened or not, at every
-    /// thread count, with one-tuple `insert` calls and `insert_batch` calls
+    /// and so is how the tuple stream is cut: screened or not, with one-tuple `insert` calls and `insert_batch` calls
     /// interleaved (each window keeps its signatures in lockstep through
     /// both), the plan matches an unscreened one-tuple-at-a-time plan
     /// byte-for-byte — results, ticks, observable stats and every query's
     /// members — and every query ends on its Definition 2 skyline.
     #[test]
-    fn plan_sig_cache_is_invisible_at_any_thread_count(
+    fn plan_sig_cache_is_invisible(
         rows in proptest::collection::vec(
             proptest::collection::vec((0u8..12).prop_map(|v| v as f64), 4..=4),
             4..60,
@@ -151,54 +150,46 @@ proptest! {
         }
         let stride = 4;
         let flat: Vec<Value> = rows.iter().flatten().copied().collect();
-        for workers in [1usize, 2, 4, 8] {
-            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
-            if screened {
-                plan.enable_sig_cache(&[0.0; 4], &[12.0; 4]);
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
+        if screened {
+            plan.enable_sig_cache(&[0.0; 4], &[12.0; 4]);
+        }
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        let mut results = Vec::new();
+        let mut off = 0usize;
+        // A cut of one goes through the one-tuple door, anything longer
+        // through a batch that sees carried members.
+        for &cut in cuts.iter().cycle() {
+            if off == rows.len() {
+                break;
             }
-            let mut clock = SimClock::default();
-            let mut stats = Stats::new();
-            let mut results = Vec::new();
-            let mut off = 0usize;
-            // A cut of one goes through the one-tuple door, anything longer
-            // through a batch that sees carried members.
-            for &cut in cuts.iter().cycle() {
-                if off == rows.len() {
-                    break;
-                }
-                let take = cut.min(rows.len() - off);
-                if take == 1 {
-                    results.push(plan.insert(off as u64, &rows[off], &mut clock, &mut stats));
-                } else {
-                    results.extend(plan.insert_batch(
-                        off as u64,
-                        &flat[off * stride..(off + take) * stride],
-                        stride,
-                        Threads::exact(workers),
-                        &mut clock,
-                        &mut stats,
-                    ));
-                }
-                off += take;
+            let take = cut.min(rows.len() - off);
+            if take == 1 {
+                results.push(plan.insert(off as u64, &rows[off], &mut clock, &mut stats));
+            } else {
+                results.extend(plan.insert_batch(
+                    off as u64,
+                    &flat[off * stride..(off + take) * stride],
+                    stride,
+                    Threads::default(),
+                    &mut clock,
+                    &mut stats,
+                ));
             }
+            off += take;
+        }
+        prop_assert_eq!(&results, &serial_results, "results diverged");
+        prop_assert_eq!(clock.ticks(), sc.ticks(), "ticks diverged");
+        prop_assert_eq!(stats.observable(), ss.observable(), "observable stats diverged");
+        prop_assert_eq!(stats.sig_builds > 0, screened);
+        for q in 0..prefs.len() {
+            let qid = QueryId(q as u16);
             prop_assert_eq!(
-                &results, &serial_results,
-                "results diverged at {} threads", workers
+                plan.query_skyline_entries(qid),
+                serial.query_skyline_entries(qid),
+                "query {} members diverged", q
             );
-            prop_assert_eq!(clock.ticks(), sc.ticks(), "ticks diverged at {} threads", workers);
-            prop_assert_eq!(
-                stats.observable(), ss.observable(),
-                "observable stats diverged at {} threads", workers
-            );
-            prop_assert_eq!(stats.sig_builds > 0, screened);
-            for q in 0..prefs.len() {
-                let qid = QueryId(q as u16);
-                prop_assert_eq!(
-                    plan.query_skyline_entries(qid),
-                    serial.query_skyline_entries(qid),
-                    "query {} members diverged at {} threads", q, workers
-                );
-            }
         }
     }
 }

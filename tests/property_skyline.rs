@@ -191,7 +191,7 @@ proptest! {
 
     // --- The incremental window's definitional suite: what it keeps, what
     // it throws out, and that screening is invisible (the plan-level half —
-    // call cuts and thread counts — is `property_sig.rs`). ---
+    // call cuts — is `property_sig.rs`). ---
 
     #[test]
     fn incremental_skyline_matches_reference(
