@@ -66,35 +66,43 @@ fn bench_skyline_kernels(c: &mut Criterion) {
 }
 
 fn bench_incremental_kernels(c: &mut Criterion) {
-    let pts = points(2000, 4, Distribution::Anticorrelated);
-    let mask = DimMask::from_dims([0, 2]);
     let mut group = c.benchmark_group("kernels/incremental");
-    let quant = {
-        let store = intern(&pts, 4);
-        #[allow(clippy::expect_used)]
-        SigQuantizer::from_store(&store, mask).expect("2-dim subspace fits a signature")
-    };
-    // The same window, without and with its screen (which quantizes each
-    // arriving point itself).
-    for (name, screened) in [
-        ("window_insert_stream", false),
-        ("screened_insert_stream", true),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut sky = if screened {
-                    IncrementalSkyline::screened(mask, quant.clone())
-                } else {
-                    IncrementalSkyline::new(mask)
-                };
-                let mut clock = SimClock::default();
-                let mut stats = Stats::new();
-                for (i, p) in pts.iter().enumerate() {
-                    black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
-                }
-                sky.len()
-            })
-        });
+    // A 2-dim subspace of 4-dim points (a window of tens of members), and
+    // the 5-dim full space of `anti_tuple`'s widest preference (hundreds,
+    // where the reject and evict scans dominate).
+    let shapes = [
+        ("", 4, DimMask::from_dims([0, 2])),
+        ("_5d", 5, DimMask::full(5)),
+    ];
+    for (suffix, d, mask) in shapes {
+        let pts = points(2000, d, Distribution::Anticorrelated);
+        let quant = {
+            let store = intern(&pts, d);
+            #[allow(clippy::expect_used)]
+            SigQuantizer::from_store(&store, mask).expect("the subspace fits a signature")
+        };
+        // The same window, without and with its screen (which quantizes
+        // each arriving point itself).
+        for (name, screened) in [
+            ("window_insert_stream", false),
+            ("screened_insert_stream", true),
+        ] {
+            group.bench_function(format!("{name}{suffix}"), |b| {
+                b.iter(|| {
+                    let mut sky = if screened {
+                        IncrementalSkyline::screened(mask, quant.clone())
+                    } else {
+                        IncrementalSkyline::new(mask)
+                    };
+                    let mut clock = SimClock::default();
+                    let mut stats = Stats::new();
+                    for (i, p) in pts.iter().enumerate() {
+                        black_box(sky.insert(i as u64, p, &mut clock, &mut stats));
+                    }
+                    sky.len()
+                })
+            });
+        }
     }
     group.finish();
 }

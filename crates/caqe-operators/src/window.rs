@@ -12,14 +12,17 @@
 //!
 //! A window may carry a signature screen (DESIGN.md §17): one quantized
 //! signature per member, kept in lockstep with the members by the same
-//! insert, which answers most dominance tests on two integers. Screening
+//! insert, which lets the reject and evict scans skip, eight members per
+//! step, the runs of members whose signatures rule them out. Screening
 //! decides *how* a verdict is reached, never what it is or what it costs:
-//! every examined member is one charged comparison either way.
+//! every examined member is one charged comparison, skipped or not.
 //!
 //! [`IncrementalSkyline`] is a window together with the arena its members
 //! live in, for callers that have no arena of their own.
 
-use caqe_types::sig::{sig_relate, SigQuantizer};
+use caqe_types::sig::{
+    first_may_be_dominated, first_may_dominate, sig_strictly_below, SigQuantizer,
+};
 use caqe_types::{DimMask, DomKernel, DomRelation, PointId, PointStore, SimClock, Stats, Value};
 
 /// Outcome of inserting one point into a skyline window.
@@ -182,59 +185,78 @@ impl SkylineWindow {
             s if s.is_nan() => Value::INFINITY,
             s => s,
         };
+        let screened = self.quant.is_some();
         let (csig, high) = match &self.quant {
             Some(q) => {
                 stats.sig_builds += 1;
-                (Some(q.sig(point)), q.high_mask())
+                (q.sig(point), q.high_mask())
             }
-            None => (None, 0),
+            None => (0, 0), // never read: every use is behind `screened`
         };
         let pos = self.entries.partition_point(|e| e.score < score);
+        let len = self.entries.len();
         let mut comps = 0u64;
 
         // Reject scan: a dominator's score is never larger, so it sits in
-        // the `score ≤` prefix.
+        // the `score ≤` prefix. Each pass skips the members whose signature
+        // rules them out (none while unscreened) and decides the one it
+        // stops on by proof or by the float kernel. Every member up to the
+        // first dominator counts as examined, skipped or not.
         if !known_survivor {
             let prefix = self.entries.partition_point(|e| e.score <= score);
-            for k in 0..prefix {
-                comps += 1;
-                let proven = csig.and_then(|cs| sig_relate(self.sigs[k], cs, high));
-                let dominated = match proven {
-                    Some(v) => v == DomRelation::Dominates,
-                    None => {
-                        kernel.relate(member(self.entries[k].point), point)
-                            == DomRelation::Dominates
-                    }
-                };
-                if dominated {
-                    stats.dom_comparisons += comps;
+            let mut k = 0;
+            loop {
+                if screened {
+                    k += first_may_dominate(&self.sigs[k..prefix], csig, high);
+                }
+                if k == prefix {
+                    break;
+                }
+                if (screened && sig_strictly_below(self.sigs[k], csig, high))
+                    || kernel.relate(member(self.entries[k].point), point) == DomRelation::Dominates
+                {
+                    stats.dom_comparisons += k as u64 + 1;
                     return InsertOutcome::Dominated;
                 }
+                k += 1;
             }
+            comps += prefix as u64;
         }
 
         // Evict sweep: a victim's score is never smaller, so it sits in the
-        // `score ≥` suffix.
+        // `score ≥` suffix, all of which is examined. Survivors are
+        // compacted in place behind the write cursor `w`.
         let mut removed: Vec<u64> = Vec::new();
-        let mut k = pos;
-        while k < self.entries.len() {
-            comps += 1;
-            let proven = csig.and_then(|cs| sig_relate(cs, self.sigs[k], high));
-            let evicts = match proven {
-                Some(v) => v == DomRelation::Dominates,
-                None => {
-                    kernel.relate(point, member(self.entries[k].point)) == DomRelation::Dominates
-                }
-            };
-            if evicts {
-                removed.push(self.entries.remove(k).tag);
-                if csig.is_some() {
-                    self.sigs.remove(k);
-                }
+        let (mut w, mut r) = (pos, pos);
+        while r < len {
+            let skip = if screened {
+                first_may_be_dominated(&self.sigs[r..len], csig, high)
             } else {
-                k += 1;
+                0
+            };
+            if skip > 0 && w < r {
+                self.entries.copy_within(r..r + skip, w);
+                self.sigs.copy_within(r..r + skip, w);
             }
+            (w, r) = (w + skip, r + skip);
+            if r == len {
+                break;
+            }
+            let e = self.entries[r];
+            if (screened && sig_strictly_below(csig, self.sigs[r], high))
+                || kernel.relate(point, member(e.point)) == DomRelation::Dominates
+            {
+                removed.push(e.tag);
+            } else {
+                self.entries[w] = e;
+                if screened {
+                    self.sigs[w] = self.sigs[r];
+                }
+                w += 1;
+            }
+            r += 1;
         }
+        self.entries.truncate(w);
         self.entries.insert(
             pos,
             Entry {
@@ -243,10 +265,11 @@ impl SkylineWindow {
                 point: handle,
             },
         );
-        if let Some(cs) = csig {
-            self.sigs.insert(pos, cs);
+        if screened {
+            self.sigs.truncate(w);
+            self.sigs.insert(pos, csig);
         }
-        stats.dom_comparisons += comps;
+        stats.dom_comparisons += comps + (len - pos) as u64;
         InsertOutcome::Added { removed }
     }
 }

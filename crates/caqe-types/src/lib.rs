@@ -42,7 +42,7 @@ pub use dominance::{
 pub use error::EngineError;
 pub use ids::{CellId, QueryId, QuerySet, RegionId};
 pub use persist::{fnv1a, Fnv1a};
-pub use sig::{sig_relate, SigQuantizer, SIG_MAX_DIMS, SIG_POISON};
+pub use sig::{SigQuantizer, SIG_MAX_DIMS, SIG_POISON};
 pub use stats::{PerQueryStats, Stats};
 pub use store::{PointId, PointStore, SwapStore};
 pub use subspace::DimMask;

@@ -4,29 +4,41 @@
 //! Each point is summarized by packing one small per-dimension bucket code
 //! into a `u64`. The quantizer is *monotone* (smaller value ⇒ smaller or
 //! equal code), so strict code inequalities transfer to the underlying
-//! values: if every field of `a`'s signature is strictly below `b`'s, then
-//! `a` strictly improves on `b` in every dimension and therefore dominates
-//! it (Definition 2); if strict inequalities exist in both directions the
-//! pair is incomparable. Everything else — equal codes anywhere — is
-//! *ambiguous* and must fall back to the exact float test. [`sig_relate`]
-//! therefore returns `Option<DomRelation>`: `Some` verdicts are proven,
-//! `None` means "ask [`relate_in`](crate::relate_in)".
+//! values. Two one-sided facts follow, and they are all a skyline window
+//! asks of a signature:
 //!
-//! The comparison itself is a branch-free SWAR subtraction: the top bit of
-//! every field is a spare *borrow* bit kept at zero in valid signatures, so
-//! `(a | high) - b` evaluates all per-field comparisons in two integer ops
-//! without cross-field borrow propagation.
+//! * a field of `a` coded strictly *above* `b`'s means `a` is strictly worse
+//!   there, so `a` cannot dominate `b` (Definition 2) — one such field is
+//!   enough, whatever the other fields say;
+//! * every field of `a` coded strictly *below* `b`'s means `a` strictly
+//!   improves on `b` everywhere, so `a` dominates `b`.
+//!
+//! [`first_may_dominate`] and [`first_may_be_dominated`] apply the first
+//! fact to a run of member signatures and return how many of them a scan
+//! can pass over; [`sig_strictly_below`] applies the second to the member
+//! the scan stops on. Anything neither settles — equal codes, a poisoned
+//! operand — is left to the exact float test
+//! ([`relate_in`](crate::relate_in)).
+//!
+//! Each per-field comparison is a branch-free SWAR subtraction: the top bit
+//! of every field is a spare *borrow* bit kept at zero in valid signatures,
+//! so `(b | high) - a` compares all fields at once without cross-field
+//! borrow propagation. The skips test the first signature alone, then
+//! eight per step with 64-bit sub/and/or/shift only, branching once per
+//! step.
 
-use crate::dominance::DomRelation;
 use crate::store::PointStore;
 use crate::subspace::DimMask;
 use crate::Value;
 
 /// Signature of a point with a NaN in a signature dimension: every spare
-/// bit is set, so [`sig_relate`] refuses a verdict for any pair involving
-/// it and the pair falls back to the exact float path (which treats NaN as
-/// unordered, exactly like [`relate_in`](crate::relate_in)).
+/// bit is set, so no skip passes over it and no proof involves it, on
+/// either side; its pairs fall back to the exact float path (which treats
+/// NaN as unordered, exactly like [`relate_in`](crate::relate_in)).
 pub const SIG_POISON: u64 = u64::MAX;
+
+/// Signatures a skip tests per step.
+const LANES: usize = 8;
 
 /// Maximum subspace width a signature can encode (4 bits per field: one
 /// spare borrow bit plus at least 3 code bits — below that the lattice is
@@ -147,54 +159,101 @@ impl SigQuantizer {
         s
     }
 
-    /// The spare-bit mask to pass to [`sig_relate`].
+    /// The spare-bit mask to pass to the skips and the proof.
     #[inline]
     pub fn high_mask(&self) -> u64 {
         self.high_mask
     }
 }
 
-/// Signature-level dominance test. `high` is the quantizer's spare-bit
-/// mask. Returns a proven verdict or `None` when the signatures cannot
-/// decide (equal codes somewhere, or a poisoned operand).
+/// The fields in which `a`'s code is strictly above `b`'s, as set spare
+/// bits. `a` must have its spare bits clear; `b` may be anything, and
+/// against a poisoned `b` the result is empty.
 ///
-/// Soundness rests on quantizer monotonicity: a strict per-field code
-/// inequality implies the same strict value inequality, so
-/// `Some(Dominates)` (every field strictly smaller) and
-/// `Some(Incomparable)` (strict fields both ways) agree with
-/// [`relate_in`](crate::relate_in). Ties in any field make full dominance
-/// unprovable — the caller falls back to the exact float test.
+/// The spare bit forced into the minuend keeps every field-local
+/// difference positive, so no borrow crosses a field boundary; the spare
+/// bit of the difference is *clear* exactly when `b`'s code is below `a`'s.
+#[inline(always)]
+fn above(a: u64, b: u64, high: u64) -> u64 {
+    !((b | high).wrapping_sub(a)) & high
+}
+
+/// 1 when `x != 0`, else 0, without a comparison.
+#[inline(always)]
+fn nonzero(x: u64) -> u32 {
+    ((x | x.wrapping_neg()) >> 63) as u32
+}
+
+/// How many leading signatures of `sigs` `passes` lets a scan skip: the
+/// offset of the first one it returns 0 for, or `sigs.len()`.
+#[inline(always)]
+fn skip_while(sigs: &[u64], passes: impl Fn(u64) -> u64) -> usize {
+    // Scans often stop on the very next member (a run of victims, a
+    // dominator at the front): that lane alone is settled before a chunk
+    // is paid for, so a short scan costs what one member test does.
+    match sigs.first() {
+        Some(&s) if passes(s) != 0 => {}
+        _ => return 0,
+    }
+    let mut chunks = sigs[1..].chunks_exact(LANES);
+    let mut base = 1;
+    for chunk in chunks.by_ref() {
+        let mut passed = 0u32;
+        for (j, &s) in chunk.iter().enumerate() {
+            passed |= nonzero(passes(s)) << j;
+        }
+        if passed != (1 << LANES) - 1 {
+            return base + (!passed).trailing_zeros() as usize;
+        }
+        base += LANES;
+    }
+    base + chunks
+        .remainder()
+        .iter()
+        .take_while(|&&s| passes(s) != 0)
+        .count()
+}
+
+/// Offset in `sigs` of the first member signature that *may* dominate the
+/// candidate signature `cand` — no field coded strictly above `cand`'s —
+/// or `sigs.len()` if none may. `high` is the quantizer's spare-bit mask.
+///
+/// Every member passed over has a field coded above the candidate's, hence
+/// (monotone quantizer) a value strictly above it, and cannot dominate the
+/// candidate. A poisoned member is never passed over, and a poisoned
+/// candidate passes over nothing, nor does any call with `high == 0`.
 #[inline]
-pub fn sig_relate(a: u64, b: u64, high: u64) -> Option<DomRelation> {
-    if a == SIG_POISON || b == SIG_POISON {
-        // Poison must refuse a verdict *unconditionally* — including the
-        // poison-vs-poison pair, and regardless of the caller's `high` mask
-        // (a degenerate `high == 0` would otherwise let two all-ones
-        // signatures "prove" a verdict below). NaN is unordered: the only
-        // sound answer is the float fallback.
-        return None;
+pub fn first_may_dominate(sigs: &[u64], cand: u64, high: u64) -> usize {
+    // `& !m` clears the verdict of a poisoned member, whose spare bits are
+    // set; a valid member's are clear, so it leaves every other verdict be.
+    skip_while(sigs, |m| above(m, cand, high) & !m)
+}
+
+/// The mirror of [`first_may_dominate`] for eviction: offset in `sigs` of
+/// the first member signature the candidate `cand` *may* dominate — no
+/// field of `cand` coded strictly above the member's — or `sigs.len()`.
+/// A poisoned member is never passed over, and a poisoned candidate passes
+/// over nothing.
+#[inline]
+pub fn first_may_be_dominated(sigs: &[u64], cand: u64, high: u64) -> usize {
+    if cand & high != 0 {
+        return 0;
     }
-    if (a | b) & high != 0 {
-        return None; // malformed operand (spare bit set)
-    }
-    // Per-field borrow trick: the spare bit in the minuend guarantees the
-    // field-local subtraction never goes negative, so no borrow crosses a
-    // field boundary. The spare bit of the result is *clear* exactly when
-    // the minuend's field code was strictly smaller.
-    let lt = !((a | high).wrapping_sub(b)) & high;
-    let gt = !((b | high).wrapping_sub(a)) & high;
-    match (lt != 0, gt != 0) {
-        (true, true) => Some(DomRelation::Incomparable),
-        (true, false) if lt == high => Some(DomRelation::Dominates),
-        (false, true) if gt == high => Some(DomRelation::DominatedBy),
-        _ => None,
-    }
+    skip_while(sigs, |m| above(cand, m, high))
+}
+
+/// Proof that `a` dominates `b`: every field of `a` coded strictly below
+/// `b`'s, hence every value strictly below. `false` when ties leave it
+/// unproven, when either operand is poisoned, and when `high == 0`.
+#[inline]
+pub fn sig_strictly_below(a: u64, b: u64, high: u64) -> bool {
+    high != 0 && (a | b) & high == 0 && above(b, a, high) == high
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relate_in;
+    use crate::{relate_in, DomRelation};
 
     fn store(rows: &[&[Value]]) -> PointStore {
         let mut s = PointStore::new(rows[0].len());
@@ -226,11 +285,30 @@ mod tests {
     fn nan_points_poison_their_signature() {
         let mask = DimMask::from_dims([0, 1]);
         let q = SigQuantizer::from_bounds(mask, &[0.0, 0.0], &[1.0, 1.0]).unwrap();
+        let h = q.high_mask();
         assert_eq!(q.sig(&[0.5, Value::NAN]), SIG_POISON);
+        // A poisoned member is never passed over; a poisoned candidate
+        // passes over nothing — even past a member that is worse everywhere.
+        let worse = q.sig(&[0.9, 0.9]);
+        let better = q.sig(&[0.1, 0.1]);
         assert_eq!(
-            sig_relate(SIG_POISON, q.sig(&[0.5, 0.5]), q.high_mask()),
-            None
+            first_may_dominate(&[worse, SIG_POISON, worse], better, h),
+            1
         );
+        assert_eq!(first_may_be_dominated(&[better, SIG_POISON], worse, h), 1);
+        assert_eq!(first_may_dominate(&[worse], SIG_POISON, h), 0);
+        assert_eq!(first_may_be_dominated(&[better], SIG_POISON, h), 0);
+        for (a, b) in [
+            (SIG_POISON, worse),
+            (better, SIG_POISON),
+            (SIG_POISON, SIG_POISON),
+        ] {
+            assert!(!sig_strictly_below(a, b, h));
+            // Nor can a degenerate mask turn poison into a skip or a proof.
+            assert!(!sig_strictly_below(a, b, 0));
+            assert_eq!(first_may_dominate(&[a], b, 0), 0);
+            assert_eq!(first_may_be_dominated(&[a], b, 0), 0);
+        }
     }
 
     #[test]
@@ -243,37 +321,78 @@ mod tests {
     #[test]
     fn degenerate_ranges_are_sound_but_silent() {
         let mask = DimMask::from_dims([0, 1]);
-        // Collapsed and infinite ranges: every value codes 0, no verdicts.
+        // Collapsed and infinite ranges: every value codes 0, so nothing is
+        // passed over and nothing proven.
         let q =
             SigQuantizer::from_bounds(mask, &[2.0, Value::NEG_INFINITY], &[2.0, Value::INFINITY])
                 .unwrap();
+        let h = q.high_mask();
         let a = q.sig(&[1.0, 5.0]);
         let b = q.sig(&[3.0, -5.0]);
-        assert_eq!(sig_relate(a, b, q.high_mask()), None);
+        assert_eq!(first_may_dominate(&[a], b, h), 0);
+        assert_eq!(first_may_be_dominated(&[a], b, h), 0);
+        assert!(!sig_strictly_below(a, b, h) && !sig_strictly_below(b, a, h));
     }
 
     #[test]
-    fn sig_relate_verdicts_are_exact_on_the_lattice() {
+    fn one_strict_field_is_enough_to_skip() {
         let mask = DimMask::from_dims([0, 1, 2]);
         let q = SigQuantizer::from_bounds(mask, &[0.0; 3], &[1.0; 3]).unwrap();
         let h = q.high_mask();
-        let a = q.sig(&[0.1, 0.1, 0.1]);
-        let b = q.sig(&[0.9, 0.9, 0.9]);
-        let c = q.sig(&[0.1, 0.9, 0.1]);
-        let x = q.sig(&[0.9, 0.1, 0.9]);
-        assert_eq!(sig_relate(a, b, h), Some(DomRelation::Dominates));
-        assert_eq!(sig_relate(b, a, h), Some(DomRelation::DominatedBy));
-        assert_eq!(sig_relate(c, x, h), Some(DomRelation::Incomparable));
-        // Ties anywhere are ambiguous, including full equality — here `c`
-        // actually dominates `b` (equal in dim 1), but the tied field keeps
-        // the signature from proving it.
-        assert_eq!(sig_relate(a, a, h), None);
-        assert_eq!(sig_relate(b, c, h), None);
-        assert_eq!(sig_relate(a, c, h), None);
+        let cand = q.sig(&[0.5, 0.5, 0.5]);
+        // Worse in dimension 0 and tied elsewhere: it cannot dominate the
+        // candidate, though no two-sided verdict exists for the pair.
+        let worse_once = q.sig(&[0.9, 0.5, 0.5]);
+        assert_eq!(first_may_dominate(&[worse_once], cand, h), 1);
+        assert_eq!(first_may_be_dominated(&[worse_once], cand, h), 0);
+        // Better everywhere: proven, and never passed over.
+        let better = q.sig(&[0.1, 0.1, 0.1]);
+        assert!(sig_strictly_below(better, cand, h));
+        assert!(!sig_strictly_below(cand, better, h));
+        assert_eq!(first_may_dominate(&[better], cand, h), 0);
+        // Better or tied everywhere: it does dominate, but the tied field
+        // leaves that to the float test.
+        let tied = q.sig(&[0.1, 0.5, 0.1]);
+        assert_eq!(first_may_dominate(&[tied], cand, h), 0);
+        assert!(!sig_strictly_below(tied, cand, h));
+        // Equal signatures: neither skipped nor proven, either way.
+        assert_eq!(first_may_dominate(&[cand], cand, h), 0);
+        assert_eq!(first_may_be_dominated(&[cand], cand, h), 0);
+        assert!(!sig_strictly_below(cand, cand, h));
     }
 
     #[test]
-    fn store_quantizer_verdicts_agree_with_relate_in() {
+    fn skips_stop_on_the_first_stop_lane_across_chunks() {
+        let mask = DimMask::from_dims([0, 1]);
+        let q = SigQuantizer::from_bounds(mask, &[0.0; 2], &[1.0; 2]).unwrap();
+        let h = q.high_mask();
+        let cand = q.sig(&[0.5, 0.5]);
+        // `pass` is worse than the candidate in dimension 0 and better in 1:
+        // passed over by both skips. `stop` may dominate, `victim` may be
+        // dominated.
+        let pass = q.sig(&[0.9, 0.1]);
+        let stop = q.sig(&[0.1, 0.1]);
+        let victim = q.sig(&[0.9, 0.9]);
+        for n in [0, 1, 7, 8, 9, 16, 20] {
+            let mut sigs = vec![pass; n];
+            assert_eq!(first_may_dominate(&sigs, cand, h), n);
+            assert_eq!(first_may_be_dominated(&sigs, cand, h), n);
+            for p in 0..n {
+                sigs[p] = stop;
+                assert_eq!(first_may_dominate(&sigs, cand, h), p, "n {n}, stop at {p}");
+                sigs[p] = victim;
+                assert_eq!(
+                    first_may_be_dominated(&sigs, cand, h),
+                    p,
+                    "n {n}, stop at {p}"
+                );
+                sigs[p] = pass;
+            }
+        }
+    }
+
+    #[test]
+    fn store_quantizer_skips_and_proofs_agree_with_relate_in() {
         let mask = DimMask::from_dims([0, 1]);
         let rows: Vec<Vec<Value>> = vec![
             vec![0.1, 0.9],
@@ -287,28 +406,19 @@ mod tests {
         let s = store(&refs);
         let q = SigQuantizer::from_store(&s, mask).unwrap();
         let h = q.high_mask();
-        for i in 0..rows.len() {
-            for j in 0..rows.len() {
-                if let Some(v) = sig_relate(q.sig(&rows[i]), q.sig(&rows[j]), h) {
-                    assert_eq!(v, relate_in(&rows[i], &rows[j], mask), "pair ({i},{j})");
+        for a in &rows {
+            for b in &rows {
+                let (sa, sb) = (q.sig(a), q.sig(b));
+                let dominates = relate_in(a, b, mask) == DomRelation::Dominates;
+                if first_may_dominate(&[sa], sb, h) == 1
+                    || first_may_be_dominated(&[sb], sa, h) == 1
+                {
+                    assert!(!dominates, "{a:?} passed over, but it dominates {b:?}");
+                }
+                if sig_strictly_below(sa, sb, h) {
+                    assert!(dominates, "{a:?} proven, but it does not dominate {b:?}");
                 }
             }
         }
-    }
-
-    #[test]
-    fn poison_vs_poison_refuses_a_verdict() {
-        let mask = DimMask::from_dims([0, 1]);
-        let q = SigQuantizer::from_bounds(mask, &[0.0, 0.0], &[1.0, 1.0]).unwrap();
-        // Both operands NaN-poisoned: must be ambiguous, never a verdict.
-        assert_eq!(sig_relate(SIG_POISON, SIG_POISON, q.high_mask()), None);
-        assert_eq!(
-            sig_relate(q.sig(&[Value::NAN, 0.0]), SIG_POISON, q.high_mask()),
-            None
-        );
-        // Even a degenerate high mask cannot turn poison into a proof.
-        assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
-        assert_eq!(sig_relate(SIG_POISON, 0, 0), None);
-        assert_eq!(sig_relate(0, SIG_POISON, 0), None);
     }
 }

@@ -1,42 +1,42 @@
-//! Property-based tests of signature screening (DESIGN.md §17): the SWAR
-//! signature relation must be *sound* against the exact float dominance
-//! relation on arbitrary inputs, and the shared plan must be observationally
-//! identical — results, charged comparisons, virtual ticks — screened or
-//! not, however its input is cut into calls. (The single window's own
-//! suite is `property_skyline.rs`.)
+//! Property-based tests of signature screening (DESIGN.md §17): the block
+//! skips and the strict-below proof must be *sound* against the exact float
+//! dominance relation on arbitrary inputs, and the shared plan must be
+//! observationally identical — results, charged comparisons, virtual ticks
+//! — screened or not, however its input is cut into calls. (The single
+//! window's own suite is `property_skyline.rs`.)
 
 use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
 use caqe::operators::skyline_reference;
 use caqe::parallel::Threads;
-use caqe::types::sig::{sig_relate, SigQuantizer, SIG_POISON};
-use caqe::types::{relate_in, DimMask, PointStore, QueryId, SimClock, Stats, Value};
+use caqe::types::sig::{
+    first_may_be_dominated, first_may_dominate, sig_strictly_below, SigQuantizer, SIG_POISON,
+};
+use caqe::types::{relate_in, DimMask, DomRelation, PointStore, QueryId, SimClock, Stats, Value};
 use proptest::prelude::*;
 
 /// Lattice-valued rows at a fixed stride `d`: coarse values force ties and
-/// duplicates; `nan_mask` poisons dimension `k` of every row for each set
-/// bit `k` (uniform poison keeps dominance a strict partial order, which
-/// the scalar reference relies on).
-fn rows_strategy(d: usize) -> impl Strategy<Value = (Vec<Vec<f64>>, u32)> {
-    (
+/// duplicates, and about one value in eleven is NaN, scattered over rows
+/// and dimensions.
+fn rows_strategy(d: usize) -> impl Strategy<Value = Vec<Vec<f64>>> {
+    proptest::collection::vec(
         proptest::collection::vec(
-            proptest::collection::vec((0u8..10).prop_map(|v| v as f64 / 3.0), d..=d),
-            1..80,
+            (0u8..11).prop_map(|v| {
+                if v == 10 {
+                    Value::NAN
+                } else {
+                    f64::from(v) / 3.0
+                }
+            }),
+            d..=d,
         ),
-        0u32..(1 << d.min(3)),
+        1..80,
     )
 }
 
-fn store_of(rows: &[Vec<f64>], nan_mask: u32, d: usize) -> PointStore {
-    let mut store = PointStore::new(d);
-    let mut row = vec![0.0; d];
+fn store_of(rows: &[Vec<f64>]) -> PointStore {
+    let mut store = PointStore::new(rows[0].len());
     for r in rows {
-        row.copy_from_slice(r);
-        for (k, v) in row.iter_mut().enumerate() {
-            if nan_mask & (1 << k) != 0 {
-                *v = Value::NAN;
-            }
-        }
-        store.push(&row);
+        store.push(r);
     }
     store
 }
@@ -47,30 +47,90 @@ fn mask_for(d: usize, bits: u32) -> DimMask {
     DimMask(m)
 }
 
+/// The subspace `bits` picks, its quantizer over `rows` and every row's
+/// signature; `None` when the subspace has no finite value to quantize.
+fn quantized(rows: &[Vec<f64>], bits: u32) -> Option<(DimMask, SigQuantizer, Vec<u64>)> {
+    let mask = mask_for(rows[0].len(), bits);
+    let quant = SigQuantizer::from_store(&store_of(rows), mask)?;
+    let sigs = rows.iter().map(|r| quant.sig(r)).collect();
+    Some((mask, quant, sigs))
+}
+
+/// Every member a skip passes over, as the window's scans call it: skip
+/// from the start, step past the member it stops on, skip again.
+fn passed_over(sigs: &[u64], skip: impl Fn(&[u64]) -> usize) -> Vec<usize> {
+    let mut passed = Vec::new();
+    let mut k = 0;
+    while k < sigs.len() {
+        let n = skip(&sigs[k..]);
+        passed.extend(k..k + n);
+        k += n + 1;
+    }
+    passed
+}
+
 proptest! {
-    /// Soundness: whenever `sig_relate` returns a proven verdict for a pair
-    /// of quantized signatures, the exact float relation agrees — on every
-    /// stride 2..=8, with ties, duplicates and NaN-poisoned dimensions.
+    /// No member the dominator skip passes over dominates the candidate
+    /// under `relate_in` — on every stride 2..=8, with ties, duplicates and
+    /// scattered NaN, from every offset a scan can resume at.
     #[test]
-    fn sig_relate_is_sound_against_relate_in(
-        (rows, nan_mask) in (2usize..=8).prop_flat_map(rows_strategy),
+    fn dominator_skip_passes_no_dominator(
+        rows in (2usize..=8).prop_flat_map(rows_strategy),
         bits in 1u32..256,
     ) {
-        let d = rows[0].len();
-        let store = store_of(&rows, nan_mask, d);
-        let mask = mask_for(d, bits);
-        let Some(quant) = SigQuantizer::from_store(&store, mask) else {
-            return Ok(()); // unquantizable subspace: nothing to prove
+        let Some((mask, quant, sigs)) = quantized(&rows, bits) else {
+            return Ok(()); // nothing finite to quantize
         };
         let h = quant.high_mask();
-        let sigs: Vec<u64> = (0..store.len()).map(|i| quant.sig(store.at(i))).collect();
-        for i in 0..store.len() {
-            for j in 0..store.len() {
-                if let Some(v) = sig_relate(sigs[i], sigs[j], h) {
+        for (c, cand) in rows.iter().enumerate() {
+            for m in passed_over(&sigs, |s| first_may_dominate(s, sigs[c], h)) {
+                prop_assert!(
+                    relate_in(&rows[m], cand, mask) != DomRelation::Dominates,
+                    "member {} passed over, but it dominates candidate {} over {}",
+                    m, c, mask
+                );
+            }
+        }
+    }
+
+    /// No member the victim skip passes over is dominated by the candidate.
+    #[test]
+    fn victim_skip_passes_no_victim(
+        rows in (2usize..=8).prop_flat_map(rows_strategy),
+        bits in 1u32..256,
+    ) {
+        let Some((mask, quant, sigs)) = quantized(&rows, bits) else {
+            return Ok(());
+        };
+        let h = quant.high_mask();
+        for (c, cand) in rows.iter().enumerate() {
+            for m in passed_over(&sigs, |s| first_may_be_dominated(s, sigs[c], h)) {
+                prop_assert!(
+                    relate_in(cand, &rows[m], mask) != DomRelation::Dominates,
+                    "member {} passed over, but candidate {} dominates it over {}",
+                    m, c, mask
+                );
+            }
+        }
+    }
+
+    /// The strict-below proof implies `Dominates`.
+    #[test]
+    fn strict_below_proof_implies_dominates(
+        rows in (2usize..=8).prop_flat_map(rows_strategy),
+        bits in 1u32..256,
+    ) {
+        let Some((mask, quant, sigs)) = quantized(&rows, bits) else {
+            return Ok(());
+        };
+        let h = quant.high_mask();
+        for (i, a) in rows.iter().enumerate() {
+            for (j, b) in rows.iter().enumerate() {
+                if sig_strictly_below(sigs[i], sigs[j], h) {
                     prop_assert_eq!(
-                        v,
-                        relate_in(store.at(i), store.at(j), mask),
-                        "proven verdict wrong for pair ({}, {}) over {}",
+                        relate_in(a, b, mask),
+                        DomRelation::Dominates,
+                        "pair ({}, {}) proven over {}",
                         i, j, mask
                     );
                 }
@@ -78,43 +138,45 @@ proptest! {
         }
     }
 
-    /// NaN on *both* sides: two poisoned points have no provable relation
-    /// in either direction — `sig_relate` must refuse a verdict for
-    /// poison-vs-poison (and poison-vs-clean) under every quantizer, and
-    /// under the degenerate `high_mask = 0` no caller should ever pass.
+    /// A poisoned signature, on either side, is never skipped and never
+    /// proven: not as a member, not as the candidate, and not under the
+    /// degenerate `high_mask = 0` no caller should ever pass.
     #[test]
-    fn poison_vs_poison_refuses_a_verdict(
-        (rows, _) in (2usize..=8).prop_flat_map(rows_strategy),
+    fn poison_is_never_skipped_nor_proven(
+        rows in (2usize..=8).prop_flat_map(rows_strategy),
         bits in 1u32..256,
-        (i_pick, j_pick) in (0usize..80, 0usize..80),
+        (pick, at) in (0usize..80, 0usize..80),
     ) {
-        let d = rows[0].len();
-        let clean = store_of(&rows, 0, d);
-        let mask = mask_for(d, bits);
-        let Some(quant) = SigQuantizer::from_store(&clean, mask) else {
+        let clean: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|r| r.iter().map(|v| if v.is_nan() { 0.0 } else { *v }).collect())
+            .collect();
+        let Some((mask, quant, mut sigs)) = quantized(&clean, bits) else {
             return Ok(());
         };
         let h = quant.high_mask();
-        // Poison one masked dimension of two arbitrary rows: their
-        // signatures both collapse to SIG_POISON.
-        let k = (0..d).find(|k| mask.contains(*k)).expect("non-empty mask");
-        let (i, j) = (i_pick % rows.len(), j_pick % rows.len());
-        let mut a_point = rows[i].clone();
-        let mut b_point = rows[j].clone();
-        a_point[k] = Value::NAN;
-        b_point[k] = Value::NAN;
-        let a = quant.sig(&a_point);
-        let b = quant.sig(&b_point);
-        prop_assert_eq!(a, SIG_POISON);
-        prop_assert_eq!(b, SIG_POISON);
-        prop_assert_eq!(sig_relate(a, b, h), None, "poison vs poison proved a verdict");
-        // Poison against a clean signature, both directions.
-        let c = quant.sig(&rows[j]);
-        prop_assert_eq!(sig_relate(a, c, h), None, "poison vs clean proved a verdict");
-        prop_assert_eq!(sig_relate(c, b, h), None, "clean vs poison proved a verdict");
-        // Hardened path: even a (hypothetical) caller passing high = 0
-        // must not extract a verdict from two poison values.
-        prop_assert_eq!(sig_relate(SIG_POISON, SIG_POISON, 0), None);
+        // NaN in one masked dimension collapses a signature to SIG_POISON.
+        let k = mask.iter().next().expect("non-empty mask");
+        let mut nan_point = clean[pick % clean.len()].clone();
+        nan_point[k] = Value::NAN;
+        prop_assert_eq!(quant.sig(&nan_point), SIG_POISON);
+
+        let at = at % (sigs.len() + 1);
+        sigs.insert(at, SIG_POISON);
+        for &c in sigs.iter().filter(|&&s| s != SIG_POISON) {
+            prop_assert!(first_may_dominate(&sigs, c, h) <= at, "poisoned member passed over");
+            prop_assert!(first_may_be_dominated(&sigs, c, h) <= at, "poisoned member passed over");
+            for (a, b) in [(c, SIG_POISON), (SIG_POISON, c)] {
+                prop_assert!(!sig_strictly_below(a, b, h), "poison proven");
+                prop_assert!(!sig_strictly_below(a, b, 0), "poison proven under high = 0");
+            }
+        }
+        prop_assert_eq!(first_may_dominate(&sigs, SIG_POISON, h), 0, "poisoned candidate skipped");
+        prop_assert_eq!(first_may_be_dominated(&sigs, SIG_POISON, h), 0, "poisoned candidate skipped");
+        prop_assert!(!sig_strictly_below(SIG_POISON, SIG_POISON, h));
+        prop_assert!(!sig_strictly_below(SIG_POISON, SIG_POISON, 0));
+        prop_assert_eq!(first_may_dominate(&sigs, SIG_POISON, 0), 0);
+        prop_assert_eq!(first_may_be_dominated(&sigs, SIG_POISON, 0), 0);
     }
 
     /// The shared plan's signature screens are observationally invisible,

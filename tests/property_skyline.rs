@@ -457,8 +457,73 @@ fn plant_front_screen_cases(rows: &mut [Vec<f64>]) {
     rows[n - 5] = vec![inf, -inf, 1.0, 1.0];
 }
 
+/// 100–400 anticorrelated rows at a stride of 2–6: each row spreads a
+/// budget of 60 over its dimensions, rounded to integers (ties and
+/// duplicates stay common), so a full-space window holds dozens to hundreds
+/// of members — many 8-lane signature chunks. A handful of scattered values
+/// are NaN; screened ≡ unscreened needs no transitivity.
+fn anticorrelated_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
+    (2usize..=6).prop_flat_map(|d| {
+        (
+            proptest::collection::vec(proptest::collection::vec(1u16..100, d..=d), 100..400),
+            proptest::collection::vec((0usize..400, 0..d), 0..6),
+        )
+            .prop_map(|(weights, nans)| {
+                let mut rows: Vec<Vec<f64>> = weights
+                    .iter()
+                    .map(|w| {
+                        let total: f64 = w.iter().map(|&x| f64::from(x)).sum();
+                        w.iter()
+                            .map(|&x| (f64::from(x) * 60.0 / total).round())
+                            .collect()
+                    })
+                    .collect();
+                let n = rows.len();
+                for (r, k) in nans {
+                    rows[r % n][k] = f64::NAN;
+                }
+                rows
+            })
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Screened ≡ unscreened on windows long enough that reject prefixes
+    /// and evict suffixes span several 8-lane chunks: per-step outcomes
+    /// (`removed` order included), member order, ticks and
+    /// `Stats::observable`. Halfway through, a planted row dominates every
+    /// member that is at least a third of the budget's share in each
+    /// dimension, so one insert evicts a scattered part of a long window
+    /// and compacts the survivors across chunk boundaries.
+    #[test]
+    fn large_screened_windows_match_unscreened(
+        rows in anticorrelated_rows(),
+        full in any::<bool>(),
+        bits in 0u32..64,
+    ) {
+        let d = rows[0].len();
+        let mask = if full { DimMask::full(d) } else { mask_for(d, bits) };
+        let mut rows = rows;
+        let n = rows.len();
+        rows[n / 2] = vec![(20.0 / d as f64).floor(); d];
+        let mut store = PointStore::new(d);
+        for p in &rows {
+            store.push(p);
+        }
+        let quant = SigQuantizer::from_store(&store, mask).expect("a non-empty store of ≤ 6 dims");
+        let mut plain = IncrementalSkyline::new(mask);
+        let mut screened = IncrementalSkyline::screened(mask, quant);
+        let (outcomes, c1, s1) = stream(&mut plain, &rows);
+        let (screened_outcomes, c2, s2) = stream(&mut screened, &rows);
+        for (i, (a, b)) in outcomes.iter().zip(&screened_outcomes).enumerate() {
+            prop_assert_eq!(a, b, "step {} over {}", i, mask);
+        }
+        prop_assert_eq!(plain.tags().collect::<Vec<_>>(), screened.tags().collect::<Vec<_>>());
+        prop_assert_eq!(c1.ticks(), c2.ticks());
+        prop_assert_eq!(s1.observable(), s2.observable());
+    }
 
     /// `insert_batch` — the front screen settling up to 64 candidates per
     /// pass — is one-at-a-time `SkylineWindow::insert` in everything
