@@ -104,7 +104,48 @@ fn bench_incremental_kernels(c: &mut Criterion) {
             });
         }
     }
+    bench_screened_rejects(&mut group);
     group.finish();
+}
+
+/// The regime `anti_tuple`'s windows live in: a 5-dim screened window of
+/// ~700 anticorrelated members meets a stream of candidates that are all
+/// rejected, three in four by one of its first eight members and the rest
+/// by a member anywhere in it. Every candidate is rejected, so the window
+/// never changes and is filled once, outside the timed loop.
+fn bench_screened_rejects(group: &mut criterion::BenchmarkGroup<'_>) {
+    let (d, mask) = (5, DimMask::full(5));
+    // 1 000 points leave 713 members in the full-space window.
+    let pts = points(1000, d, Distribution::Anticorrelated);
+    #[allow(clippy::expect_used)]
+    let quant = SigQuantizer::from_store(&intern(&pts, d), mask).expect("5 dims fit a signature");
+    let mut sky = IncrementalSkyline::screened(mask, quant);
+    let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+    for (i, p) in pts.iter().enumerate() {
+        sky.insert(i as u64, p, &mut clock, &mut stats);
+    }
+    let members: Vec<&[f64]> = sky.entries().map(|(_, p)| p).collect();
+    // Each candidate is its dominator plus a small positive step per dimension.
+    let candidates: Vec<Vec<f64>> = (0..2000)
+        .map(|i| {
+            let k = if i % 4 == 3 {
+                (i * 37) % members.len()
+            } else {
+                (i * 5) % 8
+            };
+            let step = 1e-3 * (1 + i % 7) as f64;
+            members[k].iter().map(|v| v + step).collect()
+        })
+        .collect();
+    group.bench_function("screened_reject_stream_5d", |b| {
+        b.iter(|| {
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            for p in &candidates {
+                black_box(sky.insert(u64::MAX, p, &mut clock, &mut stats));
+            }
+            stats.dom_comparisons
+        })
+    });
 }
 
 fn bench_join_kernels(c: &mut Criterion) {

@@ -193,23 +193,24 @@ impl SkylineWindow {
             }
             None => (0, 0), // never read: every use is behind `screened`
         };
-        let pos = self.entries.partition_point(|e| e.score < score);
         let len = self.entries.len();
-        let mut comps = 0u64;
 
         // Reject scan: a dominator's score is never larger, so it sits in
-        // the `score ≤` prefix. Each pass skips the members whose signature
-        // rules them out (none while unscreened) and decides the one it
-        // stops on by proof or by the float kernel. Every member up to the
-        // first dominator counts as examined, skipped or not.
+        // the `score ≤` prefix, and the scan runs from the front with no
+        // bound computed first. Each pass skips the members whose signature
+        // rules them out (none while unscreened); the member it stops on
+        // ends the scan if its score is above the candidate's (the prefix
+        // is behind it — and a NaN-scored member filed as `+inf` never
+        // meets the float kernel out of its place), else is decided by
+        // proof or by the float kernel. Every member up to the first
+        // dominator counts as examined, skipped or not.
         if !known_survivor {
-            let prefix = self.entries.partition_point(|e| e.score <= score);
             let mut k = 0;
             loop {
                 if screened {
-                    k += first_may_dominate(&self.sigs[k..prefix], csig, high);
+                    k += first_may_dominate(&self.sigs[k..], csig, high);
                 }
-                if k == prefix {
+                if k == len || self.entries[k].score > score {
                     break;
                 }
                 if (screened && sig_strictly_below(self.sigs[k], csig, high))
@@ -220,8 +221,21 @@ impl SkylineWindow {
                 }
                 k += 1;
             }
-            comps += prefix as u64;
         }
+
+        // Only an admission needs its place: the first member not below
+        // the candidate's score. A miss is charged the whole `score ≤`
+        // prefix, which is that place plus the run of ties behind it.
+        let pos = self.entries.partition_point(|e| e.score < score);
+        let comps = if known_survivor {
+            0
+        } else {
+            let ties = self.entries[pos..]
+                .iter()
+                .take_while(|e| e.score == score)
+                .count();
+            (pos + ties) as u64
+        };
 
         // Evict sweep: a victim's score is never smaller, so it sits in the
         // `score ≥` suffix, all of which is examined. Survivors are
@@ -472,6 +486,83 @@ mod tests {
             let front = [bad, 0.0];
             win.insert(0, &front, PointId(0), false, |_| &[], &mut Stats::new());
             assert_eq!(win.front_dominated(&[5.0, 5.0], 2, 0, 1, |_| &front), 0);
+        }
+    }
+
+    /// The window over `mask` of `points`, plain and screened (bounds
+    /// `[0, 12]` per dimension), each with `points` already streamed in.
+    fn both_windows(mask: DimMask, points: &[Vec<Value>]) -> [IncrementalSkyline; 2] {
+        let stride = points[0].len();
+        let quant = SigQuantizer::from_bounds(mask, &vec![0.0; stride], &vec![12.0; stride])
+            .expect("a quantizable subspace");
+        let mut windows = [
+            IncrementalSkyline::new(mask),
+            IncrementalSkyline::screened(mask, quant),
+        ];
+        for sky in &mut windows {
+            stream(sky, points);
+        }
+        windows
+    }
+
+    /// `(outcome, comparisons charged)` of inserting `point` under `tag`.
+    fn charged(sky: &mut IncrementalSkyline, tag: u64, point: &[Value]) -> (InsertOutcome, u64) {
+        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+        let out = sky.insert(tag, point, &mut clock, &mut stats);
+        assert_eq!(clock.ticks(), stats.dom_comparisons);
+        (out, stats.dom_comparisons)
+    }
+
+    #[test]
+    fn the_reject_scan_stops_at_a_score_above_the_candidates() {
+        // [NaN, 0] scores NaN and is filed as +inf, behind every finite
+        // score; the float test alone would call it a dominator of [5, 5].
+        // The scan stops on it because its score is above 10, so [5, 5] is
+        // admitted, charged its empty prefix plus the one-member suffix.
+        for mut sky in both_windows(DimMask::full(2), &[vec![Value::NAN, 0.0]]) {
+            let screened = sky.window.is_screened();
+            let (out, comps) = charged(&mut sky, 1, &[5.0, 5.0]);
+            assert_eq!(
+                out,
+                InsertOutcome::Added { removed: vec![] },
+                "screened: {screened}"
+            );
+            assert_eq!(comps, 1, "screened: {screened}");
+            assert_eq!(sky.tags().collect::<Vec<_>>(), vec![1, 0]);
+        }
+    }
+
+    #[test]
+    fn a_miss_is_charged_its_place_its_ties_and_the_suffix() {
+        // Pairwise incomparable; scores 9, 9.5, 10, 10, 10, 11 (ties go in
+        // front, so the window reads tags 0, 1, 4, 3, 2, 5).
+        let members = [
+            vec![0.0, 9.0],
+            vec![9.0, 0.5],
+            vec![2.0, 8.0],
+            vec![3.0, 7.0],
+            vec![8.0, 2.0],
+            vec![11.0, 0.0],
+        ];
+        for mut sky in both_windows(DimMask::full(2), &members) {
+            let screened = sky.window.is_screened();
+            assert_eq!(sky.len(), 6);
+            // [5, 5] scores 10: two members below it, three tied after them.
+            // Prefix 2 + 3, suffix 6 - 2; it goes in front of its ties.
+            let (out, comps) = charged(&mut sky, 6, &[5.0, 5.0]);
+            assert_eq!(
+                out,
+                InsertOutcome::Added { removed: vec![] },
+                "screened: {screened}"
+            );
+            assert_eq!(comps, 2 + 3 + 4, "screened: {screened}");
+            assert_eq!(sky.tags().collect::<Vec<_>>(), vec![0, 1, 6, 4, 3, 2, 5]);
+            // A hit is charged up to its dominator: [1, 9] is dominated by
+            // member 0 only ([0, 9]).
+            assert_eq!(
+                charged(&mut sky, 7, &[1.0, 9.0]),
+                (InsertOutcome::Dominated, 1)
+            );
         }
     }
 

@@ -487,8 +487,90 @@ fn anticorrelated_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
     })
 }
 
+/// The window by its definition, one member at a time and nothing else: no
+/// signatures, no skips, no binary search. Members ascend by score (a NaN
+/// score filed as `+inf`), a newcomer goes in front of its ties; the reject
+/// scan walks the `score ≤` prefix and is charged up to its first dominator
+/// or the whole prefix, and the sweep is charged the whole `score ≥` suffix.
+struct MemberAtATime {
+    mask: DimMask,
+    /// `(score, tag, point)`.
+    members: Vec<(f64, u64, Vec<f64>)>,
+}
+
+impl MemberAtATime {
+    /// The outcome of inserting `point` and the comparisons it is charged.
+    fn insert(&mut self, tag: u64, point: &[f64]) -> (InsertOutcome, u64) {
+        let score = match self.mask.iter().map(|k| point[k]).sum::<f64>() {
+            s if s.is_nan() => f64::INFINITY,
+            s => s,
+        };
+        let prefix = self.members.iter().take_while(|m| m.0 <= score).count();
+        for (k, m) in self.members[..prefix].iter().enumerate() {
+            if dominates_in(&m.2, point, self.mask) {
+                return (InsertOutcome::Dominated, k as u64 + 1);
+            }
+        }
+        let pos = self.members.iter().take_while(|m| m.0 < score).count();
+        let suffix = self.members.split_off(pos);
+        let charge = (prefix + suffix.len()) as u64;
+        let mut removed = Vec::new();
+        for m in suffix {
+            if dominates_in(point, &m.2, self.mask) {
+                removed.push(m.1);
+            } else {
+                self.members.push(m);
+            }
+        }
+        self.members.insert(pos, (score, tag, point.to_vec()));
+        (InsertOutcome::Added { removed }, charge)
+    }
+
+    fn tags(&self) -> Vec<u64> {
+        self.members.iter().map(|m| m.1).collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `SkylineWindow::insert`, plain and screened, against the
+    /// member-at-a-time definition: per step the outcome (`removed` order
+    /// included), the comparisons charged and the member order. Screened ≡
+    /// unscreened cannot catch a bound both share; this can. The first row
+    /// is all zeros but NaN in the mask's first dimension: its score files it
+    /// at the tail, and the float test alone would call it a dominator of
+    /// nearly every later row.
+    #[test]
+    fn window_charges_match_a_member_at_a_time_reference(
+        rows in anticorrelated_rows(),
+        full in any::<bool>(),
+        bits in 0u32..64,
+    ) {
+        let d = rows[0].len();
+        let mask = if full { DimMask::full(d) } else { mask_for(d, bits) };
+        let mut rows = rows;
+        rows[0] = vec![0.0; d];
+        rows[0][mask.iter().next().expect("a non-empty mask")] = f64::NAN;
+        let mut store = PointStore::new(d);
+        for p in &rows {
+            store.push(p);
+        }
+        let quant = SigQuantizer::from_store(&store, mask).expect("a non-empty store of ≤ 6 dims");
+        for mut sky in [IncrementalSkyline::new(mask), IncrementalSkyline::screened(mask, quant)] {
+            let mut reference = MemberAtATime { mask, members: Vec::new() };
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            for (i, p) in rows.iter().enumerate() {
+                let before = stats.dom_comparisons;
+                let got = sky.insert(i as u64, p, &mut clock, &mut stats);
+                let (want, charge) = reference.insert(i as u64, p);
+                prop_assert_eq!(&got, &want, "step {} over {}", i, mask);
+                prop_assert_eq!(stats.dom_comparisons - before, charge, "step {} over {}", i, mask);
+                prop_assert_eq!(sky.tags().collect::<Vec<_>>(), reference.tags(), "step {}", i);
+            }
+            prop_assert_eq!(clock.ticks(), stats.dom_comparisons);
+        }
+    }
 
     /// Screened ≡ unscreened on windows long enough that reject prefixes
     /// and evict suffixes span several 8-lane chunks: per-step outcomes
