@@ -5,10 +5,10 @@
 use caqe_contract::QueryScore;
 use caqe_core::{prepare_inputs, ExecConfig, QueryOutcome, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::{hash_join_project_store, JoinSpec};
+use caqe_operators::{hash_join_project_store, JoinSpec, MappingSet};
 use caqe_regions::buchta_estimate;
 use caqe_trace::{TraceEvent, TraceSink};
-use caqe_types::{DomKernel, EngineError, PointStore, SimClock, Stats};
+use caqe_types::{DomKernel, EngineError, PointStore, Rect, SigQuantizer, SimClock, Stats, Value};
 use std::time::Instant;
 
 /// Reports one skyline result, by join-output index, the moment the
@@ -17,9 +17,32 @@ pub(crate) type Report<'a> = dyn FnMut(usize, &mut SimClock, &mut Stats) + 'a;
 
 /// One query's skyline over its join output: computes it under the
 /// kernel's subspace, charging its own work, and calls the report hook on
-/// every result in the order the baseline emits them.
+/// every result in the order the baseline emits them. The quantizer, when
+/// there is one, is built for that subspace over a box holding every join
+/// result ([`join_envelope`]); a step may screen with it or ignore it.
 pub(crate) type SkylineStep =
-    fn(&PointStore, &DomKernel, &mut SimClock, &mut Stats, &mut Report<'_>);
+    fn(&PointStore, &DomKernel, Option<&SigQuantizer>, &mut SimClock, &mut Stats, &mut Report<'_>);
+
+/// The `(lo, hi)` corners of the box `mapping` sends the base tables'
+/// bounding boxes `r_box` × `t_box` to, or `None` for an empty table.
+/// Mappings have non-negative weights, so the box holds every join result:
+/// an O(|R| + |T|) envelope for signature screening (DESIGN.md §17),
+/// never a pass over the join. A corner may be NaN (`inf` meeting `-inf`),
+/// which `SigQuantizer::from_bounds` refuses.
+pub(crate) fn join_envelope(
+    r_box: Option<&Rect>,
+    t_box: Option<&Rect>,
+    mapping: &MappingSet,
+) -> Option<(Vec<Value>, Vec<Value>)> {
+    let (r_box, t_box) = (r_box?, t_box?);
+    Some(
+        mapping
+            .fns()
+            .iter()
+            .map(|f| f.apply_bounds(r_box, t_box))
+            .unzip(),
+    )
+}
 
 /// Runs `workload` one query at a time with no sharing: per query the
 /// whole join lands in a flat point store, `step` computes its skyline,
@@ -53,6 +76,7 @@ pub(crate) fn run_per_query<S: TraceSink>(
     stats.ingest_clamped += prep.clamped();
     let r = prep.r_table(r);
     let t = prep.t_table(t);
+    let (r_box, t_box) = (r.value_bounds(), t.value_bounds());
 
     for qid in workload.by_priority() {
         let spec = workload.query(qid);
@@ -89,7 +113,16 @@ pub(crate) fn run_per_query<S: TraceSink>(
                 });
             }
         };
-        step(&join.store, &kernel, &mut clock, &mut stats, &mut report);
+        let quant = join_envelope(r_box.as_ref(), t_box.as_ref(), &spec.mapping)
+            .and_then(|(lo, hi)| SigQuantizer::from_bounds(spec.pref, &lo, &hi));
+        step(
+            &join.store,
+            &kernel,
+            quant.as_ref(),
+            &mut clock,
+            &mut stats,
+            &mut report,
+        );
         per_query[qid.index()] = Some(QueryOutcome {
             query: qid,
             emissions,

@@ -5,7 +5,7 @@ use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::Table;
 use caqe_operators::skyline_sfs_store_each;
 use caqe_trace::{NoopSink, RecordingSink};
-use caqe_types::{DomKernel, EngineError, PointStore, SimClock, Stats};
+use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Stats};
 
 /// Skyline-Sort-Merge-Join: per query (priority order), materialize the
 /// join, sort it by the monotone sum over the preference dimensions, and
@@ -15,10 +15,12 @@ use caqe_types::{DomKernel, EngineError, PointStore, SimClock, Stats};
 #[derive(Debug, Clone, Default)]
 pub struct SsmjStrategy;
 
-/// Presorted SFS with immediate emission of every survivor.
+/// Presorted SFS with immediate emission of every survivor. The SFS filter
+/// has no signature skip yet, so the driver's quantizer goes unused.
 fn presorted_sfs(
     store: &PointStore,
     kernel: &DomKernel,
+    _quant: Option<&SigQuantizer>,
     clock: &mut SimClock,
     stats: &mut Stats,
     report: &mut Report<'_>,

@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the live dominance, skyline and join
-//! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12) and
-//! the incremental skyline window with and without its signature screen
-//! (DESIGN.md §15, §17). Results and charges are asserted equal elsewhere
-//! (`tests/property_kernels.rs`, `tests/property_skyline.rs`); CI runs this
-//! suite in quick mode as a smoke test.
+//! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12), and
+//! BNL and the incremental skyline window with and without their signature
+//! screens (DESIGN.md §15, §17). Results and charges are asserted equal
+//! elsewhere (`tests/property_kernels.rs`, `tests/property_skyline.rs`); CI
+//! runs this suite in quick mode as a smoke test.
 
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
@@ -46,7 +46,9 @@ fn bench_skyline_kernels(c: &mut Criterion) {
                 b.iter(|| {
                     let mut clock = SimClock::default();
                     let mut stats = Stats::new();
-                    black_box(skyline_bnl_store(store, &kernel, &mut clock, &mut stats))
+                    black_box(skyline_bnl_store(
+                        store, &kernel, None, &mut clock, &mut stats,
+                    ))
                 })
             },
         );
@@ -61,6 +63,25 @@ fn bench_skyline_kernels(c: &mut Criterion) {
                 })
             },
         );
+    }
+    // JFSL's regime: a 5-dim full-space BNL over anticorrelated points,
+    // whose window grows to ~1 200 members, with and without the signature
+    // skip in its walk (DESIGN.md §17).
+    let (d, mask) = (5, DimMask::full(5));
+    let store = intern(&points(2000, d, Distribution::Anticorrelated), d);
+    let kernel = DomKernel::new(mask, d);
+    #[allow(clippy::expect_used)]
+    let quant = SigQuantizer::from_store(&store, mask).expect("5 dims fit a signature");
+    for (arm, screen) in [("unscreened", None), ("screened", Some(&quant))] {
+        group.bench_function(BenchmarkId::new("flat_bnl_5d", arm), |b| {
+            b.iter(|| {
+                let mut clock = SimClock::default();
+                let mut stats = Stats::new();
+                black_box(skyline_bnl_store(
+                    &store, &kernel, screen, &mut clock, &mut stats,
+                ))
+            })
+        });
     }
     group.finish();
 }

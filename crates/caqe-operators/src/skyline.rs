@@ -22,6 +22,7 @@
 //! Both layouts perform the *same comparisons in the same order*, so stats,
 //! ticks and traces are identical whichever entry point is used.
 
+use caqe_types::sig::{first_may_relate, SigQuantizer};
 use caqe_types::{
     relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, SimClock, Stats, Value,
 };
@@ -75,15 +76,22 @@ pub fn skyline_reference(points: &[Vec<Value>], mask: DimMask) -> Vec<usize> {
 ///
 /// Unresolved lanes walk a *packed* copy of the window (subspace values
 /// gathered on admission, so the walk touches a few dense cache lines
-/// instead of scattered store rows). The walk is the only place the window
-/// mutates; an eviction of `window[0]` (`swap_remove(0)`) invalidates the
-/// precomputed screen, so the rest of that chunk is walked too. The bulk
-/// screen is uncharged physical work, like the SFS presort.
+/// instead of scattered store rows). With a signature quantizer `quant`
+/// (DESIGN.md §17), built for the kernel's subspace, the walk also keeps
+/// one signature per member and skips, eight per step, the members whose
+/// signatures prove them incomparable with the candidate
+/// ([`first_may_relate`]). The walk would have stepped past each of them,
+/// so the window evolves the same way, and each is still one charged
+/// comparison. The walk is the only place the window mutates; an eviction
+/// of `window[0]` (`swap_remove(0)`) invalidates the precomputed screen, so
+/// the rest of that chunk is walked too. The bulk screen and the
+/// signatures are uncharged physical work, like the SFS presort.
 ///
 /// Returns indices of skyline points in ascending input order.
 pub fn skyline_bnl_store(
     points: &PointStore,
     kernel: &DomKernel,
+    quant: Option<&SigQuantizer>,
     clock: &mut SimClock,
     stats: &mut Stats,
 ) -> Vec<usize> {
@@ -94,13 +102,20 @@ pub fn skyline_bnl_store(
     let d = kernel.len();
     let stride = points.stride();
     let flat = points.as_flat();
+    // Unscreened, every signature is 0 and `high` is 0, so no skip passes
+    // anything and the walk decides every member it reaches.
+    let high = quant.map_or(0, SigQuantizer::high_mask);
+    let sig = |p: &[Value]| quant.map_or(0, |q| q.sig(p));
     let mut window: Vec<usize> = Vec::new();
-    // Window members' subspace values, `d` per member, in window order.
+    // Window members' subspace values, `d` per member, and their
+    // signatures, in window order.
     let mut wvals: Vec<Value> = Vec::new();
+    let mut wsigs: Vec<u64> = Vec::new();
     let mut probe: Vec<Value> = Vec::with_capacity(d);
     // The first point is admitted against an empty window, uncompared.
     window.push(0);
     kernel.pack_append(points.at(0), &mut wvals);
+    wsigs.push(sig(points.at(0)));
     let mut i = 1;
     while i < n {
         let count = (n - i).min(64);
@@ -115,19 +130,25 @@ pub fn skyline_bnl_store(
         // one-comparison reject, bulk-charged below. Only the unresolved
         // lanes are walked, in ascending order (bit iteration).
         let mut rejects = bv.dominated_members() & all;
-        let mut fast = u64::from(rejects.count_ones());
+        // Charged comparisons of this chunk: the screen's rejects plus
+        // every member the walk examined, skipped or decided.
+        let mut cmps = u64::from(rejects.count_ones());
         let mut todo = all & !rejects;
         while todo != 0 {
             let j = todo.trailing_zeros() as usize;
             todo &= todo - 1;
             let p = points.at(i + j);
             kernel.pack_into(p, &mut probe);
+            let csig = sig(p);
+            let len = window.len();
             let mut k = 0;
             let mut dominated = false;
             let mut m0_evicted = false;
-            while k < window.len() {
-                clock.charge_dom_cmps(1);
-                stats.dom_comparisons += 1;
+            loop {
+                k += first_may_relate(&wsigs[k..], csig, high);
+                if k == window.len() {
+                    break;
+                }
                 // Packed rows hold exactly the kernel's subspace values in
                 // ascending dimension order, so full-slice `relate` returns
                 // the verdict `kernel.relate` gives on the original rows.
@@ -142,27 +163,32 @@ pub fn skyline_bnl_store(
                         }
                         window.swap_remove(k);
                         swap_remove_row(&mut wvals, k, d);
+                        wsigs.swap_remove(k);
                     }
                     // Definition 1: equal points do not dominate — keep both.
                     DomRelation::Equal | DomRelation::Incomparable => k += 1,
                 }
             }
+            // One comparison per member examined: the `k` stepped past, the
+            // victims evicted (`len - window.len()`) and the dominator.
+            cmps += (k + len - window.len() + usize::from(dominated)) as u64;
             if !dominated {
                 window.push(i + j);
                 kernel.pack_append(p, &mut wvals);
+                wsigs.push(csig);
             }
             if m0_evicted {
                 // `window[0]` changed: the screen is stale for every later
                 // lane — demote its remaining rejects to the walk.
                 let later = (u64::MAX << j) << 1;
                 let stale = rejects & later;
-                fast -= u64::from(stale.count_ones());
+                cmps -= u64::from(stale.count_ones());
                 todo |= stale;
                 rejects &= !stale;
             }
         }
-        clock.charge_dom_cmps(fast);
-        stats.dom_comparisons += fast;
+        clock.charge_dom_cmps(cmps);
+        stats.dom_comparisons += cmps;
         i += count;
     }
     window.sort_unstable();
@@ -180,8 +206,9 @@ fn swap_remove_row(rows: &mut Vec<Value>, k: usize, d: usize) {
     rows.truncate(last * d);
 }
 
-/// Block-Nested-Loop skyline over `Vec<Vec<f64>>` points — thin adapter
-/// over [`skyline_bnl_store`] (identical comparisons, counts and order).
+/// Block-Nested-Loop skyline over `Vec<Vec<f64>>` points — thin unscreened
+/// adapter over [`skyline_bnl_store`] (identical comparisons, counts and
+/// order).
 pub fn skyline_bnl(
     points: &[Vec<Value>],
     mask: DimMask,
@@ -190,7 +217,7 @@ pub fn skyline_bnl(
 ) -> Vec<usize> {
     let store = intern(points, mask);
     let kernel = DomKernel::new(mask, store.stride());
-    skyline_bnl_store(&store, &kernel, clock, stats)
+    skyline_bnl_store(&store, &kernel, None, clock, stats)
 }
 
 /// Sort-Filter-Skyline [6] over a flat point store: sorts by the kernel's
@@ -340,7 +367,8 @@ mod tests {
             store.push(p);
         }
         let kernel = DomKernel::new(mask, 3);
-        for which in ["bnl", "sfs"] {
+        let quant = SigQuantizer::from_store(&store, mask).unwrap();
+        for which in ["bnl", "screened bnl", "sfs"] {
             let mut c1 = SimClock::default();
             let mut s1 = Stats::new();
             let mut c2 = SimClock::default();
@@ -348,7 +376,11 @@ mod tests {
             let (a, b) = match which {
                 "bnl" => (
                     skyline_bnl(&points, mask, &mut c1, &mut s1),
-                    skyline_bnl_store(&store, &kernel, &mut c2, &mut s2),
+                    skyline_bnl_store(&store, &kernel, None, &mut c2, &mut s2),
+                ),
+                "screened bnl" => (
+                    skyline_bnl(&points, mask, &mut c1, &mut s1),
+                    skyline_bnl_store(&store, &kernel, Some(&quant), &mut c2, &mut s2),
                 ),
                 _ => (
                     skyline_sfs(&points, mask, &mut c1, &mut s1),

@@ -15,8 +15,9 @@
 //!
 //! [`first_may_dominate`] and [`first_may_be_dominated`] apply the first
 //! fact to a run of member signatures and return how many of them a scan
-//! can pass over; [`sig_strictly_below`] applies the second to the member
-//! the scan stops on. Anything neither settles — equal codes, a poisoned
+//! can pass over, and [`first_may_relate`] applies it in both directions at
+//! once; [`sig_strictly_below`] applies the second to the member the scan
+//! stops on. Anything neither settles — equal codes, a poisoned
 //! operand — is left to the exact float test
 //! ([`relate_in`](crate::relate_in)).
 //!
@@ -242,6 +243,28 @@ pub fn first_may_be_dominated(sigs: &[u64], cand: u64, high: u64) -> usize {
     skip_while(sigs, |m| above(cand, m, high))
 }
 
+/// The two-sided skip for a walk that must decide both directions at every
+/// member it stops on (BNL's window walk): offset in `sigs` of the first
+/// member signature that *may* relate to `cand` — that may dominate it or
+/// be dominated by it — or `sigs.len()`.
+///
+/// A member is passed over only when it has a field coded above the
+/// candidate's *and* the candidate has one coded above the member's: each
+/// is strictly worse somewhere, so the pair is `Incomparable`. The two
+/// verdicts name different fields, so they are combined per member, not
+/// bitwise. A poisoned member is never passed over (no candidate field is
+/// above it), a poisoned candidate passes over nothing, nor does any call
+/// with `high == 0`.
+#[inline]
+pub fn first_may_relate(sigs: &[u64], cand: u64, high: u64) -> usize {
+    if cand & high != 0 {
+        return 0;
+    }
+    skip_while(sigs, |m| {
+        u64::from(nonzero(above(m, cand, high)) & nonzero(above(cand, m, high)))
+    })
+}
+
 /// Proof that `a` dominates `b`: every field of `a` coded strictly below
 /// `b`'s, hence every value strictly below. `false` when ties leave it
 /// unproven, when either operand is poisoned, and when `high == 0`.
@@ -392,6 +415,73 @@ mod tests {
     }
 
     #[test]
+    fn relate_skip_passes_only_two_sided_incomparables() {
+        let mask = DimMask::from_dims([0, 1, 2]);
+        let q = SigQuantizer::from_bounds(mask, &[0.0; 3], &[1.0; 3]).unwrap();
+        let h = q.high_mask();
+        let cand = q.sig(&[0.5, 0.5, 0.5]);
+        // Worse in one field, better in another: passed over.
+        let across = q.sig(&[0.9, 0.1, 0.5]);
+        assert_eq!(first_may_relate(&[across], cand, h), 1);
+        // Differs in one field only, either way: the one-sided skips pass
+        // one of these, the two-sided skip neither.
+        for lone in [q.sig(&[0.9, 0.5, 0.5]), q.sig(&[0.1, 0.5, 0.5])] {
+            assert_eq!(first_may_relate(&[lone], cand, h), 0);
+        }
+        // Equal signatures, and members better or worse everywhere.
+        for stop in [cand, q.sig(&[0.1; 3]), q.sig(&[0.9; 3])] {
+            assert_eq!(first_may_relate(&[stop], cand, h), 0);
+        }
+        // Poison on either side or both, and a degenerate mask, skip nothing.
+        for (m, c, high) in [
+            (SIG_POISON, cand, h),
+            (across, SIG_POISON, h),
+            (SIG_POISON, SIG_POISON, h),
+            (across, cand, 0),
+            (SIG_POISON, cand, 0),
+            (across, SIG_POISON, 0),
+        ] {
+            assert_eq!(first_may_relate(&[m, m], c, high), 0);
+        }
+        assert_eq!(first_may_relate(&[across, SIG_POISON, across], cand, h), 1);
+    }
+
+    #[test]
+    fn relate_skip_stops_on_the_first_stop_lane_across_chunks() {
+        let mask = DimMask::from_dims([0, 1]);
+        let q = SigQuantizer::from_bounds(mask, &[0.0; 2], &[1.0; 2]).unwrap();
+        let h = q.high_mask();
+        let cand = q.sig(&[0.5, 0.5]);
+        let pass = q.sig(&[0.9, 0.1]);
+        // Every kind of stop lane: may dominate, may be dominated, equal,
+        // one-field tie, poisoned.
+        let stops = [
+            q.sig(&[0.1, 0.1]),
+            q.sig(&[0.9, 0.9]),
+            cand,
+            q.sig(&[0.5, 0.1]),
+            SIG_POISON,
+        ];
+        for n in [0, 1, 7, 8, 9, 16, 20] {
+            let mut sigs = vec![pass; n];
+            assert_eq!(first_may_relate(&sigs, cand, h), n);
+            for p in 0..n {
+                for stop in stops {
+                    sigs[p] = stop;
+                    assert_eq!(first_may_relate(&sigs, cand, h), p, "n {n}, stop at {p}");
+                    // A later stop lane never hides an earlier one.
+                    if p + 1 < n {
+                        sigs[n - 1] = stops[0];
+                        assert_eq!(first_may_relate(&sigs, cand, h), p, "n {n}, stop at {p}");
+                        sigs[n - 1] = pass;
+                    }
+                }
+                sigs[p] = pass;
+            }
+        }
+    }
+
+    #[test]
     fn store_quantizer_skips_and_proofs_agree_with_relate_in() {
         let mask = DimMask::from_dims([0, 1]);
         let rows: Vec<Vec<Value>> = vec![
@@ -414,6 +504,9 @@ mod tests {
                     || first_may_be_dominated(&[sb], sa, h) == 1
                 {
                     assert!(!dominates, "{a:?} passed over, but it dominates {b:?}");
+                }
+                if first_may_relate(&[sa], sb, h) == 1 {
+                    assert_eq!(relate_in(a, b, mask), DomRelation::Incomparable);
                 }
                 if sig_strictly_below(sa, sb, h) {
                     assert!(dominates, "{a:?} proven, but it does not dominate {b:?}");

@@ -3,14 +3,17 @@
 //! `relate` on *every* input and every [`DomRelation`] outcome, and the
 //! store-based skyline entry points must be observationally identical —
 //! same results, same `Stats`, same virtual-clock ticks — to the
-//! `Vec<Vec<f64>>` adapters they replaced.
+//! `Vec<Vec<f64>>` adapters they replaced. BNL, screened by signatures
+//! (DESIGN.md §17) or not, is held candidate by candidate to the
+//! member-at-a-time loop.
 
 use caqe::operators::{
     hash_join_project, hash_join_project_store, skyline_bnl, skyline_bnl_store, skyline_reference,
     skyline_sfs, skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingSet,
 };
 use caqe::types::{
-    relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, Rect, SimClock, Stats,
+    relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, Rect, SigQuantizer, SimClock,
+    Stats,
 };
 use proptest::prelude::*;
 
@@ -63,20 +66,36 @@ fn corner_window() -> impl Strategy<Value = (usize, Vec<Vec<f64>>, Vec<usize>, V
     })
 }
 
-/// The member-at-a-time BNL loop the block screen replaced: one kernel
-/// relate per examined window member, early exit on a dominator,
-/// `swap_remove` on an eviction. Returns survivors, stats and ticks — the
-/// charge reference for `skyline_bnl_store`.
-fn bnl_scalar_reference(points: &PointStore, kernel: &DomKernel) -> (Vec<usize>, Stats, u64) {
+/// What the member-at-a-time BNL loop leaves behind.
+struct BnlReference {
+    /// Survivors in ascending input order (what `skyline_bnl_store` returns).
+    survivors: Vec<usize>,
+    stats: Stats,
+    ticks: u64,
+    /// The final window in window order: admissions appended, evictions
+    /// `swap_remove`d.
+    window: Vec<usize>,
+    /// Comparisons charged to each candidate, in input order.
+    charges: Vec<u64>,
+}
+
+/// The member-at-a-time BNL loop the block screen and the signature skip
+/// replaced: one kernel relate per examined window member, early exit on
+/// a dominator, `swap_remove` on an eviction — the charge reference for
+/// `skyline_bnl_store`.
+fn bnl_scalar_reference(points: &PointStore, kernel: &DomKernel) -> BnlReference {
     let mut clock = SimClock::default();
     let mut stats = Stats::new();
     let mut window: Vec<usize> = Vec::new();
+    let mut charges = Vec::with_capacity(points.len());
     'next: for i in 0..points.len() {
         let p = points.at(i);
         let mut k = 0;
+        charges.push(0);
         while k < window.len() {
             clock.charge_dom_cmps(1);
             stats.dom_comparisons += 1;
+            charges[i] += 1;
             match kernel.relate(points.at(window[k]), p) {
                 DomRelation::Dominates => continue 'next,
                 DomRelation::DominatedBy => {
@@ -87,8 +106,44 @@ fn bnl_scalar_reference(points: &PointStore, kernel: &DomKernel) -> (Vec<usize>,
         }
         window.push(i);
     }
-    window.sort_unstable();
-    (window, stats, clock.ticks())
+    let mut survivors = window.clone();
+    survivors.sort_unstable();
+    BnlReference {
+        survivors,
+        stats,
+        ticks: clock.ticks(),
+        window,
+        charges,
+    }
+}
+
+/// The store of the first `n` rows of `points`.
+fn prefix_store(points: &[Vec<f64>], n: usize) -> PointStore {
+    let mut store = PointStore::with_capacity(points[0].len(), n);
+    for p in &points[..n] {
+        store.push(p);
+    }
+    store
+}
+
+/// The signature screens BNL is held to its reference under, for `mask`
+/// over `store` (stride `d`): none; bounds from the store itself; bounds
+/// so narrow that every lattice value saturates to the lowest or highest
+/// code; and degenerate bounds (collapsed, infinite) that code every
+/// value 0.
+fn screens(
+    store: &PointStore,
+    mask: DimMask,
+    d: usize,
+) -> Vec<(&'static str, Option<SigQuantizer>)> {
+    let quant = |lo: f64, hi: f64| SigQuantizer::from_bounds(mask, &vec![lo; d], &vec![hi; d]);
+    vec![
+        ("unscreened", None),
+        ("store bounds", SigQuantizer::from_store(store, mask)),
+        ("saturating bounds", quant(1.4, 1.6)),
+        ("collapsed bounds", quant(2.0, 2.0)),
+        ("infinite bounds", quant(f64::NEG_INFINITY, f64::INFINITY)),
+    ]
 }
 
 /// A non-empty subspace of `d` dimensions derived from random bits.
@@ -170,7 +225,7 @@ proptest! {
         let bnl_old = skyline_bnl(&points, mask, &mut c1, &mut s1);
         let mut c2 = SimClock::default();
         let mut s2 = Stats::new();
-        let bnl_new = skyline_bnl_store(&store, &kernel, &mut c2, &mut s2);
+        let bnl_new = skyline_bnl_store(&store, &kernel, None, &mut c2, &mut s2);
         prop_assert_eq!(bnl_old, bnl_new);
         prop_assert_eq!(&s1, &s2);
         prop_assert_eq!(c1.ticks(), c2.ticks());
@@ -247,15 +302,56 @@ proptest! {
             store.push(p);
         }
         let kernel = DomKernel::new(mask, d);
-        let (want_bnl, want_stats, want_ticks) = bnl_scalar_reference(&store, &kernel);
+        let want = bnl_scalar_reference(&store, &kernel);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
-        prop_assert_eq!(skyline_bnl_store(&store, &kernel, &mut clock, &mut stats), want_bnl);
-        prop_assert_eq!(&stats, &want_stats);
-        prop_assert_eq!(clock.ticks(), want_ticks);
+        prop_assert_eq!(skyline_bnl_store(&store, &kernel, None, &mut clock, &mut stats), want.survivors);
+        prop_assert_eq!(&stats, &want.stats);
+        prop_assert_eq!(clock.ticks(), want.ticks);
 
         let sfs = skyline_sfs_store(&store, &kernel, &mut SimClock::default(), &mut Stats::new());
         prop_assert_eq!(sfs, skyline_reference(&points, mask));
+    }
+
+    #[test]
+    fn screened_bnl_matches_the_reference_step_by_step(
+        points in tricky_points(),
+        bits in 0u32..4096,
+    ) {
+        // Under every screen — none, store bounds, saturating bounds,
+        // degenerate bounds — BNL must charge each candidate what the
+        // member-at-a-time loop charges it and leave the same window after
+        // every step. BNL reads no clock mid-run and the block screen
+        // replays the loop exactly, so BNL over the first `m` rows is the
+        // loop's first `m` steps: the tick difference between consecutive
+        // prefixes is one candidate's charge.
+        let d = points[0].len();
+        let mask = mask_for(d, bits);
+        let kernel = DomKernel::new(mask, d);
+        let want = bnl_scalar_reference(&prefix_store(&points, points.len()), &kernel);
+        let mut final_window = want.window.clone();
+        final_window.sort_unstable();
+        prop_assert_eq!(&final_window, &want.survivors);
+        for (label, quant) in screens(&prefix_store(&points, points.len()), mask, d) {
+            let mut before = 0;
+            for m in 1..=points.len() {
+                let store = prefix_store(&points, m);
+                let step = bnl_scalar_reference(&store, &kernel);
+                let mut clock = SimClock::default();
+                let mut stats = Stats::new();
+                let got = skyline_bnl_store(&store, &kernel, quant.as_ref(), &mut clock, &mut stats);
+                prop_assert_eq!(&got, &step.survivors, "{}: window after step {}", label, m - 1);
+                prop_assert_eq!(
+                    clock.ticks() - before,
+                    want.charges[m - 1],
+                    "{}: charge of candidate {}", label, m - 1
+                );
+                prop_assert_eq!(&stats, &step.stats, "{}: stats after step {}", label, m - 1);
+                prop_assert_eq!(stats.sig_builds, 0, "{}: BNL counts no signature builds", label);
+                before = clock.ticks();
+            }
+            prop_assert_eq!(before, want.ticks, "{}: total ticks", label);
+        }
     }
 
     #[test]
@@ -352,9 +448,9 @@ fn lattice(n: usize, d: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Runs BNL and SFS over `points` in `mask` and checks both against the
-/// definition, BNL's charges against the member-at-a-time reference, and
-/// SFS's survivor hook against its result.
+/// Runs BNL, unscreened and screened, and SFS over `points` in `mask` and
+/// checks both against the definition, BNL's charges against the
+/// member-at-a-time reference, and SFS's survivor hook against its result.
 fn check_one_path(points: &[Vec<f64>], stride: usize, mask: DimMask, label: &str) {
     let mut store = PointStore::with_capacity(stride, points.len());
     for p in points {
@@ -363,14 +459,21 @@ fn check_one_path(points: &[Vec<f64>], stride: usize, mask: DimMask, label: &str
     let kernel = DomKernel::new(mask, stride);
     let want = skyline_reference(points, mask);
 
-    let (ref_sky, ref_stats, ref_ticks) = bnl_scalar_reference(&store, &kernel);
-    let mut clock = SimClock::default();
-    let mut stats = Stats::new();
-    let bnl = skyline_bnl_store(&store, &kernel, &mut clock, &mut stats);
-    assert_eq!(bnl, want, "{label}: BNL survivors");
-    assert_eq!(ref_sky, want, "{label}: reference BNL survivors");
-    assert_eq!(stats, ref_stats, "{label}: BNL stats");
-    assert_eq!(clock.ticks(), ref_ticks, "{label}: BNL ticks");
+    let reference = bnl_scalar_reference(&store, &kernel);
+    assert_eq!(
+        reference.survivors, want,
+        "{label}: reference BNL survivors"
+    );
+    let quant = SigQuantizer::from_store(&store, mask);
+    for screen in [None, quant.as_ref()] {
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        let bnl = skyline_bnl_store(&store, &kernel, screen, &mut clock, &mut stats);
+        let label = format!("{label}, screened {}", screen.is_some());
+        assert_eq!(bnl, want, "{label}: BNL survivors");
+        assert_eq!(stats, reference.stats, "{label}: BNL stats");
+        assert_eq!(clock.ticks(), reference.ticks, "{label}: BNL ticks");
+    }
 
     let mut reported = Vec::new();
     let mut clock = SimClock::default();

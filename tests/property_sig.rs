@@ -9,7 +9,8 @@ use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
 use caqe::operators::skyline_reference;
 use caqe::parallel::Threads;
 use caqe::types::sig::{
-    first_may_be_dominated, first_may_dominate, sig_strictly_below, SigQuantizer, SIG_POISON,
+    first_may_be_dominated, first_may_dominate, first_may_relate, sig_strictly_below, SigQuantizer,
+    SIG_POISON,
 };
 use caqe::types::{relate_in, DimMask, DomRelation, PointStore, QueryId, SimClock, Stats, Value};
 use proptest::prelude::*;
@@ -114,6 +115,29 @@ proptest! {
         }
     }
 
+    /// Every member the two-sided skip passes over is `Incomparable` with
+    /// the candidate: neither dominates, and they are not equal.
+    #[test]
+    fn relate_skip_passes_only_incomparables(
+        rows in (2usize..=8).prop_flat_map(rows_strategy),
+        bits in 1u32..256,
+    ) {
+        let Some((mask, quant, sigs)) = quantized(&rows, bits) else {
+            return Ok(());
+        };
+        let h = quant.high_mask();
+        for (c, cand) in rows.iter().enumerate() {
+            for m in passed_over(&sigs, |s| first_may_relate(s, sigs[c], h)) {
+                prop_assert_eq!(
+                    relate_in(&rows[m], cand, mask),
+                    DomRelation::Incomparable,
+                    "member {} passed over candidate {} over {}",
+                    m, c, mask
+                );
+            }
+        }
+    }
+
     /// The strict-below proof implies `Dominates`.
     #[test]
     fn strict_below_proof_implies_dominates(
@@ -166,6 +190,8 @@ proptest! {
         for &c in sigs.iter().filter(|&&s| s != SIG_POISON) {
             prop_assert!(first_may_dominate(&sigs, c, h) <= at, "poisoned member passed over");
             prop_assert!(first_may_be_dominated(&sigs, c, h) <= at, "poisoned member passed over");
+            prop_assert!(first_may_relate(&sigs, c, h) <= at, "poisoned member passed over");
+            prop_assert_eq!(first_may_relate(&sigs, c, 0), 0, "skipped under high = 0");
             for (a, b) in [(c, SIG_POISON), (SIG_POISON, c)] {
                 prop_assert!(!sig_strictly_below(a, b, h), "poison proven");
                 prop_assert!(!sig_strictly_below(a, b, 0), "poison proven under high = 0");
@@ -177,6 +203,8 @@ proptest! {
         prop_assert!(!sig_strictly_below(SIG_POISON, SIG_POISON, 0));
         prop_assert_eq!(first_may_dominate(&sigs, SIG_POISON, 0), 0);
         prop_assert_eq!(first_may_be_dominated(&sigs, SIG_POISON, 0), 0);
+        prop_assert_eq!(first_may_relate(&sigs, SIG_POISON, h), 0, "poisoned candidate skipped");
+        prop_assert_eq!(first_may_relate(&sigs, SIG_POISON, 0), 0);
     }
 
     /// The shared plan's signature screens are observationally invisible,
