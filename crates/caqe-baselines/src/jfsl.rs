@@ -7,16 +7,18 @@ use caqe_operators::skyline_bnl_store;
 use caqe_trace::{NoopSink, RecordingSink};
 use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Stats};
 
-/// Join-first-skyline-later: per query (priority order), materialize the
-/// entire join, run a blocking BNL skyline, and only then report every
-/// result. The worst progressiveness profile, and — with no sharing — the
-/// most repeated work.
+/// Join-first-skyline-later: per query (priority order), take the entire
+/// join, run a blocking BNL skyline, and only then report every result.
+/// The worst progressiveness profile. The join is executed once per join
+/// group and charged per query, so the virtual clock still sees the most
+/// repeated work — every query pays for its whole join, as if nothing were
+/// shared — and the deadlines it calibrates do not depend on the reuse.
 #[derive(Debug, Clone, Default)]
 pub struct JfslStrategy;
 
 /// Blocking skyline: nothing is reported until BNL completes. BNL's walk
 /// screens with the driver's quantizer, which moves no charge.
-fn blocking_bnl(
+pub(crate) fn blocking_bnl(
     store: &PointStore,
     kernel: &DomKernel,
     quant: Option<&SigQuantizer>,
@@ -68,9 +70,10 @@ impl ExecutionStrategy for JfslStrategy {
 mod tests {
     use super::*;
     use crate::per_query::join_envelope;
+    use crate::per_query::tests::with_nan_rows;
     use caqe_contract::Contract;
     use caqe_core::{prepare_inputs, QuerySpec};
-    use caqe_data::{Distribution, Record, TableGenerator, ValidationPolicy};
+    use caqe_data::{Distribution, TableGenerator, ValidationPolicy};
     use caqe_operators::{hash_join_project_store, JoinSpec, MappingSet};
     use caqe_types::DimMask;
 
@@ -112,16 +115,6 @@ mod tests {
                 .collect(),
         );
         (gen.generate("R"), gen.generate("T"), w)
-    }
-
-    /// `t` with a NaN planted in every seventh row, rotating the column.
-    fn with_nan_rows(t: &Table) -> Table {
-        let mut records: Vec<Record> = t.records().to_vec();
-        for (i, rec) in records.iter_mut().enumerate().step_by(7) {
-            let k = i % rec.vals.len();
-            rec.vals[k] = f64::NAN;
-        }
-        Table::new(t.name(), t.dims(), t.join_cols(), records)
     }
 
     /// JFSL screened and unscreened must be the same run — outcome digest,

@@ -5,12 +5,12 @@
 //! queries":
 //!
 //! * [`jfsl::JfslStrategy`] — **JFSL** [17]: join-first-skyline-later. Each
-//!   query computes its full join, then a blocking BNL skyline; all results
-//!   arrive at the very end of the query's processing.
+//!   query is charged its full join, then a blocking BNL skyline; all
+//!   results arrive at the very end of the query's processing.
 //! * [`ssmj::SsmjStrategy`] — **SSMJ** [14]: sort-based skyline join. The
 //!   join output is sorted by a monotone score and filtered SFS-style, so
 //!   survivors stream out progressively — but one query at a time and with
-//!   no sharing.
+//!   no shared charge.
 //! * [`progxe::ProgXeStrategy`] — **ProgXe+** [27]: per-query progressive
 //!   output-space-partitioned execution, count-driven rather than
 //!   contract-driven. Realized as the shared engine in
@@ -19,6 +19,10 @@
 //! * [`sjfsl::SJfslStrategy`] — **S-JFSL**: the paper's sharing-based
 //!   strawman — pipelines all join tuples over the min-max-cuboid plan in
 //!   blind FIFO order, with no look-ahead pruning and no feedback.
+//!
+//! JFSL and SSMJ execute each join once per join group and replay its
+//! charge to every query of the group, so their virtual time is that of
+//! the unshared runs the paper describes.
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

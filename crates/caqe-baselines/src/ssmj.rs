@@ -7,17 +7,18 @@ use caqe_operators::skyline_sfs_store_each;
 use caqe_trace::{NoopSink, RecordingSink};
 use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Stats};
 
-/// Skyline-Sort-Merge-Join: per query (priority order), materialize the
-/// join, sort it by the monotone sum over the preference dimensions, and
-/// filter SFS-style. Once sorted, every admitted survivor is final and is
-/// emitted immediately — progressive within a query, but with no sharing
-/// across queries and the full sort paid upfront.
+/// Skyline-Sort-Merge-Join: per query (priority order), take the join, sort
+/// it by the monotone sum over the preference dimensions, and filter
+/// SFS-style. Once sorted, every admitted survivor is final and is emitted
+/// immediately — progressive within a query, with the full sort paid
+/// upfront. The join is executed once per join group and charged per
+/// query, so no query's charge shares work with another's.
 #[derive(Debug, Clone, Default)]
 pub struct SsmjStrategy;
 
 /// Presorted SFS with immediate emission of every survivor. The SFS filter
 /// has no signature skip yet, so the driver's quantizer goes unused.
-fn presorted_sfs(
+pub(crate) fn presorted_sfs(
     store: &PointStore,
     kernel: &DomKernel,
     _quant: Option<&SigQuantizer>,

@@ -183,8 +183,8 @@ impl GroupMemo {
 
 /// Partitions the workload into join groups by `(join column, mapping)`,
 /// preserving first-appearance order — the grouping every build and memo
-/// path must agree on.
-pub(crate) fn group_workload(workload: &Workload) -> Vec<(usize, MappingSet, Vec<QueryId>)> {
+/// path, and the per-query baselines' shared joins, must agree on.
+pub fn group_workload(workload: &Workload) -> Vec<(usize, MappingSet, Vec<QueryId>)> {
     let mut groups: Vec<(usize, MappingSet, Vec<QueryId>)> = Vec::new();
     for (i, q) in workload.queries().iter().enumerate() {
         let qid = QueryId(i as u16);
