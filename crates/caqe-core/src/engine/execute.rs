@@ -6,25 +6,29 @@ use super::emit::PendingTuple;
 use super::select::Pick;
 use super::{GroupState, Run};
 use crate::group::{ArenaTuple, JoinGroup};
+use caqe_cuboid::BatchOutcome;
 use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
-use caqe_parallel::Threads;
 use caqe_regions::depgraph::Edge;
 use caqe_regions::ReconciledEstimate;
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{PointId, QueryId, RegionId, Value};
+use caqe_types::{PointId, QueryId, RegionId};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
-/// The surviving join candidates of one region, in flat layout: one
-/// provenance/lineage row per candidate, with the projected points packed
-/// contiguously (`vals[i*stride..(i+1)*stride]` belongs to `meta[i]`).
+/// What the tuple step keeps from region to region, cleared and never
+/// freed: the candidates' rows go straight into the group's arena, so only
+/// their lineage and the shared plan's outcome need a home of their own.
 #[derive(Default)]
-struct CandidateBatch {
-    /// `(r_row, t_row, lineage)` per candidate, in probe order.
-    meta: Vec<(usize, usize, QuerySet)>,
-    /// Flat projected output-space points, stride = mapping output dims.
-    vals: Vec<Value>,
+pub(super) struct TupleScratch {
+    /// The lineage of each candidate of the current region, in tag order.
+    lineage: Vec<QuerySet>,
+    /// The shared plan's outcome for the current region's batch.
+    outcome: BatchOutcome,
+    /// Whether the current region's batch has reached the shared plan. From
+    /// then on the plan holds ids of the region's rows, so a panic leaves
+    /// the unit dirty rather than rolled back.
+    plan_written: bool,
 }
 
 impl<S: TraceSink> Run<'_, S> {
@@ -50,6 +54,7 @@ impl<S: TraceSink> Run<'_, S> {
         self.clock.charge_region_overhead();
         let attempt = self.groups[gi].attempts[rid.index()] + 1;
         let arena_before = self.groups[gi].g.arena.len();
+        self.tuples.plan_written = false;
         let inject = faults.panics(gi as u32, rid.0, attempt);
         if inject {
             self.trace_fault("panic", gi as u32, rid.0, 1.0);
@@ -65,7 +70,14 @@ impl<S: TraceSink> Run<'_, S> {
             self.process_region_tuples(gi, rid)
         }));
         let Ok(new_by_query) = unit else {
-            let dirty = self.groups[gi].g.arena.len() != arena_before;
+            let dirty = self.tuples.plan_written;
+            if !dirty {
+                // The probe died before the plan saw its rows: drop them, and
+                // the region retries against the group it started from.
+                let g = &mut self.groups[gi].g;
+                g.arena.truncate(arena_before);
+                g.points.truncate(arena_before);
+            }
             self.recover(pick, attempt, dirty);
             return None;
         };
@@ -108,13 +120,15 @@ impl<S: TraceSink> Run<'_, S> {
     /// order), the handles (into the group's point store) of tuples newly
     /// admitted to that query's skyline.
     ///
-    /// Two phases: the probe collects every candidate first, then the
-    /// whole batch goes into the plan. Nothing touches the arena before the
-    /// probe is over, so a genuine mid-probe panic leaves the group clean —
-    /// and the region retryable. The virtual clock is never *read* inside
-    /// the region, so charging all probes ahead of all inserts leaves every
-    /// observable — final ticks, stats, plan state, emission timestamps —
-    /// bit-identical to interleaving them tuple by tuple.
+    /// Two phases: the probe projects every candidate straight into the
+    /// group's arena and point store, then the whole batch — the store's
+    /// tail — goes into the plan. A genuine mid-probe panic therefore
+    /// leaves rows the plan never saw, which [`Run::execute`] truncates
+    /// away, so the region stays retryable; from the plan write on, the
+    /// unit is dirty. The virtual clock is never *read* inside the region,
+    /// so charging all probes ahead of all inserts leaves every observable —
+    /// final ticks, stats, plan state, emission timestamps — bit-identical
+    /// to interleaving them tuple by tuple.
     fn process_region_tuples(&mut self, gi: usize, rid: RegionId) -> Vec<Vec<PointId>> {
         let (r, t) = (self.r, self.t);
         let progressive = self.engine.progressive_emission;
@@ -124,7 +138,7 @@ impl<S: TraceSink> Run<'_, S> {
         // are dominated in every query subspace, so they never reach a
         // skyline — the result sets are unchanged, only the history is.
         let materialize_all = self.session_mode;
-        let (clock, stats) = (&mut self.clock, &mut self.stats);
+        let (clock, stats, scratch) = (&mut self.clock, &mut self.stats, &mut self.tuples);
         let GroupState { g, pending, .. } = &mut self.groups[gi];
         let mut new_by_query: Vec<Vec<PointId>> = vec![Vec::new(); g.members.len()];
 
@@ -144,84 +158,90 @@ impl<S: TraceSink> Run<'_, S> {
         let stride = g.mapping.output_dims();
         let out_dims = stride as u64;
 
-        // --- Phase 1: probe + project. ---
+        // --- Phase 1: probe + project, into the arena. ---
         let probe_t0 = clock.ticks();
-        let mut cands = CandidateBatch::default();
+        let first_tag = g.arena.len();
+        scratch.lineage.clear();
+        #[cfg(test)]
+        let results_before = stats.join_results;
         for &ri in r_rows {
             clock.charge_join_probes(1);
             stats.join_probes += 1;
             let rrec = r.record(ri);
             for mi in index.matches(rrec.key(join_col)) {
-                let ti = t_rows[mi];
+                let trec = t.record(t_rows[mi]);
                 clock.charge_join_probes(1);
                 stats.join_probes += 1;
-                let trec = t.record(ti);
                 clock.charge_map_evals(out_dims);
                 stats.map_evals += out_dims;
                 stats.join_results += 1;
-                // Project straight into the flat buffer; roll back if the
-                // tuple turns out to serve nobody.
-                let vstart = cands.vals.len();
-                g.mapping
-                    .apply_into(&rrec.vals, &trec.vals, &mut cands.vals);
-                let vals = &cands.vals[vstart..];
+                // Project into the point store's tail; pop the row again if
+                // the tuple turns out to serve nobody.
+                let id = g
+                    .points
+                    .push_with(|out| g.mapping.apply_into(&rrec.vals, &trec.vals, out));
 
                 // Cell-level lineage: which queries can this tuple still
                 // serve?
-                let lineage = match reg.locate(vals) {
+                let lineage = match reg.locate(g.points.get(id)) {
                     Some(c) => reg.cell_lineage(c).intersect(serving),
                     None => serving,
                 };
                 if lineage.is_empty() && !materialize_all {
                     stats.tuples_discarded += 1;
-                    cands.vals.truncate(vstart);
-                    continue;
+                    g.points.pop();
+                } else {
+                    g.arena.push(ArenaTuple {
+                        rid: rrec.id,
+                        tid: trec.id,
+                        origin: rid,
+                    });
+                    scratch.lineage.push(lineage);
                 }
-                cands.meta.push((ri, ti, lineage));
+                #[cfg(test)]
+                crash::point(
+                    gi,
+                    rid,
+                    crash::At::JoinResult(stats.join_results - results_before),
+                );
             }
         }
         stats.probe_ticks += clock.ticks() - probe_t0;
+        debug_assert_eq!(g.points.len(), g.arena.len(), "arena/point-store desync");
 
         // --- Phase 2: shared-plan insertion. ---
-        // The arena/point-store rows are appended first (tags stay dense, in
-        // candidate order), then the whole candidate batch goes through
-        // `SharedSkylinePlan::insert_batch` — bit-identical to inserting the
-        // candidates one at a time. The per-candidate emission/eviction
-        // bookkeeping below never touches the clock, so replaying it after
-        // the batch leaves every observable unchanged.
-        if cands.meta.is_empty() {
+        // The region's rows are the point store's tail, tags dense in
+        // candidate order; `SharedSkylinePlan::insert_batch_into` takes them
+        // in place — bit-identical to inserting the candidates one at a
+        // time. The per-candidate emission/eviction bookkeeping below never
+        // touches the clock, so replaying it after the batch leaves every
+        // observable unchanged.
+        if scratch.lineage.is_empty() {
             return new_by_query;
         }
-        let first_tag = g.arena.len() as u64;
-        stats.arena_tuples += cands.meta.len() as u64;
-        // One exact reservation for the batch's rows: per-tuple pushes would
-        // double the buffer on the way and leave up to half of it idle.
-        g.arena
-            .extend(cands.meta.iter().map(|(r_row, t_row, _)| ArenaTuple {
-                rid: r.record(*r_row).id,
-                tid: t.record(*t_row).id,
-                origin: rid,
-            }));
-        for vals in cands.vals.chunks_exact(stride) {
-            g.points.push(vals);
-        }
-        debug_assert_eq!(g.points.len(), g.arena.len(), "arena/point-store desync");
+        scratch.plan_written = true;
+        stats.arena_tuples += scratch.lineage.len() as u64;
         let insert_t0 = clock.ticks();
         let insert_d0 = stats.dom_comparisons;
-        let serial = Threads::default();
-        let inserts = g
-            .plan
-            .insert_batch(first_tag, &cands.vals, stride, serial, clock, stats);
+        let batch = &g.points.as_flat()[first_tag * stride..];
+        let outcome = &mut scratch.outcome;
+        g.plan
+            .insert_batch_into(first_tag as u64, batch, stride, clock, stats, outcome);
         stats.insert_ticks += clock.ticks() - insert_t0;
         stats.insert_dom_cmps += stats.dom_comparisons - insert_d0;
-        debug_assert_eq!(inserts.len(), cands.meta.len());
-        for (ci, ((_, _, lineage), ins)) in cands.meta.into_iter().zip(inserts).enumerate() {
-            let tag = first_tag + ci as u64;
+        #[cfg(test)]
+        crash::point(gi, rid, crash::At::AfterInsert);
+        debug_assert_eq!(outcome.added.len(), scratch.lineage.len());
+        debug_assert_eq!(g.members.len(), g.plan.num_queries());
+        let query_bit = |local: usize| g.plan.query_bit(QueryId(local as u16));
+        let mut evictions = outcome.evictions.iter().peekable();
+        for (c, (&added, lineage)) in outcome.added.iter().zip(&scratch.lineage).enumerate() {
+            let tag = (first_tag + c) as u64;
 
             // Register newly admitted skyline tuples as pending emissions.
             let mut entries: Vec<(QueryId, Option<RegionId>)> = Vec::new();
-            for (local, &in_sky) in ins.in_query_sky.iter().enumerate() {
-                let global = g.members[local];
+            for (local, &global) in g.members.iter().enumerate() {
+                let in_sky = added & query_bit(local) != 0;
                 if in_sky && serving.contains(global) && lineage.contains(global) {
                     entries.push((global, None));
                     new_by_query[local].push(PointId(tag as u32));
@@ -234,18 +254,22 @@ impl<S: TraceSink> Run<'_, S> {
                 pending[rid.index()].push(PendingTuple { tag, entries });
             }
 
-            // Handle evictions: invalidated provisional results.
-            for (local_q, evicted) in &ins.query_evictions {
-                let global = g.members[local_q.index()];
-                for &etag in evicted {
-                    let origin = g.arena[etag as usize].origin;
-                    let list = &mut pending[origin.index()];
-                    for p in list.iter_mut() {
-                        if p.tag == etag {
-                            p.entries.retain(|(q, _)| *q != global);
+            // Handle evictions: invalidated provisional results. An
+            // eviction belongs to every query whose subspace it happened in.
+            while let Some(ev) = evictions.next_if(|e| e.candidate == c) {
+                let owners = (0..g.members.len()).filter(|&l| query_bit(l) == 1u64 << ev.subspace);
+                for local in owners {
+                    let global = g.members[local];
+                    for &etag in &ev.tags {
+                        let origin = g.arena[etag as usize].origin;
+                        let list = &mut pending[origin.index()];
+                        for p in list.iter_mut() {
+                            if p.tag == etag {
+                                p.entries.retain(|(q, _)| *q != global);
+                            }
                         }
+                        list.retain(|p| !p.entries.is_empty());
                     }
-                    list.retain(|p| !p.entries.is_empty());
                 }
             }
         }
@@ -304,12 +328,112 @@ impl<S: TraceSink> Run<'_, S> {
     }
 }
 
+/// A test hook: one genuine panic — not a fault-plan one — at a chosen
+/// point of one region's unit, to test what a panic leaves behind.
+#[cfg(test)]
+pub(super) mod crash {
+    use caqe_types::RegionId;
+    use std::cell::Cell;
+
+    /// Where in the unit the panic fires.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(in crate::engine) enum At {
+        /// Once the probe has handled the region's N-th join result (1-based).
+        JoinResult(u64),
+        /// Right after the region's batch went into the shared plan.
+        AfterInsert,
+    }
+
+    thread_local! {
+        static ARMED: Cell<Option<(usize, RegionId, At)>> = const { Cell::new(None) };
+    }
+
+    /// Arms one panic at `at` in region `rid` of group `gi`.
+    pub(in crate::engine) fn arm(gi: usize, rid: RegionId, at: At) {
+        ARMED.set(Some((gi, rid, at)));
+    }
+
+    /// Panics, and disarms, if armed for exactly this point.
+    pub(in crate::engine) fn point(gi: usize, rid: RegionId, at: At) {
+        if ARMED.get() == Some((gi, rid, at)) {
+            ARMED.set(None);
+            panic!("test crash in region {} at {at:?}", rid.0);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{group_of, spec, World};
+    use super::crash::{arm, At};
     use super::*;
     use crate::config::EngineConfig;
+    use crate::outcome::RunOutcome;
     use caqe_types::DimMask;
+    use std::time::Instant;
+
+    /// Every query's results, as a sorted set of provenance pairs.
+    fn result_sets(out: &RunOutcome) -> Vec<Vec<(u64, u64)>> {
+        let sorted = |q: &crate::outcome::QueryOutcome| {
+            let mut results = q.results.clone();
+            results.sort_unstable();
+            results
+        };
+        out.per_query.iter().map(sorted).collect()
+    }
+
+    #[test]
+    fn a_probe_that_dies_mid_way_is_rolled_back_and_retried() {
+        let specs = || vec![spec(0, DimMask::full(4))];
+        let mut world = World::new(EngineConfig::caqe());
+        // How much the first region joins and keeps, and the unfaulted run.
+        let mut run = world.start(specs(), false);
+        let pick = run.select().expect("the join is not empty");
+        run.execute(pick, ReconciledEstimate::default())
+            .expect("no fault");
+        let (results, rows) = (run.stats.join_results, run.groups[pick.gi].g.arena.len());
+        assert!(rows > 0, "the first region keeps nothing");
+        let mut run = world.start(specs(), false);
+        run.drive(&[]).expect("runs");
+        let clean = run.finish("clean", Instant::now());
+        assert!(clean.total_results() > 0);
+
+        // A panic after the first, a middle and the last join result.
+        for n in [1, results / 2, results] {
+            let mut run = world.start(specs(), false);
+            assert_eq!(run.select(), Some(pick));
+            let g = &run.groups[pick.gi].g;
+            let before = (g.arena.len(), g.points.len());
+            arm(pick.gi, pick.rid, At::JoinResult(n));
+            assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+            let g = &run.groups[pick.gi].g;
+            assert_eq!((g.arena.len(), g.points.len()), before, "n = {n}");
+            assert!(g.regions.region(pick.rid).is_alive());
+            assert_eq!(run.stats.region_retries, 1);
+            run.drive(&[]).expect("runs");
+            let faulted = run.finish("faulted", Instant::now());
+            assert_eq!(faulted.stats.regions_quarantined, 0);
+            assert_eq!(result_sets(&faulted), result_sets(&clean), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_panic_after_the_plan_write_quarantines_the_region() {
+        let mut world = World::new(EngineConfig::caqe());
+        let mut run = world.start(vec![spec(0, DimMask::full(4))], false);
+        let pick = run.select().expect("the join is not empty");
+        arm(pick.gi, pick.rid, At::AfterInsert);
+        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+        assert_eq!(run.stats.regions_quarantined, 1);
+        assert_eq!(run.stats.region_retries, 0);
+        // The plan holds ids of the region's rows, so they stay.
+        let g = &run.groups[pick.gi].g;
+        assert!(!g.arena.is_empty());
+        assert_eq!(g.arena.len(), g.points.len());
+        assert_eq!(g.arena.len() as u64, run.stats.arena_tuples);
+        assert!(!g.regions.region(pick.rid).is_alive());
+        run.drive(&[]).expect("runs");
+    }
 
     #[test]
     fn executing_a_region_materializes_its_join_and_registers_pending() {

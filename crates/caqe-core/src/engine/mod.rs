@@ -47,6 +47,7 @@ use caqe_trace::{NoopSink, SpanKind, TraceEvent, TraceSink};
 use caqe_types::{EngineError, SimClock, Stats};
 use churn::QueryTable;
 use emit::{PendingTuple, RecheckSet};
+use execute::TupleScratch;
 use std::time::Instant;
 
 /// One engine run, described by the ten things the engine has ever been
@@ -279,6 +280,8 @@ struct Run<'a, S: TraceSink> {
     next_shed_check: u64,
     /// Scratch for [`Run::select`]'s per-decision witness table.
     witness_counts: Vec<u32>,
+    /// Scratch for [`Run::process_region_tuples`].
+    tuples: TupleScratch,
 }
 
 impl<'a, S: TraceSink> Run<'a, S> {
@@ -358,6 +361,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
             queries,
             next_shed_check: req.start_ticks.saturating_add(exec.degradation.grace_ticks),
             witness_counts: Vec::new(),
+            tuples: TupleScratch::default(),
         }
     }
 

@@ -22,4 +22,4 @@ pub mod shared;
 
 pub use lattice::{q_serve, skycube_subspaces};
 pub use minmax::MinMaxCuboid;
-pub use shared::{SharedInsert, SharedSkylinePlan};
+pub use shared::{BatchOutcome, Eviction, SharedInsert, SharedSkylinePlan};

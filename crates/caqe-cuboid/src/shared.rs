@@ -70,10 +70,30 @@ impl<'a> Batch<'a> {
 
 /// What batch candidate `candidate` pushed out of the window at cuboid
 /// position `subspace` when it was admitted there.
-struct Eviction {
-    candidate: usize,
-    subspace: usize,
-    tags: Vec<u64>,
+#[derive(Debug, Clone)]
+pub struct Eviction {
+    /// The evicting candidate's index in its batch.
+    pub candidate: usize,
+    /// The cuboid position of the window it was admitted to.
+    pub subspace: usize,
+    /// The evicted members' tags, in the window's removal order.
+    pub tags: Vec<u64>,
+}
+
+/// What one [`SharedSkylinePlan::insert_batch_into`] did, in buffers the
+/// caller keeps across batches: each call overwrites both, reusing their
+/// allocations.
+#[derive(Debug, Clone, Default)]
+pub struct BatchOutcome {
+    /// Per candidate, the bitmask of cuboid positions that admitted it:
+    /// candidate `c` is now in query `q`'s skyline iff
+    /// `added[c] & plan.query_bit(q) != 0`.
+    pub added: Vec<u64>,
+    /// Every eviction of the batch, by candidate and, within a candidate,
+    /// by ascending cuboid position — the order a one-at-a-time insert
+    /// meets them. Query `q` owns an eviction iff
+    /// `plan.query_bit(q) == 1 << subspace`.
+    pub evictions: Vec<Eviction>,
 }
 
 /// Result of inserting one tuple into the shared plan.
@@ -162,6 +182,17 @@ impl SharedSkylinePlan {
             .then(|| &self.windows[self.cuboid.query_subspace(q)])
     }
 
+    /// Query `q`'s subspace as a bit of [`BatchOutcome::added`] (0 for an
+    /// inactive slot).
+    #[inline]
+    pub fn query_bit(&self, q: QueryId) -> u64 {
+        if self.cuboid.is_active(q) {
+            1u64 << self.cuboid.query_subspace(q)
+        } else {
+            0
+        }
+    }
+
     /// Tags currently in query `q`'s skyline (empty for an inactive slot).
     pub fn query_skyline_tags(&self, q: QueryId) -> Vec<u64> {
         self.query_window(q)
@@ -232,7 +263,8 @@ impl SharedSkylinePlan {
         let batch = self.open_batch(0, history.as_flat(), history.stride());
         // Nobody read a fresh window while it was being filled, so what the
         // backfill evicts was never reported: the outcome is dropped.
-        self.replay(fresh, batch, false, clock, stats);
+        let mut dropped = BatchOutcome::default();
+        self.replay(fresh, batch, false, clock, stats, &mut dropped);
     }
 
     /// Retires query `q` from the plan: prunes the cuboid per Definition 7
@@ -315,9 +347,9 @@ impl SharedSkylinePlan {
         }
     }
 
-    /// Inserts a batch of tuples through the cuboid; the outcome, ticks and
-    /// observable stats depend only on the tuple sequence, not on how it is
-    /// cut into batches.
+    /// Inserts a batch of tuples through the cuboid and writes what happened
+    /// into `out`; the outcome, ticks and observable stats depend only on
+    /// the tuple sequence, not on how it is cut into batches.
     ///
     /// Tuple `c` of the batch lives at `vals[c * stride..][..stride]` and
     /// receives tag `first_tag + c`. The batch is replayed **one subspace at
@@ -336,22 +368,20 @@ impl SharedSkylinePlan {
     /// New candidates are referenced via sentinel handles during the replay
     /// and interned in candidate order afterwards, so arena ids do not
     /// depend on the cut either.
-    ///
-    /// `_threads` is accepted and ignored: `benchmark/src` compiles against
-    /// this signature, and the engine is serial (DESIGN.md §10).
-    pub fn insert_batch(
+    pub fn insert_batch_into(
         &mut self,
         first_tag: u64,
         vals: &[Value],
         stride: usize,
-        _threads: Threads,
         clock: &mut SimClock,
         stats: &mut Stats,
-    ) -> Vec<SharedInsert> {
+        out: &mut BatchOutcome,
+    ) {
         let batch = self.open_batch(first_tag, vals, stride);
-        let count = batch.len();
-        if count == 0 {
-            return Vec::new();
+        if batch.len() == 0 {
+            out.added.clear();
+            out.evictions.clear();
+            return;
         }
         // A window attaches its signature screen the first time a batch
         // reaches it (a miss: its members are quantized once) and keeps it
@@ -378,26 +408,38 @@ impl SharedSkylinePlan {
             "cuboid subspaces not level-sorted"
         );
         let every = 0..self.cuboid.len();
-        let (added_bits, mut evictions) = self.replay(every, batch, self.assume_dva, clock, stats);
+        self.replay(every, batch, self.assume_dva, clock, stats, out);
+        // The replay met the positions in ascending order, and a candidate
+        // is admitted at most once per position, so this is the stable sort
+        // by candidate.
+        out.evictions
+            .sort_unstable_by_key(|e| (e.candidate, e.subspace));
+    }
 
-        // Per candidate, its evictions in ascending subspace order — the
-        // order a one-at-a-time insert encounters them (the sort is stable).
-        evictions.sort_by_key(|e| e.candidate);
-        let mut evictions = evictions.into_iter().peekable();
-        // Each query's subspace as a bit of the added-mask (0: inactive slot).
+    /// [`SharedSkylinePlan::insert_batch_into`], with the outcome as one
+    /// [`SharedInsert`] per candidate.
+    ///
+    /// `_threads` is accepted and ignored: `benchmark/src` compiles against
+    /// this signature, and the engine is serial (DESIGN.md §10).
+    pub fn insert_batch(
+        &mut self,
+        first_tag: u64,
+        vals: &[Value],
+        stride: usize,
+        _threads: Threads,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> Vec<SharedInsert> {
+        let mut out = BatchOutcome::default();
+        self.insert_batch_into(first_tag, vals, stride, clock, stats, &mut out);
         let query_bits: Vec<u64> = (0..self.cuboid.num_queries())
-            .map(|q| {
-                let q = QueryId(q as u16);
-                if self.cuboid.is_active(q) {
-                    1u64 << self.cuboid.query_subspace(q)
-                } else {
-                    0
-                }
-            })
+            .map(|q| self.query_bit(QueryId(q as u16)))
             .collect();
-        (0..count)
-            .map(|c| {
-                let added_mask = added_bits[c];
+        let mut evictions = out.evictions.into_iter().peekable();
+        out.added
+            .into_iter()
+            .enumerate()
+            .map(|(c, added_mask)| {
                 let in_query_sky = query_bits.iter().map(|&b| added_mask & b != 0).collect();
                 let mut query_evictions: Vec<(QueryId, Vec<u64>)> = Vec::new();
                 while let Some(ev) = evictions.next_if(|e| e.candidate == c) {
@@ -418,9 +460,9 @@ impl SharedSkylinePlan {
     /// Replays `batch` through the windows at the cuboid positions
     /// `subspaces` (ascending), one position at a time: every candidate, in
     /// order, against one window, then the next window. Charges the
-    /// comparisons to the clock, interns what was admitted and returns, per
-    /// candidate, the bitmask of positions that admitted it, plus the
-    /// evictions in replay order.
+    /// comparisons to the clock, interns what was admitted and writes into
+    /// `out`, per candidate, the bitmask of positions that admitted it, plus
+    /// the evictions in replay order.
     /// With `theorem1`, a candidate already admitted to a kept child (a
     /// lower position, so its bit is final) skips the window's reject scan.
     ///
@@ -436,9 +478,15 @@ impl SharedSkylinePlan {
         theorem1: bool,
         clock: &mut SimClock,
         stats: &mut Stats,
-    ) -> (Vec<u64>, Vec<Eviction>) {
-        let mut added_bits = vec![0u64; batch.len()];
-        let mut evictions = Vec::new();
+        out: &mut BatchOutcome,
+    ) {
+        let BatchOutcome {
+            added: added_bits,
+            evictions,
+        } = out;
+        added_bits.clear();
+        added_bits.resize(batch.len(), 0);
+        evictions.clear();
         let comps_before = stats.dom_comparisons;
         for subspace in subspaces {
             let child_bits: u64 = self
@@ -505,8 +553,7 @@ impl SharedSkylinePlan {
             }
         }
         clock.charge_dom_cmps(stats.dom_comparisons - comps_before);
-        self.intern_admitted(batch, &added_bits, stats);
-        (added_bits, evictions)
+        self.intern_admitted(batch, added_bits, stats);
     }
 
     /// The subspace mask maintained at cuboid position `i` (diagnostics).
@@ -969,6 +1016,101 @@ mod tests {
         assert_eq!(stats.presort_cache_misses, plan.cuboid().len() as u64);
         assert!(stats.presort_cache_hits > 0, "no screen was reused");
         assert!(stats.sig_builds > 0, "no signatures built");
+    }
+
+    /// Per candidate `c` of a batch, `(c, query, evicted tags)` for each of
+    /// its evictions, in the order [`SharedInsert::query_evictions`] lists
+    /// them.
+    fn owned_evictions(
+        plan: &SharedSkylinePlan,
+        out: &BatchOutcome,
+    ) -> Vec<(usize, u16, Vec<u64>)> {
+        let queries = 0..plan.num_queries() as u16;
+        out.evictions
+            .iter()
+            .flat_map(|e| {
+                let owners = queries
+                    .clone()
+                    .filter(|&q| plan.query_bit(QueryId(q)) == 1u64 << e.subspace);
+                owners.map(|q| (e.candidate, q, e.tags.clone()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn one_batch_outcome_serves_every_batch() {
+        // One `BatchOutcome` is reused across awkward cuts, with an admission
+        // and a departure in between; after every batch its bits and
+        // evictions must say what `insert_batch` and one-at-a-time inserts
+        // say.
+        let prefs = figure1_prefs();
+        let cuts = [1usize, 7, 64, 200, 3];
+        let points = random_points(cuts.iter().sum(), 4, 606);
+        for screened in [false, true] {
+            let fresh = || {
+                let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs[..3]), true);
+                if screened {
+                    plan.enable_sig_cache(&[0.0; 4], &[100.0; 4]);
+                }
+                (plan, SimClock::default(), Stats::new())
+            };
+            let (mut reused, mut batched, mut single) = (fresh(), fresh(), fresh());
+            let mut out = BatchOutcome::default();
+            let mut history = PointStore::new(4);
+            let (mut off, mut evicted) = (0, 0);
+            for (i, &n) in cuts.iter().enumerate() {
+                for (plan, clock, stats) in [&mut reused, &mut batched, &mut single] {
+                    match i {
+                        2 => plan.admit_query(prefs[3], &history, clock, stats),
+                        4 => plan.depart_query(QueryId(1)),
+                        _ => {}
+                    }
+                }
+                let flat: Vec<Value> = points[off..off + n].iter().flatten().copied().collect();
+                let (plan, clock, stats) = &mut reused;
+                plan.insert_batch_into(off as u64, &flat, 4, clock, stats, &mut out);
+                let (plan, clock, stats) = &mut batched;
+                let want =
+                    plan.insert_batch(off as u64, &flat, 4, Threads::default(), clock, stats);
+                let (plan, clock, stats) = &mut single;
+                let one: Vec<SharedInsert> = (off..off + n)
+                    .map(|k| plan.insert(k as u64, &points[k], clock, stats))
+                    .collect();
+                assert_eq!(want, one, "batch {i}, screened: {screened}");
+
+                let plan = &reused.0;
+                let added: Vec<u64> = want.iter().map(|w| w.added_mask).collect();
+                assert_eq!(out.added, added, "batch {i}, screened: {screened}");
+                for (c, w) in want.iter().enumerate() {
+                    let in_sky: Vec<bool> = (0..plan.num_queries() as u16)
+                        .map(|q| out.added[c] & plan.query_bit(QueryId(q)) != 0)
+                        .collect();
+                    assert_eq!(in_sky, w.in_query_sky, "batch {i}, candidate {c}");
+                }
+                let evictions: Vec<(usize, u16, Vec<u64>)> = want
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(c, w)| {
+                        let evs = w.query_evictions.iter();
+                        evs.map(move |(q, tags)| (c, q.0, tags.clone()))
+                    })
+                    .collect();
+                assert_eq!(
+                    owned_evictions(plan, &out),
+                    evictions,
+                    "batch {i}, screened: {screened}"
+                );
+                evicted += out.evictions.len();
+                for p in &points[off..off + n] {
+                    history.push(p);
+                }
+                off += n;
+            }
+            assert!(evicted > 0, "the stream evicted nothing");
+            assert_eq!(reused.1.ticks(), single.1.ticks());
+            assert_eq!(reused.2.observable(), single.2.observable());
+            assert_eq!(reused.2.observable(), batched.2.observable());
+        }
     }
 
     #[test]

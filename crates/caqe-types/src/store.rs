@@ -112,6 +112,12 @@ impl PointStore {
         self.data.truncate(n - self.stride);
     }
 
+    /// Keeps the first `len` points and drops the rest, keeping the
+    /// allocation (a no-op if the store holds no more than `len`).
+    pub fn truncate(&mut self, len: usize) {
+        self.data.truncate(len * self.stride);
+    }
+
     /// The point with the given id.
     #[inline]
     pub fn get(&self, id: PointId) -> &[Value] {
@@ -234,6 +240,14 @@ mod tests {
         assert_eq!(s.get(id), &[7.0, 8.0]);
         s.pop();
         assert!(s.is_empty());
+        for i in 0..3 {
+            s.push(&[f64::from(i), 0.0]);
+        }
+        s.truncate(1);
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.at(0), &[0.0, 0.0]);
+        s.truncate(5);
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
