@@ -2,8 +2,9 @@
 //! reduced scale: one benchmark per figure, timing each compared system on
 //! the exact experimental cell its figure uses. (The figures themselves —
 //! satisfaction values, counters, virtual times — are regenerated by the
-//! `fig9`/`fig10`/`fig11` binaries; these benches track the *wall cost* of
-//! running them so performance regressions in the engine are caught.)
+//! `paper` binary's `fig9`/`fig10`/`fig11` sections; these benches track
+//! the *wall cost* of running them so performance regressions in the
+//! engine are caught.)
 
 use caqe_baselines::all_strategies;
 use caqe_bench::ExperimentConfig;

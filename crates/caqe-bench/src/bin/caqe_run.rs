@@ -16,7 +16,7 @@
 //! JSON object goes to `--out <path>`, or to stdout without it.
 
 use caqe_bench::json::ObjectWriter;
-use caqe_bench::report::{cli_arg, cli_chaos, cli_metrics, cli_parse, cli_trace};
+use caqe_bench::report::{cli_arg, cli_args, cli_chaos, cli_metrics, cli_parse, cli_trace};
 use caqe_contract::Contract;
 use caqe_core::{EngineConfig, EventStream, ExecConfig, QuerySpec, RunRequest, Workload};
 use caqe_data::{Distribution, TableGenerator};
@@ -60,7 +60,11 @@ fn workload() -> Workload {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (args, _) = cli_args(
+        "--n --cells --out --trace --metrics --faults --events --validation",
+        "",
+        "",
+    );
     let n: usize = cli_parse(&args, "--n", 2500);
     let cells: usize = cli_parse(&args, "--cells", 22);
     let out_path = cli_arg(&args, "--out");

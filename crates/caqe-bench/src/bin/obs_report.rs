@@ -23,7 +23,7 @@
 //! non-zero, so CI can gate on metrics/trace agreement.
 
 use caqe_bench::json::{parse, JsonValue};
-use caqe_bench::report::cli_arg;
+use caqe_bench::report::{cli_arg, cli_args};
 use caqe_obs::names;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -321,7 +321,7 @@ fn dashboard(label: &str, snap: &Snapshot) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (args, _) = cli_args("--metrics --reconcile", "", "");
     let Some(dir) = cli_arg(&args, "--metrics").map(PathBuf::from) else {
         eprintln!("usage: obs_report --metrics <dir> [--reconcile <trace-dir>]");
         return ExitCode::FAILURE;

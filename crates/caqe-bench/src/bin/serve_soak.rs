@@ -23,7 +23,9 @@
 //! C's file covers every session.
 
 use caqe_bench::json::ObjectWriter;
-use caqe_bench::report::{cli_arg, cli_faults, cli_flag, cli_metrics, cli_parse, cli_trace};
+use caqe_bench::report::{
+    cli_arg, cli_args, cli_faults, cli_flag, cli_metrics, cli_parse, cli_trace,
+};
 use caqe_bench::ExperimentConfig;
 use caqe_core::{EngineConfig, QuerySpec};
 use caqe_data::{Distribution, Table, ValidationPolicy};
@@ -386,7 +388,12 @@ fn soak_mode(args: &[String]) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (args, _) = cli_args(
+        "--mode --n --sessions --batch --kill-after-epochs --snapshot --digest-out --trace \
+         --metrics --clients --submits --bound --out --faults",
+        "--restore --sigterm-wait",
+        "",
+    );
     match cli_arg(&args, "--mode").as_deref().unwrap_or("soak") {
         "soak" => soak_mode(&args),
         "run" => run_mode(&args),

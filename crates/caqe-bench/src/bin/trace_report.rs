@@ -18,7 +18,7 @@
 //! Any violation exits non-zero, so CI can gate on it.
 
 use caqe_bench::json::{parse, JsonValue};
-use caqe_bench::report::{cli_flag, cli_trace};
+use caqe_bench::report::{cli_args, cli_flag, cli_trace};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -337,7 +337,7 @@ fn check_csv(jsonl: &Path, d: &mut Digest) {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (args, _) = cli_args("--trace", "--check", "");
     let Some(dir) = cli_trace(&args) else {
         eprintln!("usage: trace_report --trace <dir> [--check]");
         return ExitCode::FAILURE;

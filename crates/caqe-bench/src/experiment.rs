@@ -1,7 +1,6 @@
 //! One-stop comparison runner for the paper's figures.
 
 use crate::workloads::{paper_workload, ContractParams, PriorityPolicy};
-use caqe_baselines::all_strategies;
 use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::{Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe_faults::FaultPlan;
@@ -43,10 +42,15 @@ pub struct ExperimentConfig {
 
 impl ExperimentConfig {
     /// A sensible default cell: the paper's 11-query workload at a
-    /// laptop-scale cardinality.
+    /// laptop-scale cardinality — 3000 rows per table, 1200 for the
+    /// anti-correlated skyline worst case.
     pub fn new(distribution: Distribution, contract_id: usize) -> Self {
         ExperimentConfig {
-            n: 3000,
+            n: if distribution == Distribution::Anticorrelated {
+                1200
+            } else {
+                3000
+            },
             input_dims: 3,
             distribution,
             sigma: 0.02,
@@ -121,6 +125,7 @@ impl ExperimentConfig {
 
 /// One row of a comparison: the numbers the paper plots.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(Default))]
 pub struct ComparisonRow {
     /// Strategy name.
     pub strategy: String,
@@ -183,14 +188,9 @@ impl ComparisonRow {
     }
 
     /// Serializes the row as one JSON object (same field names as the
-    /// struct, in declaration order).
-    pub fn to_json(&self) -> String {
-        self.to_json_counted().0
-    }
-
-    /// Like [`ComparisonRow::to_json`], additionally returning how many
-    /// non-finite values were serialized as `null`.
-    pub fn to_json_counted(&self) -> (String, u64) {
+    /// struct, in declaration order), also returning how many non-finite
+    /// values were serialized as `null`.
+    pub fn to_json(&self) -> (String, u64) {
         let mut w = crate::json::ObjectWriter::new();
         w.string("strategy", &self.strategy)
             .string("distribution", &self.distribution)
@@ -210,6 +210,21 @@ impl ComparisonRow {
             .uint("ingest_quarantined", self.ingest_quarantined)
             .uint("ingest_clamped", self.ingest_clamped);
         w.finish_counted()
+    }
+}
+
+#[cfg(test)]
+impl ComparisonRow {
+    /// A clean, fault-free row for rendering tests.
+    pub(crate) fn sample(strategy: &str, avg_satisfaction: f64, join_results: u64) -> Self {
+        ComparisonRow {
+            strategy: strategy.into(),
+            avg_satisfaction,
+            join_results,
+            dom_comparisons: 5000,
+            virtual_seconds: 12.5,
+            ..ComparisonRow::default()
+        }
     }
 }
 
@@ -233,35 +248,24 @@ fn trace_label(strategy: &str, cfg: &ExperimentConfig) -> String {
     .collect()
 }
 
-/// Runs all five systems on one experimental cell.
-pub fn run_comparison(cfg: &ExperimentConfig) -> Vec<ComparisonRow> {
-    run_comparison_traced(cfg, None)
-}
-
-/// Like [`run_comparison`], but when `trace_dir` is set each strategy runs
-/// with a recording sink and its deterministic trace is exported under a
-/// `<strategy>_<distribution>_c<contract>_q<size>` label.
-pub fn run_comparison_traced(
-    cfg: &ExperimentConfig,
-    trace_dir: Option<&Path>,
-) -> Vec<ComparisonRow> {
-    run_comparison_observed(cfg, trace_dir, None)
-}
-
-/// The full observability variant: `trace_dir` exports deterministic
-/// traces, `metrics_dir` exports per-strategy metrics snapshots
+/// Runs each of `systems`, in order, on one experimental cell. With
+/// `trace_dir` set every run records its deterministic trace and exports it
+/// under a `<system>_<distribution>_c<contract>_q<size>` label; with
+/// `metrics_dir` set it also exports the run's metrics snapshot
 /// (`<label>.metrics.json` + `<label>.prom`, DESIGN.md §16) under the same
-/// labels, so `obs_report --reconcile` can pair every snapshot with its
-/// trace. With both `None` this is exactly [`run_comparison`].
-pub fn run_comparison_observed(
+/// label, so `obs_report --reconcile` can pair every snapshot with its
+/// trace. Recording never moves the virtual clock, so the rows are the same
+/// either way.
+pub fn run_comparison(
     cfg: &ExperimentConfig,
+    systems: &[Box<dyn ExecutionStrategy>],
     trace_dir: Option<&Path>,
     metrics_dir: Option<&Path>,
 ) -> Vec<ComparisonRow> {
     let (r, t) = cfg.tables();
     let workload = cfg.workload();
     let exec = cfg.exec();
-    all_strategies()
+    systems
         .iter()
         .map(|s| {
             let outcome = if trace_dir.is_some() || metrics_dir.is_some() {
@@ -288,6 +292,7 @@ pub fn run_comparison_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use caqe_baselines::all_strategies;
 
     #[test]
     fn comparison_produces_five_rows() {
@@ -295,7 +300,7 @@ mod tests {
         cfg.n = 400;
         cfg.workload_size = 4;
         cfg.cells_per_table = 6;
-        let rows = run_comparison(&cfg);
+        let rows = run_comparison(&cfg, &all_strategies(), None, None);
         assert_eq!(rows.len(), 5);
         for row in &rows {
             assert!(row.avg_satisfaction >= 0.0 && row.avg_satisfaction <= 1.0);
@@ -316,7 +321,7 @@ mod tests {
         cfg.cells_per_table = 6;
         let dir = std::env::temp_dir().join("caqe_bench_trace_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let rows = run_comparison_traced(&cfg, Some(&dir));
+        let rows = run_comparison(&cfg, &all_strategies(), Some(&dir), None);
         assert_eq!(rows.len(), 5);
         let jsonl: Vec<_> = std::fs::read_dir(&dir)
             .expect("trace dir exists")
@@ -342,7 +347,7 @@ mod tests {
         cfg.cells_per_table = 6;
         let dir = std::env::temp_dir().join("caqe_bench_metrics_test");
         let _ = std::fs::remove_dir_all(&dir);
-        let rows = run_comparison_observed(&cfg, None, Some(&dir));
+        let rows = run_comparison(&cfg, &all_strategies(), None, Some(&dir));
         assert_eq!(rows.len(), 5);
         let snapshots: Vec<_> = std::fs::read_dir(&dir)
             .expect("metrics dir exists")
@@ -364,6 +369,16 @@ mod tests {
             assert!(emitted > 0.0, "{}: no emissions collected", p.display());
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn anticorrelated_cells_default_to_the_smaller_scale() {
+        assert_eq!(
+            ExperimentConfig::new(Distribution::Anticorrelated, 2).n,
+            1200
+        );
+        assert_eq!(ExperimentConfig::new(Distribution::Independent, 2).n, 3000);
+        assert_eq!(ExperimentConfig::new(Distribution::Correlated, 2).n, 3000);
     }
 
     #[test]

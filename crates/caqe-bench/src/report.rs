@@ -1,83 +1,80 @@
-//! Plain-text and JSON rendering of comparison rows.
+//! JSON rendering of comparison rows and the drivers' shared CLI parsing.
 
 use crate::experiment::ComparisonRow;
-use caqe_data::{Distribution, ValidationPolicy};
+use caqe_data::ValidationPolicy;
 use caqe_faults::FaultPlan;
 
-/// Renders rows as an aligned plain-text table, one line per row.
-pub fn render_table(title: &str, rows: &[ComparisonRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<9} {:<15} {:<4} {:>4} {:>8} {:>12} {:>12} {:>12} {:>10} {:>8}\n",
-        "strategy",
-        "distribution",
-        "ctr",
-        "|Q|",
-        "avg-sat",
-        "p-score",
-        "joins",
-        "dom-cmps",
-        "virt-sec",
-        "results"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<9} {:<15} {:<4} {:>4} {:>8.3} {:>12.1} {:>12} {:>12} {:>10.2} {:>8}\n",
-            r.strategy,
-            r.distribution,
-            r.contract,
-            r.workload_size,
-            r.avg_satisfaction,
-            r.total_p_score,
-            r.join_results,
-            r.dom_comparisons,
-            r.virtual_seconds,
-            r.results
-        ));
-    }
-    // Degradation summary: only printed when fault handling actually fired,
-    // so fault-free reports look exactly as before.
-    let (retries, quar, shed, iq, ic) = rows.iter().fold((0, 0, 0, 0, 0), |a, r| {
-        (
-            a.0 + r.region_retries,
-            a.1 + r.regions_quarantined,
-            a.2 + r.regions_shed,
-            a.3 + r.ingest_quarantined,
-            a.4 + r.ingest_clamped,
-        )
-    });
-    if retries + quar + shed + iq + ic > 0 {
-        out.push_str(&format!(
-            "-- degradation: {retries} retries, {quar} quarantined, {shed} shed, \
-             {iq} records quarantined at ingest, {ic} values clamped\n"
-        ));
-    }
-    out
-}
-
-/// Serializes rows as JSON lines (one object per row) for machine use.
-/// Non-finite numbers are serialized as `null` — see
-/// [`render_jsonl_counted`] for surfacing how many.
-pub fn render_jsonl(rows: &[ComparisonRow]) -> String {
-    render_jsonl_counted(rows).0
-}
-
-/// [`render_jsonl`] plus the total count of non-finite values that were
-/// serialized as `null`; drivers print the count in their report summary
-/// instead of dropping the information silently.
-pub fn render_jsonl_counted(rows: &[ComparisonRow]) -> (String, u64) {
+/// Serializes rows as JSON lines (one object per row) for machine use,
+/// plus the total count of non-finite values that were serialized as
+/// `null`; drivers report the count instead of dropping the information
+/// silently.
+pub fn render_jsonl(rows: &[ComparisonRow]) -> (String, u64) {
     let mut dropped = 0;
     let text = rows
         .iter()
         .map(|r| {
-            let (json, n) = r.to_json_counted();
+            let (json, n) = r.to_json();
             dropped += n;
             json
         })
         .collect::<Vec<_>>()
         .join("\n");
     (text, dropped)
+}
+
+/// Checks every token of `args` against what a driver accepts, each list
+/// whitespace-separated: a flag in `valued` takes the next token as its
+/// value, a flag in `bare` takes none, and any other token must be one of
+/// `words`. Returns the words given, in order; the error names the first
+/// token that is none of these.
+fn check_args(
+    args: &[String],
+    valued: &str,
+    bare: &str,
+    words: &str,
+) -> Result<Vec<String>, String> {
+    let listed = |list: &str, token: &str| list.split_whitespace().any(|w| w == token);
+    let mut given = Vec::new();
+    let mut tokens = args.iter();
+    while let Some(token) = tokens.next() {
+        if listed(valued, token) {
+            if !tokens.next().is_some_and(|v| !v.starts_with("--")) {
+                return Err(format!("{token} needs a value"));
+            }
+        } else if token.starts_with("--") {
+            if !listed(bare, token) {
+                return Err(format!("unknown flag `{token}`"));
+            }
+        } else if !listed(words, token) {
+            return Err(if words.is_empty() {
+                format!("unexpected argument `{token}`")
+            } else {
+                let expected: Vec<&str> = words.split_whitespace().collect();
+                format!(
+                    "unknown argument `{token}` (expected {})",
+                    expected.join("|")
+                )
+            });
+        } else {
+            given.push(token.clone());
+        }
+    }
+    Ok(given)
+}
+
+/// The process arguments and the words among them, checked by
+/// [`check_args`] before the driver runs anything: an unknown flag or word
+/// exits with code 2 naming it, so a typo such as `--nn 300` never silently
+/// runs the defaults.
+pub fn cli_args(valued: &str, bare: &str, words: &str) -> (Vec<String>, Vec<String>) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match check_args(&args, valued, bare, words) {
+        Ok(given) => (args, given),
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The value following `key`, `Ok(None)` when the flag is absent, and an
@@ -106,41 +103,21 @@ pub fn cli_arg(args: &[String], key: &str) -> Option<String> {
     }
 }
 
-/// Parses `--key value` into any `FromStr` type, `None` when the flag is
-/// absent. A present-but-unparsable value exits with code 2 and a
+/// Parses `--key value` into any `FromStr` type, `default` when the flag
+/// is absent. A present-but-unparsable value exits with code 2 and a
 /// contextual message naming the flag and the offending text — drivers must
 /// never panic on user input.
-pub fn cli_parse_opt<T: std::str::FromStr>(args: &[String], key: &str) -> Option<T>
-where
-    T::Err: std::fmt::Display,
-{
-    cli_arg(args, key).map(|text| match text.parse() {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("bad {key} value `{text}`: {e}");
-            std::process::exit(2);
-        }
-    })
-}
-
-/// [`cli_parse_opt`] falling back to `default` when the flag is absent.
 pub fn cli_parse<T: std::str::FromStr>(args: &[String], key: &str, default: T) -> T
 where
     T::Err: std::fmt::Display,
 {
-    cli_parse_opt(args, key).unwrap_or(default)
-}
-
-/// Parses the shared `--dist <name>` knob (`None` when absent). An unknown
-/// distribution exits with code 2 naming the flag.
-pub fn cli_dist(args: &[String]) -> Option<Distribution> {
-    cli_arg(args, "--dist").map(|d| match Distribution::parse(&d) {
-        Some(dist) => dist,
-        None => {
-            eprintln!("bad --dist value `{d}` (expected independent|correlated|anticorrelated)");
+    match cli_arg(args, key) {
+        None => default,
+        Some(text) => text.parse().unwrap_or_else(|e| {
+            eprintln!("bad {key} value `{text}`: {e}");
             std::process::exit(2);
-        }
-    })
+        }),
+    }
 }
 
 /// Whether a bare flag is present.
@@ -212,39 +189,12 @@ mod tests {
     use super::*;
 
     fn row() -> ComparisonRow {
-        ComparisonRow {
-            strategy: "CAQE".into(),
-            distribution: "independent".into(),
-            contract: "C2".into(),
-            workload_size: 11,
-            avg_satisfaction: 0.82,
-            total_p_score: 123.4,
-            join_results: 1000,
-            dom_comparisons: 5000,
-            region_comparisons: 700,
-            virtual_seconds: 12.5,
-            wall_seconds: 0.2,
-            results: 88,
-            region_retries: 0,
-            regions_quarantined: 0,
-            regions_shed: 0,
-            ingest_quarantined: 0,
-            ingest_clamped: 0,
-        }
-    }
-
-    #[test]
-    fn table_contains_key_fields() {
-        let s = render_table("Figure 9.b", &[row()]);
-        assert!(s.contains("Figure 9.b"));
-        assert!(s.contains("CAQE"));
-        assert!(s.contains("0.820"));
-        assert!(s.contains("independent"));
+        ComparisonRow::sample("CAQE", 0.82, 1000)
     }
 
     #[test]
     fn jsonl_round_trips() {
-        let s = render_jsonl(&[row(), row()]);
+        let (s, _) = render_jsonl(&[row(), row()]);
         assert_eq!(s.lines().count(), 2);
         let v = crate::json::parse(s.lines().next().unwrap()).unwrap();
         assert_eq!(v["strategy"], "CAQE");
@@ -252,24 +202,13 @@ mod tests {
     }
 
     #[test]
-    fn degradation_summary_only_when_faults_fired() {
-        let clean = render_table("t", &[row()]);
-        assert!(!clean.contains("degradation"));
-        let mut r = row();
-        r.region_retries = 3;
-        r.regions_quarantined = 1;
-        let chaotic = render_table("t", &[r]);
-        assert!(chaotic.contains("degradation: 3 retries, 1 quarantined"));
-    }
-
-    #[test]
     fn jsonl_counts_dropped_non_finite_values() {
-        let (_, none) = render_jsonl_counted(&[row()]);
+        let (_, none) = render_jsonl(&[row()]);
         assert_eq!(none, 0);
         let mut r = row();
         r.avg_satisfaction = f64::NAN;
         r.virtual_seconds = f64::INFINITY;
-        let (text, dropped) = render_jsonl_counted(&[r]);
+        let (text, dropped) = render_jsonl(&[r]);
         assert_eq!(dropped, 2);
         assert!(text.contains("\"avg_satisfaction\":null"));
     }
@@ -289,11 +228,11 @@ mod tests {
 
     #[test]
     fn cli_helpers() {
-        let args: Vec<String> = ["--dist", "correlated", "--full"]
+        let args: Vec<String> = ["--events", "admit@5=0", "--full"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert_eq!(cli_arg(&args, "--dist").as_deref(), Some("correlated"));
+        assert_eq!(cli_arg(&args, "--events").as_deref(), Some("admit@5=0"));
         assert_eq!(cli_arg(&args, "--n"), None);
         assert!(cli_flag(&args, "--full"));
         assert!(!cli_flag(&args, "--quick"));
@@ -314,5 +253,32 @@ mod tests {
             Err("--trace needs a value".to_string())
         );
         assert_eq!(cli_lookup(&args, "--events"), Ok(None));
+    }
+
+    #[test]
+    fn unknown_flags_and_words_are_named() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let (valued, bare, words) = ("--n --trace", "--json", "fig9 fig10");
+        let ok = args(&["fig10", "--json", "--trace", "/tmp/t", "--n", "5"]);
+        assert_eq!(
+            check_args(&ok, valued, bare, words),
+            Ok(vec!["fig10".to_string()])
+        );
+        assert_eq!(
+            check_args(&args(&["--nn", "300"]), valued, bare, words),
+            Err("unknown flag `--nn`".to_string())
+        );
+        assert_eq!(
+            check_args(&args(&["bogus"]), valued, bare, words),
+            Err("unknown argument `bogus` (expected fig9|fig10)".to_string())
+        );
+        assert_eq!(
+            check_args(&args(&["300"]), valued, bare, ""),
+            Err("unexpected argument `300`".to_string())
+        );
+        assert_eq!(
+            check_args(&args(&["--json", "--n"]), valued, bare, words),
+            Err("--n needs a value".to_string())
+        );
     }
 }
