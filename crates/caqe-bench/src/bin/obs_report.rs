@@ -19,8 +19,9 @@
 //! decisions, spans per kind, retries, quarantines, sheds, admissions,
 //! departures, estimate audits, faults and ingestion audits — plus the
 //! engine invariants `decisions = region spans + retries + quarantines`
-//! and `stats.tuples_emitted = emission events`. Any mismatch exits
-//! non-zero, so CI can gate on metrics/trace agreement.
+//! and `stats.tuples_emitted = emission events`. Any mismatch exits 1,
+//! so CI can gate on metrics/trace agreement; a missing `--metrics` is a
+//! usage error and exits 2.
 
 use caqe_bench::json::{parse, JsonValue};
 use caqe_bench::report::{cli_arg, cli_args};
@@ -324,7 +325,7 @@ fn main() -> ExitCode {
     let (args, _) = cli_args("--metrics --reconcile", "", "");
     let Some(dir) = cli_arg(&args, "--metrics").map(PathBuf::from) else {
         eprintln!("usage: obs_report --metrics <dir> [--reconcile <trace-dir>]");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let reconcile_dir = cli_arg(&args, "--reconcile").map(PathBuf::from);
 

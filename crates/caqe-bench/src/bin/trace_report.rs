@@ -15,7 +15,8 @@
 //! Chaos events (DESIGN.md §13) are validated too: a `quarantine` must be
 //! preceded by at least one `retry` for the same region, and a region that
 //! was `shed` must never appear in a later scheduling decision.
-//! Any violation exits non-zero, so CI can gate on it.
+//! Any violation exits 1, so CI can gate on it; a missing `--trace` is a
+//! usage error and exits 2.
 
 use caqe_bench::json::{parse, JsonValue};
 use caqe_bench::report::{cli_args, cli_flag, cli_trace};
@@ -340,7 +341,7 @@ fn main() -> ExitCode {
     let (args, _) = cli_args("--trace", "--check", "");
     let Some(dir) = cli_trace(&args) else {
         eprintln!("usage: trace_report --trace <dir> [--check]");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let check = cli_flag(&args, "--check");
 

@@ -436,6 +436,7 @@ pub fn degradation(rows: &[ComparisonRow]) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn row(strategy: &str, sat: f64, joins: u64) -> ComparisonRow {
         ComparisonRow::sample(strategy, sat, joins)
@@ -488,5 +489,138 @@ mod tests {
             })
             .collect();
         assert_eq!(found, expected);
+    }
+
+    /// The docs that describe the system as built cite only what exists:
+    /// every repo path with a file extension, every `--test <suite>`, and
+    /// every `<suite>::<fn>`, `<file>.rs::<fn>` or `<module>::tests::<fn>`
+    /// resolves to a `fn` in that file. CHANGES.md, ROADMAP.md and
+    /// EXPERIMENTS.md keep their history and are not checked.
+    #[test]
+    fn docs_cite_only_existing_paths_suites_and_tests() {
+        let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+        let mut sources = Vec::new();
+        for dir in ["crates", "tests", "src", "examples"] {
+            rust_files(&root.join(dir), &mut sources);
+        }
+        let defines = |p: &Path, f: &str| {
+            let src = std::fs::read_to_string(p).unwrap_or_default();
+            src.contains(&format!("fn {f}(")) || src.contains(&format!("fn {f}<"))
+        };
+        let suite = |name: &str| {
+            let name = name.trim_end_matches(".rs");
+            sources
+                .iter()
+                .find(|p| is_suite(p) && module(p) == Some(name))
+        };
+        let mut bad = Vec::new();
+        for doc in ["DESIGN.md", "README.md", ".claude/skills/verify/SKILL.md"] {
+            let text = std::fs::read_to_string(root.join(doc)).expect("doc is readable");
+            for path in cited_paths(&text) {
+                if !root.join(path).exists() {
+                    bad.push(format!("{doc}: no file `{path}`"));
+                }
+            }
+            for name in cited_suites(&text) {
+                if suite(name).is_none() {
+                    bad.push(format!("{doc}: no test suite `{name}`"));
+                }
+            }
+            for segs in cited_items(&text) {
+                let found = match segs.as_slice() {
+                    [file, f] if file.ends_with(".rs") && file.contains('/') => {
+                        defines(&root.join(file), f)
+                    }
+                    [file, f] => match suite(file) {
+                        Some(p) => defines(p, f),
+                        None => continue,
+                    },
+                    [m, "tests", f] => sources
+                        .iter()
+                        .any(|p| !is_suite(p) && module(p) == Some(m) && defines(p, f)),
+                    _ => continue,
+                };
+                if !found {
+                    bad.push(format!("{doc}: no test `{}`", segs.join("::")));
+                }
+            }
+        }
+        bad.sort();
+        bad.dedup();
+        assert!(bad.is_empty(), "{}", bad.join("\n"));
+    }
+
+    fn is_suite(p: &Path) -> bool {
+        p.parent().is_some_and(|d| d.ends_with("tests"))
+    }
+
+    /// The module a source file defines: `engine/mod.rs` is `engine`.
+    fn module(p: &Path) -> Option<&str> {
+        match p.file_stem()?.to_str()? {
+            "mod" => p.parent()?.file_name()?.to_str(),
+            stem => Some(stem),
+        }
+    }
+
+    fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = std::fs::read_dir(dir) else {
+            return;
+        };
+        for p in entries.flatten().map(|e| e.path()) {
+            if p.is_dir() {
+                rust_files(&p, out);
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                out.push(p);
+            }
+        }
+    }
+
+    fn is_path_char(c: char) -> bool {
+        c.is_ascii_alphanumeric() || "_./-".contains(c)
+    }
+
+    /// Runs of path characters that start a word with a tracked top-level
+    /// directory and end in a file name with an extension.
+    fn cited_paths(text: &str) -> Vec<&str> {
+        let mut out = Vec::new();
+        for (i, _) in text.char_indices() {
+            let rest = &text[i..];
+            let starts = ["crates/", "tests/", "benchmark/", "src/", "examples/"]
+                .iter()
+                .any(|d| rest.starts_with(d));
+            if !starts || text[..i].chars().next_back().is_some_and(is_path_char) {
+                continue;
+            }
+            let end = rest.find(|c| !is_path_char(c)).unwrap_or(rest.len());
+            let path = rest[..end].trim_end_matches('.');
+            let file = path.rsplit('/').next().unwrap_or("");
+            if file.rsplit_once('.').is_some_and(|(name, ext)| {
+                !name.is_empty() && !ext.is_empty() && ext.chars().all(|c| c.is_ascii_alphabetic())
+            }) {
+                out.push(path);
+            }
+        }
+        out
+    }
+
+    /// The `<suite>` of every `--test <suite>`.
+    fn cited_suites(text: &str) -> Vec<&str> {
+        text.split("--test ")
+            .skip(1)
+            .filter_map(|s| {
+                s.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .next()
+            })
+            .filter(|s| !s.is_empty())
+            .collect()
+    }
+
+    /// Every `a::b[::c…]` item path, split at `::`.
+    fn cited_items(text: &str) -> Vec<Vec<&str>> {
+        text.split(|c: char| !(is_path_char(c) || c == ':'))
+            .map(|t| t.trim_end_matches('.'))
+            .filter(|t| t.contains("::"))
+            .map(|t| t.split("::").collect())
+            .collect()
     }
 }

@@ -1,5 +1,6 @@
 //! The drivers refuse input they do not understand: an unknown flag or
-//! section name exits 2 naming the token, before anything runs.
+//! section name, or a missing required flag, exits 2 naming the token,
+//! before anything runs. Exit 1 is kept for a failed check.
 
 use std::process::Command;
 
@@ -30,4 +31,14 @@ fn paper_refuses_a_retired_scale_flag() {
 #[test]
 fn caqe_run_refuses_a_misspelt_flag() {
     refused(env!("CARGO_BIN_EXE_caqe_run"), &["--nn", "300"], "`--nn`");
+}
+
+#[test]
+fn trace_report_without_a_trace_dir_is_a_usage_error() {
+    refused(env!("CARGO_BIN_EXE_trace_report"), &["--check"], "--trace");
+}
+
+#[test]
+fn obs_report_without_a_metrics_dir_is_a_usage_error() {
+    refused(env!("CARGO_BIN_EXE_obs_report"), &[], "--metrics");
 }
