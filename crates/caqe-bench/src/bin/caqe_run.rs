@@ -13,7 +13,10 @@
 //! `obs_report --reconcile` can pair them. With `--events` (e.g.
 //! `admit@500000=0,depart@900000=1`) the run becomes an online session:
 //! admissions draw from the workload's own query pool by index. A summary
-//! JSON object goes to `--out <path>`, or to stdout without it.
+//! JSON object goes to `--out <path>`, or to stdout without it; its
+//! `result_digest` fingerprints every query's result set (provenance pairs,
+//! sorted), so two builds can be compared on what they answer, not only on
+//! how many answers.
 
 use caqe_bench::json::ObjectWriter;
 use caqe_bench::report::{cli_arg, cli_args, cli_chaos, cli_metrics, cli_parse, cli_trace};
@@ -22,7 +25,7 @@ use caqe_core::{EngineConfig, EventStream, ExecConfig, QuerySpec, RunRequest, Wo
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{MappingFn, MappingSet};
 use caqe_trace::RecordingSink;
-use caqe_types::DimMask;
+use caqe_types::{DimMask, Fnv1a};
 
 /// Four distinct mapping sets (4 output dims each): combined with two join
 /// columns they split an eight-query workload into four join groups.
@@ -122,10 +125,31 @@ fn main() {
         .uint("session_events", events.len() as u64)
         .number("virtual_seconds", outcome.virtual_seconds)
         .uint("join_results", outcome.stats.join_results)
-        .uint("results", outcome.total_results() as u64);
+        .uint("rows_skipped", outcome.stats.rows_skipped)
+        .uint("skipped_join_results", outcome.stats.skipped_join_results)
+        .uint("results", outcome.total_results() as u64)
+        .string(
+            "result_digest",
+            &format!("{:016x}", result_digest(&outcome)),
+        );
     let json = obj.finish();
     match &out_path {
         Some(path) => std::fs::write(path, format!("{json}\n")).expect("write bench json"),
         None => println!("{json}"),
     }
+}
+
+/// FNV-1a over each query's sorted result provenance, in query order:
+/// independent of emission order and timing.
+fn result_digest(outcome: &caqe_core::RunOutcome) -> u64 {
+    let mut h = Fnv1a::new();
+    for q in &outcome.per_query {
+        let mut results = q.results.clone();
+        results.sort_unstable();
+        h.usize(results.len());
+        for (rid, tid) in results {
+            h.u64(rid).u64(tid);
+        }
+    }
+    h.finish()
 }

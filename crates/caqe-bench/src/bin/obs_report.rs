@@ -288,6 +288,14 @@ fn dashboard(label: &str, snap: &Snapshot) {
         let parts: Vec<String> = prune.iter().map(|(k, v)| format!("{k} {v}")).collect();
         println!("  prune layer: {}", parts.join("  "));
     }
+    let (skipped, skipped_results) = (stat("rows_skipped"), stat("skipped_join_results"));
+    if skipped > 0 {
+        println!(
+            "  row look-ahead: {skipped} rows skipped, {skipped_results} join results not made \
+             ({} made)",
+            stat("join_results")
+        );
+    }
     // Per-query satisfaction + SLO state, in query order.
     let mut sats: Vec<(u64, f64)> = snap
         .gauges

@@ -273,7 +273,7 @@ impl ExecutionStrategy for Variant {
 }
 
 /// Full CAQE, then one variant per mechanism: the coarse look-ahead
-/// (§5.2), the §6 discard, the Eq. 11 feedback, the CSM ranking (replaced
+/// (§5.2), the §6 discard, the row-level look-ahead, the Eq. 11 feedback, the CSM ranking (replaced
 /// by ProgXe+'s count-per-cost, or by region-id order) and progressive
 /// emission.
 fn variants() -> Vec<Box<dyn ExecutionStrategy>> {
@@ -286,6 +286,7 @@ fn variants() -> Vec<Box<dyn ExecutionStrategy>> {
         variant("CAQE", |_| {}),
         variant("no-lookahead", |e| e.coarse_pruning = false),
         variant("no-discard", |e| e.dominance_discard = false),
+        variant("no-row-lookahead", |e| e.row_lookahead = false),
         variant("no-feedback", |e| e.feedback = false),
         variant("count-driven", |e| {
             (e.policy, e.feedback) = (SchedulingPolicy::CountDriven, false)

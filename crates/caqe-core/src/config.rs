@@ -31,6 +31,11 @@ pub struct EngineConfig {
     /// After processing a region, discard output cells / regions dominated
     /// by actually generated tuples (§6, "tuple level processing").
     pub dominance_discard: bool,
+    /// Before joining an R row with its partners, test its best image — the
+    /// mapping over the T cell's lower corner — against every kept window,
+    /// and skip the row if it is strictly dominated in all of them (the §5
+    /// look-ahead at row grain; DESIGN.md §4).
+    pub row_lookahead: bool,
     /// Apply the satisfaction-based weight feedback (Equation 11).
     pub feedback: bool,
     /// Emit results progressively through the dependency-graph safety test
@@ -46,6 +51,7 @@ impl EngineConfig {
             policy: SchedulingPolicy::ContractDriven,
             coarse_pruning: true,
             dominance_discard: true,
+            row_lookahead: true,
             feedback: true,
             progressive_emission: true,
         }
@@ -58,6 +64,7 @@ impl EngineConfig {
             policy: SchedulingPolicy::Fifo,
             coarse_pruning: false,
             dominance_discard: false,
+            row_lookahead: false,
             feedback: false,
             progressive_emission: false,
         }
@@ -70,6 +77,7 @@ impl EngineConfig {
             policy: SchedulingPolicy::CountDriven,
             coarse_pruning: true,
             dominance_discard: true,
+            row_lookahead: false,
             feedback: false,
             progressive_emission: true,
         }
@@ -211,6 +219,7 @@ mod tests {
         assert_eq!(sj.policy, SchedulingPolicy::Fifo);
         assert_eq!(px.policy, SchedulingPolicy::CountDriven);
         assert!(caqe.feedback && !sj.feedback && !px.feedback);
+        assert!(caqe.row_lookahead && !sj.row_lookahead && !px.row_lookahead);
         assert!(!sj.coarse_pruning && px.coarse_pruning);
         assert!(caqe.progressive_emission && px.progressive_emission);
         assert!(!sj.progressive_emission);

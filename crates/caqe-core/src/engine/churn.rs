@@ -3,9 +3,10 @@
 //! mid-run (see the module doc of [`crate::session`]).
 
 use super::emit::PendingTuple;
+use super::execute::join_index;
 use super::recover::{backoff_ticks, MAX_ATTEMPTS};
 use super::{GroupState, Run};
-use crate::group::open_group;
+use crate::group::{open_group, ArenaTuple};
 use crate::outcome::QueryOutcome;
 use crate::workload::QuerySpec;
 use caqe_contract::{update_weights_masked, QueryScore};
@@ -90,8 +91,9 @@ impl QueryTable {
 impl<S: TraceSink> Run<'_, S> {
     /// Applies the admission event `ev_idx`: assigns the next global query
     /// slot, patches the owning group's shared state (or opens a new group),
-    /// backfills the arrival's skyline from the materialized history, and
-    /// registers the backfilled results for progressive emission.
+    /// re-joins the rows the row-level look-ahead skipped and backfills the
+    /// arrival's skyline from the now complete history, and registers the
+    /// backfilled results for progressive emission.
     pub(super) fn admit(&mut self, spec: &QuerySpec, ev_idx: u64) -> Result<(), EngineError> {
         let exec = self.exec;
         let faults = &exec.faults;
@@ -117,6 +119,10 @@ impl<S: TraceSink> Run<'_, S> {
             .groups
             .iter()
             .position(|gs| gs.g.join_col == spec.join_col && gs.g.mapping == spec.mapping);
+        if let Some(gi) = slot {
+            // The backfill below reads the arena as the whole join history.
+            self.rejoin_skipped(gi);
+        }
         let (clock, stats) = (&mut self.clock, &mut self.stats);
         // Admission-time plan patching / group building is build-phase work.
         let build_t0 = clock.ticks();
@@ -207,6 +213,56 @@ impl<S: TraceSink> Run<'_, S> {
             self.emit_safe(gi);
         }
         Ok(())
+    }
+
+    /// Re-joins the rows of group `gi`'s skip record into its arena, in
+    /// record order, and clears the record, so the arena is again the
+    /// complete join history — what an admission's backfill needs, since a
+    /// fresh subspace may want a row the old windows all dominated. Charged
+    /// as the join it is (the row's probe, one per partner, the mapping per
+    /// result) and counted in `join_results`; the rows stay in the arena.
+    pub(super) fn rejoin_skipped(&mut self, gi: usize) {
+        let (r, t) = (self.r, self.t);
+        let (clock, stats) = (&mut self.clock, &mut self.stats);
+        let g = &mut self.groups[gi].g;
+        let skipped = std::mem::take(&mut g.skipped);
+        let out_dims = g.mapping.output_dims() as u64;
+        let probe_t0 = clock.ticks();
+        let arena_before = g.arena.len();
+        // The record holds each region's rows in one run.
+        let mut start = 0;
+        while start < skipped.len() {
+            let rid = skipped[start].0;
+            let end = start
+                + skipped[start..]
+                    .iter()
+                    .take_while(|&&(at, _)| at == rid)
+                    .count();
+            let (t_cell, index) = join_index(&self.part_t, t, g.regions.region(rid), g.join_col);
+            for &(_, ri) in &skipped[start..end] {
+                clock.charge_join_probes(1);
+                stats.join_probes += 1;
+                let rrec = r.record(ri as usize);
+                for mi in index.matches(rrec.key(g.join_col)) {
+                    let trec = t.record(t_cell.rows[mi]);
+                    clock.charge_join_probes(1);
+                    stats.join_probes += 1;
+                    clock.charge_map_evals(out_dims);
+                    stats.map_evals += out_dims;
+                    stats.join_results += 1;
+                    g.points
+                        .push_with(|out| g.mapping.apply_into(&rrec.vals, &trec.vals, out));
+                    g.arena.push(ArenaTuple {
+                        rid: rrec.id,
+                        tid: trec.id,
+                        origin: rid,
+                    });
+                }
+            }
+            start = end;
+        }
+        stats.arena_tuples += (g.arena.len() - arena_before) as u64;
+        stats.probe_ticks += clock.ticks() - probe_t0;
     }
 
     /// Applies one departure event: drops the query from every pending

@@ -4,25 +4,32 @@
 
 use super::emit::PendingTuple;
 use super::select::Pick;
+#[cfg(test)]
+use super::testkit::crash;
 use super::{GroupState, Run};
 use crate::group::{ArenaTuple, JoinGroup};
 use caqe_cuboid::BatchOutcome;
+use caqe_data::Table;
 use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
+use caqe_partition::{LeafCell, Partitioning};
 use caqe_regions::depgraph::Edge;
-use caqe_regions::ReconciledEstimate;
+use caqe_regions::{OutputRegion, ReconciledEstimate};
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{PointId, QueryId, RegionId};
+use caqe_types::{PointId, QueryId, RegionId, Value};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
 /// What the tuple step keeps from region to region, cleared and never
 /// freed: the candidates' rows go straight into the group's arena, so only
-/// their lineage and the shared plan's outcome need a home of their own.
+/// their lineage, the row test's image and the shared plan's outcome need a
+/// home of their own.
 #[derive(Default)]
 pub(super) struct TupleScratch {
     /// The lineage of each candidate of the current region, in tag order.
     lineage: Vec<QuerySet>,
+    /// The current R row's best image, for the row-level look-ahead.
+    image: Vec<Value>,
     /// The shared plan's outcome for the current region's batch.
     outcome: BatchOutcome,
     /// Whether the current region's batch has reached the shared plan. From
@@ -53,7 +60,8 @@ impl<S: TraceSink> Run<'_, S> {
         let join_results_before = self.stats.join_results;
         self.clock.charge_region_overhead();
         let attempt = self.groups[gi].attempts[rid.index()] + 1;
-        let arena_before = self.groups[gi].g.arena.len();
+        let g = &self.groups[gi].g;
+        let (arena_before, skipped_before) = (g.arena.len(), g.skipped.len());
         self.tuples.plan_written = false;
         let inject = faults.panics(gi as u32, rid.0, attempt);
         if inject {
@@ -72,11 +80,13 @@ impl<S: TraceSink> Run<'_, S> {
         let Ok(new_by_query) = unit else {
             let dirty = self.tuples.plan_written;
             if !dirty {
-                // The probe died before the plan saw its rows: drop them, and
-                // the region retries against the group it started from.
+                // The probe died before the plan saw its rows: drop them and
+                // the rows it skipped, and the region retries against the
+                // group it started from.
                 let g = &mut self.groups[gi].g;
                 g.arena.truncate(arena_before);
                 g.points.truncate(arena_before);
+                g.skipped.truncate(skipped_before);
             }
             self.recover(pick, attempt, dirty);
             return None;
@@ -129,15 +139,27 @@ impl<S: TraceSink> Run<'_, S> {
     /// so charging all probes ahead of all inserts leaves every observable —
     /// final ticks, stats, plan state, emission timestamps — bit-identical
     /// to interleaving them tuple by tuple.
+    ///
+    /// With [`EngineConfig::row_lookahead`](crate::config::EngineConfig),
+    /// an R row with partners is first tested at its best image: the
+    /// mapping over the T cell's lower corner, which every partner's result
+    /// is componentwise ≥ (mapping weights are non-negative). If that image
+    /// is strictly dominated in every kept window, so is each result, and
+    /// the row is skipped — no partner probes, no projection, no arena row.
+    /// The test examines at most `partners × kept windows` members, the
+    /// fewest its inserts could have been charged had the row been joined.
     fn process_region_tuples(&mut self, gi: usize, rid: RegionId) -> Vec<Vec<PointId>> {
         let (r, t) = (self.r, self.t);
         let progressive = self.engine.progressive_emission;
-        // Session mode keeps even serving-nobody tuples: the group arena
-        // must be the *complete* tag-ordered join history so a later
-        // admission can backfill its fresh subspaces from it. Such tuples
-        // are dominated in every query subspace, so they never reach a
-        // skyline — the result sets are unchanged, only the history is.
-        let materialize_all = self.session_mode;
+        let row_lookahead = self.engine.row_lookahead;
+        // Session mode keeps even serving-nobody tuples, and records the
+        // rows the look-ahead skipped: arena and record together are the
+        // join history a later admission backfills its fresh subspaces
+        // from, once it has re-joined the record ([`Run::rejoin_skipped`]).
+        // A serving-nobody tuple is dominated in every query subspace, so it
+        // never reaches a skyline — the result sets are unchanged, only the
+        // history is.
+        let session = self.session_mode;
         let (clock, stats, scratch) = (&mut self.clock, &mut self.stats, &mut self.tuples);
         let GroupState { g, pending, .. } = &mut self.groups[gi];
         let mut new_by_query: Vec<Vec<PointId>> = vec![Vec::new(); g.members.len()];
@@ -148,28 +170,48 @@ impl<S: TraceSink> Run<'_, S> {
             return new_by_query;
         }
 
-        // Join index within the cell pair (build on T side): stable-sorted
-        // `(key, row)` runs — matches per key come back in cell-row order,
-        // the same order an append-built hash index would yield.
-        let t_rows: &[usize] = &self.part_t.cell(reg.t_cell).rows;
+        let (t_cell, index) = join_index(&self.part_t, t, reg, g.join_col);
         let r_rows: &[usize] = &self.part_r.cell(reg.r_cell).rows;
         let join_col = g.join_col;
-        let index = SortedJoinIndex::build(t_rows.len(), |i| t.record(t_rows[i]).key(join_col));
         let stride = g.mapping.output_dims();
         let out_dims = stride as u64;
+        let windows = g.plan.windows() as u64;
 
         // --- Phase 1: probe + project, into the arena. ---
         let probe_t0 = clock.ticks();
         let first_tag = g.arena.len();
         scratch.lineage.clear();
         #[cfg(test)]
-        let results_before = stats.join_results;
+        let (results_before, skipped_before) = (stats.join_results, stats.rows_skipped);
         for &ri in r_rows {
             clock.charge_join_probes(1);
             stats.join_probes += 1;
             let rrec = r.record(ri);
-            for mi in index.matches(rrec.key(join_col)) {
-                let trec = t.record(t_rows[mi]);
+            let partners = index.matches(rrec.key(join_col));
+            if row_lookahead && partners.len() > 0 {
+                scratch.image.clear();
+                g.mapping
+                    .apply_into(&rrec.vals, t_cell.bounds.lo(), &mut scratch.image);
+                let budget = partners.len() as u64 * windows;
+                if g.plan
+                    .dominated_everywhere(&scratch.image, budget, clock, stats)
+                {
+                    stats.rows_skipped += 1;
+                    stats.skipped_join_results += partners.len() as u64;
+                    if session {
+                        g.skipped.push((rid, ri as u32));
+                    }
+                    #[cfg(test)]
+                    crash::point(
+                        gi,
+                        rid,
+                        crash::At::Skipped(stats.rows_skipped - skipped_before),
+                    );
+                    continue;
+                }
+            }
+            for mi in partners {
+                let trec = t.record(t_cell.rows[mi]);
                 clock.charge_join_probes(1);
                 stats.join_probes += 1;
                 clock.charge_map_evals(out_dims);
@@ -187,7 +229,7 @@ impl<S: TraceSink> Run<'_, S> {
                     Some(c) => reg.cell_lineage(c).intersect(serving),
                     None => serving,
                 };
-                if lineage.is_empty() && !materialize_all {
+                if lineage.is_empty() && !session {
                     stats.tuples_discarded += 1;
                     g.points.pop();
                 } else {
@@ -328,48 +370,32 @@ impl<S: TraceSink> Run<'_, S> {
     }
 }
 
-/// A test hook: one genuine panic — not a fault-plan one — at a chosen
-/// point of one region's unit, to test what a panic leaves behind.
-#[cfg(test)]
-pub(super) mod crash {
-    use caqe_types::RegionId;
-    use std::cell::Cell;
-
-    /// Where in the unit the panic fires.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub(in crate::engine) enum At {
-        /// Once the probe has handled the region's N-th join result (1-based).
-        JoinResult(u64),
-        /// Right after the region's batch went into the shared plan.
-        AfterInsert,
-    }
-
-    thread_local! {
-        static ARMED: Cell<Option<(usize, RegionId, At)>> = const { Cell::new(None) };
-    }
-
-    /// Arms one panic at `at` in region `rid` of group `gi`.
-    pub(in crate::engine) fn arm(gi: usize, rid: RegionId, at: At) {
-        ARMED.set(Some((gi, rid, at)));
-    }
-
-    /// Panics, and disarms, if armed for exactly this point.
-    pub(in crate::engine) fn point(gi: usize, rid: RegionId, at: At) {
-        if ARMED.get() == Some((gi, rid, at)) {
-            ARMED.set(None);
-            panic!("test crash in region {} at {at:?}", rid.0);
-        }
-    }
+/// Region `reg`'s T cell and the join index over it (build on T side):
+/// stable-sorted `(key, row)` runs — matches per key come back in cell-row
+/// order, the same order an append-built hash index would yield.
+pub(super) fn join_index<'p>(
+    part_t: &'p Partitioning,
+    t: &Table,
+    reg: &OutputRegion,
+    join_col: usize,
+) -> (&'p LeafCell, SortedJoinIndex) {
+    let cell = part_t.cell(reg.t_cell);
+    let rows = &cell.rows;
+    (
+        cell,
+        SortedJoinIndex::build(rows.len(), |i| t.record(rows[i]).key(join_col)),
+    )
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{group_of, spec, World};
+    use super::super::testkit::{four_queries, group_of, spec, World};
     use super::crash::{arm, At};
     use super::*;
     use crate::config::EngineConfig;
     use crate::outcome::RunOutcome;
-    use caqe_types::DimMask;
+    use caqe_data::{Distribution, TableGenerator};
+    use caqe_types::{DimMask, Stats};
     use std::time::Instant;
 
     /// Every query's results, as a sorted set of provenance pairs.
@@ -415,6 +441,31 @@ mod tests {
             assert_eq!(faulted.stats.regions_quarantined, 0);
             assert_eq!(result_sets(&faulted), result_sets(&clean), "n = {n}");
         }
+
+        // In session mode the skip record is part of the join history: a
+        // panic after the region's last skip drops its record entries with
+        // its arena rows, and the retry records them afresh.
+        let mut world = World::roomy();
+        let (target, skipped) = world.first_skipping_region();
+        let mut run = world.start(four_queries(), true);
+        run.drive(&[]).expect("runs");
+        let clean = run.finish("clean", Instant::now());
+        let mut run = world.start(four_queries(), true);
+        let pick = run.step_to(target);
+        let g = &run.groups[pick.gi].g;
+        let before = (g.arena.len(), g.points.len(), g.skipped.len());
+        arm(pick.gi, pick.rid, At::Skipped(skipped));
+        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+        let g = &run.groups[pick.gi].g;
+        assert_eq!((g.arena.len(), g.points.len(), g.skipped.len()), before);
+        assert_eq!(run.stats.region_retries, 1);
+        run.drive(&[]).expect("runs");
+        let g = &run.groups[pick.gi].g;
+        let entries = g.skipped.iter().filter(|&&(at, _)| at == pick.rid).count();
+        assert_eq!(entries as u64, skipped, "the retry records the region once");
+        let faulted = run.finish("faulted", Instant::now());
+        assert_eq!(faulted.stats.regions_quarantined, 0);
+        assert_eq!(result_sets(&faulted), result_sets(&clean));
     }
 
     #[test]
@@ -433,6 +484,53 @@ mod tests {
         assert_eq!(g.arena.len() as u64, run.stats.arena_tuples);
         assert!(!g.regions.region(pick.rid).is_alive());
         run.drive(&[]).expect("runs");
+
+        // The skip record follows the arena: the plan saw the region's
+        // rows, so the rows it skipped stay on record for a re-join.
+        let mut world = World::roomy();
+        let (target, skipped) = world.first_skipping_region();
+        let mut run = world.start(four_queries(), true);
+        let pick = run.step_to(target);
+        let recorded = run.groups[pick.gi].g.skipped.len();
+        arm(pick.gi, pick.rid, At::AfterInsert);
+        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+        assert_eq!(run.stats.regions_quarantined, 1);
+        let g = &run.groups[pick.gi].g;
+        assert_eq!(g.skipped.len() as u64, recorded as u64 + skipped);
+        assert!(g.skipped[recorded..].iter().all(|&(at, _)| at == pick.rid));
+        run.drive(&[]).expect("runs");
+    }
+
+    #[test]
+    fn the_row_test_examines_at_most_partners_times_kept_windows() {
+        // Per region, the probe phase's comparisons are the row tests'
+        // (the inserts' are counted apart); each tested row has partners,
+        // made or skipped, and may examine `partners × windows` members.
+        // Anticorrelated rows with one or two partners each meet big
+        // windows, where an unbounded scan would run past that.
+        let gen = TableGenerator::new(600, 2, Distribution::Anticorrelated)
+            .with_selectivities(&[0.02, 0.02]);
+        let mut world = World::generated(EngineConfig::caqe(), &gen, 8);
+        let mut run = world.start(four_queries(), false);
+        let windows = run.groups[0].g.plan.windows() as u64;
+        assert!(windows > 4, "the cuboid keeps only the query windows");
+        let mut tested = 0;
+        while let Some(pick) = run.select() {
+            let s = run.stats.clone();
+            run.step(pick);
+            let d = |f: fn(&Stats) -> u64| f(&run.stats) - f(&s);
+            let cmps = d(|s| s.dom_comparisons) - d(|s| s.insert_dom_cmps);
+            let partners = d(|s| s.join_results) + d(|s| s.skipped_join_results);
+            assert!(
+                cmps <= partners * windows,
+                "{pick:?}: {cmps} > {partners} × {windows}"
+            );
+            tested += cmps;
+        }
+        assert!(
+            tested > 0 && run.stats.rows_skipped > 0,
+            "no row was tested"
+        );
     }
 
     #[test]

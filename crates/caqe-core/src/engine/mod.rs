@@ -48,6 +48,7 @@ use caqe_types::{EngineError, SimClock, Stats};
 use churn::QueryTable;
 use emit::{PendingTuple, RecheckSet};
 use execute::TupleScratch;
+use select::Pick;
 use std::time::Instant;
 
 /// One engine run, described by the ten things the engine has ever been
@@ -97,12 +98,13 @@ impl<'a> RunRequest<'a> {
     /// batch run, byte-for-byte (including the recorded trace).
     ///
     /// A non-empty stream switches the engine into *session mode*: every
-    /// join tuple is materialized into the group arena (so a later admission
-    /// can backfill its subspace from the complete history), fully pruned
-    /// regions are kept as revivable husks, and events are applied in
-    /// stream order at the first loop iteration whose virtual clock has
-    /// reached their scheduled tick — the trace stays a pure function of
-    /// (workload, events, config).
+    /// join tuple made is materialized into the group arena and every row
+    /// the row-level look-ahead skips is recorded (so a later admission can
+    /// re-join those and backfill its subspace from the complete history),
+    /// fully pruned regions are kept as revivable husks, and events are
+    /// applied in stream order at the first loop iteration whose virtual
+    /// clock has reached their scheduled tick — the trace stays a pure
+    /// function of (workload, events, config).
     pub fn events(mut self, events: &'a EventStream) -> Self {
         self.events = Some(events);
         self
@@ -398,37 +400,42 @@ impl<'a, S: TraceSink> Run<'a, S> {
                     None => break,
                 }
             };
-            // Debug builds audit the incremental counts against Definition 11
-            // from scratch for every scheduled region, under every policy.
-            debug_assert!(
-                {
-                    let g = self.groups[pick.gi].g.counted();
-                    g.matches_oracle(g.regions.region(pick.rid))
-                },
-                "threat counts of {pick:?} diverged from Definition 11"
-            );
-            let audit = self.trace_decision(pick);
-            // Tuple-level processing (§6); a failed unit has already been
-            // routed to retry or quarantine.
-            let Some(new_by_query) = self.execute(pick, audit) else {
-                continue;
-            };
-            let (gi, rid) = (pick.gi, pick.rid);
-
-            // Origins whose pending tuples must be re-examined this round.
-            self.groups[gi].recheck_seed(rid);
-            if self.engine.dominance_discard {
-                self.discard_dominated(gi, rid, &new_by_query);
-            }
-            // Scheduling-graph maintenance (Algorithm 1).
-            self.groups[gi].g.dg.remove(rid);
-            // Progressive result reporting (§6, Example 19).
-            self.emit_safe(gi);
-            if self.engine.feedback {
-                self.queries.feed_back();
-            }
+            self.step(pick);
         }
         Ok(())
+    }
+
+    /// One iteration of the loop for the region the scheduler picked.
+    fn step(&mut self, pick: Pick) {
+        // Debug builds audit the incremental counts against Definition 11
+        // from scratch for every scheduled region, under every policy.
+        debug_assert!(
+            {
+                let g = self.groups[pick.gi].g.counted();
+                g.matches_oracle(g.regions.region(pick.rid))
+            },
+            "threat counts of {pick:?} diverged from Definition 11"
+        );
+        let audit = self.trace_decision(pick);
+        // Tuple-level processing (§6); a failed unit has already been
+        // routed to retry or quarantine.
+        let Some(new_by_query) = self.execute(pick, audit) else {
+            return;
+        };
+        let (gi, rid) = (pick.gi, pick.rid);
+
+        // Origins whose pending tuples must be re-examined this round.
+        self.groups[gi].recheck_seed(rid);
+        if self.engine.dominance_discard {
+            self.discard_dominated(gi, rid, &new_by_query);
+        }
+        // Scheduling-graph maintenance (Algorithm 1).
+        self.groups[gi].g.dg.remove(rid);
+        // Progressive result reporting (§6, Example 19).
+        self.emit_safe(gi);
+        if self.engine.feedback {
+            self.queries.feed_back();
+        }
     }
 
     /// Closes the run: by now every region is processed or dead.

@@ -4,6 +4,7 @@
 
 use super::churn::QueryTable;
 use super::emit::PendingTuple;
+use super::select::Pick;
 use super::{GroupState, Run, RunRequest};
 use crate::config::{EngineConfig, ExecConfig};
 use crate::group::{assemble_group, ArenaTuple, JoinGroup};
@@ -58,6 +59,13 @@ pub(super) fn group_of<const D: usize>(
     assemble_group(0, MappingSet::concat(D - 1, 1), &queries, regions, dg, true)
 }
 
+/// Four queries whose cuboid keeps more windows than queries.
+pub(super) fn four_queries() -> Vec<QuerySpec> {
+    [0b0011, 0b0110, 0b0111, 0b1110]
+        .map(|m| spec(0, DimMask(m)))
+        .to_vec()
+}
+
 /// The tables, configs and sink a [`Run`] borrows.
 pub(super) struct World {
     pub(super) r: Table,
@@ -72,17 +80,46 @@ impl World {
     /// Two 60-row independent tables with two join columns, the default
     /// execution environment at a handful of cells per table, and `engine`.
     pub(super) fn new(engine: EngineConfig) -> Self {
-        let gen = TableGenerator::new(60, 2, Distribution::Independent)
-            .with_selectivities(&[0.2, 0.2])
-            .with_seed(11);
+        let gen =
+            TableGenerator::new(60, 2, Distribution::Independent).with_selectivities(&[0.2, 0.2]);
+        World::generated(engine, &gen, 3)
+    }
+
+    /// A world of many regions, for the row-level look-ahead.
+    pub(super) fn roomy() -> Self {
+        let gen =
+            TableGenerator::new(400, 2, Distribution::Independent).with_selectivities(&[0.2, 0.2]);
+        World::generated(EngineConfig::caqe(), &gen, 8)
+    }
+
+    /// `engine` over `gen`'s tables (seed 11), at about `cells` cells per
+    /// table.
+    pub(super) fn generated(engine: EngineConfig, gen: &TableGenerator, cells: usize) -> Self {
+        let gen = gen.clone().with_seed(11);
+        let (r, t) = (gen.generate("R"), gen.generate("T"));
         World {
-            r: gen.generate("R"),
-            t: gen.generate("T"),
+            exec: ExecConfig::default().with_target_cells(r.len(), cells),
+            r,
+            t,
             workload: Workload::new(vec![spec(0, DimMask::full(4))]),
-            exec: ExecConfig::default().with_target_cells(60, 3),
             engine,
             sink: RecordingSink::new(),
         }
+    }
+
+    /// The first region of a session run of [`four_queries`] whose probe
+    /// both skips rows and joins some, with how many rows it skips.
+    pub(super) fn first_skipping_region(&mut self) -> ((usize, RegionId), u64) {
+        let mut run = self.start(four_queries(), true);
+        while let Some(pick) = run.select() {
+            let before = (run.stats.rows_skipped, run.stats.join_results);
+            run.step(pick);
+            let skipped = run.stats.rows_skipped - before.0;
+            if skipped > 0 && run.stats.join_results > before.1 {
+                return ((pick.gi, pick.rid), skipped);
+            }
+        }
+        panic!("no region skipped a row");
     }
 
     /// A run of `specs` over the world's tables, set up the way
@@ -124,6 +161,17 @@ impl World {
 }
 
 impl<S: caqe_trace::TraceSink> Run<'_, S> {
+    /// Steps the run up to, not into, region `(gi, rid)`.
+    pub(super) fn step_to(&mut self, target: (usize, RegionId)) -> Pick {
+        while let Some(pick) = self.select() {
+            if (pick.gi, pick.rid) == target {
+                return pick;
+            }
+            self.step(pick);
+        }
+        panic!("region {target:?} never came up");
+    }
+
     /// Plants a materialized tuple of region `origin` (group 0) at `point`,
     /// pending for `queries`; returns its tag. Provenance is `(tag, tag)`.
     pub(super) fn plant(&mut self, origin: u32, point: &[f64], queries: &[u16]) -> u64 {
@@ -140,5 +188,40 @@ impl<S: caqe_trace::TraceSink> Run<'_, S> {
             entries: queries.iter().map(|&q| (QueryId(q), None)).collect(),
         });
         tag
+    }
+}
+
+/// A test hook: one genuine panic — not a fault-plan one — at a chosen
+/// point of one region's unit, to test what a panic leaves behind.
+pub(super) mod crash {
+    use caqe_types::RegionId;
+    use std::cell::Cell;
+
+    /// Where in the unit the panic fires.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub(in crate::engine) enum At {
+        /// Once the probe has handled the region's N-th join result (1-based).
+        JoinResult(u64),
+        /// Once the probe has skipped the region's N-th R row (1-based).
+        Skipped(u64),
+        /// Right after the region's batch went into the shared plan.
+        AfterInsert,
+    }
+
+    thread_local! {
+        static ARMED: Cell<Option<(usize, RegionId, At)>> = const { Cell::new(None) };
+    }
+
+    /// Arms one panic at `at` in region `rid` of group `gi`.
+    pub(in crate::engine) fn arm(gi: usize, rid: RegionId, at: At) {
+        ARMED.set(Some((gi, rid, at)));
+    }
+
+    /// Panics, and disarms, if armed for exactly this point.
+    pub(in crate::engine) fn point(gi: usize, rid: RegionId, at: At) {
+        if ARMED.get() == Some((gi, rid, at)) {
+            ARMED.set(None);
+            panic!("test crash in region {} at {at:?}", rid.0);
+        }
     }
 }

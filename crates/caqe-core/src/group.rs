@@ -59,6 +59,11 @@ pub struct JoinGroup {
     /// insertion, pending-emission safety tests, discard sweeps) reads the
     /// slice instead of cloning.
     pub points: PointStore,
+    /// Session mode's skip record: `(region, R row)` of every row the
+    /// row-level look-ahead skipped, in skip order. Together with the arena
+    /// it is the whole join history; an admission re-joins these rows into
+    /// the arena before it backfills (DESIGN.md §4).
+    pub skipped: Vec<(RegionId, u32)>,
     /// Per-cell threat counts behind every progressiveness estimate
     /// (DESIGN.md §20). Private: [`Self::counted`] is the only way to read
     /// them, so no reader can see a table older than the regions.
@@ -404,6 +409,7 @@ pub(crate) fn assemble_group(
         plan,
         arena: Vec::new(),
         points,
+        skipped: Vec::new(),
         threats: ThreatCounts::default(),
     }
 }

@@ -278,3 +278,157 @@ fn concat_mapping_with_ties_needs_dva_off() {
         assert_eq!(&got, want, "query {} mismatch under ties", qi + 1);
     }
 }
+
+/// Full CAQE with the row-level look-ahead switched `on` or off.
+fn caqe_with_row_lookahead(on: bool) -> EngineConfig {
+    EngineConfig {
+        row_lookahead: on,
+        ..EngineConfig::caqe()
+    }
+}
+
+/// Runs full CAQE over `r ⋈ t` with the row-level look-ahead on and off,
+/// and asserts that every query reports the same result set either way,
+/// each result once, and that this set is the Def. 2 skyline. Returns the
+/// rows the look-ahead skipped.
+fn assert_row_lookahead_is_exact(
+    r: &caqe_data::Table,
+    t: &caqe_data::Table,
+    w: &Workload,
+    exec: &ExecConfig,
+) -> u64 {
+    let run = |on| {
+        RunRequest::new("caqe", r, t, w, exec, &caqe_with_row_lookahead(on))
+            .try_run(&mut NoopSink)
+            .expect("engine run")
+    };
+    let (on, off) = (run(true), run(false));
+    assert_eq!(off.stats.rows_skipped, 0, "the switch is off");
+    let expect = reference_results(r, t, w);
+    for (qi, want) in expect.iter().enumerate() {
+        let sets = [&on, &off].map(|out| {
+            let q = &out.per_query[qi];
+            assert_eq!(q.emissions.len(), q.results.len());
+            q.results.iter().copied().collect::<BTreeSet<(u64, u64)>>()
+        });
+        assert_eq!(sets[0].len(), on.per_query[qi].results.len(), "a duplicate");
+        assert_eq!(sets[0], sets[1], "query {}: on vs off", qi + 1);
+        assert_eq!(&sets[0], want, "query {}: vs Def. 2", qi + 1);
+    }
+    // A skipped row's partners are never joined.
+    assert!(on.stats.join_results < off.stats.join_results || on.stats.rows_skipped == 0);
+    on.stats.rows_skipped
+}
+
+#[test]
+fn row_lookahead_leaves_every_result_set_unchanged() {
+    for (dist, seed) in [
+        (Distribution::Anticorrelated, 21),
+        (Distribution::Independent, 22),
+        (Distribution::Independent, 23),
+    ] {
+        let (r, t) = tables(400, dist, 0.05, seed);
+        let w = figure1_workload(Contract::LogDecay);
+        let exec = ExecConfig::default().with_target_cells(400, 8);
+        let skipped = assert_row_lookahead_is_exact(&r, &t, &w, &exec);
+        assert!(skipped > 0, "{dist:?}/{seed}: nothing was skipped");
+    }
+}
+
+/// `n` rows whose values are `val(i)` and whose one join column cycles
+/// through six keys.
+fn rows(name: &str, n: u64, val: impl Fn(u64) -> [f64; 2]) -> caqe_data::Table {
+    let records = (0..n)
+        .map(|i| caqe_data::Record::new(i, val(i).to_vec(), vec![i as u32 % 6]))
+        .collect();
+    caqe_data::Table::new(name, 2, 1, records)
+}
+
+#[test]
+fn row_lookahead_skips_only_strictly_dominated_images() {
+    // Ties break the DVA assumption, so Theorem 1 is off (item 15).
+    let mut exec = ExecConfig::default().with_target_cells(400, 8);
+    exec.assume_dva = false;
+    let w = figure1_workload(Contract::LogDecay);
+
+    // Equal images: T is one point, so on the T side {2, 3} every result
+    // ties with every other and all are in that skyline, while on the R
+    // side {0, 1} most are strictly dominated. Each image equals a member
+    // of the {2, 3} windows, so no row may be skipped.
+    let r = rows("R", 160, |i| [(i % 4) as f64, (i / 4 % 4) as f64]);
+    let t = rows("T", 60, |_| [3.0, 3.0]);
+    let spec = |pref| QuerySpec {
+        join_col: 0,
+        mapping: MappingSet::concat(2, 2),
+        pref,
+        priority: 0.5,
+        contract: Contract::LogDecay,
+    };
+    let sides = Workload::new(vec![
+        spec(DimMask::from_dims([0, 1])),
+        spec(DimMask::from_dims([2, 3])),
+    ]);
+    assert_eq!(assert_row_lookahead_is_exact(&r, &t, &sides, &exec), 0);
+
+    // An integer grid: the generator's values in [0, 1] scaled to the
+    // integers 0–8, so ties are everywhere, and strictly dominated rows too.
+    let (r, t) = tables(400, Distribution::Independent, 0.05, 25);
+    let grid = |table: &caqe_data::Table| {
+        let mut records = table.records().to_vec();
+        for rec in &mut records {
+            rec.vals.iter_mut().for_each(|v| *v = (*v * 8.0).round());
+        }
+        caqe_data::Table::new(table.name(), table.dims(), table.join_cols(), records)
+    };
+    let (r, t) = (grid(&r), grid(&t));
+    let skipped = assert_row_lookahead_is_exact(&r, &t, &w, &exec);
+    assert!(skipped > 0, "the grid skipped nothing");
+}
+
+#[test]
+fn row_lookahead_is_exact_under_every_validation_policy() {
+    // NaN and ±inf planted in both tables. No policy lets one reach the
+    // engine (Reject fails, Quarantine drops, Clamp replaces), so the row
+    // test only ever sees finite images; a NaN image is never called
+    // dominated (`SkylineWindow::dominates`).
+    use caqe_data::ValidationPolicy;
+    let (r, t) = tables(300, Distribution::Independent, 0.05, 24);
+    let poison = |table: &caqe_data::Table| {
+        let mut records = table.records().to_vec();
+        for (i, rec) in records.iter_mut().enumerate().step_by(37) {
+            rec.vals[i % 2] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][i % 3];
+        }
+        caqe_data::Table::new(table.name(), table.dims(), table.join_cols(), records)
+    };
+    let (r, t) = (poison(&r), poison(&t));
+    let w = figure1_workload(Contract::LogDecay);
+    for policy in [
+        ValidationPolicy::Reject,
+        ValidationPolicy::Quarantine,
+        ValidationPolicy::Clamp,
+    ] {
+        let exec = ExecConfig::default()
+            .with_target_cells(300, 8)
+            .with_validation(policy);
+        let run = |on| {
+            let engine = caqe_with_row_lookahead(on);
+            RunRequest::new("caqe", &r, &t, &w, &exec, &engine).try_run(&mut NoopSink)
+        };
+        match (run(true), run(false)) {
+            (Err(a), Err(b)) => {
+                assert_eq!(policy, ValidationPolicy::Reject);
+                assert_eq!(a.to_string(), b.to_string());
+            }
+            (Ok(on), Ok(off)) => {
+                assert!(on.stats.rows_skipped > 0, "{policy:?}: nothing skipped");
+                for (a, b) in on.per_query.iter().zip(&off.per_query) {
+                    let set = |q: &caqe_core::QueryOutcome| {
+                        q.results.iter().copied().collect::<BTreeSet<(u64, u64)>>()
+                    };
+                    assert_eq!(set(a), set(b), "{policy:?}");
+                }
+            }
+            _ => panic!("{policy:?}: the switch changed whether the run fails"),
+        }
+    }
+}

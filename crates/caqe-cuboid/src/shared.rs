@@ -233,8 +233,12 @@ impl SharedSkylinePlan {
     /// Admits a new query into the plan: extends the cuboid per Definition 7
     /// ([`MinMaxCuboid::admit_query`]), carries the surviving per-subspace
     /// windows over to the new index layout without touching them, and
-    /// backfills each *freshly added* subspace from `history` — the complete
-    /// tag-ordered join output seen so far (row index == insertion tag).
+    /// backfills each *freshly added* subspace from `history` (row index ==
+    /// tag). `history` must hold every tuple the plan has been offered; a
+    /// tuple it never was — one the caller left out because every kept
+    /// window strictly dominated it ([`Self::dominated_everywhere`]) — must
+    /// be in it too, since a fresh subspace may admit it. The engine
+    /// re-joins such rows into its arena before it calls this.
     /// Points already interned for surviving subspaces are reused as-is;
     /// only tuples admitted into a new subspace are interned afresh. The
     /// backfill's dominance tests are charged to `clock`/`stats` like any
@@ -294,6 +298,34 @@ impl SharedSkylinePlan {
     ) -> SharedInsert {
         self.insert_batch(tag, point, point.len(), Threads::default(), clock, stats)
             .swap_remove(0)
+    }
+
+    /// Number of kept subspaces, hence of windows.
+    pub fn windows(&self) -> usize {
+        self.windows.len()
+    }
+
+    /// Whether every kept window holds a member that strictly dominates
+    /// `point` — each window's reject scan ([`SkylineWindow::dominates`]),
+    /// examining at most `budget` members over all windows. Past the budget
+    /// the answer is `false`, as it is for a point equal to a member, for a
+    /// point with a NaN coordinate, and for any point while a window is
+    /// empty. Charges one comparison per member examined.
+    pub fn dominated_everywhere(
+        &self,
+        point: &[Value],
+        budget: u64,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> bool {
+        let before = stats.dom_comparisons;
+        let member = |pid| self.points.get(pid);
+        let dead = self.windows.iter().all(|win| {
+            let left = budget - (stats.dom_comparisons - before);
+            win.dominates(point, left as usize, member, stats) == Some(true)
+        });
+        clock.charge_dom_cmps(stats.dom_comparisons - before);
+        dead && !self.windows.is_empty()
     }
 
     /// Validates a candidate run and sizes the arena on first use.
@@ -1111,6 +1143,40 @@ mod tests {
             assert_eq!(reused.2.observable(), single.2.observable());
             assert_eq!(reused.2.observable(), batched.2.observable());
         }
+    }
+
+    #[test]
+    fn dominated_everywhere_needs_every_window_within_the_budget() {
+        // Windows {0} and {1} hold [0, 3] and [3, 0]; a third query's
+        // {0, 1} holds those and [1, 1].
+        let prefs = vec![
+            DimMask::singleton(0),
+            DimMask::singleton(1),
+            DimMask::full(2),
+        ];
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        assert!(!plan.dominated_everywhere(&[5.0, 5.0], 99, &mut clock, &mut stats));
+        insert_all(&mut plan, &[vec![0.0, 3.0], vec![3.0, 0.0], vec![1.0, 1.0]]);
+        let windows = plan.windows() as u64;
+        let test = |point: &[Value], budget: u64| {
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            let dead = plan.dominated_everywhere(point, budget, &mut clock, &mut stats);
+            assert_eq!(clock.ticks(), stats.dom_comparisons);
+            assert!(stats.dom_comparisons <= budget);
+            (dead, stats.dom_comparisons)
+        };
+        assert_eq!(windows, 3);
+        assert!(test(&[2.0, 2.0], windows * 10).0);
+        // Tied with the {0} member, so not strictly dominated there.
+        assert!(!test(&[0.0, 9.0], windows * 10).0);
+        // Equal to a member of {0, 1}.
+        assert!(!test(&[1.0, 1.0], windows * 10).0);
+        // Too small a budget gives up, and is charged in full.
+        let (dead, charged) = test(&[2.0, 2.0], 1);
+        assert_eq!((dead, charged), (false, 1));
+        assert!(!test(&[Value::NAN, 2.0], windows * 10).0);
     }
 
     #[test]

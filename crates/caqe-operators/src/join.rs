@@ -93,7 +93,7 @@ impl SortedJoinIndex {
 
     /// The build rows matching `key`, in build order.
     #[inline]
-    pub fn matches(&self, key: u32) -> impl Iterator<Item = usize> + '_ {
+    pub fn matches(&self, key: u32) -> impl ExactSizeIterator<Item = usize> + '_ {
         let lo = self.entries.partition_point(|&(k, _)| k < key);
         let hi = self.entries.partition_point(|&(k, _)| k <= key);
         self.entries[lo..hi].iter().map(|&(_, row)| row as usize)

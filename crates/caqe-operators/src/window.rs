@@ -152,6 +152,46 @@ impl SkylineWindow {
         }
     }
 
+    /// Whether a member strictly dominates `point`: the reject scan of
+    /// [`Self::insert`] without the insert, given up once it has examined
+    /// `limit` members. `Some(true)` on a dominator, `Some(false)` when the
+    /// `score ≤` prefix holds none, `None` when the limit came first; a
+    /// point equal to a member is not dominated by it, and a point with a
+    /// NaN coordinate is never called dominated.
+    ///
+    /// Counts one `stats.dom_comparisons` per member examined — at most
+    /// `limit` — and one `stats.sig_builds` if the window is screened; the
+    /// caller charges the clock.
+    pub fn dominates<'a>(
+        &self,
+        point: &[Value],
+        limit: usize,
+        member: impl Fn(PointId) -> &'a [Value],
+        stats: &mut Stats,
+    ) -> Option<bool> {
+        let kernel = match &self.kernel {
+            Some(kernel) if point.iter().all(|v| !v.is_nan()) => kernel,
+            _ => return Some(false),
+        };
+        let screen = self.quant.as_ref().map(|q| {
+            stats.sig_builds += 1;
+            (&self.sigs[..], q.sig(point), q.high_mask())
+        });
+        let score = filed_score(kernel, point);
+        let (verdict, examined) =
+            match reject_scan(kernel, &self.entries, screen, point, score, limit, &member) {
+                Scan::Dominated(k) => (Some(true), k),
+                // A miss is charged its whole `score ≤` prefix, as in `insert`.
+                Scan::Clear => match self.entries.partition_point(|e| e.score <= score) {
+                    prefix if prefix <= limit => (Some(false), prefix),
+                    _ => (None, limit),
+                },
+                Scan::Cut => (None, limit),
+            };
+        stats.dom_comparisons += examined as u64;
+        verdict
+    }
+
     /// Inserts `point` under `tag`, to be known to later probes by `handle`;
     /// `member` resolves the handles of earlier insertions. With
     /// `known_survivor` the caller vouches that nothing in the window
@@ -175,16 +215,7 @@ impl SkylineWindow {
         let kernel = &*self
             .kernel
             .get_or_insert_with(|| DomKernel::new(mask, point.len()));
-        // A NaN score (a NaN coordinate, or `+inf` meeting `-inf` in the
-        // sum) has no place in the order and would break `partition_point`'s
-        // precondition. It sorts as `+inf`: last, tied with its like, so no
-        // member is left out of its reject scan and later probes still find
-        // it in their `score ≥` suffix. Exact whenever dominance is a strict
-        // partial order (a column that is NaN in every row ties everywhere).
-        let score = match kernel.score(point) {
-            s if s.is_nan() => Value::INFINITY,
-            s => s,
-        };
+        let score = filed_score(kernel, point);
         let screened = self.quant.is_some();
         let (csig, high) = match &self.quant {
             Some(q) => {
@@ -195,31 +226,19 @@ impl SkylineWindow {
         };
         let len = self.entries.len();
 
-        // Reject scan: a dominator's score is never larger, so it sits in
-        // the `score ≤` prefix, and the scan runs from the front with no
-        // bound computed first. Each pass skips the members whose signature
-        // rules them out (none while unscreened); the member it stops on
-        // ends the scan if its score is above the candidate's (the prefix
-        // is behind it — and a NaN-scored member filed as `+inf` never
-        // meets the float kernel out of its place), else is decided by
-        // proof or by the float kernel. Every member up to the first
-        // dominator counts as examined, skipped or not.
         if !known_survivor {
-            let mut k = 0;
-            loop {
-                if screened {
-                    k += first_may_dominate(&self.sigs[k..], csig, high);
-                }
-                if k == len || self.entries[k].score > score {
-                    break;
-                }
-                if (screened && sig_strictly_below(self.sigs[k], csig, high))
-                    || kernel.relate(member(self.entries[k].point), point) == DomRelation::Dominates
-                {
-                    stats.dom_comparisons += k as u64 + 1;
-                    return InsertOutcome::Dominated;
-                }
-                k += 1;
+            let screen = screened.then_some((&self.sigs[..], csig, high));
+            if let Scan::Dominated(k) = reject_scan(
+                kernel,
+                &self.entries,
+                screen,
+                point,
+                score,
+                usize::MAX,
+                &member,
+            ) {
+                stats.dom_comparisons += k as u64;
+                return InsertOutcome::Dominated;
             }
         }
 
@@ -285,6 +304,72 @@ impl SkylineWindow {
         }
         stats.dom_comparisons += comps + (len - pos) as u64;
         InsertOutcome::Added { removed }
+    }
+}
+
+/// `point`'s place in the window's score order. A NaN score (a NaN
+/// coordinate, or `+inf` meeting `-inf` in the sum) has no place in the
+/// order and would break `partition_point`'s precondition. It sorts as
+/// `+inf`: last, tied with its like, so no member is left out of its reject
+/// scan and later probes still find it in their `score ≥` suffix. Exact
+/// whenever dominance is a strict partial order (a column that is NaN in
+/// every row ties everywhere).
+#[inline(always)]
+fn filed_score(kernel: &DomKernel, point: &[Value]) -> Value {
+    match kernel.score(point) {
+        s if s.is_nan() => Value::INFINITY,
+        s => s,
+    }
+}
+
+/// How a reject scan ended.
+enum Scan {
+    /// The member at this count (1-based) dominates the candidate.
+    Dominated(usize),
+    /// No member of the `score ≤` prefix dominates it.
+    Clear,
+    /// The scan reached its limit before a verdict.
+    Cut,
+}
+
+/// The reject scan: a dominator's score is never larger, so it sits in the
+/// `score ≤` prefix, and the scan runs from the front with no bound computed
+/// first. With a `screen` (the members' signatures, the candidate's and the
+/// quantizer's high mask), each pass skips the members whose signature rules
+/// them out; the member it stops on ends the scan if its score is above the
+/// candidate's (the prefix is behind it — and a NaN-scored member filed as
+/// `+inf` never meets the float kernel out of its place), else is decided by
+/// proof or by the float kernel. Every member up to the first dominator
+/// counts as examined, skipped or not; the scan is [`Scan::Cut`] before it
+/// examines member `limit + 1`.
+#[inline(always)]
+fn reject_scan<'a>(
+    kernel: &DomKernel,
+    entries: &[Entry],
+    screen: Option<(&[u64], u64, u64)>,
+    point: &[Value],
+    score: Value,
+    limit: usize,
+    member: &impl Fn(PointId) -> &'a [Value],
+) -> Scan {
+    let len = entries.len();
+    let mut k = 0;
+    loop {
+        if let Some((sigs, csig, high)) = screen {
+            k += first_may_dominate(&sigs[k..], csig, high);
+        }
+        if k == len || entries[k].score > score {
+            return Scan::Clear;
+        }
+        if k >= limit {
+            return Scan::Cut;
+        }
+        let proven =
+            screen.is_some_and(|(sigs, csig, high)| sig_strictly_below(sigs[k], csig, high));
+        if proven || kernel.relate(member(entries[k].point), point) == DomRelation::Dominates {
+            return Scan::Dominated(k + 1);
+        }
+        k += 1;
     }
 }
 
@@ -564,6 +649,44 @@ mod tests {
                 (InsertOutcome::Dominated, 1)
             );
         }
+    }
+
+    #[test]
+    fn dominates_is_the_reject_scan_without_the_insert() {
+        // Pairwise incomparable, window order by score: [0, 9] (9),
+        // [9, 0.5] (9.5), [3, 7] (10), [11, 0] (11).
+        let members = [
+            vec![0.0, 9.0],
+            vec![9.0, 0.5],
+            vec![3.0, 7.0],
+            vec![11.0, 0.0],
+        ];
+        for sky in both_windows(DimMask::full(2), &members) {
+            let screened = sky.window.is_screened();
+            let test = |point: &[Value], limit: usize| {
+                let mut stats = Stats::new();
+                let member = |pid| sky.points.get(pid);
+                let verdict = sky.window.dominates(point, limit, member, &mut stats);
+                (verdict, stats.dom_comparisons)
+            };
+            // Dominated by the third member: charged as its reject would be.
+            assert_eq!(test(&[4.0, 8.0], 10), (Some(true), 3), "{screened}");
+            // The limit comes first: given up, charged the limit.
+            assert_eq!(test(&[4.0, 8.0], 2), (None, 2), "{screened}");
+            // A member's equal is not dominated; the prefix is all examined.
+            assert_eq!(test(&[3.0, 7.0], 10), (Some(false), 3), "{screened}");
+            // A NaN coordinate is never called dominated, whatever it ties.
+            assert_eq!(
+                test(&[Value::NAN, 10.0], 10),
+                (Some(false), 0),
+                "{screened}"
+            );
+            // The window is untouched.
+            assert_eq!(sky.tags().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
+        }
+        let empty = SkylineWindow::new(DimMask::full(2));
+        let verdict = empty.dominates(&[9.0, 9.0], 10, |_| &[], &mut Stats::new());
+        assert_eq!(verdict, Some(false));
     }
 
     #[test]

@@ -95,6 +95,13 @@ pub struct Stats {
     pub arena_tuples: u64,
     /// Points interned into shared-plan stores (one-copy occupancy).
     pub plan_points_interned: u64,
+    /// Base rows the row-level look-ahead skipped: their best image was
+    /// already strictly dominated in every kept subspace, so they were never
+    /// joined with their partners.
+    pub rows_skipped: u64,
+    /// Join results the skipped rows would have made (their partners): work
+    /// [`Stats::join_results`] never counts, because it was never done.
+    pub skipped_join_results: u64,
     /// Per-query breakdown of emissions and utility, indexed by `QueryId`.
     /// Empty until an executor sizes it to the workload; a memoized
     /// group-build delta carries it empty, so replaying one never
@@ -134,7 +141,9 @@ macro_rules! with_counter_fields {
             presort_cache_hits,
             presort_cache_misses,
             arena_tuples,
-            plan_points_interned
+            plan_points_interned,
+            rows_skipped,
+            skipped_join_results
         )
     };
 }
@@ -279,9 +288,10 @@ mod tests {
     #[test]
     fn counters_name_every_scalar_field() {
         let counters = numbered().counters();
-        assert_eq!(counters.len(), 26);
+        assert_eq!(counters.len(), 28);
         assert_eq!(counters[0], ("join_probes", 1));
         assert_eq!(counters[25], ("plan_points_interned", 26));
+        assert_eq!(counters[27], ("skipped_join_results", 28));
         // The list is the whole struct: every field but `per_query` is a
         // `u64` counter, so a field the list misses shows in the size.
         let listed = counters.len() * std::mem::size_of::<u64>();

@@ -208,6 +208,84 @@ fn admission_revives_discarded_regions_that_are_then_scheduled() {
     assert_golden("revival_trace.jsonl", &to_jsonl(sink.events()));
 }
 
+/// Join results made outside every region: `join_results` minus what the
+/// regions' estimate audits say they joined — the rows an admission
+/// re-joined from the skip record.
+fn rejoined(out: &RunOutcome, events: &[TraceEvent]) -> u64 {
+    let in_regions: u64 = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::EstimateAudit { estimate, .. } => Some(estimate.actual_join),
+            _ => None,
+        })
+        .sum();
+    out.stats.join_results - in_regions
+}
+
+#[test]
+fn admission_rejoins_the_rows_the_row_lookahead_skipped() {
+    // Queries 0 and 1 read dimensions 0–2 only; the late arrival reads
+    // dimension 3, so its fresh windows may want rows that every window of
+    // the first two dominated. By the admission, processed regions have
+    // skipped rows, and the backfill sees them only through the re-join.
+    // The second stream departs query 1 first: the rows it helped skip stay
+    // on record and are re-joined all the same.
+    let initial = vec![
+        spec(0, DimMask::from_dims([0, 1]), 0.9, Contract::LogDecay),
+        spec(0, DimMask::from_dims([1, 2]), 0.6, Contract::LogDecay),
+    ];
+    let late = spec(0, DimMask::from_dims([2, 3]), 0.7, Contract::LogDecay);
+    let (r, t) = tables(600, Distribution::Independent, 7);
+    let exec = ExecConfig::default().with_target_cells(600, 8);
+    let admit = SessionEvent::Admit {
+        at: 150_000,
+        spec: late.clone(),
+    };
+    let depart = SessionEvent::Depart {
+        at: 100_000,
+        query: QueryId(1),
+    };
+    // Without an admission, every join result is a region's, skipped rows
+    // included in none.
+    let mut sink = RecordingSink::new();
+    let w = Workload::new(initial.clone());
+    let batch = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+        .try_run(&mut sink)
+        .expect("clean input");
+    assert!(batch.stats.rows_skipped > 0);
+    assert_eq!(rejoined(&batch, sink.events()), 0);
+
+    let effective = Workload::new(initial.iter().cloned().chain([late]).collect());
+    let expected = common::expected_skylines(&r, &t, &effective);
+    for (events, departed) in [(vec![admit.clone()], None), (vec![depart, admit], Some(1))] {
+        let mut sink = RecordingSink::new();
+        let w = Workload::new(initial.clone());
+        let out = RunRequest::new("CAQE", &r, &t, &w, &exec, &EngineConfig::caqe())
+            .events(&EventStream::new(events))
+            .try_run(&mut sink)
+            .expect("clean input");
+        let label = format!("departed: {departed:?}");
+        assert!(out.stats.rows_skipped > 0, "{label}: nothing skipped");
+        assert!(
+            rejoined(&out, sink.events()) > 0,
+            "{label}: nothing re-joined"
+        );
+        for (q, want) in expected.iter().enumerate() {
+            if Some(q) == departed {
+                continue;
+            }
+            let got: std::collections::BTreeSet<(u64, u64)> =
+                out.per_query[q].results.iter().copied().collect();
+            assert_eq!(
+                got.len(),
+                out.per_query[q].results.len(),
+                "{label}: query {q} repeats"
+            );
+            assert_eq!(&got, want, "{label}: query {q} diverged from Def. 2");
+        }
+    }
+}
+
 #[test]
 fn departure_truncates_emissions_and_spares_other_queries() {
     let w = workload();

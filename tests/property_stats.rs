@@ -13,10 +13,10 @@
 use caqe::types::{PerQueryStats, Stats};
 use proptest::prelude::*;
 
-/// The 26 global `u64` counters, bounded so sums of a handful of shards
+/// The 28 global `u64` counters, bounded so sums of a handful of shards
 /// cannot overflow.
 fn arb_counters() -> impl Strategy<Value = Vec<u64>> {
-    proptest::collection::vec(0u64..(1 << 40), 26..=26)
+    proptest::collection::vec(0u64..(1 << 40), 28..=28)
 }
 
 /// Per-query entries with exactly-representable dyadic utility sums.
@@ -60,6 +60,8 @@ fn arb_stats() -> impl Strategy<Value = Stats> {
         sig_builds: c[23],
         presort_cache_hits: c[24],
         presort_cache_misses: c[25],
+        rows_skipped: c[26],
+        skipped_join_results: c[27],
         per_query,
     })
 }
