@@ -31,6 +31,8 @@ retired=(
   # the stored-product plan format and its reverse constructors
   'from_cell_rows' 'set_counter' 'from_threats_in' 'structure_digest'
   'EMPTY_PRESORT_SECTION' 'caqe-plan v1'
+  # a stored list of per-cell boxes, which the output-cell corner table replaced
+  '\.grid\(\)'
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')

@@ -2,14 +2,16 @@
 //! the benchmark's `anti_lookahead` shape — anticorrelated, 1000 rows, a
 //! 26-cell budget, 5 output dimensions, 11 queries, a few hundred regions
 //! with ~10^5 Definition 9 edges: the Definition 11 threat counts, the §6
-//! cell discard and the dependency graph's removals. Each iteration clones
-//! the built state first — a small share of the first two; for the removals
-//! `depgraph_clone` is the baseline to subtract.
+//! cell discard, the dependency graph's build and its removals. Each
+//! iteration clones the built state first — a small share of the first two;
+//! for the removals `depgraph_clone` is the baseline to subtract.
 
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::MappingSet;
 use caqe_partition::{Partitioning, QuadTreeConfig};
-use caqe_regions::{build_regions, DependencyGraph, RegionBuildInput, RegionSet, ThreatCounts};
+use caqe_regions::{
+    build_regions, DependencyGraph, NewPoints, RegionBuildInput, RegionSet, ThreatCounts,
+};
 use caqe_types::{DimMask, QueryId, RegionId, SimClock, Stats};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -80,19 +82,27 @@ fn bench_upkeep(c: &mut Criterion) {
             let (mut clock, mut stats) = (SimClock::default(), Stats::new());
             for rid in region_ids(&set) {
                 let bounds = &set.region(rid).bounds;
-                let news = [bounds.lo().to_vec(), bounds.center()];
+                let corners = [bounds.lo().to_vec(), bounds.center()];
+                let news =
+                    NewPoints::new(bounds.dims(), corners.iter().map(Vec::as_slice).collect());
                 for e in dg.threats_out(rid) {
                     for lq in 0..set.queries().len() {
                         let (q, pref) = set.queries()[lq];
                         let peer = set.region_mut(e.peer);
                         if e.queries.contains(q) && peer.serving.contains(q) {
-                            let news = news.iter().map(Vec::as_slice);
-                            peer.discard_dominated(q, pref, news, &mut clock, &mut stats);
+                            peer.discard_dominated(q, pref, &news, &mut clock, &mut stats);
                         }
                     }
                 }
             }
             black_box((set, stats.region_comparisons))
+        })
+    });
+
+    group.bench_function("depgraph_build", |b| {
+        b.iter(|| {
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            black_box(DependencyGraph::build(&set, &mut clock, &mut stats))
         })
     });
 

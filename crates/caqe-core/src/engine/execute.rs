@@ -14,7 +14,7 @@ use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
 use caqe_partition::{LeafCell, Partitioning};
 use caqe_regions::depgraph::Edge;
-use caqe_regions::{OutputRegion, ReconciledEstimate};
+use caqe_regions::{NewPoints, OutputRegion, ReconciledEstimate};
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
 use caqe_types::{PointId, QueryId, RegionId, Value};
@@ -336,19 +336,27 @@ impl<S: TraceSink> Run<'_, S> {
             points,
             ..
         } = g;
+        // Each query's new points and their floor, resolved once for every
+        // peer.
+        let news: Vec<Option<NewPoints>> = new_by_query
+            .iter()
+            .map(|pids| {
+                let batch = pids.iter().map(|&pid| points.get(pid)).collect();
+                (!pids.is_empty()).then(|| NewPoints::new(points.stride(), batch))
+            })
+            .collect();
         let mut pruned = Vec::new();
         for &Edge { peer, queries: w } in dg.threats_out(rid) {
             let mut shrunk = false;
-            for (local, news) in new_by_query.iter().enumerate() {
+            for (local, news) in news.iter().enumerate() {
                 let (global, mask) = regions.queries()[local];
-                if !w.contains(global) || news.is_empty() {
+                let Some(news) = news.as_ref().filter(|_| w.contains(global)) else {
                     continue;
-                }
+                };
                 let reg = regions.region_mut(peer);
                 if reg.processed || !reg.serving.contains(global) {
                     continue;
                 }
-                let news = news.iter().map(|&pid| points.get(pid));
                 shrunk |= reg.discard_dominated(global, mask, news, clock, stats);
             }
             if shrunk {

@@ -62,11 +62,11 @@ impl Ranker<'_> {
         // triggering the discard cascade that unblocks safe emission
         // everywhere else.
         let potential: f64 = g
-            .members
+            .regions
+            .queries()
             .iter()
-            .filter(|&&q| reg.serving.contains(q))
-            .map(|&q| {
-                let mask = g.regions.pref(q);
+            .filter(|&&(q, _)| reg.serving.contains(q))
+            .map(|&(q, mask)| {
                 let hi_score: f64 = mask.iter().map(|k| reg.bounds.hi()[k]).sum();
                 weights[q.index()] / (1.0 + hi_score / mask.len() as f64)
             })

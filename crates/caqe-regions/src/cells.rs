@@ -3,15 +3,17 @@
 //! A region's output cells are the regular [`GRID_PARTS`]-per-dimension grid
 //! over its bounds, so bit `k` of a cell's index is the cell's grid
 //! coordinate in dimension `k` and a cell's corner in dimension `k` depends
-//! on that one bit. Up to [`MASK_DIMS`] dimensions the whole grid fits one
-//! `u64` (bit `c` = cell `c`), and any per-dimension corner predicate holds
-//! on a cell set that is `BIT_SET[k]`, its complement, both or neither — a
-//! dominance test over a subspace is then those sets AND-ed (weak
-//! everywhere) and OR-ed (strict somewhere), one word per (box, subspace)
-//! instead of one float loop per cell. The corner values are read from the
-//! stored grid boxes, so every float comparison is the one the per-cell test
-//! would make. This is the one home of that decomposition: the Definition 11
-//! counts ([`crate::threats`]) and the §6 discard
+//! on that one bit. A region therefore stores its cells as one
+//! [`CellCorners`] table of three values per dimension, not as `2^d` boxes.
+//! Up to [`MASK_DIMS`] dimensions the whole grid fits one `u64` (bit `c` =
+//! cell `c`), and any per-dimension corner predicate holds on a cell set that
+//! is `BIT_SET[k]`, its complement, both or neither — a dominance test over a
+//! subspace is then those sets AND-ed (weak everywhere) and OR-ed (strict
+//! somewhere), one word per (box, subspace) instead of one float loop per
+//! cell. The corner values are the ones `Rect::grid` computes, so every float
+//! comparison is the one the per-cell test would make. This is the one home
+//! of that decomposition: the Definition 11 counts ([`crate::threats`]) and
+//! the §6 discard
 //! ([`OutputRegion::discard_dominated`](crate::OutputRegion::discard_dominated))
 //! both go through it.
 
@@ -33,6 +35,76 @@ const BIT_SET: [u64; MASK_DIMS] = [
     0xFFFF_0000_FFFF_0000,
     0xFFFF_FFFF_0000_0000,
 ];
+
+/// A region's output cells as one corner table: per dimension `k`, row 0
+/// holds the lower bound of grid coordinate 0 (`lo + w·0`), row 1 the
+/// midpoint (`lo + w·1`, coordinate 0's upper and coordinate 1's lower
+/// bound) and row 2 `hi` — each computed with `Rect::grid`'s own
+/// expression, so every comparison against a cell corner is the one a
+/// per-cell box would give, NaN and signed zeros included. Bit `k` of cell
+/// `c` picks the row: the cell's bounds in dimension `k` are rows `bit` and
+/// `bit + 1`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CellCorners {
+    /// `GRID_PARTS + 1` rows of `d` values, row-major.
+    rows: Box<[Value]>,
+}
+
+impl CellCorners {
+    /// The table of `bounds`' grid.
+    pub(crate) fn new(bounds: &Rect) -> Self {
+        let d = bounds.dims();
+        let mut rows = vec![0.0; (GRID_PARTS + 1) * d];
+        for k in 0..d {
+            let w = bounds.extent(k) / GRID_PARTS as Value;
+            for i in 0..GRID_PARTS {
+                rows[i * d + k] = bounds.lo()[k] + w * i as Value;
+            }
+            rows[GRID_PARTS * d + k] = bounds.hi()[k];
+        }
+        CellCorners { rows: rows.into() }
+    }
+
+    /// Dimensionality of the region.
+    pub(crate) fn dims(&self) -> usize {
+        self.rows.len() / (GRID_PARTS + 1)
+    }
+
+    /// Number of output cells, `2^d`.
+    pub(crate) fn cells(&self) -> usize {
+        1 << self.dims()
+    }
+
+    /// The lower bound in dimension `k` of the cells whose coordinate there
+    /// is `bit`.
+    #[inline]
+    pub(crate) fn lo(&self, k: usize, bit: usize) -> Value {
+        self.rows[bit * self.dims() + k]
+    }
+
+    /// The upper bound in dimension `k` of the cells whose coordinate there
+    /// is `bit`.
+    #[inline]
+    pub(crate) fn hi(&self, k: usize, bit: usize) -> Value {
+        self.rows[(bit + 1) * self.dims() + k]
+    }
+
+    /// Cell `c`'s lower and upper corner.
+    pub(crate) fn cell(&self, c: usize) -> (Vec<Value>, Vec<Value>) {
+        (0..self.dims())
+            .map(|k| (self.lo(k, c >> k & 1), self.hi(k, c >> k & 1)))
+            .unzip()
+    }
+
+    /// Whether no point componentwise at or above `floor` weakly dominates
+    /// any cell's lower corner in `pref`: some dimension of `pref` has
+    /// `floor[k]` above both of its lower bounds (a NaN on either side
+    /// answers no).
+    pub(crate) fn out_of_reach(&self, floor: &[Value], pref: DimMask) -> bool {
+        pref.iter()
+            .any(|k| floor[k] > self.lo(k, 0) && floor[k] > self.lo(k, 1))
+    }
+}
 
 /// The cells of an `n`-cell grid (`1 <= n <= 64`).
 pub(crate) fn all_cells(n: usize) -> u64 {
@@ -60,30 +132,30 @@ pub(crate) struct CellCover {
 }
 
 impl CellCover {
-    /// Requires `threat.dims() <= MASK_DIMS` and `grid` to be the `2^d`-cell
-    /// grid of a `d`-dimensional region.
-    pub(crate) fn new(threat: &Rect, grid: &[Rect]) -> Self {
+    /// Requires `threat.dims() <= MASK_DIMS` and `cells` to be the table of
+    /// a region of the same dimensionality.
+    pub(crate) fn new(threat: &Rect, cells: &CellCorners) -> Self {
         let mut cover = CellCover {
             full_weak: [0; MASK_DIMS],
             full_strict: [0; MASK_DIMS],
             part_weak: [0; MASK_DIMS],
             part_strict: [0; MASK_DIMS],
-            all: all_cells(grid.len()),
+            all: all_cells(cells.cells()),
         };
         for k in 0..threat.dims() {
-            // Representatives of the two grid coordinates in dimension `k`.
-            let (c0, c1) = (&grid[0], &grid[1 << k]);
             let (lo, hi) = (threat.lo()[k], threat.hi()[k]);
-            cover.full_weak[k] = pick(k, hi <= c0.lo()[k], hi <= c1.lo()[k]);
-            cover.full_strict[k] = pick(k, hi < c0.lo()[k], hi < c1.lo()[k]);
-            cover.part_weak[k] = pick(k, lo <= c0.hi()[k], lo <= c1.hi()[k]);
-            cover.part_strict[k] = pick(k, lo < c0.hi()[k], lo < c1.hi()[k]);
+            let (lo0, lo1) = (cells.lo(k, 0), cells.lo(k, 1));
+            let (hi0, hi1) = (cells.hi(k, 0), cells.hi(k, 1));
+            cover.full_weak[k] = pick(k, hi <= lo0, hi <= lo1);
+            cover.full_strict[k] = pick(k, hi < lo0, hi < lo1);
+            cover.part_weak[k] = pick(k, lo <= hi0, lo <= hi1);
+            cover.part_strict[k] = pick(k, lo < hi0, lo < hi1);
         }
         cover
     }
 
     /// The cells the threat may dominate in subspace `pref` — bit `c` set iff
-    /// `threat.may_dominate_region(&grid[c], pref)`.
+    /// `threat.may_dominate_box(lo_c, hi_c, pref)` for cell `c`'s corners.
     pub(crate) fn cells(&self, pref: DimMask) -> u64 {
         let (mut full_weak, mut full_strict) = (u64::MAX, 0);
         let (mut part_weak, mut part_strict) = (u64::MAX, 0);
@@ -113,16 +185,16 @@ pub(crate) fn point_dominates_rect(p: &[Value], lo: &[Value], mask: DimMask) -> 
     strict
 }
 
-/// The cells of `grid` that point `p` dominates outright in subspace `pref`
-/// — bit `c` set iff `point_dominates_rect(p, grid[c].lo(), pref)`. Weak is
-/// `!(p[k] > lo)` and strict is `p[k] < lo`, the per-cell test's own
+/// The cells that point `p` dominates outright in subspace `pref` — bit `c`
+/// set iff `point_dominates_rect(p, lo_c, pref)` for cell `c`'s lower corner.
+/// Weak is `!(p[k] > lo)` and strict is `p[k] < lo`, the per-cell test's own
 /// comparisons, so a NaN coordinate behaves the same in both. Requires
-/// `p.len() <= MASK_DIMS` and `grid` to be the `2^d`-cell grid of a
-/// `d`-dimensional region.
-pub(crate) fn cells_dominated_by(p: &[Value], grid: &[Rect], pref: DimMask) -> u64 {
+/// `p.len() <= MASK_DIMS` and `cells` to be the table of a region of the
+/// same dimensionality.
+pub(crate) fn cells_dominated_by(p: &[Value], cells: &CellCorners, pref: DimMask) -> u64 {
     let (mut weak, mut strict) = (u64::MAX, 0);
     for k in pref.iter() {
-        let (lo0, lo1) = (grid[0].lo()[k], grid[1 << k].lo()[k]);
+        let (lo0, lo1) = (cells.lo(k, 0), cells.lo(k, 1));
         let v = p[k];
         // `!(v > lo)`, not `v <= lo`: the per-cell test's comparison, which
         // a NaN passes.
@@ -131,7 +203,7 @@ pub(crate) fn cells_dominated_by(p: &[Value], grid: &[Rect], pref: DimMask) -> u
         weak &= pick(k, weak0, weak1);
         strict |= pick(k, v < lo0, v < lo1);
     }
-    weak & strict & all_cells(grid.len())
+    weak & strict & all_cells(cells.cells())
 }
 
 #[cfg(test)]
@@ -139,6 +211,27 @@ mod tests {
     use super::*;
     use crate::testkit::arb_boxes;
     use proptest::prelude::*;
+
+    /// A box per dimension from a ladder of extreme values — infinities,
+    /// extents that overflow, signed zeros — plus zero-extent boxes.
+    fn arb_extreme_box(d: usize) -> impl Strategy<Value = Rect> {
+        const LADDER: [Value; 9] = [
+            Value::NEG_INFINITY,
+            -1e308,
+            -1.5,
+            -0.0,
+            0.0,
+            0.25,
+            3.0,
+            1e308,
+            Value::INFINITY,
+        ];
+        proptest::collection::vec((0..LADDER.len(), 0..LADDER.len()), d..=d).prop_map(|dims| {
+            let lo = dims.iter().map(|&(a, b)| LADDER[a.min(b)]).collect();
+            let hi = dims.iter().map(|&(a, b)| LADDER[a.max(b)]).collect();
+            Rect::new(lo, hi)
+        })
+    }
 
     #[test]
     fn a_point_dominates_a_box_only_with_a_strict_improvement() {
@@ -154,6 +247,23 @@ mod tests {
     }
 
     proptest! {
+        /// Every cell box read off the corner table is `Rect::grid`'s box,
+        /// bit for bit — NaN from an infinite extent and the sign of a zero
+        /// included.
+        #[test]
+        fn corner_table_equals_the_grid_bit_for_bit(
+            bounds in (1usize..=7).prop_flat_map(arb_extreme_box)
+        ) {
+            let (cells, grid) = (CellCorners::new(&bounds), bounds.grid(GRID_PARTS));
+            prop_assert_eq!(cells.cells(), grid.len());
+            let bits = |v: &[Value]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (c, cell) in grid.iter().enumerate() {
+                let (lo, hi) = cells.cell(c);
+                prop_assert_eq!(bits(&lo), bits(cell.lo()), "cell {} of {:?}", c, bounds);
+                prop_assert_eq!(bits(&hi), bits(cell.hi()), "cell {} of {:?}", c, bounds);
+            }
+        }
+
         /// The bitmask cell set is `may_dominate_region` per cell, in every
         /// subspace, including touching corners and zero-extent boxes.
         #[test]
@@ -161,7 +271,7 @@ mod tests {
             (d, boxes) in (1usize..=MASK_DIMS).prop_flat_map(|d| (Just(d), arb_boxes(d, 2)))
         ) {
             let grid = boxes[1].grid(GRID_PARTS);
-            let cover = CellCover::new(&boxes[0], &grid);
+            let cover = CellCover::new(&boxes[0], &CellCorners::new(&boxes[1]));
             prop_assert_eq!(cover.cells(DimMask::EMPTY), 0);
             for pref in DimMask::enumerate_nonempty(d) {
                 let cells = cover.cells(pref);

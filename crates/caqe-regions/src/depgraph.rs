@@ -23,7 +23,7 @@
 
 use crate::region::{OutputRegion, RegionSet};
 use caqe_types::ids::QuerySet;
-use caqe_types::{DimMask, QueryId, Rect, RegionId, SimClock, Stats};
+use caqe_types::{DimMask, QueryId, Rect, RegionId, SimClock, Stats, Value};
 
 /// One directed threat edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,8 +61,15 @@ pub struct CornerMasks {
 impl CornerMasks {
     /// Compares the corners of the ordered pair `from → to`.
     pub fn between(from: &Rect, to: &Rect) -> Self {
+        Self::of(from.lo(), to.hi())
+    }
+
+    /// Compares `from`'s best corner `from_lo` with `to`'s worst corner
+    /// `to_hi`.
+    #[inline]
+    fn of(from_lo: &[Value], to_hi: &[Value]) -> Self {
         let (mut weak, mut strict) = (0u32, 0u32);
-        for (k, (a, b)) in from.lo().iter().zip(to.hi()).enumerate() {
+        for (k, (a, b)) in from_lo.iter().zip(to_hi).enumerate() {
             if a <= b {
                 weak |= 1 << k;
             }
@@ -124,29 +131,40 @@ impl DependencyGraph {
     /// The `d` per-dimension corner comparisons of a pair are performed
     /// *once* and every query's subspace relation is then derived by
     /// bit-masking — so one region-level comparison is charged per ordered
-    /// pair, not per (pair × query).
-    #[allow(clippy::needless_range_loop)] // symmetric (i, j) iteration
+    /// pair, not per (pair × query). The corners and serving sets are read
+    /// from flat rows copied out of the regions once, and each query's
+    /// subspace by its position in the set.
     pub fn build(set: &RegionSet, clock: &mut SimClock, stats: &mut Stats) -> Self {
         let n = set.len();
         let mut threats_in: Vec<Vec<Edge>> = vec![Vec::new(); n];
         let mut threats_out: Vec<Vec<Edge>> = vec![Vec::new(); n];
+        let regions = set.regions();
+        let d = regions.first().map_or(0, |r| r.bounds.dims());
+        let row = |i: usize| i * d..(i + 1) * d;
+        let flat = |corner: fn(&Rect) -> &[Value]| -> Vec<Value> {
+            regions
+                .iter()
+                .flat_map(|r| corner(&r.bounds))
+                .copied()
+                .collect()
+        };
+        let (lo, hi) = (flat(Rect::lo), flat(Rect::hi));
+        let serving: Vec<QuerySet> = regions.iter().map(|r| r.serving).collect();
 
+        let mut pairs = 0;
         for i in 0..n {
             for j in 0..n {
-                if i == j {
+                let shared = serving[i].intersect(serving[j]);
+                if i == j || shared.is_empty() {
                     continue;
                 }
-                let (ri, rj) = (&set.regions()[i], &set.regions()[j]);
-                let shared = ri.serving.intersect(rj.serving);
-                if shared.is_empty() {
-                    continue;
-                }
-                clock.charge_dom_cmps(1);
-                stats.region_comparisons += 1;
-                let corners = CornerMasks::between(&ri.bounds, &rj.bounds);
-                let w: QuerySet = shared
+                pairs += 1;
+                let corners = CornerMasks::of(&lo[row(i)], &hi[row(j)]);
+                let w: QuerySet = set
+                    .queries()
                     .iter()
-                    .filter(|&q| corners.may_dominate(set.pref(q)))
+                    .filter(|&&(q, pref)| shared.contains(q) && corners.may_dominate(pref))
+                    .map(|&(q, _)| q)
                     .collect();
                 if !w.is_empty() {
                     threats_out[i].push(Edge {
@@ -160,6 +178,8 @@ impl DependencyGraph {
                 }
             }
         }
+        clock.charge_dom_cmps(pairs);
+        stats.region_comparisons += pairs;
         Self::from_edges(threats_in, threats_out)
     }
 

@@ -52,15 +52,13 @@ pub fn prog_count(
         .map(|e| set.region(e.peer))
         .filter(|r| r.is_alive() && r.serving.contains(q))
         .collect();
-    region
-        .grid()
-        .iter()
-        .enumerate()
-        .filter(|(c, cell)| {
-            region.cell_lineage(*c).contains(q)
-                && !threats
-                    .iter()
-                    .any(|t| t.bounds.may_dominate_region(cell, mask))
+    (0..region.cell_count())
+        .filter(|&c| region.cell_lineage(c).contains(q))
+        .filter(|&c| {
+            let (lo, hi) = region.cells().cell(c);
+            !threats
+                .iter()
+                .any(|t| t.bounds.may_dominate_box(&lo, &hi, mask))
         })
         .count()
 }
@@ -105,15 +103,13 @@ pub fn soft_prog_count(
         .map(|e| set.region(e.peer))
         .filter(|r| r.is_alive() && r.serving.contains(q))
         .collect();
-    region
-        .grid()
-        .iter()
-        .enumerate()
-        .filter(|(c, _)| region.cell_lineage(*c).contains(q))
-        .map(|(_, cell)| {
+    (0..region.cell_count())
+        .filter(|&c| region.cell_lineage(c).contains(q))
+        .map(|c| {
+            let (lo, hi) = region.cells().cell(c);
             let n_threats = threats
                 .iter()
-                .filter(|t| t.bounds.may_dominate_region(cell, mask))
+                .filter(|t| t.bounds.may_dominate_box(&lo, &hi, mask))
                 .count();
             1.0 / (1.0 + n_threats as f64)
         })

@@ -43,5 +43,5 @@ pub use estimate::{
     buchta_estimate, estimate_ticks, prog_count, prog_est, region_csm, soft_prog_count,
     soft_prog_est, ReconciledEstimate,
 };
-pub use region::{OutputRegion, RegionSet};
+pub use region::{NewPoints, OutputRegion, RegionSet};
 pub use threats::ThreatCounts;

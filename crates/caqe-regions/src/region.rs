@@ -1,6 +1,6 @@
 //! Output regions (`R_i` of Table 1) and their lifecycle.
 
-use crate::cells::{all_cells, cells_dominated_by, point_dominates_rect, MASK_DIMS};
+use crate::cells::{all_cells, cells_dominated_by, point_dominates_rect, CellCorners, MASK_DIMS};
 use caqe_types::ids::QuerySet;
 use caqe_types::{CellId, DimMask, QueryId, Rect, RegionId, SimClock, Stats, Value};
 
@@ -30,8 +30,9 @@ pub struct OutputRegion {
     /// Queries this region can still contribute to (the mutable
     /// *region query lineage*, `RQL`).
     pub serving: QuerySet,
-    /// The region's output cells (regular grid over `bounds`).
-    grid: Vec<Rect>,
+    /// The region's output cells (regular grid over `bounds`), as one
+    /// corner table.
+    cells: CellCorners,
     /// Per output cell: queries for which the cell is still alive (the
     /// *cell query lineage*, `CQL`).
     cell_alive: Vec<QuerySet>,
@@ -49,7 +50,8 @@ pub struct OutputRegion {
 }
 
 impl OutputRegion {
-    /// Creates a region; the output-cell grid is derived from `bounds`.
+    /// Creates a region; the output-cell corner table is derived from
+    /// `bounds`.
     #[allow(clippy::too_many_arguments)] // mirrors Table 1's region attributes
     pub fn new(
         id: RegionId,
@@ -61,10 +63,10 @@ impl OutputRegion {
         est_join: f64,
         serving: QuerySet,
     ) -> Self {
-        let grid = bounds.grid(GRID_PARTS);
-        let cell_alive = vec![serving; grid.len()];
+        let cells = CellCorners::new(&bounds);
+        let cell_alive = vec![serving; cells.cells()];
         let (slots, alive_cells) = if bounds.dims() <= MASK_DIMS {
-            (serving, vec![all_cells(grid.len()); serving.len()])
+            (serving, vec![all_cells(cells.cells()); serving.len()])
         } else {
             (QuerySet::EMPTY, Vec::new())
         };
@@ -77,7 +79,7 @@ impl OutputRegion {
             n_t,
             est_join,
             serving,
-            grid,
+            cells,
             cell_alive,
             slots,
             alive_cells,
@@ -92,9 +94,9 @@ impl OutputRegion {
         !self.processed && !self.serving.is_empty()
     }
 
-    /// The output cells (grid boxes) of the region.
-    pub fn grid(&self) -> &[Rect] {
-        &self.grid
+    /// The output cells of the region, as their corner table.
+    pub(crate) fn cells(&self) -> &CellCorners {
+        &self.cells
     }
 
     /// The queries for which output cell `c` is still alive.
@@ -104,7 +106,7 @@ impl OutputRegion {
 
     /// Total number of output cells (the `CellCount` of Equation 10).
     pub fn cell_count(&self) -> usize {
-        self.grid.len()
+        self.cell_alive.len()
     }
 
     /// Number of output cells still alive for query `q`.
@@ -218,15 +220,18 @@ impl OutputRegion {
     ///
     /// Charges one region comparison per (alive cell, point) test, a cell
     /// being tested against the points in order up to its first dominator —
-    /// the count a cell-by-cell scan makes. Up to `MASK_DIMS` dimensions the
-    /// scan runs point-major over the cell set instead: each point is charged
-    /// for the cells no earlier point dominated and its dominated cells are
-    /// one word ([`cells_dominated_by`]).
-    pub fn discard_dominated<'p>(
+    /// the count a cell-by-cell scan makes. When the floor of `news` lies
+    /// above both cell lower bounds in some dimension of `pref`, no test can
+    /// succeed, so that count is `alive cells × points` and is charged
+    /// without the scan. Up to `MASK_DIMS` dimensions the scan runs
+    /// point-major over the cell set: each point is charged for the cells no
+    /// earlier point dominated and its dominated cells are one word
+    /// ([`cells_dominated_by`]).
+    pub fn discard_dominated(
         &mut self,
         q: QueryId,
         pref: DimMask,
-        news: impl IntoIterator<Item = &'p [Value]> + Clone,
+        news: &NewPoints<'_>,
         clock: &mut SimClock,
         stats: &mut Stats,
     ) -> bool {
@@ -234,17 +239,21 @@ impl OutputRegion {
             clock.charge_dom_cmps(tests);
             stats.region_comparisons += tests;
         };
+        if self.cells.out_of_reach(&news.floor, pref) {
+            charge(self.alive_cell_count(q) as u64 * news.points.len() as u64);
+            return false;
+        }
         let single = QuerySet::singleton(q);
         let mut died = false;
         match self.alive_cells(q) {
             Some(alive) => {
                 let mut remaining = alive;
-                for p in news {
+                for p in &news.points {
                     if remaining == 0 {
                         break;
                     }
                     charge(remaining.count_ones() as u64);
-                    remaining &= !cells_dominated_by(p, &self.grid, pref);
+                    remaining &= !cells_dominated_by(p, &self.cells, pref);
                 }
                 let mut kills = alive & !remaining;
                 while kills != 0 {
@@ -255,14 +264,14 @@ impl OutputRegion {
                 }
             }
             None => {
-                for c in 0..self.grid.len() {
+                for c in 0..self.cell_count() {
                     if !self.cell_alive[c].contains(q) {
                         continue;
                     }
-                    let lo = self.grid[c].lo();
-                    let dominated = news.clone().into_iter().any(|p| {
+                    let (lo, _) = self.cells.cell(c);
+                    let dominated = news.points.iter().any(|p| {
                         charge(1);
-                        point_dominates_rect(p, lo, pref)
+                        point_dominates_rect(p, &lo, pref)
                     });
                     if dominated {
                         died |= !self.kill_cell(c, single).is_empty();
@@ -284,7 +293,7 @@ impl OutputRegion {
             s.insert(q);
         }
         if self.bounds.dims() <= MASK_DIMS {
-            let (at, all) = (self.rank(q), all_cells(self.grid.len()));
+            let (at, all) = (self.rank(q), all_cells(self.cell_count()));
             if self.slots.contains(q) {
                 self.alive_cells[at] = all;
             } else {
@@ -293,6 +302,32 @@ impl OutputRegion {
                 self.alive_cells.insert(at, all);
             }
         }
+    }
+}
+
+/// One query's newly materialized skyline points — the input of the §6
+/// discard ([`OutputRegion::discard_dominated`]) — with their componentwise
+/// minimum, the *floor*. A NaN coordinate makes its floor entry NaN, which
+/// rules nothing out.
+#[derive(Debug, Clone)]
+pub struct NewPoints<'p> {
+    points: Vec<&'p [Value]>,
+    floor: Vec<Value>,
+}
+
+impl<'p> NewPoints<'p> {
+    /// The batch `points`, each `dims` long, in the order the discard tests
+    /// them.
+    pub fn new(dims: usize, points: Vec<&'p [Value]>) -> Self {
+        let mut floor = vec![Value::INFINITY; dims];
+        for p in &points {
+            for (f, &v) in floor.iter_mut().zip(*p) {
+                if v.is_nan() || v < *f {
+                    *f = v;
+                }
+            }
+        }
+        NewPoints { points, floor }
     }
 }
 
@@ -416,9 +451,10 @@ mod tests {
     use crate::testkit::{arb_boxes, region};
     use proptest::prelude::*;
 
-    /// The §6 discard as a cell-by-cell scan, whatever the dimensionality:
-    /// the reference for [`OutputRegion::discard_dominated`]. Returns the
-    /// cells it killed, in kill order, and whether the region died for `q`.
+    /// The §6 discard as a cell-by-cell scan over `Rect::grid`'s boxes,
+    /// whatever the dimensionality: the reference for
+    /// [`OutputRegion::discard_dominated`]. Returns the cells it killed, in
+    /// kill order, and whether the region died for `q`.
     fn discard_per_cell(
         reg: &mut OutputRegion,
         q: QueryId,
@@ -428,7 +464,7 @@ mod tests {
         stats: &mut Stats,
     ) -> (Vec<usize>, bool) {
         let mut kills = Vec::new();
-        for (c, cell) in reg.grid().iter().enumerate() {
+        for (c, cell) in reg.bounds.grid(GRID_PARTS).iter().enumerate() {
             if !reg.cell_lineage(c).contains(q) {
                 continue;
             }
@@ -449,18 +485,20 @@ mod tests {
     }
 
     proptest! {
-        /// The cell-set discard and the cell-by-cell scan agree on the cells
-        /// killed (ascending, which is the scan's kill order), on whether the
-        /// region died, on the resulting region and on every charge — over
-        /// touching and zero-extent boxes, NaN and infinite coordinates,
-        /// partly dead lineage and every subspace (`d = 7` has no cell word
-        /// and takes the scan itself).
+        /// The discard — floor test, then cell sets — and the cell-by-cell
+        /// scan agree on the cells killed (ascending, which is the scan's
+        /// kill order), on whether the region died, on the resulting region
+        /// and on every charge — over touching and zero-extent boxes, signed
+        /// zeros, NaN and infinite coordinates, partly and wholly dead
+        /// lineage (an alive word of 0) and every subspace, for the drawn
+        /// points and for a batch above the box, which the floor rejects
+        /// (`d = 7` has no cell word and takes the scan itself).
         #[test]
         fn discard_by_cell_sets_equals_the_per_cell_scan(
             (d, boxes, news) in (1usize..=7).prop_flat_map(|d| (
                 Just(d),
                 arb_boxes(d, 1),
-                proptest::collection::vec(proptest::collection::vec(0u8..8, d..=d), 0..=40),
+                proptest::collection::vec(proptest::collection::vec(0u8..9, d..=d), 0..=40),
             )),
             dead in proptest::collection::vec(0usize..128, 0..12),
         ) {
@@ -468,32 +506,47 @@ mod tests {
                 5 => Value::NAN,
                 6 => Value::INFINITY,
                 7 => Value::NEG_INFINITY,
+                8 => -0.0,
                 &v => v as Value,
             };
             let news: Vec<Vec<Value>> =
                 news.iter().map(|p| p.iter().map(coordinate).collect()).collect();
+            let hi = boxes[0].hi();
+            let above: Vec<Vec<Value>> =
+                (1..3).map(|up| hi.iter().map(|h| h + up as Value).collect()).collect();
             let q = QueryId(1);
             let mut start = region(0, boxes[0].clone(), QuerySet::all(2));
             for c in dead {
                 start.kill_cell(c % start.cell_count(), QuerySet::singleton(q));
             }
-            for pref in DimMask::enumerate_nonempty(d) {
-                let (mut by_sets, mut by_scan) = (start.clone(), start.clone());
-                let (mut clock, mut stats) = (SimClock::default(), Stats::new());
-                let died = by_sets.discard_dominated(
-                    q, pref, news.iter().map(Vec::as_slice), &mut clock, &mut stats,
-                );
-                let (mut ref_clock, mut ref_stats) = (SimClock::default(), Stats::new());
-                let (ref_kills, ref_died) =
-                    discard_per_cell(&mut by_scan, q, pref, &news, &mut ref_clock, &mut ref_stats);
-                let kills: Vec<usize> = (0..start.cell_count())
-                    .filter(|&c| start.cell_lineage(c) != by_sets.cell_lineage(c))
-                    .collect();
-                prop_assert_eq!(kills, ref_kills, "pref {:?}", pref);
-                prop_assert_eq!(died, ref_died);
-                prop_assert_eq!(&by_sets, &by_scan);
-                prop_assert_eq!(clock.ticks(), ref_clock.ticks());
-                prop_assert_eq!(stats.region_comparisons, ref_stats.region_comparisons);
+            let mut gone = start.clone();
+            gone.kill_query(q);
+            prop_assert_eq!(gone.alive_cells(q), (d <= MASK_DIMS).then_some(0));
+            for start in [&start, &gone] {
+                for batch in [&news, &above] {
+                    let points = NewPoints::new(d, batch.iter().map(Vec::as_slice).collect());
+                    for pref in DimMask::enumerate_nonempty(d) {
+                        if std::ptr::eq(batch, &above) {
+                            prop_assert!(start.cells().out_of_reach(&points.floor, pref));
+                        }
+                        let (mut by_sets, mut by_scan) = (start.clone(), start.clone());
+                        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+                        let died =
+                            by_sets.discard_dominated(q, pref, &points, &mut clock, &mut stats);
+                        let (mut ref_clock, mut ref_stats) = (SimClock::default(), Stats::new());
+                        let (ref_kills, ref_died) = discard_per_cell(
+                            &mut by_scan, q, pref, batch, &mut ref_clock, &mut ref_stats,
+                        );
+                        let kills: Vec<usize> = (0..start.cell_count())
+                            .filter(|&c| start.cell_lineage(c) != by_sets.cell_lineage(c))
+                            .collect();
+                        prop_assert_eq!(kills, ref_kills, "pref {:?}", pref);
+                        prop_assert_eq!(died, ref_died);
+                        prop_assert_eq!(&by_sets, &by_scan);
+                        prop_assert_eq!(clock.ticks(), ref_clock.ticks());
+                        prop_assert_eq!(stats.region_comparisons, ref_stats.region_comparisons);
+                    }
+                }
             }
         }
 
@@ -564,7 +617,7 @@ mod tests {
     #[test]
     fn locate_in_grid_box_agrees_with_grid_rects() {
         let r = region2d(QuerySet::all(1));
-        for (i, cell) in r.grid().iter().enumerate() {
+        for (i, cell) in r.bounds.grid(GRID_PARTS).iter().enumerate() {
             let c = cell.center();
             assert_eq!(r.locate(&c), Some(i));
         }

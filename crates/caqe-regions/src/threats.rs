@@ -71,6 +71,9 @@ pub struct ThreatCounts {
     cells: usize,
     /// Per region: the effective serving set whose out-edges are counted.
     counted: Vec<QuerySet>,
+    /// Scratch for [`reconcile`](Self::reconcile)'s snapshot of every
+    /// region's effective serving set; kept only for its allocation.
+    now: Vec<QuerySet>,
     /// The counters, [`LANES`] to a word: cell `c` of region `r` for local
     /// query `lq` is lane `c % LANES` of word
     /// `(lq * regions + r) * words_per_slot + c / LANES` — query major, so an
@@ -114,28 +117,38 @@ impl ThreatCounts {
         if self.counts.len() < need {
             self.counts.resize(need, 0);
         }
-        for (i, region) in set.regions().iter().enumerate() {
-            let now = if region.processed {
+        // Every region's effective serving set now, read once: a removal
+        // checks its targets here instead of in the region structs.
+        let mut now = std::mem::take(&mut self.now);
+        now.clear();
+        now.extend(set.regions().iter().map(|r| {
+            if r.processed {
                 QuerySet::EMPTY
             } else {
-                region.serving
-            };
-            let was = std::mem::replace(&mut self.counted[i], now);
-            if now != was {
+                r.serving
+            }
+        }));
+        for (i, region) in set.regions().iter().enumerate() {
+            let was = self.counted[i];
+            if now[i] != was {
                 let edges = dg.threats_out(region.id);
-                self.apply(set, region, edges, QuerySet(was.0 & !now.0), false);
-                self.apply(set, region, edges, QuerySet(now.0 & !was.0), true);
+                self.apply(set, &now, region, edges, QuerySet(was.0 & !now[i].0), false);
+                self.apply(set, &now, region, edges, QuerySet(now[i].0 & !was.0), true);
             }
         }
+        // The snapshot is the new record; the old record is the next
+        // reconcile's snapshot buffer.
+        self.now = std::mem::replace(&mut self.counted, now);
     }
 
     /// Adds (or removes) `threat`'s contribution on behalf of `queries` to
     /// every cell it covers along `edges`. A removal skips targets that are
-    /// processed or no longer serve the query: nothing reads those slots
-    /// again.
+    /// processed or no longer serve the query — their effective serving set
+    /// in `now` says so — since nothing reads those slots again.
     fn apply(
         &mut self,
         set: &RegionSet,
+        now: &[QuerySet],
         threat: &OutputRegion,
         edges: &[Edge],
         queries: QuerySet,
@@ -153,19 +166,18 @@ impl ThreatCounts {
             };
         };
         for e in edges {
-            let target = set.region(e.peer);
-            let read = match (add, target.processed) {
-                (true, _) => QuerySet(u64::MAX),
-                (false, false) => target.serving,
-                (false, true) => QuerySet::EMPTY,
+            let read = if add {
+                QuerySet(u64::MAX)
+            } else {
+                now[e.peer.index()]
             };
             let w = e.queries.intersect(queries).intersect(read);
             if w.is_empty() {
                 continue;
             }
-            let grid = target.grid();
+            let cells = set.region(e.peer).cells();
             let cover =
-                (threat.bounds.dims() <= MASK_DIMS).then(|| CellCover::new(&threat.bounds, grid));
+                (threat.bounds.dims() <= MASK_DIMS).then(|| CellCover::new(&threat.bounds, cells));
             for (lq, (q, pref)) in set.queries().iter().enumerate() {
                 if !w.contains(*q) {
                     continue;
@@ -186,8 +198,9 @@ impl ThreatCounts {
                     }
                     // More than 64 cells: no single-word cell set.
                     None => {
-                        for (c, cell) in grid.iter().enumerate() {
-                            if threat.bounds.may_dominate_region(cell, *pref) {
+                        for c in 0..self.cells {
+                            let (lo, hi) = cells.cell(c);
+                            if threat.bounds.may_dominate_box(&lo, &hi, *pref) {
                                 debug_assert!(add || lane(slot, c) > 0);
                                 bump(&mut slot[c / LANES], SPREAD[1 << (c % LANES)]);
                             }

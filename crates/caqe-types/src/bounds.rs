@@ -129,18 +129,20 @@ impl Rect {
     /// *PartiallyDominates* means domination of some future tuple pair is
     /// possible and must be accounted for in the dependency graph.
     pub fn relate_region(&self, other: &Rect, mask: DimMask) -> RegionRelation {
+        self.relate_box(&other.lo, &other.hi, mask)
+    }
+
+    /// [`relate_region`](Self::relate_region) against the box with corners
+    /// `lo` and `hi`, given as slices.
+    fn relate_box(&self, lo: &[Value], hi: &[Value], mask: DimMask) -> RegionRelation {
         // Full domination: worst point of self ⪯ best point of other, and
         // strictly better somewhere (guaranteed when not all-equal).
-        if weakly_dominates_in(&self.hi, &other.lo, mask)
-            && mask.iter().any(|k| self.hi[k] < other.lo[k])
-        {
+        if weakly_dominates_in(&self.hi, lo, mask) && mask.iter().any(|k| self.hi[k] < lo[k]) {
             return RegionRelation::Dominates;
         }
         // Possible domination: best point of self ⪯ worst point of other
         // with strict improvement possible somewhere.
-        if weakly_dominates_in(&self.lo, &other.hi, mask)
-            && mask.iter().any(|k| self.lo[k] < other.hi[k])
-        {
+        if weakly_dominates_in(&self.lo, hi, mask) && mask.iter().any(|k| self.lo[k] < hi[k]) {
             return RegionRelation::PartiallyDominates;
         }
         RegionRelation::Incomparable
@@ -156,7 +158,14 @@ impl Rect {
     /// (cases 1 or 2 of Definition 8). This is the edge predicate of the
     /// dependency graph (Definition 9).
     pub fn may_dominate_region(&self, other: &Rect, mask: DimMask) -> bool {
-        self.relate_region(other, mask) != RegionRelation::Incomparable
+        self.may_dominate_box(&other.lo, &other.hi, mask)
+    }
+
+    /// [`may_dominate_region`](Self::may_dominate_region) against the box
+    /// with corners `lo` and `hi`, given as slices: an output cell's corners
+    /// are read off its region's corner table, not stored as a `Rect`.
+    pub fn may_dominate_box(&self, lo: &[Value], hi: &[Value], mask: DimMask) -> bool {
+        self.relate_box(lo, hi, mask) != RegionRelation::Incomparable
     }
 
     /// Whether the lower corner of `self` dominates the given point in the
@@ -168,7 +177,8 @@ impl Rect {
 
     /// Splits the box into a regular grid of `parts` cells per dimension of
     /// `mask_dims` (all dimensions), returning the sub-boxes in row-major
-    /// order. Used for the progressive cell count (Definition 11).
+    /// order. The reference a region's output-cell corner table is tested
+    /// against (`caqe-regions`).
     #[allow(clippy::needless_range_loop)] // odometer indexing is clearest
     pub fn grid(&self, parts: usize) -> Vec<Rect> {
         assert!(parts >= 1);
