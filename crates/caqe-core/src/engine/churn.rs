@@ -3,16 +3,17 @@
 //! mid-run (see the module doc of [`crate::session`]).
 
 use super::emit::PendingTuple;
-use super::execute::join_index;
+use super::execute::Peers;
 use super::recover::{backoff_ticks, MAX_ATTEMPTS};
+use super::rows::Rows;
 use super::{GroupState, Run};
-use crate::group::{open_group, ArenaTuple};
+use crate::group::open_group;
 use crate::outcome::QueryOutcome;
 use crate::workload::QuerySpec;
 use caqe_contract::{update_weights_masked, QueryScore};
 use caqe_regions::buchta_estimate;
 use caqe_trace::{TraceEvent, TraceSink};
-use caqe_types::{EngineError, QueryId, VirtualSeconds};
+use caqe_types::{EngineError, PointId, QueryId, VirtualSeconds};
 
 /// Per-query run state, one row per global query id. Rows are only ever
 /// appended ([`QueryTable::admit`]): a departure flips its row inactive and
@@ -91,9 +92,10 @@ impl QueryTable {
 impl<S: TraceSink> Run<'_, S> {
     /// Applies the admission event `ev_idx`: assigns the next global query
     /// slot, patches the owning group's shared state (or opens a new group),
-    /// re-joins the rows the row-level look-ahead skipped and backfills the
-    /// arrival's skyline from the now complete history, and registers the
-    /// backfilled results for progressive emission.
+    /// backfills the arrival's fresh windows from the arena and then from
+    /// the rows the row-level look-ahead skipped, discards what that
+    /// skyline dominates in the regions the admission revived, and
+    /// registers the backfilled results for progressive emission.
     pub(super) fn admit(&mut self, spec: &QuerySpec, ev_idx: u64) -> Result<(), EngineError> {
         let exec = self.exec;
         let faults = &exec.faults;
@@ -119,15 +121,12 @@ impl<S: TraceSink> Run<'_, S> {
             .groups
             .iter()
             .position(|gs| gs.g.join_col == spec.join_col && gs.g.mapping == spec.mapping);
-        if let Some(gi) = slot {
-            // The backfill below reads the arena as the whole join history.
-            self.rejoin_skipped(gi);
-        }
         let (clock, stats) = (&mut self.clock, &mut self.stats);
         // Admission-time plan patching / group building is build-phase work.
         let build_t0 = clock.ticks();
         let build_d0 = stats.dom_comparisons + stats.region_comparisons;
         let needs_dg = self.engine.needs_dependency_graph();
+        let (mut fresh, mut revived) = (0, Vec::new());
         match slot {
             Some(gi) => {
                 // Patch the existing group in place: Def. 7 admission is
@@ -138,11 +137,16 @@ impl<S: TraceSink> Run<'_, S> {
                 let gs = &mut self.groups[gi];
                 let g = &mut gs.g;
                 g.members.push(q);
+                let husks = g.regions.regions().iter();
+                revived = husks
+                    .filter(|reg| !reg.processed && reg.serving.is_empty())
+                    .map(|reg| reg.id)
+                    .collect();
                 g.regions.admit_query(q, spec.pref);
                 if needs_dg {
                     g.dg.admit_query(&g.regions, q, clock, stats);
                 }
-                g.plan.admit_query(spec.pref, &g.points, clock, stats);
+                fresh = g.plan.admit_query(spec.pref, &g.points, clock, stats);
                 // Serving sets changed everywhere: the FIFO liveness cursor
                 // is stale (revived husks break its monotone-death
                 // assumption).
@@ -176,6 +180,25 @@ impl<S: TraceSink> Run<'_, S> {
             Some(gi) => (gi, gi as u32),
             None => (self.groups.len() - 1, u32::MAX),
         };
+        if slot.is_some() {
+            // The backfill read the arena; the skip record holds the rest of
+            // the join history.
+            self.rejoin_skipped(gi, fresh);
+            let discard = self.engine.dominance_discard && self.engine.row_lookahead;
+            if discard && !revived.is_empty() {
+                // The revived husks came back with every cell alive for the
+                // arrival: its backfilled skyline is the first §6 discard
+                // they meet. It rides with the best-first re-join, so an
+                // engine without the row look-ahead admits as it always
+                // did.
+                let g = &self.groups[gi].g;
+                let local = g.members.len() - 1;
+                let skyline = g.plan.query_skyline_tags(QueryId(local as u16));
+                let mut news = vec![Vec::new(); g.members.len()];
+                news[local] = skyline.into_iter().map(|tag| PointId(tag as u32)).collect();
+                self.discard_dominated(gi, Peers::Revived(&revived, q), &news);
+            }
+        }
 
         let est_factor = faults.admit_est_factor(ev_idx);
         if est_factor != 1.0 {
@@ -215,54 +238,27 @@ impl<S: TraceSink> Run<'_, S> {
         Ok(())
     }
 
-    /// Re-joins the rows of group `gi`'s skip record into its arena, in
-    /// record order, and clears the record, so the arena is again the
-    /// complete join history — what an admission's backfill needs, since a
-    /// fresh subspace may want a row the old windows all dominated. Charged
-    /// as the join it is (the row's probe, one per partner, the mapping per
-    /// result) and counted in `join_results`; the rows stay in the arena.
-    pub(super) fn rejoin_skipped(&mut self, gi: usize) {
-        let (r, t) = (self.r, self.t);
-        let (clock, stats) = (&mut self.clock, &mut self.stats);
-        let g = &mut self.groups[gi].g;
-        let skipped = std::mem::take(&mut g.skipped);
-        let out_dims = g.mapping.output_dims() as u64;
-        let probe_t0 = clock.ticks();
-        let arena_before = g.arena.len();
-        // The record holds each region's rows in one run.
-        let mut start = 0;
-        while start < skipped.len() {
-            let rid = skipped[start].0;
-            let end = start
-                + skipped[start..]
-                    .iter()
-                    .take_while(|&&(at, _)| at == rid)
-                    .count();
-            let (t_cell, index) = join_index(&self.part_t, t, g.regions.region(rid), g.join_col);
-            for &(_, ri) in &skipped[start..end] {
-                clock.charge_join_probes(1);
-                stats.join_probes += 1;
-                let rrec = r.record(ri as usize);
-                for mi in index.matches(rrec.key(g.join_col)) {
-                    let trec = t.record(t_cell.rows[mi]);
-                    clock.charge_join_probes(1);
-                    stats.join_probes += 1;
-                    clock.charge_map_evals(out_dims);
-                    stats.map_evals += out_dims;
-                    stats.join_results += 1;
-                    g.points
-                        .push_with(|out| g.mapping.apply_into(&rrec.vals, &trec.vals, out));
-                    g.arena.push(ArenaTuple {
-                        rid: rrec.id,
-                        tid: trec.id,
-                        origin: rid,
-                    });
-                }
-            }
-            start = end;
+    /// Re-joins the rows of group `gi`'s skip record that the fresh
+    /// `windows` (a bitmask over cuboid positions) can use: each region's
+    /// recorded rows, best-first, row-tested against those windows alone
+    /// ([`Rows::Recorded`]). What is joined goes into the arena and those
+    /// windows; what they still all dominate stays on the record, in every
+    /// kept window dominated, for the next admission. Charged as the join
+    /// it is (the row's probe, one per partner, the mapping per result, the
+    /// row tests and the inserts) and counted in `join_results`.
+    pub(super) fn rejoin_skipped(&mut self, gi: usize, windows: u64) {
+        if windows == 0 {
+            return;
         }
-        stats.arena_tuples += (g.arena.len() - arena_before) as u64;
-        stats.probe_ticks += clock.ticks() - probe_t0;
+        let record = std::mem::take(&mut self.groups[gi].g.skipped);
+        // A region's rows are one run of the record, or two when a retry
+        // resumed after its seed while other regions ran.
+        let mut rest = &record[..];
+        while let Some(&(rid, _)) = rest.first() {
+            let (run, after) = rest.split_at(rest.iter().take_while(|e| e.0 == rid).count());
+            self.join_rows(gi, rid, Rows::Recorded { rows: run, windows });
+            rest = after;
+        }
     }
 
     /// Applies one departure event: drops the query from every pending

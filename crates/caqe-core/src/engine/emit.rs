@@ -136,6 +136,12 @@ impl<S: TraceSink> Run<'_, S> {
             if list.is_empty() {
                 continue;
             }
+            if g.regions.region(RegionId(origin as u32)).is_alive() {
+                // A region still to run threatens its own tuples: a seed
+                // whose rest failed waits for the retry.
+                pending[origin] = list;
+                continue;
+            }
             let threats = g.dg.threats_in(RegionId(origin as u32));
             let regions = &g.regions;
             list.retain_mut(|p| {

@@ -1,14 +1,12 @@
-//! Contract-aware execution at tuple level (§6): join the chosen region's
-//! cell pair, project, insert into the shared skyline plan, keep the
-//! pending-emission lists in step, and discard what the new tuples dominate.
+//! Contract-aware execution at tuple level (§6): run the chosen region as
+//! one unit — its rows joined, projected and inserted by
+//! [`Run::join_rows`] — under panic isolation with rollback to the last
+//! commit, and discard what the new tuples dominate.
 
-use super::emit::PendingTuple;
+use super::rows::Rows;
 use super::select::Pick;
-#[cfg(test)]
-use super::testkit::crash;
 use super::{GroupState, Run};
-use crate::group::{ArenaTuple, JoinGroup};
-use caqe_cuboid::BatchOutcome;
+use crate::group::JoinGroup;
 use caqe_data::Table;
 use caqe_faults::InjectedPanic;
 use caqe_operators::SortedJoinIndex;
@@ -17,25 +15,17 @@ use caqe_regions::depgraph::Edge;
 use caqe_regions::{NewPoints, OutputRegion, ReconciledEstimate};
 use caqe_trace::{SpanKind, TraceEvent, TraceSink};
 use caqe_types::ids::QuerySet;
-use caqe_types::{PointId, QueryId, RegionId, Value};
+use caqe_types::{PointId, QueryId, RegionId};
 use std::panic::{catch_unwind, panic_any, AssertUnwindSafe};
 
-/// What the tuple step keeps from region to region, cleared and never
-/// freed: the candidates' rows go straight into the group's arena, so only
-/// their lineage, the row test's image and the shared plan's outcome need a
-/// home of their own.
-#[derive(Default)]
-pub(super) struct TupleScratch {
-    /// The lineage of each candidate of the current region, in tag order.
-    lineage: Vec<QuerySet>,
-    /// The current R row's best image, for the row-level look-ahead.
-    image: Vec<Value>,
-    /// The shared plan's outcome for the current region's batch.
-    outcome: BatchOutcome,
-    /// Whether the current region's batch has reached the shared plan. From
-    /// then on the plan holds ids of the region's rows, so a panic leaves
-    /// the unit dirty rather than rolled back.
-    plan_written: bool,
+/// The regions a §6 discard scans.
+#[derive(Clone, Copy)]
+pub(super) enum Peers<'a> {
+    /// Every region the processed region threatens, for the queries on the
+    /// edge.
+    ThreatenedBy(RegionId),
+    /// The husks an admission revived, for the arrival alone.
+    Revived(&'a [RegionId], QueryId),
 }
 
 impl<S: TraceSink> Run<'_, S> {
@@ -61,7 +51,7 @@ impl<S: TraceSink> Run<'_, S> {
         self.clock.charge_region_overhead();
         let attempt = self.groups[gi].attempts[rid.index()] + 1;
         let g = &self.groups[gi].g;
-        let (arena_before, skipped_before) = (g.arena.len(), g.skipped.len());
+        self.tuples.commit = (g.arena.len(), g.skipped.len());
         self.tuples.plan_written = false;
         let inject = faults.panics(gi as u32, rid.0, attempt);
         if inject {
@@ -75,18 +65,19 @@ impl<S: TraceSink> Run<'_, S> {
                     attempt,
                 });
             }
-            self.process_region_tuples(gi, rid)
+            self.join_rows(gi, rid, Rows::Region)
         }));
         let Ok(new_by_query) = unit else {
             let dirty = self.tuples.plan_written;
             if !dirty {
                 // The probe died before the plan saw its rows: drop them and
-                // the rows it skipped, and the region retries against the
-                // group it started from.
+                // the rows it skipped, back to the unit's start or its seed,
+                // and the region retries from there.
+                let (arena_len, skipped_len) = self.tuples.commit;
                 let g = &mut self.groups[gi].g;
-                g.arena.truncate(arena_before);
-                g.points.truncate(arena_before);
-                g.skipped.truncate(skipped_before);
+                g.arena.truncate(arena_len);
+                g.points.truncate(arena_len);
+                g.skipped.truncate(skipped_len);
             }
             self.recover(pick, attempt, dirty);
             return None;
@@ -125,207 +116,15 @@ impl<S: TraceSink> Run<'_, S> {
         Some(new_by_query)
     }
 
-    /// Joins the region's cell pair, projects, and inserts surviving tuples
-    /// into the shared skyline plan. Returns, per member query (local
-    /// order), the handles (into the group's point store) of tuples newly
-    /// admitted to that query's skyline.
-    ///
-    /// Two phases: the probe projects every candidate straight into the
-    /// group's arena and point store, then the whole batch — the store's
-    /// tail — goes into the plan. A genuine mid-probe panic therefore
-    /// leaves rows the plan never saw, which [`Run::execute`] truncates
-    /// away, so the region stays retryable; from the plan write on, the
-    /// unit is dirty. The virtual clock is never *read* inside the region,
-    /// so charging all probes ahead of all inserts leaves every observable —
-    /// final ticks, stats, plan state, emission timestamps — bit-identical
-    /// to interleaving them tuple by tuple.
-    ///
-    /// With [`EngineConfig::row_lookahead`](crate::config::EngineConfig),
-    /// an R row with partners is first tested at its best image: the
-    /// mapping over the T cell's lower corner, which every partner's result
-    /// is componentwise ≥ (mapping weights are non-negative). If that image
-    /// is strictly dominated in every kept window, so is each result, and
-    /// the row is skipped — no partner probes, no projection, no arena row.
-    /// The test examines at most `partners × kept windows` members, the
-    /// fewest its inserts could have been charged had the row been joined.
-    fn process_region_tuples(&mut self, gi: usize, rid: RegionId) -> Vec<Vec<PointId>> {
-        let (r, t) = (self.r, self.t);
-        let progressive = self.engine.progressive_emission;
-        let row_lookahead = self.engine.row_lookahead;
-        // Session mode keeps even serving-nobody tuples, and records the
-        // rows the look-ahead skipped: arena and record together are the
-        // join history a later admission backfills its fresh subspaces
-        // from, once it has re-joined the record ([`Run::rejoin_skipped`]).
-        // A serving-nobody tuple is dominated in every query subspace, so it
-        // never reaches a skyline — the result sets are unchanged, only the
-        // history is.
-        let session = self.session_mode;
-        let (clock, stats, scratch) = (&mut self.clock, &mut self.stats, &mut self.tuples);
-        let GroupState { g, pending, .. } = &mut self.groups[gi];
-        let mut new_by_query: Vec<Vec<PointId>> = vec![Vec::new(); g.members.len()];
-
-        let reg = g.regions.region(rid);
-        let serving = reg.serving;
-        if serving.is_empty() {
-            return new_by_query;
-        }
-
-        let (t_cell, index) = join_index(&self.part_t, t, reg, g.join_col);
-        let r_rows: &[usize] = &self.part_r.cell(reg.r_cell).rows;
-        let join_col = g.join_col;
-        let stride = g.mapping.output_dims();
-        let out_dims = stride as u64;
-        let windows = g.plan.windows() as u64;
-
-        // --- Phase 1: probe + project, into the arena. ---
-        let probe_t0 = clock.ticks();
-        let first_tag = g.arena.len();
-        scratch.lineage.clear();
-        #[cfg(test)]
-        let (results_before, skipped_before) = (stats.join_results, stats.rows_skipped);
-        for &ri in r_rows {
-            clock.charge_join_probes(1);
-            stats.join_probes += 1;
-            let rrec = r.record(ri);
-            let partners = index.matches(rrec.key(join_col));
-            if row_lookahead && partners.len() > 0 {
-                scratch.image.clear();
-                g.mapping
-                    .apply_into(&rrec.vals, t_cell.bounds.lo(), &mut scratch.image);
-                let budget = partners.len() as u64 * windows;
-                if g.plan
-                    .dominated_everywhere(&scratch.image, budget, clock, stats)
-                {
-                    stats.rows_skipped += 1;
-                    stats.skipped_join_results += partners.len() as u64;
-                    if session {
-                        g.skipped.push((rid, ri as u32));
-                    }
-                    #[cfg(test)]
-                    crash::point(
-                        gi,
-                        rid,
-                        crash::At::Skipped(stats.rows_skipped - skipped_before),
-                    );
-                    continue;
-                }
-            }
-            for mi in partners {
-                let trec = t.record(t_cell.rows[mi]);
-                clock.charge_join_probes(1);
-                stats.join_probes += 1;
-                clock.charge_map_evals(out_dims);
-                stats.map_evals += out_dims;
-                stats.join_results += 1;
-                // Project into the point store's tail; pop the row again if
-                // the tuple turns out to serve nobody.
-                let id = g
-                    .points
-                    .push_with(|out| g.mapping.apply_into(&rrec.vals, &trec.vals, out));
-
-                // Cell-level lineage: which queries can this tuple still
-                // serve?
-                let lineage = match reg.locate(g.points.get(id)) {
-                    Some(c) => reg.cell_lineage(c).intersect(serving),
-                    None => serving,
-                };
-                if lineage.is_empty() && !session {
-                    stats.tuples_discarded += 1;
-                    g.points.pop();
-                } else {
-                    g.arena.push(ArenaTuple {
-                        rid: rrec.id,
-                        tid: trec.id,
-                        origin: rid,
-                    });
-                    scratch.lineage.push(lineage);
-                }
-                #[cfg(test)]
-                crash::point(
-                    gi,
-                    rid,
-                    crash::At::JoinResult(stats.join_results - results_before),
-                );
-            }
-        }
-        stats.probe_ticks += clock.ticks() - probe_t0;
-        debug_assert_eq!(g.points.len(), g.arena.len(), "arena/point-store desync");
-
-        // --- Phase 2: shared-plan insertion. ---
-        // The region's rows are the point store's tail, tags dense in
-        // candidate order; `SharedSkylinePlan::insert_batch_into` takes them
-        // in place — bit-identical to inserting the candidates one at a
-        // time. The per-candidate emission/eviction bookkeeping below never
-        // touches the clock, so replaying it after the batch leaves every
-        // observable unchanged.
-        if scratch.lineage.is_empty() {
-            return new_by_query;
-        }
-        scratch.plan_written = true;
-        stats.arena_tuples += scratch.lineage.len() as u64;
-        let insert_t0 = clock.ticks();
-        let insert_d0 = stats.dom_comparisons;
-        let batch = &g.points.as_flat()[first_tag * stride..];
-        let outcome = &mut scratch.outcome;
-        g.plan
-            .insert_batch_into(first_tag as u64, batch, stride, clock, stats, outcome);
-        stats.insert_ticks += clock.ticks() - insert_t0;
-        stats.insert_dom_cmps += stats.dom_comparisons - insert_d0;
-        #[cfg(test)]
-        crash::point(gi, rid, crash::At::AfterInsert);
-        debug_assert_eq!(outcome.added.len(), scratch.lineage.len());
-        debug_assert_eq!(g.members.len(), g.plan.num_queries());
-        let query_bit = |local: usize| g.plan.query_bit(QueryId(local as u16));
-        let mut evictions = outcome.evictions.iter().peekable();
-        for (c, (&added, lineage)) in outcome.added.iter().zip(&scratch.lineage).enumerate() {
-            let tag = (first_tag + c) as u64;
-
-            // Register newly admitted skyline tuples as pending emissions.
-            let mut entries: Vec<(QueryId, Option<RegionId>)> = Vec::new();
-            for (local, &global) in g.members.iter().enumerate() {
-                let in_sky = added & query_bit(local) != 0;
-                if in_sky && serving.contains(global) && lineage.contains(global) {
-                    entries.push((global, None));
-                    new_by_query[local].push(PointId(tag as u32));
-                }
-            }
-            if !progressive {
-                continue;
-            }
-            if !entries.is_empty() {
-                pending[rid.index()].push(PendingTuple { tag, entries });
-            }
-
-            // Handle evictions: invalidated provisional results. An
-            // eviction belongs to every query whose subspace it happened in.
-            while let Some(ev) = evictions.next_if(|e| e.candidate == c) {
-                let owners = (0..g.members.len()).filter(|&l| query_bit(l) == 1u64 << ev.subspace);
-                for local in owners {
-                    let global = g.members[local];
-                    for &etag in &ev.tags {
-                        let origin = g.arena[etag as usize].origin;
-                        let list = &mut pending[origin.index()];
-                        for p in list.iter_mut() {
-                            if p.tag == etag {
-                                p.entries.retain(|(q, _)| *q != global);
-                            }
-                        }
-                        list.retain(|p| !p.entries.is_empty());
-                    }
-                }
-            }
-        }
-        new_by_query
-    }
-
-    /// Discards output cells (and whole regions) of `rid`'s threatened
-    /// neighbors that are dominated by newly materialized skyline tuples
-    /// (§6), marking for recheck every origin whose pending tuples may have
-    /// become safe as a result.
+    /// Discards output cells (and whole regions) of `peers` that are
+    /// dominated by newly materialized skyline tuples (§6) — per member
+    /// query (local order), the handles in `new_by_query` — marking for
+    /// recheck every origin whose pending tuples may have become safe as a
+    /// result.
     pub(super) fn discard_dominated(
         &mut self,
         gi: usize,
-        rid: RegionId,
+        peers: Peers<'_>,
         new_by_query: &[Vec<PointId>],
     ) {
         let (clock, stats) = (&mut self.clock, &mut self.stats);
@@ -345,8 +144,17 @@ impl<S: TraceSink> Run<'_, S> {
                 (!pids.is_empty()).then(|| NewPoints::new(points.stride(), batch))
             })
             .collect();
+        let revived: Vec<Edge>;
+        let edges = match peers {
+            Peers::ThreatenedBy(rid) => dg.threats_out(rid),
+            Peers::Revived(husks, q) => {
+                let queries = QuerySet::singleton(q);
+                revived = husks.iter().map(|&peer| Edge { peer, queries }).collect();
+                &revived
+            }
+        };
         let mut pruned = Vec::new();
-        for &Edge { peer, queries: w } in dg.threats_out(rid) {
+        for &Edge { peer, queries: w } in edges {
             let mut shrunk = false;
             for (local, news) in news.iter().enumerate() {
                 let (global, mask) = regions.queries()[local];
@@ -397,24 +205,12 @@ pub(super) fn join_index<'p>(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{four_queries, group_of, spec, World};
-    use super::crash::{arm, At};
+    use super::super::testkit::crash::{arm, At};
+    use super::super::testkit::{four_queries, group_of, result_sets, spec, World};
     use super::*;
     use crate::config::EngineConfig;
-    use crate::outcome::RunOutcome;
-    use caqe_data::{Distribution, TableGenerator};
-    use caqe_types::{DimMask, Stats};
+    use caqe_types::DimMask;
     use std::time::Instant;
-
-    /// Every query's results, as a sorted set of provenance pairs.
-    fn result_sets(out: &RunOutcome) -> Vec<Vec<(u64, u64)>> {
-        let sorted = |q: &crate::outcome::QueryOutcome| {
-            let mut results = q.results.clone();
-            results.sort_unstable();
-            results
-        };
-        out.per_query.iter().map(sorted).collect()
-    }
 
     #[test]
     fn a_probe_that_dies_mid_way_is_rolled_back_and_retried() {
@@ -432,18 +228,46 @@ mod tests {
         let clean = run.finish("clean", Instant::now());
         assert!(clean.total_results() > 0);
 
-        // A panic after the first, a middle and the last join result.
-        for n in [1, results / 2, results] {
+        // The seed boundary: a panic right after the seed's commit rolls
+        // nothing back, and the retry joins only the rest.
+        let mut run = world.start(specs(), false);
+        assert_eq!(run.select(), Some(pick));
+        let before = run.groups[pick.gi].g.arena.len();
+        arm(pick.gi, pick.rid, At::Seeded);
+        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+        let (seed_results, seeded) = (run.stats.join_results, run.groups[pick.gi].g.arena.len());
+        assert!(
+            before < seeded && seed_results < results,
+            "no seed and rest"
+        );
+        assert!(run.groups[pick.gi].seeded[pick.rid.index()]);
+        run.drive(&[]).expect("runs");
+        let faulted = run.finish("faulted", Instant::now());
+        assert_eq!(faulted.stats.regions_quarantined, 0);
+        assert_eq!(result_sets(&faulted), result_sets(&clean));
+
+        // A panic after the first and the last join result of the seed,
+        // and of the rest: the arena returns to the unit's start, or to
+        // the seed once that is in the plan.
+        for n in [1, seed_results, seed_results + 1, results] {
             let mut run = world.start(specs(), false);
             assert_eq!(run.select(), Some(pick));
-            let g = &run.groups[pick.gi].g;
-            let before = (g.arena.len(), g.points.len());
             arm(pick.gi, pick.rid, At::JoinResult(n));
             assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
             let g = &run.groups[pick.gi].g;
-            assert_eq!((g.arena.len(), g.points.len()), before, "n = {n}");
+            let boundary = if n <= seed_results { before } else { seeded };
+            assert_eq!(
+                (g.arena.len(), g.points.len()),
+                (boundary, boundary),
+                "n = {n}"
+            );
             assert!(g.regions.region(pick.rid).is_alive());
             assert_eq!(run.stats.region_retries, 1);
+            // The seed's tuples wait for the rest: the region still to run
+            // threatens them.
+            run.groups[pick.gi].recheck.insert(pick.rid);
+            run.emit_safe(pick.gi);
+            assert!(run.queries.results.iter().all(Vec::is_empty), "n = {n}");
             run.drive(&[]).expect("runs");
             let faulted = run.finish("faulted", Instant::now());
             assert_eq!(faulted.stats.regions_quarantined, 0);
@@ -451,21 +275,33 @@ mod tests {
         }
 
         // In session mode the skip record is part of the join history: a
-        // panic after the region's last skip drops its record entries with
-        // its arena rows, and the retry records them afresh.
+        // panic after the region's last skip, which is the rest's, drops the
+        // rest's record entries with its arena rows, and the retry records
+        // them afresh.
         let mut world = World::roomy();
         let (target, skipped) = world.first_skipping_region();
         let mut run = world.start(four_queries(), true);
         run.drive(&[]).expect("runs");
         let clean = run.finish("clean", Instant::now());
+        let lens = |run: &Run<'_, _>| {
+            let g = &run.groups[target.0].g;
+            (g.arena.len(), g.points.len(), g.skipped.len())
+        };
         let mut run = world.start(four_queries(), true);
         let pick = run.step_to(target);
-        let g = &run.groups[pick.gi].g;
-        let before = (g.arena.len(), g.points.len(), g.skipped.len());
+        let before = lens(&run);
+        arm(pick.gi, pick.rid, At::Seeded);
+        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+        let seeded = lens(&run);
+        assert!(
+            skipped > (seeded.2 - before.2) as u64,
+            "the rest skips nothing"
+        );
+        let mut run = world.start(four_queries(), true);
+        let pick = run.step_to(target);
         arm(pick.gi, pick.rid, At::Skipped(skipped));
         assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
-        let g = &run.groups[pick.gi].g;
-        assert_eq!((g.arena.len(), g.points.len(), g.skipped.len()), before);
+        assert_eq!(lens(&run), seeded);
         assert_eq!(run.stats.region_retries, 1);
         run.drive(&[]).expect("runs");
         let g = &run.groups[pick.gi].g;
@@ -481,7 +317,7 @@ mod tests {
         let mut world = World::new(EngineConfig::caqe());
         let mut run = world.start(vec![spec(0, DimMask::full(4))], false);
         let pick = run.select().expect("the join is not empty");
-        arm(pick.gi, pick.rid, At::AfterInsert);
+        arm(pick.gi, pick.rid, At::AfterInsert(1));
         assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
         assert_eq!(run.stats.regions_quarantined, 1);
         assert_eq!(run.stats.region_retries, 0);
@@ -493,52 +329,26 @@ mod tests {
         assert!(!g.regions.region(pick.rid).is_alive());
         run.drive(&[]).expect("runs");
 
-        // The skip record follows the arena: the plan saw the region's
-        // rows, so the rows it skipped stay on record for a re-join.
+        // The skip record follows the arena: the rows skipped by the
+        // batches the plan saw — the seed's, or the seed's and the rest's —
+        // stay on record for a re-join.
         let mut world = World::roomy();
         let (target, skipped) = world.first_skipping_region();
-        let mut run = world.start(four_queries(), true);
-        let pick = run.step_to(target);
-        let recorded = run.groups[pick.gi].g.skipped.len();
-        arm(pick.gi, pick.rid, At::AfterInsert);
-        assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
-        assert_eq!(run.stats.regions_quarantined, 1);
-        let g = &run.groups[pick.gi].g;
-        assert_eq!(g.skipped.len() as u64, recorded as u64 + skipped);
-        assert!(g.skipped[recorded..].iter().all(|&(at, _)| at == pick.rid));
-        run.drive(&[]).expect("runs");
-    }
-
-    #[test]
-    fn the_row_test_examines_at_most_partners_times_kept_windows() {
-        // Per region, the probe phase's comparisons are the row tests'
-        // (the inserts' are counted apart); each tested row has partners,
-        // made or skipped, and may examine `partners × windows` members.
-        // Anticorrelated rows with one or two partners each meet big
-        // windows, where an unbounded scan would run past that.
-        let gen = TableGenerator::new(600, 2, Distribution::Anticorrelated)
-            .with_selectivities(&[0.02, 0.02]);
-        let mut world = World::generated(EngineConfig::caqe(), &gen, 8);
-        let mut run = world.start(four_queries(), false);
-        let windows = run.groups[0].g.plan.windows() as u64;
-        assert!(windows > 4, "the cuboid keeps only the query windows");
-        let mut tested = 0;
-        while let Some(pick) = run.select() {
-            let s = run.stats.clone();
-            run.step(pick);
-            let d = |f: fn(&Stats) -> u64| f(&run.stats) - f(&s);
-            let cmps = d(|s| s.dom_comparisons) - d(|s| s.insert_dom_cmps);
-            let partners = d(|s| s.join_results) + d(|s| s.skipped_join_results);
-            assert!(
-                cmps <= partners * windows,
-                "{pick:?}: {cmps} > {partners} × {windows}"
-            );
-            tested += cmps;
+        for write in [1, 2] {
+            let mut run = world.start(four_queries(), true);
+            let pick = run.step_to(target);
+            let recorded = run.groups[pick.gi].g.skipped.len();
+            let skipped_before = run.stats.rows_skipped;
+            arm(pick.gi, pick.rid, At::AfterInsert(write));
+            assert!(run.execute(pick, ReconciledEstimate::default()).is_none());
+            assert_eq!(run.stats.regions_quarantined, 1);
+            let seen = run.stats.rows_skipped - skipped_before;
+            assert_eq!(seen == skipped, write == 2, "write {write}");
+            let g = &run.groups[pick.gi].g;
+            assert_eq!(g.skipped.len() as u64, recorded as u64 + seen);
+            assert!(g.skipped[recorded..].iter().all(|&(at, _)| at == pick.rid));
+            run.drive(&[]).expect("runs");
         }
-        assert!(
-            tested > 0 && run.stats.rows_skipped > 0,
-            "no row was tested"
-        );
     }
 
     #[test]
@@ -578,14 +388,14 @@ mod tests {
 
         let partial = run.plant(0, &[2.5, 2.5], &[0]);
         let news = [vec![PointId(partial as u32)]];
-        run.discard_dominated(0, RegionId(0), &news);
+        run.discard_dominated(0, Peers::ThreatenedBy(RegionId(0)), &news);
         let threatened = run.groups[0].g.regions.region(RegionId(1));
         assert_eq!(threatened.alive_cell_count(QueryId(0)), 3);
         assert_eq!(run.groups[0].recheck.drain().count(), 0);
 
         let total = run.plant(0, &[0.0, 0.0], &[0]);
         let news = [vec![PointId(total as u32)]];
-        run.discard_dominated(0, RegionId(0), &news);
+        run.discard_dominated(0, Peers::ThreatenedBy(RegionId(0)), &news);
         assert!(!run.groups[0].g.regions.region(RegionId(1)).is_alive());
         assert_eq!(run.stats.regions_pruned, 1);
         assert_eq!(run.groups[0].recheck.drain().collect::<Vec<_>>(), vec![1]);

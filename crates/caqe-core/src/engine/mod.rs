@@ -20,7 +20,8 @@
 //! | module      | paper            | step                                       |
 //! |-------------|------------------|--------------------------------------------|
 //! | [`select`]  | §5.3, Alg. 1     | root ranking, witness credit, shed victim  |
-//! | [`execute`] | §6 tuple level   | probe → project → insert, dominance discard|
+//! | [`execute`] | §6 tuple level   | the unit and its rollback, dominance discard|
+//! | [`rows`]    | §6 tuple level   | best-first rows: row test, seed, rest      |
 //! | [`emit`]    | §6, Ex. 19       | safe emission, the blocking S-JFSL tail    |
 //! | [`churn`]   | sessions, Eq. 11 | the query table, admit / depart            |
 //! | [`recover`] | DESIGN.md §13    | retry, quarantine, backoff, shedding       |
@@ -32,6 +33,7 @@ mod churn;
 mod emit;
 mod execute;
 mod recover;
+mod rows;
 mod select;
 
 use crate::config::{EngineConfig, ExecConfig};
@@ -47,7 +49,8 @@ use caqe_trace::{NoopSink, SpanKind, TraceEvent, TraceSink};
 use caqe_types::{EngineError, SimClock, Stats};
 use churn::QueryTable;
 use emit::{PendingTuple, RecheckSet};
-use execute::TupleScratch;
+use execute::Peers;
+use rows::TupleScratch;
 use select::Pick;
 use std::time::Instant;
 
@@ -241,6 +244,9 @@ struct GroupState {
     attempts: Vec<u32>,
     /// Earliest virtual tick each region may be rescheduled at.
     not_before: Vec<u64>,
+    /// Regions whose seed is in the plan while their rest failed: the
+    /// retry resumes after the seed ([`Run::join_rows`]).
+    seeded: Vec<bool>,
 }
 
 impl GroupState {
@@ -253,6 +259,7 @@ impl GroupState {
             fifo_cursor: 0,
             attempts: vec![0; n],
             not_before: vec![0; n],
+            seeded: vec![false; n],
         }
     }
 }
@@ -282,7 +289,7 @@ struct Run<'a, S: TraceSink> {
     next_shed_check: u64,
     /// Scratch for [`Run::select`]'s per-decision witness table.
     witness_counts: Vec<u32>,
-    /// Scratch for [`Run::process_region_tuples`].
+    /// Scratch for [`Run::join_rows`].
     tuples: TupleScratch,
 }
 
@@ -427,7 +434,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
         // Origins whose pending tuples must be re-examined this round.
         self.groups[gi].recheck_seed(rid);
         if self.engine.dominance_discard {
-            self.discard_dominated(gi, rid, &new_by_query);
+            self.discard_dominated(gi, Peers::ThreatenedBy(rid), &new_by_query);
         }
         // Scheduling-graph maintenance (Algorithm 1).
         self.groups[gi].g.dg.remove(rid);

@@ -8,6 +8,7 @@ use super::select::Pick;
 use super::{GroupState, Run, RunRequest};
 use crate::config::{EngineConfig, ExecConfig};
 use crate::group::{assemble_group, ArenaTuple, JoinGroup};
+use crate::outcome::{QueryOutcome, RunOutcome};
 use crate::workload::{QuerySpec, Workload};
 use caqe_contract::Contract;
 use caqe_data::{Distribution, Table, TableGenerator};
@@ -64,6 +65,16 @@ pub(super) fn four_queries() -> Vec<QuerySpec> {
     [0b0011, 0b0110, 0b0111, 0b1110]
         .map(|m| spec(0, DimMask(m)))
         .to_vec()
+}
+
+/// Every query's results, as a sorted set of provenance pairs.
+pub(super) fn result_sets(out: &RunOutcome) -> Vec<Vec<(u64, u64)>> {
+    let sorted = |q: &QueryOutcome| {
+        let mut results = q.results.clone();
+        results.sort_unstable();
+        results
+    };
+    out.per_query.iter().map(sorted).collect()
 }
 
 /// The tables, configs and sink a [`Run`] borrows.
@@ -174,8 +185,11 @@ impl<S: caqe_trace::TraceSink> Run<'_, S> {
 
     /// Plants a materialized tuple of region `origin` (group 0) at `point`,
     /// pending for `queries`; returns its tag. Provenance is `(tag, tag)`.
+    /// The origin is marked processed, as the origin of any materialized
+    /// tuple is.
     pub(super) fn plant(&mut self, origin: u32, point: &[f64], queries: &[u16]) -> u64 {
         let gs = &mut self.groups[0];
+        gs.g.regions.region_mut(RegionId(origin)).processed = true;
         let tag = gs.g.arena.len() as u64;
         gs.g.arena.push(ArenaTuple {
             rid: tag,
@@ -204,8 +218,11 @@ pub(super) mod crash {
         JoinResult(u64),
         /// Once the probe has skipped the region's N-th R row (1-based).
         Skipped(u64),
-        /// Right after the region's batch went into the shared plan.
-        AfterInsert,
+        /// Right after the unit's N-th batch (1-based) went into the shared
+        /// plan.
+        AfterInsert(u64),
+        /// Right after the region's seed was committed.
+        Seeded,
     }
 
     thread_local! {

@@ -170,19 +170,23 @@ impl MinMaxCuboid {
     }
 
     /// Admits a new query with preference subspace `pref` into the next free
-    /// slot, extending the lattice per Definition 7. Admission is purely
-    /// *additive*: every previously kept subspace stays kept (its serve set
-    /// can only grow, and a strict superset introduced by new dimensions
-    /// serves only the new query, so it cannot newly absorb an old node's
-    /// lineage). Returns, for each subspace index of the *new* lattice, the
-    /// index it had in the old lattice (`None` for freshly added nodes) so
-    /// callers can splice per-subspace state instead of rebuilding it.
+    /// slot, extending the lattice per Definition 7. While some query is
+    /// active, admission is purely *additive*: every previously kept
+    /// subspace stays kept (its serve set can only grow, and a strict
+    /// superset introduced by new dimensions serves only the new query, so
+    /// it cannot newly absorb an old node's lineage). After the last
+    /// departure, which leaves the shape untouched, the lattice is built for
+    /// the arrival alone, and old subspaces it does not keep go. Returns,
+    /// for each subspace index of the *new* lattice, the index it had in the
+    /// old lattice (`None` for freshly added nodes) so callers can splice
+    /// per-subspace state instead of rebuilding it.
     ///
     /// # Panics
     /// Panics if `pref` is empty or the dimension union exceeds 16.
     pub fn admit_query(&mut self, pref: DimMask) -> Vec<Option<usize>> {
         assert!(!pref.is_empty(), "admitted query needs skyline dimensions");
         let old_subspaces = std::mem::take(&mut self.subspaces);
+        let additive = self.active.iter().any(|&a| a);
         self.prefs.push(pref);
         self.active.push(true);
         let (subspaces, serves, children, query_subspace) =
@@ -195,9 +199,8 @@ impl MinMaxCuboid {
                     .ok()
             })
             .collect();
-        debug_assert_eq!(
-            mapping.iter().filter(|m| m.is_some()).count(),
-            old_subspaces.len(),
+        debug_assert!(
+            !additive || mapping.iter().flatten().count() == old_subspaces.len(),
             "admit must be additive: every old subspace stays kept"
         );
         self.subspaces = subspaces;
@@ -497,6 +500,27 @@ mod tests {
         for &u in &before {
             assert!(c.contains(u), "admit dropped {u}");
         }
+    }
+
+    #[test]
+    fn an_arrival_after_the_last_departure_gets_its_own_lattice() {
+        // The last departure leaves the shape; the next arrival's lattice is
+        // its own, and only the subspaces both keep carry over.
+        let prefs = figure1_prefs();
+        let mut c = MinMaxCuboid::build(&prefs[..2]);
+        c.depart_query(QueryId(0));
+        c.depart_query(QueryId(1));
+        let before: Vec<DimMask> = c.subspaces().to_vec();
+        let mapping = c.admit_query(prefs[2]);
+        let reference = MinMaxCuboid::build_masked(&prefs[..3], &[false, false, true]);
+        assert_same_lattice(&c, &reference);
+        for (new_i, &u) in c.subspaces().iter().enumerate() {
+            assert_eq!(
+                mapping[new_i].map(|old_i| before[old_i]),
+                before.contains(&u).then_some(u)
+            );
+        }
+        assert!(mapping.iter().flatten().count() < before.len());
     }
 
     #[test]

@@ -38,6 +38,17 @@ fn batch_candidate(pid: PointId) -> Option<usize> {
     (pid.0 & BATCH_SENTINEL != 0).then_some((pid.0 & !BATCH_SENTINEL) as usize)
 }
 
+/// The cuboid positions set in `mask`, ascending.
+fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
+
 /// A run of candidate tuples: tuple `c` lives at
 /// `vals[c * stride..][..stride]` and carries tag `first_tag + c`.
 #[derive(Clone, Copy)]
@@ -211,17 +222,17 @@ impl SharedSkylinePlan {
 
     /// Re-lays the windows out after the cuboid changed shape: new index
     /// `i` carries over old window `mapping[i]` untouched, or starts empty.
-    /// Returns the indices that started empty.
-    fn splice(&mut self, mapping: &[Option<usize>]) -> Vec<usize> {
+    /// Returns the indices that started empty, as a bitmask.
+    fn splice(&mut self, mapping: &[Option<usize>]) -> u64 {
         let mut old: Vec<Option<SkylineWindow>> = std::mem::take(&mut self.windows)
             .into_iter()
             .map(Some)
             .collect();
-        let mut fresh = Vec::new();
+        let mut fresh = 0;
         for (i, m) in mapping.iter().enumerate() {
             let carried = m.and_then(|o| old[o].take());
             if carried.is_none() {
-                fresh.push(i);
+                fresh |= 1u64 << i;
             }
             let sub = self.cuboid.subspaces()[i];
             self.windows
@@ -234,11 +245,14 @@ impl SharedSkylinePlan {
     /// ([`MinMaxCuboid::admit_query`]), carries the surviving per-subspace
     /// windows over to the new index layout without touching them, and
     /// backfills each *freshly added* subspace from `history` (row index ==
-    /// tag). `history` must hold every tuple the plan has been offered; a
-    /// tuple it never was — one the caller left out because every kept
-    /// window strictly dominated it ([`Self::dominated_everywhere`]) — must
-    /// be in it too, since a fresh subspace may admit it. The engine
-    /// re-joins such rows into its arena before it calls this.
+    /// tag). Returns the fresh positions as a bitmask over cuboid positions.
+    ///
+    /// `history` must hold every tuple the plan has been offered. A tuple it
+    /// never was — one the caller left out because every kept window
+    /// strictly dominated it ([`Self::dominated_in`]) — is still strictly
+    /// dominated in every carried-over window, so only the fresh windows can
+    /// want it: the engine re-joins such rows afterwards and offers them to
+    /// those alone ([`Self::backfill`]).
     /// Points already interned for surviving subspaces are reused as-is;
     /// only tuples admitted into a new subspace are interned afresh. The
     /// backfill's dominance tests are charged to `clock`/`stats` like any
@@ -254,21 +268,39 @@ impl SharedSkylinePlan {
         history: &PointStore,
         clock: &mut SimClock,
         stats: &mut Stats,
-    ) {
+    ) -> u64 {
         let mapping = self.cuboid.admit_query(pref);
         assert!(
             self.cuboid.len() <= 64,
             "cuboid too large for added-mask bits"
         );
         let fresh = self.splice(&mapping);
-        if history.is_empty() || fresh.is_empty() {
+        if !history.is_empty() {
+            self.backfill(fresh, 0, history.as_flat(), history.stride(), clock, stats);
+        }
+        fresh
+    }
+
+    /// Offers a batch of tuples (laid out as for
+    /// [`Self::insert_batch_into`]) to the windows at the cuboid positions
+    /// set in `windows` only, without the Theorem 1 shortcut. Nobody has read
+    /// those windows yet, so what the batch evicts was never reported: the
+    /// outcome is dropped.
+    pub fn backfill(
+        &mut self,
+        windows: u64,
+        first_tag: u64,
+        vals: &[Value],
+        stride: usize,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) {
+        if windows == 0 || vals.is_empty() {
             return;
         }
-        let batch = self.open_batch(0, history.as_flat(), history.stride());
-        // Nobody read a fresh window while it was being filled, so what the
-        // backfill evicts was never reported: the outcome is dropped.
+        let batch = self.open_batch(first_tag, vals, stride);
         let mut dropped = BatchOutcome::default();
-        self.replay(fresh, batch, false, clock, stats, &mut dropped);
+        self.replay(positions(windows), batch, false, clock, stats, &mut dropped);
     }
 
     /// Retires query `q` from the plan: prunes the cuboid per Definition 7
@@ -305,14 +337,22 @@ impl SharedSkylinePlan {
         self.windows.len()
     }
 
-    /// Whether every kept window holds a member that strictly dominates
-    /// `point` — each window's reject scan ([`SkylineWindow::dominates`]),
-    /// examining at most `budget` members over all windows. Past the budget
-    /// the answer is `false`, as it is for a point equal to a member, for a
-    /// point with a NaN coordinate, and for any point while a window is
-    /// empty. Charges one comparison per member examined.
-    pub fn dominated_everywhere(
+    /// Every kept window, as a bitmask over cuboid positions.
+    pub fn all_windows(&self) -> u64 {
+        1u64.checked_shl(self.windows.len() as u32)
+            .map_or(u64::MAX, |bit| bit - 1)
+    }
+
+    /// Whether every window at a cuboid position set in `windows` holds a
+    /// member that strictly dominates `point` — each window's reject scan
+    /// ([`SkylineWindow::dominates`]), examining at most `budget` members
+    /// over all of them. Past the budget the answer is `false`, as it is for
+    /// a point equal to a member, for a point with a NaN coordinate, for any
+    /// point while one of the windows is empty, and for an empty `windows`.
+    /// Charges one comparison per member examined.
+    pub fn dominated_in(
         &self,
+        windows: u64,
         point: &[Value],
         budget: u64,
         clock: &mut SimClock,
@@ -320,12 +360,12 @@ impl SharedSkylinePlan {
     ) -> bool {
         let before = stats.dom_comparisons;
         let member = |pid| self.points.get(pid);
-        let dead = self.windows.iter().all(|win| {
+        let dead = positions(windows).all(|i| {
             let left = budget - (stats.dom_comparisons - before);
-            win.dominates(point, left as usize, member, stats) == Some(true)
+            self.windows[i].dominates(point, left as usize, member, stats) == Some(true)
         });
         clock.charge_dom_cmps(stats.dom_comparisons - before);
-        dead && !self.windows.is_empty()
+        dead && windows != 0
     }
 
     /// Validates a candidate run and sizes the arena on first use.
@@ -759,6 +799,63 @@ mod tests {
     }
 
     #[test]
+    fn withheld_points_need_only_the_fresh_windows() {
+        // Points every kept window strictly dominates are withheld, as the
+        // row test withholds rows. After an admission, offering them to the
+        // fresh windows alone gives every query its reference skyline.
+        let prefs = figure1_prefs();
+        let points = random_points(300, 4, 23);
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs[..2]), false);
+        let old: Vec<DimMask> = plan.cuboid().subspaces().to_vec();
+        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+        let (mut history, mut withheld) = (PointStore::new(4), Vec::new());
+        for p in &points {
+            let all = plan.all_windows();
+            if plan.dominated_in(all, p, u64::MAX, &mut clock, &mut stats) {
+                withheld.push(p.clone());
+            } else {
+                plan.insert(history.len() as u64, p, &mut clock, &mut stats);
+                history.push(p);
+            }
+        }
+        assert!(!withheld.is_empty(), "nothing was withheld");
+        let fresh = plan.admit_query(prefs[3], &history, &mut clock, &mut stats);
+        for i in 0..plan.windows() {
+            assert_eq!(fresh >> i & 1 == 1, !old.contains(&plan.subspace(i)));
+            if fresh >> i & 1 == 0 {
+                // Every carried-over window still dominates what it withheld.
+                for p in &withheld {
+                    assert!(plan.dominated_in(1 << i, p, u64::MAX, &mut clock, &mut stats));
+                }
+            }
+        }
+        let flat: Vec<Value> = withheld.iter().flatten().copied().collect();
+        plan.backfill(
+            fresh,
+            history.len() as u64,
+            &flat,
+            4,
+            &mut clock,
+            &mut stats,
+        );
+        let every: Vec<Vec<Value>> = history
+            .as_flat()
+            .chunks(4)
+            .map(<[Value]>::to_vec)
+            .chain(withheld)
+            .collect();
+        for (q, &pref) in [prefs[0], prefs[1], prefs[3]].iter().enumerate() {
+            let mut got = plan.query_skyline_tags(QueryId(q as u16));
+            got.sort_unstable();
+            let want: Vec<u64> = skyline_reference(&every, pref)
+                .into_iter()
+                .map(|i| i as u64)
+                .collect();
+            assert_eq!(got, want, "query {q}");
+        }
+    }
+
+    #[test]
     fn incremental_admit_matches_rebuild_and_replay() {
         // Insert a prefix under 3 queries, admit the 4th, then finish the
         // stream. Every query's final skyline — including the late
@@ -1093,7 +1190,9 @@ mod tests {
             for (i, &n) in cuts.iter().enumerate() {
                 for (plan, clock, stats) in [&mut reused, &mut batched, &mut single] {
                     match i {
-                        2 => plan.admit_query(prefs[3], &history, clock, stats),
+                        2 => {
+                            plan.admit_query(prefs[3], &history, clock, stats);
+                        }
                         4 => plan.depart_query(QueryId(1)),
                         _ => {}
                     }
@@ -1146,7 +1245,7 @@ mod tests {
     }
 
     #[test]
-    fn dominated_everywhere_needs_every_window_within_the_budget() {
+    fn dominated_in_needs_every_window_within_the_budget() {
         // Windows {0} and {1} hold [0, 3] and [3, 0]; a third query's
         // {0, 1} holds those and [1, 1].
         let prefs = vec![
@@ -1157,16 +1256,19 @@ mod tests {
         let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
-        assert!(!plan.dominated_everywhere(&[5.0, 5.0], 99, &mut clock, &mut stats));
+        let all = plan.all_windows();
+        assert_eq!(all, 0b111);
+        assert!(!plan.dominated_in(all, &[5.0, 5.0], 99, &mut clock, &mut stats));
         insert_all(&mut plan, &[vec![0.0, 3.0], vec![3.0, 0.0], vec![1.0, 1.0]]);
         let windows = plan.windows() as u64;
-        let test = |point: &[Value], budget: u64| {
+        let test_in = |mask: u64, point: &[Value], budget: u64| {
             let (mut clock, mut stats) = (SimClock::default(), Stats::new());
-            let dead = plan.dominated_everywhere(point, budget, &mut clock, &mut stats);
+            let dead = plan.dominated_in(mask, point, budget, &mut clock, &mut stats);
             assert_eq!(clock.ticks(), stats.dom_comparisons);
             assert!(stats.dom_comparisons <= budget);
             (dead, stats.dom_comparisons)
         };
+        let test = |point: &[Value], budget: u64| test_in(all, point, budget);
         assert_eq!(windows, 3);
         assert!(test(&[2.0, 2.0], windows * 10).0);
         // Tied with the {0} member, so not strictly dominated there.
@@ -1177,6 +1279,13 @@ mod tests {
         let (dead, charged) = test(&[2.0, 2.0], 1);
         assert_eq!((dead, charged), (false, 1));
         assert!(!test(&[Value::NAN, 2.0], windows * 10).0);
+        // Only the windows asked about count: [0, 9] is dominated in {1}
+        // (by [3, 0]) and tied in {0}; no window at all dominates nothing.
+        let at = |sub: DimMask| (0..3).find(|&i| plan.subspace(i) == sub).expect("kept");
+        let in_1 = 1u64 << at(DimMask::singleton(1));
+        assert!(test_in(in_1, &[0.0, 9.0], 10).0);
+        assert!(!test_in(in_1 | 1u64 << at(DimMask::singleton(0)), &[0.0, 9.0], 10).0);
+        assert_eq!(test_in(0, &[9.0, 9.0], 10), (false, 0));
     }
 
     #[test]

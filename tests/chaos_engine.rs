@@ -304,7 +304,7 @@ fn completed_query_cannot_mask_a_starving_one() {
         .with_target_cells(800, 4)
         .with_degradation(DegradationPolicy {
             sat_floor: floor,
-            grace_ticks: 100_000,
+            grace_ticks: 20_000,
         });
     let out = CaqeStrategy.try_run(&r, &t, &w, &exec).expect("clean");
     // The masking premise: averaged over *all* queries (A included), the

@@ -135,20 +135,19 @@ fn churn_trace_matches_committed_golden() {
 
 #[test]
 fn admission_revives_discarded_regions_that_are_then_scheduled() {
-    // By the time query 2 arrives, a fifth of the way in, the §6 discard has
-    // pruned thirty-two regions — their last cells for queries 0 and 1 were
-    // dominated by materialized tuples — and the scheduler has dropped them
-    // from the dependency graph. None was processed, so the admission
-    // revives them all (and four look-ahead husks) for query 2 alone, with
-    // eight never-pruned regions still to run. Most are discarded again at
-    // once; 1, 22 and 36 survive and are scheduled. (Which regions these are
-    // was read off a build instrumented at the prune, the revival and the
-    // decision; the committed churn golden never gets here.) Their edges
-    // must come back to life for query 2 and no other: leaving them dead
-    // makes each an instant root that blocks nobody, which moves the
-    // schedule but no result set — so the bytes, recorded with the parent
-    // build that still edited its edge lists on every removal, are the
-    // check.
+    // Query 2 is due at tick 15,000 and applies at tick 23,377, after four
+    // regions. By then the §6 discard has pruned forty regions — their last
+    // cells for queries 0 and 1 were dominated by materialized tuples — and
+    // the scheduler has dropped them from the dependency graph. None was
+    // processed, so the admission revives them all for query 2 alone, with
+    // five never-pruned regions still to run. The arrival's backfilled
+    // skyline discards thirty-seven of them again at once; 1, 24 and 38
+    // survive and are scheduled. (Which regions these are was read off a
+    // build instrumented at the revival and the admission's discard; the
+    // committed churn golden never gets here.) Their edges must come back to
+    // life for query 2 and no other: leaving them dead makes each an instant
+    // root that blocks nobody, which moves the schedule but no result set —
+    // so the bytes are the check.
     let initial = vec![
         spec(
             0,
@@ -158,11 +157,11 @@ fn admission_revives_discarded_regions_that_are_then_scheduled() {
         ),
         spec(0, DimMask::from_dims([1, 2]), 0.6, Contract::LogDecay),
     ];
-    let late = spec(0, DimMask::from_dims([0, 3]), 0.7, Contract::LogDecay);
+    let late = spec(0, DimMask::from_dims([0, 2, 3]), 0.7, Contract::LogDecay);
     let (r, t) = tables(600, Distribution::Independent, 7);
     let exec = ExecConfig::default().with_target_cells(600, 8);
     let events = EventStream::new(vec![SessionEvent::Admit {
-        at: 19_657,
+        at: 15_000,
         spec: late.clone(),
     }]);
     let mut sink = RecordingSink::new();
@@ -184,7 +183,7 @@ fn admission_revives_discarded_regions_that_are_then_scheduled() {
             _ => None,
         })
         .collect();
-    for revived in [1, 22, 36] {
+    for revived in [1, 24, 38] {
         assert!(
             scheduled_after.contains(&revived),
             "region {revived} not scheduled after its revival: {scheduled_after:?}"
