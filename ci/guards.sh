@@ -17,6 +17,8 @@ retired=(
   # per-PR bench binaries and artifacts, the figure binaries `paper` replaced
   'bench_pr[0-9]+' 'bench_check' 'BENCH_PR[0-9]'
   '--bin (fig9|fig10|fig11|table2|sweep|ablation)\b'
+  # the two offline checkers `report` replaced
+  'trace_report' 'obs_report'
   # the thread-count rig, the parallel sites and their merge machinery
   'cli_threads' '--threads' 'par_speedup' 'map_ordered' 'map_indexed'
   'chunk_ranges' 'join2' 'TraceBuffer' 'offset_ticks\(' 'PAR_MIN_ROWS'

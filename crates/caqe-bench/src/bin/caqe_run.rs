@@ -9,8 +9,8 @@
 //!
 //! The run records its trace; with `--trace` it exports under the label
 //! `caqe`, and with `--metrics` the same run's metrics snapshot exports
-//! under the same label, so `trace_report --check` and
-//! `obs_report --reconcile` can pair them. With `--events` (e.g.
+//! under the same label, so `report --trace <dir> --metrics <dir>` can
+//! pair them. With `--events` (e.g.
 //! `admit@500000=0,depart@900000=1`) the run becomes an online session:
 //! admissions draw from the workload's own query pool by index. A summary
 //! JSON object goes to `--out <path>`, or to stdout without it; its

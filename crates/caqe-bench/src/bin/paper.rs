@@ -11,7 +11,7 @@
 //! Without a section name every section runs, in the order above. `--json`
 //! prints every run's row as JSON lines instead of the markdown. `--trace`
 //! and `--metrics` export each run under `<dir>/<section>/` (the sweep one
-//! subdirectory deeper per point), for `trace_report` and `obs_report`.
+//! subdirectory deeper per point), for the `report` binary.
 
 use caqe_bench::paper::{marked, PaperOptions, SECTIONS};
 use caqe_bench::report::{cli_args, cli_chaos, cli_flag, cli_metrics, cli_trace, render_jsonl};

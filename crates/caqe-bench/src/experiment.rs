@@ -253,7 +253,7 @@ fn trace_label(strategy: &str, cfg: &ExperimentConfig) -> String {
 /// under a `<system>_<distribution>_c<contract>_q<size>` label; with
 /// `metrics_dir` set it also exports the run's metrics snapshot
 /// (`<label>.metrics.json` + `<label>.prom`, DESIGN.md §16) under the same
-/// label, so `obs_report --reconcile` can pair every snapshot with its
+/// label, so the `report` binary can reconcile every snapshot with its
 /// trace. Recording never moves the virtual clock, so the rows are the same
 /// either way.
 pub fn run_comparison(
@@ -332,9 +332,8 @@ mod tests {
         assert_eq!(jsonl.len(), 5, "one event stream per strategy");
         for p in &jsonl {
             let text = std::fs::read_to_string(p).unwrap();
-            for line in text.lines() {
-                crate::json::parse(line).expect("every trace line is valid JSON");
-            }
+            let events = caqe_trace::from_jsonl(&text).expect("every trace line is an event");
+            assert!(!events.is_empty(), "{}: empty trace", p.display());
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -362,7 +361,7 @@ mod tests {
         assert_eq!(snapshots.len(), 5, "one snapshot per strategy");
         for p in &snapshots {
             let text = std::fs::read_to_string(p).unwrap();
-            let v = crate::json::parse(text.trim()).expect("snapshot is valid JSON");
+            let v = caqe_trace::json::parse(text.trim()).expect("snapshot is valid JSON");
             let emitted = v["counters"][caqe_obs::names::EMISSIONS]
                 .as_f64()
                 .expect("emission counter present");

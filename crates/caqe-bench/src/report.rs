@@ -196,7 +196,7 @@ mod tests {
     fn jsonl_round_trips() {
         let (s, _) = render_jsonl(&[row(), row()]);
         assert_eq!(s.lines().count(), 2);
-        let v = crate::json::parse(s.lines().next().unwrap()).unwrap();
+        let v = caqe_trace::json::parse(s.lines().next().unwrap()).unwrap();
         assert_eq!(v["strategy"], "CAQE");
         assert_eq!(v["join_results"], 1000);
     }

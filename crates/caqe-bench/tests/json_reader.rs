@@ -3,7 +3,8 @@
 //! or `Err` — never a panic — on any text, and `ObjectWriter` output
 //! always reads back.
 
-use caqe_bench::json::{parse, JsonValue, ObjectWriter};
+use caqe_bench::json::ObjectWriter;
+use caqe_trace::json::{parse, JsonValue};
 use proptest::prelude::*;
 
 #[test]

@@ -5,7 +5,7 @@
 //! a [`MetricsRegistry`] after the run, from the events a
 //! [`RecordingSink`](caqe_trace::RecordingSink) kept. Every registry update
 //! is a pure function of the event stream, which is what lets
-//! `obs_report --reconcile` cross-validate metrics against trace files.
+//! the `report` binary cross-validate metrics against trace files.
 //!
 //! The SLO monitor keeps one piece of cross-event state (the per-query
 //! at-risk latch used to count transitions); it is always advanced in
@@ -16,7 +16,7 @@ use caqe_contract::Contract;
 use caqe_trace::TraceEvent;
 use caqe_types::Stats;
 
-/// Stable metric names, shared by the collector, `obs_report` and tests so
+/// Stable metric names, shared by the collector, `report` and tests so
 /// reconciliation never drifts from emission.
 pub mod names {
     /// Counter: runs observed (one `meta` event each).

@@ -14,8 +14,9 @@
 //!    gauges, folded after the run from a recorded trace.
 //! 3. **Export** — deterministic JSON ([`MetricsRegistry::to_json`]) and
 //!    Prometheus text ([`MetricsRegistry::to_prometheus`]) snapshots,
-//!    consumed by the `obs_report` dashboard, whose `--reconcile` mode
-//!    cross-validates every counter against trace-derived counts.
+//!    consumed by the `report` binary's dashboard, which, given the trace
+//!    directory too, cross-validates every counter against trace-derived
+//!    counts.
 //!
 //! Observability is opt-in per run and post hoc: the engine records into
 //! its usual sink and the collector reads the recording afterwards, so a

@@ -74,7 +74,7 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<String, Histogram>,
     /// Non-finite values rejected by [`set_gauge`](Self::set_gauge); the
     /// observability analogue of the JSON writer's non-finite→null drops,
-    /// surfaced by `obs_report` whenever it is non-zero.
+    /// surfaced by the `report` binary whenever it is non-zero.
     dropped_non_finite: u64,
 }
 

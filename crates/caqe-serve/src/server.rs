@@ -1034,8 +1034,8 @@ impl CaqeServer {
     }
 
     /// Metrics snapshot: serve-level counters/gauges merged with the
-    /// counts derived from the serve-level trace events (so `obs_report
-    /// --reconcile` closes over the server's own trace).
+    /// counts derived from the serve-level trace events (so the `report`
+    /// binary's reconcile closes over the server's own trace).
     pub fn metrics(&self) -> MetricsRegistry {
         let g = self.lock();
         let mut collector = ObsCollector::new(ObsConfig::default());

@@ -108,8 +108,9 @@ pub enum TraceEvent {
         tick: Ticks,
         group: u32,
         region: u32,
-        /// Which injection point fired: `"cost_spike"`, `"estimator"`,
-        /// `"panic"` or `"corrupt"`.
+        /// Which injection point fired: `"cost_spike"`, `"estimator"` or
+        /// `"panic"` in a region, `"admit_panic"` or `"admit_est"` at an
+        /// admission.
         kind: &'static str,
         /// Spike/perturbation factor where applicable, else 1.0.
         factor: f64,
@@ -172,8 +173,8 @@ pub enum TraceEvent {
         tick: Ticks,
         /// Server-assigned session identifier of the rejected submission.
         session: u64,
-        /// Why it was refused: `"full"` (queue at bound) or `"shed"`
-        /// (degradation floor breached).
+        /// Why it was refused: `"full"` (queue at bound), `"shed"`
+        /// (degradation floor breached) or `"invalid"` (a malformed request).
         reason: &'static str,
         /// Queue depth observed at rejection time.
         depth: u32,

@@ -1,5 +1,6 @@
-//! Trace exporters: JSONL, satisfaction-timeline CSV, Chrome-trace JSON
-//! and the estimator-accuracy summary.
+//! Trace exporters: satisfaction-timeline CSV, Chrome-trace JSON, the
+//! estimator-accuracy summary, and [`write_trace`], which writes them
+//! beside the JSONL stream ([`crate::jsonl`]).
 //!
 //! All serialization is hand-rolled (the workspace is offline) and
 //! deterministic: floats are written with Rust's shortest-roundtrip
@@ -7,6 +8,7 @@
 //! serialize to equal bytes.
 
 use crate::event::{SpanKind, TraceEvent};
+use crate::jsonl::to_jsonl;
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -39,226 +41,6 @@ pub fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Serializes one event as a single JSON object (no trailing newline).
-pub fn event_json(ev: &TraceEvent) -> String {
-    match ev {
-        TraceEvent::Meta {
-            strategy,
-            queries,
-            ticks_per_second,
-            start_tick,
-        } => format!(
-            "{{\"ev\":\"meta\",\"strategy\":{},\"queries\":{},\"ticks_per_second\":{},\"start_tick\":{}}}",
-            json_str(strategy),
-            queries,
-            num(*ticks_per_second),
-            start_tick
-        ),
-        TraceEvent::Span {
-            kind,
-            group,
-            region,
-            start_tick,
-            end_tick,
-        } => {
-            let mut s = format!("{{\"ev\":\"span\",\"kind\":\"{}\"", kind.name());
-            if let Some(g) = group {
-                let _ = write!(s, ",\"group\":{g}");
-            }
-            if let Some(r) = region {
-                let _ = write!(s, ",\"region\":{r}");
-            }
-            let _ = write!(s, ",\"start_tick\":{start_tick},\"end_tick\":{end_tick}}}");
-            s
-        }
-        TraceEvent::Decision {
-            tick,
-            group,
-            region,
-            policy,
-            root,
-            score,
-            csm,
-            prog_est,
-            est_ticks,
-            weights,
-        } => {
-            let ws: Vec<String> = weights.iter().map(|w| num(*w)).collect();
-            format!(
-                "{{\"ev\":\"decision\",\"tick\":{},\"group\":{},\"region\":{},\"policy\":{},\"root\":{},\"score\":{},\"csm\":{},\"prog_est\":{},\"est_ticks\":{},\"weights\":[{}]}}",
-                tick,
-                group,
-                region,
-                json_str(policy),
-                root,
-                num(*score),
-                num(*csm),
-                num(*prog_est),
-                est_ticks,
-                ws.join(",")
-            )
-        }
-        TraceEvent::Emission {
-            tick,
-            query,
-            seq,
-            rid,
-            tid,
-            utility,
-            satisfaction,
-        } => format!(
-            "{{\"ev\":\"emit\",\"tick\":{},\"query\":{},\"seq\":{},\"rid\":{},\"tid\":{},\"utility\":{},\"satisfaction\":{}}}",
-            tick,
-            query,
-            seq,
-            rid,
-            tid,
-            num(*utility),
-            num(*satisfaction)
-        ),
-        TraceEvent::EstimateAudit {
-            scheduled_tick,
-            completed_tick,
-            group,
-            region,
-            estimate,
-        } => format!(
-            "{{\"ev\":\"estimate\",\"scheduled_tick\":{},\"completed_tick\":{},\"group\":{},\"region\":{},\"est_join\":{},\"est_skyline\":{},\"est_ticks\":{},\"actual_join\":{},\"actual_skyline\":{},\"actual_ticks\":{},\"join_err\":{},\"skyline_err\":{},\"ticks_err\":{}}}",
-            scheduled_tick,
-            completed_tick,
-            group,
-            region,
-            num(estimate.est_join),
-            num(estimate.est_skyline),
-            estimate.est_ticks,
-            estimate.actual_join,
-            estimate.actual_skyline,
-            estimate.actual_ticks,
-            num(estimate.join_rel_error()),
-            num(estimate.skyline_rel_error()),
-            num(estimate.ticks_rel_error())
-        ),
-        TraceEvent::FaultInjected {
-            tick,
-            group,
-            region,
-            kind,
-            factor,
-        } => format!(
-            "{{\"ev\":\"fault\",\"tick\":{},\"group\":{},\"region\":{},\"kind\":{},\"factor\":{}}}",
-            tick,
-            group,
-            region,
-            json_str(kind),
-            num(*factor)
-        ),
-        TraceEvent::RegionRetry {
-            tick,
-            group,
-            region,
-            attempt,
-            backoff_ticks,
-        } => format!(
-            "{{\"ev\":\"retry\",\"tick\":{tick},\"group\":{group},\"region\":{region},\"attempt\":{attempt},\"backoff_ticks\":{backoff_ticks}}}"
-        ),
-        TraceEvent::RegionQuarantined {
-            tick,
-            group,
-            region,
-            attempts,
-        } => format!(
-            "{{\"ev\":\"quarantine\",\"tick\":{tick},\"group\":{group},\"region\":{region},\"attempts\":{attempts}}}"
-        ),
-        TraceEvent::RegionShed {
-            tick,
-            group,
-            region,
-            satisfaction,
-        } => format!(
-            "{{\"ev\":\"shed\",\"tick\":{},\"group\":{},\"region\":{},\"satisfaction\":{}}}",
-            tick,
-            group,
-            region,
-            num(*satisfaction)
-        ),
-        TraceEvent::Admit {
-            tick,
-            query,
-            contract,
-            group,
-            incremental,
-        } => format!(
-            "{{\"ev\":\"admit\",\"tick\":{},\"query\":{},\"contract\":{},\"group\":{},\"incremental\":{}}}",
-            tick,
-            query,
-            json_str(contract),
-            group,
-            incremental
-        ),
-        TraceEvent::Depart {
-            tick,
-            query,
-            regions_retired,
-        } => format!(
-            "{{\"ev\":\"depart\",\"tick\":{tick},\"query\":{query},\"regions_retired\":{regions_retired}}}"
-        ),
-        TraceEvent::AdmissionReject {
-            tick,
-            session,
-            reason,
-            depth,
-            bound,
-        } => format!(
-            "{{\"ev\":\"reject\",\"tick\":{},\"session\":{},\"reason\":{},\"depth\":{},\"bound\":{}}}",
-            tick,
-            session,
-            json_str(reason),
-            depth,
-            bound
-        ),
-        TraceEvent::ServerShutdown {
-            tick,
-            queued,
-            drained,
-            snapshot_version,
-        } => format!(
-            "{{\"ev\":\"shutdown\",\"tick\":{tick},\"queued\":{queued},\"drained\":{drained},\"snapshot_version\":{snapshot_version}}}"
-        ),
-        TraceEvent::ServerRestore {
-            tick,
-            snapshot_version,
-            queued,
-            completed,
-        } => format!(
-            "{{\"ev\":\"restore\",\"tick\":{tick},\"snapshot_version\":{snapshot_version},\"queued\":{queued},\"completed\":{completed}}}"
-        ),
-        TraceEvent::IngestAudit {
-            tick,
-            table,
-            policy,
-            quarantined,
-            clamped,
-        } => format!(
-            "{{\"ev\":\"ingest\",\"tick\":{},\"table\":{},\"policy\":{},\"quarantined\":{},\"clamped\":{}}}",
-            tick,
-            json_str(table),
-            json_str(policy),
-            quarantined,
-            clamped
-        ),
-    }
-}
-
-/// Full event stream as JSON Lines, one event per line.
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for ev in events {
-        out.push_str(&event_json(ev));
-        out.push('\n');
-    }
     out
 }
 
@@ -430,6 +212,7 @@ pub fn write_trace(dir: &Path, label: &str, events: &[TraceEvent]) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jsonl::event_json;
     use caqe_regions::ReconciledEstimate;
 
     fn sample() -> Vec<TraceEvent> {

@@ -18,6 +18,10 @@
 //! * **phase spans** — partition build, group build, look-ahead and
 //!   per-region execution, with tick-weighted durations.
 //!
+//! [`to_jsonl`] writes the stream and [`from_jsonl`] reads it back into
+//! typed events, both from one table in [`jsonl`], so the JSONL grammar
+//! lives in one place.
+//!
 //! # Determinism guarantee
 //!
 //! Every event field derives from the virtual clock and the engine's
@@ -39,11 +43,13 @@
 
 pub mod event;
 pub mod export;
+pub mod json;
+pub mod jsonl;
 pub mod sink;
 
 pub use event::{SpanKind, TraceEvent};
 pub use export::{
-    chrome_trace, estimator_summary, json_str, satisfaction_csv, to_jsonl, write_trace,
-    EstimatorSummary,
+    chrome_trace, estimator_summary, json_str, satisfaction_csv, write_trace, EstimatorSummary,
 };
+pub use jsonl::{from_jsonl, to_jsonl, TraceReadError};
 pub use sink::{NoopSink, RecordingSink, TraceSink};

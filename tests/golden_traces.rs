@@ -106,6 +106,23 @@ fn assert_caqe_golden(exec: &ExecConfig) {
 #[test]
 fn trace_matches_committed_golden() {
     assert_caqe_golden(&ExecConfig::default().with_target_cells(1600, 2));
+    // Every committed golden is a sentence of the typed reader's grammar.
+    for name in [
+        "caqe_trace.jsonl",
+        "churn_trace.jsonl",
+        "jfsl_trace.jsonl",
+        "revival_trace.jsonl",
+        "sjfsl_trace.jsonl",
+        "ssmj_trace.jsonl",
+    ] {
+        let text = common::golden(name);
+        let events = caqe::trace::from_jsonl(&text).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            caqe::trace::to_jsonl(&events),
+            text,
+            "{name} does not round-trip"
+        );
+    }
 }
 
 #[test]
