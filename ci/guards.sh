@@ -35,6 +35,8 @@ retired=(
   'EMPTY_PRESORT_SECTION' 'caqe-plan v1'
   # a stored list of per-cell boxes, which the output-cell corner table replaced
   '\.grid\(\)'
+  # the one-row row test, which the batch row test (`dominated_rows`) replaced
+  'dominated_in\('
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')

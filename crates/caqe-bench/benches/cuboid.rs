@@ -1,11 +1,11 @@
 //! Micro-benchmarks for the shared-plan machinery: min-max cuboid
 //! construction, batched shared skyline insertion — the path the engine
-//! runs — with and without the Theorem 1 shortcut, and region construction
-//! with the coarse skyline.
+//! runs — with and without the Theorem 1 shortcut, §6's row test of a batch
+//! of row images, and region construction with the coarse skyline.
 
-use caqe_cuboid::{MinMaxCuboid, SharedSkylinePlan};
+use caqe_cuboid::{BatchOutcome, MinMaxCuboid, RowTests, SharedSkylinePlan};
 use caqe_data::{Distribution, TableGenerator};
-use caqe_operators::MappingSet;
+use caqe_operators::{hash_join_project_store, JoinSpec, MappingSet};
 use caqe_parallel::Threads;
 use caqe_partition::{Partitioning, QuadTreeConfig};
 use caqe_regions::{build_regions, DependencyGraph, RegionBuildInput};
@@ -87,6 +87,55 @@ fn bench_shared_insert(c: &mut Criterion) {
     bench_insert_batches(c, group, Distribution::Correlated, 10_000, 10_000);
 }
 
+/// Times the row test on 1,024 row images — each R row over the lower corner
+/// of one of 12 T cells, as the engine's best images are — against every
+/// window of a plan seeded with the whole join, anticorrelated and
+/// independent. Each row may examine 4 members per window.
+fn bench_row_tests(c: &mut Criterion) {
+    let prefs = workload_prefs();
+    let mapping = MappingSet::mixed(3, 3, 5);
+    let stride = mapping.output_dims();
+    let mut group = c.benchmark_group("row_test_1024");
+    for dist in [Distribution::Anticorrelated, Distribution::Independent] {
+        let gen = TableGenerator::new(1024, 3, dist).with_selectivities(&[0.01]);
+        let (r, t) = (gen.generate("R"), gen.generate("T"));
+        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+        let spec = JoinSpec::on_column(0);
+        let join = hash_join_project_store(
+            r.records(),
+            t.records(),
+            spec,
+            &mapping,
+            &mut clock,
+            &mut stats,
+        );
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+        let vals = join.store.as_flat();
+        let mut outcome = BatchOutcome::default();
+        plan.insert_batch_into(0, vals, stride, &mut clock, &mut stats, &mut outcome);
+        let cells = Partitioning::build(&t, QuadTreeConfig::with_cell_budget(12));
+        let cells = cells.cells();
+        let mut images = Vec::new();
+        for (i, rec) in r.records().iter().enumerate() {
+            let corner = cells[i % cells.len()].bounds.lo();
+            mapping.apply_into(&rec.vals, corner, &mut images);
+        }
+        let windows = plan.all_windows();
+        let budget = 4 * u64::from(windows.count_ones());
+        let mut tests = RowTests::default();
+        group.bench_function(BenchmarkId::from_parameter(format!("{dist:?}")), |b| {
+            b.iter(|| {
+                tests.clear();
+                r.records().iter().for_each(|_| tests.push(budget));
+                let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+                plan.dominated_rows(windows, &images, stride, &mut tests, &mut clock, &mut stats);
+                black_box(stats.dom_comparisons)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_region_build(c: &mut Criterion) {
     let gen = TableGenerator::new(4000, 3, Distribution::Independent).with_selectivities(&[0.02]);
     let r = gen.generate("R");
@@ -131,6 +180,7 @@ criterion_group!(
     benches,
     bench_cuboid_build,
     bench_shared_insert,
+    bench_row_tests,
     bench_region_build
 );
 criterion_main!(benches);

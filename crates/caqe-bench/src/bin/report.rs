@@ -15,6 +15,7 @@ use caqe_bench::audit::{check_siblings, fold, reconcile, Fold, Snapshot};
 use caqe_bench::report::{cli_arg, cli_args};
 use caqe_obs::names;
 use std::collections::BTreeMap;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -46,47 +47,64 @@ fn read_trace(path: &Path) -> Result<Fold, String> {
     Ok(f)
 }
 
-fn summary(f: &Fold) {
+fn summary(out: &mut impl Write, f: &Fold) -> io::Result<()> {
     let counts: Vec<String> = f.events.iter().map(|(k, v)| format!("{k}={v}")).collect();
-    println!("  events: {}", counts.join("  "));
+    writeln!(out, "  events: {}", counts.join("  "))?;
     for (q, (n, sat)) in &f.queries {
-        println!("  query {q}: {n} emissions, final satisfaction {sat:.3}");
+        writeln!(
+            out,
+            "  query {q}: {n} emissions, final satisfaction {sat:.3}"
+        )?;
     }
     let (admits, departs) = (f.count("admit"), f.count("depart"));
     if admits + departs > 0 {
-        println!("  session: {admits} admission(s), {departs} departure(s)");
+        writeln!(
+            out,
+            "  session: {admits} admission(s), {departs} departure(s)"
+        )?;
     }
     let [rejects, shutdowns, restores] = ["reject", "shutdown", "restore"].map(|ev| f.count(ev));
     if rejects + shutdowns + restores > 0 {
-        println!("  serving: {rejects} reject(s), {shutdowns} shutdown(s), {restores} restore(s)");
+        writeln!(
+            out,
+            "  serving: {rejects} reject(s), {shutdowns} shutdown(s), {restores} restore(s)"
+        )?;
     }
     let (audits, sum, max) = f.estimator;
     if audits > 0 {
         let mean = sum / audits as f64;
-        println!("  estimator: {audits} audits, ticks rel-error mean {mean:.3} max {max:.3}");
+        writeln!(
+            out,
+            "  estimator: {audits} audits, ticks rel-error mean {mean:.3} max {max:.3}"
+        )?;
     }
     for (dur, kind, group) in &f.longest {
         match group {
-            Some(g) => println!("  span {} (group {g}): {dur} ticks", kind.name()),
-            None => println!("  span {}: {dur} ticks", kind.name()),
+            Some(g) => writeln!(out, "  span {} (group {g}): {dur} ticks", kind.name())?,
+            None => writeln!(out, "  span {}: {dur} ticks", kind.name())?,
         }
     }
     let dropped = f.non_finite;
     if dropped > 0 {
-        println!("  warning: {dropped} non-finite value(s) dropped to null by the JSON exporter");
+        writeln!(
+            out,
+            "  warning: {dropped} non-finite value(s) dropped to null by the JSON exporter"
+        )?;
     }
+    Ok(())
 }
 
 /// Prints `what: name=value …` for the non-zero parts, if any.
-fn nonzero(what: &str, parts: &[(&str, u64)]) {
+fn nonzero(out: &mut impl Write, what: &str, parts: &[(&str, u64)]) -> io::Result<()> {
     let shown: Vec<String> = parts
         .iter()
         .filter(|(_, v)| *v > 0)
         .map(|(k, v)| format!("{k}={v}"))
         .collect();
     if !shown.is_empty() {
-        println!("  {what}: {}", shown.join("  "));
+        writeln!(out, "  {what}: {}", shown.join("  "))?;
     }
+    Ok(())
 }
 
 /// Extracts the `query="N"` label value from a metric key.
@@ -94,16 +112,17 @@ fn query_of(key: &str) -> Option<&str> {
     key.split("query=\"").nth(1)?.split('"').next()
 }
 
-fn dashboard(snap: &Snapshot) {
+fn dashboard(out: &mut impl Write, snap: &Snapshot) -> io::Result<()> {
     let c = |name: &str| snap.counter(name);
     let stat = |field: &str| c(&format!("{}{field}", names::STATS_PREFIX));
-    println!(
+    writeln!(
+        out,
         "  runs {}  decisions {}  emissions {}  estimate audits {}",
         c(names::RUNS),
         c(names::DECISIONS),
         c(names::EMISSIONS),
         c(names::ESTIMATE_AUDITS),
-    );
+    )?;
     let lifecycle = [
         ("faults", c(names::FAULTS)),
         ("retries", c(names::RETRIES)),
@@ -112,7 +131,7 @@ fn dashboard(snap: &Snapshot) {
         ("admits", c(names::ADMITS)),
         ("departs", c(names::DEPARTS)),
     ];
-    nonzero("lifecycle", &lifecycle);
+    nonzero(out, "lifecycle", &lifecycle)?;
     let serving = [
         ("submits", c(names::SERVE_SUBMITS)),
         ("rejects", c(names::SERVE_REJECTS)),
@@ -121,7 +140,7 @@ fn dashboard(snap: &Snapshot) {
         ("restores", c(names::SERVE_RESTORES)),
         ("expired", c(names::SERVE_DEADLINE_EXPIRED)),
     ];
-    nonzero("serving", &serving);
+    nonzero(out, "serving", &serving)?;
     let phases = ["build", "probe", "insert", "emit"].map(|p| (p, stat(&format!("{p}_ticks"))));
     let total: u64 = phases.iter().map(|(_, t)| t).sum();
     if total > 0 {
@@ -129,13 +148,14 @@ fn dashboard(snap: &Snapshot) {
             .iter()
             .map(|(p, t)| format!("{p} {t} ({:.0}%)", 100.0 * *t as f64 / total as f64))
             .collect();
-        println!("  phase ticks: {}", parts.join("  "));
-        println!(
+        writeln!(out, "  phase ticks: {}", parts.join("  "))?;
+        writeln!(
+            out,
             "  phase dominance charges: build {}  insert {}  emit {}",
             stat("build_dom_cmps"),
             stat("insert_dom_cmps"),
             stat("emit_region_cmps")
-        );
+        )?;
     }
     let prune = [
         ("sig builds", stat("sig_builds")),
@@ -144,15 +164,16 @@ fn dashboard(snap: &Snapshot) {
     ];
     if prune.iter().any(|(_, v)| *v > 0) {
         let parts: Vec<String> = prune.iter().map(|(k, v)| format!("{k} {v}")).collect();
-        println!("  prune layer: {}", parts.join("  "));
+        writeln!(out, "  prune layer: {}", parts.join("  "))?;
     }
     let skipped = stat("rows_skipped");
     if skipped > 0 {
-        println!(
+        writeln!(
+            out,
             "  row look-ahead: {skipped} rows skipped, {} join results not made ({} made)",
             stat("skipped_join_results"),
             stat("join_results")
-        );
+        )?;
     }
     // Per-query satisfaction and SLO state, in query order.
     let mut sats: Vec<(u64, f64)> = snap
@@ -164,7 +185,7 @@ fn dashboard(snap: &Snapshot) {
     sats.sort_unstable_by_key(|(q, _)| *q);
     if !sats.is_empty() {
         let parts: Vec<String> = sats.iter().map(|(q, v)| format!("q{q}={v:.3}")).collect();
-        println!("  satisfaction: {}", parts.join("  "));
+        writeln!(out, "  satisfaction: {}", parts.join("  "))?;
     }
     let at_risk: Vec<String> = snap
         .gauges
@@ -174,26 +195,31 @@ fn dashboard(snap: &Snapshot) {
         .collect();
     let transitions = c(names::SLO_TRANSITIONS);
     if !at_risk.is_empty() || transitions > 0 {
-        println!(
+        writeln!(
+            out,
             "  SLO: at risk [{}], {transitions} at-risk transition(s)",
             at_risk.join(", ")
-        );
+        )?;
     }
     let dropped = snap.dropped_non_finite;
     if dropped > 0 {
-        println!("  warning: {dropped} non-finite gauge value(s) dropped by the metrics registry");
+        writeln!(
+            out,
+            "  warning: {dropped} non-finite gauge value(s) dropped by the metrics registry"
+        )?;
     }
+    Ok(())
 }
 
 /// Prints `ok` or every problem under `what`; whether it passed.
-fn verdict(what: &str, ok: &str, problems: &[String]) -> bool {
+fn verdict(out: &mut impl Write, what: &str, ok: &str, problems: &[String]) -> io::Result<bool> {
     if problems.is_empty() {
-        println!("  {what}: ok{ok}");
+        writeln!(out, "  {what}: ok{ok}")?;
     }
     for p in problems {
-        println!("  {what}: FAIL {p}");
+        writeln!(out, "  {what}: FAIL {p}")?;
     }
-    problems.is_empty()
+    Ok(problems.is_empty())
 }
 
 fn main() -> ExitCode {
@@ -217,6 +243,31 @@ fn main() -> ExitCode {
             }
         }
     }
+    // One locked handle for every line; a reader that closes early (`| head`)
+    // ends the report quietly.
+    let mut out = io::stdout().lock();
+    let passed = report(&mut out, &traces, &snapshots, trace_dir.is_some()).and_then(|passed| {
+        out.flush()?;
+        Ok(passed)
+    });
+    match passed {
+        Ok(passed) => ExitCode::from(u8::from(!passed)),
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("report: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Reports every label of `traces` and `snapshots` to `out`; whether every
+/// check (and, `with_traces`, every reconcile) passed.
+fn report(
+    out: &mut impl Write,
+    traces: &BTreeMap<String, PathBuf>,
+    snapshots: &BTreeMap<String, PathBuf>,
+    with_traces: bool,
+) -> io::Result<bool> {
     let mut labels: Vec<&String> = traces.keys().chain(snapshots.keys()).collect();
     labels.sort();
     labels.dedup();
@@ -224,15 +275,15 @@ fn main() -> ExitCode {
     for label in labels {
         let folded = traces.get(label).map(|path| read_trace(path));
         match &folded {
-            Some(Ok(f)) => println!("== {label} ({}) ==", f.strategy),
-            _ => println!("== {label} =="),
+            Some(Ok(f)) => writeln!(out, "== {label} ({}) ==", f.strategy)?,
+            _ => writeln!(out, "== {label} ==")?,
         }
         match &folded {
             Some(Ok(f)) => {
-                summary(f);
-                passed &= verdict("check", "", &f.problems);
+                summary(out, f)?;
+                passed &= verdict(out, "check", "", &f.problems)?;
             }
-            Some(Err(e)) => passed &= verdict("check", "", std::slice::from_ref(e)),
+            Some(Err(e)) => passed &= verdict(out, "check", "", std::slice::from_ref(e))?,
             None => {}
         }
         let Some(path) = snapshots.get(label) else {
@@ -241,19 +292,24 @@ fn main() -> ExitCode {
         let snap = match Snapshot::load(path) {
             Ok(snap) => snap,
             Err(e) => {
-                passed &= verdict("metrics", "", &[e]);
+                passed &= verdict(out, "metrics", "", &[e])?;
                 continue;
             }
         };
-        dashboard(&snap);
-        if trace_dir.is_some() {
+        dashboard(out, &snap)?;
+        if with_traces {
             let (problems, events) = match &folded {
                 Some(Ok(f)) => (reconcile(&snap, f), f.events.values().sum()),
                 Some(Err(_)) => (vec!["its trace does not read".into()], 0),
                 None => (vec![format!("no {label}.jsonl trace")], 0),
             };
-            passed &= verdict("reconcile", &format!(" ({events} event(s))"), &problems);
+            passed &= verdict(
+                out,
+                "reconcile",
+                &format!(" ({events} event(s))"),
+                &problems,
+            )?;
         }
     }
-    ExitCode::from(u8::from(!passed))
+    Ok(passed)
 }

@@ -4,7 +4,7 @@
 //! line with a missing or mistyped field is.
 
 use caqe_trace::TraceEvent;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn refused(bin: &str, args: &[&str], token: &str) {
     let out = Command::new(bin)
@@ -128,4 +128,42 @@ fn a_dropped_or_garbled_field_fails_the_check_naming_line_and_field() {
             "{named}: {stdout}"
         );
     }
+}
+
+#[test]
+fn report_exits_quietly_when_its_reader_closes_early() {
+    // One emission for each of 4,000 queries: the summary's per-query lines
+    // run past any pipe buffer, so the writes fail even if the read end
+    // closes only after the first of them.
+    let queries: u16 = 4000;
+    let mut events = vec![TraceEvent::Meta {
+        strategy: "CAQE".into(),
+        queries: queries.into(),
+        ticks_per_second: 100.0,
+        start_tick: 0,
+    }];
+    events.extend((0..queries).map(|q| TraceEvent::Emission {
+        tick: 10 + u64::from(q),
+        query: q,
+        seq: 1,
+        rid: q.into(),
+        tid: 0,
+        utility: 1.0,
+        satisfaction: 0.5,
+    }));
+    let dir = std::env::temp_dir().join(format!("caqe_report_pipe_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    caqe_trace::write_trace(&dir, "run", &events).expect("trace written");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(["--trace", dir.to_str().expect("utf-8 path")])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("report starts");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("report ends");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

@@ -9,9 +9,11 @@
 //! non-negative) — is computed once, and rows are taken by ascending image
 //! sum, ties by row. The first [`SEED_ROWS`] (the *seed*) are joined and go
 //! into the plan as one batch; the rest are row-tested against the seeded
-//! plan and go in as a second. The plan's outcome does not depend on how a
-//! batch stream is cut, so the order changes only which rows the test can
-//! skip — SFS's presort at row grain: the likeliest dominators come first.
+//! plan and go in as a second. A batch's rows are tested together, in one
+//! `SharedSkylinePlan::dominated_rows` call, before any partner is probed.
+//! The plan's outcome does not depend on how a batch stream is cut, so the
+//! order changes only which rows the test can skip — SFS's presort at row
+//! grain: the likeliest dominators come first.
 
 use super::emit::PendingTuple;
 use super::execute::join_index;
@@ -19,26 +21,47 @@ use super::execute::join_index;
 use super::testkit::crash;
 use super::{GroupState, Run};
 use crate::group::{ArenaTuple, JoinGroup};
-use caqe_cuboid::BatchOutcome;
+use caqe_cuboid::{BatchOutcome, RowTests};
 use caqe_trace::TraceSink;
 use caqe_types::ids::QuerySet;
 use caqe_types::{PointId, QueryId, RegionId, Value};
+use std::ops::Range;
 
 /// Rows in a seed: the batch the rest of the region is row-tested against.
 pub(super) const SEED_ROWS: usize = 8;
 
+/// An R row with partners: its best image's sum, its row, where its image
+/// sits in [`TupleScratch::images`] and where its partners sit in the join
+/// index.
+#[derive(Clone, Copy)]
+struct Row {
+    sum: Value,
+    ri: u32,
+    slot: u32,
+    partners: (u32, u32),
+}
+
+impl Row {
+    fn partners(&self) -> Range<usize> {
+        self.partners.0 as usize..self.partners.1 as usize
+    }
+}
+
 /// What the tuple step keeps from region to region, cleared and never
 /// freed: the candidates' rows go straight into the group's arena, so only
-/// their lineage, the rows' order and images and the shared plan's outcome
-/// need a home of their own.
+/// their lineage, the rows' order, images and tests and the shared plan's
+/// outcome need a home of their own.
 #[derive(Default)]
 pub(super) struct TupleScratch {
     /// The lineage of each candidate of the current batch, in tag order.
     lineage: Vec<QuerySet>,
-    /// The rows with partners, in join order: image sum, R row, image slot.
-    order: Vec<(Value, u32, u32)>,
-    /// The best images of the rows in `order`, flat, one per image slot.
+    /// The rows with partners, in join order.
+    order: Vec<Row>,
+    /// The best images of the rows, flat: in probe order until the rows are
+    /// ordered, then in `order`'s order.
     images: Vec<Value>,
+    /// The current batch's row tests.
+    tests: RowTests,
     /// The shared plan's outcome for the current batch.
     outcome: BatchOutcome,
     /// Whether the plan has seen rows past [`Self::commit`]. From then on
@@ -156,21 +179,37 @@ impl<S: TraceSink> Run<'_, S> {
         // Every row is probed once; those with partners are ordered.
         scratch.order.clear();
         scratch.images.clear();
+        // Sized once for the region's rows: growing push by push would hold
+        // the old and the doubled buffer at once.
+        let count = match rows {
+            Rows::Region => part_r.cell(reg.r_cell).rows.len(),
+            Rows::Recorded { rows, .. } => rows.len(),
+        };
+        scratch.order.reserve(count);
+        if lookahead {
+            scratch.images.reserve(count * stride);
+        }
         let mut probe = |ri: usize| {
             clock.charge_join_probes(1);
             stats.join_probes += 1;
             let rrec = r.record(ri);
-            if index.matches(rrec.key(join_col)).len() == 0 {
+            let partners = index.range(rrec.key(join_col));
+            if partners.is_empty() {
                 return;
             }
             let slot = scratch.order.len() as u32;
-            let mut key = 0.0;
+            let mut sum = 0.0;
             if lookahead {
                 let at = scratch.images.len();
                 mapping.apply_into(&rrec.vals, t_cell.bounds.lo(), &mut scratch.images);
-                key = scratch.images[at..].iter().sum();
+                sum = scratch.images[at..].iter().sum();
             }
-            scratch.order.push((key, ri as u32, slot));
+            scratch.order.push(Row {
+                sum,
+                ri: ri as u32,
+                slot,
+                partners: (partners.start as u32, partners.end as u32),
+            });
         };
         match rows {
             Rows::Region => part_r
@@ -182,7 +221,8 @@ impl<S: TraceSink> Run<'_, S> {
         }
         let order = &mut scratch.order;
         let cut = if lookahead {
-            order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            order.sort_unstable_by(|a, b| a.sum.total_cmp(&b.sum).then(a.ri.cmp(&b.ri)));
+            align_images(order, &mut scratch.images, stride);
             SEED_ROWS.min(order.len())
         } else {
             order.len()
@@ -199,27 +239,34 @@ impl<S: TraceSink> Run<'_, S> {
             let probe_t0 = clock.ticks();
             let first_tag = arena.len();
             scratch.lineage.clear();
-            for &(_, ri, slot) in &order[pos..end] {
-                let rrec = r.record(ri as usize);
-                let partners = index.matches(rrec.key(join_col));
-                if lookahead {
-                    let image = &scratch.images[slot as usize * stride..][..stride];
-                    let budget = partners.len() as u64 * tested;
-                    if plan.dominated_in(windows, image, budget, clock, stats) {
-                        stats.rows_skipped += 1;
-                        stats.skipped_join_results += partners.len() as u64;
-                        if session {
-                            skipped.push((rid, ri));
-                        }
-                        #[cfg(test)]
-                        if region {
-                            let n = stats.rows_skipped - skipped_before;
-                            crash::point(gi, rid, crash::At::Skipped(n));
-                        }
-                        continue;
-                    }
+            let tests = &mut scratch.tests;
+            if lookahead {
+                // Nothing enters the plan before the batch's inserts, so
+                // every row of the batch meets the same plan.
+                tests.clear();
+                for row in &order[pos..end] {
+                    tests.push(row.partners().len() as u64 * tested);
                 }
-                for mi in partners {
+                let images = &scratch.images[pos * stride..end * stride];
+                plan.dominated_rows(windows, images, stride, tests, clock, stats);
+            }
+            for (k, row) in order[pos..end].iter().enumerate() {
+                let rrec = r.record(row.ri as usize);
+                let partners = row.partners();
+                if lookahead && tests.dominated(k) {
+                    stats.rows_skipped += 1;
+                    stats.skipped_join_results += partners.len() as u64;
+                    if session {
+                        skipped.push((rid, row.ri));
+                    }
+                    #[cfg(test)]
+                    if region {
+                        let n = stats.rows_skipped - skipped_before;
+                        crash::point(gi, rid, crash::At::Skipped(n));
+                    }
+                    continue;
+                }
+                for mi in index.rows(partners) {
                     let trec = t.record(t_cell.rows[mi]);
                     clock.charge_join_probes(1);
                     stats.join_probes += 1;
@@ -349,6 +396,26 @@ impl<S: TraceSink> Run<'_, S> {
     }
 }
 
+/// Lays the images out in `order`'s order, in place: the image at
+/// `order[k].slot` moves to slot `k`, and each row's `slot` becomes its
+/// place in `order`. Each cycle of the permutation is walked once, the
+/// image of its first slot riding along to the slot that takes it.
+fn align_images(order: &mut [Row], images: &mut [Value], stride: usize) {
+    for start in 0..order.len() {
+        let mut k = start;
+        loop {
+            let from = order[k].slot as usize;
+            order[k].slot = k as u32;
+            if from == start {
+                break;
+            }
+            let (head, tail) = images.split_at_mut(from.max(k) * stride);
+            head[from.min(k) * stride..][..stride].swap_with_slice(&mut tail[..stride]);
+            k = from;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{four_queries, result_sets, spec, World};
@@ -358,6 +425,31 @@ mod tests {
     use caqe_types::{DimMask, Stats};
     use std::collections::BTreeSet;
     use std::time::Instant;
+
+    #[test]
+    fn images_follow_their_rows_into_join_order() {
+        // The image of probe slot s is [s, 10 s]. Join order takes the slots
+        // as a fixed point, a 2-cycle and a 3-cycle of the permutation.
+        let slots = [0u32, 2, 1, 4, 5, 3];
+        let mut order: Vec<Row> = slots
+            .iter()
+            .map(|&slot| Row {
+                sum: 0.0,
+                ri: slot,
+                slot,
+                partners: (0, 0),
+            })
+            .collect();
+        let mut images: Vec<Value> = (0..6)
+            .flat_map(|s| [s as Value, 10.0 * s as Value])
+            .collect();
+        align_images(&mut order, &mut images, 2);
+        for (k, row) in order.iter().enumerate() {
+            let s = row.ri as Value;
+            assert_eq!(row.slot as usize, k);
+            assert_eq!(images[2 * k..2 * k + 2], [s, 10.0 * s], "slot {k}");
+        }
+    }
 
     #[test]
     fn the_row_test_examines_at_most_partners_times_kept_windows() {

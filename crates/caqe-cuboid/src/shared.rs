@@ -14,6 +14,8 @@
 //! * **the front screen**: a batch meets each window 64 candidates at a
 //!   time, and those the window's lowest-score member dominates are settled
 //!   in one block pass at the one comparison their insert would have cost.
+//!   §6's row test ([`SharedSkylinePlan::dominated_rows`]) meets the
+//!   windows with a batch's row images the same way.
 //!
 //! Workloads whose mapping functions can produce tied values should
 //! construct the plan with `assume_dva = false`, which disables the
@@ -38,8 +40,9 @@ fn batch_candidate(pid: PointId) -> Option<usize> {
     (pid.0 & BATCH_SENTINEL != 0).then_some((pid.0 & !BATCH_SENTINEL) as usize)
 }
 
-/// The cuboid positions set in `mask`, ascending.
-fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
+/// The bits set in `mask`, ascending: the cuboid positions of a window mask,
+/// or the lanes of a block.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
         (mask != 0).then(|| {
             let i = mask.trailing_zeros() as usize;
@@ -47,6 +50,44 @@ fn positions(mut mask: u64) -> impl Iterator<Item = usize> {
             i
         })
     })
+}
+
+/// Bit `j` set for each of the `count ≤ 64` rows `first + j` that `pred`
+/// holds for.
+fn lane_mask(first: usize, count: usize, pred: impl Fn(usize) -> bool) -> u64 {
+    (0..count).fold(0, |m, j| m | u64::from(pred(first + j)) << j)
+}
+
+/// A batch of row tests ([`SharedSkylinePlan::dominated_rows`]) in buffers
+/// the caller keeps across batches: per row, the comparisons its test may
+/// still examine and, once tested, its verdict.
+#[derive(Debug, Clone, Default)]
+pub struct RowTests {
+    /// Per row, the comparisons its test may still examine.
+    left: Vec<u64>,
+    /// Bit `j % 64` of word `j / 64`: row `j` is strictly dominated in every
+    /// window tested so far.
+    dead: Vec<u64>,
+    /// Bit `j % 64` of word `j / 64`: row `j`'s image holds no NaN.
+    clean: Vec<u64>,
+}
+
+impl RowTests {
+    /// Forgets every row, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.left.clear();
+    }
+
+    /// Adds a row whose test may examine at most `budget` members.
+    pub fn push(&mut self, budget: u64) {
+        self.left.push(budget);
+    }
+
+    /// Whether row `j`'s image is strictly dominated in every tested window
+    /// (as of the last [`SharedSkylinePlan::dominated_rows`]).
+    pub fn dominated(&self, j: usize) -> bool {
+        self.dead[j / 64] >> (j % 64) & 1 != 0
+    }
 }
 
 /// A run of candidate tuples: tuple `c` lives at
@@ -249,7 +290,7 @@ impl SharedSkylinePlan {
     ///
     /// `history` must hold every tuple the plan has been offered. A tuple it
     /// never was — one the caller left out because every kept window
-    /// strictly dominated it ([`Self::dominated_in`]) — is still strictly
+    /// strictly dominated it ([`Self::dominated_rows`]) — is still strictly
     /// dominated in every carried-over window, so only the fresh windows can
     /// want it: the engine re-joins such rows afterwards and offers them to
     /// those alone ([`Self::backfill`]).
@@ -300,7 +341,7 @@ impl SharedSkylinePlan {
         }
         let batch = self.open_batch(first_tag, vals, stride);
         let mut dropped = BatchOutcome::default();
-        self.replay(positions(windows), batch, false, clock, stats, &mut dropped);
+        self.replay(bits(windows), batch, false, clock, stats, &mut dropped);
     }
 
     /// Retires query `q` from the plan: prunes the cuboid per Definition 7
@@ -343,29 +384,83 @@ impl SharedSkylinePlan {
             .map_or(u64::MAX, |bit| bit - 1)
     }
 
-    /// Whether every window at a cuboid position set in `windows` holds a
-    /// member that strictly dominates `point` — each window's reject scan
-    /// ([`SkylineWindow::dominates`]), examining at most `budget` members
-    /// over all of them. Past the budget the answer is `false`, as it is for
-    /// a point equal to a member, for a point with a NaN coordinate, for any
-    /// point while one of the windows is empty, and for an empty `windows`.
-    /// Charges one comparison per member examined.
-    pub fn dominated_in(
+    /// §6's row test for a batch of row images (flat, `stride` values each,
+    /// image `j` for row `j` of `tests`): whether every window at a cuboid
+    /// position set in `windows` holds a member that strictly dominates
+    /// image `j` — each window's reject scan ([`SkylineWindow::dominates`]),
+    /// examining at most row `j`'s budget over all of them. Past its budget
+    /// a row is not dominated, nor is an image equal to a member, one with a
+    /// NaN coordinate, any while one of the windows is empty, or any for an
+    /// empty `windows`. [`RowTests::dominated`] reads the verdicts. Charges
+    /// one comparison per member examined.
+    ///
+    /// The windows are walked in cuboid order, and each meets the rows still
+    /// undecided — dominated in every earlier window — 64 lanes at a time:
+    /// one [`SkylineWindow::front_dominated`] pass settles each lane whose
+    /// image the front dominates at one comparison, where the reject scan,
+    /// which examines the front first, would have stopped. Only lanes with a
+    /// comparison left and no NaN in the image are screened (the scan never
+    /// calls a NaN image dominated; the block kernel reads NaN as a tie).
+    /// The other lanes run the scan, in row order, on what their budget has
+    /// left. Verdicts and charges are those of testing each row alone.
+    pub fn dominated_rows(
         &self,
         windows: u64,
-        point: &[Value],
-        budget: u64,
+        images: &[Value],
+        stride: usize,
+        tests: &mut RowTests,
         clock: &mut SimClock,
         stats: &mut Stats,
-    ) -> bool {
+    ) {
+        let RowTests { left, dead, clean } = tests;
+        let n = left.len();
+        assert_eq!(images.len(), n * stride, "one image per row");
+        let image = |j: usize| &images[j * stride..][..stride];
+        let lanes = |first: usize| (n - first).min(64);
+        dead.clear();
+        clean.clear();
+        for first in (0..n).step_by(64) {
+            let all = u64::MAX >> (64 - lanes(first));
+            dead.push(if windows == 0 { 0 } else { all });
+            clean.push(lane_mask(first, lanes(first), |j| {
+                image(j).iter().all(|v| !v.is_nan())
+            }));
+        }
         let before = stats.dom_comparisons;
         let member = |pid| self.points.get(pid);
-        let dead = positions(windows).all(|i| {
-            let left = budget - (stats.dom_comparisons - before);
-            self.windows[i].dominates(point, left as usize, member, stats) == Some(true)
-        });
+        for i in bits(windows) {
+            let win = &self.windows[i];
+            if win.is_empty() {
+                // Every reject scan finds nothing, at no charge.
+                dead.fill(0);
+                break;
+            }
+            for (w, undecided) in dead.iter_mut().enumerate() {
+                if *undecided == 0 {
+                    continue;
+                }
+                let first = w * 64;
+                let budgeted = lane_mask(first, lanes(first), |j| left[j] >= 1);
+                let screen = *undecided & clean[w] & budgeted;
+                let settled = match screen {
+                    0 => 0,
+                    _ => win.front_dominated(images, stride, first, lanes(first), member) & screen,
+                };
+                stats.dom_comparisons += u64::from(settled.count_ones());
+                for j in bits(settled) {
+                    left[first + j] -= 1;
+                }
+                for j in bits(*undecided & !settled) {
+                    let row = first + j;
+                    let d0 = stats.dom_comparisons;
+                    if win.dominates(image(row), left[row] as usize, member, stats) != Some(true) {
+                        *undecided &= !(1u64 << j);
+                    }
+                    left[row] -= stats.dom_comparisons - d0;
+                }
+            }
+        }
         clock.charge_dom_cmps(stats.dom_comparisons - before);
-        dead && windows != 0
     }
 
     /// Validates a candidate run and sizes the arena on first use.
@@ -657,6 +752,43 @@ mod tests {
             .collect()
     }
 
+    /// The row test one row at a time — the reference
+    /// [`SharedSkylinePlan::dominated_rows`] is held to: each window's reject
+    /// scan in cuboid order on what the budget has left, up to the first
+    /// window that does not dominate the point.
+    fn row_by_row(
+        plan: &SharedSkylinePlan,
+        windows: u64,
+        point: &[Value],
+        budget: u64,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> bool {
+        let before = stats.dom_comparisons;
+        let member = |pid| plan.points.get(pid);
+        let dead = bits(windows).all(|i| {
+            let left = budget - (stats.dom_comparisons - before);
+            plan.windows[i].dominates(point, left as usize, member, stats) == Some(true)
+        });
+        clock.charge_dom_cmps(stats.dom_comparisons - before);
+        dead && windows != 0
+    }
+
+    /// A batch of one through [`SharedSkylinePlan::dominated_rows`].
+    fn test_one(
+        plan: &SharedSkylinePlan,
+        windows: u64,
+        point: &[Value],
+        budget: u64,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+    ) -> bool {
+        let mut tests = RowTests::default();
+        tests.push(budget);
+        plan.dominated_rows(windows, point, point.len(), &mut tests, clock, stats);
+        tests.dominated(0)
+    }
+
     fn insert_all(plan: &mut SharedSkylinePlan, points: &[Vec<Value>]) -> (SimClock, Stats) {
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
@@ -811,7 +943,7 @@ mod tests {
         let (mut history, mut withheld) = (PointStore::new(4), Vec::new());
         for p in &points {
             let all = plan.all_windows();
-            if plan.dominated_in(all, p, u64::MAX, &mut clock, &mut stats) {
+            if test_one(&plan, all, p, u64::MAX, &mut clock, &mut stats) {
                 withheld.push(p.clone());
             } else {
                 plan.insert(history.len() as u64, p, &mut clock, &mut stats);
@@ -825,7 +957,7 @@ mod tests {
             if fresh >> i & 1 == 0 {
                 // Every carried-over window still dominates what it withheld.
                 for p in &withheld {
-                    assert!(plan.dominated_in(1 << i, p, u64::MAX, &mut clock, &mut stats));
+                    assert!(test_one(&plan, 1 << i, p, u64::MAX, &mut clock, &mut stats));
                 }
             }
         }
@@ -1245,7 +1377,7 @@ mod tests {
     }
 
     #[test]
-    fn dominated_in_needs_every_window_within_the_budget() {
+    fn dominated_rows_needs_every_window_within_the_budget() {
         // Windows {0} and {1} hold [0, 3] and [3, 0]; a third query's
         // {0, 1} holds those and [1, 1].
         let prefs = vec![
@@ -1258,12 +1390,19 @@ mod tests {
         let mut stats = Stats::new();
         let all = plan.all_windows();
         assert_eq!(all, 0b111);
-        assert!(!plan.dominated_in(all, &[5.0, 5.0], 99, &mut clock, &mut stats));
+        assert!(!test_one(
+            &plan,
+            all,
+            &[5.0, 5.0],
+            99,
+            &mut clock,
+            &mut stats
+        ));
         insert_all(&mut plan, &[vec![0.0, 3.0], vec![3.0, 0.0], vec![1.0, 1.0]]);
         let windows = plan.windows() as u64;
         let test_in = |mask: u64, point: &[Value], budget: u64| {
             let (mut clock, mut stats) = (SimClock::default(), Stats::new());
-            let dead = plan.dominated_in(mask, point, budget, &mut clock, &mut stats);
+            let dead = test_one(&plan, mask, point, budget, &mut clock, &mut stats);
             assert_eq!(clock.ticks(), stats.dom_comparisons);
             assert!(stats.dom_comparisons <= budget);
             (dead, stats.dom_comparisons)
@@ -1306,5 +1445,134 @@ mod tests {
         got.sort_unstable();
         assert_eq!(skyline_reference(&points, pref), vec![0, 2]);
         assert_eq!(got, vec![0, 2]);
+    }
+
+    /// A plan built from inserts and a batch of row tests against it.
+    #[derive(Debug, Clone)]
+    struct RowCase {
+        prefs: Vec<DimMask>,
+        /// A query admitted after the inserts, its fresh windows backfilled
+        /// from them or (`false`) left empty.
+        arrival: Option<(DimMask, bool)>,
+        dva: bool,
+        screened: bool,
+        points: Vec<Vec<Value>>,
+        /// A column NaN in every plan point: the windows reading it have a
+        /// NaN front.
+        nan_column: Option<usize>,
+        rows: Vec<Vec<Value>>,
+        budgets: Vec<u64>,
+        /// 0: no window; 1: every window; 2: one fresh window; 3: `subset`.
+        pick: u8,
+        subset: u64,
+    }
+
+    /// An integer-grid value (ties), now and then NaN or an infinity.
+    fn grid_value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..33) {
+            0 => Value::NAN,
+            1 => Value::INFINITY,
+            2 => Value::NEG_INFINITY,
+            _ => Value::from(rng.gen_range(0u8..6)),
+        }
+    }
+
+    fn row_case(rng: &mut StdRng) -> RowCase {
+        const D: usize = 4;
+        let mask = |rng: &mut StdRng| DimMask(rng.gen_range(1..16));
+        let point = |rng: &mut StdRng| (0..D).map(|_| grid_value(rng)).collect::<Vec<_>>();
+        let n = match rng.gen_range(0..8) {
+            0 => 1,
+            1 => 8,
+            2 => 63,
+            3 => 64,
+            4 => 65,
+            5 => 200,
+            _ => rng.gen_range(1..130),
+        };
+        let budget = |rng: &mut StdRng| match rng.gen_range(0..4) {
+            0 => 0,
+            1 => rng.gen_range(1..4),
+            2 => rng.gen_range(0..48),
+            _ => u64::MAX,
+        };
+        RowCase {
+            prefs: (0..rng.gen_range(1..4)).map(|_| mask(rng)).collect(),
+            arrival: rng.gen_bool(0.5).then(|| (mask(rng), rng.gen_bool(0.5))),
+            dva: rng.gen_bool(0.5),
+            screened: rng.gen_bool(0.5),
+            points: (0..rng.gen_range(0..40)).map(|_| point(rng)).collect(),
+            nan_column: rng.gen_bool(0.2).then(|| rng.gen_range(0..D)),
+            rows: (0..n).map(|_| point(rng)).collect(),
+            budgets: (0..n).map(|_| budget(rng)).collect(),
+            pick: rng.gen_range(0..4),
+            subset: rng.gen(),
+        }
+    }
+
+    #[test]
+    fn batch_row_tests_match_the_row_by_row_reference() {
+        // The batch row test against the row-by-row reference: the same
+        // verdict per row, the same ticks and the same observable stats.
+        // Cases cover grid ties, NaN inside and outside a window's subspace,
+        // an empty window, a NaN front, masks of no window and of one fresh
+        // window, batch sizes around the 64-lane block, and budgets that run
+        // out before a window and inside one.
+        for seed in 0..192 {
+            let case = row_case(&mut StdRng::seed_from_u64(seed));
+            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&case.prefs), case.dva);
+            if case.screened {
+                plan.enable_sig_cache(&[0.0; 4], &[5.0; 4]);
+            }
+            let mut history = PointStore::new(4);
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            for p in &case.points {
+                let mut p = p.clone();
+                if let Some(c) = case.nan_column {
+                    p[c] = Value::NAN;
+                }
+                plan.insert(history.len() as u64, &p, &mut clock, &mut stats);
+                history.push(&p);
+            }
+            let mut fresh = 0;
+            if let Some((pref, backfilled)) = case.arrival {
+                let none = PointStore::new(4);
+                let from = if backfilled { &history } else { &none };
+                fresh = plan.admit_query(pref, from, &mut clock, &mut stats);
+            }
+            let windows = match case.pick {
+                0 => 0,
+                1 => plan.all_windows(),
+                2 if fresh != 0 => fresh & fresh.wrapping_neg(),
+                _ => case.subset & plan.all_windows(),
+            };
+
+            let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+            let expect: Vec<bool> = case
+                .rows
+                .iter()
+                .zip(&case.budgets)
+                .map(|(row, &b)| row_by_row(&plan, windows, row, b, &mut clock, &mut stats))
+                .collect();
+
+            let mut tests = RowTests::default();
+            tests.push(1);
+            tests.clear();
+            case.budgets.iter().for_each(|&b| tests.push(b));
+            let images: Vec<Value> = case.rows.iter().flatten().copied().collect();
+            let (mut batch_clock, mut batch_stats) = (SimClock::default(), Stats::new());
+            plan.dominated_rows(
+                windows,
+                &images,
+                4,
+                &mut tests,
+                &mut batch_clock,
+                &mut batch_stats,
+            );
+            let got: Vec<bool> = (0..case.rows.len()).map(|j| tests.dominated(j)).collect();
+            assert_eq!(got, expect, "seed {seed}: {case:?}");
+            assert_eq!(batch_clock.ticks(), clock.ticks(), "seed {seed}");
+            assert_eq!(batch_stats.observable(), stats.observable(), "seed {seed}");
+        }
     }
 }

@@ -18,6 +18,7 @@
 use crate::mapping::MappingSet;
 use caqe_data::Record;
 use caqe_types::{PointStore, SimClock, Stats, Value};
+use std::ops::Range;
 
 /// A join condition: equality on join column `column` of both tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -94,9 +95,23 @@ impl SortedJoinIndex {
     /// The build rows matching `key`, in build order.
     #[inline]
     pub fn matches(&self, key: u32) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.rows(self.range(key))
+    }
+
+    /// Where the build rows matching `key` sit in the index, for a caller
+    /// that keeps them apart from the probe ([`Self::rows`] reads them).
+    #[inline]
+    pub fn range(&self, key: u32) -> Range<usize> {
         let lo = self.entries.partition_point(|&(k, _)| k < key);
         let hi = self.entries.partition_point(|&(k, _)| k <= key);
-        self.entries[lo..hi].iter().map(|&(_, row)| row as usize)
+        lo..hi
+    }
+
+    /// The build rows at `range` of the index (one [`Self::range`] gave), in
+    /// build order.
+    #[inline]
+    pub fn rows(&self, range: Range<usize>) -> impl ExactSizeIterator<Item = usize> + '_ {
+        self.entries[range].iter().map(|&(_, row)| row as usize)
     }
 
     /// Number of indexed rows.
@@ -297,6 +312,10 @@ mod tests {
         assert_eq!(idx.matches(3).collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(idx.matches(9).collect::<Vec<_>>(), vec![5]);
         assert_eq!(idx.matches(7).count(), 0);
+        // A kept range reads back the same rows.
+        assert!(idx.range(7).is_empty());
+        let three = idx.range(3);
+        assert_eq!(idx.rows(three).collect::<Vec<_>>(), vec![1, 4]);
     }
 
     #[test]

@@ -129,6 +129,9 @@ impl SkylineWindow {
     /// is never larger than its victim's, so the front is the first member
     /// that reject scan examines. The caller owes the charge and must not
     /// apply the verdict to a `known_survivor`, whose reject scan is skipped.
+    /// Likewise [`Self::dominates`] of the row returns `Some(true)` after one
+    /// comparison if its limit is at least 1 and the row holds no NaN (the
+    /// scan never calls a NaN point dominated; this pass reads NaN as a tie).
     ///
     /// Proves nothing (returns 0) on an empty window and on a front whose
     /// score is not finite: a NaN score sorts as `+inf`, out of its true
