@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Source guards: retired names stay gone, the engine stays split along the
-# paper's seams, the engine crates start no thread, and the inert
-# parallelism knob keeps its one setter.
+# paper's seams, the engine crates start no thread, the inert parallelism
+# knob keeps its one setter and the inert DVA knob is read nowhere.
 #
 # Usage: ci/guards.sh   (any directory inside the repository; exits 1
 # after printing every violation)
@@ -37,6 +37,8 @@ retired=(
   '\.grid\(\)'
   # the one-row row test, which the batch row test (`dominated_rows`) replaced
   'dominated_in\('
+  # a swap-remove point store no window ever used
+  'SwapStore'
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')
@@ -66,6 +68,15 @@ if git grep --untracked -nE 'thread::(scope|spawn)' -- crates/caqe-core \
   crates/caqe-cuboid crates/caqe-parallel crates/caqe-regions \
   crates/caqe-operators crates/caqe-trace; then
   violation "an engine crate starts a thread"
+fi
+
+# `ExecConfig::assume_dva` is inert: only its field, its doc and its default
+# name it, so nothing reads it.
+dva=$(git grep --untracked -nF 'assume_dva' -- crates src tests examples |
+  grep -vE '^crates/caqe-core/src/config\.rs:[0-9]+:\s*(///.*|pub assume_dva: bool,|assume_dva: true,)$')
+if [ -n "$dva" ]; then
+  printf '%s\n' "$dva"
+  violation "assume_dva is inert: only its field, doc and default in config.rs may name it"
 fi
 
 # `ExecConfig::parallelism` is inert; one test pins that, nothing else sets it.

@@ -37,7 +37,8 @@ fn bench_cuboid_build(c: &mut Criterion) {
 }
 
 /// Times a fresh plan taking `n` generated 5-dimensional tuples in
-/// `insert_batch` calls of `batch`, with and without the Theorem 1 shortcut.
+/// `insert_batch` calls of `batch`, and, without the Theorem 1 shortcut, in
+/// `backfill` calls over every window.
 fn bench_insert_batches(
     c: &mut Criterion,
     group: &str,
@@ -54,25 +55,35 @@ fn bench_insert_batches(
         .flat_map(|r| r.vals.iter().copied())
         .collect();
     let mut group = c.benchmark_group(group);
-    for dva in [true, false] {
-        group.bench_with_input(BenchmarkId::new("theorem1", dva), &dva, |b, &dva| {
-            b.iter(|| {
-                let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), dva);
-                let mut clock = SimClock::default();
-                let mut stats = Stats::new();
-                for (i, vals) in flat.chunks(batch * stride).enumerate() {
-                    black_box(plan.insert_batch(
-                        (i * batch) as u64,
-                        vals,
-                        stride,
-                        Threads::default(),
-                        &mut clock,
-                        &mut stats,
-                    ));
-                }
-                stats.dom_comparisons
-            })
-        });
+    for shortcut in [true, false] {
+        group.bench_with_input(
+            BenchmarkId::new("theorem1", shortcut),
+            &shortcut,
+            |b, &shortcut| {
+                b.iter(|| {
+                    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+                    let mut clock = SimClock::default();
+                    let mut stats = Stats::new();
+                    for (i, vals) in flat.chunks(batch * stride).enumerate() {
+                        let first = (i * batch) as u64;
+                        if shortcut {
+                            black_box(plan.insert_batch(
+                                first,
+                                vals,
+                                stride,
+                                Threads::default(),
+                                &mut clock,
+                                &mut stats,
+                            ));
+                        } else {
+                            let every = plan.all_windows();
+                            plan.backfill(every, first, vals, stride, &mut clock, &mut stats);
+                        }
+                    }
+                    stats.dom_comparisons
+                })
+            },
+        );
     }
     group.finish();
 }

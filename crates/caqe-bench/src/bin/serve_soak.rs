@@ -10,17 +10,17 @@
 //!
 //! # Run: submit --sessions queries upfront, drain deterministically.
 //! cargo run --release -p caqe-bench --bin serve_soak -- --mode run
-//!     --sessions <s> [--kill-after-epochs <k> | --sigterm-wait]
+//!     --sessions <s> [--kill-after-epochs <k> [--sigterm-wait]]
 //!     [--restore] [--snapshot <path>] [--digest-out <path>]
 //!     [--trace <dir>] [--metrics <dir>]
 //! ```
 //!
 //! The restore-equivalence protocol: run A drains uninterrupted and writes
-//! its digest file; run B is killed after `--kill-after-epochs` (or by
-//! SIGTERM with `--sigterm-wait`) and snapshots; run C `--restore`s the
-//! snapshot, drains the remainder and writes its digest file. A and C must
-//! be byte-identical — the snapshot carries completed-session digests, so
-//! C's file covers every session.
+//! its digest file; run B runs `--kill-after-epochs` epochs — then, with
+//! `--sigterm-wait`, serves nothing more until SIGTERM arrives — and
+//! snapshots; run C `--restore`s the snapshot, drains the remainder and
+//! writes its digest file. A and C must be byte-identical — the snapshot
+//! carries completed-session digests, so C's file covers every session.
 
 use caqe_bench::json::ObjectWriter;
 use caqe_bench::report::{
@@ -58,6 +58,18 @@ mod sigterm {
 
     pub fn received() -> bool {
         RECEIVED.load(Ordering::SeqCst)
+    }
+}
+
+#[cfg(not(unix))]
+mod sigterm {
+    pub fn install() {
+        eprintln!("--sigterm-wait is only supported on unix");
+        std::process::exit(2);
+    }
+
+    pub fn received() -> bool {
+        false
     }
 }
 
@@ -135,6 +147,10 @@ fn run_mode(args: &[String]) -> ExitCode {
     let digest_out = cli_arg(args, "--digest-out").map(PathBuf::from);
     let trace = cli_trace(args);
     let metrics = cli_metrics(args);
+    if sigterm_wait && kill_after.is_none() {
+        eprintln!("--sigterm-wait requires --kill-after-epochs <k>");
+        return ExitCode::from(2);
+    }
 
     let inp = inputs(n);
     let serve = ServeConfig {
@@ -194,57 +210,31 @@ fn run_mode(args: &[String]) -> ExitCode {
         server
     };
 
-    if sigterm_wait {
-        #[cfg(unix)]
-        {
-            sigterm::install();
-            loop {
-                if sigterm::received() {
-                    break;
-                }
-                if server.run_epoch().is_none() {
-                    break;
-                }
-                std::thread::sleep(std::time::Duration::from_millis(25));
-            }
-            let Some(path) = snapshot.as_deref() else {
-                eprintln!("--sigterm-wait requires --snapshot <path>");
-                return ExitCode::from(2);
-            };
-            match server.shutdown_to_snapshot(path) {
-                Ok(snap) => println!(
-                    "snapshot after SIGTERM: {} completed, {} queued",
-                    snap.completed.len(),
-                    snap.queued.len()
-                ),
-                Err(e) => {
-                    eprintln!("snapshot failed: {e}");
-                    return ExitCode::from(2);
-                }
-            }
-            write_artifacts(&server, trace.as_deref(), metrics.as_deref());
-            return ExitCode::SUCCESS;
-        }
-        #[cfg(not(unix))]
-        {
-            eprintln!("--sigterm-wait is only supported on unix");
-            return ExitCode::from(2);
-        }
-    }
-
     if let Some(k) = kill_after {
+        let Some(path) = snapshot.as_deref() else {
+            eprintln!("--kill-after-epochs requires --snapshot <path>");
+            return ExitCode::from(2);
+        };
+        if sigterm_wait {
+            sigterm::install();
+        }
         for _ in 0..k {
             if server.run_epoch().is_none() {
                 break;
             }
         }
-        let Some(path) = snapshot.as_deref() else {
-            eprintln!("--kill-after-epochs requires --snapshot <path>");
-            return ExitCode::from(2);
+        let when = match sigterm_wait {
+            true => {
+                while !sigterm::received() {
+                    std::thread::sleep(std::time::Duration::from_millis(25));
+                }
+                "SIGTERM".to_string()
+            }
+            false => format!("{k} epoch(s)"),
         };
         match server.shutdown_to_snapshot(path) {
             Ok(snap) => println!(
-                "snapshot after {k} epoch(s): {} completed, {} queued",
+                "snapshot after {when}: {} completed, {} queued",
                 snap.completed.len(),
                 snap.queued.len()
             ),

@@ -42,6 +42,24 @@ fn report_without_a_directory_is_a_usage_error() {
     refused(env!("CARGO_BIN_EXE_report"), &["--check"], "`--check`");
 }
 
+#[test]
+fn serve_soak_waits_for_sigterm_only_after_its_epochs() {
+    // The wait follows `--kill-after-epochs`: alone, it would have no
+    // point at which to stop serving.
+    let args = [
+        "--mode",
+        "run",
+        "--sigterm-wait",
+        "--snapshot",
+        "unused.snap",
+    ];
+    refused(
+        env!("CARGO_BIN_EXE_serve_soak"),
+        &args,
+        "--kill-after-epochs",
+    );
+}
+
 /// A trace with one event of each kind the cases below damage.
 fn trace() -> Vec<TraceEvent> {
     vec![

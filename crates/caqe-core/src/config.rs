@@ -136,8 +136,11 @@ pub struct ExecConfig {
     pub cost_model: CostModel,
     /// Quad-tree construction parameters.
     pub quadtree: QuadTreeConfig,
-    /// Whether the Distinct Value Attributes assumption may be exploited
-    /// (Theorem 1 shortcuts). True for the standard generators.
+    /// Whether the Distinct Value Attributes assumption may be exploited.
+    /// **Inert**: the shared plan applies Theorem 1 to a tuple only where
+    /// no member ties it, which is exact with or without the assumption,
+    /// so nothing reads this. The field stays only because `benchmark/src`
+    /// compiles against it; `ci/guards.sh` rejects any other mention.
     pub assume_dva: bool,
     /// Host-side worker threads: `None` = serial (the default), `Some(0)` =
     /// all available cores, `Some(n)` = exactly `n` workers. **Inert**: the

@@ -158,7 +158,6 @@ impl<S: TraceSink> Run<'_, S> {
                 let group = open_group(
                     &self.part_r,
                     &self.part_t,
-                    exec,
                     self.engine.coarse_pruning,
                     needs_dg,
                     true,

@@ -338,7 +338,6 @@ impl<'a, S: TraceSink> Run<'a, S> {
             req.workload,
             &part_r,
             &part_t,
-            exec,
             engine.coarse_pruning,
             engine.needs_dependency_graph(),
             session_mode,

@@ -57,7 +57,7 @@ pub(super) fn group_of<const D: usize>(
         queries.clone(),
     );
     let dg = DependencyGraph::build(&regions, &mut SimClock::default(), &mut Stats::new());
-    assemble_group(0, MappingSet::concat(D - 1, 1), &queries, regions, dg, true)
+    assemble_group(0, MappingSet::concat(D - 1, 1), &queries, regions, dg)
 }
 
 /// Four queries whose cuboid keeps more windows than queries.

@@ -214,14 +214,15 @@ pub fn group_workload(workload: &Workload) -> Vec<(usize, MappingSet, Vec<QueryI
 /// Groups are opened one after another against `clock` and `stats`
 /// (`open_group`), each recording its phase spans straight into `sink`.
 ///
-/// `_threads` is accepted and ignored: `benchmark/src` compiles against
-/// this signature, and the engine is serial (DESIGN.md §10).
+/// `_exec` and `_threads` are accepted and ignored: `benchmark/src`
+/// compiles against this signature, a group build reads no configuration
+/// beyond the toggles, and the engine is serial (DESIGN.md §10).
 #[allow(clippy::too_many_arguments)] // one engine toggle per argument
 pub fn build_groups<S: TraceSink>(
     workload: &Workload,
     part_r: &Partitioning,
     part_t: &Partitioning,
-    exec: &ExecConfig,
+    _exec: &ExecConfig,
     coarse_pruning: bool,
     build_dg: bool,
     keep_empty: bool,
@@ -234,7 +235,6 @@ pub fn build_groups<S: TraceSink>(
         workload,
         part_r,
         part_t,
-        exec,
         coarse_pruning,
         build_dg,
         keep_empty,
@@ -254,7 +254,6 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
     workload: &Workload,
     part_r: &Partitioning,
     part_t: &Partitioning,
-    exec: &ExecConfig,
     coarse_pruning: bool,
     build_dg: bool,
     keep_empty: bool,
@@ -273,7 +272,6 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
             open_group(
                 part_r,
                 part_t,
-                exec,
                 coarse_pruning,
                 build_dg,
                 keep_empty,
@@ -314,7 +312,6 @@ pub(crate) fn build_groups_with_memos<S: TraceSink>(
 pub(crate) fn open_group<S: TraceSink>(
     part_r: &Partitioning,
     part_t: &Partitioning,
-    exec: &ExecConfig,
     coarse_pruning: bool,
     build_dg: bool,
     keep_empty: bool,
@@ -363,7 +360,7 @@ pub(crate) fn open_group<S: TraceSink>(
             (regions, dg)
         }
     };
-    let group = assemble_group(join_col, mapping, &queries, regions, dg, exec.assume_dva);
+    let group = assemble_group(join_col, mapping, &queries, regions, dg);
     if S::ENABLED {
         for kind in [SpanKind::LookAhead, SpanKind::GroupBuild] {
             sink.record(TraceEvent::Span {
@@ -389,10 +386,9 @@ pub(crate) fn assemble_group(
     queries: &[(QueryId, DimMask)],
     regions: RegionSet,
     dg: DependencyGraph,
-    assume_dva: bool,
 ) -> JoinGroup {
     let prefs: Vec<DimMask> = queries.iter().map(|(_, m)| *m).collect();
-    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), assume_dva);
+    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
     // The region envelope bounds every tuple the mappings can produce —
     // exactly the quantization range signature screening wants (DESIGN.md
     // §17). Screening never changes observables, so no config gate.
@@ -505,7 +501,7 @@ mod tests {
             let mut sink = RecordingSink::new();
             let (pr, pt) = (&plan.part_r, &plan.part_t);
             let groups = build_groups_with_memos(
-                &w, pr, pt, &exec, true, true, false, memos, &mut clock, &mut stats, &mut sink,
+                &w, pr, pt, true, true, false, memos, &mut clock, &mut stats, &mut sink,
             );
             assert_eq!(groups.len(), 2);
             (sink.into_events(), clock.ticks(), stats)

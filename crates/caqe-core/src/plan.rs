@@ -268,7 +268,6 @@ impl PreparedPlan {
         let group = open_group(
             &self.part_r,
             &self.part_t,
-            exec,
             coarse_pruning,
             build_dg,
             keep_empty,

@@ -245,10 +245,11 @@ fn clock_offset_shifts_timestamps() {
 }
 
 #[test]
-fn concat_mapping_with_ties_needs_dva_off() {
+fn concat_mapping_with_ties_stays_exact() {
     // Pass-through mappings create tied points on R-only subspaces —
-    // exactly the DVA violation the paper assumes away. With the Theorem 1
-    // shortcuts disabled the engine must still be exact.
+    // exactly the DVA violation the paper assumes away. Theorem 1 skips a
+    // tuple's reject scan only where it was admitted to a child without a
+    // tie, so the default configuration stays exact.
     let (r, t) = tables(150, Distribution::Independent, 0.1, 12);
     let mapping = MappingSet::concat(2, 2);
     let w = Workload::new(
@@ -267,8 +268,7 @@ fn concat_mapping_with_ties_needs_dva_off() {
         })
         .collect(),
     );
-    let mut exec = ExecConfig::default().with_target_cells(150, 4);
-    exec.assume_dva = false;
+    let exec = ExecConfig::default().with_target_cells(150, 4);
     let expect = reference_results(&r, &t, &w);
     let outcome = RunRequest::new("caqe", &r, &t, &w, &exec, &EngineConfig::caqe())
         .try_run(&mut NoopSink)
@@ -346,9 +346,7 @@ fn rows(name: &str, n: u64, val: impl Fn(u64) -> [f64; 2]) -> caqe_data::Table {
 
 #[test]
 fn row_lookahead_skips_only_strictly_dominated_images() {
-    // Ties break the DVA assumption, so Theorem 1 is off (item 15).
-    let mut exec = ExecConfig::default().with_target_cells(400, 8);
-    exec.assume_dva = false;
+    let exec = ExecConfig::default().with_target_cells(400, 8);
     let w = figure1_workload(Contract::LogDecay);
 
     // Equal images: T is one point, so on the T side {2, 3} every result

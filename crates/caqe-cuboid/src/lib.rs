@@ -11,7 +11,7 @@
 //! [`SharedSkylinePlan`] then maintains one incremental skyline per cuboid
 //! subspace and inserts join results bottom-up, exploiting Theorem 1 (a
 //! point non-dominated in a child subspace is non-dominated in any parent,
-//! under the Distinct Value Attributes assumption) to skip comparisons.
+//! if no member ties it there) to skip comparisons.
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -6,9 +6,12 @@
 //! dominator and the `score ≥` suffix for victims) and the optional
 //! signature screen; the plan adds what only the lattice knows:
 //!
-//! * **Theorem 1** (under the Distinct Value Attributes assumption): a tuple
-//!   that survived in a *child* subspace is guaranteed to survive in the
-//!   parent — the window is told so and skips its reject scan;
+//! * **Theorem 1**, per candidate: a tuple admitted to a kept *child*
+//!   subspace with no member tying it there is guaranteed to survive in the
+//!   parent — the window is told so and skips its reject scan. A tie in the
+//!   child withholds the shortcut: the paper's Distinct Value Attributes
+//!   assumption is what rules ties out, and this way the plan stays exact
+//!   without it;
 //! * **one arena**: a tuple admitted in several subspaces is interned once
 //!   and every window refers to it by [`PointId`];
 //! * **the front screen**: a batch meets each window 64 candidates at a
@@ -16,11 +19,6 @@
 //!   in one block pass at the one comparison their insert would have cost.
 //!   §6's row test ([`SharedSkylinePlan::dominated_rows`]) meets the
 //!   windows with a batch's row images the same way.
-//!
-//! Workloads whose mapping functions can produce tied values should
-//! construct the plan with `assume_dva = false`, which disables the
-//! Theorem 1 shortcut (the windows stay exact: on score ties the boundary
-//! member is in both scans).
 
 use crate::minmax::MinMaxCuboid;
 use caqe_operators::{InsertOutcome, SkylineWindow};
@@ -133,7 +131,7 @@ pub struct Eviction {
 }
 
 /// What one [`SharedSkylinePlan::insert_batch_into`] did, in buffers the
-/// caller keeps across batches: each call overwrites both, reusing their
+/// caller keeps across batches: each call overwrites them all, reusing their
 /// allocations.
 #[derive(Debug, Clone, Default)]
 pub struct BatchOutcome {
@@ -141,6 +139,9 @@ pub struct BatchOutcome {
     /// candidate `c` is now in query `q`'s skyline iff
     /// `added[c] & plan.query_bit(q) != 0`.
     pub added: Vec<u64>,
+    /// Per candidate, the positions of `added` where no member tied it:
+    /// those whose parents Theorem 1 lets it skip the reject scan in.
+    untied: Vec<u64>,
     /// Every eviction of the batch, by candidate and, within a candidate,
     /// by ascending cuboid position — the order a one-at-a-time insert
     /// meets them. Query `q` owns an eviction iff
@@ -172,7 +173,6 @@ pub struct SharedSkylinePlan {
     cuboid: MinMaxCuboid,
     /// `windows[i]` maintains the skyline over `cuboid.subspaces()[i]`.
     windows: Vec<SkylineWindow>,
-    assume_dva: bool,
     points: PointStore,
     /// Plan-wide quantization bounds (`lo`, `hi` indexed by full-stride
     /// dimension), set by [`SharedSkylinePlan::enable_sig_cache`]. `None`
@@ -183,10 +183,13 @@ pub struct SharedSkylinePlan {
 impl SharedSkylinePlan {
     /// Creates a plan over a cuboid.
     ///
+    /// The flag is ignored: Theorem 1 is decided per candidate. It stays
+    /// because `benchmark/src` compiles against this signature.
+    ///
     /// # Panics
     /// Panics if the cuboid keeps more than 64 subspaces (bitmask limit; the
     /// paper's workloads keep ≤ 31 over 5 dimensions).
-    pub fn new(cuboid: MinMaxCuboid, assume_dva: bool) -> Self {
+    pub fn new(cuboid: MinMaxCuboid, _: bool) -> Self {
         assert!(cuboid.len() <= 64, "cuboid too large for added-mask bits");
         let windows = cuboid
             .subspaces()
@@ -196,7 +199,6 @@ impl SharedSkylinePlan {
         SharedSkylinePlan {
             cuboid,
             windows,
-            assume_dva,
             points: PointStore::new(0),
             sig_bounds: None,
         }
@@ -526,8 +528,9 @@ impl SharedSkylinePlan {
     ///
     /// * a subspace window's evolution depends only on *earlier candidates
     ///   in that same subspace* plus, through the Theorem 1 shortcut, the
-    ///   admission bits of its kept children — strict subsets, hence lower
-    ///   cuboid indices, hence already final when the subspace is reached;
+    ///   tie-free admission bits of its kept children — strict subsets,
+    ///   hence lower cuboid indices, hence already final when the subspace
+    ///   is reached;
     /// * comparison charges are additive and nothing reads the clock during
     ///   an insert phase, so charging the batch's comparisons in one sum
     ///   lands on the one-at-a-time tick total.
@@ -575,7 +578,7 @@ impl SharedSkylinePlan {
             "cuboid subspaces not level-sorted"
         );
         let every = 0..self.cuboid.len();
-        self.replay(every, batch, self.assume_dva, clock, stats, out);
+        self.replay(every, batch, true, clock, stats, out);
         // The replay met the positions in ascending order, and a candidate
         // is admitted at most once per position, so this is the stable sort
         // by candidate.
@@ -631,7 +634,12 @@ impl SharedSkylinePlan {
     /// `out`, per candidate, the bitmask of positions that admitted it, plus
     /// the evictions in replay order.
     /// With `theorem1`, a candidate already admitted to a kept child (a
-    /// lower position, so its bit is final) skips the window's reject scan.
+    /// lower position, so its bit is final) with no member tying it there
+    /// skips the window's reject scan. That is exact whenever dominance is
+    /// a strict partial order: a member that dominates it here and is
+    /// strictly better somewhere in the child would have rejected or
+    /// evicted it there, so the member ties it on all of the child — and
+    /// it, or an equal stand-in, is still in the child's window.
     ///
     /// Candidates meet a window up to 64 at a time: one
     /// [`SkylineWindow::front_dominated`] pass settles every lane the
@@ -649,10 +657,13 @@ impl SharedSkylinePlan {
     ) {
         let BatchOutcome {
             added: added_bits,
+            untied,
             evictions,
         } = out;
         added_bits.clear();
         added_bits.resize(batch.len(), 0);
+        untied.clear();
+        untied.resize(batch.len(), 0);
         evictions.clear();
         let comps_before = stats.dom_comparisons;
         for subspace in subspaces {
@@ -670,16 +681,17 @@ impl SharedSkylinePlan {
                 // (64 is the block kernel's lane width).
                 let n = (batch.len() - start).min(64);
                 let survivors = if theorem1 && child_bits != 0 {
-                    added_bits[start..start + n]
-                        .iter()
-                        .enumerate()
-                        .fold(0u64, |m, (j, b)| m | (u64::from(b & child_bits != 0) << j))
+                    lane_mask(start, n, |c| untied[c] & child_bits != 0)
                 } else {
                     0
                 };
                 let front = front_tag(win);
-                let rejects =
-                    win.front_dominated(batch.vals, batch.stride, start, n, member) & !survivors;
+                let rejects = win.front_dominated(batch.vals, batch.stride, start, n, member);
+                debug_assert_eq!(
+                    rejects & survivors,
+                    0,
+                    "Theorem 1 vouched for a dominated lane"
+                );
                 // Lanes this pass settles; cut short when the front moves.
                 let mut settled = n;
                 let mut todo = (u64::MAX >> (64 - n)) & !rejects;
@@ -695,8 +707,9 @@ impl SharedSkylinePlan {
                         member,
                         stats,
                     );
-                    if let InsertOutcome::Added { removed } = outcome {
+                    if let InsertOutcome::Added { removed, tied } = outcome {
                         added_bits[c] |= 1u64 << subspace;
+                        untied[c] |= u64::from(!tied) << subspace;
                         if !removed.is_empty() {
                             evictions.push(Eviction {
                                 candidate: c,
@@ -846,14 +859,18 @@ mod tests {
     }
 
     #[test]
-    fn dva_shortcuts_do_not_change_results() {
+    fn theorem1_shortcuts_do_not_change_results() {
         let prefs = figure1_prefs();
         let points = random_points(300, 4, 13);
         let cuboid = MinMaxCuboid::build(&prefs);
         let mut fast = SharedSkylinePlan::new(cuboid.clone(), true);
-        let mut slow = SharedSkylinePlan::new(cuboid, false);
         let (_, sf) = insert_all(&mut fast, &points);
-        let (_, ss) = insert_all(&mut slow, &points);
+        // The same points through every window without the shortcut.
+        let mut slow = SharedSkylinePlan::new(cuboid, true);
+        let flat: Vec<Value> = points.iter().flatten().copied().collect();
+        let mut ss = Stats::new();
+        let every = slow.all_windows();
+        slow.backfill(every, 0, &flat, 4, &mut SimClock::default(), &mut ss);
         for q in 0..prefs.len() {
             let mut a = fast.query_skyline_tags(QueryId(q as u16));
             let mut b = slow.query_skyline_tags(QueryId(q as u16));
@@ -1163,15 +1180,16 @@ mod tests {
     }
 
     #[test]
-    fn insert_batch_handles_tied_values_without_dva() {
-        // Integer-grid points produce heavy score and value ties; the plan
-        // must be run with assume_dva = false and stay identical to serial.
+    fn insert_batch_handles_tied_values() {
+        // Integer-grid points produce heavy score and value ties: a tie in a
+        // child withholds Theorem 1, so the plan stays exact, and batches
+        // stay identical to serial inserts.
         let mut rng = StdRng::seed_from_u64(5150);
         let points: Vec<Vec<Value>> = (0..240)
             .map(|_| (0..4).map(|_| f64::from(rng.gen_range(0..6u8))).collect())
             .collect();
         let prefs = figure1_prefs();
-        let mut serial = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
+        let mut serial = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
         let mut sc = SimClock::default();
         let mut ss = Stats::new();
         let serial_results: Vec<SharedInsert> = points
@@ -1179,11 +1197,20 @@ mod tests {
             .enumerate()
             .map(|(i, p)| serial.insert(i as u64, p, &mut sc, &mut ss))
             .collect();
-        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), false);
+        let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
         let (results, clock, stats) = insert_batched(&mut plan, &points);
         assert_eq!(results, serial_results, "tied values diverge");
         assert_eq!(clock.ticks(), sc.ticks());
         assert_eq!(stats.dom_comparisons, ss.dom_comparisons);
+        for (q, &p) in prefs.iter().enumerate() {
+            let mut got = plan.query_skyline_tags(QueryId(q as u16));
+            got.sort_unstable();
+            let want: Vec<u64> = skyline_reference(&points, p)
+                .into_iter()
+                .map(|i| i as u64)
+                .collect();
+            assert_eq!(got, want, "query Q{} under ties", q + 1);
+        }
     }
 
     #[test]
@@ -1454,7 +1481,6 @@ mod tests {
         /// A query admitted after the inserts, its fresh windows backfilled
         /// from them or (`false`) left empty.
         arrival: Option<(DimMask, bool)>,
-        dva: bool,
         screened: bool,
         points: Vec<Vec<Value>>,
         /// A column NaN in every plan point: the windows reading it have a
@@ -1499,7 +1525,6 @@ mod tests {
         RowCase {
             prefs: (0..rng.gen_range(1..4)).map(|_| mask(rng)).collect(),
             arrival: rng.gen_bool(0.5).then(|| (mask(rng), rng.gen_bool(0.5))),
-            dva: rng.gen_bool(0.5),
             screened: rng.gen_bool(0.5),
             points: (0..rng.gen_range(0..40)).map(|_| point(rng)).collect(),
             nan_column: rng.gen_bool(0.2).then(|| rng.gen_range(0..D)),
@@ -1520,7 +1545,7 @@ mod tests {
         // out before a window and inside one.
         for seed in 0..192 {
             let case = row_case(&mut StdRng::seed_from_u64(seed));
-            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&case.prefs), case.dva);
+            let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&case.prefs), true);
             if case.screened {
                 plan.enable_sig_cache(&[0.0; 4], &[5.0; 4]);
             }

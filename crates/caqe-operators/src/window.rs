@@ -38,6 +38,10 @@ pub enum InsertOutcome {
     Added {
         /// Tags of evicted former skyline members, in window order.
         removed: Vec<u64>,
+        /// Whether a member ties the point on every dimension of the
+        /// subspace, or the point's score is NaN. Only an admission without
+        /// a tie lets Theorem 1 vouch for the point in a parent subspace.
+        tied: bool,
     },
 }
 
@@ -127,8 +131,8 @@ impl SkylineWindow {
     /// row `first + j` would return `Dominated` after exactly one charged
     /// comparison, as long as the front stays the front: a dominator's score
     /// is never larger than its victim's, so the front is the first member
-    /// that reject scan examines. The caller owes the charge and must not
-    /// apply the verdict to a `known_survivor`, whose reject scan is skipped.
+    /// that reject scan examines. The caller owes the charge. A
+    /// `known_survivor` is never among these lanes: nothing dominates it.
     /// Likewise [`Self::dominates`] of the row returns `Some(true)` after one
     /// comparison if its limit is at least 1 and the row holds no NaN (the
     /// scan never calls a NaN point dominated; this pass reads NaN as a tie).
@@ -180,7 +184,7 @@ impl SkylineWindow {
             stats.sig_builds += 1;
             (&self.sigs[..], q.sig(point), q.high_mask())
         });
-        let score = filed_score(kernel, point);
+        let score = filed(kernel.score(point));
         let (verdict, examined) =
             match reject_scan(kernel, &self.entries, screen, point, score, limit, &member) {
                 Scan::Dominated(k) => (Some(true), k),
@@ -198,12 +202,14 @@ impl SkylineWindow {
     /// Inserts `point` under `tag`, to be known to later probes by `handle`;
     /// `member` resolves the handles of earlier insertions. With
     /// `known_survivor` the caller vouches that nothing in the window
-    /// dominates the point (Theorem 1: it survived in a child subspace) and
-    /// the reject scan is skipped.
+    /// dominates the point (Theorem 1: it was admitted to a child subspace
+    /// with no tie there) and the reject scan is skipped.
     ///
     /// Counts one `stats.dom_comparisons` per member examined and one
     /// `stats.sig_builds` per signature quantized; the caller charges the
-    /// clock (comparison charges are additive).
+    /// clock (comparison charges are additive). The tie test of an
+    /// admission is not charged: a tied member has the point's score, so it
+    /// reads only the run of equal scores at the point's place.
     #[inline]
     pub fn insert<'a>(
         &mut self,
@@ -218,7 +224,8 @@ impl SkylineWindow {
         let kernel = &*self
             .kernel
             .get_or_insert_with(|| DomKernel::new(mask, point.len()));
-        let score = filed_score(kernel, point);
+        let raw = kernel.score(point);
+        let score = filed(raw);
         let screened = self.quant.is_some();
         let (csig, high) = match &self.quant {
             Some(q) => {
@@ -249,13 +256,17 @@ impl SkylineWindow {
         // the candidate's score. A miss is charged the whole `score ≤`
         // prefix, which is that place plus the run of ties behind it.
         let pos = self.entries.partition_point(|e| e.score < score);
+        let ties = self.entries[pos..]
+            .iter()
+            .take_while(|e| e.score == score)
+            .count();
+        let tied = raw.is_nan()
+            || self.entries[pos..pos + ties]
+                .iter()
+                .any(|e| kernel.relate(member(e.point), point) == DomRelation::Equal);
         let comps = if known_survivor {
             0
         } else {
-            let ties = self.entries[pos..]
-                .iter()
-                .take_while(|e| e.score == score)
-                .count();
             (pos + ties) as u64
         };
 
@@ -306,20 +317,20 @@ impl SkylineWindow {
             self.sigs.insert(pos, csig);
         }
         stats.dom_comparisons += comps + (len - pos) as u64;
-        InsertOutcome::Added { removed }
+        InsertOutcome::Added { removed, tied }
     }
 }
 
-/// `point`'s place in the window's score order. A NaN score (a NaN
-/// coordinate, or `+inf` meeting `-inf` in the sum) has no place in the
-/// order and would break `partition_point`'s precondition. It sorts as
-/// `+inf`: last, tied with its like, so no member is left out of its reject
-/// scan and later probes still find it in their `score ≥` suffix. Exact
-/// whenever dominance is a strict partial order (a column that is NaN in
-/// every row ties everywhere).
+/// A point's place in the window's score order, from its score. A NaN
+/// score (a NaN coordinate, or `+inf` meeting `-inf` in the sum) has no
+/// place in the order and would break `partition_point`'s precondition. It
+/// sorts as `+inf`: last, tied with its like, so no member is left out of
+/// its reject scan and later probes still find it in their `score ≥`
+/// suffix. Exact whenever dominance is a strict partial order (a column
+/// that is NaN in every row ties everywhere).
 #[inline(always)]
-fn filed_score(kernel: &DomKernel, point: &[Value]) -> Value {
-    match kernel.score(point) {
+fn filed(score: Value) -> Value {
+    match score {
         s if s.is_nan() => Value::INFINITY,
         s => s,
     }
@@ -496,7 +507,13 @@ mod tests {
         let mask = DimMask::full(2);
         let mut sky = IncrementalSkyline::new(mask);
         let outcomes = stream(&mut sky, &points);
-        assert_eq!(outcomes[3], InsertOutcome::Added { removed: vec![0] });
+        assert_eq!(
+            outcomes[3],
+            InsertOutcome::Added {
+                removed: vec![0],
+                tied: false
+            }
+        );
         assert_eq!(outcomes[4], InsertOutcome::Dominated);
         let mut tags: Vec<u64> = sky.tags().collect();
         tags.sort_unstable();
@@ -612,7 +629,10 @@ mod tests {
             let (out, comps) = charged(&mut sky, 1, &[5.0, 5.0]);
             assert_eq!(
                 out,
-                InsertOutcome::Added { removed: vec![] },
+                InsertOutcome::Added {
+                    removed: vec![],
+                    tied: false
+                },
                 "screened: {screened}"
             );
             assert_eq!(comps, 1, "screened: {screened}");
@@ -640,7 +660,10 @@ mod tests {
             let (out, comps) = charged(&mut sky, 6, &[5.0, 5.0]);
             assert_eq!(
                 out,
-                InsertOutcome::Added { removed: vec![] },
+                InsertOutcome::Added {
+                    removed: vec![],
+                    tied: false
+                },
                 "screened: {screened}"
             );
             assert_eq!(comps, 2 + 3 + 4, "screened: {screened}");
@@ -699,14 +722,19 @@ mod tests {
         // every copy at once.
         let mut sky = IncrementalSkyline::new(DimMask::full(2));
         let outcomes = stream(&mut sky, &[vec![1.0, 1.0], vec![1.0, 1.0], vec![0.5, 0.5]]);
-        assert_eq!(outcomes[1], InsertOutcome::Added { removed: vec![] });
+        let added = |removed: Vec<u64>, tied| InsertOutcome::Added { removed, tied };
+        // The second copy is admitted beside its equal, and says so.
+        assert_eq!(outcomes[..2], [added(vec![], false), added(vec![], true)]);
         // A tie goes in front of its equals, so window order is [1, 0].
-        assert_eq!(
-            outcomes[2],
-            InsertOutcome::Added {
-                removed: vec![1, 0]
-            }
-        );
+        assert_eq!(outcomes[2], added(vec![1, 0], false));
         assert_eq!(sky.tags().collect::<Vec<_>>(), vec![2]);
+        // A NaN score has no true place, so it counts as a tie.
+        let nan = sky.insert(
+            3,
+            &[Value::NAN, 0.0],
+            &mut SimClock::default(),
+            &mut Stats::new(),
+        );
+        assert_eq!(nan, added(vec![], true));
     }
 }

@@ -44,7 +44,7 @@ pub use ids::{CellId, QueryId, QuerySet, RegionId};
 pub use persist::{fnv1a, Fnv1a};
 pub use sig::{SigQuantizer, SIG_MAX_DIMS, SIG_POISON};
 pub use stats::{PerQueryStats, Stats};
-pub use store::{PointId, PointStore, SwapStore};
+pub use store::{PointId, PointStore};
 pub use subspace::DimMask;
 
 /// Attribute values throughout the system.

@@ -149,71 +149,6 @@ impl PointStore {
     }
 }
 
-/// A *mutable window* variant used by in-place skyline windows: same flat
-/// layout as [`PointStore`], but rows can be removed by swapping the last
-/// row into the hole (mirroring `Vec::swap_remove` on a `Vec<Vec<f64>>`).
-#[derive(Debug, Clone, Default)]
-pub struct SwapStore {
-    stride: usize,
-    data: Vec<Value>,
-}
-
-impl SwapStore {
-    /// An empty window for points of `stride` dimensions.
-    pub fn new(stride: usize) -> Self {
-        SwapStore {
-            stride,
-            data: Vec::new(),
-        }
-    }
-
-    /// The fixed number of dimensions per point.
-    #[inline]
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
-    /// Number of points in the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.stride).unwrap_or(0)
-    }
-
-    /// Whether the window is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Appends a point at the end of the window.
-    #[inline]
-    pub fn push(&mut self, point: &[Value]) {
-        debug_assert_eq!(point.len(), self.stride, "point/stride mismatch");
-        self.data.extend_from_slice(point);
-    }
-
-    /// The point at row `i`.
-    #[inline]
-    pub fn at(&self, i: usize) -> &[Value] {
-        let s = i * self.stride;
-        &self.data[s..s + self.stride]
-    }
-
-    /// Removes row `i` by moving the last row into its place — exactly the
-    /// reordering `Vec::swap_remove` performs on a vector of points.
-    #[inline]
-    pub fn swap_remove(&mut self, i: usize) {
-        let n = self.len();
-        debug_assert!(i < n);
-        let last = n - 1;
-        if i != last {
-            let (head, tail) = self.data.split_at_mut(last * self.stride);
-            head[i * self.stride..(i + 1) * self.stride].copy_from_slice(tail);
-        }
-        self.data.truncate(last * self.stride);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,29 +196,5 @@ mod tests {
         assert_eq!(pts[3], &[3.0, 9.0]);
         s.clear();
         assert_eq!(s.len(), 0);
-    }
-
-    #[test]
-    fn swap_store_mirrors_vec_swap_remove() {
-        let mut flat = SwapStore::new(2);
-        let mut nested: Vec<Vec<Value>> = Vec::new();
-        for i in 0..6 {
-            let p = vec![i as Value, (10 - i) as Value];
-            flat.push(&p);
-            nested.push(p);
-        }
-        for kill in [1usize, 3, 0] {
-            flat.swap_remove(kill);
-            nested.swap_remove(kill);
-            assert_eq!(flat.len(), nested.len());
-            for (i, p) in nested.iter().enumerate() {
-                assert_eq!(flat.at(i), p.as_slice(), "row {i} after kill {kill}");
-            }
-        }
-        while !nested.is_empty() {
-            flat.swap_remove(nested.len() - 1);
-            nested.pop();
-        }
-        assert!(flat.is_empty());
     }
 }

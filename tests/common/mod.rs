@@ -8,8 +8,11 @@
 
 use caqe::core::{QuerySpec, Workload};
 use caqe::data::Table;
-use caqe::operators::{nested_loop_join_project, skyline_reference, JoinSpec, OutTuple};
+use caqe::operators::{
+    nested_loop_join_project, skyline_reference, JoinSpec, MappingSet, OutTuple,
+};
 use caqe::types::{SimClock, Stats};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 /// The join of `r` and `t` under `spec`'s join column and mappings, by
@@ -39,6 +42,28 @@ pub fn expected_skylines(r: &Table, t: &Table, w: &Workload) -> Vec<BTreeSet<(u6
                 .collect()
         })
         .collect()
+}
+
+/// The tie axis of the engine's property suites: the mapping of two
+/// 2-dimensional tables onto four outputs — Example 5's mixed sums, or
+/// pass-through columns, which tie wherever rows share a partner — and
+/// whether the tables' values go onto the integer grid ([`on_grid`]).
+pub fn tie_axis() -> impl Strategy<Value = (MappingSet, bool)> {
+    let mapping = prop_oneof![
+        Just(MappingSet::mixed(2, 2, 4)),
+        Just(MappingSet::concat(2, 2)),
+    ];
+    (mapping, any::<bool>())
+}
+
+/// `table` with every value `v` replaced by `round(8 v)`: the generators'
+/// values in `[0, 1]` become the integers 0–8, so ties are everywhere.
+pub fn on_grid(table: &Table) -> Table {
+    let mut records = table.records().to_vec();
+    for rec in &mut records {
+        rec.vals.iter_mut().for_each(|v| *v = (*v * 8.0).round());
+    }
+    Table::new(table.name(), table.dims(), table.join_cols(), records)
 }
 
 fn golden_path(name: &str) -> String {

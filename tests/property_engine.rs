@@ -1,14 +1,15 @@
-//! Property-based tests of the full engine: on arbitrary small workloads,
-//! every strategy must produce exactly the definitional result set, and
-//! progressive emission must never retract.
+//! Property-based tests of the full engine: on arbitrary small workloads —
+//! tied values included, under the default configuration — every strategy
+//! must produce exactly the definitional result set, and progressive
+//! emission must never retract.
 
 use caqe::baselines::all_strategies;
 use caqe::contract::Contract;
 use caqe::core::{ExecConfig, QuerySpec, Workload};
-use caqe::data::{Distribution, TableGenerator};
+use caqe::data::{Distribution, Table, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
-use common::expected_skylines;
+use common::{expected_skylines, on_grid, tie_axis};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -22,6 +23,23 @@ struct Scenario {
     seed: u64,
     prefs: Vec<DimMask>,
     cells: usize,
+    /// Mixed sums or pass-through columns (ties).
+    mapping: MappingSet,
+    /// Values on the integer grid (ties everywhere).
+    grid: bool,
+}
+
+impl Scenario {
+    fn tables(&self) -> (Table, Table) {
+        let gen = TableGenerator::new(self.n, 2, self.dist)
+            .with_selectivities(&[self.sigma])
+            .with_seed(self.seed);
+        let (r, t) = (gen.generate("R"), gen.generate("T"));
+        match self.grid {
+            true => (on_grid(&r), on_grid(&t)),
+            false => (r, t),
+        }
+    }
 }
 
 fn scenario_strategy() -> impl Strategy<Value = Scenario> {
@@ -37,25 +55,30 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
         any::<u64>(),
         proptest::collection::vec(1u32..15, 1..4),
         3usize..10,
+        tie_axis(),
     )
-        .prop_map(|(n, dist, sigma, seed, pref_bits, cells)| Scenario {
-            n,
-            dist,
-            sigma,
-            seed,
-            prefs: pref_bits
-                .into_iter()
-                .map(|b| {
-                    let m = b % 15;
-                    if m == 0 {
-                        DimMask::full(4)
-                    } else {
-                        DimMask(m)
-                    }
-                })
-                .collect(),
-            cells,
-        })
+        .prop_map(
+            |(n, dist, sigma, seed, pref_bits, cells, (mapping, grid))| Scenario {
+                n,
+                dist,
+                sigma,
+                seed,
+                prefs: pref_bits
+                    .into_iter()
+                    .map(|b| {
+                        let m = b % 15;
+                        if m == 0 {
+                            DimMask::full(4)
+                        } else {
+                            DimMask(m)
+                        }
+                    })
+                    .collect(),
+                cells,
+                mapping,
+                grid,
+            },
+        )
 }
 
 proptest! {
@@ -63,18 +86,14 @@ proptest! {
 
     #[test]
     fn every_strategy_is_exact(sc in scenario_strategy()) {
-        let gen = TableGenerator::new(sc.n, 2, sc.dist)
-            .with_selectivities(&[sc.sigma])
-            .with_seed(sc.seed);
-        let (r, t) = (gen.generate("R"), gen.generate("T"));
-        let mapping = MappingSet::mixed(2, 2, 4);
+        let (r, t) = sc.tables();
         let w = Workload::new(
             sc.prefs
                 .iter()
                 .enumerate()
                 .map(|(i, &pref)| QuerySpec {
                     join_col: 0,
-                    mapping: mapping.clone(),
+                    mapping: sc.mapping.clone(),
                     pref,
                     priority: 0.2 + 0.1 * (i as f64 % 8.0),
                     contract: Contract::LogDecay,
@@ -91,13 +110,15 @@ proptest! {
                 prop_assert_eq!(
                     &got,
                     expect,
-                    "{} wrong on query {} ({:?}, n={}, σ={}, cells={})",
+                    "{} wrong on query {} ({:?}, n={}, σ={}, cells={}, grid={}, {:?})",
                     outcome.strategy,
                     qi + 1,
                     sc.dist,
                     sc.n,
                     sc.sigma,
-                    sc.cells
+                    sc.cells,
+                    sc.grid,
+                    sc.mapping
                 );
                 // No duplicate emissions.
                 prop_assert_eq!(got.len(), outcome.per_query[qi].results.len());
@@ -111,17 +132,13 @@ proptest! {
 
     #[test]
     fn satisfaction_bounds_hold(sc in scenario_strategy()) {
-        let gen = TableGenerator::new(sc.n, 2, sc.dist)
-            .with_selectivities(&[sc.sigma])
-            .with_seed(sc.seed);
-        let (r, t) = (gen.generate("R"), gen.generate("T"));
-        let mapping = MappingSet::mixed(2, 2, 4);
+        let (r, t) = sc.tables();
         let w = Workload::new(
             sc.prefs
                 .iter()
                 .map(|&pref| QuerySpec {
                     join_col: 0,
-                    mapping: mapping.clone(),
+                    mapping: sc.mapping.clone(),
                     pref,
                     priority: 0.5,
                     contract: Contract::Deadline { t_hard: 2.0 },

@@ -2,9 +2,9 @@
 //! first and row-tests the rest against them; an admission re-joins from the
 //! skip record only what its fresh windows can use, keeps the rest on
 //! record, and discards what its backfilled skyline dominates in the regions
-//! it revived. On random small workloads, a batch run and a session run —
-//! two admissions in different subspaces and a departure — must return, per
-//! query, exactly the definitional skyline.
+//! it revived. On random small workloads, tied values included, a batch run
+//! and a session run — two admissions in different subspaces and a
+//! departure — must return, per query, exactly the definitional skyline.
 
 use caqe::contract::Contract;
 use caqe::core::{
@@ -15,7 +15,7 @@ use caqe::data::{Distribution, Table, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::trace::{NoopSink, RecordingSink, TraceEvent};
 use caqe::types::{DimMask, QueryId};
-use common::expected_skylines;
+use common::{expected_skylines, on_grid, tie_axis};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -34,22 +34,28 @@ struct Case {
     /// When the first arrival, the departure of query 0 and the second
     /// arrival are due.
     at: [u64; 3],
+    /// Every query's mapping: mixed sums or pass-through columns (ties).
+    mapping: MappingSet,
+    /// Values on the integer grid (ties everywhere).
+    grid: bool,
+}
+
+impl Case {
+    fn spec(&self, pref: DimMask) -> QuerySpec {
+        QuerySpec {
+            join_col: 0,
+            mapping: self.mapping.clone(),
+            pref,
+            priority: 1.0,
+            contract: Contract::LogDecay,
+        }
+    }
 }
 
 fn mask(bits: u32) -> DimMask {
     match bits % 15 {
         0 => DimMask::full(4),
         m => DimMask(m),
-    }
-}
-
-fn spec(pref: DimMask) -> QuerySpec {
-    QuerySpec {
-        join_col: 0,
-        mapping: MappingSet::mixed(2, 2, 4),
-        pref,
-        priority: 1.0,
-        contract: Contract::LogDecay,
     }
 }
 
@@ -64,14 +70,14 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         prop_oneof![4usize..=8, 9usize..60, 60usize..160],
         dist,
         prop_oneof![Just(0.05), Just(0.2), Just(0.5)],
-        any::<u64>(),
+        (any::<u64>(), tie_axis()),
         2usize..10,
         proptest::collection::vec(1u32..16, 1..3),
         (1u32..16, 1u32..15),
         (0u64..40_000, 0u64..40_000, 0u64..40_000),
     )
         .prop_map(
-            |(n, dist, sigma, seed, cells, initial, (a, b), (t0, t1, t2))| {
+            |(n, dist, sigma, (seed, (mapping, grid)), cells, initial, (a, b), (t0, t1, t2))| {
                 let first = mask(a);
                 // A second subspace, never the first's.
                 let second = mask(first.0 + b);
@@ -84,6 +90,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
                     initial: initial.into_iter().map(mask).collect(),
                     arrivals: [first, second],
                     at: [t0, t1, t2],
+                    mapping,
+                    grid,
                 }
             },
         )
@@ -93,7 +101,11 @@ fn tables(case: &Case) -> (Table, Table) {
     let gen = TableGenerator::new(case.n, 2, case.dist)
         .with_selectivities(&[case.sigma, case.sigma])
         .with_seed(case.seed);
-    (gen.generate("R"), gen.generate("T"))
+    let (r, t) = (gen.generate("R"), gen.generate("T"));
+    match case.grid {
+        true => (on_grid(&r), on_grid(&t)),
+        false => (r, t),
+    }
 }
 
 fn exec(case: &Case) -> ExecConfig {
@@ -121,7 +133,7 @@ fn result_sets(out: &RunOutcome) -> Result<Vec<BTreeSet<(u64, u64)>>, String> {
 fn check_batch(case: &Case) -> Result<(), String> {
     let (r, t) = tables(case);
     let prefs = case.initial.iter().chain(&case.arrivals);
-    let w = Workload::new(prefs.map(|&p| spec(p)).collect());
+    let w = Workload::new(prefs.map(|&p| case.spec(p)).collect());
     let out = RunRequest::new("CAQE", &r, &t, &w, &exec(case), &EngineConfig::caqe())
         .try_run(&mut NoopSink)
         .map_err(|e| e.to_string())?;
@@ -137,11 +149,11 @@ fn check_batch(case: &Case) -> Result<(), String> {
 /// departed one must end with its definitional skyline.
 fn check_session(case: &Case) -> Result<RunOutcome, String> {
     let (r, t) = tables(case);
-    let w = Workload::new(case.initial.iter().map(|&p| spec(p)).collect());
+    let w = Workload::new(case.initial.iter().map(|&p| case.spec(p)).collect());
     let events = EventStream::new(vec![
         SessionEvent::Admit {
             at: case.at[0],
-            spec: spec(case.arrivals[0]),
+            spec: case.spec(case.arrivals[0]),
         },
         SessionEvent::Depart {
             at: case.at[1],
@@ -149,7 +161,7 @@ fn check_session(case: &Case) -> Result<RunOutcome, String> {
         },
         SessionEvent::Admit {
             at: case.at[2],
-            spec: spec(case.arrivals[1]),
+            spec: case.spec(case.arrivals[1]),
         },
     ]);
     let out = RunRequest::new("CAQE", &r, &t, &w, &exec(case), &EngineConfig::caqe())
@@ -160,7 +172,7 @@ fn check_session(case: &Case) -> Result<RunOutcome, String> {
     let mut effective: Vec<QuerySpec> = w.queries().to_vec();
     let mut admits = [(case.at[0], 0), (case.at[2], 1)];
     admits.sort_by_key(|&(at, i)| (at, i));
-    effective.extend(admits.iter().map(|&(_, i)| spec(case.arrivals[i])));
+    effective.extend(admits.iter().map(|&(_, i)| case.spec(case.arrivals[i])));
     let want = expected_skylines(&r, &t, &Workload::new(effective));
     let got = result_sets(&out)?;
     for (q, (got, want)) in got.iter().zip(&want).enumerate().skip(1) {
@@ -175,7 +187,7 @@ fn check_session(case: &Case) -> Result<RunOutcome, String> {
 /// nothing with it and something without it.
 fn all_skipped_regions(case: &Case) -> Vec<(u32, u32)> {
     let (r, t) = tables(case);
-    let w = Workload::new(case.initial.iter().map(|&p| spec(p)).collect());
+    let w = Workload::new(case.initial.iter().map(|&p| case.spec(p)).collect());
     let joined = |engine: EngineConfig| {
         let mut sink = RecordingSink::new();
         RunRequest::new("CAQE", &r, &t, &w, &exec(case), &engine)
@@ -207,10 +219,10 @@ fn all_skipped_regions(case: &Case) -> Vec<(u32, u32)> {
 /// joined, minus what the regions joined.
 fn rejoined(case: &Case) -> u64 {
     let (r, t) = tables(case);
-    let w = Workload::new(case.initial.iter().map(|&p| spec(p)).collect());
+    let w = Workload::new(case.initial.iter().map(|&p| case.spec(p)).collect());
     let events = EventStream::new(vec![SessionEvent::Admit {
         at: case.at[0],
-        spec: spec(case.arrivals[0]),
+        spec: case.spec(case.arrivals[0]),
     }]);
     let mut sink = RecordingSink::new();
     let out = RunRequest::new("CAQE", &r, &t, &w, &exec(case), &EngineConfig::caqe())
@@ -250,6 +262,8 @@ fn best_first_rows_cover_their_corner_cases() {
         initial: vec![DimMask(0b0011), DimMask(0b0110)],
         arrivals: [DimMask(0b1100), DimMask(0b1010)],
         at: [0, 0, 0],
+        mapping: MappingSet::mixed(2, 2, 4),
+        grid: false,
     };
     // Eight rows a table: every region is a seed with an empty rest.
     let seed_only = Case {

@@ -64,8 +64,7 @@ fn stream(
 }
 
 /// The degenerate table: each input through the plain window, the screened
-/// window and a one-query shared plan (Theorem 1 off — the values tie),
-/// against the definitional reference.
+/// window and a one-query shared plan, against the definitional reference.
 #[test]
 fn degenerate_inputs_keep_the_window_exact() {
     let nan = f64::NAN;
@@ -228,7 +227,7 @@ proptest! {
             let before = sky.len() as u64;
             let charged = stats.dom_comparisons;
             match sky.insert(i as u64, p, &mut clock, &mut stats) {
-                InsertOutcome::Added { removed } => {
+                InsertOutcome::Added { removed, .. } => {
                     for tag in removed {
                         prop_assert!(dominates_in(p, &points[tag as usize], mask));
                     }
@@ -296,7 +295,7 @@ proptest! {
             .iter()
             .map(|&b| mask_for(d, b))
             .collect();
-        // Ties are possible on the lattice: DVA shortcuts must stay off.
+        // Ties are possible on the lattice: a tie withholds Theorem 1.
         let cuboid = MinMaxCuboid::build(&prefs);
         let mut plan = SharedSkylinePlan::new(cuboid, false);
         let mut clock = SimClock::default();
@@ -344,17 +343,18 @@ proptest! {
 
 /// What `SharedSkylinePlan`'s batched replay must reproduce: one unscreened
 /// [`SkylineWindow`] per cuboid subspace, every tuple taken one at a time,
-/// bottom-up, through `SkylineWindow::insert` and nothing else.
+/// bottom-up, through `SkylineWindow::insert` and nothing else. A tuple
+/// skips a window's reject scan only if a kept child admitted it without a
+/// tie (Theorem 1).
 struct OneAtATime {
     cuboid: MinMaxCuboid,
     windows: Vec<SkylineWindow>,
     /// Every tuple seen; a member's handle is its row.
     rows: PointStore,
-    assume_dva: bool,
 }
 
 impl OneAtATime {
-    fn new(cuboid: MinMaxCuboid, stride: usize, assume_dva: bool) -> Self {
+    fn new(cuboid: MinMaxCuboid, stride: usize) -> Self {
         let windows = cuboid
             .subspaces()
             .iter()
@@ -364,7 +364,6 @@ impl OneAtATime {
             cuboid,
             windows,
             rows: PointStore::new(stride),
-            assume_dva,
         }
     }
 
@@ -373,19 +372,16 @@ impl OneAtATime {
         let handle = self.rows.push(point);
         let (rows, cuboid) = (&self.rows, &self.cuboid);
         let before = stats.dom_comparisons;
-        let mut added_mask = 0u64;
+        let (mut added_mask, mut untied) = (0u64, 0u64);
         let mut query_evictions = Vec::new();
         for (i, win) in self.windows.iter_mut().enumerate() {
-            let survivor = self.assume_dva
-                && cuboid
-                    .children(i)
-                    .iter()
-                    .any(|&c| added_mask & (1 << c) != 0);
+            let survivor = cuboid.children(i).iter().any(|&c| untied & (1 << c) != 0);
             let outcome = win.insert(tag, point, handle, survivor, |p| rows.get(p), stats);
-            let InsertOutcome::Added { removed } = outcome else {
+            let InsertOutcome::Added { removed, tied } = outcome else {
                 continue;
             };
             added_mask |= 1 << i;
+            untied |= u64::from(!tied) << i;
             if !removed.is_empty() {
                 let owners = (0..cuboid.num_queries() as u16)
                     .map(QueryId)
@@ -443,8 +439,9 @@ fn plant_front_screen_cases(rows: &mut [Vec<f64>]) {
     rows[0] = vec![f64::NAN, 0.0, 0.0, 0.0];
     // Dominates everything before it: every window's front is evicted.
     rows[n / 3] = vec![-1.0; 4];
-    // Ties with that front wherever dimension 3 is left out, so under DVA
-    // Theorem 1 vouches for it in the parents — where the front dominates it.
+    // Ties with that front wherever dimension 3 is left out: the tie keeps
+    // Theorem 1 from vouching for it in the parents, whose fronts dominate
+    // it.
     rows[n / 3 + 5] = vec![-1.0, -1.0, -1.0, 0.0];
     // A finite front dominates it; its own score is +inf.
     rows[n / 2] = vec![inf, 0.0, 0.0, 0.0];
@@ -500,11 +497,16 @@ struct MemberAtATime {
 
 impl MemberAtATime {
     /// The outcome of inserting `point` and the comparisons it is charged.
+    /// An admission is tied if its score is NaN or a member equals it on
+    /// every dimension of the mask.
     fn insert(&mut self, tag: u64, point: &[f64]) -> (InsertOutcome, u64) {
-        let score = match self.mask.iter().map(|k| point[k]).sum::<f64>() {
-            s if s.is_nan() => f64::INFINITY,
-            s => s,
-        };
+        let raw = self.mask.iter().map(|k| point[k]).sum::<f64>();
+        let score = if raw.is_nan() { f64::INFINITY } else { raw };
+        let tied = raw.is_nan()
+            || self
+                .members
+                .iter()
+                .any(|m| self.mask.iter().all(|k| m.2[k] == point[k]));
         let prefix = self.members.iter().take_while(|m| m.0 <= score).count();
         for (k, m) in self.members[..prefix].iter().enumerate() {
             if dominates_in(&m.2, point, self.mask) {
@@ -523,7 +525,7 @@ impl MemberAtATime {
             }
         }
         self.members.insert(pos, (score, tag, point.to_vec()));
-        (InsertOutcome::Added { removed }, charge)
+        (InsertOutcome::Added { removed, tied }, charge)
     }
 
     fn tags(&self) -> Vec<u64> {
@@ -610,8 +612,8 @@ proptest! {
     /// `insert_batch` — the front screen settling up to 64 candidates per
     /// pass — is one-at-a-time `SkylineWindow::insert` in everything
     /// observable: per-tuple results and evictions, member order, ticks,
-    /// `Stats::observable`; whatever the masks, the cut, DVA on or off,
-    /// signature-screened or not.
+    /// `Stats::observable`; whatever the masks and the cut, signature-screened
+    /// or not.
     #[test]
     fn batch_front_screen_matches_one_at_a_time_inserts(
         rows in front_screen_rows(),
@@ -620,7 +622,6 @@ proptest! {
             prop_oneof![Just(1usize), Just(63), Just(64), Just(65), Just(129)],
             1..6,
         ),
-        assume_dva in any::<bool>(),
         screened in any::<bool>(),
         // One run in eight poisons a whole column with NaN.
         nan_col in 0usize..32,
@@ -632,12 +633,12 @@ proptest! {
         let prefs: Vec<DimMask> = pref_bits.iter().map(|&b| DimMask(b)).collect();
         let cuboid = MinMaxCuboid::build(&prefs);
 
-        let mut reference = OneAtATime::new(cuboid.clone(), 4, assume_dva);
+        let mut reference = OneAtATime::new(cuboid.clone(), 4);
         let (mut rc, mut rs) = (SimClock::default(), Stats::new());
         let want: Vec<SharedInsert> =
             rows.iter().map(|p| reference.insert(p, &mut rc, &mut rs)).collect();
 
-        let mut plan = SharedSkylinePlan::new(cuboid.clone(), assume_dva);
+        let mut plan = SharedSkylinePlan::new(cuboid.clone(), true);
         if screened {
             plan.enable_sig_cache(&[0.0; 4], &[42.0; 4]);
         }
