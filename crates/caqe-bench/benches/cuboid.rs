@@ -1,7 +1,8 @@
 //! Micro-benchmarks for the shared-plan machinery: min-max cuboid
 //! construction, batched shared skyline insertion — the path the engine
-//! runs — with and without the Theorem 1 shortcut, §6's row test of a batch
-//! of row images, and region construction with the coarse skyline.
+//! runs — with and without Theorem 1's sharing (both halves), §6's row test
+//! of a batch of row images, and region construction with the coarse
+//! skyline.
 
 use caqe_cuboid::{BatchOutcome, MinMaxCuboid, RowTests, SharedSkylinePlan};
 use caqe_data::{Distribution, TableGenerator};
@@ -36,24 +37,64 @@ fn bench_cuboid_build(c: &mut Criterion) {
     });
 }
 
-/// Times a fresh plan taking `n` generated 5-dimensional tuples in
-/// `insert_batch` calls of `batch`, and, without the Theorem 1 shortcut, in
-/// `backfill` calls over every window.
-fn bench_insert_batches(
-    c: &mut Criterion,
-    group: &str,
-    dist: Distribution,
-    n: usize,
-    batch: usize,
-) {
-    let prefs = workload_prefs();
-    let stride = 5;
-    let flat: Vec<f64> = TableGenerator::new(n, stride, dist)
+/// `n` generated 5-dimensional tuples, flat.
+fn generated(dist: Distribution, n: usize) -> Vec<f64> {
+    TableGenerator::new(n, 5, dist)
         .generate("P")
         .records()
         .iter()
         .flat_map(|r| r.vals.iter().copied())
-        .collect();
+        .collect()
+}
+
+/// The 5-dimensional results of joining two generated 3-dimensional tables
+/// of `rows` rows under the engine's mixed mapping, flat: tuples that share
+/// a base row tie on its dimensions, as the engine's do.
+fn joined(dist: Distribution, rows: usize) -> Vec<f64> {
+    let mapping = MappingSet::mixed(3, 3, 5);
+    let gen = TableGenerator::new(rows, 3, dist).with_selectivities(&[0.01]);
+    let (r, t) = (gen.generate("R"), gen.generate("T"));
+    let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+    let spec = JoinSpec::on_column(0);
+    let join = hash_join_project_store(
+        r.records(),
+        t.records(),
+        spec,
+        &mapping,
+        &mut clock,
+        &mut stats,
+    );
+    join.store.as_flat().to_vec()
+}
+
+/// Times a plan that already holds the 5-dimensional tuples `warm` (a
+/// clone, made inside the timed loop) taking the tuples `flat` in
+/// `insert_batch` calls of `batch`, and, without Theorem 1's sharing, in
+/// `backfill` calls over every window. With `screened`, the plan screens
+/// signatures over the tuples' bounds, as the engine's plans do.
+fn bench_insert_batches(
+    c: &mut Criterion,
+    group: &str,
+    (warm, flat): (&[f64], &[f64]),
+    batch: usize,
+    screened: bool,
+) {
+    let prefs = workload_prefs();
+    let stride = 5;
+    let mut warmed = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+    if screened {
+        let (mut lo, mut hi) = (vec![f64::INFINITY; stride], vec![f64::NEG_INFINITY; stride]);
+        for p in warm.chunks(stride).chain(flat.chunks(stride)) {
+            for (k, &v) in p.iter().enumerate() {
+                (lo[k], hi[k]) = (lo[k].min(v), hi[k].max(v));
+            }
+        }
+        warmed.enable_sig_cache(&lo, &hi);
+    }
+    let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+    let mut outcome = BatchOutcome::default();
+    warmed.insert_batch_into(0, warm, stride, &mut clock, &mut stats, &mut outcome);
+    let tags = (warm.len() / stride) as u64;
     let mut group = c.benchmark_group(group);
     for shortcut in [true, false] {
         group.bench_with_input(
@@ -61,11 +102,11 @@ fn bench_insert_batches(
             &shortcut,
             |b, &shortcut| {
                 b.iter(|| {
-                    let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
+                    let mut plan = warmed.clone();
                     let mut clock = SimClock::default();
                     let mut stats = Stats::new();
                     for (i, vals) in flat.chunks(batch * stride).enumerate() {
-                        let first = (i * batch) as u64;
+                        let first = tags + (i * batch) as u64;
                         if shortcut {
                             black_box(plan.insert_batch(
                                 first,
@@ -91,11 +132,23 @@ fn bench_insert_batches(
 fn bench_shared_insert(c: &mut Criterion) {
     // A small region's worth of join results per call: mid-sized windows.
     let group = "shared_plan_insert_batch_2000";
-    bench_insert_batches(c, group, Distribution::Independent, 2000, 64);
+    let independent = generated(Distribution::Independent, 2000);
+    bench_insert_batches(c, group, (&[], &independent), 64, false);
     // The engine's real batch on correlated data — one call, one big
     // region — where nearly every tuple meets windows of about one member.
     let group = "shared_plan_insert_batch_correlated_10000";
-    bench_insert_batches(c, group, Distribution::Correlated, 10_000, 10_000);
+    let correlated = generated(Distribution::Correlated, 10_000);
+    bench_insert_batches(c, group, (&[], &correlated), 10_000, false);
+    // The last 4,000 of about 10,000 join results of anticorrelated tables,
+    // into screened windows that hold the rest: the full-space window finds
+    // a dominator for most candidates, and the front seldom is it — the
+    // regime Theorem 1's top-down half is for. 1,000 is the mean batch of
+    // an `anti_tuple` benchmark run.
+    let group = "shared_plan_insert_batch_anticorrelated_4000";
+    let anticorrelated = joined(Distribution::Anticorrelated, 1024);
+    let split = anticorrelated.len() - 4000 * 5;
+    let (warm, last) = anticorrelated.split_at(split);
+    bench_insert_batches(c, group, (warm, last), 1000, true);
 }
 
 /// Times the row test on 1,024 row images — each R row over the lower corner

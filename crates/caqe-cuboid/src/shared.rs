@@ -1,17 +1,23 @@
 //! Shared skyline maintenance over the min-max cuboid (§4.1, §5.2, §6).
 //!
 //! [`SharedSkylinePlan`] holds one [`SkylineWindow`] per kept subspace and
-//! inserts every join result bottom-up (level order). The windows bring
-//! **monotone presorting** (a probe tests only the `score ≤` prefix for a
-//! dominator and the `score ≥` suffix for victims) and the optional
-//! signature screen; the plan adds what only the lattice knows:
+//! inserts every join result into the maximal subspaces (no kept strict
+//! superset) first, then into the rest bottom-up (level order). The
+//! windows bring **monotone presorting** (a probe tests only the `score ≤`
+//! prefix for a dominator and the `score ≥` suffix for victims) and the
+//! optional signature screen; the plan adds what only the lattice knows:
 //!
-//! * **Theorem 1**, per candidate: a tuple admitted to a kept *child*
-//!   subspace with no member tying it there is guaranteed to survive in the
-//!   parent — the window is told so and skips its reject scan. A tie in the
-//!   child withholds the shortcut: the paper's Distinct Value Attributes
-//!   assumption is what rules ties out, and this way the plan stays exact
-//!   without it;
+//! * **Theorem 1**, both ways, per candidate. Bottom-up: a tuple admitted
+//!   to a kept *child* subspace with no member tying it there is
+//!   guaranteed to survive in the parent — the window is told so and skips
+//!   its reject scan. A tie in the child withholds the shortcut: the
+//!   paper's Distinct Value Attributes assumption is what rules ties out,
+//!   and this way the plan stays exact without it. Top-down: a member that
+//!   dominates the tuple in a maximal subspace dominates it in every child
+//!   that reads a dimension where the two differ, so those children reject
+//!   it at one comparison, unscanned. Exactness is claimed for finite
+//!   tuples, the only ones validation lets into the engine: a tuple with a
+//!   non-finite value takes neither shortcut;
 //! * **one arena**: a tuple admitted in several subspaces is interned once
 //!   and every window refers to it by [`PointId`];
 //! * **the front screen**: a batch meets each window 64 candidates at a
@@ -66,8 +72,10 @@ pub struct RowTests {
     /// Bit `j % 64` of word `j / 64`: row `j` is strictly dominated in every
     /// window tested so far.
     dead: Vec<u64>,
-    /// Bit `j % 64` of word `j / 64`: row `j`'s image holds no NaN.
+    /// Bit `j % 64` of word `j / 64`: row `j`'s image is finite.
     clean: Vec<u64>,
+    /// Per row, the cuboid positions a maximal window's dominator settled.
+    settled: Vec<u64>,
 }
 
 impl RowTests {
@@ -139,9 +147,12 @@ pub struct BatchOutcome {
     /// candidate `c` is now in query `q`'s skyline iff
     /// `added[c] & plan.query_bit(q) != 0`.
     pub added: Vec<u64>,
-    /// Per candidate, the positions of `added` where no member tied it:
-    /// those whose parents Theorem 1 lets it skip the reject scan in.
-    untied: Vec<u64>,
+    /// Per candidate, the positions where Theorem 1 knows its verdict, for
+    /// finite candidates only. Those in `added` admitted it with no member
+    /// tying it: their parents let it skip the reject scan. The others were
+    /// decided "rejected" by a maximal window's dominator before the replay
+    /// reached them.
+    known: Vec<u64>,
     /// Every eviction of the batch, by candidate and, within a candidate,
     /// by ascending cuboid position — the order a one-at-a-time insert
     /// meets them. Query `q` owns an eviction iff
@@ -163,6 +174,64 @@ pub struct SharedInsert {
     pub query_evictions: Vec<(QueryId, Vec<u64>)>,
 }
 
+/// The cuboid's lattice as bitmasks over its positions, rebuilt whenever
+/// the cuboid changes shape.
+#[derive(Debug, Clone)]
+struct Lattice {
+    /// Per position, the positions of its kept strict subsets.
+    children: Vec<u64>,
+    /// Per position, the positions of its kept strict supersets.
+    parents: Vec<u64>,
+    /// Per dimension, the positions whose subspace reads it.
+    readers: Vec<u64>,
+}
+
+impl Lattice {
+    fn of(cuboid: &MinMaxCuboid) -> Self {
+        let n = cuboid.len();
+        let mut lattice = Lattice {
+            children: vec![0; n],
+            parents: vec![0; n],
+            readers: vec![0; 32],
+        };
+        for (i, sub) in cuboid.subspaces().iter().enumerate() {
+            for &c in cuboid.children(i) {
+                lattice.children[i] |= 1 << c;
+                lattice.parents[c] |= 1 << i;
+            }
+            for k in sub.iter() {
+                lattice.readers[k] |= 1 << i;
+            }
+        }
+        lattice
+    }
+
+    /// The positions set in `windows` with no strict superset set there.
+    fn maximal_in(&self, windows: u64) -> u64 {
+        bits(windows)
+            .filter(|&i| self.parents[i] & windows == 0)
+            .fold(0, |m, i| m | 1 << i)
+    }
+
+    /// Theorem 1 top-down: member `m` dominates the finite point `p` over
+    /// `sub`, the subspace at position `v`. Then `m` dominates `p` in every
+    /// kept child of `v` that reads a dimension where they differ — `m` is
+    /// no worse anywhere in it, and better there. Returns those children
+    /// (none unless `m` is finite over `sub`).
+    fn settled_by(&self, v: usize, sub: DimMask, m: &[Value], p: &[Value]) -> u64 {
+        let mut apart = 0;
+        for k in sub.iter() {
+            if !m[k].is_finite() {
+                return 0;
+            }
+            if m[k] != p[k] {
+                apart |= self.readers[k];
+            }
+        }
+        apart & self.children[v]
+    }
+}
+
 /// One incremental skyline window per min-max-cuboid subspace, with
 /// Theorem 1 comparison sharing.
 ///
@@ -171,6 +240,7 @@ pub struct SharedInsert {
 #[derive(Debug, Clone)]
 pub struct SharedSkylinePlan {
     cuboid: MinMaxCuboid,
+    lattice: Lattice,
     /// `windows[i]` maintains the skyline over `cuboid.subspaces()[i]`.
     windows: Vec<SkylineWindow>,
     points: PointStore,
@@ -197,6 +267,7 @@ impl SharedSkylinePlan {
             .map(|&m| SkylineWindow::new(m))
             .collect();
         SharedSkylinePlan {
+            lattice: Lattice::of(&cuboid),
             cuboid,
             windows,
             points: PointStore::new(0),
@@ -267,6 +338,7 @@ impl SharedSkylinePlan {
     /// `i` carries over old window `mapping[i]` untouched, or starts empty.
     /// Returns the indices that started empty, as a bitmask.
     fn splice(&mut self, mapping: &[Option<usize>]) -> u64 {
+        self.lattice = Lattice::of(&self.cuboid);
         let mut old: Vec<Option<SkylineWindow>> = std::mem::take(&mut self.windows)
             .into_iter()
             .map(Some)
@@ -343,7 +415,7 @@ impl SharedSkylinePlan {
         }
         let batch = self.open_batch(first_tag, vals, stride);
         let mut dropped = BatchOutcome::default();
-        self.replay(bits(windows), batch, false, clock, stats, &mut dropped);
+        self.replay(windows, batch, false, clock, stats, &mut dropped);
     }
 
     /// Retires query `q` from the plan: prunes the cuboid per Definition 7
@@ -389,22 +461,30 @@ impl SharedSkylinePlan {
     /// §6's row test for a batch of row images (flat, `stride` values each,
     /// image `j` for row `j` of `tests`): whether every window at a cuboid
     /// position set in `windows` holds a member that strictly dominates
-    /// image `j` — each window's reject scan ([`SkylineWindow::dominates`]),
-    /// examining at most row `j`'s budget over all of them. Past its budget
-    /// a row is not dominated, nor is an image equal to a member, one with a
-    /// NaN coordinate, any while one of the windows is empty, or any for an
-    /// empty `windows`. [`RowTests::dominated`] reads the verdicts. Charges
-    /// one comparison per member examined.
+    /// image `j`, examining at most row `j`'s budget over all of them. Past
+    /// its budget a row is not dominated, nor is an image equal to a member,
+    /// one with a NaN coordinate, any while one of the windows is empty
+    /// (then nothing is charged), or any for an empty `windows`.
+    /// [`RowTests::dominated`] reads the verdicts. Charges one comparison
+    /// per member examined.
     ///
-    /// The windows are walked in cuboid order, and each meets the rows still
-    /// undecided — dominated in every earlier window — 64 lanes at a time:
+    /// The windows are walked maximal first — those with no strict superset
+    /// among `windows` — then the rest in cuboid order, and each meets the
+    /// rows still undecided (dominated in every earlier window) 64 lanes at
+    /// a time. Below a maximal window, the lanes its dominator settled go
+    /// first, at one comparison each: when a maximal window finds a member
+    /// `m` that dominates a finite image `p` (its front, or its reject
+    /// scan's first dominator), `m` dominates `p` in every child window that
+    /// reads a dimension where `m` and `p` differ, and each such window was
+    /// offered `m` or holds a member that dominates it (DESIGN.md §15). Then
     /// one [`SkylineWindow::front_dominated`] pass settles each lane whose
     /// image the front dominates at one comparison, where the reject scan,
     /// which examines the front first, would have stopped. Only lanes with a
-    /// comparison left and no NaN in the image are screened (the scan never
-    /// calls a NaN image dominated; the block kernel reads NaN as a tie).
-    /// The other lanes run the scan, in row order, on what their budget has
-    /// left. Verdicts and charges are those of testing each row alone.
+    /// comparison left and a finite image are screened (the scan never calls
+    /// a NaN image dominated; the block kernel reads NaN as a tie). The
+    /// other lanes run the reject scan ([`SkylineWindow::dominates`]), in
+    /// row order, on what their budget has left. Verdicts and charges are
+    /// those of testing each row alone.
     pub fn dominated_rows(
         &self,
         windows: u64,
@@ -414,49 +494,81 @@ impl SharedSkylinePlan {
         clock: &mut SimClock,
         stats: &mut Stats,
     ) {
-        let RowTests { left, dead, clean } = tests;
+        let RowTests {
+            left,
+            dead,
+            clean,
+            settled,
+        } = tests;
         let n = left.len();
         assert_eq!(images.len(), n * stride, "one image per row");
         let image = |j: usize| &images[j * stride..][..stride];
         let lanes = |first: usize| (n - first).min(64);
+        // Every reject scan of an empty window finds nothing, at no charge.
+        let live = windows != 0 && bits(windows).all(|i| !self.windows[i].is_empty());
         dead.clear();
         clean.clear();
+        settled.clear();
+        settled.resize(n, 0);
         for first in (0..n).step_by(64) {
             let all = u64::MAX >> (64 - lanes(first));
-            dead.push(if windows == 0 { 0 } else { all });
+            dead.push(if live { all } else { 0 });
             clean.push(lane_mask(first, lanes(first), |j| {
-                image(j).iter().all(|v| !v.is_nan())
+                image(j).iter().all(|v| v.is_finite())
             }));
+        }
+        if !live {
+            return;
         }
         let before = stats.dom_comparisons;
         let member = |pid| self.points.get(pid);
-        for i in bits(windows) {
-            let win = &self.windows[i];
-            if win.is_empty() {
-                // Every reject scan finds nothing, at no charge.
-                dead.fill(0);
-                break;
-            }
+        let maximal = self.lattice.maximal_in(windows);
+        for i in bits(maximal).chain(bits(windows & !maximal)) {
+            let (win, sub) = (&self.windows[i], self.cuboid.subspaces()[i]);
+            let top = maximal >> i & 1 != 0;
+            let settle = |m: PointId, row: usize, settled: &mut Vec<u64>| {
+                settled[row] |= self.lattice.settled_by(i, sub, member(m), image(row));
+            };
+            let front = win.members().next().map(|(_, pid)| pid);
             for (w, undecided) in dead.iter_mut().enumerate() {
                 if *undecided == 0 {
                     continue;
                 }
                 let first = w * 64;
                 let budgeted = lane_mask(first, lanes(first), |j| left[j] >= 1);
-                let screen = *undecided & clean[w] & budgeted;
-                let settled = match screen {
-                    0 => 0,
-                    _ => win.front_dominated(images, stride, first, lanes(first), member) & screen,
+                // Lanes a maximal window's dominator settled here.
+                let gone = if top {
+                    0
+                } else {
+                    lane_mask(first, lanes(first), |j| settled[j] >> i & 1 != 0)
+                        & *undecided
+                        & budgeted
                 };
-                stats.dom_comparisons += u64::from(settled.count_ones());
-                for j in bits(settled) {
+                let screen = *undecided & !gone & clean[w] & budgeted;
+                let fronted = match (screen, front) {
+                    (0, _) | (_, None) => 0,
+                    (_, Some(front)) => {
+                        let hit = win.front_dominated(images, stride, first, lanes(first), member);
+                        if top {
+                            for j in bits(hit & screen) {
+                                settle(front, first + j, settled);
+                            }
+                        }
+                        hit & screen
+                    }
+                };
+                let hit = gone | fronted;
+                stats.dom_comparisons += u64::from(hit.count_ones());
+                for j in bits(hit) {
                     left[first + j] -= 1;
                 }
-                for j in bits(*undecided & !settled) {
+                for j in bits(*undecided & !hit) {
                     let row = first + j;
                     let d0 = stats.dom_comparisons;
-                    if win.dominates(image(row), left[row] as usize, member, stats) != Some(true) {
-                        *undecided &= !(1u64 << j);
+                    match win.dominates(image(row), left[row] as usize, member, stats) {
+                        Some(Some(m)) if top && clean[w] >> j & 1 != 0 => settle(m, row, settled),
+                        Some(Some(_)) => {}
+                        _ => *undecided &= !(1u64 << j),
                     }
                     left[row] -= stats.dom_comparisons - d0;
                 }
@@ -527,10 +639,11 @@ impl SharedSkylinePlan {
     /// order is cache blocking, and it is exact because:
     ///
     /// * a subspace window's evolution depends only on *earlier candidates
-    ///   in that same subspace* plus, through the Theorem 1 shortcut, the
-    ///   tie-free admission bits of its kept children — strict subsets,
-    ///   hence lower cuboid indices, hence already final when the subspace
-    ///   is reached;
+    ///   in that same subspace* plus, through Theorem 1, what the maximal
+    ///   windows' dominators settled (the maximal windows are replayed
+    ///   first) and the tie-free admission bits of its kept children (strict
+    ///   subsets, hence lower cuboid indices: already final when the
+    ///   subspace is reached);
     /// * comparison charges are additive and nothing reads the clock during
     ///   an insert phase, so charging the batch's comparisons in one sum
     ///   lands on the one-at-a-time tick total.
@@ -577,11 +690,9 @@ impl SharedSkylinePlan {
                 .all(|w| w[0].len() <= w[1].len()),
             "cuboid subspaces not level-sorted"
         );
-        let every = 0..self.cuboid.len();
-        self.replay(every, batch, true, clock, stats, out);
-        // The replay met the positions in ascending order, and a candidate
-        // is admitted at most once per position, so this is the stable sort
-        // by candidate.
+        self.replay(self.all_windows(), batch, true, clock, stats, out);
+        // A candidate is admitted at most once per position, so the key is
+        // unique: this is the order a one-at-a-time insert meets them in.
         out.evictions
             .sort_unstable_by_key(|e| (e.candidate, e.subspace));
     }
@@ -627,28 +738,43 @@ impl SharedSkylinePlan {
             .collect()
     }
 
-    /// Replays `batch` through the windows at the cuboid positions
-    /// `subspaces` (ascending), one position at a time: every candidate, in
-    /// order, against one window, then the next window. Charges the
-    /// comparisons to the clock, interns what was admitted and writes into
-    /// `out`, per candidate, the bitmask of positions that admitted it, plus
-    /// the evictions in replay order.
-    /// With `theorem1`, a candidate already admitted to a kept child (a
-    /// lower position, so its bit is final) with no member tying it there
-    /// skips the window's reject scan. That is exact whenever dominance is
-    /// a strict partial order: a member that dominates it here and is
-    /// strictly better somewhere in the child would have rejected or
-    /// evicted it there, so the member ties it on all of the child — and
-    /// it, or an equal stand-in, is still in the child's window.
+    /// Replays `batch` through the windows at the cuboid positions set in
+    /// `windows`, one position at a time: every candidate, in order, against
+    /// one window, then the next window. Charges the comparisons to the
+    /// clock, interns what was admitted and writes into `out`, per
+    /// candidate, the bitmask of positions that admitted it, plus the
+    /// evictions in replay order.
     ///
-    /// Candidates meet a window up to 64 at a time: one
-    /// [`SkylineWindow::front_dominated`] pass settles every lane the
-    /// window's front dominates at the one comparison its insert would have
-    /// cost, and only the other lanes are inserted. An admission that moves
-    /// the front ends the pass; the lanes after it are screened afresh.
+    /// Without `theorem1` the positions go in ascending order and every
+    /// candidate meets every window. With it, Theorem 1 shares work between
+    /// windows for *finite* candidates, both ways:
+    ///
+    /// * **top-down.** The maximal positions (no strict superset among
+    ///   `windows`) go first. When one rejects candidate `p` through member
+    ///   `m`, finite over its subspace, every kept child that reads a
+    ///   dimension where `m` and `p` differ is decided "rejected" at one
+    ///   comparison: `m` dominates `p` there, and the child's window was
+    ///   offered `m`, or holds a member that dominates it, before `p`
+    ///   (DESIGN.md §15).
+    /// * **bottom-up.** The rest go in ascending order. A candidate already
+    ///   admitted to a kept child (a lower position, so its bit is final)
+    ///   with no member tying it there skips the window's reject scan. A
+    ///   member that dominates it here and is strictly better somewhere in
+    ///   the child would have rejected or evicted it there, so the member
+    ///   ties it on all of the child — and it, or an equal stand-in, is
+    ///   still in the child's window.
+    ///
+    /// Candidates meet a window up to 64 at a time. The lanes already
+    /// decided are charged their one comparison and dropped. If more than
+    /// eight are left, one [`SkylineWindow::front_dominated`] pass settles
+    /// every lane the window's front dominates at the one comparison its
+    /// insert would have cost, and only the other lanes are inserted; an
+    /// admission that moves the front ends the pass, and the lanes after it
+    /// are screened afresh. Eight or fewer go straight to
+    /// [`SkylineWindow::insert`], whose reject scan meets the front first.
     fn replay(
         &mut self,
-        subspaces: impl IntoIterator<Item = usize>,
+        windows: u64,
         batch: Batch<'_>,
         theorem1: bool,
         clock: &mut SimClock,
@@ -657,44 +783,71 @@ impl SharedSkylinePlan {
     ) {
         let BatchOutcome {
             added: added_bits,
-            untied,
+            known,
             evictions,
         } = out;
-        added_bits.clear();
-        added_bits.resize(batch.len(), 0);
-        untied.clear();
-        untied.resize(batch.len(), 0);
+        let len = batch.len();
+        for words in [&mut *added_bits, &mut *known] {
+            words.clear();
+            words.resize(len, 0);
+        }
         evictions.clear();
+        let finite = |c: usize| batch.point(c).iter().all(|v| v.is_finite());
         let comps_before = stats.dom_comparisons;
-        for subspace in subspaces {
-            let child_bits: u64 = self
-                .cuboid
-                .children(subspace)
-                .iter()
-                .fold(0u64, |acc, &c| acc | (1u64 << c));
-            let (win, arena) = (&mut self.windows[subspace], &self.points);
+        let maximal = if theorem1 {
+            self.lattice.maximal_in(windows)
+        } else {
+            0
+        };
+        let SharedSkylinePlan {
+            cuboid,
+            lattice,
+            windows: wins,
+            points: arena,
+            ..
+        } = self;
+        for subspace in bits(maximal).chain(bits(windows & !maximal)) {
+            let top = maximal >> subspace & 1 != 0;
+            let child_bits = if theorem1 {
+                lattice.children[subspace]
+            } else {
+                0
+            };
+            let sub = cuboid.subspaces()[subspace];
+            let win = &mut wins[subspace];
             let member = |pid| batch.member(arena, pid);
-            let front_tag = |win: &SkylineWindow| win.members().next().map(|(tag, _)| tag);
             let mut start = 0;
-            while start < batch.len() {
-                // One pass of the front screen over lanes `start..start + n`
-                // (64 is the block kernel's lane width).
-                let n = (batch.len() - start).min(64);
-                let survivors = if theorem1 && child_bits != 0 {
-                    lane_mask(start, n, |c| untied[c] & child_bits != 0)
-                } else {
+            while start < len {
+                // One pass over lanes `start..start + n` (64 is the block
+                // kernel's lane width).
+                let n = (len - start).min(64);
+                let lanes = u64::MAX >> (64 - n);
+                let decided = if maximal == 0 || top {
                     0
+                } else {
+                    lane_mask(start, n, |c| known[c] >> subspace & 1 != 0)
                 };
-                let front = front_tag(win);
-                let rejects = win.front_dominated(batch.vals, batch.stride, start, n, member);
+                let survivors = match child_bits {
+                    0 => 0,
+                    _ => lane_mask(start, n, |c| known[c] & added_bits[c] & child_bits != 0),
+                };
+                let open = lanes & !decided;
+                let screened = open.count_ones() > 8;
+                let front = win.members().next();
+                let rejects = match front {
+                    Some(_) if screened => {
+                        win.front_dominated(batch.vals, batch.stride, start, n, member) & open
+                    }
+                    _ => 0,
+                };
                 debug_assert_eq!(
                     rejects & survivors,
                     0,
                     "Theorem 1 vouched for a dominated lane"
                 );
                 // Lanes this pass settles; cut short when the front moves.
-                let mut settled = n;
-                let mut todo = (u64::MAX >> (64 - n)) & !rejects;
+                let mut passed = n;
+                let mut todo = open & !rejects;
                 while todo != 0 {
                     let j = todo.trailing_zeros() as usize;
                     todo &= todo - 1;
@@ -707,29 +860,46 @@ impl SharedSkylinePlan {
                         member,
                         stats,
                     );
-                    if let InsertOutcome::Added { removed, tied } = outcome {
-                        added_bits[c] |= 1u64 << subspace;
-                        untied[c] |= u64::from(!tied) << subspace;
-                        if !removed.is_empty() {
-                            evictions.push(Eviction {
-                                candidate: c,
-                                subspace,
-                                tags: removed,
-                            });
+                    match outcome {
+                        InsertOutcome::Added { removed, tied } => {
+                            added_bits[c] |= 1u64 << subspace;
+                            let untied = theorem1 && !tied && finite(c);
+                            known[c] |= u64::from(untied) << subspace;
+                            if !removed.is_empty() {
+                                evictions.push(Eviction {
+                                    candidate: c,
+                                    subspace,
+                                    tags: removed,
+                                });
+                            }
+                            if screened && win.members().next() != front {
+                                // A new lowest score, or the front evicted:
+                                // the verdicts on the later lanes are stale.
+                                passed = j + 1;
+                                break;
+                            }
                         }
-                        if front_tag(win) != front {
-                            // A new lowest score, or the front evicted: the
-                            // verdicts on the later lanes are stale.
-                            settled = j + 1;
-                            break;
+                        InsertOutcome::Dominated { by } if top && finite(c) => {
+                            known[c] |=
+                                lattice.settled_by(subspace, sub, member(by), batch.point(c));
                         }
+                        InsertOutcome::Dominated { .. } => {}
                     }
                 }
-                // A rejected lane is the one comparison its reject scan
-                // would have stopped on.
-                let charged = rejects & (u64::MAX >> (64 - settled));
+                let passed = u64::MAX >> (64 - passed);
+                if let (true, Some((_, m))) = (top, front) {
+                    for c in bits(rejects & passed)
+                        .map(|j| start + j)
+                        .filter(|&c| finite(c))
+                    {
+                        known[c] |= lattice.settled_by(subspace, sub, member(m), batch.point(c));
+                    }
+                }
+                // A rejected or decided lane is the one comparison its
+                // reject scan would have stopped on.
+                let charged = (rejects | decided) & passed;
                 stats.dom_comparisons += u64::from(charged.count_ones());
-                start += settled;
+                start += passed.count_ones() as usize;
             }
         }
         clock.charge_dom_cmps(stats.dom_comparisons - comps_before);
@@ -766,9 +936,15 @@ mod tests {
     }
 
     /// The row test one row at a time — the reference
-    /// [`SharedSkylinePlan::dominated_rows`] is held to: each window's reject
-    /// scan in cuboid order on what the budget has left, up to the first
-    /// window that does not dominate the point.
+    /// [`SharedSkylinePlan::dominated_rows`] is held to. Nothing is
+    /// dominated, at no charge, for no windows or while one is empty.
+    /// Otherwise the windows with no strict superset among `windows` go
+    /// first, then the rest in cuboid order, up to the first that does not
+    /// dominate the point: each runs its reject scan on what the budget has
+    /// left, except a window that a first window's dominator `m` settled —
+    /// one whose subspace lies inside the first's and reads a dimension
+    /// where `m` and the finite point differ, `m` finite there too — which
+    /// costs one comparison.
     fn row_by_row(
         plan: &SharedSkylinePlan,
         windows: u64,
@@ -777,14 +953,46 @@ mod tests {
         clock: &mut SimClock,
         stats: &mut Stats,
     ) -> bool {
-        let before = stats.dom_comparisons;
+        let subs = plan.cuboid.subspaces();
         let member = |pid| plan.points.get(pid);
-        let dead = bits(windows).all(|i| {
+        if windows == 0 || bits(windows).any(|i| plan.windows[i].is_empty()) {
+            return false;
+        }
+        let first = |i: usize| !bits(windows).any(|v| subs[i].is_strict_subset_of(subs[v]));
+        let order = bits(windows)
+            .filter(|&i| first(i))
+            .chain(bits(windows).filter(|&i| !first(i)));
+        let finite = point.iter().all(|v| v.is_finite());
+        let before = stats.dom_comparisons;
+        let mut settled = 0u64;
+        let dead = order.collect::<Vec<_>>().into_iter().all(|i| {
             let left = budget - (stats.dom_comparisons - before);
-            plan.windows[i].dominates(point, left as usize, member, stats) == Some(true)
+            if settled >> i & 1 != 0 {
+                stats.dom_comparisons += u64::from(left > 0);
+                return left > 0;
+            }
+            let Some(Some(m)) = plan.windows[i].dominates(point, left as usize, member, stats)
+            else {
+                return false;
+            };
+            let m = member(m);
+            if first(i) && finite && subs[i].iter().all(|k| m[k].is_finite()) {
+                let ties = DimMask(
+                    subs[i]
+                        .iter()
+                        .filter(|&k| m[k] == point[k])
+                        .fold(0, |t, k| t | 1 << k),
+                );
+                for u in bits(windows) {
+                    if subs[u].is_strict_subset_of(subs[i]) && !subs[u].is_subset_of(ties) {
+                        settled |= 1 << u;
+                    }
+                }
+            }
+            true
         });
         clock.charge_dom_cmps(stats.dom_comparisons - before);
-        dead && windows != 0
+        dead
     }
 
     /// A batch of one through [`SharedSkylinePlan::dominated_rows`].
@@ -1543,7 +1751,7 @@ mod tests {
         // an empty window, a NaN front, masks of no window and of one fresh
         // window, batch sizes around the 64-lane block, and budgets that run
         // out before a window and inside one.
-        for seed in 0..192 {
+        for seed in 0..512 {
             let case = row_case(&mut StdRng::seed_from_u64(seed));
             let mut plan = SharedSkylinePlan::new(MinMaxCuboid::build(&case.prefs), true);
             if case.screened {

@@ -31,7 +31,11 @@ pub enum InsertOutcome {
     /// The point was dominated by an existing skyline member and rejected.
     /// (Points *equal* on the subspace are both kept: Definition 1 requires
     /// strict improvement somewhere for dominance.)
-    Dominated,
+    Dominated {
+        /// The handle of the member that dominates it: the first one in
+        /// window order.
+        by: PointId,
+    },
     /// The point joined the skyline; `removed` lists the tags of previous
     /// members it knocked out — the non-monotonic deletions that §1.4 of the
     /// paper highlights as the key difficulty of skyline-over-join sharing.
@@ -128,14 +132,15 @@ impl SkylineWindow {
     /// rows starting at row `first` of the flat buffer `rows` (`stride`
     /// values each) the window's front — its lowest-score member, resolved
     /// through `member` — dominates. Bit `j` set means [`Self::insert`] of
-    /// row `first + j` would return `Dominated` after exactly one charged
-    /// comparison, as long as the front stays the front: a dominator's score
-    /// is never larger than its victim's, so the front is the first member
-    /// that reject scan examines. The caller owes the charge. A
-    /// `known_survivor` is never among these lanes: nothing dominates it.
-    /// Likewise [`Self::dominates`] of the row returns `Some(true)` after one
-    /// comparison if its limit is at least 1 and the row holds no NaN (the
-    /// scan never calls a NaN point dominated; this pass reads NaN as a tie).
+    /// row `first + j` would return `Dominated` by the front after exactly
+    /// one charged comparison, as long as the front stays the front: a
+    /// dominator's score is never larger than its victim's, so the front is
+    /// the first member that reject scan examines. The caller owes the
+    /// charge. A `known_survivor` is never among these lanes: nothing
+    /// dominates it. Likewise [`Self::dominates`] of the row returns the
+    /// front after one comparison if its limit is at least 1 and the row
+    /// holds no NaN (the scan never calls a NaN point dominated; this pass
+    /// reads NaN as a tie).
     ///
     /// Proves nothing (returns 0) on an empty window and on a front whose
     /// score is not finite: a NaN score sorts as `+inf`, out of its true
@@ -161,10 +166,11 @@ impl SkylineWindow {
 
     /// Whether a member strictly dominates `point`: the reject scan of
     /// [`Self::insert`] without the insert, given up once it has examined
-    /// `limit` members. `Some(true)` on a dominator, `Some(false)` when the
-    /// `score ≤` prefix holds none, `None` when the limit came first; a
-    /// point equal to a member is not dominated by it, and a point with a
-    /// NaN coordinate is never called dominated.
+    /// `limit` members. `Some(Some(m))` when member `m` (the first in window
+    /// order) dominates it, `Some(None)` when the `score ≤` prefix holds
+    /// none, `None` when the limit came first; a point equal to a member is
+    /// not dominated by it, and a point with a NaN coordinate is never
+    /// called dominated.
     ///
     /// Counts one `stats.dom_comparisons` per member examined — at most
     /// `limit` — and one `stats.sig_builds` if the window is screened; the
@@ -175,10 +181,10 @@ impl SkylineWindow {
         limit: usize,
         member: impl Fn(PointId) -> &'a [Value],
         stats: &mut Stats,
-    ) -> Option<bool> {
+    ) -> Option<Option<PointId>> {
         let kernel = match &self.kernel {
             Some(kernel) if point.iter().all(|v| !v.is_nan()) => kernel,
-            _ => return Some(false),
+            _ => return Some(None),
         };
         let screen = self.quant.as_ref().map(|q| {
             stats.sig_builds += 1;
@@ -187,10 +193,10 @@ impl SkylineWindow {
         let score = filed(kernel.score(point));
         let (verdict, examined) =
             match reject_scan(kernel, &self.entries, screen, point, score, limit, &member) {
-                Scan::Dominated(k) => (Some(true), k),
+                Scan::Dominated(k) => (Some(Some(self.entries[k - 1].point)), k),
                 // A miss is charged its whole `score ≤` prefix, as in `insert`.
                 Scan::Clear => match self.entries.partition_point(|e| e.score <= score) {
-                    prefix if prefix <= limit => (Some(false), prefix),
+                    prefix if prefix <= limit => (Some(None), prefix),
                     _ => (None, limit),
                 },
                 Scan::Cut => (None, limit),
@@ -248,7 +254,9 @@ impl SkylineWindow {
                 &member,
             ) {
                 stats.dom_comparisons += k as u64;
-                return InsertOutcome::Dominated;
+                return InsertOutcome::Dominated {
+                    by: self.entries[k - 1].point,
+                };
             }
         }
 
@@ -346,16 +354,22 @@ enum Scan {
     Cut,
 }
 
+/// Signatures one skip of the reject scan reads at most before it looks at
+/// the score again: a miss's skip would otherwise run past the `score ≤`
+/// prefix to the window's end.
+const SKIP_RUN: usize = 64;
+
 /// The reject scan: a dominator's score is never larger, so it sits in the
 /// `score ≤` prefix, and the scan runs from the front with no bound computed
 /// first. With a `screen` (the members' signatures, the candidate's and the
 /// quantizer's high mask), each pass skips the members whose signature rules
-/// them out; the member it stops on ends the scan if its score is above the
-/// candidate's (the prefix is behind it — and a NaN-scored member filed as
-/// `+inf` never meets the float kernel out of its place), else is decided by
-/// proof or by the float kernel. Every member up to the first dominator
-/// counts as examined, skipped or not; the scan is [`Scan::Cut`] before it
-/// examines member `limit + 1`.
+/// them out, [`SKIP_RUN`] signatures at most; the member it stops on ends
+/// the scan if its score is above the candidate's (the prefix is behind it —
+/// and a NaN-scored member filed as `+inf` never meets the float kernel out
+/// of its place), else is decided by proof or by the float kernel, unless
+/// the skip only ran out of signatures. Every member up to the first
+/// dominator counts as examined, skipped or not; the scan is [`Scan::Cut`]
+/// before it examines member `limit + 1`.
 #[inline(always)]
 fn reject_scan<'a>(
     kernel: &DomKernel,
@@ -369,14 +383,22 @@ fn reject_scan<'a>(
     let len = entries.len();
     let mut k = 0;
     loop {
+        // Whether the skip stopped on a member that may dominate.
+        let mut stop = true;
         if let Some((sigs, csig, high)) = screen {
-            k += first_may_dominate(&sigs[k..], csig, high);
+            let run = &sigs[k..len.min(k + SKIP_RUN)];
+            let skip = first_may_dominate(run, csig, high);
+            stop = skip < run.len();
+            k += skip;
         }
         if k == len || entries[k].score > score {
             return Scan::Clear;
         }
         if k >= limit {
             return Scan::Cut;
+        }
+        if !stop {
+            continue;
         }
         let proven =
             screen.is_some_and(|(sigs, csig, high)| sig_strictly_below(sigs[k], csig, high));
@@ -514,7 +536,8 @@ mod tests {
                 tied: false
             }
         );
-        assert_eq!(outcomes[4], InsertOutcome::Dominated);
+        // [2, 2], the fourth point admitted, is the first member in window order.
+        assert_eq!(outcomes[4], InsertOutcome::Dominated { by: PointId(3) });
         let mut tags: Vec<u64> = sky.tags().collect();
         tags.sort_unstable();
         let want: Vec<u64> = skyline_reference(&points, mask)
@@ -672,7 +695,7 @@ mod tests {
             // member 0 only ([0, 9]).
             assert_eq!(
                 charged(&mut sky, 7, &[1.0, 9.0]),
-                (InsertOutcome::Dominated, 1)
+                (InsertOutcome::Dominated { by: PointId(0) }, 1)
             );
         }
     }
@@ -695,24 +718,22 @@ mod tests {
                 let verdict = sky.window.dominates(point, limit, member, &mut stats);
                 (verdict, stats.dom_comparisons)
             };
-            // Dominated by the third member: charged as its reject would be.
-            assert_eq!(test(&[4.0, 8.0], 10), (Some(true), 3), "{screened}");
+            // Dominated by the third member, reported by its handle and
+            // charged as its reject would be.
+            let third = Some(Some(PointId(2)));
+            assert_eq!(test(&[4.0, 8.0], 10), (third, 3), "{screened}");
             // The limit comes first: given up, charged the limit.
             assert_eq!(test(&[4.0, 8.0], 2), (None, 2), "{screened}");
             // A member's equal is not dominated; the prefix is all examined.
-            assert_eq!(test(&[3.0, 7.0], 10), (Some(false), 3), "{screened}");
+            assert_eq!(test(&[3.0, 7.0], 10), (Some(None), 3), "{screened}");
             // A NaN coordinate is never called dominated, whatever it ties.
-            assert_eq!(
-                test(&[Value::NAN, 10.0], 10),
-                (Some(false), 0),
-                "{screened}"
-            );
+            assert_eq!(test(&[Value::NAN, 10.0], 10), (Some(None), 0), "{screened}");
             // The window is untouched.
             assert_eq!(sky.tags().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
         }
         let empty = SkylineWindow::new(DimMask::full(2));
         let verdict = empty.dominates(&[9.0, 9.0], 10, |_| &[], &mut Stats::new());
-        assert_eq!(verdict, Some(false));
+        assert_eq!(verdict, Some(None));
     }
 
     #[test]

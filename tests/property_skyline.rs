@@ -8,7 +8,7 @@ use caqe::operators::{
 };
 use caqe::parallel::Threads;
 use caqe::types::sig::SigQuantizer;
-use caqe::types::{dominates_in, DimMask, PointStore, QueryId, SimClock, Stats};
+use caqe::types::{dominates_in, DimMask, PointId, PointStore, QueryId, SimClock, Stats};
 use proptest::prelude::*;
 
 /// Up to 60 points in up to 4 dimensions, values on a small lattice so that
@@ -232,7 +232,7 @@ proptest! {
                         prop_assert!(dominates_in(p, &points[tag as usize], mask));
                     }
                 }
-                InsertOutcome::Dominated => {
+                InsertOutcome::Dominated { .. } => {
                     prop_assert!(sky
                         .entries()
                         .any(|(_, q)| dominates_in(q, p, mask)));
@@ -342,10 +342,14 @@ proptest! {
 }
 
 /// What `SharedSkylinePlan`'s batched replay must reproduce: one unscreened
-/// [`SkylineWindow`] per cuboid subspace, every tuple taken one at a time,
-/// bottom-up, through `SkylineWindow::insert` and nothing else. A tuple
-/// skips a window's reject scan only if a kept child admitted it without a
-/// tie (Theorem 1).
+/// [`SkylineWindow`] per cuboid subspace, every tuple taken one at a time
+/// through `SkylineWindow::insert` and nothing else, with Theorem 1 both
+/// ways for a tuple whose values are all finite. The maximal subspaces (no
+/// kept strict superset) go first: one that rejects the tuple through a
+/// member finite there decides every kept strict subset that reads a
+/// dimension where the two differ — rejected, at one comparison. The rest go
+/// bottom-up, and the tuple skips a window's reject scan if a kept child
+/// admitted it without a tie.
 struct OneAtATime {
     cuboid: MinMaxCuboid,
     windows: Vec<SkylineWindow>,
@@ -371,26 +375,56 @@ impl OneAtATime {
         let tag = self.rows.len() as u64;
         let handle = self.rows.push(point);
         let (rows, cuboid) = (&self.rows, &self.cuboid);
+        let subs = cuboid.subspaces();
+        let maximal = |i: usize| !subs.iter().any(|&v| subs[i].is_strict_subset_of(v));
+        let order: Vec<usize> = (0..subs.len())
+            .filter(|&i| maximal(i))
+            .chain((0..subs.len()).filter(|&i| !maximal(i)))
+            .collect();
+        let finite = point.iter().all(|v| v.is_finite());
         let before = stats.dom_comparisons;
-        let (mut added_mask, mut untied) = (0u64, 0u64);
-        let mut query_evictions = Vec::new();
-        for (i, win) in self.windows.iter_mut().enumerate() {
-            let survivor = cuboid.children(i).iter().any(|&c| untied & (1 << c) != 0);
-            let outcome = win.insert(tag, point, handle, survivor, |p| rows.get(p), stats);
-            let InsertOutcome::Added { removed, tied } = outcome else {
+        let (mut added_mask, mut untied, mut settled) = (0u64, 0u64, 0u64);
+        let mut evictions = Vec::new();
+        for i in order {
+            if settled & (1 << i) != 0 {
+                stats.dom_comparisons += 1;
                 continue;
-            };
-            added_mask |= 1 << i;
-            untied |= u64::from(!tied) << i;
-            if !removed.is_empty() {
-                let owners = (0..cuboid.num_queries() as u16)
-                    .map(QueryId)
-                    .filter(|&q| cuboid.query_subspace(q) == i);
-                query_evictions.extend(owners.map(|q| (q, removed.clone())));
+            }
+            let survivor = finite && cuboid.children(i).iter().any(|&c| untied & (1 << c) != 0);
+            let win = &mut self.windows[i];
+            match win.insert(tag, point, handle, survivor, |p| rows.get(p), stats) {
+                InsertOutcome::Dominated { by } => {
+                    let m = rows.get(by);
+                    if maximal(i) && finite && subs[i].iter().all(|k| m[k].is_finite()) {
+                        let apart = subs[i].iter().filter(|&k| m[k] != point[k]);
+                        let apart = apart.fold(0u32, |a, k| a | 1 << k);
+                        for &u in cuboid.children(i) {
+                            if subs[u].0 & apart != 0 {
+                                settled |= 1 << u;
+                            }
+                        }
+                    }
+                }
+                InsertOutcome::Added { removed, tied } => {
+                    added_mask |= 1 << i;
+                    untied |= u64::from(!tied && finite) << i;
+                    if !removed.is_empty() {
+                        evictions.push((i, removed));
+                    }
+                }
             }
         }
         clock.charge_dom_cmps(stats.dom_comparisons - before);
         stats.plan_points_interned += u64::from(added_mask != 0);
+        // Evictions are listed by ascending cuboid position.
+        evictions.sort_by_key(|(i, _)| *i);
+        let mut query_evictions = Vec::new();
+        for (i, removed) in evictions {
+            let owners = (0..cuboid.num_queries() as u16)
+                .map(QueryId)
+                .filter(|&q| cuboid.query_subspace(q) == i);
+            query_evictions.extend(owners.map(|q| (q, removed.clone())));
+        }
         let in_query_sky = (0..cuboid.num_queries() as u16)
             .map(|q| added_mask & (1 << cuboid.query_subspace(QueryId(q))) != 0)
             .collect();
@@ -409,10 +443,12 @@ impl OneAtATime {
     }
 }
 
-/// 150–400 four-dimensional rows with values in `0..=41`, either
-/// *correlated* (a shared level plus coarse per-dimension noise: the
-/// window's front dominates nearly everything, and values tie) or on a small
-/// integer grid (heavy ties, duplicates).
+/// 150–400 four-dimensional rows with values in `0..=41`: *correlated* (a
+/// shared level plus coarse per-dimension noise: the window's front
+/// dominates nearly everything, and values tie), on a small integer grid
+/// (heavy ties, duplicates), or *anticorrelated* (a sum of 40 spread over
+/// the dimensions in quarters: large skylines, where a verdict wrongly
+/// carried from one window to another shows).
 fn front_screen_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
     let correlated =
         (0u8..40, proptest::collection::vec(0u8..8, 4..=4)).prop_map(|(level, noise)| {
@@ -422,9 +458,16 @@ fn front_screen_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
                 .collect::<Vec<f64>>()
         });
     let grid = proptest::collection::vec((0u8..6).prop_map(f64::from), 4..=4);
+    let anticorrelated = proptest::collection::vec(1u8..40, 4..=4).prop_map(|w| {
+        let total: f64 = w.iter().map(|&x| f64::from(x)).sum();
+        w.iter()
+            .map(|&x| (f64::from(x) * 160.0 / total).round() / 4.0)
+            .collect::<Vec<f64>>()
+    });
     prop_oneof![
         proptest::collection::vec(correlated, 150..400),
         proptest::collection::vec(grid, 150..400),
+        proptest::collection::vec(anticorrelated, 150..400),
     ]
 }
 
@@ -488,11 +531,13 @@ fn anticorrelated_rows() -> impl Strategy<Value = Vec<Vec<f64>>> {
 /// signatures, no skips, no binary search. Members ascend by score (a NaN
 /// score filed as `+inf`), a newcomer goes in front of its ties; the reject
 /// scan walks the `score ≤` prefix and is charged up to its first dominator
-/// or the whole prefix, and the sweep is charged the whole `score ≥` suffix.
+/// (reported by its handle: the number of points admitted before it) or the
+/// whole prefix, and the sweep is charged the whole `score ≥` suffix.
 struct MemberAtATime {
     mask: DimMask,
-    /// `(score, tag, point)`.
-    members: Vec<(f64, u64, Vec<f64>)>,
+    /// `(score, tag, point, handle)`.
+    members: Vec<(f64, u64, Vec<f64>, u32)>,
+    admitted: u32,
 }
 
 impl MemberAtATime {
@@ -510,7 +555,7 @@ impl MemberAtATime {
         let prefix = self.members.iter().take_while(|m| m.0 <= score).count();
         for (k, m) in self.members[..prefix].iter().enumerate() {
             if dominates_in(&m.2, point, self.mask) {
-                return (InsertOutcome::Dominated, k as u64 + 1);
+                return (InsertOutcome::Dominated { by: PointId(m.3) }, k as u64 + 1);
             }
         }
         let pos = self.members.iter().take_while(|m| m.0 < score).count();
@@ -524,7 +569,9 @@ impl MemberAtATime {
                 self.members.push(m);
             }
         }
-        self.members.insert(pos, (score, tag, point.to_vec()));
+        self.members
+            .insert(pos, (score, tag, point.to_vec(), self.admitted));
+        self.admitted += 1;
         (InsertOutcome::Added { removed, tied }, charge)
     }
 
@@ -560,7 +607,7 @@ proptest! {
         }
         let quant = SigQuantizer::from_store(&store, mask).expect("a non-empty store of ≤ 6 dims");
         for mut sky in [IncrementalSkyline::new(mask), IncrementalSkyline::screened(mask, quant)] {
-            let mut reference = MemberAtATime { mask, members: Vec::new() };
+            let mut reference = MemberAtATime { mask, members: Vec::new(), admitted: 0 };
             let (mut clock, mut stats) = (SimClock::default(), Stats::new());
             for (i, p) in rows.iter().enumerate() {
                 let before = stats.dom_comparisons;
@@ -611,9 +658,8 @@ proptest! {
 
     /// `insert_batch` — the front screen settling up to 64 candidates per
     /// pass — is one-at-a-time `SkylineWindow::insert` in everything
-    /// observable: per-tuple results and evictions, member order, ticks,
-    /// `Stats::observable`; whatever the masks and the cut, signature-screened
-    /// or not.
+    /// observable, on a stream planted with the rows the front screen's
+    /// guard rules exist for ([`replay_matches_one_at_a_time`]).
     #[test]
     fn batch_front_screen_matches_one_at_a_time_inserts(
         rows in front_screen_rows(),
@@ -630,50 +676,108 @@ proptest! {
         plant_front_screen_cases(&mut rows);
         let nan_bits = if nan_col < 4 { 1u32 << nan_col } else { 0 };
         let rows = poison_columns(rows, nan_bits);
-        let prefs: Vec<DimMask> = pref_bits.iter().map(|&b| DimMask(b)).collect();
-        let cuboid = MinMaxCuboid::build(&prefs);
-
-        let mut reference = OneAtATime::new(cuboid.clone(), 4);
-        let (mut rc, mut rs) = (SimClock::default(), Stats::new());
-        let want: Vec<SharedInsert> =
-            rows.iter().map(|p| reference.insert(p, &mut rc, &mut rs)).collect();
-
-        let mut plan = SharedSkylinePlan::new(cuboid.clone(), true);
-        if screened {
-            plan.enable_sig_cache(&[0.0; 4], &[42.0; 4]);
-        }
-        let flat: Vec<f64> = rows.iter().flatten().copied().collect();
-        let (mut clock, mut stats) = (SimClock::default(), Stats::new());
-        let mut got = Vec::new();
-        let mut off = 0usize;
-        for &cut in cuts.iter().cycle() {
-            if off == rows.len() {
-                break;
-            }
-            let take = cut.min(rows.len() - off);
-            got.extend(plan.insert_batch(
-                off as u64,
-                &flat[off * 4..(off + take) * 4],
-                4,
-                Threads::default(),
-                &mut clock,
-                &mut stats,
-            ));
-            off += take;
-        }
-
-        for (tag, (g, w)) in got.iter().zip(&want).enumerate() {
-            prop_assert_eq!(g, w, "tuple {} diverged", tag);
-        }
-        prop_assert_eq!(clock.ticks(), rc.ticks());
-        prop_assert_eq!(stats.observable(), rs.observable());
-        for q in (0..prefs.len() as u16).map(QueryId) {
-            prop_assert_eq!(plan.query_skyline_tags(q), reference.query_tags(q));
-        }
+        let (cuboid, stats) = replay_matches_one_at_a_time(&rows, &pref_bits, &cuts, screened)?;
         // Every scalar window insert of a screened plan quantizes its
-        // candidate; a lane the front settled never got that far.
-        if screened && nan_bits == 0 {
+        // candidate; a lane the front settled never got that far. Only a
+        // pass over more than eight undecided lanes meets the front screen.
+        if screened && nan_bits == 0 && cuts.iter().any(|&cut| cut > 8) {
             prop_assert!(stats.sig_builds < (rows.len() * cuboid.len()) as u64);
         }
     }
+
+    /// The same on unplanted streams, whose skylines the planted rows do
+    /// not wipe out: Theorem 1 both ways keeps every query exact batch by
+    /// batch, under ties, a whole NaN column and every cut.
+    #[test]
+    fn theorem1_both_ways_keeps_every_query_exact(
+        rows in front_screen_rows(),
+        pref_bits in proptest::collection::vec(1u32..16, 1..5),
+        cuts in proptest::collection::vec(
+            prop_oneof![Just(1usize), Just(8), Just(9), Just(64), Just(129)],
+            1..6,
+        ),
+        screened in any::<bool>(),
+        nan_col in 0usize..16,
+    ) {
+        let nan_bits = if nan_col < 4 { 1u32 << nan_col } else { 0 };
+        let rows = poison_columns(rows, nan_bits);
+        replay_matches_one_at_a_time(&rows, &pref_bits, &cuts, screened)?;
+    }
+}
+
+/// Inserts `rows` into a plan over `pref_bits` in batches cut by `cuts`
+/// (cycled), signature-screened or not, and checks it against
+/// [`OneAtATime`] in everything observable: per-tuple results and
+/// evictions, member order, ticks, `Stats::observable`. After every batch,
+/// each query whose columns are free of NaN or NaN in every row — where
+/// dominance stays a strict partial order — must hold the definitional
+/// skyline of the rows so far. Returns the cuboid and the plan's stats.
+fn replay_matches_one_at_a_time(
+    rows: &[Vec<f64>],
+    pref_bits: &[u32],
+    cuts: &[usize],
+    screened: bool,
+) -> Result<(MinMaxCuboid, Stats), TestCaseError> {
+    let prefs: Vec<DimMask> = pref_bits.iter().map(|&b| DimMask(b)).collect();
+    let cuboid = MinMaxCuboid::build(&prefs);
+
+    let mut reference = OneAtATime::new(cuboid.clone(), 4);
+    let (mut rc, mut rs) = (SimClock::default(), Stats::new());
+    let want: Vec<SharedInsert> = rows
+        .iter()
+        .map(|p| reference.insert(p, &mut rc, &mut rs))
+        .collect();
+
+    let mut plan = SharedSkylinePlan::new(cuboid.clone(), true);
+    if screened {
+        plan.enable_sig_cache(&[0.0; 4], &[42.0; 4]);
+    }
+    let flat: Vec<f64> = rows.iter().flatten().copied().collect();
+    // The queries the definition holds the plan to: NaN in a column
+    // they read is in every row or in none.
+    let defined: Vec<(QueryId, DimMask)> = (0..prefs.len() as u16)
+        .map(QueryId)
+        .zip(prefs.iter().copied())
+        .filter(|(_, pref)| {
+            let nan_in = |k: usize| rows.iter().filter(|r| r[k].is_nan()).count();
+            pref.iter().all(|k| nan_in(k) % rows.len() == 0)
+        })
+        .collect();
+    let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+    let mut got = Vec::new();
+    let mut off = 0usize;
+    for &cut in cuts.iter().cycle() {
+        if off == rows.len() {
+            break;
+        }
+        let take = cut.min(rows.len() - off);
+        got.extend(plan.insert_batch(
+            off as u64,
+            &flat[off * 4..(off + take) * 4],
+            4,
+            Threads::default(),
+            &mut clock,
+            &mut stats,
+        ));
+        off += take;
+        // Checked after every batch: the planted rows that dominate
+        // everything would hide a wrong verdict from the last check.
+        for &(q, pref) in &defined {
+            let mut tags = plan.query_skyline_tags(q);
+            tags.sort_unstable();
+            let want = skyline_reference(&rows[..off], pref);
+            let want: Vec<u64> = want.into_iter().map(|i| i as u64).collect();
+            prop_assert_eq!(tags, want, "{} rows, query {} over {}", off, q.0, pref);
+        }
+    }
+
+    for (tag, (g, w)) in got.iter().zip(&want).enumerate() {
+        prop_assert_eq!(g, w, "tuple {} diverged", tag);
+    }
+    prop_assert_eq!(clock.ticks(), rc.ticks());
+    prop_assert_eq!(stats.observable(), rs.observable());
+    for q in (0..prefs.len() as u16).map(QueryId) {
+        prop_assert_eq!(plan.query_skyline_tags(q), reference.query_tags(q));
+    }
+    Ok((cuboid, stats))
 }
