@@ -39,6 +39,9 @@ retired=(
   'dominated_in\('
   # a swap-remove point store no window ever used
   'SwapStore'
+  # the per-query skyline step over a stored join, which each baseline's
+  # one pass per join group (`GroupSkyline`) replaced
+  'SkylineStep' 'blocking_bnl' 'presorted_sfs' 'unscreened_bnl' 'JOINS_RUN'
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')

@@ -1,11 +1,20 @@
 //! JFSL [17]: join-first, skyline-later — the blocking, non-shared baseline.
+//!
+//! BNL's only state is its window, so JFSL's group pass never materialises
+//! the join: the join hands its rows, [`BLOCK`] at a time, to every user's
+//! [`BnlWindow`], each user taking a whole block before the next does.
+//! Each window keeps its members' `(rid, tid)` beside it and ends with its
+//! comparison total; each query's replay charges that total and then one
+//! emission per member in ascending join index. Ticks are integers and
+//! add, so every emission tick is where BNL over the materialised join,
+//! charging chunk by chunk, puts it.
 
-use crate::per_query::{run_per_query, Report};
+use crate::per_query::{run_per_query, GroupJoin, GroupSkyline, RecordedJoin, Report, User};
 use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::skyline_bnl_store;
+use caqe_operators::{BnlWindow, JoinSink};
 use caqe_trace::{NoopSink, RecordingSink};
-use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Stats};
+use caqe_types::{EngineError, PointStore, SimClock, Stats, Value};
 
 /// Join-first-skyline-later: per query (priority order), take the entire
 /// join, run a blocking BNL skyline, and only then report every result.
@@ -16,18 +25,83 @@ use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Sta
 #[derive(Debug, Clone, Default)]
 pub struct JfslStrategy;
 
-/// Blocking skyline: nothing is reported until BNL completes. BNL's walk
-/// screens with the driver's quantizer, which moves no charge.
-pub(crate) fn blocking_bnl(
-    store: &PointStore,
-    kernel: &DomKernel,
-    quant: Option<&SigQuantizer>,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-    report: &mut Report<'_>,
-) {
-    for i in skyline_bnl_store(store, kernel, quant, clock, stats) {
-        report(i, clock, stats);
+/// Join rows per block handed to the windows: large enough that a user
+/// screens many 64-row chunks straight from the block, small enough that
+/// the block stays in cache while every user reads it.
+pub(crate) const BLOCK: usize = 4096;
+
+/// One user's BNL, ended: its comparison total and its skyline's
+/// `(join index, (rid, tid))` members in ascending join index.
+pub(crate) type BnlSkyline = (u64, Vec<(usize, (u64, u64))>);
+
+/// The join's rows in blocks of [`BLOCK`], each handed whole to every
+/// window before the next one fills.
+struct Blocks<'w, 'k> {
+    pairs: Vec<(u64, u64)>,
+    rows: PointStore,
+    windows: &'w mut [BnlWindow<'k, (u64, u64)>],
+}
+
+impl Blocks<'_, '_> {
+    fn flush(&mut self) {
+        for window in self.windows.iter_mut() {
+            window.feed(self.rows.as_flat(), &self.pairs);
+        }
+        self.pairs.clear();
+        self.rows.clear();
+    }
+}
+
+impl JoinSink for Blocks<'_, '_> {
+    #[inline]
+    fn push(&mut self, rid: u64, tid: u64, point: impl FnOnce(&mut Vec<Value>)) {
+        self.pairs.push((rid, tid));
+        self.rows.push_with(point);
+        if self.pairs.len() == BLOCK {
+            self.flush();
+        }
+    }
+}
+
+/// Blocking BNL: the group's join streams through every user's window,
+/// screened with the user's quantizer, which moves no charge; nothing is
+/// reported until a user's BNL completes.
+impl GroupSkyline for JfslStrategy {
+    type Pass = Vec<BnlSkyline>;
+
+    fn pass(join: &GroupJoin<'_>, users: &[User]) -> (RecordedJoin, Self::Pass) {
+        let stride = join.stride();
+        let mut windows: Vec<BnlWindow<'_, (u64, u64)>> = users
+            .iter()
+            .map(|u| BnlWindow::new(&u.kernel, u.quant.as_ref(), stride))
+            .collect();
+        let mut blocks = Blocks {
+            pairs: Vec::with_capacity(BLOCK),
+            rows: PointStore::with_capacity(stride, BLOCK),
+            windows: &mut windows,
+        };
+        let recorded = join.run(&mut blocks);
+        blocks.flush();
+        (
+            recorded,
+            windows.into_iter().map(BnlWindow::finish).collect(),
+        )
+    }
+
+    fn replay(
+        pass: &Self::Pass,
+        _users: &[User],
+        u: usize,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+        report: &mut Report<'_>,
+    ) {
+        let (cmps, members) = &pass[u];
+        clock.charge_dom_cmps(*cmps);
+        stats.dom_comparisons += cmps;
+        for &(i, pair) in members {
+            report(i, pair, clock, stats);
+        }
     }
 }
 
@@ -43,15 +117,7 @@ impl ExecutionStrategy for JfslStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        run_per_query(
-            self.name(),
-            blocking_bnl,
-            r,
-            t,
-            workload,
-            exec,
-            &mut NoopSink,
-        )
+        run_per_query::<Self, _>(self.name(), r, t, workload, exec, &mut NoopSink)
     }
 
     fn try_run_traced(
@@ -62,7 +128,7 @@ impl ExecutionStrategy for JfslStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        run_per_query(self.name(), blocking_bnl, r, t, workload, exec, sink)
+        run_per_query::<Self, _>(self.name(), r, t, workload, exec, sink)
     }
 }
 
@@ -75,18 +141,35 @@ mod tests {
     use caqe_core::{prepare_inputs, QuerySpec};
     use caqe_data::{Distribution, TableGenerator, ValidationPolicy};
     use caqe_operators::{hash_join_project_store, JoinSpec, MappingSet};
-    use caqe_types::DimMask;
+    use caqe_types::{DimMask, SigQuantizer};
 
     /// JFSL with BNL's walk unscreened, whatever the driver passes.
-    fn unscreened_bnl(
-        store: &PointStore,
-        kernel: &DomKernel,
-        _quant: Option<&SigQuantizer>,
-        clock: &mut SimClock,
-        stats: &mut Stats,
-        report: &mut Report<'_>,
-    ) {
-        blocking_bnl(store, kernel, None, clock, stats, report);
+    struct UnscreenedJfsl;
+
+    impl GroupSkyline for UnscreenedJfsl {
+        type Pass = Vec<BnlSkyline>;
+
+        fn pass(join: &GroupJoin<'_>, users: &[User]) -> (RecordedJoin, Self::Pass) {
+            let bare: Vec<User> = users
+                .iter()
+                .map(|u| User {
+                    kernel: u.kernel.clone(),
+                    quant: None,
+                })
+                .collect();
+            JfslStrategy::pass(join, &bare)
+        }
+
+        fn replay(
+            pass: &Self::Pass,
+            users: &[User],
+            u: usize,
+            clock: &mut SimClock,
+            stats: &mut Stats,
+            report: &mut Report<'_>,
+        ) {
+            JfslStrategy::replay(pass, users, u, clock, stats, report);
+        }
     }
 
     /// Anticorrelated 3-attribute tables mapped to a 5-dim output space,
@@ -124,9 +207,10 @@ mod tests {
     fn screen_moves_nothing(r: &Table, t: &Table, w: &Workload, exec: &ExecConfig) {
         let mut screened_trace = RecordingSink::default();
         let screened =
-            run_per_query("JFSL", blocking_bnl, r, t, w, exec, &mut screened_trace).unwrap();
+            run_per_query::<JfslStrategy, _>("JFSL", r, t, w, exec, &mut screened_trace).unwrap();
         let mut plain_trace = RecordingSink::default();
-        let plain = run_per_query("JFSL", unscreened_bnl, r, t, w, exec, &mut plain_trace).unwrap();
+        let plain =
+            run_per_query::<UnscreenedJfsl, _>("JFSL", r, t, w, exec, &mut plain_trace).unwrap();
         assert_eq!(screened.digest(), plain.digest());
         assert_eq!(
             screened.virtual_seconds.to_bits(),

@@ -1,36 +1,71 @@
-//! The driver JFSL and SSMJ share: per query in priority order, the join,
-//! one skyline step, and an emission per reported result. The two
-//! baselines differ only in that step.
+//! The driver JFSL and SSMJ share: per join group — the queries sharing
+//! `(join_col, mapping)` — one pass of the join feeding every user's
+//! skyline; per query, in priority order, a replay of what that query
+//! would have charged alone: the whole join, its skyline's work, and an
+//! emission per reported result. The two baselines differ only in the
+//! group's pass and the replay ([`GroupSkyline`]).
 //!
-//! The join is executed once per join group — the queries sharing
-//! `(join_col, mapping)` — and charged per query: its ticks and counters
-//! are recorded once and replayed to every user, so each query still pays
-//! for the whole join as if it had joined alone (DESIGN.md §9 item 8).
+//! The join's ticks and counters are recorded once and replayed to every
+//! user, so each query still pays for the whole join as if it had joined
+//! alone (DESIGN.md §9 item 8). JFSL's pass streams the join through every
+//! user's BNL window in blocks and never materialises it; SSMJ's presorted
+//! SFS needs every row at once, so its pass fills one store, kept until
+//! the group's last user has run.
 
 use caqe_contract::QueryScore;
 use caqe_core::group::group_workload;
 use caqe_core::{prepare_inputs, ExecConfig, QueryOutcome, QuerySpec, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::{hash_join_project_store, JoinOutput, JoinSpec, MappingSet};
+use caqe_operators::{hash_join_project_into, JoinSink, JoinSpec, MappingSet};
 use caqe_regions::buchta_estimate;
 use caqe_trace::{TraceEvent, TraceSink};
 use caqe_types::{
-    CostModel, DomKernel, EngineError, PointStore, Rect, SigQuantizer, SimClock, Stats, Ticks,
-    Value,
+    CostModel, DomKernel, EngineError, Rect, SigQuantizer, SimClock, Stats, Ticks, Value,
 };
 use std::time::Instant;
 
-/// Reports one skyline result, by join-output index, the moment the
-/// baseline makes it visible.
-pub(crate) type Report<'a> = dyn FnMut(usize, &mut SimClock, &mut Stats) + 'a;
+/// Reports one skyline result, by join-output index and `(rid, tid)`, the
+/// moment the baseline makes it visible.
+pub(crate) type Report<'a> = dyn FnMut(usize, (u64, u64), &mut SimClock, &mut Stats) + 'a;
 
-/// One query's skyline over its join output: computes it under the
-/// kernel's subspace, charging its own work, and calls the report hook on
-/// every result in the order the baseline emits them. The quantizer, when
-/// there is one, is built for that subspace over a box holding every join
-/// result ([`join_envelope`]); a step may screen with it or ignore it.
-pub(crate) type SkylineStep =
-    fn(&PointStore, &DomKernel, Option<&SigQuantizer>, &mut SimClock, &mut Stats, &mut Report<'_>);
+/// One query's skyline over its group's join: its kernel over the join's
+/// output space and, when there is one, a quantizer built for its subspace
+/// over a box holding every join result ([`join_envelope`]). A baseline may
+/// screen with the quantizer or ignore it.
+pub(crate) struct User {
+    pub(crate) kernel: DomKernel,
+    pub(crate) quant: Option<SigQuantizer>,
+}
+
+impl User {
+    fn new(spec: &QuerySpec, envelope: Option<&(Vec<Value>, Vec<Value>)>) -> Self {
+        User {
+            kernel: DomKernel::new(spec.pref, spec.mapping.output_dims()),
+            quant: envelope.and_then(|(lo, hi)| SigQuantizer::from_bounds(spec.pref, lo, hi)),
+        }
+    }
+}
+
+/// A baseline's skylines over one join group.
+pub(crate) trait GroupSkyline {
+    /// What the group's pass leaves for its users' replays.
+    type Pass;
+
+    /// Executes the group's join once ([`GroupJoin::run`]), computing or
+    /// preparing the skyline of every one of its `users`.
+    fn pass(join: &GroupJoin<'_>, users: &[User]) -> (RecordedJoin, Self::Pass);
+
+    /// Charges `users[u]` its skyline's work and reports its results in the
+    /// order the baseline emits them.
+    fn replay(
+        pass: &Self::Pass,
+        users: &[User],
+        u: usize,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+        report: &mut Report<'_>,
+    );
+}
 
 /// The `(lo, hi)` corners of the box `mapping` sends the base tables'
 /// bounding boxes `r_box` × `t_box` to, or `None` for an empty table.
@@ -55,41 +90,63 @@ pub(crate) fn join_envelope(
 
 #[cfg(test)]
 thread_local! {
-    /// Joins executed on this thread, so tests can hold the driver to one
-    /// join per group.
-    pub(crate) static JOINS_RUN: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// The sink type of every join executed on this thread, so tests can
+    /// hold the driver to one join per group and JFSL to no stored join.
+    pub(crate) static JOIN_SINKS: std::cell::RefCell<Vec<&'static str>> =
+        const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// One join group's join, executed once, and what it charged: the
+/// One join group's join, as its pass executes it.
+pub(crate) struct GroupJoin<'a> {
+    r: &'a Table,
+    t: &'a Table,
+    spec: JoinSpec,
+    mapping: &'a MappingSet,
+    model: CostModel,
+}
+
+impl GroupJoin<'_> {
+    /// Values per output-space row.
+    pub(crate) fn stride(&self) -> usize {
+        self.mapping.output_dims()
+    }
+
+    /// Executes the join against a zero clock and fresh counters, handing
+    /// every result to `sink`, and returns what it charged.
+    pub(crate) fn run<J: JoinSink>(&self, sink: &mut J) -> RecordedJoin {
+        #[cfg(test)]
+        JOIN_SINKS.with(|s| s.borrow_mut().push(std::any::type_name::<J>()));
+        let mut clock = SimClock::new(self.model);
+        let mut stats = Stats::new();
+        hash_join_project_into(
+            self.r.records(),
+            self.t.records(),
+            self.spec,
+            self.mapping,
+            &mut clock,
+            &mut stats,
+            sink,
+        );
+        RecordedJoin {
+            ticks: clock.ticks(),
+            stats,
+        }
+    }
+}
+
+/// What one join group's join charged, recorded once: the
 /// record-then-replay shape of `GroupMemo` (DESIGN.md §19). Join charges
 /// are integer ticks and three additive counters, so replaying them leaves
 /// the clock and `Stats` where running the join again would.
-struct RecordedJoin {
-    join: JoinOutput,
+pub(crate) struct RecordedJoin {
     ticks: Ticks,
     stats: Stats,
 }
 
 impl RecordedJoin {
-    /// Executes `spec`'s join against a zero clock and fresh counters.
-    fn record(r: &Table, t: &Table, spec: &QuerySpec, model: CostModel) -> Self {
-        #[cfg(test)]
-        JOINS_RUN.with(|n| n.set(n.get() + 1));
-        let mut clock = SimClock::new(model);
-        let mut stats = Stats::new();
-        let join = hash_join_project_store(
-            r.records(),
-            t.records(),
-            JoinSpec::on_column(spec.join_col),
-            &spec.mapping,
-            &mut clock,
-            &mut stats,
-        );
-        RecordedJoin {
-            join,
-            ticks: clock.ticks(),
-            stats,
-        }
+    /// Number of join results.
+    fn len(&self) -> usize {
+        self.stats.join_results as usize
     }
 
     /// Charges one user the whole join.
@@ -99,14 +156,21 @@ impl RecordedJoin {
     }
 }
 
-/// Runs `workload` one query at a time: per query the join's output sits
-/// in a flat point store, `step` computes its skyline, and every reported
-/// result is charged one emit and scored against the query's contract.
-/// Each join group's join is executed for its first user in priority
-/// order, charged in full to every user, and dropped after its last.
-pub(crate) fn run_per_query<S: TraceSink>(
+/// A join group's pass and its users, live from the group's first user in
+/// priority order until its last.
+struct Group<P> {
+    join: RecordedJoin,
+    users: Vec<User>,
+    pass: P,
+}
+
+/// Runs `workload` one query at a time in priority order, each query's
+/// skyline computed by `K` from its join group's one pass, and every
+/// reported result charged one emit and scored against the query's
+/// contract. A group's pass runs for its first user and is dropped after
+/// its last; every user, the first included, is charged the whole join.
+pub(crate) fn run_per_query<K: GroupSkyline, S: TraceSink>(
     name: &'static str,
-    step: SkylineStep,
     r: &Table,
     t: &Table,
     workload: &Workload,
@@ -135,39 +199,51 @@ pub(crate) fn run_per_query<S: TraceSink>(
     let (r_box, t_box) = (r.value_bounds(), t.value_bounds());
 
     // The engine's grouping: queries share a join when their `join_col`
-    // and mapping are equal.
+    // and mapping are equal. `slot[q]` is query `q`'s group and its place
+    // among the group's users.
     let groups = group_workload(workload);
-    let mut group_of = vec![0; workload.len()];
+    let mut slot = vec![(0, 0); workload.len()];
     let mut users_left = Vec::with_capacity(groups.len());
     for (g, (_, _, members)) in groups.iter().enumerate() {
         users_left.push(members.len());
-        for q in members {
-            group_of[q.index()] = g;
+        for (u, q) in members.iter().enumerate() {
+            slot[q.index()] = (g, u);
         }
     }
-    let mut joins: Vec<Option<RecordedJoin>> = groups.iter().map(|_| None).collect();
+    let mut live: Vec<Option<Group<K::Pass>>> = groups.iter().map(|_| None).collect();
 
     for qid in workload.by_priority() {
         let spec = workload.query(qid);
-        let g = group_of[qid.index()];
-        // The group's join runs once; every user, the first included, is
-        // charged all of it, as if no query shared it.
-        let recorded =
-            joins[g].get_or_insert_with(|| RecordedJoin::record(r, t, spec, exec.cost_model));
-        recorded.charge(&mut clock, &mut stats);
-        let join = &recorded.join;
-        let kernel = DomKernel::new(spec.pref, join.store.stride());
-        let est = buchta_estimate(join.len().max(1) as f64, spec.pref.len());
+        let (g, u) = slot[qid.index()];
+        let group = live[g].get_or_insert_with(|| {
+            let (join_col, mapping, members) = &groups[g];
+            let envelope = join_envelope(r_box.as_ref(), t_box.as_ref(), mapping);
+            let users: Vec<User> = members
+                .iter()
+                .map(|&q| User::new(workload.query(q), envelope.as_ref()))
+                .collect();
+            let join = GroupJoin {
+                r,
+                t,
+                spec: JoinSpec::on_column(*join_col),
+                mapping,
+                model: exec.cost_model,
+            };
+            let (join, pass) = K::pass(&join, &users);
+            Group { join, users, pass }
+        });
+        group.join.charge(&mut clock, &mut stats);
+        let est = buchta_estimate(group.join.len().max(1) as f64, spec.pref.len());
         let mut score = QueryScore::new(spec.contract.clone(), est);
         let mut emissions = Vec::new();
         let mut results = Vec::new();
-        let mut report = |i: usize, clock: &mut SimClock, stats: &mut Stats| {
+        let mut report = |i: usize, pair: (u64, u64), clock: &mut SimClock, stats: &mut Stats| {
             clock.charge_emits(1);
             let ts = clock.now();
             let u = score.record(ts);
             stats.record_emission(qid.index(), u);
             emissions.push((ts, u));
-            results.push(join.pairs[i]);
+            results.push(pair);
             if S::ENABLED {
                 sink.record(TraceEvent::Emission {
                     tick: clock.ticks(),
@@ -180,12 +256,10 @@ pub(crate) fn run_per_query<S: TraceSink>(
                 });
             }
         };
-        let quant = join_envelope(r_box.as_ref(), t_box.as_ref(), &spec.mapping)
-            .and_then(|(lo, hi)| SigQuantizer::from_bounds(spec.pref, &lo, &hi));
-        step(
-            &join.store,
-            &kernel,
-            quant.as_ref(),
+        K::replay(
+            &group.pass,
+            &group.users,
+            u,
             &mut clock,
             &mut stats,
             &mut report,
@@ -199,7 +273,7 @@ pub(crate) fn run_per_query<S: TraceSink>(
         });
         users_left[g] -= 1;
         if users_left[g] == 0 {
-            joins[g] = None;
+            live[g] = None;
         }
     }
 
@@ -217,11 +291,10 @@ pub(crate) fn run_per_query<S: TraceSink>(
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::jfsl::blocking_bnl;
-    use crate::ssmj::presorted_sfs;
+    use crate::{JfslStrategy, SsmjStrategy};
     use caqe_contract::Contract;
     use caqe_data::{Distribution, Record, TableGenerator, ValidationPolicy};
-    use caqe_operators::MappingFn;
+    use caqe_operators::{hash_join_project_store, skyline_bnl_store, JoinOutput, MappingFn};
     use caqe_trace::RecordingSink;
     use caqe_types::DimMask;
     use proptest::prelude::*;
@@ -248,11 +321,40 @@ pub(crate) mod tests {
         Table::new(t.name(), t.dims(), t.join_cols(), records)
     }
 
+    /// A reference baseline's skyline over one query's materialised join.
+    type ReferenceStep = fn(&JoinOutput, &User, &mut SimClock, &mut Stats, &mut Report<'_>);
+
+    /// JFSL's reference: BNL over the whole store, charged as it runs, then
+    /// every result reported in ascending join index.
+    fn bnl_reference(
+        out: &JoinOutput,
+        user: &User,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+        report: &mut Report<'_>,
+    ) {
+        for i in skyline_bnl_store(&out.store, &user.kernel, user.quant.as_ref(), clock, stats) {
+            report(i, out.pairs[i], clock, stats);
+        }
+    }
+
+    /// SSMJ's reference: its replay over the query's own store.
+    fn sfs_reference(
+        out: &JoinOutput,
+        user: &User,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+        report: &mut Report<'_>,
+    ) {
+        SsmjStrategy::replay(out, std::slice::from_ref(user), 0, clock, stats, report);
+    }
+
     /// The reference: the driver as it was before joins were shared, each
-    /// query executing and being charged its own join in priority order.
+    /// query executing and being charged its own materialised join in
+    /// priority order.
     fn run_join_per_query<S: TraceSink>(
         name: &'static str,
-        step: SkylineStep,
+        step: ReferenceStep,
         r: &Table,
         t: &Table,
         workload: &Workload,
@@ -290,40 +392,33 @@ pub(crate) mod tests {
                 &mut clock,
                 &mut stats,
             );
-            let kernel = DomKernel::new(spec.pref, join.store.stride());
+            let envelope = join_envelope(r_box.as_ref(), t_box.as_ref(), &spec.mapping);
+            let user = User::new(spec, envelope.as_ref());
             let est = buchta_estimate(join.len().max(1) as f64, spec.pref.len());
             let mut score = QueryScore::new(spec.contract.clone(), est);
             let mut emissions = Vec::new();
             let mut results = Vec::new();
-            let mut report = |i: usize, clock: &mut SimClock, stats: &mut Stats| {
-                clock.charge_emits(1);
-                let ts = clock.now();
-                let u = score.record(ts);
-                stats.record_emission(qid.index(), u);
-                emissions.push((ts, u));
-                results.push(join.pairs[i]);
-                if S::ENABLED {
-                    sink.record(TraceEvent::Emission {
-                        tick: clock.ticks(),
-                        query: qid.0,
-                        seq: results.len() as u64,
-                        rid: u32::MAX,
-                        tid: i as u64,
-                        utility: u,
-                        satisfaction: score.runtime_satisfaction(),
-                    });
-                }
-            };
-            let quant = join_envelope(r_box.as_ref(), t_box.as_ref(), &spec.mapping)
-                .and_then(|(lo, hi)| SigQuantizer::from_bounds(spec.pref, &lo, &hi));
-            step(
-                &join.store,
-                &kernel,
-                quant.as_ref(),
-                &mut clock,
-                &mut stats,
-                &mut report,
-            );
+            let mut report =
+                |i: usize, pair: (u64, u64), clock: &mut SimClock, stats: &mut Stats| {
+                    clock.charge_emits(1);
+                    let ts = clock.now();
+                    let u = score.record(ts);
+                    stats.record_emission(qid.index(), u);
+                    emissions.push((ts, u));
+                    results.push(pair);
+                    if S::ENABLED {
+                        sink.record(TraceEvent::Emission {
+                            tick: clock.ticks(),
+                            query: qid.0,
+                            seq: results.len() as u64,
+                            rid: u32::MAX,
+                            tid: i as u64,
+                            utility: u,
+                            satisfaction: score.runtime_satisfaction(),
+                        });
+                    }
+                };
+            step(&join, &user, &mut clock, &mut stats, &mut report);
             per_query[qid.index()] = Some(QueryOutcome {
                 query: qid,
                 emissions,
@@ -383,17 +478,28 @@ pub(crate) mod tests {
 
     /// Requires the driver to be the reference's run — digest, virtual
     /// seconds, `Stats`, every emission and result and every trace event —
-    /// having executed one join per join group.
-    fn matches_reference(step: SkylineStep, r: &Table, t: &Table, w: &Workload, exec: &ExecConfig) {
-        JOINS_RUN.with(|n| n.set(0));
+    /// having executed one join per join group, into a stored join for
+    /// SSMJ and never for JFSL.
+    fn matches_reference<K: GroupSkyline>(
+        name: &'static str,
+        step: ReferenceStep,
+        r: &Table,
+        t: &Table,
+        w: &Workload,
+        exec: &ExecConfig,
+    ) {
+        JOIN_SINKS.with(|s| s.borrow_mut().clear());
         let mut trace = RecordingSink::default();
-        let shared = run_per_query("JFSL", step, r, t, w, exec, &mut trace).unwrap();
-        let joins = JOINS_RUN.with(std::cell::Cell::get);
+        let shared = run_per_query::<K, _>(name, r, t, w, exec, &mut trace).unwrap();
+        let sinks = JOIN_SINKS.with(|s| s.take());
         let mut reference_trace = RecordingSink::default();
         let reference =
-            run_join_per_query("JFSL", step, r, t, w, exec, &mut reference_trace).unwrap();
+            run_join_per_query(name, step, r, t, w, exec, &mut reference_trace).unwrap();
 
-        assert_eq!(joins, group_workload(w).len(), "joins executed");
+        assert_eq!(sinks.len(), group_workload(w).len(), "joins executed");
+        let stored = sinks.iter().filter(|s| s.ends_with("::JoinOutput")).count();
+        let want_stored = if name == "SSMJ" { sinks.len() } else { 0 };
+        assert_eq!(stored, want_stored, "{name}: joins stored whole");
         assert_eq!(shared.digest(), reference.digest());
         assert_eq!(
             shared.virtual_seconds.to_bits(),
@@ -408,11 +514,10 @@ pub(crate) mod tests {
         assert_eq!(trace.events(), reference_trace.events());
     }
 
-    /// Both steps, JFSL's and SSMJ's.
+    /// Both baselines, JFSL and SSMJ.
     fn both_steps_match_reference(r: &Table, t: &Table, w: &Workload, exec: &ExecConfig) {
-        for step in [blocking_bnl as SkylineStep, presorted_sfs] {
-            matches_reference(step, r, t, w, exec);
-        }
+        matches_reference::<JfslStrategy>("JFSL", bnl_reference, r, t, w, exec);
+        matches_reference::<SsmjStrategy>("SSMJ", sfs_reference, r, t, w, exec);
     }
 
     /// `indep_churn`'s shape: two groups, each with a query at 0.8 and one
@@ -430,6 +535,77 @@ pub(crate) mod tests {
             (1, 3, 0b011, 0.4, true),
         ]);
         both_steps_match_reference(&r, &t, &w, &ExecConfig::default());
+    }
+
+    /// The paper's eleven preference subspaces over a 5-dim output space.
+    const ELEVEN_PREFS: [&[usize]; 11] = [
+        &[0, 1],
+        &[1, 2, 3],
+        &[0, 1, 2, 3, 4],
+        &[2, 3],
+        &[0, 2, 4],
+        &[1, 2, 3, 4],
+        &[3, 4],
+        &[0, 1, 2],
+        &[0, 1, 3, 4],
+        &[1, 4],
+        &[2, 3, 4],
+    ];
+
+    /// One join group of eleven users on 2-D to 5-D preferences over a
+    /// join spanning at least three of JFSL's blocks, so every window takes
+    /// several blocks and completes chunks a block's end cut short.
+    #[test]
+    fn a_join_of_several_blocks_matches_the_reference() {
+        let gen = TableGenerator::new(400, 3, Distribution::Anticorrelated)
+            .with_selectivities(&[0.08])
+            .with_seed(0xB10C);
+        let (r, t) = (gen.generate("R"), gen.generate("T"));
+        let mapping = MappingSet::mixed(3, 3, 5);
+        let w = Workload::new(
+            ELEVEN_PREFS
+                .iter()
+                .enumerate()
+                .map(|(i, dims)| QuerySpec {
+                    join_col: 0,
+                    mapping: mapping.clone(),
+                    pref: DimMask::from_dims(dims.iter().copied()),
+                    priority: 0.1 + 0.08 * i as f64,
+                    contract: Contract::LogDecay,
+                })
+                .collect(),
+        );
+        let rows = hash_join_project_store(
+            r.records(),
+            t.records(),
+            JoinSpec::on_column(0),
+            &mapping,
+            &mut SimClock::default(),
+            &mut Stats::new(),
+        )
+        .len();
+        let block = crate::jfsl::BLOCK;
+        assert!(rows > 2 * block && rows % block != 0, "join of {rows} rows");
+        both_steps_match_reference(&r, &t, &w, &ExecConfig::default());
+    }
+
+    /// Tables whose join on column 0 has exactly `rows` results: one R row
+    /// meeting `rows` T rows, the values drawn from `vals`.
+    fn join_of(rows: usize, vals: &[(u8, u8)]) -> (Table, Table) {
+        let r = Table::new("R", 2, 1, vec![Record::new(0, vec![1.0, 2.0], vec![3])]);
+        let t = Table::new(
+            "T",
+            2,
+            1,
+            (0..rows.max(1))
+                .map(|i| {
+                    let (a, b) = vals[i % vals.len()];
+                    let key = if rows == 0 { 4 } else { 3 };
+                    Record::new(100 + i as u64, vec![f64::from(a), f64::from(b)], vec![key])
+                })
+                .collect(),
+        );
+        (r, t)
     }
 
     fn query_draw() -> impl Strategy<Value = QueryDraw> {
@@ -479,6 +655,26 @@ pub(crate) mod tests {
                 }
             }
             both_steps_match_reference(&r, &t, &workload(&draws), &exec);
+        }
+
+        /// Joins of 0, 1, 2, 64 and 65 rows — no row, row 0 alone, one
+        /// row after it, a chunk one row short and one whole chunk — are
+        /// the reference's run for both baselines.
+        #[test]
+        fn chunk_edge_joins_match_the_reference(
+            rows in (0..5usize).prop_map(|i| [0, 1, 2, 64, 65][i]),
+            vals in proptest::collection::vec((0..4u8, 0..4u8), 1..70),
+            draws in proptest::collection::vec(query_draw(), 1..=4),
+        ) {
+            let (r, t) = join_of(rows, &vals);
+            let spec = JoinSpec::on_column(0);
+            let mapping = MappingSet::concat(2, 2);
+            let join = hash_join_project_store(
+                r.records(), t.records(), spec, &mapping, &mut SimClock::default(), &mut Stats::new(),
+            );
+            prop_assert_eq!(join.len(), rows);
+            let draws: Vec<QueryDraw> = draws.into_iter().map(|d| (0, d.1, d.2, d.3, d.4)).collect();
+            both_steps_match_reference(&r, &t, &workload(&draws), &ExecConfig::default());
         }
     }
 }

@@ -1,11 +1,11 @@
 //! SSMJ [14]: sort-based skyline-over-join — progressive but non-shared.
 
-use crate::per_query::{run_per_query, Report};
+use crate::per_query::{run_per_query, GroupJoin, GroupSkyline, RecordedJoin, Report, User};
 use caqe_core::{ExecConfig, ExecutionStrategy, RunOutcome, Workload};
 use caqe_data::Table;
-use caqe_operators::skyline_sfs_store_each;
+use caqe_operators::{skyline_sfs_store_each, JoinOutput};
 use caqe_trace::{NoopSink, RecordingSink};
-use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Stats};
+use caqe_types::{EngineError, PointStore, SimClock, Stats};
 
 /// Skyline-Sort-Merge-Join: per query (priority order), take the join, sort
 /// it by the monotone sum over the preference dimensions, and filter
@@ -16,27 +16,45 @@ use caqe_types::{DomKernel, EngineError, PointStore, SigQuantizer, SimClock, Sta
 #[derive(Debug, Clone, Default)]
 pub struct SsmjStrategy;
 
-/// Presorted SFS with immediate emission of every survivor. The SFS filter
-/// has no signature skip yet, so the driver's quantizer goes unused.
-pub(crate) fn presorted_sfs(
-    store: &PointStore,
-    kernel: &DomKernel,
-    _quant: Option<&SigQuantizer>,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-    report: &mut Report<'_>,
-) {
-    // The sort costs m·log m comparisons of clock time upfront (sort
-    // comparisons, not dominance comparisons, so they advance the clock but
-    // not the CPU metric — matching what the paper measures in Fig. 10.b).
-    // The filter's own presort is uncharged, so charging here first puts
-    // every survivor's emission tick after the whole sort.
-    let m = store.len();
-    if m > 1 {
-        let sort_cost = (m as f64 * (m as f64).log2()).ceil() as u64;
-        clock.charge_sort_cmps(sort_cost);
+/// Presorted SFS with immediate emission of every survivor, over the
+/// group's join kept whole: its pass fills one store, which every user's
+/// replay sorts and filters. The SFS filter has no signature skip yet, so
+/// the users' quantizers go unused.
+impl GroupSkyline for SsmjStrategy {
+    type Pass = JoinOutput;
+
+    fn pass(join: &GroupJoin<'_>, _users: &[User]) -> (RecordedJoin, Self::Pass) {
+        let mut out = JoinOutput {
+            pairs: Vec::new(),
+            store: PointStore::new(join.stride()),
+        };
+        let recorded = join.run(&mut out);
+        (recorded, out)
     }
-    skyline_sfs_store_each(store, kernel, clock, stats, report);
+
+    fn replay(
+        out: &Self::Pass,
+        users: &[User],
+        u: usize,
+        clock: &mut SimClock,
+        stats: &mut Stats,
+        report: &mut Report<'_>,
+    ) {
+        // The sort costs m·log m comparisons of clock time upfront (sort
+        // comparisons, not dominance comparisons, so they advance the clock
+        // but not the CPU metric — matching what the paper measures in
+        // Fig. 10.b). The filter's own presort is uncharged, so charging
+        // here first puts every survivor's emission tick after the whole
+        // sort.
+        let m = out.len();
+        if m > 1 {
+            let sort_cost = (m as f64 * (m as f64).log2()).ceil() as u64;
+            clock.charge_sort_cmps(sort_cost);
+        }
+        skyline_sfs_store_each(&out.store, &users[u].kernel, clock, stats, |i, c, s| {
+            report(i, out.pairs[i], c, s)
+        });
+    }
 }
 
 impl ExecutionStrategy for SsmjStrategy {
@@ -51,15 +69,7 @@ impl ExecutionStrategy for SsmjStrategy {
         workload: &Workload,
         exec: &ExecConfig,
     ) -> Result<RunOutcome, EngineError> {
-        run_per_query(
-            self.name(),
-            presorted_sfs,
-            r,
-            t,
-            workload,
-            exec,
-            &mut NoopSink,
-        )
+        run_per_query::<Self, _>(self.name(), r, t, workload, exec, &mut NoopSink)
     }
 
     fn try_run_traced(
@@ -70,6 +80,6 @@ impl ExecutionStrategy for SsmjStrategy {
         exec: &ExecConfig,
         sink: &mut RecordingSink,
     ) -> Result<RunOutcome, EngineError> {
-        run_per_query(self.name(), presorted_sfs, r, t, workload, exec, sink)
+        run_per_query::<Self, _>(self.name(), r, t, workload, exec, sink)
     }
 }

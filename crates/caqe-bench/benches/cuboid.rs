@@ -70,27 +70,24 @@ fn joined(dist: Distribution, rows: usize) -> Vec<f64> {
 /// Times a plan that already holds the 5-dimensional tuples `warm` (a
 /// clone, made inside the timed loop) taking the tuples `flat` in
 /// `insert_batch` calls of `batch`, and, without Theorem 1's sharing, in
-/// `backfill` calls over every window. With `screened`, the plan screens
-/// signatures over the tuples' bounds, as the engine's plans do.
+/// `backfill` calls over every window. The plan screens signatures over
+/// the tuples' bounds, as every plan the engine runs does.
 fn bench_insert_batches(
     c: &mut Criterion,
     group: &str,
     (warm, flat): (&[f64], &[f64]),
     batch: usize,
-    screened: bool,
 ) {
     let prefs = workload_prefs();
     let stride = 5;
     let mut warmed = SharedSkylinePlan::new(MinMaxCuboid::build(&prefs), true);
-    if screened {
-        let (mut lo, mut hi) = (vec![f64::INFINITY; stride], vec![f64::NEG_INFINITY; stride]);
-        for p in warm.chunks(stride).chain(flat.chunks(stride)) {
-            for (k, &v) in p.iter().enumerate() {
-                (lo[k], hi[k]) = (lo[k].min(v), hi[k].max(v));
-            }
+    let (mut lo, mut hi) = (vec![f64::INFINITY; stride], vec![f64::NEG_INFINITY; stride]);
+    for p in warm.chunks(stride).chain(flat.chunks(stride)) {
+        for (k, &v) in p.iter().enumerate() {
+            (lo[k], hi[k]) = (lo[k].min(v), hi[k].max(v));
         }
-        warmed.enable_sig_cache(&lo, &hi);
     }
+    warmed.enable_sig_cache(&lo, &hi);
     let (mut clock, mut stats) = (SimClock::default(), Stats::new());
     let mut outcome = BatchOutcome::default();
     warmed.insert_batch_into(0, warm, stride, &mut clock, &mut stats, &mut outcome);
@@ -133,12 +130,12 @@ fn bench_shared_insert(c: &mut Criterion) {
     // A small region's worth of join results per call: mid-sized windows.
     let group = "shared_plan_insert_batch_2000";
     let independent = generated(Distribution::Independent, 2000);
-    bench_insert_batches(c, group, (&[], &independent), 64, false);
+    bench_insert_batches(c, group, (&[], &independent), 64);
     // The engine's real batch on correlated data — one call, one big
     // region — where nearly every tuple meets windows of about one member.
     let group = "shared_plan_insert_batch_correlated_10000";
     let correlated = generated(Distribution::Correlated, 10_000);
-    bench_insert_batches(c, group, (&[], &correlated), 10_000, false);
+    bench_insert_batches(c, group, (&[], &correlated), 10_000);
     // The last 4,000 of about 10,000 join results of anticorrelated tables,
     // into screened windows that hold the rest: the full-space window finds
     // a dominator for most candidates, and the front seldom is it — the
@@ -148,7 +145,7 @@ fn bench_shared_insert(c: &mut Criterion) {
     let anticorrelated = joined(Distribution::Anticorrelated, 1024);
     let split = anticorrelated.len() - 4000 * 5;
     let (warm, last) = anticorrelated.split_at(split);
-    bench_insert_batches(c, group, (warm, last), 1000, true);
+    bench_insert_batches(c, group, (warm, last), 1000);
 }
 
 /// Times the row test on 1,024 row images — each R row over the lower corner

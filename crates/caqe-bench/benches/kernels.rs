@@ -1,10 +1,14 @@
 //! Criterion micro-benchmarks of the live dominance, skyline and join
-//! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12), and
-//! BNL and the incremental skyline window with and without their signature
-//! screens (DESIGN.md §15, §17). Results and charges are asserted equal
+//! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12), BNL
+//! and the incremental skyline window with and without their signature
+//! screens (DESIGN.md §15, §17), and JFSL's one pass per join group — the
+//! join streamed through every user's BNL window (DESIGN.md §9 item 8). Results and charges are asserted equal
 //! elsewhere (`tests/property_kernels.rs`, `tests/property_skyline.rs`); CI
 //! runs this suite in quick mode as a smoke test.
 
+use caqe_baselines::JfslStrategy;
+use caqe_bench::ExperimentConfig;
+use caqe_core::ExecutionStrategy;
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
     hash_join_project_store, skyline_bnl_store, skyline_sfs_store, IncrementalSkyline, JoinSpec,
@@ -196,10 +200,38 @@ fn bench_join_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// JFSL as the benchmark's set-up runs it: the eleven paper preferences
+/// over one `mixed(3, 3, 5)` join group of two 3,000-row tables (σ = 0.02,
+/// ~180 k join rows), correlated (tiny windows: the join's cost shows) and
+/// anticorrelated (windows of hundreds: BNL's shows).
+fn bench_jfsl(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/jfsl");
+    group.sample_size(10);
+    for dist in [Distribution::Correlated, Distribution::Anticorrelated] {
+        let mut cfg = ExperimentConfig::new(dist, 2);
+        cfg.n = 3000;
+        cfg.workload_size = 11;
+        cfg.reference_secs = Some(10.0);
+        let (r, t) = cfg.tables();
+        let (w, exec) = (cfg.workload(), cfg.exec());
+        group.bench_function(BenchmarkId::new("eleven_prefs", dist.label()), |b| {
+            b.iter(|| {
+                #[allow(clippy::expect_used)]
+                let outcome = JfslStrategy
+                    .try_run(&r, &t, &w, &exec)
+                    .expect("clean generated tables");
+                black_box(outcome.total_results())
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_skyline_kernels,
     bench_incremental_kernels,
-    bench_join_kernels
+    bench_join_kernels,
+    bench_jfsl
 );
 criterion_main!(benches);

@@ -11,9 +11,13 @@
 //! `(key, row)` runs probed by binary search — rather than a hash map:
 //! iteration order is then a pure function of the input (build order within
 //! each key), which the determinism contract requires on traced paths, and
-//! probing allocates nothing. Output points go straight into a flat
-//! [`PointStore`] ([`hash_join_project_store`]); the [`OutTuple`]-returning
-//! entry points are thin adapters with identical charges and output order.
+//! probing allocates nothing. The hash join hands each result to a
+//! [`JoinSink`] the moment it is produced ([`hash_join_project_into`]), so
+//! a consumer that needs only a bounded block of rows at a time — JFSL's
+//! BNL windows — never holds the whole join. [`hash_join_project_store`] is
+//! the sink that keeps every result in a flat [`PointStore`]; the
+//! [`OutTuple`]-returning entry points are thin adapters over it with
+//! identical charges and output order.
 
 use crate::mapping::MappingSet;
 use caqe_data::Record;
@@ -158,21 +162,38 @@ pub fn nested_loop_join_project(
     out
 }
 
-/// Hash equi-join fused with projection, flat output. Builds on the smaller
-/// side.
+/// Where a join's projected results go, one at a time in production order.
+pub trait JoinSink {
+    /// Takes one join result: the contributing R and T ids and `point`,
+    /// which appends the result's output-space values to a buffer.
+    fn push(&mut self, rid: u64, tid: u64, point: impl FnOnce(&mut Vec<Value>));
+}
+
+/// Materialises the join: every result stays, in production order.
+impl JoinSink for JoinOutput {
+    #[inline]
+    fn push(&mut self, rid: u64, tid: u64, point: impl FnOnce(&mut Vec<Value>)) {
+        self.pairs.push((rid, tid));
+        self.store.push_with(point);
+    }
+}
+
+/// Hash equi-join fused with projection, every result handed to `sink` the
+/// moment it is produced. Builds on the smaller side.
 ///
 /// Probe cost: one `join_probe` per (probe tuple × matching build tuple),
 /// plus one per probe tuple for the index lookup itself — a deliberately
 /// cheaper profile than the nested-loop join, reflecting the paper's
 /// assumption that join computation is shared efficiently.
-pub fn hash_join_project_store(
+pub fn hash_join_project_into(
     left: &[Record],
     right: &[Record],
     spec: JoinSpec,
     mapping: &MappingSet,
     clock: &mut SimClock,
     stats: &mut Stats,
-) -> JoinOutput {
+    sink: &mut impl JoinSink,
+) {
     let (build, probe, build_is_left) = if left.len() <= right.len() {
         (left, right, true)
     } else {
@@ -180,10 +201,6 @@ pub fn hash_join_project_store(
     };
     let index = SortedJoinIndex::build(build.len(), |i| build[i].key(spec.column));
     let k = mapping.output_dims() as u64;
-    let mut out = JoinOutput {
-        pairs: Vec::new(),
-        store: PointStore::new(k as usize),
-    };
     for p in probe {
         clock.charge_join_probes(1);
         stats.join_probes += 1;
@@ -195,11 +212,27 @@ pub fn hash_join_project_store(
             clock.charge_map_evals(k);
             stats.map_evals += k;
             stats.join_results += 1;
-            out.pairs.push((r.id, t.id));
-            out.store
-                .push_with(|dst| mapping.apply_into(&r.vals, &t.vals, dst));
+            sink.push(r.id, t.id, |dst| mapping.apply_into(&r.vals, &t.vals, dst));
         }
     }
+}
+
+/// Hash equi-join fused with projection, flat output: a [`JoinOutput`]
+/// filled through [`hash_join_project_into`] (identical charges and
+/// output order).
+pub fn hash_join_project_store(
+    left: &[Record],
+    right: &[Record],
+    spec: JoinSpec,
+    mapping: &MappingSet,
+    clock: &mut SimClock,
+    stats: &mut Stats,
+) -> JoinOutput {
+    let mut out = JoinOutput {
+        pairs: Vec::new(),
+        store: PointStore::new(mapping.output_dims()),
+    };
+    hash_join_project_into(left, right, spec, mapping, clock, stats, &mut out);
     out
 }
 

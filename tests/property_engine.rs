@@ -1,7 +1,7 @@
 //! Property-based tests of the full engine: on arbitrary small workloads —
-//! tied values included, under the default configuration — every strategy
-//! must produce exactly the definitional result set, and progressive
-//! emission must never retract.
+//! tied values included, under the default configuration, in one join
+//! group or four — every strategy must produce exactly the definitional
+//! result set, and progressive emission must never retract.
 
 use caqe::baselines::all_strategies;
 use caqe::contract::Contract;
@@ -31,8 +31,13 @@ struct Scenario {
 
 impl Scenario {
     fn tables(&self) -> (Table, Table) {
+        self.tables_on(&[self.sigma])
+    }
+
+    /// The tables with one join column per selectivity in `sigmas`.
+    fn tables_on(&self, sigmas: &[f64]) -> (Table, Table) {
         let gen = TableGenerator::new(self.n, 2, self.dist)
-            .with_selectivities(&[self.sigma])
+            .with_selectivities(sigmas)
             .with_seed(self.seed);
         let (r, t) = (gen.generate("R"), gen.generate("T"));
         match self.grid {
@@ -84,22 +89,41 @@ fn scenario_strategy() -> impl Strategy<Value = Scenario> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
+    /// One join group, or — `across_groups` — every preference asked on
+    /// two join columns × two mappings: four groups of one to three users,
+    /// so the per-query baselines' one pass per group is checked with
+    /// several users against Definition 2 over the naive join.
     #[test]
-    fn every_strategy_is_exact(sc in scenario_strategy()) {
-        let (r, t) = sc.tables();
-        let w = Workload::new(
-            sc.prefs
+    fn every_strategy_is_exact(sc in scenario_strategy(), across_groups in any::<bool>()) {
+        let query = |i: usize, pref: DimMask, join_col: usize, mapping: &MappingSet| QuerySpec {
+            join_col,
+            mapping: mapping.clone(),
+            pref,
+            priority: 0.2 + 0.1 * (i as f64 % 8.0),
+            contract: Contract::LogDecay,
+        };
+        let (r, t, w) = if across_groups {
+            let (r, t) = sc.tables_on(&[sc.sigma, 0.05]);
+            let mappings = [MappingSet::mixed(2, 2, 4), MappingSet::concat(2, 2)];
+            let mut specs = Vec::new();
+            for join_col in 0..2 {
+                for mapping in &mappings {
+                    for &pref in &sc.prefs {
+                        specs.push(query(specs.len(), pref, join_col, mapping));
+                    }
+                }
+            }
+            (r, t, Workload::new(specs))
+        } else {
+            let (r, t) = sc.tables();
+            let specs = sc
+                .prefs
                 .iter()
                 .enumerate()
-                .map(|(i, &pref)| QuerySpec {
-                    join_col: 0,
-                    mapping: sc.mapping.clone(),
-                    pref,
-                    priority: 0.2 + 0.1 * (i as f64 % 8.0),
-                    contract: Contract::LogDecay,
-                })
-                .collect(),
-        );
+                .map(|(i, &pref)| query(i, pref, 0, &sc.mapping))
+                .collect();
+            (r, t, Workload::new(specs))
+        };
         let exec = ExecConfig::default().with_target_cells(sc.n, sc.cells);
         let want = expected_skylines(&r, &t, &w);
         for strategy in all_strategies() {
@@ -110,7 +134,7 @@ proptest! {
                 prop_assert_eq!(
                     &got,
                     expect,
-                    "{} wrong on query {} ({:?}, n={}, σ={}, cells={}, grid={}, {:?})",
+                    "{} wrong on query {} ({:?}, n={}, σ={}, cells={}, grid={}, {:?}, across groups {})",
                     outcome.strategy,
                     qi + 1,
                     sc.dist,
@@ -118,7 +142,8 @@ proptest! {
                     sc.sigma,
                     sc.cells,
                     sc.grid,
-                    sc.mapping
+                    sc.mapping,
+                    across_groups
                 );
                 // No duplicate emissions.
                 prop_assert_eq!(got.len(), outcome.per_query[qi].results.len());
