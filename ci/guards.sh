@@ -42,6 +42,10 @@ retired=(
   # the per-query skyline step over a stored join, which each baseline's
   # one pass per join group (`GroupSkyline`) replaced
   'SkylineStep' 'blocking_bnl' 'presorted_sfs' 'unscreened_bnl' 'JOINS_RUN'
+  # the second event fold, its fold-vs-fold reconcile and the untyped
+  # snapshot reader, which `caqe_obs::Fold` and `MetricsRegistry::from_json`
+  # replaced
+  'registry_update' 'audit::fold' 'EVENT_COUNTERS' 'Snapshot::load'
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')

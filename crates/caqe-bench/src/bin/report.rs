@@ -7,13 +7,15 @@
 //!
 //! Both directories are walked recursively; `<label>.jsonl` pairs with the
 //! `<label>.metrics.json` at the same relative path. Each trace is
-//! summarized and checked ([`caqe_bench::audit::fold`]), each snapshot
-//! shown as a dashboard and, when both directories are given, reconciled
-//! with its trace. A failed check or reconcile exits 1; neither flag, 2.
+//! summarized and checked through the one fold that makes the metrics
+//! ([`caqe_obs::Fold`]), each snapshot read back
+//! ([`MetricsRegistry::from_json`]) and shown as a dashboard and, when both
+//! directories are given, reconciled with its trace. A failed check or
+//! reconcile, or a snapshot that does not read, exits 1; neither flag, 2.
 
-use caqe_bench::audit::{check_siblings, fold, reconcile, Fold, Snapshot};
+use caqe_bench::audit::{check_siblings, reconcile};
 use caqe_bench::report::{cli_arg, cli_args};
-use caqe_obs::names;
+use caqe_obs::{names, Fold, MetricsRegistry, ObsCollector, ObsConfig};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
@@ -38,13 +40,16 @@ fn collect(root: &Path, dir: &Path, suffix: &str, out: &mut BTreeMap<String, Pat
     }
 }
 
-/// Reads and folds one trace; its siblings' check joins the rules'.
-fn read_trace(path: &Path) -> Result<Fold, String> {
+/// Reads and folds one trace, and every problem its rules and its
+/// siblings' check find.
+fn read_trace(path: &Path) -> Result<(ObsCollector, Vec<String>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"))?;
     let events = caqe_trace::from_jsonl(&text).map_err(|e| e.to_string())?;
-    let mut f = fold(&events);
-    f.problems.extend(check_siblings(path, &events));
-    Ok(f)
+    let mut c = ObsCollector::new(ObsConfig::default());
+    c.ingest_events(&events);
+    let mut problems = c.fold().problems();
+    problems.extend(check_siblings(path, &events));
+    Ok((c, problems))
 }
 
 fn summary(out: &mut impl Write, f: &Fold) -> io::Result<()> {
@@ -70,7 +75,7 @@ fn summary(out: &mut impl Write, f: &Fold) -> io::Result<()> {
             "  serving: {rejects} reject(s), {shutdowns} shutdown(s), {restores} restore(s)"
         )?;
     }
-    let (audits, sum, max) = f.estimator;
+    let (audits, (sum, max)) = (f.count("estimate"), f.estimator);
     if audits > 0 {
         let mean = sum / audits as f64;
         writeln!(
@@ -112,8 +117,8 @@ fn query_of(key: &str) -> Option<&str> {
     key.split("query=\"").nth(1)?.split('"').next()
 }
 
-fn dashboard(out: &mut impl Write, snap: &Snapshot) -> io::Result<()> {
-    let c = |name: &str| snap.counter(name);
+fn dashboard(out: &mut impl Write, reg: &MetricsRegistry) -> io::Result<()> {
+    let c = |name: &str| reg.counter(name).unwrap_or(0);
     let stat = |field: &str| c(&format!("{}{field}", names::STATS_PREFIX));
     writeln!(
         out,
@@ -176,21 +181,19 @@ fn dashboard(out: &mut impl Write, snap: &Snapshot) -> io::Result<()> {
         )?;
     }
     // Per-query satisfaction and SLO state, in query order.
-    let mut sats: Vec<(u64, f64)> = snap
-        .gauges
-        .iter()
+    let mut sats: Vec<(u64, f64)> = reg
+        .gauges()
         .filter(|(k, _)| k.starts_with(names::SATISFACTION) && !k.starts_with(names::SLO_AT_RISK))
-        .filter_map(|(k, v)| Some((query_of(k)?.parse::<u64>().ok()?, *v)))
+        .filter_map(|(k, v)| Some((query_of(k)?.parse::<u64>().ok()?, v)))
         .collect();
     sats.sort_unstable_by_key(|(q, _)| *q);
     if !sats.is_empty() {
         let parts: Vec<String> = sats.iter().map(|(q, v)| format!("q{q}={v:.3}")).collect();
         writeln!(out, "  satisfaction: {}", parts.join("  "))?;
     }
-    let at_risk: Vec<String> = snap
-        .gauges
-        .iter()
-        .filter(|(k, v)| k.starts_with(names::SLO_AT_RISK) && **v == 1.0)
+    let at_risk: Vec<String> = reg
+        .gauges()
+        .filter(|(k, v)| k.starts_with(names::SLO_AT_RISK) && *v == 1.0)
         .filter_map(|(k, _)| Some(format!("q{}", query_of(k)?)))
         .collect();
     let transitions = c(names::SLO_TRANSITIONS);
@@ -201,7 +204,7 @@ fn dashboard(out: &mut impl Write, snap: &Snapshot) -> io::Result<()> {
             at_risk.join(", ")
         )?;
     }
-    let dropped = snap.dropped_non_finite;
+    let dropped = reg.dropped_non_finite();
     if dropped > 0 {
         writeln!(
             out,
@@ -275,13 +278,13 @@ fn report(
     for label in labels {
         let folded = traces.get(label).map(|path| read_trace(path));
         match &folded {
-            Some(Ok(f)) => writeln!(out, "== {label} ({}) ==", f.strategy)?,
+            Some(Ok((c, _))) => writeln!(out, "== {label} ({}) ==", c.fold().strategy)?,
             _ => writeln!(out, "== {label} ==")?,
         }
         match &folded {
-            Some(Ok(f)) => {
-                summary(out, f)?;
-                passed &= verdict(out, "check", "", &f.problems)?;
+            Some(Ok((c, problems))) => {
+                summary(out, c.fold())?;
+                passed &= verdict(out, "check", "", problems)?;
             }
             Some(Err(e)) => passed &= verdict(out, "check", "", std::slice::from_ref(e))?,
             None => {}
@@ -289,17 +292,20 @@ fn report(
         let Some(path) = snapshots.get(label) else {
             continue;
         };
-        let snap = match Snapshot::load(path) {
-            Ok(snap) => snap,
+        let read = std::fs::read_to_string(path).map_err(|e| format!("unreadable: {e}"));
+        let reg = match read
+            .and_then(|text| MetricsRegistry::from_json(&text).map_err(|e| e.to_string()))
+        {
+            Ok(reg) => reg,
             Err(e) => {
                 passed &= verdict(out, "metrics", "", &[e])?;
                 continue;
             }
         };
-        dashboard(out, &snap)?;
+        dashboard(out, &reg)?;
         if with_traces {
             let (problems, events) = match &folded {
-                Some(Ok(f)) => (reconcile(&snap, f), f.events.values().sum()),
+                Some(Ok((c, _))) => (reconcile(&reg, c.fold()), c.fold().events.values().sum()),
                 Some(Err(_)) => (vec!["its trace does not read".into()], 0),
                 None => (vec![format!("no {label}.jsonl trace")], 0),
             };

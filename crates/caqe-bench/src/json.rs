@@ -134,7 +134,7 @@ mod tests {
         w.string("strategy", "CAQE").uint("join_results", 1000);
         let v = parse(&w.finish()).unwrap();
         assert_eq!(v["strategy"], "CAQE");
-        assert_eq!(v["join_results"], 1000u64);
+        assert_eq!(v["join_results"].as_u64(), Some(1000));
         assert_eq!(v["missing"], JsonValue::Null);
     }
 }

@@ -45,11 +45,11 @@ pub fn write_snapshot(dir: &Path, label: &str, collector: &ObsCollector) -> std:
     std::fs::create_dir_all(dir)?;
     std::fs::write(
         dir.join(format!("{label}.metrics.json")),
-        format!("{}\n", collector.snapshot_json()),
+        format!("{}\n", collector.registry().to_json()),
     )?;
     std::fs::write(
         dir.join(format!("{label}.prom")),
-        collector.snapshot_prometheus(),
+        collector.registry().to_prometheus(),
     )
 }
 
@@ -85,7 +85,6 @@ mod tests {
         ]);
         let cfg = obs_config(&w);
         assert_eq!(cfg.queries.len(), 2);
-        assert_eq!(cfg.queries[0].label, "C1");
         // 2 s at the default 100k ticks/s.
         assert_eq!(cfg.queries[0].budget_ticks, Some(200_000));
         assert_eq!(cfg.queries[1].budget_ticks, None);

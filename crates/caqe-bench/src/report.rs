@@ -198,7 +198,7 @@ mod tests {
         assert_eq!(s.lines().count(), 2);
         let v = caqe_trace::json::parse(s.lines().next().unwrap()).unwrap();
         assert_eq!(v["strategy"], "CAQE");
-        assert_eq!(v["join_results"], 1000);
+        assert_eq!(v["join_results"].as_u64(), Some(1000));
     }
 
     #[test]

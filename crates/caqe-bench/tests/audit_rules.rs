@@ -1,13 +1,21 @@
-//! One case per rule of the `report` binary: each check rule and each
-//! reconcile claim gets a minimal typed event list (or snapshot) that
-//! breaks it alone, and must be reported by name. A valid list of every
-//! event kind must pass untouched.
+//! One case per rule of the `report` binary: each check rule of the one
+//! fold and each reconcile claim of `Stats` against the trace gets a
+//! minimal typed event list (or snapshot) that breaks it alone, and must
+//! be reported by name. A valid list of every event kind must pass
+//! untouched.
 
-use caqe_bench::audit::{check_siblings, fold, reconcile, Snapshot};
-use caqe_obs::{key, names};
+use caqe_bench::audit::{check_siblings, reconcile};
+use caqe_obs::{key, Fold, MetricsRegistry, ObsCollector, ObsConfig};
 use caqe_regions::ReconciledEstimate;
 use caqe_trace::{from_jsonl, to_jsonl, write_trace, SpanKind, TraceEvent};
 use std::collections::BTreeMap;
+
+/// The one pass over `events`.
+fn fold(events: &[TraceEvent]) -> Fold {
+    let mut c = ObsCollector::new(ObsConfig::default());
+    c.ingest_events(events);
+    c.fold().clone()
+}
 
 fn meta(queries: usize) -> TraceEvent {
     TraceEvent::Meta {
@@ -190,7 +198,7 @@ fn a_valid_trace_of_every_kind_passes_every_rule() {
         reject("shed", 0),
         shutdown(),
     ];
-    assert_eq!(fold(&events).problems, Vec::<String>::new());
+    assert_eq!(fold(&events).problems(), Vec::<String>::new());
 }
 
 #[test]
@@ -262,7 +270,12 @@ fn each_check_rule_reports_its_own_break() {
         ),
         (
             "a shed region is never scheduled",
-            vec![meta(1), shed(5, 2), decision(5, 2)],
+            vec![
+                meta(1),
+                shed(5, 2),
+                decision(5, 2),
+                span(SpanKind::Region, Some(2)),
+            ],
             "line 3: region 0/2 scheduled at tick 5 after its shed at 5",
         ),
         (
@@ -282,17 +295,41 @@ fn each_check_rule_reports_its_own_break() {
         ),
         (
             "nothing is scheduled after the shutdown",
-            vec![meta(1), shutdown(), decision(1, 0)],
+            vec![
+                meta(1),
+                shutdown(),
+                decision(1, 0),
+                span(SpanKind::Region, Some(0)),
+            ],
             "line 3: decision after the shutdown at line 2",
         ),
         (
             "a restore precedes all activity",
-            vec![meta(1), decision(1, 0), restore()],
-            "line 3: restore after decision/emission activity",
+            vec![
+                meta(1),
+                decision(1, 0),
+                span(SpanKind::Region, Some(0)),
+                restore(),
+            ],
+            "line 4: restore after decision/emission activity",
+        ),
+        (
+            "every decision ends in a region span, a retry or a quarantine",
+            vec![
+                meta(1),
+                decision(1, 0),
+                span(SpanKind::Region, Some(0)),
+                decision(2, 1),
+            ],
+            "decisions = region spans + retries + quarantines: 2 != 1 + 0 + 0",
         ),
     ];
     for (rule, events, problem) in cases {
-        assert_eq!(fold(&events).problems, vec![problem.to_string()], "{rule}");
+        assert_eq!(
+            fold(&events).problems(),
+            vec![problem.to_string()],
+            "{rule}"
+        );
     }
 }
 
@@ -334,141 +371,100 @@ fn siblings_must_be_the_re_export_of_the_trace() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A stream holding one event of each counted kind, with decisions = one
-/// region span + one retry + one quarantine.
+/// A stream with a different count of each kind a `Stats` counter counts
+/// (5 emissions, 3 retries, 1 quarantine, 4 sheds, 2 region spans), and 6
+/// decisions: one per region span, retry and quarantine.
 fn counted_events() -> Vec<TraceEvent> {
-    vec![
-        meta(1),
-        span(SpanKind::PartitionBuild, None),
+    let mut events = vec![meta(1), admit(0, 1)];
+    events.extend((0..6).map(|r| decision(1, r)));
+    events.extend([
         span(SpanKind::Region, Some(0)),
-        decision(1, 0),
-        decision(2, 1),
-        decision(3, 2),
-        emit(4, 0, 1),
-        emit(5, 0, 2),
-        estimate(),
-        fault(),
-        retry(1),
-        quarantine(1),
-        shed(6, 2),
-        admit(7, 1),
-        depart(8, 1),
-        ingest(),
-        reject("shed", 0),
-        shutdown(),
-        restore(),
-    ]
+        span(SpanKind::Region, Some(1)),
+    ]);
+    events.extend([retry(2), retry(3), retry(4), quarantine(4)]);
+    events.extend((6..10).map(|r| shed(2, r)));
+    events.extend([
+        emit(3, 0, 1),
+        emit(3, 1, 1),
+        emit(4, 0, 2),
+        emit(4, 1, 2),
+        emit(5, 0, 3),
+    ]);
+    events
 }
 
-/// The snapshot `counted_events` reconciles with, written out by hand.
-fn counted_snapshot() -> Snapshot {
+/// The `Stats` counters `counted_events` reconciles with, as the collector
+/// writes them, with one counter `set` to a value (added if absent).
+fn counted_snapshot(set: Option<(&str, u64)>) -> MetricsRegistry {
+    let per_query = |q| key("caqe_stats_tuples_emitted", &[("query", q)]);
     let mut counters: BTreeMap<String, u64> = [
-        (names::RUNS, 1),
-        (names::EMISSIONS, 2),
-        (names::DECISIONS, 3),
-        (names::RETRIES, 1),
-        (names::QUARANTINES, 1),
-        (names::SHEDS, 1),
-        (names::ADMITS, 1),
-        (names::DEPARTS, 1),
-        (names::ESTIMATE_AUDITS, 1),
-        (names::FAULTS, 1),
-        (names::INGEST_AUDITS, 1),
-        (names::SERVE_REJECTS, 1),
-        (names::SERVE_SHUTDOWNS, 1),
-        (names::SERVE_SNAPSHOTS, 1),
-        (names::SERVE_RESTORES, 1),
-        ("caqe_stats_tuples_emitted", 2),
-        ("caqe_stats_region_retries", 1),
-        ("caqe_stats_regions_quarantined", 1),
-        ("caqe_stats_regions_shed", 1),
-        ("caqe_stats_regions_processed", 1),
-        ("caqe_stats_sig_builds", 1),
-        ("caqe_stats_presort_cache_hits", 1),
-        ("caqe_stats_presort_cache_misses", 1),
+        ("tuples_emitted", 5),
+        ("region_retries", 3),
+        ("regions_quarantined", 1),
+        ("regions_shed", 4),
+        ("regions_processed", 2),
+        ("sig_builds", 1),
+        ("presort_cache_hits", 1),
+        ("presort_cache_misses", 1),
     ]
     .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
+    .map(|(field, n)| (format!("caqe_stats_{field}"), n))
+    .chain([(per_query("0"), 3), (per_query("1"), 2)])
     .collect();
-    counters.insert(key(names::SPANS, &[("kind", "partition_build")]), 1);
-    counters.insert(key(names::SPANS, &[("kind", "region")]), 1);
-    counters.insert(key(names::EMISSIONS, &[("query", "0")]), 2);
-    Snapshot {
-        counters,
-        ..Snapshot::default()
+    if let Some((counter, value)) = set {
+        counters.insert(counter.to_string(), value);
     }
+    let mut reg = MetricsRegistry::new();
+    for (counter, n) in &counters {
+        reg.inc(counter, *n);
+    }
+    reg
 }
 
 #[test]
 fn each_reconcile_claim_reports_its_own_mismatch() {
     let f = fold(&counted_events());
-    assert_eq!(reconcile(&counted_snapshot(), &f), Vec::<String>::new());
-    let pairs = [
-        names::RUNS,
-        names::EMISSIONS,
-        names::DECISIONS,
-        names::RETRIES,
-        names::QUARANTINES,
-        names::SHEDS,
-        names::ADMITS,
-        names::DEPARTS,
-        names::ESTIMATE_AUDITS,
-        names::FAULTS,
-        names::INGEST_AUDITS,
-        names::SERVE_REJECTS,
-        names::SERVE_SHUTDOWNS,
-        names::SERVE_SNAPSHOTS,
-        names::SERVE_RESTORES,
-        "caqe_stats_tuples_emitted",
-        "caqe_stats_region_retries",
-        "caqe_stats_regions_quarantined",
-        "caqe_stats_regions_shed",
-    ];
+    assert_eq!(f.problems(), Vec::<String>::new());
+    assert_eq!(reconcile(&counted_snapshot(None), &f), Vec::<String>::new());
+    let per_query = key("caqe_stats_tuples_emitted", &[("query", "1")]);
+    let absent_query = key("caqe_stats_tuples_emitted", &[("query", "2")]);
     // (claim, counter changed, its new value)
-    let mut cases: Vec<(String, String, u64)> = pairs
-        .iter()
-        .map(|name| (name.to_string(), name.to_string(), 7))
-        .collect();
-    for kind in ["partition_build", "region"] {
-        let span_key = key(names::SPANS, &[("kind", kind)]);
-        cases.push((span_key.clone(), span_key, 7));
-    }
-    let query_key = key(names::EMISSIONS, &[("query", "0")]);
-    cases.push((query_key.clone(), query_key, 7));
-    cases.extend([
+    let cases = [
+        ("caqe_stats_tuples_emitted", "caqe_stats_tuples_emitted", 7),
+        ("caqe_stats_region_retries", "caqe_stats_region_retries", 7),
         (
-            "decisions = region spans + retries + quarantines".into(),
-            names::DECISIONS.into(),
+            "caqe_stats_regions_quarantined",
+            "caqe_stats_regions_quarantined",
+            7,
+        ),
+        ("caqe_stats_regions_shed", "caqe_stats_regions_shed", 7),
+        (&per_query, &per_query, 7),
+        (&absent_query, &absent_query, 7),
+        (
+            "caqe_stats_regions_processed = region spans",
+            "caqe_stats_regions_processed",
             7,
         ),
         (
-            "caqe_stats_regions_processed = region spans".into(),
-            "caqe_stats_regions_processed".into(),
-            7,
-        ),
-        (
-            "screens reused 1 times, never built".into(),
-            "caqe_stats_sig_builds".into(),
+            "screens reused 1 times, never built",
+            "caqe_stats_sig_builds",
             0,
         ),
         (
-            "screens reused 1 times, never attached".into(),
-            "caqe_stats_presort_cache_misses".into(),
+            "screens reused 1 times, never attached",
+            "caqe_stats_presort_cache_misses",
             0,
         ),
-    ]);
-    assert_eq!(cases.len(), 26);
+    ];
     for (claim, counter, value) in cases {
-        let mut snap = counted_snapshot();
-        snap.counters.insert(counter.clone(), value);
-        let problems = reconcile(&snap, &f);
+        let problems = reconcile(&counted_snapshot(Some((counter, value))), &f);
         let names_claim = |p: &String| {
-            p.strip_prefix(claim.as_str())
+            p.strip_prefix(claim)
                 .is_some_and(|rest| rest.is_empty() || rest.starts_with([':', ' ']))
         };
         assert!(
-            problems.iter().any(names_claim),
-            "{counter} = {value} should break `{claim}`: {problems:?}"
+            problems.len() == 1 && names_claim(&problems[0]),
+            "{counter} = {value} should break `{claim}` alone: {problems:?}"
         );
     }
 }

@@ -60,7 +60,8 @@ fn serve_soak_waits_for_sigterm_only_after_its_epochs() {
     );
 }
 
-/// A trace with one event of each kind the cases below damage.
+/// A trace with one event of each kind the cases below damage, and the
+/// region span its decision ends in.
 fn trace() -> Vec<TraceEvent> {
     vec![
         TraceEvent::Meta {
@@ -89,6 +90,13 @@ fn trace() -> Vec<TraceEvent> {
             tid: 0,
             utility: 1.0,
             satisfaction: 0.5,
+        },
+        TraceEvent::Span {
+            kind: caqe_trace::SpanKind::Region,
+            group: Some(0),
+            region: Some(3),
+            start_tick: 5,
+            end_tick: 90,
         },
     ]
 }
@@ -184,4 +192,109 @@ fn report_exits_quietly_when_its_reader_closes_early() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!stderr.contains("panicked"), "{stderr}");
     assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+/// Runs `report` over `dir` (its `trace` and, if present, `metrics`
+/// subdirectories), then removes `dir`.
+fn report_dir(dir: &std::path::Path) -> (Option<i32>, String) {
+    let mut args = vec![
+        "--trace".to_string(),
+        dir.join("trace").display().to_string(),
+    ];
+    if dir.join("metrics").exists() {
+        args.extend([
+            "--metrics".to_string(),
+            dir.join("metrics").display().to_string(),
+        ]);
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_report"))
+        .args(&args)
+        .output()
+        .expect("report starts");
+    let _ = std::fs::remove_dir_all(dir);
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+    )
+}
+
+#[test]
+fn a_garbled_metrics_snapshot_fails_naming_the_key() {
+    for (from, to, named) in [
+        ("", "", ""),
+        (
+            "\"caqe_stats_regions_shed\":0",
+            "\"caqe_stats_regions_shed\":\"zero\"",
+            "`counters.caqe_stats_regions_shed`",
+        ),
+        ("\"gauges\":{", "\"gauges\":\"gone\",\"was\":{", "`gauges`"),
+    ] {
+        let dir = std::env::temp_dir().join(format!(
+            "caqe_report_metrics_{}_{}",
+            std::process::id(),
+            named.len()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        caqe_trace::write_trace(&dir.join("trace"), "run", &trace()).expect("trace written");
+        let mut c = caqe_obs::ObsCollector::new(caqe_obs::ObsConfig::default());
+        c.ingest_events(&trace());
+        let mut stats = caqe_types::Stats::new();
+        stats.tuples_emitted = 1;
+        stats.regions_processed = 1;
+        stats.ensure_queries(1);
+        stats.per_query[0].tuples_emitted = 1;
+        c.ingest_stats(&stats);
+        let json = c.registry().to_json();
+        assert!(json.contains(from), "{json}");
+        std::fs::create_dir_all(dir.join("metrics")).expect("metrics dir");
+        std::fs::write(
+            dir.join("metrics/run.metrics.json"),
+            json.replacen(from, to, 1),
+        )
+        .expect("snapshot written");
+        let (code, stdout) = report_dir(&dir);
+        if named.is_empty() {
+            assert_eq!(code, Some(0), "{stdout}");
+            assert!(stdout.contains("reconcile: ok"), "{stdout}");
+        } else {
+            assert_eq!(code, Some(1), "{named}: {stdout}");
+            assert!(
+                stdout.contains(&format!("metrics: FAIL {named}")),
+                "{named}: {stdout}"
+            );
+        }
+    }
+}
+
+#[test]
+fn infinite_floats_export_as_the_null_they_read_back_as() {
+    let mut events = trace();
+    if let TraceEvent::Meta {
+        ticks_per_second, ..
+    } = &mut events[0]
+    {
+        *ticks_per_second = f64::INFINITY;
+    }
+    for est_join in [f64::INFINITY, f64::NEG_INFINITY] {
+        events.push(TraceEvent::EstimateAudit {
+            scheduled_tick: 5,
+            completed_tick: 9,
+            group: 0,
+            region: 3,
+            estimate: caqe_regions::ReconciledEstimate {
+                est_join,
+                est_skyline: 1.0,
+                est_ticks: 4,
+                actual_join: 2,
+                actual_skyline: 1,
+                actual_ticks: 4,
+            },
+        });
+    }
+    let dir = std::env::temp_dir().join(format!("caqe_report_inf_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    caqe_trace::write_trace(&dir.join("trace"), "run", &events).expect("trace written");
+    let (code, stdout) = report_dir(&dir);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.contains("check: ok"), "{stdout}");
 }

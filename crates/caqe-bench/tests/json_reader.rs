@@ -1,9 +1,10 @@
 //! The bench JSON reader under size, depth and arbitrary input: linear in
 //! the document, an `Err` (not a stack overflow) on runaway nesting, `Ok`
-//! or `Err` — never a panic — on any text, and `ObjectWriter` output
-//! always reads back.
+//! or `Err` — never a panic — on any text, and `ObjectWriter` output and
+//! metrics snapshots always read back.
 
 use caqe_bench::json::ObjectWriter;
+use caqe_obs::MetricsRegistry;
 use caqe_trace::json::{parse, JsonValue};
 use proptest::prelude::*;
 
@@ -21,7 +22,7 @@ fn wide_objects_parse_in_linear_time() {
         JsonValue::Object(map) => assert_eq!(map.len(), 20_000),
         other => panic!("expected object, got {other:?}"),
     }
-    assert_eq!(v["layer_19999.phase_wall_s"], 9999.5);
+    assert_eq!(v["layer_19999.phase_wall_s"].as_f64(), Some(9999.5));
     assert!(started.elapsed().as_secs() < 5, "parse is not linear");
 }
 
@@ -67,6 +68,31 @@ proptest! {
         mutated[at % chars.len()] = c;
         let _ = parse(&mutated.iter().collect::<String>());
         let _ = parse(&chars[..cut % chars.len()].iter().collect::<String>());
+    }
+
+    #[test]
+    fn metrics_snapshots_read_back_as_their_registry(
+        ops in proptest::collection::vec(
+            (0..3u8, proptest::collection::vec(arb_char(), 0..6), any::<u64>()),
+            0..24,
+        ),
+    ) {
+        // Counters and histogram sums stay below 2^53 (24 values below
+        // 2^48 each), the range `from_json` reads exactly.
+        let mut reg = MetricsRegistry::new();
+        for (kind, name, bits) in &ops {
+            let name: String = name.iter().collect();
+            match kind {
+                0 => reg.inc(&name, bits >> 16),
+                1 => reg.set_gauge(&name, f64::from_bits(*bits)),
+                _ => reg.observe(&name, bits >> 16),
+            }
+        }
+        let json = reg.to_json();
+        let back = MetricsRegistry::from_json(&json)
+            .map_err(|e| TestCaseError::Fail(format!("{e}: {json}")))?;
+        prop_assert_eq!(back.to_json(), json);
+        prop_assert_eq!(back, reg);
     }
 
     #[test]

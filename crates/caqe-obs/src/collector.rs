@@ -1,20 +1,22 @@
-//! Trace-to-metrics collection: the contract-SLO monitor and phase
-//! profiler.
+//! Trace-to-metrics collection: the one fold over a trace's events.
 //!
 //! An [`ObsCollector`] folds [`TraceEvent`]s and end-of-run [`Stats`] into
 //! a [`MetricsRegistry`] after the run, from the events a
-//! [`RecordingSink`](caqe_trace::RecordingSink) kept. Every registry update
-//! is a pure function of the event stream, which is what lets
-//! the `report` binary cross-validate metrics against trace files.
+//! [`RecordingSink`](caqe_trace::RecordingSink) kept. The same pass keeps a
+//! [`Fold`]: the facts the `report` binary's summary prints and the state
+//! of its check rules. So one `match` per event serves the metrics, the
+//! summary and the checks, and the only thing left to reconcile a snapshot
+//! with is what the engine counted itself, its `Stats`.
 //!
-//! The SLO monitor keeps one piece of cross-event state (the per-query
-//! at-risk latch used to count transitions); it is always advanced in
-//! serial event order.
+//! The pass is serial: the check rules and the SLO monitor's per-query
+//! at-risk latch carry state from one event to the next.
 
 use crate::registry::{key, MetricsRegistry};
 use caqe_contract::Contract;
-use caqe_trace::TraceEvent;
+use caqe_trace::{SpanKind, TraceEvent};
 use caqe_types::Stats;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Stable metric names, shared by the collector, `report` and tests so
 /// reconciliation never drifts from emission.
@@ -113,8 +115,6 @@ pub mod names {
 /// What the SLO monitor knows about one query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryObs {
-    /// Display label (contract class, e.g. `"C1"`).
-    pub label: String,
     /// Contract budget in virtual ticks, when the contract class implies
     /// one ([`ObsConfig::contract_budget_ticks`]); `None` disables the
     /// at-risk projection for the query.
@@ -143,7 +143,6 @@ impl ObsConfig {
             queries: contracts
                 .iter()
                 .map(|c| QueryObs {
-                    label: c.label().to_string(),
                     budget_ticks: Self::contract_budget_ticks(c, ticks_per_second),
                     sat_target,
                 })
@@ -189,13 +188,84 @@ impl ObsConfig {
     }
 }
 
-/// Folds trace events and run stats into a [`MetricsRegistry`].
+/// What one trace's events amount to, beside the metrics: the facts the
+/// `report` summary prints, the event counts its reconcile compares with
+/// `Stats`, and the check rules' state and findings.
+#[derive(Debug, Clone, Default)]
+pub struct Fold {
+    /// Strategy named by the first `meta` event.
+    pub strategy: String,
+    /// `ev` tag -> events.
+    pub events: BTreeMap<&'static str, u64>,
+    /// Spans of kind `region`.
+    pub region_spans: u64,
+    /// Query -> (emissions, satisfaction after its last one).
+    pub queries: BTreeMap<u16, (u64, f64)>,
+    /// (duration ticks, kind, group) of the three longest spans, longest
+    /// first; of equal ones, the earliest.
+    pub longest: Vec<(u64, SpanKind, Option<u32>)>,
+    /// The sum and max of the estimate audits' ticks errors.
+    pub estimator: (f64, f64),
+    /// Non-finite floats, each written as `null` by the JSON exporter.
+    pub non_finite: u64,
+    /// Rules broken so far, each as `line N: what`.
+    broken: Vec<String>,
+    /// Events folded, so the next one is on line `lines + 1`.
+    lines: usize,
+    /// Queries the last `meta` event started with; higher ids are admitted.
+    initial: usize,
+    last_emit: u64,
+    /// The line of the shutdown event, once there is one.
+    shutdown: Option<usize>,
+    retried: BTreeSet<(u32, u32)>,
+    admitted: BTreeSet<u16>,
+    /// (group, region) -> the tick it was shed at.
+    shed: BTreeMap<(u32, u32), u64>,
+    /// Query -> the tick it departed at.
+    departed: BTreeMap<u16, u64>,
+}
+
+impl Fold {
+    /// How many events of `ev` kind the trace holds.
+    #[must_use]
+    pub fn count(&self, ev: &str) -> u64 {
+        self.events.get(ev).copied().unwrap_or(0)
+    }
+
+    /// Every broken check rule. Line by line: emission ticks never run
+    /// backwards, each query's `seq` is gapless from 1, a query emits only
+    /// between its admission and departure, admissions take fresh slots
+    /// and departures are of live queries, a quarantine follows a retry, a
+    /// shed region is never scheduled again, a queue-full reject happens
+    /// at the bound, and a server shuts down once, after which nothing
+    /// runs, and restores before anything runs. Over the whole trace, when
+    /// it schedules regions: every decision ends in a region span, a retry
+    /// or a quarantine.
+    #[must_use]
+    pub fn problems(&self) -> Vec<String> {
+        let mut problems = self.broken.clone();
+        let [decisions, retries, quarantines] =
+            ["decision", "retry", "quarantine"].map(|ev| self.count(ev));
+        let spans = self.region_spans;
+        if decisions > 0 && decisions != spans + retries + quarantines {
+            problems.push(format!(
+                "decisions = region spans + retries + quarantines: \
+                 {decisions} != {spans} + {retries} + {quarantines}"
+            ));
+        }
+        problems
+    }
+}
+
+/// Folds trace events and run stats into a [`MetricsRegistry`] and a
+/// [`Fold`].
 #[derive(Debug, Clone, Default)]
 pub struct ObsCollector {
     cfg: ObsConfig,
     reg: MetricsRegistry,
-    /// Per-query at-risk latch (serial SLO state; see module docs).
-    at_risk: Vec<bool>,
+    fold: Fold,
+    /// The queries the SLO monitor holds at risk.
+    at_risk: BTreeSet<u16>,
 }
 
 impl ObsCollector {
@@ -204,8 +274,7 @@ impl ObsCollector {
     pub fn new(cfg: ObsConfig) -> Self {
         ObsCollector {
             cfg,
-            reg: MetricsRegistry::new(),
-            at_risk: Vec::new(),
+            ..Self::default()
         }
     }
 
@@ -221,11 +290,17 @@ impl ObsCollector {
         self.reg
     }
 
-    /// Ingests a recorded event stream serially.
+    /// The events' fold so far.
+    #[must_use]
+    pub fn fold(&self) -> &Fold {
+        &self.fold
+    }
+
+    /// Ingests a recorded event stream serially; a later call continues
+    /// the same stream.
     pub fn ingest_events(&mut self, events: &[TraceEvent]) {
         for ev in events {
-            registry_update(&mut self.reg, ev);
-            self.slo_update(ev);
+            self.step(ev);
         }
     }
 
@@ -243,173 +318,248 @@ impl ObsCollector {
             stats.plan_points_interned as f64,
         );
         for (q, pq) in stats.per_query.iter().enumerate() {
-            let label = q.to_string();
-            self.reg.inc(
-                &key("caqe_stats_tuples_emitted", &[("query", &label)]),
-                pq.tuples_emitted,
-            );
+            let per_query = key("caqe_stats_tuples_emitted", &[("query", &q.to_string())]);
+            self.reg.inc(&per_query, pq.tuples_emitted);
         }
     }
 
-    /// The registry snapshot as deterministic JSON.
-    #[must_use]
-    pub fn snapshot_json(&self) -> String {
-        self.reg.to_json()
-    }
-
-    /// The registry snapshot in Prometheus text format.
-    #[must_use]
-    pub fn snapshot_prometheus(&self) -> String {
-        self.reg.to_prometheus()
-    }
-
-    /// The deadline-at-risk detector (serial state machine).
-    ///
-    /// At an emission for query `q` at tick `t` with running satisfaction
-    /// `v < target`, the monitor projects the tick at which the
-    /// satisfaction trajectory would reach the target if it kept its
-    /// current average slope (`t · target / v`); the query is *at risk*
-    /// when that projection overshoots the contract's tick budget. The
-    /// latch counts rising edges so flapping queries are visible.
-    fn slo_update(&mut self, ev: &TraceEvent) {
-        let TraceEvent::Emission {
-            tick,
-            query,
-            satisfaction,
-            ..
-        } = ev
-        else {
-            return;
-        };
-        let qi = *query as usize;
-        let Some(spec) = self.cfg.queries.get(qi) else {
-            return;
-        };
-        let Some(budget) = spec.budget_ticks else {
-            return;
-        };
-        let risk = if *satisfaction >= spec.sat_target {
-            false
-        } else {
-            let projected = (*tick as f64) * (spec.sat_target / satisfaction.max(1e-9));
-            projected > budget as f64
-        };
-        if qi >= self.at_risk.len() {
-            self.at_risk.resize(qi + 1, false);
+    /// The one pass over one event: its metrics, its part of the fold and
+    /// the check rules it can break.
+    fn step(&mut self, ev: &TraceEvent) {
+        use TraceEvent as E;
+        let (reg, f) = (&mut self.reg, &mut self.fold);
+        f.lines += 1;
+        let (line, tick) = (f.lines, ev.tick());
+        let mut problem = |what: String| f.broken.push(format!("line {line}: {what}"));
+        *f.events.entry(ev.name()).or_insert(0) += 1;
+        if matches!(ev, E::Emission { .. } | E::Decision { .. }) {
+            if let Some(at) = f.shutdown {
+                problem(format!("{} after the shutdown at line {at}", ev.name()));
+            }
         }
-        let label = qi.to_string();
-        self.reg.set_gauge(
-            &key(names::SLO_AT_RISK, &[("query", &label)]),
-            if risk { 1.0 } else { 0.0 },
-        );
-        if risk && !self.at_risk[qi] {
-            self.reg.inc(names::SLO_TRANSITIONS, 1);
-            self.reg
-                .inc(&key(names::SLO_TRANSITIONS, &[("query", &label)]), 1);
+        match ev {
+            E::Meta {
+                strategy,
+                queries,
+                ticks_per_second,
+                ..
+            } => {
+                f.non_finite += nulls(&[*ticks_per_second]);
+                if f.strategy.is_empty() {
+                    f.strategy = strategy.clone();
+                }
+                f.initial = *queries;
+                reg.inc(names::RUNS, 1);
+                reg.set_gauge(names::TICKS_PER_SECOND, *ticks_per_second);
+            }
+            E::Span {
+                kind,
+                group,
+                end_tick,
+                ..
+            } => {
+                let (labels, ticks) = ([("kind", kind.name())], end_tick.saturating_sub(tick));
+                reg.inc(&key(names::SPANS, &labels), 1);
+                reg.observe(&key(names::SPAN_TICKS, &labels), ticks);
+                f.region_spans += u64::from(*kind == SpanKind::Region);
+                f.longest.push((ticks, *kind, *group));
+                f.longest.sort_by_key(|s| Reverse(s.0));
+                f.longest.truncate(3);
+            }
+            E::Decision {
+                group,
+                region,
+                score,
+                csm,
+                prog_est,
+                est_ticks,
+                weights,
+                ..
+            } => {
+                f.non_finite += nulls(&[*score, *csm, *prog_est]) + nulls(weights);
+                reg.inc(names::DECISIONS, 1);
+                reg.observe(names::DECISION_EST_TICKS, *est_ticks);
+                reg.set_gauge(names::PROG_EST, *prog_est);
+                reg.set_gauge(names::CSM, *csm);
+                if let Some(at) = f.shed.get(&(*group, *region)).filter(|&&at| tick >= at) {
+                    problem(format!(
+                        "region {group}/{region} scheduled at tick {tick} after its shed at {at}"
+                    ));
+                }
+            }
+            E::Emission {
+                query: q,
+                seq,
+                utility,
+                satisfaction: sat,
+                ..
+            } => {
+                f.non_finite += nulls(&[*utility, *sat]);
+                let label = q.to_string();
+                let labels = [("query", label.as_str())];
+                reg.inc(names::EMISSIONS, 1);
+                reg.inc(&key(names::EMISSIONS, &labels), 1);
+                reg.observe(&key(names::EMISSION_TICK, &labels), tick);
+                reg.observe(
+                    &key(names::SATISFACTION_MILLI, &labels),
+                    (sat.clamp(0.0, 1.0) * 1000.0).round() as u64,
+                );
+                reg.set_gauge(&key(names::SATISFACTION, &labels), *sat);
+                // The deadline-at-risk detector: below its target, a query
+                // is at risk when the tick at which it would reach the
+                // target at its average slope so far (`tick · target /
+                // sat`) overshoots its contract's budget. The latch counts
+                // rising edges so flapping queries are visible.
+                if let Some(QueryObs {
+                    budget_ticks: Some(budget),
+                    sat_target: target,
+                    ..
+                }) = self.cfg.queries.get(usize::from(*q))
+                {
+                    let risk = if sat >= target {
+                        false
+                    } else {
+                        (tick as f64) * (target / sat.max(1e-9)) > *budget as f64
+                    };
+                    reg.set_gauge(&key(names::SLO_AT_RISK, &labels), f64::from(u8::from(risk)));
+                    if !risk {
+                        self.at_risk.remove(q);
+                    } else if self.at_risk.insert(*q) {
+                        reg.inc(names::SLO_TRANSITIONS, 1);
+                        reg.inc(&key(names::SLO_TRANSITIONS, &labels), 1);
+                    }
+                }
+                if tick < f.last_emit {
+                    problem(format!("emission tick {tick} precedes {}", f.last_emit));
+                }
+                f.last_emit = tick;
+                if usize::from(*q) >= f.initial && !f.admitted.contains(q) {
+                    problem(format!("emission for query {q} before its admission"));
+                }
+                if let Some(gone) = f.departed.get(q).filter(|&&gone| tick > gone) {
+                    problem(format!(
+                        "query {q} emitted at tick {tick} after departing at tick {gone}"
+                    ));
+                }
+                let (n, last_sat) = f.queries.entry(*q).or_insert((0, 0.0));
+                (*n, *last_sat) = (*n + 1, *sat);
+                if *seq != *n {
+                    problem(format!("query {q} emission seq {seq}, expected {n}"));
+                }
+            }
+            E::EstimateAudit { estimate: e, .. } => {
+                let errors = [
+                    e.join_rel_error(),
+                    e.skyline_rel_error(),
+                    e.ticks_rel_error(),
+                ];
+                f.non_finite += nulls(&[e.est_join, e.est_skyline]) + nulls(&errors);
+                reg.inc(names::ESTIMATE_AUDITS, 1);
+                let tick_error = e.est_ticks.abs_diff(e.actual_ticks);
+                reg.observe(names::ESTIMATE_TICK_ERROR, tick_error);
+                let (sum, max) = &mut f.estimator;
+                (*sum, *max) = (*sum + errors[2], max.max(errors[2]));
+            }
+            E::FaultInjected { kind, factor, .. } => {
+                f.non_finite += nulls(&[*factor]);
+                reg.inc(names::FAULTS, 1);
+                reg.inc(&key(names::FAULTS, &[("kind", kind)]), 1);
+            }
+            E::RegionRetry { group, region, .. } => {
+                reg.inc(names::RETRIES, 1);
+                f.retried.insert((*group, *region));
+            }
+            E::RegionQuarantined { group, region, .. } => {
+                reg.inc(names::QUARANTINES, 1);
+                if !f.retried.contains(&(*group, *region)) {
+                    problem(format!(
+                        "region {group}/{region} quarantined, never retried"
+                    ));
+                }
+            }
+            E::RegionShed {
+                group,
+                region,
+                satisfaction,
+                ..
+            } => {
+                f.non_finite += nulls(&[*satisfaction]);
+                reg.inc(names::SHEDS, 1);
+                f.shed.insert((*group, *region), tick);
+            }
+            E::Admit {
+                query: q, contract, ..
+            } => {
+                reg.inc(names::ADMITS, 1);
+                reg.inc(&key(names::ADMITS, &[("contract", contract)]), 1);
+                let fresh = usize::from(*q) >= f.initial && f.admitted.insert(*q);
+                if !fresh {
+                    problem(format!("admission reuses query slot {q}"));
+                }
+            }
+            E::Depart {
+                query: q,
+                regions_retired,
+                ..
+            } => {
+                reg.inc(names::DEPARTS, 1);
+                reg.inc(names::DEPART_REGIONS_RETIRED, u64::from(*regions_retired));
+                if usize::from(*q) >= f.initial && !f.admitted.contains(q) {
+                    problem(format!("departure of never-admitted query {q}"));
+                }
+                if f.departed.insert(*q, tick).is_some() {
+                    problem(format!("query {q} departed twice"));
+                }
+            }
+            E::AdmissionReject {
+                reason,
+                depth,
+                bound,
+                ..
+            } => {
+                reg.inc(names::SERVE_REJECTS, 1);
+                reg.inc(&key(names::SERVE_REJECTS, &[("reason", reason)]), 1);
+                reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*depth));
+                if *reason == "full" && depth < bound {
+                    problem(format!(
+                        "queue-full reject at depth {depth} below bound {bound}"
+                    ));
+                }
+            }
+            E::ServerShutdown { queued, .. } => {
+                reg.inc(names::SERVE_SHUTDOWNS, 1);
+                reg.inc(names::SERVE_SNAPSHOTS, 1);
+                reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*queued));
+                if f.shutdown.replace(line).is_some() {
+                    problem("second shutdown event".into());
+                }
+            }
+            E::ServerRestore { queued, .. } => {
+                reg.inc(names::SERVE_RESTORES, 1);
+                reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*queued));
+                if ["decision", "emit"]
+                    .iter()
+                    .any(|ev| f.events.contains_key(ev))
+                {
+                    problem("restore after decision/emission activity".into());
+                }
+            }
+            E::IngestAudit {
+                quarantined,
+                clamped,
+                ..
+            } => {
+                reg.inc(names::INGEST_AUDITS, 1);
+                reg.inc(names::INGEST_QUARANTINED, *quarantined);
+                reg.inc(names::INGEST_CLAMPED, *clamped);
+            }
         }
-        self.at_risk[qi] = risk;
     }
 }
 
-/// The stateless per-event registry arithmetic (the SLO monitor's
-/// cross-event state is kept apart in `slo_update`).
-fn registry_update(reg: &mut MetricsRegistry, ev: &TraceEvent) {
-    match ev {
-        TraceEvent::Meta {
-            ticks_per_second, ..
-        } => {
-            reg.inc(names::RUNS, 1);
-            reg.set_gauge(names::TICKS_PER_SECOND, *ticks_per_second);
-        }
-        TraceEvent::Span {
-            kind,
-            start_tick,
-            end_tick,
-            ..
-        } => {
-            let labels = [("kind", kind.name())];
-            reg.inc(&key(names::SPANS, &labels), 1);
-            reg.observe(
-                &key(names::SPAN_TICKS, &labels),
-                end_tick.saturating_sub(*start_tick),
-            );
-        }
-        TraceEvent::Decision {
-            prog_est,
-            csm,
-            est_ticks,
-            ..
-        } => {
-            reg.inc(names::DECISIONS, 1);
-            reg.observe(names::DECISION_EST_TICKS, *est_ticks);
-            reg.set_gauge(names::PROG_EST, *prog_est);
-            reg.set_gauge(names::CSM, *csm);
-        }
-        TraceEvent::Emission {
-            tick,
-            query,
-            satisfaction,
-            ..
-        } => {
-            let label = (*query as usize).to_string();
-            let labels = [("query", label.as_str())];
-            reg.inc(names::EMISSIONS, 1);
-            reg.inc(&key(names::EMISSIONS, &labels), 1);
-            reg.observe(&key(names::EMISSION_TICK, &labels), *tick);
-            reg.observe(
-                &key(names::SATISFACTION_MILLI, &labels),
-                (satisfaction.clamp(0.0, 1.0) * 1000.0).round() as u64,
-            );
-            reg.set_gauge(&key(names::SATISFACTION, &labels), *satisfaction);
-        }
-        TraceEvent::EstimateAudit { estimate, .. } => {
-            reg.inc(names::ESTIMATE_AUDITS, 1);
-            reg.observe(
-                names::ESTIMATE_TICK_ERROR,
-                estimate.est_ticks.abs_diff(estimate.actual_ticks),
-            );
-        }
-        TraceEvent::FaultInjected { kind, .. } => {
-            reg.inc(names::FAULTS, 1);
-            reg.inc(&key(names::FAULTS, &[("kind", kind)]), 1);
-        }
-        TraceEvent::RegionRetry { .. } => reg.inc(names::RETRIES, 1),
-        TraceEvent::RegionQuarantined { .. } => reg.inc(names::QUARANTINES, 1),
-        TraceEvent::RegionShed { .. } => reg.inc(names::SHEDS, 1),
-        TraceEvent::Admit { contract, .. } => {
-            reg.inc(names::ADMITS, 1);
-            reg.inc(&key(names::ADMITS, &[("contract", contract)]), 1);
-        }
-        TraceEvent::Depart {
-            regions_retired, ..
-        } => {
-            reg.inc(names::DEPARTS, 1);
-            reg.inc(names::DEPART_REGIONS_RETIRED, u64::from(*regions_retired));
-        }
-        TraceEvent::AdmissionReject { reason, depth, .. } => {
-            reg.inc(names::SERVE_REJECTS, 1);
-            reg.inc(&key(names::SERVE_REJECTS, &[("reason", reason)]), 1);
-            reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*depth));
-        }
-        TraceEvent::ServerShutdown { queued, .. } => {
-            reg.inc(names::SERVE_SHUTDOWNS, 1);
-            reg.inc(names::SERVE_SNAPSHOTS, 1);
-            reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*queued));
-        }
-        TraceEvent::ServerRestore { queued, .. } => {
-            reg.inc(names::SERVE_RESTORES, 1);
-            reg.set_gauge(names::SERVE_QUEUE_DEPTH, f64::from(*queued));
-        }
-        TraceEvent::IngestAudit {
-            quarantined,
-            clamped,
-            ..
-        } => {
-            reg.inc(names::INGEST_AUDITS, 1);
-            reg.inc(names::INGEST_QUARANTINED, *quarantined);
-            reg.inc(names::INGEST_CLAMPED, *clamped);
-        }
-    }
+/// How many of `floats` the JSON exporter writes as `null`.
+fn nulls(floats: &[f64]) -> u64 {
+    floats.iter().filter(|v| !v.is_finite()).count() as u64
 }
 
 #[cfg(test)]

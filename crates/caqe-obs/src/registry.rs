@@ -12,6 +12,7 @@
 //! in the order they were filled reproduces the one-registry update
 //! sequence exactly.
 
+use caqe_trace::json::{parse, JsonValue};
 use caqe_trace::json_str;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -77,6 +78,28 @@ pub struct MetricsRegistry {
     /// surfaced by the `report` binary whenever it is non-zero.
     dropped_non_finite: u64,
 }
+
+/// A metrics snapshot that is not what [`MetricsRegistry::to_json`] writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MetricsReadError {
+    /// The section (`counters`) or the metric in it
+    /// (`counters.caqe_runs_total`) at fault; empty when the text is not a
+    /// JSON object.
+    pub key: String,
+    /// What is wrong with it.
+    pub reason: String,
+}
+
+impl std::fmt::Display for MetricsReadError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.key.as_str() {
+            "" => write!(f, "{}", self.reason),
+            key => write!(f, "`{key}`: {}", self.reason),
+        }
+    }
+}
+
+impl std::error::Error for MetricsReadError {}
 
 /// Builds a metric key `family{k1="v1",k2="v2"}` from label pairs.
 ///
@@ -198,46 +221,103 @@ impl MetricsRegistry {
     /// all maps in key order, floats in shortest-roundtrip form.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{v}", json_str(k));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{}:{}", json_str(k), fmt_f64(*v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{}:{{\"count\":{},\"sum\":{},\"buckets\":[",
-                json_str(k),
-                h.count,
-                h.sum
-            );
-            for (j, (b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-        }
-        let _ = write!(
-            out,
-            "}},\"dropped_non_finite\":{}}}",
-            self.dropped_non_finite
+        let counters = comma_joined(
+            self.counters
+                .iter()
+                .map(|(k, v)| format!("{}:{v}", json_str(k))),
         );
-        out
+        let gauges = self
+            .gauges
+            .iter()
+            .map(|(k, v)| format!("{}:{}", json_str(k), fmt_f64(*v)));
+        let histograms = self.histograms.iter().map(|(k, h)| {
+            let buckets = comma_joined(h.buckets.iter().map(|(b, n)| format!("[{b},{n}]")));
+            let (key, count, sum) = (json_str(k), h.count, h.sum);
+            format!("{key}:{{\"count\":{count},\"sum\":{sum},\"buckets\":[{buckets}]}}")
+        });
+        format!(
+            "{{\"counters\":{{{counters}}},\"gauges\":{{{}}},\"histograms\":{{{}}},\"dropped_non_finite\":{}}}",
+            comma_joined(gauges),
+            comma_joined(histograms),
+            self.dropped_non_finite
+        )
+    }
+
+    /// Reads a snapshot [`to_json`](Self::to_json) wrote; on every
+    /// registry whose integers are below 2^53, where a JSON number is
+    /// exact, `from_json(&r.to_json()) == Ok(r)`. A missing or unknown
+    /// section, a value of the wrong type, a counter that is not such an
+    /// integer, a non-finite gauge, or a histogram whose buckets are not
+    /// distinct `[bucket, count]` pairs that add up to its count is an
+    /// error naming the key.
+    pub fn from_json(text: &str) -> Result<MetricsRegistry, MetricsReadError> {
+        let fault = |key: &str, reason: String| MetricsReadError {
+            key: key.to_string(),
+            reason,
+        };
+        let want = |key: &str, what: &str, v: &JsonValue| {
+            fault(key, format!("expected {what}, found {v:?}"))
+        };
+        let uint = |key: &str, v: &JsonValue| {
+            v.as_u64()
+                .ok_or_else(|| want(key, "an integer in [0, 2^53)", v))
+        };
+        let object = |key: &str, v: JsonValue| match v {
+            JsonValue::Object(map) => Ok(map),
+            v => Err(want(key, "an object", &v)),
+        };
+        let mut doc = object("", parse(text.trim()).map_err(|e| fault("", e))?)?;
+        let mut section = |name: &str| {
+            doc.remove(name)
+                .ok_or_else(|| fault(name, "missing".into()))
+        };
+        let mut reg = MetricsRegistry::new();
+        for (name, v) in object("counters", section("counters")?)? {
+            let n = uint(&format!("counters.{name}"), &v)?;
+            reg.counters.insert(name, n);
+        }
+        for (name, v) in object("gauges", section("gauges")?)? {
+            match v.as_f64().filter(|x| x.is_finite()) {
+                Some(x) => reg.gauges.insert(name, x),
+                None => return Err(want(&format!("gauges.{name}"), "a finite number", &v)),
+            };
+        }
+        for (name, v) in object("histograms", section("histograms")?)? {
+            let at = format!("histograms.{name}");
+            let mut h = object(&at, v)?;
+            let mut field = |f: &str| h.remove(f).unwrap_or(JsonValue::Null);
+            let (count, sum) = (uint(&at, &field("count"))?, uint(&at, &field("sum"))?);
+            let JsonValue::Array(pairs) = field("buckets") else {
+                return Err(fault(&at, "expected a `buckets` array".into()));
+            };
+            let mut buckets = BTreeMap::new();
+            for pair in &pairs {
+                let (b, n) = match pair {
+                    JsonValue::Array(p) if p.len() == 2 => (uint(&at, &p[0])?, uint(&at, &p[1])?),
+                    v => return Err(want(&at, "a [bucket, count] pair", v)),
+                };
+                if b > 64 || buckets.insert(b as u32, n).is_some() {
+                    return Err(fault(&at, format!("bucket {b} repeated or above 64")));
+                }
+            }
+            if !h.is_empty() || buckets.values().sum::<u64>() != count {
+                return Err(fault(
+                    &at,
+                    "not `count`, `sum` and buckets adding up to `count`".into(),
+                ));
+            }
+            let h = Histogram {
+                count,
+                sum,
+                buckets,
+            };
+            reg.histograms.insert(name, h);
+        }
+        reg.dropped_non_finite = uint("dropped_non_finite", &section("dropped_non_finite")?)?;
+        match doc.keys().next() {
+            Some(extra) => Err(fault(extra, "unknown section".into())),
+            None => Ok(reg),
+        }
     }
 
     /// The snapshot in the Prometheus text exposition format.
@@ -301,6 +381,11 @@ impl MetricsRegistry {
         );
         out
     }
+}
+
+/// `items` separated by commas.
+fn comma_joined(items: impl Iterator<Item = String>) -> String {
+    items.collect::<Vec<_>>().join(",")
 }
 
 /// Shortest-roundtrip float rendering; callers guarantee finiteness (gauges
@@ -393,6 +478,36 @@ mod tests {
         assert!(prom.contains("caqe_span_ticks_bucket{kind=\"region\",le=\"7\"} 1"));
         assert!(prom.contains("caqe_span_ticks_bucket{kind=\"region\",le=\"+Inf\"} 2"));
         assert!(prom.contains("caqe_span_ticks_sum{kind=\"region\"} 905"));
+    }
+
+    #[test]
+    fn from_json_names_what_it_refuses() {
+        let mut r = MetricsRegistry::new();
+        r.inc("c", 2);
+        r.set_gauge("g", 0.5);
+        r.observe("h", 5);
+        let json = r.to_json();
+        assert_eq!(MetricsRegistry::from_json(&json), Ok(r));
+        for (from, to, key) in [
+            ("{\"counters\":{\"c\":2},", "{", "counters"),
+            ("\"c\":2", "\"c\":2.5", "counters.c"),
+            ("\"c\":2", "\"c\":9007199254740992", "counters.c"),
+            ("\"g\":0.5", "\"g\":null", "gauges.g"),
+            ("{\"g\":0.5}", "[0.5]", "gauges"),
+            ("[[3,1]]", "[[3,2]]", "histograms.h"),
+            ("[[3,1]]", "[[3,1,0]]", "histograms.h"),
+            ("[[3,1]]", "[[65,1]]", "histograms.h"),
+            ("\"sum\":5,", "", "histograms.h"),
+            (
+                "\"dropped_non_finite\":0",
+                "\"dropped_non_finite\":0,\"x\":1",
+                "x",
+            ),
+        ] {
+            let text = json.replacen(from, to, 1);
+            let got = MetricsRegistry::from_json(&text).map_err(|e| e.key);
+            assert_eq!(got, Err(key.to_string()), "{text}");
+        }
     }
 
     #[test]

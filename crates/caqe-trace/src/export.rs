@@ -45,7 +45,8 @@ pub fn json_str(s: &str) -> String {
 }
 
 /// Ticks-per-second calibration from the most recent `Meta` event, falling
-/// back to 1.0 so tick values degrade to "seconds = ticks".
+/// back to 1.0 so tick values degrade to "seconds = ticks". A non-finite
+/// calibration is passed over, as the `null` it is written as reads back.
 fn tps_at(events: &[TraceEvent], upto: usize) -> f64 {
     events[..upto]
         .iter()
@@ -53,7 +54,7 @@ fn tps_at(events: &[TraceEvent], upto: usize) -> f64 {
         .find_map(|ev| match ev {
             TraceEvent::Meta {
                 ticks_per_second, ..
-            } if *ticks_per_second > 0.0 => Some(*ticks_per_second),
+            } if ticks_per_second.is_finite() && *ticks_per_second > 0.0 => Some(*ticks_per_second),
             _ => None,
         })
         .unwrap_or(1.0)
@@ -157,8 +158,11 @@ impl EstimatorSummary {
     }
 }
 
-/// Folds every `EstimateAudit` event into mean/max relative errors.
+/// Folds every `EstimateAudit` event into mean/max relative errors. A
+/// non-finite error makes its mean non-finite and is left out of its max,
+/// as the NaN that the `null` it is written as reads back to would be.
 pub fn estimator_summary(events: &[TraceEvent]) -> EstimatorSummary {
+    let max = |m: f64, e: f64| if e.is_finite() { m.max(e) } else { m };
     let mut s = EstimatorSummary::default();
     for ev in events {
         if let TraceEvent::EstimateAudit { estimate, .. } = ev {
@@ -171,9 +175,9 @@ pub fn estimator_summary(events: &[TraceEvent]) -> EstimatorSummary {
             s.mean_join_err += j;
             s.mean_skyline_err += k;
             s.mean_ticks_err += t;
-            s.max_join_err = s.max_join_err.max(j);
-            s.max_skyline_err = s.max_skyline_err.max(k);
-            s.max_ticks_err = s.max_ticks_err.max(t);
+            s.max_join_err = max(s.max_join_err, j);
+            s.max_skyline_err = max(s.max_skyline_err, k);
+            s.max_ticks_err = max(s.max_ticks_err, t);
         }
     }
     if s.audits > 0 {

@@ -57,6 +57,14 @@ impl JsonValue {
             _ => None,
         }
     }
+
+    /// The value as an integer in [0, 2^53), the range where a JSON
+    /// number is exact, if it is one.
+    pub fn as_u64(&self) -> Option<u64> {
+        const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
+        let n = self.as_f64()?;
+        (n.fract() == 0.0 && (0.0..MAX_EXACT).contains(&n)).then_some(n as u64)
+    }
 }
 
 impl std::ops::Index<&str> for JsonValue {
@@ -69,24 +77,6 @@ impl std::ops::Index<&str> for JsonValue {
 impl PartialEq<&str> for JsonValue {
     fn eq(&self, other: &&str) -> bool {
         self.as_str() == Some(*other)
-    }
-}
-
-impl PartialEq<f64> for JsonValue {
-    fn eq(&self, other: &f64) -> bool {
-        self.as_f64() == Some(*other)
-    }
-}
-
-impl PartialEq<i32> for JsonValue {
-    fn eq(&self, other: &i32) -> bool {
-        self.as_f64() == Some(*other as f64)
-    }
-}
-
-impl PartialEq<u64> for JsonValue {
-    fn eq(&self, other: &u64) -> bool {
-        self.as_f64() == Some(*other as f64)
     }
 }
 
@@ -316,8 +306,8 @@ mod tests {
         match &v["a"] {
             JsonValue::Array(items) => {
                 assert_eq!(items.len(), 5);
-                assert_eq!(items[0], 1);
-                assert_eq!(items[1], 2.5);
+                assert_eq!(items[0].as_u64(), Some(1));
+                assert_eq!(items[1].as_f64(), Some(2.5));
                 assert_eq!(items[2], "x");
                 assert_eq!(items[3], JsonValue::Null);
                 assert_eq!(items[4], JsonValue::Bool(true));

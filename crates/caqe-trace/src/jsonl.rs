@@ -195,9 +195,6 @@ impl std::fmt::Display for TraceReadError {
 
 impl std::error::Error for TraceReadError {}
 
-/// 2^53: integers from here on are not all exact in a JSON number.
-const MAX_EXACT: f64 = 9_007_199_254_740_992.0;
-
 /// Parses a JSONL trace into its events; the error names the first line
 /// that does not read, and the field at fault.
 pub fn from_jsonl(text: &str) -> Result<Vec<TraceEvent>, TraceReadError> {
@@ -235,11 +232,8 @@ impl Fields {
     }
 
     fn int<T: TryFrom<u64>>(&mut self, f: &str) -> Result<T, TraceReadError> {
-        let n = self.get(f, "an integer", JsonValue::as_f64)?;
-        if n.fract() != 0.0 || !(0.0..MAX_EXACT).contains(&n) {
-            return Err(fault(f, format!("{n} is not an integer in [0, 2^53)")));
-        }
-        T::try_from(n as u64).map_err(|_| fault(f, format!("{n} is out of range")))
+        let n = self.get(f, "an integer in [0, 2^53)", JsonValue::as_u64)?;
+        T::try_from(n).map_err(|_| fault(f, format!("{n} is out of range")))
     }
 
     fn opt_int<T: TryFrom<u64>>(&mut self, f: &str) -> Result<Option<T>, TraceReadError> {

@@ -1,8 +1,8 @@
 //! Acceptance suite for the observability layer (DESIGN.md §16): under a
 //! chaos plan that sheds, retries and quarantines, the collector's
 //! lifecycle counters — folded after the run from the recorded trace, the
-//! one ingestion path — exactly equal both the trace-event counts and the
-//! engine's own `Stats` counters.
+//! one ingestion path — exactly equal the engine's own `Stats` counters,
+//! which the engine keeps apart from the trace.
 
 use caqe::contract::Contract;
 use caqe::core::{
@@ -12,7 +12,7 @@ use caqe::data::{Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe::faults::{silence_injected_panics, FaultPlan};
 use caqe::obs::{names, ObsCollector, ObsConfig};
 use caqe::operators::MappingSet;
-use caqe::trace::{RecordingSink, TraceEvent};
+use caqe::trace::RecordingSink;
 use caqe::types::{DimMask, SimClock};
 
 fn tables(n: usize) -> (Table, Table) {
@@ -82,57 +82,30 @@ fn observed_run(
     t: &Table,
     w: &Workload,
     exec: &ExecConfig,
-) -> (RunOutcome, RecordingSink, ObsCollector) {
+) -> (RunOutcome, ObsCollector) {
     let mut recording = RecordingSink::new();
     let out = RunRequest::new("CAQE", r, t, w, exec, &EngineConfig::caqe())
         .try_run(&mut recording)
         .expect("chaos run under quarantine never rejects");
     let mut collector = ObsCollector::new(obs_config(w));
     collector.ingest_events(recording.events());
-    (out, recording, collector)
+    (out, collector)
 }
 
-fn event_count(events: &[TraceEvent], pred: impl Fn(&TraceEvent) -> bool) -> u64 {
-    events.iter().filter(|e| pred(e)).count() as u64
-}
-
-/// Shed/retry/quarantine/emission counters equal the trace-event counts
-/// *and* the engine's `Stats`.
+/// Shed/retry/quarantine/emission counters folded from the trace equal
+/// the engine's `Stats`.
 #[test]
 fn lifecycle_counters_match_trace_and_stats() {
     silence_injected_panics();
     let w = workload();
     let (r, t) = tables(800);
-    let (out, recording, collector) = observed_run(&r, &t, &w, &chaos_exec(800));
-    let events = recording.events();
+    let (out, collector) = observed_run(&r, &t, &w, &chaos_exec(800));
     let reg = collector.registry();
     let counter = |name: &str| reg.counter(name).unwrap_or(0);
-
-    let sheds = event_count(events, |e| matches!(e, TraceEvent::RegionShed { .. }));
-    let retries = event_count(events, |e| matches!(e, TraceEvent::RegionRetry { .. }));
-    let quarantines = event_count(events, |e| {
-        matches!(e, TraceEvent::RegionQuarantined { .. })
-    });
-    let emissions = event_count(events, |e| matches!(e, TraceEvent::Emission { .. }));
-    let faults = event_count(events, |e| matches!(e, TraceEvent::FaultInjected { .. }));
     assert!(
-        sheds > 0 && retries > 0,
+        counter(names::SHEDS) > 0 && counter(names::RETRIES) > 0,
         "scenario too tame to exercise the lifecycle counters"
     );
-
-    assert_eq!(counter(names::SHEDS), sheds, "shed counter vs trace");
-    assert_eq!(counter(names::RETRIES), retries, "retry counter vs trace");
-    assert_eq!(
-        counter(names::QUARANTINES),
-        quarantines,
-        "quarantine counter vs trace"
-    );
-    assert_eq!(
-        counter(names::EMISSIONS),
-        emissions,
-        "emission counter vs trace"
-    );
-    assert_eq!(counter(names::FAULTS), faults, "fault counter vs trace");
 
     assert_eq!(
         counter(names::SHEDS),
