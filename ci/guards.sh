@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Source guards: retired names stay gone, the engine stays split along the
-# paper's seams, the engine crates start no thread, the inert parallelism
-# knob keeps its one setter and the inert DVA knob is read nowhere.
+# paper's seams, the engine crates start no thread, the benchmark-pinned
+# `SJfslStrategy` has one definition, the inert parallelism knob keeps its
+# one setter and the inert DVA knob is read nowhere.
 #
 # Usage: ci/guards.sh   (any directory inside the repository; exits 1
 # after printing every violation)
@@ -46,6 +47,12 @@ retired=(
   # snapshot reader, which `caqe_obs::Fold` and `MetricsRegistry::from_json`
   # replaced
   'registry_update' 'audit::fold' 'EVENT_COUNTERS' 'Snapshot::load'
+  # the per-system strategy types, which the one `EngineStrategy` replaced,
+  # and the second infallible traced entry point
+  'CaqeStrategy' 'ProgXeStrategy' 'struct Variant' '\brun_traced'
+  # a second way to build a workload, and the `Vec<Vec<f64>>` and
+  # `OutTuple` adapters over the store forms
+  'WorkloadBuilder' 'skyline_bnl\(' 'skyline_sfs\(' 'hash_join_project\('
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')
@@ -75,6 +82,14 @@ if git grep --untracked -nE 'thread::(scope|spawn)' -- crates/caqe-core \
   crates/caqe-cuboid crates/caqe-parallel crates/caqe-regions \
   crates/caqe-operators crates/caqe-trace; then
   violation "an engine crate starts a thread"
+fi
+
+# S-JFSL is `EngineStrategy::S_JFSL`; `benchmark/src` compiles against the
+# name `SJfslStrategy`, which stays as exactly one `pub const` of it.
+defs=$(git grep --untracked -nE '\b(struct|const|static|fn|type|enum) SJfslStrategy\b' -- "${scope[@]}")
+if [ "$(printf '%s\n' "$defs" | grep -c .)" -ne 1 ]; then
+  printf '%s\n' "$defs"
+  violation "expected exactly one definition of SJfslStrategy"
 fi
 
 # `ExecConfig::assume_dva` is inert: only its field, its doc and its default

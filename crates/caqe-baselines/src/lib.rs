@@ -11,14 +11,13 @@
 //!   join output is sorted by a monotone score and filtered SFS-style, so
 //!   survivors stream out progressively — but one query at a time and with
 //!   no shared charge.
-//! * [`progxe::ProgXeStrategy`] — **ProgXe+** [27]: per-query progressive
-//!   output-space-partitioned execution, count-driven rather than
-//!   contract-driven. Realized as the shared engine in
-//!   `EngineConfig::progxe_core()` run over single-query workloads in
-//!   priority order on one continuous clock.
-//! * [`sjfsl::SJfslStrategy`] — **S-JFSL**: the paper's sharing-based
-//!   strawman — pipelines all join tuples over the min-max-cuboid plan in
-//!   blind FIFO order, with no look-ahead pruning and no feedback.
+//! * **ProgXe+** [27] and **S-JFSL**, the paper's sharing-based strawman,
+//!   are the shared engine under a config: the values
+//!   `EngineStrategy::PROGXE` (count-driven, one query at a time in
+//!   priority order on one continuous clock) and `EngineStrategy::S_JFSL`
+//!   (every join tuple pipelined over the min-max-cuboid plan in blind FIFO
+//!   order, with no look-ahead pruning and no feedback) of
+//!   [`caqe_core::EngineStrategy`].
 //!
 //! JFSL and SSMJ execute each join once per join group and replay its
 //! charge to every query of the group, so their virtual time is that of
@@ -29,25 +28,27 @@
 
 pub mod jfsl;
 mod per_query;
-pub mod progxe;
-pub mod sjfsl;
 pub mod ssmj;
 
 pub use jfsl::JfslStrategy;
-pub use progxe::ProgXeStrategy;
-pub use sjfsl::SJfslStrategy;
 pub use ssmj::SsmjStrategy;
 
-use caqe_core::ExecutionStrategy;
+use caqe_core::{EngineStrategy, ExecutionStrategy};
+
+/// [`EngineStrategy::S_JFSL`] under the name `benchmark/src` compiles
+/// against. Nothing else should use it; it stays until the benchmark is
+/// re-pointed.
+#[allow(non_upper_case_globals)]
+pub const SJfslStrategy: EngineStrategy = EngineStrategy::S_JFSL;
 
 /// All five compared systems, in the paper's presentation order:
 /// CAQE, S-JFSL, JFSL, ProgXe+, SSMJ.
 pub fn all_strategies() -> Vec<Box<dyn ExecutionStrategy>> {
     vec![
-        Box::new(caqe_core::CaqeStrategy),
-        Box::new(SJfslStrategy),
+        Box::new(EngineStrategy::CAQE),
+        Box::new(EngineStrategy::S_JFSL),
         Box::new(JfslStrategy),
-        Box::new(ProgXeStrategy),
+        Box::new(EngineStrategy::PROGXE),
         Box::new(SsmjStrategy),
     ]
 }

@@ -3,9 +3,9 @@
 //! reports must hold (sharing produces fewer join results; blocking
 //! execution emits late; CAQE's look-ahead saves comparisons).
 
-use caqe_baselines::{all_strategies, JfslStrategy, SJfslStrategy, SsmjStrategy};
+use caqe_baselines::{all_strategies, JfslStrategy, SsmjStrategy};
 use caqe_contract::Contract;
-use caqe_core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
+use caqe_core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::MappingSet;
 use caqe_types::DimMask;
@@ -91,8 +91,8 @@ fn shared_strategies_produce_fewer_join_results() {
     let (r, t) = tables(300, Distribution::Independent, 23);
     let w = workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(300, 6);
-    let caqe = CaqeStrategy.run(&r, &t, &w, &exec);
-    let sjfsl = SJfslStrategy.run(&r, &t, &w, &exec);
+    let caqe = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
+    let sjfsl = EngineStrategy::S_JFSL.run(&r, &t, &w, &exec);
     let jfsl = JfslStrategy.run(&r, &t, &w, &exec);
     let ssmj = SsmjStrategy.run(&r, &t, &w, &exec);
     assert!(
@@ -114,8 +114,8 @@ fn caqe_discards_join_work_on_correlated_data() {
     let (r, t) = tables(400, Distribution::Correlated, 24);
     let w = workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(400, 8);
-    let caqe = CaqeStrategy.run(&r, &t, &w, &exec);
-    let sjfsl = SJfslStrategy.run(&r, &t, &w, &exec);
+    let caqe = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
+    let sjfsl = EngineStrategy::S_JFSL.run(&r, &t, &w, &exec);
     assert!(
         caqe.stats.join_results < sjfsl.stats.join_results,
         "look-ahead discarded nothing: CAQE {} vs S-JFSL {}",
@@ -134,7 +134,7 @@ fn jfsl_blocks_progressive_systems_do_not() {
     let (r, t) = tables(1500, Distribution::Independent, 25);
     let w = workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(1500, 10);
-    let caqe = CaqeStrategy.run(&r, &t, &w, &exec);
+    let caqe = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     let jfsl = JfslStrategy.run(&r, &t, &w, &exec);
     let caqe_first = caqe
         .per_query
@@ -163,7 +163,7 @@ fn caqe_beats_blocking_baselines_on_deadline_contracts() {
     let probe = JfslStrategy.run(&r, &t, &workload(Contract::LogDecay), &exec);
     let deadline = probe.virtual_seconds * 0.5;
     let w = workload(Contract::Deadline { t_hard: deadline });
-    let caqe = CaqeStrategy.run(&r, &t, &w, &exec);
+    let caqe = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     let jfsl = JfslStrategy.run(&r, &t, &w, &exec);
     assert!(
         caqe.avg_satisfaction() > jfsl.avg_satisfaction(),

@@ -73,7 +73,9 @@ fn bench_fig11(c: &mut Criterion) {
         let w = cfg.workload();
         let exec = cfg.exec();
         group.bench_with_input(BenchmarkId::new("caqe", size), &(), |b, _| {
-            b.iter(|| black_box(caqe_core::CaqeStrategy.run(&r, &t, &w, &exec)).total_results())
+            b.iter(|| {
+                black_box(caqe_core::EngineStrategy::CAQE.run(&r, &t, &w, &exec)).total_results()
+            })
         });
     }
     group.finish();

@@ -3,39 +3,41 @@
 
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
-    hash_join_project, nested_loop_join_project, skyline_bnl, skyline_sfs, JoinSpec, MappingSet,
+    hash_join_project_store, nested_loop_join_project, skyline_bnl_store, skyline_sfs_store,
+    JoinSpec, MappingSet,
 };
 use caqe_partition::{Partitioning, QuadTreeConfig};
-use caqe_types::{DimMask, SimClock, Stats};
+use caqe_types::{DimMask, DomKernel, PointStore, SimClock, Stats};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-fn points(n: usize, d: usize, dist: Distribution) -> Vec<Vec<f64>> {
-    TableGenerator::new(n, d, dist)
-        .generate("B")
-        .records()
-        .iter()
-        .map(|r| r.vals.clone())
-        .collect()
+fn points(n: usize, d: usize, dist: Distribution) -> PointStore {
+    let mut store = PointStore::with_capacity(d, n);
+    for r in TableGenerator::new(n, d, dist).generate("B").records() {
+        store.push(&r.vals);
+    }
+    store
 }
 
 fn bench_skylines(c: &mut Criterion) {
     let mut group = c.benchmark_group("skyline");
     for dist in Distribution::ALL {
         let pts = points(2000, 4, dist);
-        let mask = DimMask::full(4);
+        let kernel = DomKernel::new(DimMask::full(4), 4);
         group.bench_with_input(BenchmarkId::new("bnl", dist.label()), &pts, |b, pts| {
             b.iter(|| {
                 let mut clock = SimClock::default();
                 let mut stats = Stats::new();
-                black_box(skyline_bnl(pts, mask, &mut clock, &mut stats))
+                black_box(skyline_bnl_store(
+                    pts, &kernel, None, &mut clock, &mut stats,
+                ))
             })
         });
         group.bench_with_input(BenchmarkId::new("sfs", dist.label()), &pts, |b, pts| {
             b.iter(|| {
                 let mut clock = SimClock::default();
                 let mut stats = Stats::new();
-                black_box(skyline_sfs(pts, mask, &mut clock, &mut stats))
+                black_box(skyline_sfs_store(pts, &kernel, &mut clock, &mut stats))
             })
         });
     }
@@ -52,7 +54,7 @@ fn bench_joins(c: &mut Criterion) {
         b.iter(|| {
             let mut clock = SimClock::default();
             let mut stats = Stats::new();
-            black_box(hash_join_project(
+            black_box(hash_join_project_store(
                 r.records(),
                 t.records(),
                 JoinSpec::on_column(0),

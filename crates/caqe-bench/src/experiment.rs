@@ -270,7 +270,9 @@ pub fn run_comparison(
         .map(|s| {
             let outcome = if trace_dir.is_some() || metrics_dir.is_some() {
                 let mut sink = RecordingSink::new();
-                let outcome = s.run_traced(&r, &t, &workload, &exec, &mut sink);
+                let outcome = s
+                    .try_run_traced(&r, &t, &workload, &exec, &mut sink)
+                    .unwrap_or_else(|e| panic!("strategy {} failed: {e}", s.name()));
                 let label = trace_label(s.name(), cfg);
                 if let Some(dir) = trace_dir {
                     write_trace(dir, &label, sink.events()).expect("trace export failed");

@@ -10,13 +10,9 @@
 use crate::experiment::{run_comparison, ComparisonRow, ExperimentConfig};
 use caqe_baselines::all_strategies;
 use caqe_contract::{Contract, EmissionCtx};
-use caqe_core::{
-    EngineConfig, ExecConfig, ExecutionStrategy, RunOutcome, RunRequest, SchedulingPolicy, Workload,
-};
-use caqe_data::{Distribution, Table, ValidationPolicy};
+use caqe_core::{EngineConfig, EngineStrategy, ExecutionStrategy, SchedulingPolicy};
+use caqe_data::{Distribution, ValidationPolicy};
 use caqe_faults::FaultPlan;
-use caqe_trace::{NoopSink, RecordingSink};
-use caqe_types::EngineError;
 use std::path::PathBuf;
 
 /// What every section shares: where its runs export and the chaos plan
@@ -239,51 +235,23 @@ fn sweep(opts: &PaperOptions) -> Section {
     section(markdown, n_axis.into_iter().chain(sigma_axis).collect())
 }
 
-/// Full CAQE with one mechanism switched off, run like any other system.
-struct Variant {
-    name: &'static str,
-    engine: EngineConfig,
-}
-
-impl ExecutionStrategy for Variant {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn try_run(
-        &self,
-        r: &Table,
-        t: &Table,
-        workload: &Workload,
-        exec: &ExecConfig,
-    ) -> Result<RunOutcome, EngineError> {
-        RunRequest::new(self.name, r, t, workload, exec, &self.engine).try_run(&mut NoopSink)
-    }
-
-    fn try_run_traced(
-        &self,
-        r: &Table,
-        t: &Table,
-        workload: &Workload,
-        exec: &ExecConfig,
-        sink: &mut RecordingSink,
-    ) -> Result<RunOutcome, EngineError> {
-        RunRequest::new(self.name, r, t, workload, exec, &self.engine).try_run(sink)
-    }
-}
-
 /// Full CAQE, then one variant per mechanism: the coarse look-ahead
-/// (§5.2), the §6 discard, the row-level look-ahead, the Eq. 11 feedback, the CSM ranking (replaced
-/// by ProgXe+'s count-per-cost, or by region-id order) and progressive
-/// emission.
+/// (§5.2), the §6 discard, the row-level look-ahead, the Eq. 11 feedback,
+/// the CSM ranking (replaced by ProgXe+'s count-per-cost, or by region-id
+/// order), progressive emission, and sharing itself (`sequential`: full
+/// CAQE run one query at a time in priority order on one clock).
 fn variants() -> Vec<Box<dyn ExecutionStrategy>> {
     let variant = |name, off: fn(&mut EngineConfig)| {
         let mut engine = EngineConfig::caqe();
         off(&mut engine);
-        Box::new(Variant { name, engine }) as Box<dyn ExecutionStrategy>
+        Box::new(EngineStrategy {
+            name,
+            engine,
+            one_at_a_time: false,
+        }) as Box<dyn ExecutionStrategy>
     };
     vec![
-        variant("CAQE", |_| {}),
+        Box::new(EngineStrategy::CAQE),
         variant("no-lookahead", |e| e.coarse_pruning = false),
         variant("no-discard", |e| e.dominance_discard = false),
         variant("no-row-lookahead", |e| e.row_lookahead = false),
@@ -295,6 +263,11 @@ fn variants() -> Vec<Box<dyn ExecutionStrategy>> {
             (e.policy, e.feedback) = (SchedulingPolicy::Fifo, false)
         }),
         variant("blocking", |e| e.progressive_emission = false),
+        Box::new(EngineStrategy {
+            name: "sequential",
+            one_at_a_time: true,
+            ..EngineStrategy::CAQE
+        }),
     ]
 }
 

@@ -46,7 +46,7 @@ pub struct EngineConfig {
 
 impl EngineConfig {
     /// Full CAQE.
-    pub fn caqe() -> Self {
+    pub const fn caqe() -> Self {
         EngineConfig {
             policy: SchedulingPolicy::ContractDriven,
             coarse_pruning: true,
@@ -59,7 +59,7 @@ impl EngineConfig {
 
     /// The S-JFSL baseline: shared min-max-cuboid plan, blind FIFO
     /// pipelining, no look-ahead pruning, no feedback, blocking output.
-    pub fn s_jfsl() -> Self {
+    pub const fn s_jfsl() -> Self {
         EngineConfig {
             policy: SchedulingPolicy::Fifo,
             coarse_pruning: false,
@@ -72,7 +72,7 @@ impl EngineConfig {
 
     /// The region engine underlying ProgXe+ [27]: progressive and
     /// output-space driven, but count-based and contract-blind.
-    pub fn progxe_core() -> Self {
+    pub const fn progxe_core() -> Self {
         EngineConfig {
             policy: SchedulingPolicy::CountDriven,
             coarse_pruning: true,

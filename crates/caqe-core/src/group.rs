@@ -414,7 +414,7 @@ pub(crate) fn assemble_group(
 mod tests {
     use super::*;
     use crate::plan::PreparedPlan;
-    use crate::workload::{QuerySpec, WorkloadBuilder};
+    use crate::workload::QuerySpec;
     use caqe_contract::Contract;
     use caqe_data::{Distribution, Table, TableGenerator};
     use caqe_partition::QuadTreeConfig;
@@ -433,11 +433,11 @@ mod tests {
     /// Three queries over two join conditions, with the tables and config
     /// they are built against.
     fn two_group_fixture() -> (Workload, Table, Table, ExecConfig) {
-        let w = WorkloadBuilder::new()
-            .query(spec(0, DimMask::from_dims([0, 1])))
-            .query(spec(1, DimMask::from_dims([1, 2])))
-            .query(spec(0, DimMask::from_dims([2, 3])))
-            .build();
+        let w = Workload::new(vec![
+            spec(0, DimMask::from_dims([0, 1])),
+            spec(1, DimMask::from_dims([1, 2])),
+            spec(0, DimMask::from_dims([2, 3])),
+        ]);
         let gen =
             TableGenerator::new(200, 2, Distribution::Independent).with_selectivities(&[0.1, 0.1]);
         let exec = ExecConfig {

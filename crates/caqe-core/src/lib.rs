@@ -18,8 +18,8 @@
 //! The same engine, reconfigured through [`config::EngineConfig`], also
 //! realizes the shared-plan baseline **S-JFSL** (FIFO order, no look-ahead
 //! pruning, no feedback) and the per-query progressive baseline **ProgXe+**
-//! (count-driven scheduling, single-query workloads) — see
-//! `caqe-baselines`.
+//! (count-driven scheduling, one query at a time): all three are values of
+//! [`EngineStrategy`].
 
 // Library code must degrade, not abort (DESIGN.md §13).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -41,5 +41,5 @@ pub use ingest::{prepare_inputs, PreparedInputs};
 pub use outcome::{QueryOutcome, RunOutcome};
 pub use plan::{config_fingerprint, table_fingerprint, PlanError, PreparedPlan, PLAN_VERSION};
 pub use session::{EventStream, SessionEvent};
-pub use strategy::{CaqeStrategy, ExecutionStrategy};
-pub use workload::{QuerySpec, Workload, WorkloadBuilder};
+pub use strategy::{EngineStrategy, ExecutionStrategy};
+pub use workload::{QuerySpec, Workload};

@@ -501,7 +501,7 @@ fn read_key<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{QuerySpec, WorkloadBuilder};
+    use crate::workload::QuerySpec;
     use caqe_contract::Contract;
     use caqe_data::{Distribution, TableGenerator};
 
@@ -510,29 +510,29 @@ mod tests {
             TableGenerator::new(300, 2, Distribution::Independent).with_selectivities(&[0.1, 0.1]);
         let r = gen.generate("R");
         let t = gen.generate("T");
-        let w = WorkloadBuilder::new()
-            .query(QuerySpec {
+        let w = Workload::new(vec![
+            QuerySpec {
                 join_col: 0,
                 mapping: MappingSet::concat(2, 2),
                 pref: DimMask::from_dims([0, 1]),
                 priority: 0.5,
                 contract: Contract::LogDecay,
-            })
-            .query(QuerySpec {
+            },
+            QuerySpec {
                 join_col: 1,
                 mapping: MappingSet::concat(2, 2),
                 pref: DimMask::from_dims([1, 2]),
                 priority: 0.5,
                 contract: Contract::LogDecay,
-            })
-            .query(QuerySpec {
+            },
+            QuerySpec {
                 join_col: 0,
                 mapping: MappingSet::concat(2, 2),
                 pref: DimMask::from_dims([2, 3]),
                 priority: 0.5,
                 contract: Contract::LogDecay,
-            })
-            .build();
+            },
+        ]);
         let exec = ExecConfig::default().with_target_cells(300, 4);
         (r, t, w, exec)
     }

@@ -95,33 +95,6 @@ impl Workload {
     }
 }
 
-/// Fluent construction of common workloads.
-#[derive(Debug, Default)]
-pub struct WorkloadBuilder {
-    queries: Vec<QuerySpec>,
-}
-
-impl WorkloadBuilder {
-    /// An empty builder.
-    pub fn new() -> Self {
-        WorkloadBuilder::default()
-    }
-
-    /// Adds one query.
-    pub fn query(mut self, spec: QuerySpec) -> Self {
-        self.queries.push(spec);
-        self
-    }
-
-    /// Finalizes the workload.
-    ///
-    /// # Panics
-    /// Panics if no queries were added or any is invalid.
-    pub fn build(self) -> Workload {
-        Workload::new(self.queries)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,22 +110,22 @@ mod tests {
     }
 
     #[test]
-    fn builder_and_accessors() {
-        let w = WorkloadBuilder::new()
-            .query(spec(DimMask::from_dims([0, 1]), 0.9))
-            .query(spec(DimMask::from_dims([2, 3]), 0.3))
-            .build();
+    fn accessors() {
+        let w = Workload::new(vec![
+            spec(DimMask::from_dims([0, 1]), 0.9),
+            spec(DimMask::from_dims([2, 3]), 0.3),
+        ]);
         assert_eq!(w.len(), 2);
         assert_eq!(w.query(QueryId(1)).priority, 0.3);
     }
 
     #[test]
     fn priority_ordering() {
-        let w = WorkloadBuilder::new()
-            .query(spec(DimMask::from_dims([0, 1]), 0.2))
-            .query(spec(DimMask::from_dims([1, 2]), 0.8))
-            .query(spec(DimMask::from_dims([2, 3]), 0.5))
-            .build();
+        let w = Workload::new(vec![
+            spec(DimMask::from_dims([0, 1]), 0.2),
+            spec(DimMask::from_dims([1, 2]), 0.8),
+            spec(DimMask::from_dims([2, 3]), 0.5),
+        ]);
         assert_eq!(w.by_priority(), vec![QueryId(1), QueryId(2), QueryId(0)]);
     }
 

@@ -4,10 +4,10 @@
 
 use caqe_contract::Contract;
 use caqe_core::{
-    CaqeStrategy, EngineConfig, ExecConfig, ExecutionStrategy, QuerySpec, RunRequest, Workload,
+    EngineConfig, EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunRequest, Workload,
 };
 use caqe_data::{Distribution, TableGenerator};
-use caqe_operators::{hash_join_project, skyline_reference, JoinSpec, MappingSet};
+use caqe_operators::{hash_join_project_store, skyline_reference, JoinSpec, MappingSet};
 use caqe_trace::NoopSink;
 use caqe_types::{DimMask, SimClock, Stats};
 use std::collections::BTreeSet;
@@ -59,7 +59,7 @@ fn reference_results(
         .queries()
         .iter()
         .map(|spec| {
-            let join = hash_join_project(
+            let join = hash_join_project_store(
                 r.records(),
                 t.records(),
                 JoinSpec::on_column(spec.join_col),
@@ -67,10 +67,10 @@ fn reference_results(
                 &mut clock,
                 &mut stats,
             );
-            let points: Vec<Vec<f64>> = join.iter().map(|o| o.vals.clone()).collect();
+            let points: Vec<Vec<f64>> = join.store.iter().map(<[f64]>::to_vec).collect();
             skyline_reference(&points, spec.pref)
                 .into_iter()
-                .map(|i| (join[i].rid, join[i].tid))
+                .map(|i| join.pairs[i])
                 .collect()
         })
         .collect()
@@ -132,7 +132,7 @@ fn emissions_are_timestamped_monotonically() {
     let (r, t) = tables(300, Distribution::Independent, 0.05, 7);
     let w = figure1_workload(Contract::Deadline { t_hard: 5.0 });
     let exec = ExecConfig::default().with_target_cells(300, 8);
-    let outcome = CaqeStrategy.run(&r, &t, &w, &exec);
+    let outcome = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     for q in &outcome.per_query {
         for pair in q.emissions.windows(2) {
             assert!(pair[0].0 <= pair[1].0, "timestamps went backwards");
@@ -152,7 +152,7 @@ fn emitted_results_are_never_dominated_later() {
     let w = figure1_workload(Contract::LogDecay);
     let exec = ExecConfig::default().with_target_cells(200, 6);
     let expect = reference_results(&r, &t, &w);
-    let outcome = CaqeStrategy.run(&r, &t, &w, &exec);
+    let outcome = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     for (qi, q) in outcome.per_query.iter().enumerate() {
         for pair in &q.results {
             assert!(
@@ -177,7 +177,7 @@ fn single_query_workload_works() {
     }]);
     let exec = ExecConfig::default().with_target_cells(200, 6);
     let expect = reference_results(&r, &t, &w);
-    let outcome = CaqeStrategy.run(&r, &t, &w, &exec);
+    let outcome = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     let got: BTreeSet<(u64, u64)> = outcome.per_query[0].results.iter().copied().collect();
     assert_eq!(got, expect[0]);
 }
@@ -217,7 +217,7 @@ fn multi_join_group_workload() {
     ]);
     let exec = ExecConfig::default().with_target_cells(200, 6);
     let expect = reference_results(&r, &t, &w);
-    let outcome = CaqeStrategy.run(&r, &t, &w, &exec);
+    let outcome = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     for (qi, want) in expect.iter().enumerate() {
         let got: BTreeSet<(u64, u64)> = outcome.per_query[qi].results.iter().copied().collect();
         assert_eq!(&got, want, "query {} mismatch", qi + 1);

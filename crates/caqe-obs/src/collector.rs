@@ -106,8 +106,6 @@ pub mod names {
     /// Counter family: sessions by terminal `state`
     /// (`done`/`failed`/`cancelled`/`expired`).
     pub const SERVE_SESSIONS: &str = "caqe_serve_sessions_total";
-    /// Gauge: wall-clock milliseconds of the last snapshot restore.
-    pub const SERVE_RECOVERY_MS: &str = "caqe_serve_recovery_ms";
     /// Gauge: mean final satisfaction over completed sessions.
     pub const SERVE_MEAN_SATISFACTION: &str = "caqe_serve_mean_satisfaction";
 }

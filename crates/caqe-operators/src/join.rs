@@ -15,9 +15,8 @@
 //! [`JoinSink`] the moment it is produced ([`hash_join_project_into`]), so
 //! a consumer that needs only a bounded block of rows at a time — JFSL's
 //! BNL windows — never holds the whole join. [`hash_join_project_store`] is
-//! the sink that keeps every result in a flat [`PointStore`]; the
-//! [`OutTuple`]-returning entry points are thin adapters over it with
-//! identical charges and output order.
+//! the sink that keeps every result in a flat [`PointStore`]. The
+//! [`OutTuple`]-returning nested-loop join is the definitional oracle.
 
 use crate::mapping::MappingSet;
 use caqe_data::Record;
@@ -236,28 +235,6 @@ pub fn hash_join_project_store(
     out
 }
 
-/// Hash equi-join fused with projection — thin adapter over
-/// [`hash_join_project_store`] (identical charges and output order).
-pub fn hash_join_project(
-    left: &[Record],
-    right: &[Record],
-    spec: JoinSpec,
-    mapping: &MappingSet,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-) -> Vec<OutTuple> {
-    let out = hash_join_project_store(left, right, spec, mapping, clock, stats);
-    out.pairs
-        .iter()
-        .zip(out.store.iter())
-        .map(|(&(rid, tid), vals)| OutTuple {
-            rid,
-            tid,
-            vals: vals.to_vec(),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +282,17 @@ mod tests {
         let mut a = nested_loop_join_project(&l, &r, spec, &m, &mut c1, &mut s1);
         let mut c2 = SimClock::default();
         let mut s2 = Stats::new();
-        let mut b = hash_join_project(&l, &r, spec, &m, &mut c2, &mut s2);
+        let b = hash_join_project_store(&l, &r, spec, &m, &mut c2, &mut s2);
+        let mut b: Vec<OutTuple> = b
+            .pairs
+            .iter()
+            .zip(b.store.iter())
+            .map(|(&(rid, tid), vals)| OutTuple {
+                rid,
+                tid,
+                vals: vals.to_vec(),
+            })
+            .collect();
         let key = |o: &OutTuple| (o.rid, o.tid);
         a.sort_by_key(key);
         b.sort_by_key(key);
@@ -313,26 +300,6 @@ mod tests {
         assert_eq!(s1.join_results, s2.join_results);
         // Hash join probes fewer candidate pairs.
         assert!(s2.join_probes <= s1.join_probes);
-    }
-
-    #[test]
-    fn store_output_matches_adapter() {
-        let (l, r, m) = setup();
-        let spec = JoinSpec::on_column(0);
-        let mut c1 = SimClock::default();
-        let mut s1 = Stats::new();
-        let flat = hash_join_project_store(&l, &r, spec, &m, &mut c1, &mut s1);
-        let mut c2 = SimClock::default();
-        let mut s2 = Stats::new();
-        let tuples = hash_join_project(&l, &r, spec, &m, &mut c2, &mut s2);
-        assert_eq!(flat.len(), tuples.len());
-        assert!(!flat.is_empty());
-        for (i, o) in tuples.iter().enumerate() {
-            assert_eq!(flat.pairs[i], (o.rid, o.tid), "pair order diverged");
-            assert_eq!(flat.store.at(i), o.vals.as_slice(), "point diverged");
-        }
-        assert_eq!(s1, s2);
-        assert_eq!(c1.ticks(), c2.ticks());
     }
 
     #[test]
@@ -360,7 +327,8 @@ mod tests {
             nested_loop_join_project(&[], &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
         assert!(out.is_empty());
         assert_eq!(stats.join_probes, 0);
-        let out2 = hash_join_project(&[], &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
+        let out2 =
+            hash_join_project_store(&[], &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
         assert!(out2.is_empty());
     }
 
@@ -371,7 +339,8 @@ mod tests {
         let m = MappingSet::concat(1, 1);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
-        let out = hash_join_project(&l, &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
+        let out =
+            hash_join_project_store(&l, &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
         assert!(out.is_empty());
         assert_eq!(stats.join_results, 0);
     }

@@ -23,12 +23,11 @@ pub mod skyline;
 pub mod window;
 
 pub use join::{
-    hash_join_project, hash_join_project_into, hash_join_project_store, nested_loop_join_project,
-    JoinOutput, JoinSink, JoinSpec, OutTuple, SortedJoinIndex,
+    hash_join_project_into, hash_join_project_store, nested_loop_join_project, JoinOutput,
+    JoinSink, JoinSpec, OutTuple, SortedJoinIndex,
 };
 pub use mapping::{MappingFn, MappingSet};
 pub use skyline::{
-    skyline_bnl, skyline_bnl_store, skyline_reference, skyline_sfs, skyline_sfs_store,
-    skyline_sfs_store_each, BnlWindow,
+    skyline_bnl_store, skyline_reference, skyline_sfs_store, skyline_sfs_store_each, BnlWindow,
 };
 pub use window::{IncrementalSkyline, InsertOutcome, SigSkyline, SkylineWindow};

@@ -8,9 +8,8 @@
 //! * [`BnlWindow`] — Block-Nested-Loop [3], the classic algorithm the
 //!   paper's JFSL baseline uses, as a window fed rows in blocks of any
 //!   size, so a join streamed through it is never held whole;
-//!   [`skyline_bnl_store`] feeds it one whole store and [`skyline_bnl`]
-//!   one `Vec<Vec<f64>>` point set;
-//! * [`skyline_sfs`] — Sort-Filter-Skyline [6]: presorting by a monotone
+//!   [`skyline_bnl_store`] feeds it one whole store;
+//! * [`skyline_sfs_store`] — Sort-Filter-Skyline [6]: presorting by a monotone
 //!   score means a later point can never dominate an earlier survivor, which
 //!   both prunes comparisons and makes every emitted survivor *final* — the
 //!   progressiveness backbone of the SSMJ baseline, which reports each
@@ -19,28 +18,14 @@
 //! All of them count every pairwise dominance comparison (the paper's CPU
 //! metric, Figure 10.b) through the supplied [`Stats`] and [`SimClock`].
 //!
-//! The algorithms run over the flat [`PointStore`] layout with a
-//! per-subspace [`DomKernel`] (DESIGN.md §12); the `&[Vec<Value>]` entry
-//! points are thin adapters kept for oracles and call-site compatibility.
-//! Both layouts perform the *same comparisons in the same order*, so stats,
-//! ticks and traces are identical whichever entry point is used.
+//! BNL and SFS run over the flat [`PointStore`] layout with a
+//! per-subspace [`DomKernel`] (DESIGN.md §12); only the reference takes
+//! `&[Vec<Value>]` points.
 
 use caqe_types::sig::{first_may_relate, SigQuantizer};
 use caqe_types::{
     relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, SimClock, Stats, Value,
 };
-
-/// Interns a `Vec<Vec<f64>>` point set into a flat store (adapter path).
-fn intern(points: &[Vec<Value>], mask: DimMask) -> PointStore {
-    let stride = points
-        .first()
-        .map_or_else(|| mask.iter().last().map_or(0, |k| k + 1), Vec::len);
-    let mut store = PointStore::with_capacity(stride, points.len());
-    for p in points {
-        store.push(p);
-    }
-    store
-}
 
 /// Naive O(n²) skyline straight from Definition 2. Returns the indices of
 /// non-dominated points, preserving input order. Oracle for tests; not
@@ -361,20 +346,6 @@ fn swap_remove_row(rows: &mut Vec<Value>, k: usize, d: usize) {
     rows.truncate(last * d);
 }
 
-/// Block-Nested-Loop skyline over `Vec<Vec<f64>>` points — thin unscreened
-/// adapter over [`skyline_bnl_store`] (identical comparisons, counts and
-/// order).
-pub fn skyline_bnl(
-    points: &[Vec<Value>],
-    mask: DimMask,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-) -> Vec<usize> {
-    let store = intern(points, mask);
-    let kernel = DomKernel::new(mask, store.stride());
-    skyline_bnl_store(&store, &kernel, None, clock, stats)
-}
-
 /// Sort-Filter-Skyline [6] over a flat point store: sorts by the kernel's
 /// monotone score, then filters. Survivors are final the moment they are
 /// admitted, which is what makes SFS-style processing *progressive*.
@@ -434,19 +405,6 @@ pub fn skyline_sfs_store_each(
     sky
 }
 
-/// Sort-Filter-Skyline over `Vec<Vec<f64>>` points — thin adapter over
-/// [`skyline_sfs_store`] (identical comparisons, counts and order).
-pub fn skyline_sfs(
-    points: &[Vec<Value>],
-    mask: DimMask,
-    clock: &mut SimClock,
-    stats: &mut Stats,
-) -> Vec<usize> {
-    let store = intern(points, mask);
-    let kernel = DomKernel::new(mask, store.stride());
-    skyline_sfs_store(&store, &kernel, clock, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,12 +420,23 @@ mod tests {
         raw.iter().map(|p| p.to_vec()).collect()
     }
 
+    /// `points` as a flat store of 2-dimensional rows.
+    fn store_of(points: &[Vec<Value>]) -> PointStore {
+        let mut store = PointStore::new(2);
+        for p in points {
+            store.push(p);
+        }
+        store
+    }
+
     fn run_all(points: &[Vec<Value>], mask: DimMask) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
         let reference = skyline_reference(points, mask);
+        let store = store_of(points);
+        let kernel = DomKernel::new(mask, store.stride());
         let mut c = SimClock::default();
         let mut s = Stats::new();
-        let bnl = skyline_bnl(points, mask, &mut c, &mut s);
-        let sfs = skyline_sfs(points, mask, &mut c, &mut s);
+        let bnl = skyline_bnl_store(&store, &kernel, None, &mut c, &mut s);
+        let sfs = skyline_sfs_store(&store, &kernel, &mut c, &mut s);
         (reference, bnl, sfs)
     }
 
@@ -503,56 +472,40 @@ mod tests {
         let points: Vec<Vec<Value>> = (0..200)
             .map(|i| vec![(200 - i) as Value, (200 - i) as Value])
             .collect();
-        let mask = DimMask::full(2);
+        let store = store_of(&points);
+        let kernel = DomKernel::new(DimMask::full(2), 2);
         let mut c1 = SimClock::default();
         let mut s1 = Stats::new();
-        skyline_bnl(&points, mask, &mut c1, &mut s1);
+        skyline_bnl_store(&store, &kernel, None, &mut c1, &mut s1);
         let mut c2 = SimClock::default();
         let mut s2 = Stats::new();
-        skyline_sfs(&points, mask, &mut c2, &mut s2);
+        skyline_sfs_store(&store, &kernel, &mut c2, &mut s2);
         assert!(s2.dom_comparisons <= s1.dom_comparisons);
     }
 
     #[test]
-    fn store_entry_points_match_adapters_exactly() {
-        // The flat-layout entry points and the Vec<Vec<f64>> adapters must
-        // agree on results, comparison counts AND virtual ticks.
-        let points: Vec<Vec<Value>> = (0..120)
-            .map(|i| {
-                let x = (i * 37 % 100) as Value;
-                vec![x, 100.0 - x, (i % 9) as Value]
-            })
-            .collect();
-        let mask = DimMask::from_dims([0, 2]);
+    fn screened_bnl_matches_unscreened_exactly() {
+        // The signature screen skips only incomparable members, each still
+        // one comparison: results, stats and ticks are those of the plain
+        // walk.
         let mut store = PointStore::new(3);
-        for p in &points {
-            store.push(p);
+        for i in 0..120 {
+            let x = (i * 37 % 100) as Value;
+            store.push(&[x, 100.0 - x, (i % 9) as Value]);
         }
+        let mask = DimMask::from_dims([0, 2]);
         let kernel = DomKernel::new(mask, 3);
         let quant = SigQuantizer::from_store(&store, mask).unwrap();
-        for which in ["bnl", "screened bnl", "sfs"] {
-            let mut c1 = SimClock::default();
-            let mut s1 = Stats::new();
-            let mut c2 = SimClock::default();
-            let mut s2 = Stats::new();
-            let (a, b) = match which {
-                "bnl" => (
-                    skyline_bnl(&points, mask, &mut c1, &mut s1),
-                    skyline_bnl_store(&store, &kernel, None, &mut c2, &mut s2),
-                ),
-                "screened bnl" => (
-                    skyline_bnl(&points, mask, &mut c1, &mut s1),
-                    skyline_bnl_store(&store, &kernel, Some(&quant), &mut c2, &mut s2),
-                ),
-                _ => (
-                    skyline_sfs(&points, mask, &mut c1, &mut s1),
-                    skyline_sfs_store(&store, &kernel, &mut c2, &mut s2),
-                ),
-            };
-            assert_eq!(a, b, "{which}: results diverged");
-            assert_eq!(s1, s2, "{which}: stats diverged");
-            assert_eq!(c1.ticks(), c2.ticks(), "{which}: ticks diverged");
-        }
+        let mut c1 = SimClock::default();
+        let mut s1 = Stats::new();
+        let mut c2 = SimClock::default();
+        let mut s2 = Stats::new();
+        assert_eq!(
+            skyline_bnl_store(&store, &kernel, None, &mut c1, &mut s1),
+            skyline_bnl_store(&store, &kernel, Some(&quant), &mut c2, &mut s2)
+        );
+        assert_eq!(s1, s2);
+        assert_eq!(c1.ticks(), c2.ticks());
     }
 
     #[test]

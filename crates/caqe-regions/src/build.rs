@@ -297,7 +297,7 @@ mod tests {
     fn pruned_regions_cannot_contain_skyline_results() {
         // Soundness of the coarse skyline: for every query, the true
         // skyline of all join results must fall inside surviving regions.
-        use caqe_operators::{hash_join_project, skyline_reference, JoinSpec};
+        use caqe_operators::{hash_join_project_store, skyline_reference, JoinSpec};
         let n = 300;
         let r = TableGenerator::new(n, 2, Distribution::Independent)
             .with_selectivities(&[0.1])
@@ -327,7 +327,7 @@ mod tests {
         let mut stats = Stats::new();
         let set = build_regions(&input, &mut clock, &mut stats);
 
-        let join = hash_join_project(
+        let join = hash_join_project_store(
             r.records(),
             t.records(),
             JoinSpec::on_column(0),
@@ -335,7 +335,7 @@ mod tests {
             &mut clock,
             &mut stats,
         );
-        let points: Vec<Vec<f64>> = join.iter().map(|o| o.vals.clone()).collect();
+        let points: Vec<Vec<f64>> = join.store.iter().map(<[f64]>::to_vec).collect();
         for (q, p) in &qs {
             let sky = skyline_reference(&points, *p);
             for &i in &sky {

@@ -434,7 +434,6 @@ impl CaqeServer {
         cfg: ServeConfig,
         path: &Path,
     ) -> Result<(CaqeServer, Snapshot), SnapshotError> {
-        let started = Instant::now();
         let snap = load_snapshot(path)?;
         for s in &snap.queued {
             if s.catalog >= catalog.len() {
@@ -498,10 +497,6 @@ impl CaqeServer {
                 queued,
                 completed,
             });
-            g.reg.set_gauge(
-                names::SERVE_RECOVERY_MS,
-                started.elapsed().as_secs_f64() * 1e3,
-            );
             let mean = g.mean_satisfaction();
             g.reg.set_gauge(names::SERVE_MEAN_SATISFACTION, mean);
             g.depth_gauges();

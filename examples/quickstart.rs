@@ -5,7 +5,7 @@
 //! ```
 
 use caqe::contract::Contract;
-use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{Distribution, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
@@ -45,7 +45,7 @@ fn main() {
 
     // 4. Run CAQE.
     let exec = ExecConfig::default().with_target_cells(2_000, 10);
-    let outcome = CaqeStrategy.run(&hotels, &tours, &workload, &exec);
+    let outcome = EngineStrategy::CAQE.run(&hotels, &tours, &workload, &exec);
 
     println!("strategy            : {}", outcome.strategy);
     println!("virtual time        : {:.2}s", outcome.virtual_seconds);

@@ -16,7 +16,7 @@
 
 use caqe::baselines::JfslStrategy;
 use caqe::contract::Contract;
-use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{Distribution, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
@@ -81,7 +81,7 @@ fn main() {
     );
     for fraction in [0.8, 0.4, 0.2, 0.1, 0.05] {
         let w = build_workload(total * fraction);
-        let caqe = CaqeStrategy.run(&stocks, &signals, &w, &exec);
+        let caqe = EngineStrategy::CAQE.run(&stocks, &signals, &w, &exec);
         let jfsl = JfslStrategy.run(&stocks, &signals, &w, &exec);
         let (a, b) = (caqe.avg_satisfaction(), jfsl.avg_satisfaction());
         println!(

@@ -17,7 +17,8 @@
 
 use caqe::contract::Contract;
 use caqe::core::{
-    CaqeStrategy, DegradationPolicy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutcome, Workload,
+    DegradationPolicy, EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutcome,
+    Workload,
 };
 use caqe::data::{validate_table, Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe::faults::{silence_injected_panics, FaultPlan};
@@ -194,11 +195,11 @@ fn faults_are_contained_and_results_stay_non_dominated() {
     let (r, t) = tables(800, Distribution::Independent, 42);
     for sc in scenarios() {
         let exec = exec_for(&sc, 800, 4);
-        let outcome = CaqeStrategy
+        let outcome = EngineStrategy::CAQE
             .try_run(&r, &t, &w, &exec)
             .unwrap_or_else(|e| panic!("{}: chaos run failed: {e}", sc.label));
         let mut sink = caqe::trace::RecordingSink::new();
-        let traced = CaqeStrategy
+        let traced = EngineStrategy::CAQE
             .try_run_traced(&r, &t, &w, &exec, &mut sink)
             .unwrap_or_else(|e| panic!("{}: traced chaos run failed: {e}", sc.label));
         assert_identical(&outcome, &traced, &format!("{} traced", sc.label));
@@ -249,7 +250,9 @@ fn recovery_and_shedding_paths_actually_fire() {
     let (r, t) = tables(800, Distribution::Independent, 42);
 
     let storm = exec_for(&scenarios()[1], 800, 4); // panic rate 1.0
-    let out = CaqeStrategy.try_run(&r, &t, &w, &storm).expect("contained");
+    let out = EngineStrategy::CAQE
+        .try_run(&r, &t, &w, &storm)
+        .expect("contained");
     assert!(out.stats.region_retries > 0, "no retries under panic storm");
     assert!(
         out.stats.regions_quarantined > 0,
@@ -262,7 +265,9 @@ fn recovery_and_shedding_paths_actually_fire() {
             sat_floor: 1.01, // unreachable floor: shedding fires at every check
             grace_ticks: 5_000,
         });
-    let out = CaqeStrategy.try_run(&r, &t, &w, &shed_exec).expect("clean");
+    let out = EngineStrategy::CAQE
+        .try_run(&r, &t, &w, &shed_exec)
+        .expect("clean");
     assert!(out.stats.regions_shed > 0, "forced shedding shed nothing");
 }
 
@@ -306,7 +311,9 @@ fn completed_query_cannot_mask_a_starving_one() {
             sat_floor: floor,
             grace_ticks: 20_000,
         });
-    let out = CaqeStrategy.try_run(&r, &t, &w, &exec).expect("clean");
+    let out = EngineStrategy::CAQE
+        .try_run(&r, &t, &w, &exec)
+        .expect("clean");
     // The masking premise: averaged over *all* queries (A included), the
     // workload sits above the floor — the old check would never have fired.
     assert!(
@@ -336,7 +343,7 @@ fn reject_policy_reports_corruption_as_typed_error() {
         .with_target_cells(400, 4)
         .with_faults(FaultPlan::seeded(9).with_corruption(0.2))
         .with_validation(ValidationPolicy::Reject);
-    match CaqeStrategy.try_run(&r, &t, &w, &exec) {
+    match EngineStrategy::CAQE.try_run(&r, &t, &w, &exec) {
         Err(EngineError::CorruptInput {
             non_finite,
             duplicates,
@@ -362,7 +369,7 @@ fn inert_fault_plan_reproduces_committed_golden() {
         .with_validation(ValidationPolicy::default())
         .with_degradation(DegradationPolicy::default());
     let mut sink = caqe::trace::RecordingSink::new();
-    let out = CaqeStrategy
+    let out = EngineStrategy::CAQE
         .try_run_traced(&r, &t, &w, &exec, &mut sink)
         .expect("clean run");
     assert!(out.total_results() > 0, "degenerate workload");

@@ -15,7 +15,7 @@
 //!   input.
 
 use caqe::contract::Contract;
-use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{validate_table, Distribution, Table, TableGenerator, ValidationPolicy};
 use caqe::operators::MappingSet;
 use caqe::types::{DimMask, EngineError};
@@ -138,7 +138,7 @@ proptest! {
         let (r, t, w, exec) = setup(&sc);
         let (clean_r, clean_t) = (clean_subset(&r), clean_subset(&t));
         let want = expected_skylines(&clean_r, &clean_t, &w);
-        let outcome = CaqeStrategy
+        let outcome = EngineStrategy::CAQE
             .try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Quarantine))
             .expect("quarantine never rejects");
         for (qi, expect) in want.iter().enumerate() {
@@ -164,7 +164,7 @@ proptest! {
         let clamped_r = clean_subset_for_clamp(&r);
         let clamped_t = clean_subset_for_clamp(&t);
         let clamped_sky = expected_skylines(&clamped_r, &clamped_t, &w);
-        let outcome = CaqeStrategy
+        let outcome = EngineStrategy::CAQE
             .try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Clamp))
             .expect("clamp never rejects");
         for qi in 0..w.len() {
@@ -197,7 +197,7 @@ proptest! {
                 .is_clean()
         };
         let corrupt_input = dirty(&r) || dirty(&t);
-        match CaqeStrategy.try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Reject)) {
+        match EngineStrategy::CAQE.try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Reject)) {
             Err(EngineError::CorruptInput { non_finite, duplicates, .. }) => {
                 prop_assert!(corrupt_input, "Reject errored on clean input");
                 prop_assert!(non_finite + duplicates > 0, "empty corruption report");
@@ -206,7 +206,7 @@ proptest! {
             Ok(outcome) => {
                 prop_assert!(!corrupt_input, "Reject let corrupt input through");
                 // On clean input every policy degenerates to the same run.
-                let q = CaqeStrategy
+                let q = EngineStrategy::CAQE
                     .try_run(&r, &t, &w, &exec.with_validation(ValidationPolicy::Quarantine))
                     .expect("clean");
                 for (a, b) in outcome.per_query.iter().zip(&q.per_query) {

@@ -7,9 +7,9 @@
 //! and `parallelism_never_changes_the_outcome` is the one test that pins
 //! that.
 
-use caqe::baselines::{JfslStrategy, SJfslStrategy, SsmjStrategy};
+use caqe::baselines::{JfslStrategy, SsmjStrategy};
 use caqe::contract::Contract;
-use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutcome, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, RunOutcome, Workload};
 use caqe::data::{Distribution, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
@@ -92,7 +92,9 @@ fn assert_caqe_golden(exec: &ExecConfig) {
     let w = workload();
     let (r, t) = tables(1600, Distribution::Independent, 99);
     let mut sink = caqe::trace::RecordingSink::new();
-    let out = CaqeStrategy.run_traced(&r, &t, &w, exec, &mut sink);
+    let out = EngineStrategy::CAQE
+        .try_run_traced(&r, &t, &w, exec, &mut sink)
+        .expect("clean run");
     assert!(out.total_results() > 0, "degenerate workload");
     assert!(
         sink.events()
@@ -111,6 +113,7 @@ fn trace_matches_committed_golden() {
         "caqe_trace.jsonl",
         "churn_trace.jsonl",
         "jfsl_trace.jsonl",
+        "progxe_trace.jsonl",
         "revival_trace.jsonl",
         "sjfsl_trace.jsonl",
         "ssmj_trace.jsonl",
@@ -144,7 +147,9 @@ fn fifo_trace_matches_committed_golden() {
     let (r, t) = tables(400, Distribution::Correlated, 7);
     let exec = ExecConfig::default().with_target_cells(400, 4);
     let mut sink = caqe::trace::RecordingSink::new();
-    let out = SJfslStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
+    let out = EngineStrategy::S_JFSL
+        .try_run_traced(&r, &t, &w, &exec, &mut sink)
+        .expect("clean run");
     assert!(out.total_results() > 0, "degenerate workload");
     let jsonl = caqe::trace::to_jsonl(sink.events());
     assert!(
@@ -162,7 +167,9 @@ fn per_query_baseline_golden(strategy: &dyn ExecutionStrategy, golden: &str) -> 
     let (r, t) = tables(500, Distribution::Anticorrelated, 41);
     let exec = ExecConfig::default().with_target_cells(500, 8);
     let mut sink = caqe::trace::RecordingSink::new();
-    let out = strategy.run_traced(&r, &t, &w, &exec, &mut sink);
+    let out = strategy
+        .try_run_traced(&r, &t, &w, &exec, &mut sink)
+        .expect("clean run");
     assert!(out.total_results() > 0, "degenerate workload");
     assert_golden(golden, &caqe::trace::to_jsonl(sink.events()));
     out.stats.dom_comparisons
@@ -186,15 +193,43 @@ fn ssmj_trace_matches_committed_golden() {
 }
 
 #[test]
+fn progxe_trace_matches_committed_golden() {
+    // ProgXe+ runs one single-query workload per query on one clock: the
+    // golden pins the ticks each sub-run continues from, the one outer
+    // `Meta`, and every emission rebased from the sub-run's local query 0
+    // to the real query id. (This workload's priorities fall with the
+    // query id; `integration_pipeline::jfsl_emits_in_strict_priority_order`
+    // pins the order.) Recorded while ProgXe+ still had a strategy type of
+    // its own.
+    per_query_baseline_golden(&EngineStrategy::PROGXE, "progxe_trace.jsonl");
+    let events = caqe::trace::from_jsonl(&common::golden("progxe_trace.jsonl")).expect("golden");
+    let metas = events
+        .iter()
+        .filter(|e| matches!(e, caqe::trace::TraceEvent::Meta { .. }))
+        .count();
+    assert_eq!(metas, 1, "sub-run Meta leaked into the outer stream");
+    let emitted: std::collections::BTreeSet<u16> = events
+        .iter()
+        .filter_map(|e| match e {
+            caqe::trace::TraceEvent::Emission { query, .. } => Some(*query),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(emitted, [0, 1, 2].into(), "emissions not rebased per query");
+}
+
+#[test]
 fn recording_sink_does_not_perturb_the_run() {
     // Observation must not interfere: a traced run and a no-op-sink run
     // agree on every observable, and tracing costs zero virtual ticks.
     let w = workload();
     let (r, t) = tables(500, Distribution::Independent, 41);
     let exec = ExecConfig::default().with_target_cells(500, 8);
-    let plain = CaqeStrategy.run(&r, &t, &w, &exec);
+    let plain = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     let mut sink = caqe::trace::RecordingSink::new();
-    let traced = CaqeStrategy.run_traced(&r, &t, &w, &exec, &mut sink);
+    let traced = EngineStrategy::CAQE
+        .try_run_traced(&r, &t, &w, &exec, &mut sink)
+        .expect("clean run");
     assert!(!sink.events().is_empty(), "recording sink captured nothing");
     assert_identical(&plain, &traced, "noop-vs-recording");
 }

@@ -2,9 +2,9 @@
 //! multi-join-condition workloads, and semantic relationships between the
 //! strategies.
 
-use caqe::baselines::{JfslStrategy, ProgXeStrategy, SJfslStrategy, SsmjStrategy};
+use caqe::baselines::{JfslStrategy, SsmjStrategy};
 use caqe::contract::Contract;
-use caqe::core::{CaqeStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{Distribution, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
@@ -60,7 +60,7 @@ fn mixed_contract_workload_runs_end_to_end() {
         ),
     ]);
     let exec = ExecConfig::default().with_target_cells(400, 8);
-    let o = CaqeStrategy.run(&r, &t, &w, &exec);
+    let o = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     assert_eq!(o.per_query.len(), 5);
     assert!(o.total_results() > 0);
     for q in &o.per_query {
@@ -80,12 +80,12 @@ fn progxe_equals_caqe_on_a_single_query_modulo_contracts() {
         Contract::LogDecay,
     )]);
     let exec = ExecConfig::default().with_target_cells(300, 8);
-    let a: BTreeSet<(u64, u64)> = CaqeStrategy.run(&r, &t, &w, &exec).per_query[0]
+    let a: BTreeSet<(u64, u64)> = EngineStrategy::CAQE.run(&r, &t, &w, &exec).per_query[0]
         .results
         .iter()
         .copied()
         .collect();
-    let b: BTreeSet<(u64, u64)> = ProgXeStrategy.run(&r, &t, &w, &exec).per_query[0]
+    let b: BTreeSet<(u64, u64)> = EngineStrategy::PROGXE.run(&r, &t, &w, &exec).per_query[0]
         .results
         .iter()
         .copied()
@@ -101,7 +101,7 @@ fn sjfsl_emits_everything_at_the_end() {
         spec(DimMask::from_dims([1, 2, 3]), 0.4, Contract::LogDecay),
     ]);
     let exec = ExecConfig::default().with_target_cells(300, 8);
-    let o = SJfslStrategy.run(&r, &t, &w, &exec);
+    let o = EngineStrategy::S_JFSL.run(&r, &t, &w, &exec);
     // Blocking: first emission within a whisker of total runtime.
     let first = o
         .per_query
@@ -124,12 +124,16 @@ fn jfsl_emits_in_strict_priority_order() {
         spec(DimMask::from_dims([2, 3]), 0.5, Contract::LogDecay),
     ]);
     let exec = ExecConfig::default().with_target_cells(250, 6);
-    let o = JfslStrategy.run(&r, &t, &w, &exec);
-    // Q2 (priority .9) finishes before Q3 (.5) before Q1 (.2).
-    let last = |i: usize| o.per_query[i].last_emission().unwrap();
-    let first = |i: usize| o.per_query[i].first_emission().unwrap();
-    assert!(last(1) <= first(2), "Q2 did not precede Q3");
-    assert!(last(2) <= first(0), "Q3 did not precede Q1");
+    // ProgXe+ runs the engine one query at a time in the same order.
+    let per_query: [&dyn ExecutionStrategy; 2] = [&JfslStrategy, &EngineStrategy::PROGXE];
+    for strategy in per_query {
+        let o = strategy.run(&r, &t, &w, &exec);
+        // Q2 (priority .9) finishes before Q3 (.5) before Q1 (.2).
+        let last = |i: usize| o.per_query[i].last_emission().unwrap();
+        let first = |i: usize| o.per_query[i].first_emission().unwrap();
+        assert!(last(1) <= first(2), "{}: Q2 did not precede Q3", o.strategy);
+        assert!(last(2) <= first(0), "{}: Q3 did not precede Q1", o.strategy);
+    }
 }
 
 #[test]
@@ -173,7 +177,7 @@ fn workload_across_two_join_conditions_shares_within_groups() {
         mk(1, DimMask::from_dims([2, 3])),
     ]);
     let exec = ExecConfig::default().with_target_cells(400, 6);
-    let caqe = CaqeStrategy.run(&r, &t, &w, &exec);
+    let caqe = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     let jfsl = JfslStrategy.run(&r, &t, &w, &exec);
     // Result sets agree.
     for qi in 0..4 {
@@ -197,7 +201,9 @@ fn priorities_steer_caqe_under_tight_deadlines() {
         spec(DimMask::from_dims([2, 3]), 0.5, Contract::LogDecay),
     ]);
     let exec = ExecConfig::default().with_target_cells(600, 10);
-    let total = CaqeStrategy.run(&r, &t, &probe, &exec).virtual_seconds;
+    let total = EngineStrategy::CAQE
+        .run(&r, &t, &probe, &exec)
+        .virtual_seconds;
     let deadline = total * 0.4;
     let w = Workload::new(vec![
         spec(
@@ -211,7 +217,7 @@ fn priorities_steer_caqe_under_tight_deadlines() {
             Contract::Deadline { t_hard: deadline },
         ),
     ]);
-    let o = CaqeStrategy.run(&r, &t, &w, &exec);
+    let o = EngineStrategy::CAQE.run(&r, &t, &w, &exec);
     assert!(
         o.per_query[0].satisfaction >= o.per_query[1].satisfaction,
         "priority inversion: {} vs {}",
@@ -229,8 +235,8 @@ fn stats_are_internally_consistent() {
     ]);
     let exec = ExecConfig::default().with_target_cells(300, 8);
     for strategy in [
-        Box::new(CaqeStrategy) as Box<dyn ExecutionStrategy>,
-        Box::new(SJfslStrategy),
+        Box::new(EngineStrategy::CAQE) as Box<dyn ExecutionStrategy>,
+        Box::new(EngineStrategy::S_JFSL),
         Box::new(JfslStrategy),
     ] {
         let o = strategy.run(&r, &t, &w, &exec);

@@ -5,7 +5,7 @@
 
 use caqe::baselines::all_strategies;
 use caqe::contract::Contract;
-use caqe::core::{ExecConfig, QuerySpec, Workload};
+use caqe::core::{EngineStrategy, ExecConfig, ExecutionStrategy, QuerySpec, Workload};
 use caqe::data::{Distribution, Table, TableGenerator};
 use caqe::operators::MappingSet;
 use caqe::types::DimMask;
@@ -126,7 +126,16 @@ proptest! {
         };
         let exec = ExecConfig::default().with_target_cells(sc.n, sc.cells);
         let want = expected_skylines(&r, &t, &w);
-        for strategy in all_strategies() {
+        // Full CAQE one query at a time (the ablation's `sequential`) too.
+        let sequential = EngineStrategy {
+            name: "sequential",
+            one_at_a_time: true,
+            ..EngineStrategy::CAQE
+        };
+        let strategies = all_strategies()
+            .into_iter()
+            .chain([Box::new(sequential) as Box<dyn ExecutionStrategy>]);
+        for strategy in strategies {
             let outcome = strategy.run(&r, &t, &w, &exec);
             for (qi, expect) in want.iter().enumerate() {
                 let got: BTreeSet<(u64, u64)> =

@@ -1,15 +1,14 @@
 //! Property tests for the flat-layout migration (DESIGN.md §12): the
 //! specialized [`DomKernel`]s must agree with the generic `relate_in` /
-//! `relate` on *every* input and every [`DomRelation`] outcome, and the
-//! store-based skyline entry points must be observationally identical —
-//! same results, same `Stats`, same virtual-clock ticks — to the
-//! `Vec<Vec<f64>>` adapters they replaced. BNL, screened by signatures
-//! (DESIGN.md §17) or not, is held candidate by candidate to the
-//! member-at-a-time loop.
+//! `relate` on *every* input and every [`DomRelation`] outcome. BNL,
+//! screened by signatures (DESIGN.md §17) or not, is held candidate by
+//! candidate to the member-at-a-time loop — same survivors, same `Stats`,
+//! same virtual-clock ticks — SFS to the definition, and the flat hash
+//! join to the nested-loop join.
 
 use caqe::operators::{
-    hash_join_project, hash_join_project_store, skyline_bnl, skyline_bnl_store, skyline_reference,
-    skyline_sfs, skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingSet,
+    hash_join_project_store, nested_loop_join_project, skyline_bnl_store, skyline_reference,
+    skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingSet,
 };
 use caqe::types::{
     relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, Rect, SigQuantizer, SimClock,
@@ -206,42 +205,6 @@ proptest! {
     }
 
     #[test]
-    fn store_skylines_are_observationally_identical_to_adapters(
-        points in strided_points(),
-        bits in 0u32..4096,
-    ) {
-        // The adapters and the flat entry points must agree not just on the
-        // skyline but on every observable: comparison counts and ticks.
-        let d = points[0].len();
-        let mask = mask_for(d, bits);
-        let mut store = PointStore::with_capacity(d, points.len());
-        for p in &points {
-            store.push(p);
-        }
-        let kernel = DomKernel::new(mask, d);
-
-        let mut c1 = SimClock::default();
-        let mut s1 = Stats::new();
-        let bnl_old = skyline_bnl(&points, mask, &mut c1, &mut s1);
-        let mut c2 = SimClock::default();
-        let mut s2 = Stats::new();
-        let bnl_new = skyline_bnl_store(&store, &kernel, None, &mut c2, &mut s2);
-        prop_assert_eq!(bnl_old, bnl_new);
-        prop_assert_eq!(&s1, &s2);
-        prop_assert_eq!(c1.ticks(), c2.ticks());
-
-        let mut c3 = SimClock::default();
-        let mut s3 = Stats::new();
-        let sfs_old = skyline_sfs(&points, mask, &mut c3, &mut s3);
-        let mut c4 = SimClock::default();
-        let mut s4 = Stats::new();
-        let sfs_new = skyline_sfs_store(&store, &kernel, &mut c4, &mut s4);
-        prop_assert_eq!(sfs_old, sfs_new);
-        prop_assert_eq!(&s3, &s4);
-        prop_assert_eq!(c3.ticks(), c4.ticks());
-    }
-
-    #[test]
     fn block_verdicts_agree_with_relate_in(points in tricky_points(), bits in 0u32..4096) {
         // The row-walking block screen must flag exactly the lanes whose
         // member relate_in puts below the probe — including ties, signed
@@ -377,7 +340,7 @@ proptest! {
     }
 
     #[test]
-    fn join_store_output_is_observationally_identical_to_adapter(
+    fn join_store_output_matches_the_nested_loop_join(
         n_left in 1usize..30,
         n_right in 1usize..30,
         key_mod in 1u32..6,
@@ -393,20 +356,27 @@ proptest! {
         let mapping = MappingSet::mixed(2, 2, 3);
         let spec = JoinSpec::on_column(0);
 
-        let mut c1 = SimClock::default();
+        // The same results and projections as Definition 1's every-pair
+        // join, each projection charged once.
         let mut s1 = Stats::new();
-        let tuples = hash_join_project(&left, &right, spec, &mapping, &mut c1, &mut s1);
-        let mut c2 = SimClock::default();
+        let tuples =
+            nested_loop_join_project(&left, &right, spec, &mapping, &mut SimClock::default(), &mut s1);
         let mut s2 = Stats::new();
-        let flat = hash_join_project_store(&left, &right, spec, &mapping, &mut c2, &mut s2);
-
-        prop_assert_eq!(tuples.len(), flat.len());
-        for (i, o) in tuples.iter().enumerate() {
-            prop_assert_eq!(flat.pairs[i], (o.rid, o.tid));
-            prop_assert_eq!(flat.store.at(i), o.vals.as_slice());
-        }
-        prop_assert_eq!(&s1, &s2);
-        prop_assert_eq!(c1.ticks(), c2.ticks());
+        let flat =
+            hash_join_project_store(&left, &right, spec, &mapping, &mut SimClock::default(), &mut s2);
+        let mut want: Vec<((u64, u64), Vec<f64>)> =
+            tuples.into_iter().map(|o| ((o.rid, o.tid), o.vals)).collect();
+        let mut got: Vec<((u64, u64), Vec<f64>)> = flat
+            .pairs
+            .iter()
+            .zip(flat.store.iter())
+            .map(|(&pair, vals)| (pair, vals.to_vec()))
+            .collect();
+        want.sort_by_key(|t| t.0);
+        got.sort_by_key(|t| t.0);
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(s1.join_results, s2.join_results);
+        prop_assert_eq!(s1.map_evals, s2.map_evals);
     }
 }
 

@@ -4,11 +4,14 @@
 
 use caqe::cuboid::{MinMaxCuboid, SharedInsert, SharedSkylinePlan};
 use caqe::operators::{
-    skyline_bnl, skyline_reference, skyline_sfs, IncrementalSkyline, InsertOutcome, SkylineWindow,
+    skyline_bnl_store, skyline_reference, skyline_sfs_store, IncrementalSkyline, InsertOutcome,
+    SkylineWindow,
 };
 use caqe::parallel::Threads;
 use caqe::types::sig::SigQuantizer;
-use caqe::types::{dominates_in, DimMask, PointId, PointStore, QueryId, SimClock, Stats};
+use caqe::types::{
+    dominates_in, DimMask, DomKernel, PointId, PointStore, QueryId, SimClock, Stats,
+};
 use proptest::prelude::*;
 
 /// Up to 60 points in up to 4 dimensions, values on a small lattice so that
@@ -157,10 +160,15 @@ proptest! {
         let d = points.first().map_or(1, |p| p.len());
         let mask = mask_for(d, bits);
         let reference = skyline_reference(&points, mask);
+        let mut store = PointStore::new(d);
+        for p in &points {
+            store.push(p);
+        }
+        let kernel = DomKernel::new(mask, d);
         let mut clock = SimClock::default();
         let mut stats = Stats::new();
-        let bnl = skyline_bnl(&points, mask, &mut clock, &mut stats);
-        let sfs = skyline_sfs(&points, mask, &mut clock, &mut stats);
+        let bnl = skyline_bnl_store(&store, &kernel, None, &mut clock, &mut stats);
+        let sfs = skyline_sfs_store(&store, &kernel, &mut clock, &mut stats);
         prop_assert_eq!(&bnl, &reference);
         prop_assert_eq!(&sfs, &reference);
     }
