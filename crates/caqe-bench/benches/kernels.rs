@@ -1,21 +1,23 @@
 //! Criterion micro-benchmarks of the live dominance, skyline and join
 //! kernels: the flat `PointStore`/`DomKernel` paths (DESIGN.md §12), BNL
 //! and the incremental skyline window with and without their signature
-//! screens (DESIGN.md §15, §17), and JFSL's one pass per join group — the
-//! join streamed through every user's BNL window (DESIGN.md §9 item 8). Results and charges are asserted equal
-//! elsewhere (`tests/property_kernels.rs`, `tests/property_skyline.rs`); CI
-//! runs this suite in quick mode as a smoke test.
+//! screens (DESIGN.md §15, §17), the hash join projecting into a block sink
+//! at two workloads' shapes, and JFSL's one pass per join group — the join
+//! streamed through every user's BNL window (DESIGN.md §9 item 8). Results
+//! and charges are asserted equal elsewhere (`tests/property_kernels.rs`,
+//! `tests/property_skyline.rs`); CI runs this suite in quick mode as a
+//! smoke test.
 
 use caqe_baselines::JfslStrategy;
 use caqe_bench::ExperimentConfig;
 use caqe_core::ExecutionStrategy;
 use caqe_data::{Distribution, TableGenerator};
 use caqe_operators::{
-    hash_join_project_store, skyline_bnl_store, skyline_sfs_store, IncrementalSkyline, JoinSpec,
-    MappingSet,
+    hash_join_project_into, hash_join_project_store, skyline_bnl_store, skyline_sfs_store,
+    IncrementalSkyline, JoinSink, JoinSpec, MappingFn, MappingSet,
 };
 use caqe_types::sig::SigQuantizer;
-use caqe_types::{DimMask, DomKernel, PointStore, SimClock, Stats};
+use caqe_types::{DimMask, DomKernel, PointStore, SimClock, Stats, Value};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -200,6 +202,89 @@ fn bench_join_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// Rows per block of [`BlockSink`], as JFSL hands the join to its windows.
+const BLOCK: usize = 4096;
+
+/// A join sink that keeps one block of rows and drops it when full: the
+/// join's own cost, without the windows JFSL feeds each block to.
+struct BlockSink {
+    pairs: Vec<(u64, u64)>,
+    rows: PointStore,
+}
+
+impl JoinSink for BlockSink {
+    #[inline]
+    fn push(&mut self, rid: u64, tid: u64, point: impl FnOnce(&mut Vec<Value>)) {
+        self.pairs.push((rid, tid));
+        self.rows.push_with(point);
+        if self.pairs.len() == BLOCK {
+            black_box(self.rows.as_flat());
+            self.pairs.clear();
+            self.rows.clear();
+        }
+    }
+}
+
+/// The hash join with projection into a [`BlockSink`], at the shapes of
+/// two benchmark workloads: `indep_churn` (two 6,000-row 2-dim independent
+/// tables, σ = 0.02 / 0.03, four join groups of four output dims, ~3.6 M
+/// results) and `corr_join` (two 8,000-row 3-dim correlated tables,
+/// σ = 0.02, one `mixed(3, 3, 5)` group, ~1.3 M results).
+fn bench_join_project(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kernels/join_project");
+    group.sample_size(10);
+    let churn = TableGenerator::new(6000, 2, Distribution::Independent)
+        .with_selectivities(&[0.02, 0.03])
+        .with_seed(0xEDB7);
+    // The churn pool's four mappings, group `v` joining on column `v % 2`.
+    let churn_groups: Vec<(JoinSpec, MappingSet)> = (0..4)
+        .map(|v| {
+            let fns = (0..4)
+                .map(|j| {
+                    let mut wr = vec![0.0; 2];
+                    let mut wt = vec![0.0; 2];
+                    wr[j % 2] = 1.0 + 0.05 * v as f64;
+                    wt[(j + v) % 2] = 1.0 + 0.1 * j as f64;
+                    MappingFn::new(wr, wt, 0.0)
+                })
+                .collect();
+            (JoinSpec::on_column(v % 2), MappingSet::new(fns))
+        })
+        .collect();
+    let corr = TableGenerator::new(8000, 3, Distribution::Correlated)
+        .with_selectivities(&[0.02])
+        .with_seed(0xEDB7);
+    let corr_groups = vec![(JoinSpec::on_column(0), MappingSet::mixed(3, 3, 5))];
+    for (name, gen, groups) in [
+        ("indep_churn", churn, churn_groups),
+        ("corr_join", corr, corr_groups),
+    ] {
+        let (r, t) = (gen.generate("R"), gen.generate("T"));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let (mut clock, mut stats) = (SimClock::default(), Stats::new());
+                for (spec, mapping) in &groups {
+                    let mut sink = BlockSink {
+                        pairs: Vec::with_capacity(BLOCK),
+                        rows: PointStore::with_capacity(mapping.output_dims(), BLOCK),
+                    };
+                    hash_join_project_into(
+                        r.records(),
+                        t.records(),
+                        *spec,
+                        mapping,
+                        &mut clock,
+                        &mut stats,
+                        &mut sink,
+                    );
+                }
+                black_box(stats.join_results)
+            })
+        });
+    }
+    group.finish();
+}
+
 /// JFSL as the benchmark's set-up runs it: the eleven paper preferences
 /// over one `mixed(3, 3, 5)` join group of two 3,000-row tables (σ = 0.02,
 /// ~180 k join rows), correlated (tiny windows: the join's cost shows) and
@@ -232,6 +317,7 @@ criterion_group!(
     bench_skyline_kernels,
     bench_incremental_kernels,
     bench_join_kernels,
+    bench_join_project,
     bench_jfsl
 );
 criterion_main!(benches);

@@ -228,6 +228,8 @@ impl<S: TraceSink> Run<'_, S> {
             order.len()
         };
 
+        // A kept row's partial projection, finished once per partner.
+        let mut partial = Vec::with_capacity(stride);
         // A retry whose seed is already in the plan resumes after it.
         let mut pos = if region && seeded[rid.index()] {
             cut
@@ -266,6 +268,8 @@ impl<S: TraceSink> Run<'_, S> {
                     }
                     continue;
                 }
+                partial.clear();
+                mapping.partial_into(&rrec.vals, &mut partial);
                 for mi in index.rows(partners) {
                     let trec = t.record(t_cell.rows[mi]);
                     clock.charge_join_probes(1);
@@ -275,8 +279,7 @@ impl<S: TraceSink> Run<'_, S> {
                     stats.join_results += 1;
                     // Project into the point store's tail; pop the row again
                     // if the tuple turns out to serve nobody.
-                    let id =
-                        points.push_with(|out| mapping.apply_into(&rrec.vals, &trec.vals, out));
+                    let id = points.push_with(|out| mapping.finish_into(&partial, &trec.vals, out));
                     // Cell-level lineage: which queries can this tuple still
                     // serve? (A re-joined tuple is offered to fresh windows
                     // only and registered by the admission, so it needs none.)

@@ -11,12 +11,17 @@
 //! `(key, row)` runs probed by binary search — rather than a hash map:
 //! iteration order is then a pure function of the input (build order within
 //! each key), which the determinism contract requires on traced paths, and
-//! probing allocates nothing. The hash join hands each result to a
-//! [`JoinSink`] the moment it is produced ([`hash_join_project_into`]), so
-//! a consumer that needs only a bounded block of rows at a time — JFSL's
-//! BNL windows — never holds the whole join. [`hash_join_project_store`] is
-//! the sink that keeps every result in a flat [`PointStore`]. The
-//! [`OutTuple`]-returning nested-loop join is the definitional oracle.
+//! probing allocates nothing. The hash join gathers its build side once in
+//! index order, so each probe's matches are one contiguous run, and projects
+//! once per base row: each R row's [`MappingSet::partial_into`] (the offset
+//! plus its R terms) is computed once and every result is finished from it
+//! with [`MappingSet::finish_into`], bit-equal to `apply_into`. It hands each
+//! result to a [`JoinSink`] the moment it is produced
+//! ([`hash_join_project_into`]), so a consumer that needs only a bounded
+//! block of rows at a time — JFSL's BNL windows — never holds the whole
+//! join. [`hash_join_project_store`] is the sink that keeps every result in
+//! a flat [`PointStore`]. The [`OutTuple`]-returning nested-loop join is the
+//! definitional oracle.
 
 use crate::mapping::MappingSet;
 use caqe_data::Record;
@@ -95,14 +100,9 @@ impl SortedJoinIndex {
         SortedJoinIndex { entries }
     }
 
-    /// The build rows matching `key`, in build order.
-    #[inline]
-    pub fn matches(&self, key: u32) -> impl ExactSizeIterator<Item = usize> + '_ {
-        self.rows(self.range(key))
-    }
-
-    /// Where the build rows matching `key` sit in the index, for a caller
-    /// that keeps them apart from the probe ([`Self::rows`] reads them).
+    /// Where the build rows matching `key` sit in the index: one contiguous
+    /// run, in build order ([`Self::rows`] reads them; a caller that
+    /// gathered the build side in index order reads the same run of it).
     #[inline]
     pub fn range(&self, key: u32) -> Range<usize> {
         let lo = self.entries.partition_point(|&(k, _)| k < key);
@@ -180,10 +180,19 @@ impl JoinSink for JoinOutput {
 /// Hash equi-join fused with projection, every result handed to `sink` the
 /// moment it is produced. Builds on the smaller side.
 ///
+/// The build side is gathered once in [`SortedJoinIndex`] order — ids,
+/// plus each R row's [`MappingSet::partial_into`] when R builds, or its T
+/// values when T does — so a probe row's matches are one contiguous run.
+/// An R probe row's partial is computed once for all its matches. Every
+/// result is finished from its R row's partial, bit-equal to
+/// [`MappingSet::apply_into`].
+///
 /// Probe cost: one `join_probe` per (probe tuple × matching build tuple),
 /// plus one per probe tuple for the index lookup itself — a deliberately
 /// cheaper profile than the nested-loop join, reflecting the paper's
-/// assumption that join computation is shared efficiently.
+/// assumption that join computation is shared efficiently. A probe row's
+/// charges are made at once; ticks and counters are integer sums, and the
+/// sink never reads the clock.
 pub fn hash_join_project_into(
     left: &[Record],
     right: &[Record],
@@ -199,19 +208,50 @@ pub fn hash_join_project_into(
         (right, left, false)
     };
     let index = SortedJoinIndex::build(build.len(), |i| build[i].key(spec.column));
-    let k = mapping.output_dims() as u64;
+    let k = mapping.output_dims();
+    // Per build row, in index order: its R partial (R builds) or its T
+    // values (T builds), `width` values each.
+    let width = if build_is_left { k } else { mapping.dims_t() };
+    let mut ids = Vec::with_capacity(build.len());
+    let mut gathered = Vec::with_capacity(build.len() * width);
+    for row in index.rows(0..index.len()) {
+        let b = &build[row];
+        ids.push(b.id);
+        if build_is_left {
+            mapping.partial_into(&b.vals, &mut gathered);
+        } else {
+            debug_assert_eq!(b.vals.len(), width);
+            gathered.extend_from_slice(&b.vals);
+        }
+    }
+    let mut partial = Vec::with_capacity(k);
     for p in probe {
-        clock.charge_join_probes(1);
-        stats.join_probes += 1;
-        for row in index.matches(p.key(spec.column)) {
-            clock.charge_join_probes(1);
-            stats.join_probes += 1;
-            let b = &build[row];
-            let (r, t) = if build_is_left { (b, p) } else { (p, b) };
-            clock.charge_map_evals(k);
-            stats.map_evals += k;
-            stats.join_results += 1;
-            sink.push(r.id, t.id, |dst| mapping.apply_into(&r.vals, &t.vals, dst));
+        let run = index.range(p.key(spec.column));
+        let m = run.len() as u64;
+        clock.charge_join_probes(1 + m);
+        stats.join_probes += 1 + m;
+        if m == 0 {
+            continue;
+        }
+        clock.charge_map_evals(k as u64 * m);
+        stats.map_evals += k as u64 * m;
+        stats.join_results += m;
+        let vals = &gathered[run.start * width..run.end * width];
+        if build_is_left {
+            // `width` is `k`, at least 1.
+            for (&rid, r_partial) in ids[run].iter().zip(vals.chunks_exact(width)) {
+                sink.push(rid, p.id, |dst| {
+                    mapping.finish_into(r_partial, &p.vals, dst)
+                });
+            }
+        } else {
+            partial.clear();
+            mapping.partial_into(&p.vals, &mut partial);
+            // Not `chunks_exact`: a T side with no attributes has width 0.
+            for (i, &tid) in ids[run].iter().enumerate() {
+                let t_vals = &vals[i * width..(i + 1) * width];
+                sink.push(p.id, tid, |dst| mapping.finish_into(&partial, t_vals, dst));
+            }
         }
     }
 }
@@ -308,14 +348,16 @@ mod tests {
         let idx = SortedJoinIndex::build(keys.len(), |i| keys[i]);
         assert_eq!(idx.len(), 6);
         assert!(!idx.is_empty());
-        assert_eq!(idx.matches(5).collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert_eq!(idx.matches(3).collect::<Vec<_>>(), vec![1, 4]);
-        assert_eq!(idx.matches(9).collect::<Vec<_>>(), vec![5]);
-        assert_eq!(idx.matches(7).count(), 0);
-        // A kept range reads back the same rows.
+        let matches = |key| idx.rows(idx.range(key)).collect::<Vec<_>>();
+        assert_eq!(matches(5), vec![0, 2, 3]);
+        assert_eq!(matches(3), vec![1, 4]);
+        assert_eq!(matches(9), vec![5]);
         assert!(idx.range(7).is_empty());
-        let three = idx.range(3);
-        assert_eq!(idx.rows(three).collect::<Vec<_>>(), vec![1, 4]);
+        // The whole index reads back key by key, build order within each.
+        assert_eq!(
+            idx.rows(0..idx.len()).collect::<Vec<_>>(),
+            vec![1, 4, 0, 2, 3, 5]
+        );
     }
 
     #[test]
@@ -330,6 +372,20 @@ mod tests {
         let out2 =
             hash_join_project_store(&[], &r, JoinSpec::on_column(0), &m, &mut clock, &mut stats);
         assert!(out2.is_empty());
+    }
+
+    #[test]
+    fn t_side_without_attributes_builds() {
+        // T is shorter, so it builds, with zero values per row.
+        let l = vec![rec(0, &[1.0], 4), rec(1, &[2.0], 4), rec(2, &[3.0], 5)];
+        let r = vec![rec(10, &[], 4), rec(11, &[], 4)];
+        let m = MappingSet::concat(1, 0);
+        let spec = JoinSpec::on_column(0);
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        let out = hash_join_project_store(&l, &r, spec, &m, &mut clock, &mut stats);
+        assert_eq!(out.pairs, vec![(0, 10), (0, 11), (1, 10), (1, 11)]);
+        assert_eq!(out.store.as_flat(), &[1.0, 1.0, 2.0, 2.0]);
     }
 
     #[test]

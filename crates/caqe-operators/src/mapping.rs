@@ -59,15 +59,30 @@ impl MappingFn {
         MappingFn::new(vec![0.0; dims_r], wt, 0.0)
     }
 
-    /// Evaluates the mapping for one joined pair.
+    /// Evaluates the mapping for one joined pair: [`Self::partial`] then
+    /// [`Self::finish`], so a caller that splits the two gets the same bits.
     #[inline]
     pub fn apply(&self, r_vals: &[Value], t_vals: &[Value]) -> Value {
+        self.finish(self.partial(r_vals), t_vals)
+    }
+
+    /// The R row's share of [`Self::apply`]: the offset plus the R terms,
+    /// added in `apply`'s order.
+    #[inline]
+    pub fn partial(&self, r_vals: &[Value]) -> Value {
         debug_assert_eq!(r_vals.len(), self.weights_r.len());
-        debug_assert_eq!(t_vals.len(), self.weights_t.len());
         let mut acc = self.offset;
         for (w, v) in self.weights_r.iter().zip(r_vals) {
             acc += w * v;
         }
+        acc
+    }
+
+    /// Completes [`Self::partial`]'s accumulator with the T terms.
+    #[inline]
+    pub fn finish(&self, partial: Value, t_vals: &[Value]) -> Value {
+        debug_assert_eq!(t_vals.len(), self.weights_t.len());
+        let mut acc = partial;
         for (w, v) in self.weights_t.iter().zip(t_vals) {
             acc += w * v;
         }
@@ -156,6 +171,12 @@ impl MappingSet {
         &self.fns
     }
 
+    /// Number of T-side preference attributes each function reads.
+    #[inline]
+    pub(crate) fn dims_t(&self) -> usize {
+        self.fns[0].weights_t.len()
+    }
+
     /// Maps one joined pair to its output-space point.
     pub fn apply(&self, r_vals: &[Value], t_vals: &[Value]) -> Vec<Value> {
         self.fns.iter().map(|f| f.apply(r_vals, t_vals)).collect()
@@ -167,6 +188,26 @@ impl MappingSet {
     pub fn apply_into(&self, r_vals: &[Value], t_vals: &[Value], out: &mut Vec<Value>) {
         for f in &self.fns {
             out.push(f.apply(r_vals, t_vals));
+        }
+    }
+
+    /// Appends the R row's partial per output dimension
+    /// ([`MappingFn::partial`]): computed once, it serves every T partner
+    /// of the row through [`Self::finish_into`].
+    #[inline]
+    pub fn partial_into(&self, r_vals: &[Value], out: &mut Vec<Value>) {
+        for f in &self.fns {
+            out.push(f.partial(r_vals));
+        }
+    }
+
+    /// Maps one joined pair from its R row's [`Self::partial_into`],
+    /// appending to `out` exactly what [`Self::apply_into`] would.
+    #[inline]
+    pub fn finish_into(&self, partial: &[Value], t_vals: &[Value], out: &mut Vec<Value>) {
+        debug_assert_eq!(partial.len(), self.fns.len());
+        for (f, &p) in self.fns.iter().zip(partial) {
+            out.push(f.finish(p, t_vals));
         }
     }
 

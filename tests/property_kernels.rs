@@ -4,11 +4,14 @@
 //! screened by signatures (DESIGN.md §17) or not, is held candidate by
 //! candidate to the member-at-a-time loop — same survivors, same `Stats`,
 //! same virtual-clock ticks — SFS to the definition, and the flat hash
-//! join to the nested-loop join.
+//! join to a per-probe reference loop (order, bits, ticks and `Stats`)
+//! and to the nested-loop join; the per-row partial projection is held to
+//! `MappingFn::apply` bit for bit.
 
+use caqe::data::Record;
 use caqe::operators::{
     hash_join_project_store, nested_loop_join_project, skyline_bnl_store, skyline_reference,
-    skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingSet,
+    skyline_sfs_store, skyline_sfs_store_each, JoinSpec, MappingFn, MappingSet, OutTuple,
 };
 use caqe::types::{
     relate, relate_in, DimMask, DomKernel, DomRelation, PointStore, Rect, SigQuantizer, SimClock,
@@ -341,43 +344,201 @@ proptest! {
 
     #[test]
     fn join_store_output_matches_the_nested_loop_join(
-        n_left in 1usize..30,
-        n_right in 1usize..30,
-        key_mod in 1u32..6,
+        (left, right, mapping) in join_inputs(),
     ) {
-        use caqe::data::Record;
-        let rec = |id: u64, v: f64, key: u32| Record::new(id, vec![v, v + 1.0], vec![key]);
-        let left: Vec<Record> = (0..n_left)
-            .map(|i| rec(i as u64, i as f64, (i as u32 * 7 + 3) % key_mod))
-            .collect();
-        let right: Vec<Record> = (0..n_right)
-            .map(|i| rec(100 + i as u64, i as f64 * 0.5, (i as u32 * 5 + 1) % key_mod))
-            .collect();
-        let mapping = MappingSet::mixed(2, 2, 3);
         let spec = JoinSpec::on_column(0);
+        let (mut ref_clock, mut ref_stats) = (SimClock::default(), Stats::new());
+        let want = per_probe_reference(&left, &right, &mapping, &mut ref_clock, &mut ref_stats);
+        let mut clock = SimClock::default();
+        let mut stats = Stats::new();
+        let flat = hash_join_project_store(&left, &right, spec, &mapping, &mut clock, &mut stats);
 
-        // The same results and projections as Definition 1's every-pair
-        // join, each projection charged once.
+        // Production order, pairs and every value's bits.
+        prop_assert_eq!(flat.len(), want.len());
+        for (i, ((&pair, vals), o)) in flat.pairs.iter().zip(flat.store.iter()).zip(&want).enumerate() {
+            prop_assert_eq!(pair, (o.rid, o.tid), "pair of result {}", i);
+            prop_assert_eq!(bits(vals), bits(&o.vals), "values of result {}", i);
+        }
+        prop_assert_eq!(clock.ticks(), ref_clock.ticks());
+        prop_assert_eq!(&stats, &ref_stats);
+
+        // The same set of pairs as Definition 1's every-pair join.
         let mut s1 = Stats::new();
         let tuples =
             nested_loop_join_project(&left, &right, spec, &mapping, &mut SimClock::default(), &mut s1);
-        let mut s2 = Stats::new();
-        let flat =
-            hash_join_project_store(&left, &right, spec, &mapping, &mut SimClock::default(), &mut s2);
-        let mut want: Vec<((u64, u64), Vec<f64>)> =
-            tuples.into_iter().map(|o| ((o.rid, o.tid), o.vals)).collect();
-        let mut got: Vec<((u64, u64), Vec<f64>)> = flat
-            .pairs
-            .iter()
-            .zip(flat.store.iter())
-            .map(|(&pair, vals)| (pair, vals.to_vec()))
-            .collect();
-        want.sort_by_key(|t| t.0);
-        got.sort_by_key(|t| t.0);
-        prop_assert_eq!(got, want);
-        prop_assert_eq!(s1.join_results, s2.join_results);
-        prop_assert_eq!(s1.map_evals, s2.map_evals);
+        let mut every_pair: Vec<(u64, u64)> = tuples.iter().map(|o| (o.rid, o.tid)).collect();
+        let mut got = flat.pairs.clone();
+        every_pair.sort_unstable();
+        got.sort_unstable();
+        prop_assert_eq!(got, every_pair);
+        prop_assert_eq!(s1.map_evals, stats.map_evals);
     }
+
+    #[test]
+    fn partial_then_finish_is_apply_bit_for_bit(
+        (mapping, rows_r, rows_t) in mapping_and_rows(),
+    ) {
+        let (mut partial, mut split, mut whole) = (Vec::new(), Vec::new(), Vec::new());
+        for r in &rows_r {
+            partial.clear();
+            mapping.partial_into(r, &mut partial);
+            for t in &rows_t {
+                split.clear();
+                mapping.finish_into(&partial, t, &mut split);
+                whole.clear();
+                mapping.apply_into(r, t, &mut whole);
+                let want: Vec<f64> = mapping.fns().iter().map(|f| affine_reference(f, r, t)).collect();
+                prop_assert_eq!(bits(&split), bits(&want), "r {:?} t {:?}", r, t);
+                prop_assert_eq!(bits(&whole), bits(&want), "r {:?} t {:?}", r, t);
+                prop_assert_eq!(bits(&mapping.apply(r, t)), bits(&want));
+            }
+        }
+    }
+}
+
+/// Each value's bit pattern: tells `-0.0` from `0.0` and compares NaNs.
+fn bits(vals: &[f64]) -> Vec<u64> {
+    vals.iter().map(|v| v.to_bits()).collect()
+}
+
+/// `MappingFn::apply` written out: the offset, then every R term, then
+/// every T term, in that order.
+fn affine_reference(f: &MappingFn, r: &[f64], t: &[f64]) -> f64 {
+    let mut acc = f.offset;
+    for (w, v) in f.weights_r.iter().zip(r) {
+        acc += w * v;
+    }
+    for (w, v) in f.weights_t.iter().zip(t) {
+        acc += w * v;
+    }
+    acc
+}
+
+/// The hash join's production order, one probe row at a time: the longer
+/// side probes (the left when the sides are equal in length builds), and
+/// each probe row meets its matches in build order. Charged as the join
+/// charges: one probe per probe row and per match, `k` evaluations per
+/// match, each projected through `MappingSet::apply`.
+fn per_probe_reference(
+    left: &[Record],
+    right: &[Record],
+    mapping: &MappingSet,
+    clock: &mut SimClock,
+    stats: &mut Stats,
+) -> Vec<OutTuple> {
+    let build_is_left = left.len() <= right.len();
+    let (build, probe) = if build_is_left {
+        (left, right)
+    } else {
+        (right, left)
+    };
+    let k = mapping.output_dims() as u64;
+    let mut out = Vec::new();
+    for p in probe {
+        clock.charge_join_probes(1);
+        stats.join_probes += 1;
+        for b in build.iter().filter(|b| b.key(0) == p.key(0)) {
+            clock.charge_join_probes(1);
+            stats.join_probes += 1;
+            clock.charge_map_evals(k);
+            stats.map_evals += k;
+            stats.join_results += 1;
+            let (r, t) = if build_is_left { (b, p) } else { (p, b) };
+            out.push(OutTuple {
+                rid: r.id,
+                tid: t.id,
+                vals: mapping.apply(&r.vals, &t.vals),
+            });
+        }
+    }
+    out
+}
+
+/// Values a projection must carry through bit for bit: both signed zeros,
+/// NaN, both infinities, the largest finite values (`Clamp`'s sentinels
+/// are one above a column's largest finite value) and ordinary ones.
+fn projection_value() -> impl Strategy<Value = f64> {
+    const SPECIAL: [f64; 9] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::MAX,
+        1e308 + 1.0,
+        f64::MIN_POSITIVE,
+        -1.0,
+    ];
+    prop_oneof![
+        (0usize..SPECIAL.len()).prop_map(|i| SPECIAL[i]),
+        -1e6..1e6f64,
+        (0u8..6).prop_map(|v| v as f64),
+    ]
+}
+
+/// A mapping weight: often exactly zero, sometimes one, else any in [0, 8).
+fn weight() -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), Just(1.0), 0.0..8.0f64]
+}
+
+/// A mapping of `k` functions over `dims_r` R and `dims_t` T attributes,
+/// with zero weights and signed-zero offsets.
+fn random_mapping(dims_r: usize, dims_t: usize) -> impl Strategy<Value = MappingSet> {
+    let f = (
+        proptest::collection::vec(weight(), dims_r..=dims_r),
+        proptest::collection::vec(weight(), dims_t..=dims_t),
+        prop_oneof![Just(0.0), Just(-0.0), -4.0..4.0f64],
+    )
+        .prop_map(|(wr, wt, offset)| MappingFn::new(wr, wt, offset));
+    proptest::collection::vec(f, 1..=5).prop_map(MappingSet::new)
+}
+
+/// A random mapping with random arities, and R and T rows to project.
+fn mapping_and_rows() -> impl Strategy<Value = (MappingSet, Vec<Vec<f64>>, Vec<Vec<f64>>)> {
+    (1usize..=4, 1usize..=4).prop_flat_map(|(dims_r, dims_t)| {
+        (
+            random_mapping(dims_r, dims_t),
+            proptest::collection::vec(
+                proptest::collection::vec(projection_value(), dims_r..=dims_r),
+                1..6,
+            ),
+            proptest::collection::vec(
+                proptest::collection::vec(projection_value(), dims_t..=dims_t),
+                1..6,
+            ),
+        )
+    })
+}
+
+/// Two 2-dim tables keyed on one column — the left shorter, the right
+/// shorter or both equal, so either side builds — with lattice values that
+/// include both signed zeros, and a random mapping with zero weights.
+fn join_inputs() -> impl Strategy<Value = (Vec<Record>, Vec<Record>, MappingSet)> {
+    fn table(n: usize, first_id: u64, key_mod: u32) -> impl Strategy<Value = Vec<Record>> {
+        const LATTICE: [f64; 5] = [-0.0, 0.0, 0.5, 1.0, 3.0];
+        let row = (
+            proptest::collection::vec((0usize..LATTICE.len()).prop_map(|i| LATTICE[i]), 2..=2),
+            0u32..key_mod,
+        );
+        proptest::collection::vec(row, n..=n).prop_map(move |rows| {
+            rows.into_iter()
+                .enumerate()
+                .map(|(i, (vals, key))| Record::new(first_id + i as u64, vals, vec![key]))
+                .collect()
+        })
+    }
+    (0usize..24, 0usize..3, 1usize..8, 1u32..6).prop_flat_map(|(n, shape, extra, key_mod)| {
+        let (n_left, n_right) = match shape {
+            0 => (n, n),
+            1 => (n, n + extra),
+            _ => (n + extra, n),
+        };
+        (
+            table(n_left, 0, key_mod),
+            table(n_right, 1000, key_mod),
+            random_mapping(2, 2),
+        )
+    })
 }
 
 /// All four [`DomRelation`] outcomes, checked deterministically against the
