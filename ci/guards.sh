@@ -53,6 +53,13 @@ retired=(
   # a second way to build a workload, and the `Vec<Vec<f64>>` and
   # `OutTuple` adapters over the store forms
   'WorkloadBuilder' 'skyline_bnl\(' 'skyline_sfs\(' 'hash_join_project\('
+  # the serving layer's epoch retry (an epoch is a pure function of its
+  # batch, so it runs once) and its options no caller set; the engine's
+  # own load shedding (`DegradationPolicy`) is not named here
+  'WallRetryPolicy' 'with_retry' 'RegionFailed' 'is_transient' 'shed_floor'
+  'NegotiationPolicy' 'SERVE_EPOCH_RETRIES' 'epoch_retries_total'
+  'default_deadline_ms' 'attach_timeout_ms' 'full_retries'
+  'RejectReason::Shedding'
 )
 scope=(crates tests src examples vendor ci .github .claude Cargo.toml
   clippy.toml .gitignore DESIGN.md README.md ':!tests/golden' ':!ci/guards.sh')

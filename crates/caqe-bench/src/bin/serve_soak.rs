@@ -300,7 +300,6 @@ fn soak_mode(args: &[String]) -> ExitCode {
             epoch_batch: batch,
             ..ServeConfig::default()
         },
-        ..SoakConfig::default()
     };
     let report = run_soak(
         &inp.tables,

@@ -7,6 +7,10 @@ use caqe_faults::FaultPlan;
 use caqe_trace::{write_trace, RecordingSink};
 use std::path::Path;
 
+/// Contract deadlines as a fraction of the calibrated reference execution
+/// time.
+const DEADLINE_FRACTION: f64 = 0.3;
+
 /// Everything one experimental cell needs.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -22,8 +26,6 @@ pub struct ExperimentConfig {
     pub workload_size: usize,
     /// Table 2 contract id (1–5).
     pub contract_id: usize,
-    /// Deadline as a fraction of the calibrated reference execution time.
-    pub deadline_fraction: f64,
     /// Target quad-tree leaves per table.
     pub cells_per_table: usize,
     /// RNG seed.
@@ -56,7 +58,6 @@ impl ExperimentConfig {
             sigma: 0.02,
             workload_size: 11,
             contract_id,
-            deadline_fraction: 0.3,
             cells_per_table: 12,
             seed: 0xEDB7,
             reference_secs: None,
@@ -88,7 +89,7 @@ impl ExperimentConfig {
         let reference = self
             .reference_secs
             .unwrap_or_else(|| self.reference_seconds());
-        let params = ContractParams::from_reference(reference, self.deadline_fraction);
+        let params = ContractParams::from_reference(reference, DEADLINE_FRACTION);
         paper_workload(
             self.workload_size,
             self.input_dims,

@@ -195,7 +195,7 @@ fn a_valid_trace_of_every_kind_passes_every_rule() {
         depart(9, 2),
         emit(9, 2, 2),
         reject("full", 4),
-        reject("shed", 0),
+        reject("invalid", 0),
         shutdown(),
     ];
     assert_eq!(fold(&events).problems(), Vec::<String>::new());

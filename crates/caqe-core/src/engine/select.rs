@@ -27,12 +27,21 @@ fn policy_label(policy: SchedulingPolicy) -> &'static str {
     }
 }
 
-/// The engine-side cost projection for a region: its `estimate_ticks`
-/// (`base`) with any estimator perturbation fault applied (DESIGN.md §13). A
+/// The engine-side cost projection for a region: its `estimate_ticks` with
+/// any estimator perturbation fault applied (DESIGN.md §13). Every consumer
+/// of the estimate — Eq. 8's CSM, the unblocking term, the count-driven
+/// score, the traced decision and the shed pick — reads this one value. A
 /// factor of exactly 1.0 — the no-fault case — takes the untouched estimate,
 /// keeping the golden path bit-identical.
-fn perturbed_est_ticks(faults: &FaultPlan, gi: u32, rid: RegionId, base: u64) -> u64 {
-    let factor = faults.estimator_factor(gi, rid.0);
+fn est_ticks(
+    g: &Counted<'_>,
+    reg: &OutputRegion,
+    clock: &SimClock,
+    faults: &FaultPlan,
+    gi: u32,
+) -> u64 {
+    let base = estimate_ticks(reg, clock.model(), g.mapping.output_dims());
+    let factor = faults.estimator_factor(gi, reg.id.0);
     if factor == 1.0 {
         base
     } else {
@@ -71,8 +80,7 @@ impl Ranker<'_> {
                 weights[q.index()] / (1.0 + hi_score / mask.len() as f64)
             })
             .sum();
-        let base_ticks = estimate_ticks(reg, self.clock.model(), g.mapping.output_dims());
-        let ticks = perturbed_est_ticks(self.faults, gi, reg.id, base_ticks);
+        let ticks = est_ticks(g, reg, self.clock, self.faults, gi);
         match self.policy {
             SchedulingPolicy::ContractDriven => {
                 // Equation 8 scores the expected utility of the region's
@@ -97,7 +105,7 @@ impl Ranker<'_> {
                             weights[qi] * n as f64 * scores[qi].hypothetical_utility(t_done, 1);
                     }
                 }
-                let csm = g.csm(reg, scores, weights, self.clock, base_ticks);
+                let csm = g.csm(reg, scores, weights, self.clock, ticks);
                 csm + unblock + 1e-3 * potential
             }
             SchedulingPolicy::CountDriven => {
@@ -252,8 +260,7 @@ impl<S: TraceSink> Run<'_, S> {
                 .filter(|&&q| reg.serving.contains(q))
                 .map(|&q| buchta_estimate(reg.est_join.max(1.0), g.regions.pref(q).len()))
                 .sum();
-            let base_ticks = estimate_ticks(reg, self.clock.model(), g.mapping.output_dims());
-            audit.est_ticks = perturbed_est_ticks(faults, gi, rid, base_ticks);
+            audit.est_ticks = est_ticks(&g, reg, &self.clock, faults, gi);
             self.sink.record(TraceEvent::Decision {
                 tick: self.clock.ticks(),
                 group: gi,
@@ -261,7 +268,7 @@ impl<S: TraceSink> Run<'_, S> {
                 policy: policy_label(self.engine.policy),
                 root: g.dg.is_root(rid),
                 score: pick.score,
-                csm: g.csm(reg, scores, weights, &self.clock, base_ticks),
+                csm: g.csm(reg, scores, weights, &self.clock, audit.est_ticks),
                 prog_est: g.prog_est(reg),
                 est_ticks: audit.est_ticks,
                 weights: weights.clone(),
@@ -286,7 +293,6 @@ impl<S: TraceSink> Run<'_, S> {
         let mut victim: Option<(usize, RegionId, f64)> = None;
         for (gi, gs) in self.groups.iter_mut().enumerate() {
             let g = gs.g.counted();
-            let out_dims = g.mapping.output_dims();
             for reg in g.regions.regions() {
                 if !reg.is_alive() || !g.dg.is_root(reg.id) {
                     continue;
@@ -304,7 +310,7 @@ impl<S: TraceSink> Run<'_, S> {
                 if sole {
                     continue;
                 }
-                let t_c = estimate_ticks(reg, self.clock.model(), out_dims);
+                let t_c = est_ticks(&g, reg, &self.clock, &self.exec.faults, gi as u32);
                 let csm = g.csm(reg, scores, weights, &self.clock, t_c);
                 if victim.map_or(true, |(_, _, best)| csm < best) {
                     victim = Some((gi, reg.id, csm));
@@ -317,9 +323,12 @@ impl<S: TraceSink> Run<'_, S> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{group_of, World};
+    use super::super::testkit::{group_of, spec, World};
+    use super::*;
     use crate::config::EngineConfig;
-    use caqe_types::{DimMask, RegionId};
+    use crate::workload::QuerySpec;
+    use caqe_contract::Contract;
+    use caqe_types::DimMask;
 
     const FULL: [DimMask; 1] = [DimMask(0b11)];
 
@@ -372,6 +381,72 @@ mod tests {
         assert_eq!(run.earliest_wakeup(), Some(now + 10));
         run.clock.advance(10);
         assert_eq!(run.select().map(|p| p.rid), Some(winner));
+    }
+
+    #[test]
+    fn the_estimator_fault_reaches_the_csm_term() {
+        // Incomparable boxes: both are roots.
+        let boxes = [([0.0, 8.0], [1.0, 9.0]), ([8.0, 0.0], [9.0, 1.0])];
+        // Under `faults`, one query with `contract` over region 0: its tick
+        // estimate, its projected completion, the Eq. 8 CSM at that
+        // estimate, the score less that CSM (the unblocking term is 0 with
+        // nothing witnessed, which leaves the potential tiebreaker) and the
+        // CSM the decision trace records.
+        let probe = |faults: FaultPlan, contract: Contract| {
+            let mut world = World::new(EngineConfig::caqe());
+            world.exec.faults = faults;
+            let mut run = world.over(vec![group_of(&boxes, &FULL)]);
+            run.queries = QueryTable::default();
+            let spec = QuerySpec {
+                contract,
+                ..spec(0, FULL[0])
+            };
+            run.queries.admit(&spec, &run.groups, 1.0, 0.0);
+            let ranker = Ranker {
+                policy: SchedulingPolicy::ContractDriven,
+                queries: &run.queries,
+                clock: &run.clock,
+                faults: &run.exec.faults,
+            };
+            let g = run.groups[0].g.counted();
+            let reg = g.regions.region(RegionId(0));
+            let ticks = est_ticks(&g, reg, &run.clock, &run.exec.faults, 0);
+            let (scores, weights) = (&run.queries.scores, &run.queries.weights);
+            let csm = g.csm(reg, scores, weights, &run.clock, ticks);
+            let rest = ranker.score(&g, 0, reg, &[]) - csm;
+            let pick = Pick {
+                gi: 0,
+                rid: RegionId(0),
+                score: 0.0,
+            };
+            run.trace_decision(pick);
+            let traced = run.sink.events().iter().rev().find_map(|ev| match ev {
+                TraceEvent::Decision { csm, .. } => Some(*csm),
+                _ => None,
+            });
+            (ticks, run.clock.projected(ticks), csm, rest, traced)
+        };
+        let plan = FaultPlan::seeded(7).with_estimator_noise(1.0, 4.0);
+        let factor = plan.estimator_factor(0, 0);
+        assert_ne!(factor, 1.0);
+        let (base, t_base, ..) = probe(FaultPlan::none(), Contract::LogDecay);
+        let (ticks, t_fault, ..) = probe(plan, Contract::LogDecay);
+        assert_eq!(ticks, ((base as f64 * factor).ceil() as u64).max(1));
+        // A hard deadline between the two projected completions: the region
+        // pays off at one estimate and not at the other.
+        let deadline = Contract::Deadline {
+            t_hard: (t_base + t_fault) / 2.0,
+        };
+        let (_, _, clean_csm, clean_rest, clean_traced) =
+            probe(FaultPlan::none(), deadline.clone());
+        let (_, _, csm, rest, traced) = probe(plan, deadline);
+        assert_ne!(csm, clean_csm, "the perturbed estimate must move the CSM");
+        assert!(
+            (rest - clean_rest).abs() <= 1e-9 * clean_rest.abs().max(1.0),
+            "the score's CSM term is not the CSM at the perturbed ticks: {rest} vs {clean_rest}"
+        );
+        assert_eq!(traced, Some(csm));
+        assert_eq!(clean_traced, Some(clean_csm));
     }
 
     #[test]

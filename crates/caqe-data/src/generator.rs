@@ -22,6 +22,9 @@ use caqe_types::{fnv1a, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Attribute values lie in `[lo, hi]`; the paper's `[1, 100]`.
+const VALUE_RANGE: (Value, Value) = (1.0, 100.0);
+
 /// Attribute correlation regime of a generated table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Distribution {
@@ -86,8 +89,6 @@ pub struct TableGenerator {
     pub dims: usize,
     /// Attribute correlation regime.
     pub distribution: Distribution,
-    /// Value range `[lo, hi]`; the paper uses `[1, 100]`.
-    pub value_range: (Value, Value),
     /// Join-key domain size per join column (`K_c = round(1/σ_c)`).
     pub key_domains: Vec<u32>,
     /// RNG seed for reproducibility.
@@ -95,14 +96,13 @@ pub struct TableGenerator {
 }
 
 impl TableGenerator {
-    /// A generator with the paper's defaults: values in `[1, 100]` and a
+    /// A generator of values in the paper's `[1, 100]`, by default over a
     /// single join column with selectivity `σ = 10⁻²` (domain size 100).
     pub fn new(n: usize, dims: usize, distribution: Distribution) -> Self {
         TableGenerator {
             n,
             dims,
             distribution,
-            value_range: (1.0, 100.0),
             key_domains: vec![100],
             seed: 0xCA9E,
         }
@@ -132,7 +132,7 @@ impl TableGenerator {
         // Hashing the name in decorrelates the two tables of a join generated
         // from one seed.
         let mut rng = StdRng::seed_from_u64(self.seed ^ fnv1a(name.as_bytes()));
-        let (lo, hi) = self.value_range;
+        let (lo, hi) = VALUE_RANGE;
         let span = hi - lo;
         let mut records = Vec::with_capacity(self.n);
         for id in 0..self.n {

@@ -80,50 +80,6 @@ pub fn silence_injected_panics() {
     }));
 }
 
-/// Wall-clock retry/backoff policy for the serving driver (`caqe-serve`).
-///
-/// The engine's own retry budget and virtual-tick backoff (fixed constants
-/// in its `recover` module) govern *deterministic* in-run recovery; this
-/// policy governs the
-/// wall-clock loop *around* engine runs: how many times a driver re-submits
-/// an epoch after a transient failure and how long it sleeps in between.
-/// Exponential with a cap, mirroring the tick-domain policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WallRetryPolicy {
-    /// Attempts before the failure is declared terminal (≥ 1).
-    pub max_attempts: u32,
-    /// Sleep after the first failure, doubling per retry, in milliseconds.
-    pub backoff_base_ms: u64,
-    /// Ceiling on the exponential backoff, in milliseconds.
-    pub backoff_cap_ms: u64,
-}
-
-impl Default for WallRetryPolicy {
-    fn default() -> Self {
-        WallRetryPolicy {
-            max_attempts: 3,
-            backoff_base_ms: 10,
-            backoff_cap_ms: 250,
-        }
-    }
-}
-
-impl WallRetryPolicy {
-    /// Backoff after the `attempt`-th failure (1-based):
-    /// `base · 2^(attempt−1)` ms, capped.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
-        let shift = attempt.saturating_sub(1).min(32);
-        self.backoff_base_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.backoff_cap_ms)
-    }
-
-    /// [`backoff_ms`](WallRetryPolicy::backoff_ms) as a `Duration`.
-    pub fn backoff(&self, attempt: u32) -> std::time::Duration {
-        std::time::Duration::from_millis(self.backoff_ms(attempt))
-    }
-}
-
 /// A seeded, virtual-clock-keyed fault plan.
 ///
 /// All rates are probabilities in `[0, 1]` evaluated by stateless hashing;

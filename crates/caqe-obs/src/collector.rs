@@ -93,8 +93,6 @@ pub mod names {
     pub const SERVE_QUEUE_DEPTH_PEAK: &str = "caqe_serve_queue_depth_peak";
     /// Counter: serving epochs (deterministic engine runs) completed.
     pub const SERVE_EPOCHS: &str = "caqe_serve_epochs_total";
-    /// Counter: epoch retries after transient failures or caught panics.
-    pub const SERVE_EPOCH_RETRIES: &str = "caqe_serve_epoch_retries_total";
     /// Counter: snapshots written on graceful shutdown.
     pub const SERVE_SNAPSHOTS: &str = "caqe_serve_snapshots_total";
     /// Counter: restores from a snapshot.
@@ -621,7 +619,7 @@ mod tests {
             TraceEvent::AdmissionReject {
                 tick: 2,
                 session: 5,
-                reason: "shed",
+                reason: "invalid",
                 depth: 3,
                 bound: 8,
             },
@@ -645,7 +643,7 @@ mod tests {
             Some(1)
         );
         assert_eq!(
-            reg.counter(&key(names::SERVE_REJECTS, &[("reason", "shed")])),
+            reg.counter(&key(names::SERVE_REJECTS, &[("reason", "invalid")])),
             Some(1)
         );
         assert_eq!(reg.counter(names::SERVE_SHUTDOWNS), Some(1));

@@ -7,15 +7,15 @@
 //!
 //! * [`CaqeServer`] — the session front door: `submit` / `attach` /
 //!   `status` / `cancel`, with per-client contract negotiation
-//!   ([`NegotiationPolicy`]) mapped onto the engine's `EventStream`
-//!   admission machinery.
+//!   ([`negotiate`]) mapped onto the engine's `EventStream` admission
+//!   machinery.
 //! * Admission control — a bounded queue with explicit backpressure:
-//!   overflow and shed-mode submissions get a typed [`RejectReason`], never
+//!   overflow and invalid submissions get a typed [`RejectReason`], never
 //!   silence ([`SubmitResponse`]).
 //! * Deadline watchdogs — per-session wall-clock deadlines expire stale
-//!   queued work; transient `EngineError`s and caught panics are retried
-//!   under a [`WallRetryPolicy`](caqe_faults::WallRetryPolicy) before
-//!   becoming typed terminal failures. No panic escapes the driver.
+//!   queued work. Each epoch runs once under `catch_unwind`: an
+//!   `EngineError` or a caught panic becomes a typed terminal failure
+//!   ([`SessionFailure`]). No panic escapes `run_epoch`.
 //! * Crash-safe snapshot/restore ([`snapshot`]) — graceful shutdown drains
 //!   the queue into a versioned, checksummed snapshot written via temp
 //!   file + fsync + atomic rename; restore is provably trace-equivalent to
@@ -33,11 +33,11 @@ pub mod server;
 pub mod snapshot;
 pub mod soak;
 
-pub use negotiate::{Negotiated, NegotiationPolicy};
+pub use negotiate::{negotiate, Negotiated, Negotiation};
 pub use queue::{BoundedQueue, RejectReason};
 pub use server::{
-    with_retry, CaqeServer, EpochReport, PlanProvenance, ServeConfig, SessionFailure,
-    SessionResult, SessionState, SubmitRequest, SubmitResponse,
+    CaqeServer, EpochReport, PlanProvenance, ServeConfig, SessionFailure, SessionResult,
+    SessionState, SubmitRequest, SubmitResponse,
 };
 pub use snapshot::{
     load_snapshot, write_snapshot, write_snapshot_with_crash, CompletedRecord, ContractSpec,

@@ -1,32 +1,12 @@
 //! Per-client contract negotiation.
 //!
 //! A submission carries the contract the client *wants*; the server grants
-//! the closest contract it is willing to serve. Negotiation is a pure
-//! function of (requested contract, policy) so the same submission stream
-//! always produces the same granted workload — a precondition for the
-//! snapshot/restore equivalence proof.
+//! the closest contract it can serve. Negotiation is a pure function of the
+//! requested contract, so the same submission stream always produces the
+//! same granted workload — a precondition for the snapshot/restore
+//! equivalence proof.
 
 use caqe_contract::Contract;
-
-/// Server-side limits a granted contract must respect.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NegotiationPolicy {
-    /// Tightest hard/soft deadline the server grants, in virtual seconds.
-    /// Requests below this are relaxed up to it.
-    pub min_deadline_secs: f64,
-    /// Shortest quota/hybrid interval the server grants, in virtual
-    /// seconds. Requests below this are stretched up to it.
-    pub min_interval_secs: f64,
-}
-
-impl Default for NegotiationPolicy {
-    fn default() -> Self {
-        NegotiationPolicy {
-            min_deadline_secs: 0.0,
-            min_interval_secs: 0.0,
-        }
-    }
-}
 
 /// Outcome of negotiating one submission.
 #[derive(Debug, Clone, PartialEq)]
@@ -37,60 +17,53 @@ pub struct Negotiated {
     pub adjusted: bool,
 }
 
-impl NegotiationPolicy {
-    /// Grants the closest servable contract.
-    ///
-    /// Table 2 classes (C1–C5) are granted as requested, except that
-    /// deadlines and intervals tighter than the policy floors are relaxed
-    /// to the floor. `Piecewise` and `Product` contracts are not
-    /// snapshot-serializable, so the serving layer downgrades them to the
-    /// parameter-free `LogDecay` (C2) — always flagged as adjusted.
-    pub fn negotiate(&self, requested: &Contract) -> Negotiated {
-        let relax = |v: f64, floor: f64| if v < floor { floor } else { v };
-        match requested {
-            Contract::Deadline { t_hard } => {
-                let granted = relax(*t_hard, self.min_deadline_secs);
-                Negotiated {
-                    granted: Contract::Deadline { t_hard: granted },
-                    adjusted: granted != *t_hard,
-                }
-            }
-            Contract::SoftDeadline { t_soft } => {
-                let granted = relax(*t_soft, self.min_deadline_secs);
-                Negotiated {
-                    granted: Contract::SoftDeadline { t_soft: granted },
-                    adjusted: granted != *t_soft,
-                }
-            }
-            Contract::Quota { frac, interval } => {
-                let granted = relax(*interval, self.min_interval_secs);
-                Negotiated {
-                    granted: Contract::Quota {
-                        frac: *frac,
-                        interval: granted,
-                    },
-                    adjusted: granted != *interval,
-                }
-            }
-            Contract::Hybrid { frac, interval } => {
-                let granted = relax(*interval, self.min_interval_secs);
-                Negotiated {
-                    granted: Contract::Hybrid {
-                        frac: *frac,
-                        interval: granted,
-                    },
-                    adjusted: granted != *interval,
-                }
-            }
-            Contract::LogDecay => Negotiated {
-                granted: Contract::LogDecay,
-                adjusted: false,
-            },
-            Contract::Piecewise { .. } | Contract::Product(..) => Negotiated {
-                granted: Contract::LogDecay,
-                adjusted: true,
-            },
+/// Grants the closest servable contract.
+///
+/// Table 2 classes (C1–C5) are granted as requested, except that a negative
+/// deadline or interval is raised to 0. `Piecewise` and `Product` contracts
+/// are not snapshot-serializable, so the serving layer downgrades them to
+/// the parameter-free `LogDecay` (C2). Every change is flagged as adjusted.
+pub fn negotiate(requested: &Contract) -> Negotiated {
+    let mut adjusted = false;
+    let mut raise = |v: f64| {
+        let granted = if v < 0.0 { 0.0 } else { v };
+        adjusted |= granted != v;
+        granted
+    };
+    let granted = match requested {
+        Contract::Deadline { t_hard } => Contract::Deadline {
+            t_hard: raise(*t_hard),
+        },
+        Contract::SoftDeadline { t_soft } => Contract::SoftDeadline {
+            t_soft: raise(*t_soft),
+        },
+        Contract::Quota { frac, interval } => Contract::Quota {
+            frac: *frac,
+            interval: raise(*interval),
+        },
+        Contract::Hybrid { frac, interval } => Contract::Hybrid {
+            frac: *frac,
+            interval: raise(*interval),
+        },
+        Contract::LogDecay => Contract::LogDecay,
+        Contract::Piecewise { .. } | Contract::Product(..) => {
+            adjusted = true;
+            Contract::LogDecay
         }
+    };
+    Negotiated { granted, adjusted }
+}
+
+/// Contract negotiation as a [`ServeConfig`](crate::ServeConfig) field. It
+/// carries no setting — every server grants what [`negotiate`] grants — and
+/// is kept only because `benchmark/src` calls `cfg.negotiation.negotiate(..)`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Negotiation;
+
+impl Negotiation {
+    /// [`negotiate`].
+    pub fn negotiate(self, requested: &Contract) -> Negotiated {
+        negotiate(requested)
     }
 }
 
@@ -98,69 +71,74 @@ impl NegotiationPolicy {
 mod tests {
     use super::*;
 
-    fn policy() -> NegotiationPolicy {
-        NegotiationPolicy {
-            min_deadline_secs: 10.0,
-            min_interval_secs: 5.0,
+    #[test]
+    fn servable_contracts_pass_through_unchanged() {
+        for c in [
+            Contract::Deadline { t_hard: 30.0 },
+            Contract::SoftDeadline { t_soft: 0.0 },
+            Contract::Quota {
+                frac: 0.1,
+                interval: 9.0,
+            },
+            Contract::Hybrid {
+                frac: 0.1,
+                interval: 0.0,
+            },
+            Contract::LogDecay,
+        ] {
+            let n = negotiate(&c);
+            assert_eq!(n.granted, c);
+            assert!(!n.adjusted, "{c:?}");
         }
     }
 
     #[test]
-    fn servable_contracts_pass_through_unchanged() {
-        let n = policy().negotiate(&Contract::Deadline { t_hard: 30.0 });
-        assert_eq!(n.granted, Contract::Deadline { t_hard: 30.0 });
-        assert!(!n.adjusted);
-        let n = policy().negotiate(&Contract::LogDecay);
-        assert!(!n.adjusted);
-    }
-
-    #[test]
-    fn too_tight_deadlines_are_relaxed_to_the_floor() {
-        let n = policy().negotiate(&Contract::Deadline { t_hard: 1.0 });
-        assert_eq!(n.granted, Contract::Deadline { t_hard: 10.0 });
+    fn negative_deadlines_are_raised_to_zero() {
+        let n = negotiate(&Contract::Deadline { t_hard: -1.0 });
+        assert_eq!(n.granted, Contract::Deadline { t_hard: 0.0 });
         assert!(n.adjusted);
-        let n = policy().negotiate(&Contract::SoftDeadline { t_soft: 2.0 });
-        assert_eq!(n.granted, Contract::SoftDeadline { t_soft: 10.0 });
+        let n = negotiate(&Contract::SoftDeadline { t_soft: -2.0 });
+        assert_eq!(n.granted, Contract::SoftDeadline { t_soft: 0.0 });
         assert!(n.adjusted);
     }
 
     #[test]
-    fn short_intervals_are_stretched() {
-        let n = policy().negotiate(&Contract::Quota {
+    fn negative_intervals_are_raised_to_zero() {
+        let n = negotiate(&Contract::Quota {
             frac: 0.1,
-            interval: 1.0,
+            interval: -1.0,
         });
         assert_eq!(
             n.granted,
             Contract::Quota {
                 frac: 0.1,
-                interval: 5.0,
+                interval: 0.0,
             }
         );
         assert!(n.adjusted);
-        let n = policy().negotiate(&Contract::Hybrid {
+        let n = negotiate(&Contract::Hybrid {
             frac: 0.1,
-            interval: 9.0,
+            interval: -9.0,
         });
         assert_eq!(
             n.granted,
             Contract::Hybrid {
                 frac: 0.1,
-                interval: 9.0,
+                interval: 0.0,
             }
         );
-        assert!(!n.adjusted);
+        assert!(n.adjusted);
     }
 
     #[test]
     fn unserializable_contracts_downgrade_to_log_decay() {
-        let n = policy().negotiate(&Contract::Piecewise {
+        let n = negotiate(&Contract::Piecewise {
             steps: vec![(5.0, 1.0)],
             tail: 0.0,
         });
         assert_eq!(n.granted, Contract::LogDecay);
         assert!(n.adjusted);
-        let n = policy().negotiate(&Contract::Product(
+        let n = negotiate(&Contract::Product(
             Box::new(Contract::LogDecay),
             Box::new(Contract::LogDecay),
         ));
@@ -170,7 +148,7 @@ mod tests {
 
     #[test]
     fn negotiation_is_deterministic() {
-        let req = Contract::Deadline { t_hard: 0.5 };
-        assert_eq!(policy().negotiate(&req), policy().negotiate(&req));
+        let req = Contract::Deadline { t_hard: -0.5 };
+        assert_eq!(negotiate(&req), negotiate(&req));
     }
 }

@@ -18,16 +18,6 @@ pub enum RejectReason {
         /// The configured bound.
         bound: u32,
     },
-    /// The degradation signal is active: mean satisfaction over completed
-    /// sessions slipped below the configured floor, so the server sheds
-    /// new load instead of admitting work it would serve badly (the
-    /// wall-clock mirror of the engine's `DegradationPolicy`).
-    Shedding {
-        /// Mean satisfaction that tripped the signal.
-        satisfaction: f64,
-        /// The configured floor.
-        floor: f64,
-    },
     /// The submission itself is unservable (bad catalog index, invalid
     /// priority, server shutting down).
     Invalid {
@@ -41,7 +31,6 @@ impl RejectReason {
     pub fn as_str(&self) -> &'static str {
         match self {
             RejectReason::QueueFull { .. } => "full",
-            RejectReason::Shedding { .. } => "shed",
             RejectReason::Invalid { .. } => "invalid",
         }
     }
@@ -53,13 +42,6 @@ impl fmt::Display for RejectReason {
             RejectReason::QueueFull { depth, bound } => {
                 write!(f, "admission queue full ({depth}/{bound})")
             }
-            RejectReason::Shedding {
-                satisfaction,
-                floor,
-            } => write!(
-                f,
-                "shedding load: mean satisfaction {satisfaction:.3} below floor {floor:.3}"
-            ),
             RejectReason::Invalid { reason } => write!(f, "invalid submission: {reason}"),
         }
     }
@@ -174,12 +156,6 @@ mod tests {
         let r = RejectReason::QueueFull { depth: 8, bound: 8 };
         assert_eq!(r.as_str(), "full");
         assert!(r.to_string().contains("8/8"));
-        let r = RejectReason::Shedding {
-            satisfaction: 0.31,
-            floor: 0.5,
-        };
-        assert_eq!(r.as_str(), "shed");
-        assert!(r.to_string().contains("0.310"));
         let r = RejectReason::Invalid {
             reason: "catalog index 9 out of range".into(),
         };

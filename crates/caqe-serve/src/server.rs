@@ -15,16 +15,18 @@
 //!
 //! # Robustness
 //!
-//! * Backpressure: the queue is a [`BoundedQueue`]; overflow and
-//!   shed-mode submissions get a typed [`RejectReason`] and an
-//!   `AdmissionReject` trace event.
+//! * Backpressure: the queue is a [`BoundedQueue`]; overflow and invalid
+//!   submissions get a typed [`RejectReason`] and an `AdmissionReject`
+//!   trace event.
 //! * Watchdogs: queued sessions carry wall-clock deadlines; stale ones
 //!   expire before each epoch instead of wasting engine time.
-//! * Isolation: every engine run goes through [`with_retry`] —
-//!   `catch_unwind` plus exponential backoff on transient failures.
-//!   Panics become typed [`SessionFailure`]s; none escape the driver.
+//! * Isolation: every epoch runs once under `catch_unwind`. An engine error
+//!   or a caught panic becomes a typed [`SessionFailure`] for each session
+//!   of the batch; none escapes `run_epoch`. A retry would not help: the
+//!   epoch is a pure function of its batch, and the engine already
+//!   recovers region panics in virtual time (DESIGN.md §13).
 
-use crate::negotiate::NegotiationPolicy;
+use crate::negotiate::{negotiate, Negotiation};
 use crate::queue::{BoundedQueue, RejectReason};
 use crate::snapshot::{
     load_snapshot, write_snapshot, CompletedRecord, ContractSpec, SessionRecord, Snapshot,
@@ -36,7 +38,6 @@ use caqe_core::{
     RunOutcome, RunRequest, SessionEvent, Workload,
 };
 use caqe_data::Table;
-use caqe_faults::WallRetryPolicy;
 use caqe_obs::{names, MetricsRegistry, ObsCollector, ObsConfig};
 use caqe_trace::{NoopSink, RecordingSink, TraceEvent};
 use caqe_types::{EngineError, Fnv1a};
@@ -49,6 +50,10 @@ use std::time::{Duration, Instant};
 /// Strategy name stamped into epoch traces.
 const STRATEGY: &str = "CAQE-SERVE";
 
+/// Wall-clock deadline of a submission that does not carry one, and of
+/// every session a restore re-queues, in milliseconds (5 minutes).
+const DEFAULT_DEADLINE_MS: u64 = 300_000;
+
 /// Serving-layer knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
@@ -59,16 +64,8 @@ pub struct ServeConfig {
     /// run). The FIFO quantization this imposes is what makes the restore
     /// proof work — do not vary it across a snapshot boundary.
     pub epoch_batch: usize,
-    /// Wall-clock deadline applied to submissions that do not carry one,
-    /// in milliseconds.
-    pub default_deadline_ms: u64,
-    /// Retry/backoff for transient epoch failures and caught panics.
-    pub retry: WallRetryPolicy,
-    /// Contract negotiation limits.
-    pub negotiation: NegotiationPolicy,
-    /// Mean-satisfaction floor under which new submissions are shed
-    /// (0 disables, mirroring the engine's `DegradationPolicy`).
-    pub shed_floor: f64,
+    /// Contract negotiation; it holds no setting ([`Negotiation`]).
+    pub negotiation: Negotiation,
     /// Virtual-tick spacing between in-epoch admissions (0 admits the
     /// whole batch at tick 0).
     pub admit_spacing_ticks: u64,
@@ -82,10 +79,7 @@ impl Default for ServeConfig {
         ServeConfig {
             queue_bound: 8,
             epoch_batch: 4,
-            default_deadline_ms: 300_000,
-            retry: WallRetryPolicy::default(),
-            negotiation: NegotiationPolicy::default(),
-            shed_floor: 0.0,
+            negotiation: Negotiation,
             admit_spacing_ticks: 0,
             keep_epoch_traces: false,
         }
@@ -101,7 +95,8 @@ pub struct SubmitRequest {
     pub priority: f64,
     /// The contract the client asks for (negotiation may relax it).
     pub contract: Contract,
-    /// Wall-clock deadline override in milliseconds.
+    /// Wall-clock deadline override in milliseconds (5 minutes when
+    /// `None`).
     pub deadline_ms: Option<u64>,
 }
 
@@ -124,33 +119,23 @@ pub struct SessionResult {
 /// error string ever reaches a client.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionFailure {
-    /// The engine returned a non-transient error, or a transient one
-    /// survived every retry.
+    /// The engine returned an error.
     Engine {
         /// The underlying typed error.
         error: EngineError,
-        /// Attempts made (1 = no retry).
-        attempts: u32,
     },
-    /// The engine panicked on every attempt; the payload was caught and
-    /// stringified.
+    /// The epoch panicked; the payload was caught and stringified.
     Panicked {
         /// Panic payload rendering.
         message: String,
-        /// Attempts made.
-        attempts: u32,
     },
 }
 
 impl fmt::Display for SessionFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SessionFailure::Engine { error, attempts } => {
-                write!(f, "engine error after {attempts} attempt(s): {error}")
-            }
-            SessionFailure::Panicked { message, attempts } => {
-                write!(f, "engine panicked on all {attempts} attempt(s): {message}")
-            }
+            SessionFailure::Engine { error } => write!(f, "engine error: {error}"),
+            SessionFailure::Panicked { message } => write!(f, "engine panicked: {message}"),
         }
     }
 }
@@ -210,8 +195,6 @@ pub struct EpochReport {
     pub sessions: Vec<u64>,
     /// [`RunOutcome::digest`] of the epoch, when it succeeded.
     pub outcome_digest: Option<u64>,
-    /// Engine attempts spent (1 = first try).
-    pub attempts: u32,
     /// Whether every session in the batch completed.
     pub succeeded: bool,
 }
@@ -319,47 +302,15 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `attempt_fn` under `catch_unwind` with the policy's backoff:
-/// transient [`EngineError`]s and panics are retried up to
-/// `policy.max_attempts` times; everything else (and exhaustion) becomes a
-/// typed [`SessionFailure`]. Returns the result and the attempts spent.
-pub fn with_retry<T>(
-    policy: &WallRetryPolicy,
-    mut attempt_fn: impl FnMut(u32) -> Result<T, EngineError>,
-) -> (Result<T, SessionFailure>, u32) {
-    let max = policy.max_attempts.max(1);
-    let mut attempt = 0u32;
-    loop {
-        attempt += 1;
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attempt_fn(attempt))) {
-            Ok(Ok(v)) => return (Ok(v), attempt),
-            Ok(Err(e)) => {
-                if e.is_transient() && attempt < max {
-                    std::thread::sleep(policy.backoff(attempt));
-                } else {
-                    return (
-                        Err(SessionFailure::Engine {
-                            error: e,
-                            attempts: attempt,
-                        }),
-                        attempt,
-                    );
-                }
-            }
-            Err(payload) => {
-                if attempt < max {
-                    std::thread::sleep(policy.backoff(attempt));
-                } else {
-                    return (
-                        Err(SessionFailure::Panicked {
-                            message: panic_message(payload.as_ref()),
-                            attempts: attempt,
-                        }),
-                        attempt,
-                    );
-                }
-            }
-        }
+/// Runs `run` once under `catch_unwind`: a returned [`EngineError`] becomes
+/// [`SessionFailure::Engine`], a caught panic [`SessionFailure::Panicked`].
+fn contained<T>(run: impl FnOnce() -> Result<T, EngineError>) -> Result<T, SessionFailure> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+        Ok(Ok(v)) => Ok(v),
+        Ok(Err(error)) => Err(SessionFailure::Engine { error }),
+        Err(payload) => Err(SessionFailure::Panicked {
+            message: panic_message(payload.as_ref()),
+        }),
     }
 }
 
@@ -383,7 +334,8 @@ impl CaqeServer {
     /// `catalog` with the engine configuration given.
     ///
     /// # Panics
-    /// Panics if the catalog is empty (there would be nothing to serve).
+    /// Panics if the catalog is empty (there would be nothing to serve) or
+    /// an entry fails [`QuerySpec::validate`] (no epoch could run it).
     pub fn new(
         tables: (Table, Table),
         catalog: Vec<QuerySpec>,
@@ -392,6 +344,9 @@ impl CaqeServer {
         cfg: ServeConfig,
     ) -> Self {
         assert!(!catalog.is_empty(), "catalog must contain a query spec");
+        for spec in &catalog {
+            spec.validate();
+        }
         CaqeServer {
             tables,
             catalog,
@@ -467,7 +422,7 @@ impl CaqeServer {
                     }),
                 );
             }
-            let deadline = Instant::now() + Duration::from_millis(cfg.default_deadline_ms);
+            let deadline = Instant::now() + Duration::from_millis(DEFAULT_DEADLINE_MS);
             for (pos, s) in snap.queued.iter().enumerate() {
                 let qs = QueuedSession {
                     id: s.id,
@@ -623,14 +578,6 @@ impl CaqeServer {
             Some(RejectReason::Invalid {
                 reason: format!("priority {} outside [0, 1]", req.priority),
             })
-        } else if self.cfg.shed_floor > 0.0
-            && g.sat_count > 0
-            && g.mean_satisfaction() < self.cfg.shed_floor
-        {
-            Some(RejectReason::Shedding {
-                satisfaction: g.mean_satisfaction(),
-                floor: self.cfg.shed_floor,
-            })
         } else {
             None
         };
@@ -638,8 +585,8 @@ impl CaqeServer {
             return self.reject(&mut g, session, reason);
         }
 
-        let negotiated = self.cfg.negotiation.negotiate(&req.contract);
-        let deadline_ms = req.deadline_ms.unwrap_or(self.cfg.default_deadline_ms);
+        let negotiated = negotiate(&req.contract);
+        let deadline_ms = req.deadline_ms.unwrap_or(DEFAULT_DEADLINE_MS);
         let qs = QueuedSession {
             id: session,
             catalog: req.catalog,
@@ -763,8 +710,8 @@ impl CaqeServer {
     }
 
     /// Runs one epoch: drains up to `epoch_batch` sessions and executes
-    /// them as one deterministic engine run (retrying under the
-    /// wall-clock policy). Returns `None` when the queue was empty.
+    /// them as one deterministic engine run, once. Returns `None` when the
+    /// queue was empty.
     pub fn run_epoch(&self) -> Option<EpochReport> {
         let batch: Vec<QueuedSession> = {
             let mut g = self.lock();
@@ -788,42 +735,12 @@ impl CaqeServer {
             batch
         };
 
-        // Build the epoch workload outside the lock: the first session
-        // seeds the initial workload, the rest are EventStream admissions
-        // in batch order. Every epoch restarts the virtual clock at tick
-        // 0, so contract decay never leaks across epochs and each epoch
-        // is a pure function of its batch.
-        let specs: Vec<QuerySpec> = batch
-            .iter()
-            .map(|qs| {
-                let mut spec = self.catalog[qs.catalog].clone();
-                spec.priority = qs.priority;
-                spec.contract = qs.contract.clone();
-                spec
-            })
-            .collect();
-        let workload = Workload::new(vec![specs[0].clone()]);
-        let events = EventStream::new(
-            specs[1..]
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| SessionEvent::Admit {
-                    at: (i as u64 + 1) * self.cfg.admit_spacing_ticks,
-                    spec: spec.clone(),
-                })
-                .collect(),
-        );
-
-        let (result, attempts) = with_retry(&self.cfg.retry, |_| self.run_once(&workload, &events));
+        let result = contained(|| self.run_once(&batch));
 
         let mut g = self.lock();
         let epoch = g.epochs;
         g.epochs += 1;
         g.reg.inc(names::SERVE_EPOCHS, 1);
-        g.reg.inc(
-            names::SERVE_EPOCH_RETRIES,
-            u64::from(attempts.saturating_sub(1)),
-        );
         let sessions: Vec<u64> = batch.iter().map(|qs| qs.id).collect();
         let report = match result {
             Ok((outcome, trace)) => {
@@ -857,7 +774,6 @@ impl CaqeServer {
                     epoch,
                     sessions,
                     outcome_digest: Some(outcome.digest()),
-                    attempts,
                     succeeded: true,
                 }
             }
@@ -869,7 +785,6 @@ impl CaqeServer {
                     epoch,
                     sessions,
                     outcome_digest: None,
-                    attempts,
                     succeeded: false,
                 }
             }
@@ -881,20 +796,40 @@ impl CaqeServer {
         Some(report)
     }
 
+    /// One engine run over `batch`, outside the lock: the first session
+    /// seeds the initial workload, the rest are `EventStream` admissions in
+    /// batch order. Every epoch restarts the virtual clock at tick 0, so
+    /// contract decay never leaks across epochs and each epoch is a pure
+    /// function of its batch.
     fn run_once(
         &self,
-        workload: &Workload,
-        events: &EventStream,
+        batch: &[QueuedSession],
     ) -> Result<(RunOutcome, Vec<TraceEvent>), EngineError> {
+        let mut specs = batch.iter().map(|qs| {
+            let mut spec = self.catalog[qs.catalog].clone();
+            spec.priority = qs.priority;
+            spec.contract = qs.contract.clone();
+            spec
+        });
+        let workload = Workload::new(specs.by_ref().take(1).collect());
+        let events = EventStream::new(
+            specs
+                .enumerate()
+                .map(|(i, spec)| SessionEvent::Admit {
+                    at: (i as u64 + 1) * self.cfg.admit_spacing_ticks,
+                    spec,
+                })
+                .collect(),
+        );
         let request = RunRequest::new(
             STRATEGY,
             &self.tables.0,
             &self.tables.1,
-            workload,
+            &workload,
             &self.exec,
             &self.engine,
         )
-        .events(events)
+        .events(&events)
         .plan(self.plan.as_ref());
         if self.cfg.keep_epoch_traces {
             let mut sink = RecordingSink::new();
@@ -1066,88 +1001,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn retry_succeeds_after_transient_failures() {
-        let policy = WallRetryPolicy {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        };
-        let mut calls = 0;
-        let (r, attempts) = with_retry(&policy, |_| {
-            calls += 1;
-            if calls < 3 {
-                Err(EngineError::RegionFailed {
-                    group: 0,
-                    region: 1,
-                    attempts: 3,
-                })
-            } else {
-                Ok(42)
-            }
-        });
-        assert_eq!(r.unwrap(), 42);
-        assert_eq!(attempts, 3);
+    fn contained_run_passes_a_value_through() {
+        assert_eq!(contained(|| Ok(42)), Ok(42));
     }
 
     #[test]
-    fn retry_catches_panics_and_types_the_failure() {
-        let policy = WallRetryPolicy {
-            max_attempts: 2,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
+    fn contained_run_types_an_engine_error() {
+        let error = EngineError::InvalidWorkload {
+            reason: "empty".into(),
         };
-        let (r, attempts) = with_retry::<()>(&policy, |_| panic!("boom {}", 7));
-        match r.unwrap_err() {
-            SessionFailure::Panicked { message, attempts } => {
+        let got = contained::<()>(|| Err(error.clone()));
+        assert_eq!(got, Err(SessionFailure::Engine { error }));
+    }
+
+    #[test]
+    fn contained_run_catches_a_panic_and_types_the_failure() {
+        match contained::<()>(|| panic!("boom {}", 7)) {
+            Err(SessionFailure::Panicked { message }) => {
                 assert!(message.contains("boom 7"), "{message}");
-                assert_eq!(attempts, 2);
             }
-            other => panic!("expected Panicked, got {other}"),
+            other => panic!("expected Panicked, got {other:?}"),
         }
-        assert_eq!(attempts, 2);
-    }
-
-    #[test]
-    fn retry_does_not_retry_permanent_errors() {
-        let policy = WallRetryPolicy {
-            max_attempts: 5,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        };
-        let mut calls = 0;
-        let (r, attempts) = with_retry::<()>(&policy, |_| {
-            calls += 1;
-            Err(EngineError::InvalidWorkload {
-                reason: "empty".into(),
-            })
-        });
-        assert_eq!(calls, 1, "permanent errors must not be retried");
-        assert_eq!(attempts, 1);
-        match r.unwrap_err() {
-            SessionFailure::Engine { error, attempts } => {
-                assert!(!error.is_transient());
-                assert_eq!(attempts, 1);
-            }
-            other => panic!("expected Engine, got {other}"),
-        }
-    }
-
-    #[test]
-    fn retry_panic_then_success_recovers() {
-        let policy = WallRetryPolicy {
-            max_attempts: 3,
-            backoff_base_ms: 0,
-            backoff_cap_ms: 0,
-        };
-        let mut calls = 0;
-        let (r, attempts) = with_retry(&policy, |_| {
-            calls += 1;
-            if calls == 1 {
-                panic!("transient worker crash");
-            }
-            Ok("ok")
-        });
-        assert_eq!(r.unwrap(), "ok");
-        assert_eq!(attempts, 2);
     }
 }

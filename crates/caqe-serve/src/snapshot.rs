@@ -32,8 +32,7 @@ const HEADER: &str = "caqe-serve-snapshot";
 /// Serializable mirror of the Table 2 contract classes.
 ///
 /// `Piecewise`/`Product` contracts never reach a snapshot: negotiation
-/// downgrades them at admission
-/// ([`NegotiationPolicy`](crate::NegotiationPolicy)).
+/// downgrades them at admission ([`negotiate`](crate::negotiate)).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ContractSpec {
     /// C1 — hard deadline.

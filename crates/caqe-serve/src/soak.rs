@@ -14,6 +14,15 @@ use caqe_data::Table;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+/// How long each client waits for a session to reach a terminal state
+/// before giving up (counted as `unresolved` — a liveness violation), in
+/// milliseconds.
+const ATTACH_TIMEOUT_MS: u64 = 60_000;
+
+/// Retries a client spends on a `QueueFull` reject before dropping the
+/// submission (each retry backs off briefly).
+const FULL_RETRIES: u32 = 200;
+
 /// Soak-run shape.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
@@ -23,24 +32,6 @@ pub struct SoakConfig {
     pub submits_per_client: usize,
     /// Serving-layer knobs shared by the chaos run and the clean baseline.
     pub serve: ServeConfig,
-    /// How long each client waits for a session to reach a terminal state
-    /// before giving up (counted as `unresolved` — a liveness violation).
-    pub attach_timeout_ms: u64,
-    /// Retries a client spends on a `QueueFull` reject before dropping the
-    /// submission (each retry backs off briefly).
-    pub full_retries: u32,
-}
-
-impl Default for SoakConfig {
-    fn default() -> Self {
-        SoakConfig {
-            clients: 4,
-            submits_per_client: 8,
-            serve: ServeConfig::default(),
-            attach_timeout_ms: 60_000,
-            full_retries: 200,
-        }
-    }
 }
 
 /// What the soak observed.
@@ -197,7 +188,7 @@ pub fn run_soak(
                             }
                             SubmitResponse::Rejected { reason, .. } => {
                                 rejected.fetch_add(1, Ordering::Relaxed);
-                                if reason.as_str() == "full" && tries < cfg.full_retries {
+                                if reason.as_str() == "full" && tries < FULL_RETRIES {
                                     tries += 1;
                                     std::thread::sleep(Duration::from_millis(2));
                                     continue;
@@ -208,7 +199,7 @@ pub fn run_soak(
                     }
                 }
                 for session in sessions {
-                    match server.attach(session, Duration::from_millis(cfg.attach_timeout_ms)) {
+                    match server.attach(session, Duration::from_millis(ATTACH_TIMEOUT_MS)) {
                         Some(SessionState::Done(_)) => {
                             completed.fetch_add(1, Ordering::Relaxed);
                         }

@@ -167,14 +167,14 @@ pub enum TraceEvent {
         regions_retired: u32,
     },
     /// The serving layer refused a submission: the admission queue was at
-    /// its bound or the shed signal was active. Emitted by the wall-clock
+    /// its bound or the request was unservable. Emitted by the wall-clock
     /// driver (`caqe-serve`), never by the deterministic core.
     AdmissionReject {
         tick: Ticks,
         /// Server-assigned session identifier of the rejected submission.
         session: u64,
-        /// Why it was refused: `"full"` (queue at bound), `"shed"`
-        /// (degradation floor breached) or `"invalid"` (a malformed request).
+        /// Why it was refused: `"full"` (queue at bound) or `"invalid"` (a
+        /// malformed request, or the server is shutting down).
         reason: &'static str,
         /// Queue depth observed at rejection time.
         depth: u32,

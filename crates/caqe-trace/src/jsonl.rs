@@ -68,7 +68,7 @@ grammar! {
     "shed" => RegionShed { tick: int, group: int, region: int, satisfaction: float }
     "admit" => Admit { tick: int, query: int, contract: text, group: int, incremental: bool }
     "depart" => Depart { tick: int, query: int, regions_retired: int }
-    "reject" => AdmissionReject { tick: int, session: int, reason: name("full shed invalid"),
+    "reject" => AdmissionReject { tick: int, session: int, reason: name("full invalid"),
         depth: int, bound: int }
     "shutdown" => ServerShutdown { tick: int, queued: int, drained: int, snapshot_version: int }
     "restore" => ServerRestore { tick: int, snapshot_version: int, queued: int, completed: int }

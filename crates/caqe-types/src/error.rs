@@ -2,7 +2,7 @@
 //!
 //! The library crates never abort the process on recoverable conditions:
 //! fallible entry points return [`EngineError`] and the callers decide
-//! whether to degrade, retry or surface the failure. Only genuinely
+//! whether to degrade or surface the failure. Only genuinely
 //! unreachable states (documented invariant violations) remain panics.
 
 use std::fmt;
@@ -33,17 +33,6 @@ pub enum EngineError {
         /// Human-readable description of the violation.
         reason: String,
     },
-    /// A region's processing unit panicked and exhausted its retry budget;
-    /// the run continued by quarantining the region, but a caller that
-    /// demanded complete results can observe the loss here.
-    RegionFailed {
-        /// Join-group index.
-        group: u32,
-        /// Region identifier within the group.
-        region: u32,
-        /// Processing attempts made before quarantining.
-        attempts: u32,
-    },
     /// A fault specification string (`--faults <spec>`) failed to parse.
     BadFaultSpec {
         /// The offending fragment.
@@ -59,18 +48,6 @@ pub enum EngineError {
         /// What was expected instead.
         reason: String,
     },
-}
-
-impl EngineError {
-    /// Whether a wall-clock driver should retry the run that produced this
-    /// error. [`RegionFailed`](EngineError::RegionFailed) reports exhausted
-    /// in-run recovery of a panicking processing unit — under real (non
-    /// seeded-chaos) conditions that is environmental and worth re-running.
-    /// Everything else describes the *request* (malformed input, workload
-    /// or spec) and will fail identically on every attempt.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, EngineError::RegionFailed { .. })
-    }
 }
 
 impl fmt::Display for EngineError {
@@ -91,14 +68,6 @@ impl fmt::Display for EngineError {
             EngineError::InvalidWorkload { reason } => {
                 write!(f, "invalid workload: {reason}")
             }
-            EngineError::RegionFailed {
-                group,
-                region,
-                attempts,
-            } => write!(
-                f,
-                "region {region} of group {group} failed after {attempts} attempt(s)"
-            ),
             EngineError::BadFaultSpec { fragment, reason } => {
                 write!(f, "bad fault spec near {fragment:?}: {reason}")
             }
@@ -124,12 +93,6 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains('R') && s.contains('3') && s.contains('1'));
-        let e = EngineError::RegionFailed {
-            group: 2,
-            region: 7,
-            attempts: 4,
-        };
-        assert!(e.to_string().contains("region 7"));
         let e = EngineError::BadFaultSpec {
             fragment: "spike".into(),
             reason: "missing rate".into(),
@@ -140,31 +103,6 @@ mod tests {
             reason: "tick must be an integer".into(),
         };
         assert!(e.to_string().contains("admit@x"));
-    }
-
-    #[test]
-    fn only_region_failures_are_transient() {
-        assert!(EngineError::RegionFailed {
-            group: 0,
-            region: 1,
-            attempts: 3,
-        }
-        .is_transient());
-        assert!(!EngineError::InvalidWorkload {
-            reason: "empty".into(),
-        }
-        .is_transient());
-        assert!(!EngineError::BadEventSpec {
-            fragment: "depart@1=9".into(),
-            reason: "unknown query".into(),
-        }
-        .is_transient());
-        assert!(!EngineError::CorruptInput {
-            table: "R".into(),
-            non_finite: 1,
-            duplicates: 0,
-        }
-        .is_transient());
     }
 
     #[test]

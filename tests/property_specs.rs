@@ -265,7 +265,7 @@ fn event(kind: usize, w: &mut Words, text: String) -> TraceEvent {
         11 => TraceEvent::AdmissionReject {
             tick: w.int(),
             session: w.int(),
-            reason: w.of(&["full", "shed", "invalid"]),
+            reason: w.of(&["full", "invalid"]),
             depth: w.narrow(),
             bound: w.narrow(),
         },

@@ -5,7 +5,9 @@
 //! queue bounded and contract SLOs retained; (d) every admission path —
 //! accept, queue-full reject, invalid reject, cancel, deadline expiry,
 //! negotiation downgrade — answers with typed state, never a panic;
-//! (e) a restore serves whatever state the plan file is in, and says which.
+//! (e) a restore serves whatever state the plan file is in, and says which;
+//! (f) a catalog entry no epoch could run is refused when the server is
+//! built, not by a panic on the thread that runs epochs.
 
 use caqe::contract::Contract;
 use caqe::core::{EngineConfig, ExecConfig, PlanError, QuerySpec};
@@ -285,7 +287,6 @@ fn soak_is_live_bounded_and_retains_slo() {
             epoch_batch: 3,
             ..ServeConfig::default()
         },
-        ..SoakConfig::default()
     };
     let report = run_soak(
         &tables(400, 7),
@@ -440,5 +441,28 @@ fn negotiation_downgrade_is_recorded() {
             );
         }
         other => panic!("expected done, got {other:?}"),
+    }
+}
+
+/// A catalog entry that fails `QuerySpec::validate` — a preference outside
+/// the mapping's output, or an empty one — is refused by the constructor.
+#[test]
+fn unservable_catalog_entries_are_refused_up_front() {
+    for pref in [DimMask::from_dims([7]), DimMask(0)] {
+        let mut entries = catalog();
+        entries.push(spec(0, pref, 0.5, Contract::LogDecay));
+        let built = std::panic::catch_unwind(|| {
+            CaqeServer::new(
+                tables(100, 7),
+                entries,
+                ExecConfig::default().with_target_cells(100, 4),
+                EngineConfig::caqe(),
+                ServeConfig::default(),
+            )
+        });
+        assert!(
+            built.is_err(),
+            "catalog entry with preference {pref} was accepted"
+        );
     }
 }
